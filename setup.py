@@ -98,7 +98,10 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro.perf": ["golden_metrics.json"]},
+    package_data={
+        "repro.perf": ["golden_metrics.json"],
+        "repro.net": ["data/*.json"],
+    },
     python_requires=">=3.9",
     extras_require={"compiled": ["mypy>=1.8"]},
     ext_modules=_build_ext_modules(),

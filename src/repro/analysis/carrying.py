@@ -15,7 +15,27 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import lambertw
+
+def _lambertw0(x: float) -> float:
+    """Principal branch W0 of the Lambert-W function for −1/e < x <= 0.
+
+    Halley's iteration on w·e^w = x (cubic convergence). Near the branch
+    point −1/e, where W0 has a square-root singularity, it starts from
+    the series in p = sqrt(2(e·x + 1)); elsewhere from W0(x) ≈ x − x².
+    """
+    if x < -0.25:
+        p = math.sqrt(2.0 * (math.e * x + 1.0))
+        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
+    else:
+        w = x - x * x
+    for _ in range(20):
+        ew = math.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-17 * abs(w):
+            break
+    return w
 
 
 def carrying_capacity(n: int, fout: int) -> float:
@@ -31,12 +51,8 @@ def carrying_capacity(n: int, fout: int) -> float:
         raise ValueError(f"need at least 2 peers, got n={n}")
     if fout < 2:
         raise ValueError(f"carrying capacity requires fout >= 2, got {fout}")
-    argument = -fout * math.exp(-fout)
-    w = lambertw(argument, k=0)
-    if abs(w.imag) > 1e-12:
-        raise ArithmeticError(f"unexpected complex Lambert-W value {w}")
-    gamma = n * (fout + w.real) / fout
-    return float(gamma)
+    w = _lambertw0(-fout * math.exp(-fout))
+    return n * (fout + w) / fout
 
 
 def fixed_point_residual(n: int, fout: int, gamma: float) -> float:

@@ -7,11 +7,17 @@ it, it runs no timers, its network endpoint is down) until its
 ``JoinEvent`` fires, and a departing peer leaves the membership for good —
 it is removed from every view and excluded from completion predicates.
 
-The mechanism rides the view layer's bound samplers: each
-:class:`~repro.gossip.view.OrganizationView` binds ``sample_org`` /
-``sample_channel`` over its population *list objects*, so the controller
-mutates those lists in place (``add_member`` / ``discard_member``) and
-every future draw sees the new membership without rebinding anything.
+The mechanism rides the view layer's copy-on-write membership: every
+:class:`~repro.gossip.view.OrganizationView` starts on its organization's
+*shared* immutable member array, and ``add_member`` / ``discard_member``
+give the mutated view a private array with its ``sample_org`` /
+``sample_channel`` rebound to it — so every future draw *of that view*
+sees the new membership (gossip modules look the samplers up on the view
+at each draw) and no other view does. Order is part of the contract, since
+it decides which peer a given random draw names: a runtime joiner is
+appended after every build-time member of an incumbent's view, while the
+held-out joiner's own view — which the controller never touches — keeps
+build order.
 
 Sharding contract (docs/sharding.md): membership flips (view mutations,
 disconnect flags, the ``departed`` marker) are **global simulation state**

@@ -106,12 +106,12 @@ class LeaderElection:
         # peer therefore waits an extra heartbeat period per rank step, so
         # the best-ranked candidate claims first and its heartbeat
         # suppresses the rest.
-        ordered = sorted([self.host.name] + list(self.view.org_others))
-        self._rank = ordered.index(self.host.name)
+        self._rank = len(self._better_ranked())
         self._multicast = bind_multicast(host)
 
     def _better_ranked(self) -> List[str]:
-        return [name for name in self.view.org_others if name < self.host.name]
+        own = self.host.name
+        return [name for name in self.view.org_members if name < own]
 
     @property
     def _takeover_silence(self) -> float:

@@ -5,114 +5,177 @@ peer knows the identity of every other peer of its org (certified by the
 MSP) — and block dissemination is, for trust reasons, restricted to peers of
 the same organization. Recovery, by contrast, may consult peers of the whole
 channel (paper §III-A).
+
+Because every peer of an organization knows the *same* membership, the
+views of a deployment share it: :func:`build_views` interns one
+:class:`Membership` per organization and one for the channel, and each
+:class:`OrganizationView` holds a reference to those two arrays plus its
+owner's position in each (two references + two ints per peer, so set-up
+is linear in the number of peers). Membership arrays are immutable; churn
+is copy-on-write — the first ``add_member`` / ``discard_member`` on a
+view replaces *that view's* array with a private one, so mutating one view
+never changes another's candidates.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import partial
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from repro.simulation.random import sample_from
+from repro.simulation.random import sample_skipping
+
+
+class Membership:
+    """An immutable, interned member array with a name -> position index.
+
+    Interned names: every peer name flowing out of a view (gossip targets,
+    monitor keys, handler lookups) compares by pointer first.
+    """
+
+    __slots__ = ("names", "index")
+
+    def __init__(self, names: Iterable[str]) -> None:
+        self.names: Tuple[str, ...] = tuple(map(sys.intern, names))
+        self.index: Dict[str, int] = {name: at for at, name in enumerate(self.names)}
+        if len(self.index) != len(self.names):
+            raise ValueError("duplicate names in a membership")
+
+
+def _others(population: Tuple[str, ...], skip: int) -> List[str]:
+    """A fresh list of ``population`` minus the item at ``skip``."""
+    others = list(population)
+    del others[skip : skip + 1]
+    return others
+
+
+def _discard(population: Tuple[str, ...], skip: int, name: str) -> Tuple[Tuple[str, ...], int]:
+    """``population`` without ``name``, and where ``skip`` points afterwards."""
+    try:
+        at = population.index(name)
+    except ValueError:
+        return population, skip
+    return population[:at] + population[at + 1 :], skip - (at < skip)
 
 
 class OrganizationView:
-    """The static membership view handed to a peer's gossip module.
+    """The membership view handed to a peer's gossip module.
 
     Args:
         self_name: the owning peer.
         org_peers: all peers of the owning peer's organization (including
-            the owner; it is excluded from sampling automatically).
-        channel_peers: all peers of the channel (any organization).
+            the owner; it is excluded from sampling automatically). Pass
+            the organization's shared :class:`Membership` to build many
+            views over one array; a plain sequence gets a private one.
+        channel_peers: all peers of the channel (any organization), same
+            two forms.
         leader: the org's leader peer (receives blocks from orderers).
     """
 
     def __init__(
         self,
         self_name: str,
-        org_peers: Sequence[str],
-        channel_peers: Sequence[str],
+        org_peers: Union[Membership, Sequence[str]],
+        channel_peers: Union[Membership, Sequence[str]],
         leader: str,
     ) -> None:
-        if self_name not in org_peers:
+        org = org_peers if isinstance(org_peers, Membership) else Membership(org_peers)
+        channel = (
+            channel_peers if isinstance(channel_peers, Membership) else Membership(channel_peers)
+        )
+        at = org.index.get(self_name)
+        if at is None:
             raise ValueError(f"{self_name!r} not part of its own organization view")
-        if leader not in org_peers:
+        leader_at = org.index.get(leader)
+        if leader_at is None:
             raise ValueError(f"leader {leader!r} not part of the organization")
-        # Interned names: every peer name flowing out of a view (gossip
-        # targets, monitor keys, handler lookups) compares by pointer first.
-        intern = sys.intern
-        self.self_name = intern(self_name)
-        self.leader = intern(leader)
-        self._org_others: List[str] = [intern(name) for name in org_peers if name != self_name]
-        self._org_peers: List[str] = [intern(name) for name in org_peers]
-        self._channel_others: List[str] = [intern(name) for name in channel_peers if name != self_name]
-        # Pre-bound samplers (C-level partial call, no wrapper frame):
-        # target selection runs once per gossip fanout, which makes these
-        # two of the hottest calls in the simulator.
-        self.sample_org = partial(sample_from, self._org_others)
-        self.sample_channel = partial(sample_from, self._channel_others)
+        self.self_name = org.names[at]
+        self.leader = org.names[leader_at]
+        self._bind_org(org.names, at)
+        self._bind_channel(channel.names, channel.index.get(self_name, len(channel.names)))
+
+    # ``sample_org(rng, k, exclude=())`` — k distinct random org peers,
+    # excluding self — and ``sample_channel(rng, k, exclude=())`` — k
+    # distinct random channel peers (recovery is cross-org) — are instance
+    # partials over (member array, owner's position): a C-level call with
+    # no wrapper frame, because target selection runs once per gossip
+    # fanout and these are two of the hottest calls in the simulator.
+    # Callers look them up on the view at every draw (churn rebinds them).
+
+    def _bind_org(self, members: Tuple[str, ...], at: int) -> None:
+        self._org = members
+        self._org_at = at
+        self.sample_org = partial(sample_skipping, members, at)
+
+    def _bind_channel(self, members: Tuple[str, ...], at: int) -> None:
+        self._channel = members
+        self._channel_at = at
+        self.sample_channel = partial(sample_skipping, members, at)
 
     @property
     def org_size(self) -> int:
         """Number of peers in the organization (including self)."""
-        return len(self._org_peers)
+        return len(self._org)
+
+    @property
+    def org_members(self) -> Tuple[str, ...]:
+        """Every peer of the organization, self included (no copy)."""
+        return self._org
 
     @property
     def org_others(self) -> List[str]:
         """The other peers of the organization (gossip candidates)."""
-        return list(self._org_others)
+        return _others(self._org, self._org_at)
 
     @property
     def channel_others(self) -> List[str]:
         """All other peers of the channel (recovery candidates)."""
-        return list(self._channel_others)
+        return _others(self._channel, self._channel_at)
 
     @property
     def is_leader(self) -> bool:
         return self.self_name == self.leader
-
-    # ``sample_org(rng, k, exclude=())`` — k distinct random org peers,
-    # excluding self — and ``sample_channel(rng, k, exclude=())`` — k
-    # distinct random channel peers (recovery is cross-org) — are bound as
-    # instance partials in __init__; see the comment there.
 
     # ----- runtime membership (churn engine) ---------------------------
 
     def add_member(self, name: str, same_org: bool) -> None:
         """Admit ``name`` into this view's sampling populations.
 
-        Idempotent. The bound samplers hold the population *list objects*,
-        so in-place appends are immediately visible to every future draw
-        without rebinding — which is what makes runtime joins cheap.
+        Idempotent. Copy-on-write: the view gets a private array with
+        ``name`` appended (so a runtime joiner sits after every build-time
+        member) and its samplers are rebound to it; views that still share
+        the old array are unaffected.
         """
         name = sys.intern(name)
         if name == self.self_name:
             return
-        if same_org:
-            if name not in self._org_others:
-                self._org_others.append(name)
-            if name not in self._org_peers:
-                self._org_peers.append(name)
-        if name not in self._channel_others:
-            self._channel_others.append(name)
+        if same_org and name not in self._org:
+            self._bind_org(self._org + (name,), self._org_at)
+        if name not in self._channel:
+            self._bind_channel(self._channel + (name,), self._channel_at)
 
     def discard_member(self, name: str) -> None:
         """Remove ``name`` from this view's sampling populations.
 
-        Idempotent; a no-op for names not present. Leaders are protected
-        upstream (the churn engine refuses to churn a leader).
+        Idempotent; a no-op for names not present and for the owner (a
+        view always contains its owner). Copy-on-write like
+        :meth:`add_member`; the remaining members keep their order.
+        Leaders are protected upstream (the churn engine refuses to churn
+        a leader).
         """
-        for population in (self._org_others, self._org_peers, self._channel_others):
-            try:
-                population.remove(name)
-            except ValueError:
-                pass
+        if name == self.self_name:
+            return
+        self._bind_org(*_discard(self._org, self._org_at, name))
+        self._bind_channel(*_discard(self._channel, self._channel_at, name))
 
 
 def build_views(
     org_members: Dict[str, List[str]], leaders: Dict[str, str]
 ) -> Dict[str, OrganizationView]:
     """Construct the per-peer views for a multi-organization channel.
+
+    Every organization's member list and the channel list are interned
+    once and shared by all views over them.
 
     Args:
         org_members: organization name -> member peer names.
@@ -121,15 +184,10 @@ def build_views(
     Returns:
         peer name -> its :class:`OrganizationView`.
     """
-    channel_peers = [name for members in org_members.values() for name in members]
-    views: Dict[str, OrganizationView] = {}
-    for org, members in org_members.items():
-        leader = leaders[org]
-        for name in members:
-            views[name] = OrganizationView(
-                self_name=name,
-                org_peers=members,
-                channel_peers=channel_peers,
-                leader=leader,
-            )
-    return views
+    orgs = {org: Membership(members) for org, members in org_members.items()}
+    channel = Membership(name for members in orgs.values() for name in members.names)
+    return {
+        name: OrganizationView(name, members, channel, leaders[org])
+        for org, members in orgs.items()
+        for name in members.names
+    }

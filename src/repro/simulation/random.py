@@ -64,28 +64,37 @@ def sample_without(
     peers uniformly at random among the other peers. If fewer than ``k``
     candidates remain the whole candidate set is returned (in random order).
     """
-    return sample_from(population, rng, k, exclude)
+    return sample_skipping(population, len(population), rng, k, exclude)
 
 
-def sample_from(
-    population: Sequence[T], rng: random.Random, k: int, exclude: Sequence[T] = ()
+def sample_skipping(
+    population: Sequence[T], skip: int, rng: random.Random, k: int, exclude: Sequence[T] = ()
 ) -> List[T]:
-    """:func:`sample_without` with the population first.
+    """:func:`sample_without` over ``population`` minus the item at ``skip``.
 
-    The argument order exists so membership views can pre-bind their
-    candidate lists with :func:`functools.partial` (a C-level call, no
-    wrapper frame on the per-fanout path).
+    The candidates are ``population`` with position ``skip`` left out
+    (``skip == len(population)`` leaves nothing out), so every membership
+    view of an organisation can draw over the *same* shared array, each
+    skipping its owner, instead of holding a private "everyone but me"
+    copy. Population and skip come first so views can pre-bind them with
+    :func:`functools.partial` (a C-level call, no wrapper frame on the
+    per-fanout path). The draw sequence is that of sampling from the
+    materialised list of candidates, bit for bit.
     """
+    size = len(population)
     if exclude:
         excluded = set(exclude)
-        candidates: Sequence[T] = [item for item in population if item not in excluded]
+        if skip < size:
+            excluded.add(population[skip])
+        population = [item for item in population if item not in excluded]
+        skip = n = len(population)
     else:
-        # No exclusions: sample straight from the population without the
+        # No exclusions: index straight into the population without the
         # per-call copy (the copy dominated gossip target selection).
-        candidates = population
-    n = len(candidates)
+        n = size - 1 if skip < size else size
     if k >= n:
-        shuffled = list(candidates)
+        shuffled = list(population)
+        del shuffled[skip : skip + 1]
         rng.shuffle(shuffled)
         return shuffled
     # Inline of random.Random.sample (CPython 3.9+ algorithm) minus its
@@ -101,7 +110,8 @@ def sample_from(
     if k > 5:
         setsize += 4 ** ceil(log(k * 3, 4))
     if n <= setsize:
-        pool = list(candidates)
+        pool = list(population)
+        del pool[skip : skip + 1]
         for i in range(k):
             bound = n - i
             bits = bound.bit_length()
@@ -123,5 +133,6 @@ def sample_from(
                 while j >= n:
                     j = getrandbits(bits)
             selected_add(j)
-            result[i] = candidates[j]
+            # Candidate j sits one slot later once past the skipped one.
+            result[i] = population[j + (j >= skip)]
     return result

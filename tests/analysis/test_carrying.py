@@ -11,6 +11,25 @@ def test_paper_values():
     assert carrying_capacity(100, 2) == pytest.approx(79.68, abs=0.05)
 
 
+# 100·(fout + W0(−fout·e^−fout))/fout to 20 digits (mpmath, 40-digit
+# working precision): pins the pure-math Lambert-W against an independent
+# evaluation, not against itself.
+REFERENCE_GAMMA_100 = {
+    2: 79.681213002002004616,
+    3: 94.047979070735963113,
+    4: 98.017259871822158589,
+    5: 99.302284634885526074,
+    6: 99.748353773376573754,
+    7: 99.908224096116498059,
+    8: 99.966363344918862536,
+}
+
+
+@pytest.mark.parametrize("fout", sorted(REFERENCE_GAMMA_100))
+def test_reference_values(fout):
+    assert carrying_capacity(100, fout) == pytest.approx(REFERENCE_GAMMA_100[fout], rel=1e-12)
+
+
 def test_gamma_scales_linearly_with_n():
     ratio = carrying_capacity(1000, 4) / carrying_capacity(100, 4)
     assert ratio == pytest.approx(10.0, rel=1e-9)

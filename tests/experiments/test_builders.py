@@ -1,5 +1,8 @@
 """Unit tests for network assembly."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.experiments.builders import build_network, gossip_factory
@@ -70,6 +73,24 @@ def test_invalid_parameters():
         build_network(n_peers=1, gossip=OriginalGossipConfig())
     with pytest.raises(ValueError):
         build_network(n_peers=4, gossip=OriginalGossipConfig(), organizations=0)
+
+
+def _build_peak_bytes(n_peers):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = build_network(n_peers=n_peers, gossip=EnhancedGossipConfig.paper_f4(), seed=1)
+        assert net.n_peers == n_peers  # keep the deployment alive across the reading
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_is_linear_in_peers():
+    """4x the peers may cost < 6x the memory: the views of an organization
+    share one member array instead of each holding private copies (which
+    made this ratio ~9x and growing). Allocation counts, no wall clock."""
+    assert _build_peak_bytes(2000) < 6 * _build_peak_bytes(500)
 
 
 def test_seed_determinism():

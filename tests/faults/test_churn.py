@@ -1,8 +1,9 @@
 """Unit tests for the churn engine: runtime joins and departures.
 
-Membership mutations ride the view layer's bound samplers (the
-population *list objects* are mutated in place), so joins and leaves are
-visible to every future gossip draw without rebinding anything.
+Membership mutations are copy-on-write on the view layer: every view
+starts on its organization's shared member array, and the first join or
+leave it sees gives it a private one (its samplers rebound to it), so
+churn is visible to that view's future gossip draws and to no other view.
 """
 
 import pytest
@@ -39,6 +40,25 @@ def test_hold_out_removes_joiner_from_every_view_until_admission():
     assert "peer-7" in net.peers["peer-5"].view.org_others
     assert "peer-7" in net.peers["peer-0"].view.channel_others
     assert "peer-7" not in net.peers["peer-0"].view.org_others
+
+
+def test_joiner_keeps_build_order_while_incumbents_list_joiners_last():
+    net = churn_net()  # org1 = peer-1, peer-3, peer-5, peer-7 in build order
+    controller = ChurnController(net)
+    controller.schedule_join(1.0, ["peer-3"])
+    joiner, incumbent = net.peers["peer-3"].view, net.peers["peer-1"].view
+    # Held out: incumbents forget the joiner, the joiner's own view is
+    # the untouched build-time membership.
+    assert incumbent.org_others == ["peer-5", "peer-7"]
+    assert joiner.org_others == ["peer-1", "peer-5", "peer-7"]
+    net.start()
+    net.sim.run(until=2.0)
+    assert incumbent.org_others == ["peer-5", "peer-7", "peer-3"]
+    assert net.peers["peer-7"].view.org_others == ["peer-1", "peer-5", "peer-3"]
+    assert joiner.org_others == ["peer-1", "peer-5", "peer-7"]
+    # Same for the channel population, across organizations.
+    assert net.peers["peer-0"].view.channel_others[-1] == "peer-3"
+    assert joiner.channel_others == [f"peer-{i}" for i in (0, 2, 4, 6, 1, 5, 7)]
 
 
 def test_leave_removes_peer_for_good():
