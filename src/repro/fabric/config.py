@@ -11,6 +11,13 @@ class ValidationMode(enum.Enum):
 
     FULL runs the real per-transaction validation (endorsement policy +
     MVCC) and applies writes — required by the consistency experiments.
+    The checks run once per block per run, at the first peer to commit it;
+    the other peers take the same codes and writes from a memo on the
+    block. That is exact, not an approximation: the verdict is a function
+    of the block, the policy and the state before it, every peer commits
+    the same ``Block`` object, and a peer replays only when its world
+    state carries the tag of the state the memo was computed from (see
+    ``KeyValueStore.state_tag`` and docs/performance.md, "Commit path").
     DELAY_ONLY models only the validation *latency* (blocks from the
     synthetic dissemination driver carry no meaningful state), which keeps
     the 100-peer × 1000-block bandwidth/latency runs tractable.

@@ -271,6 +271,9 @@ class Peer(Process):
 
     def _commit(self, block: Block) -> None:
         if self.config.validation_mode is ValidationMode.FULL:
+            # Linkage and data hash first: a block the chain will refuse
+            # must not have written to the world state.
+            self.blockchain.check_next(block)
             result = validate_block(block, self.state, self.policy)
             if self.conflicts is not None:
                 self.conflicts.record_block_validation(self.name, result)

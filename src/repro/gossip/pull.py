@@ -95,12 +95,16 @@ class PullComponent:
     # ----- initiator side ----------------------------------------------
 
     def on_digest_response(self, src: str, message: PullDigestResponse) -> None:
+        host = self.host
+        height = host.ledger_height
+        requested = self._requested_this_round
+        # Cheapest test first: most advertised numbers are already committed.
         missing = [
             number
             for number in message.block_numbers
-            if self.host.get_block(number) is None
-            and number >= self.host.ledger_height
-            and number not in self._requested_this_round
+            if number >= height
+            and number not in requested
+            and host.get_block(number) is None
         ]
         if not missing:
             return

@@ -50,6 +50,10 @@ class Block:
     # (adding/removing transactions) still invalidates it; only a same-count
     # in-place mutation after a successful verification goes unnoticed.
     _hash_ok_cache: object = field(default=None, repr=False, compare=False)
+    # What validating this block did to a store in a given state, left by
+    # the first peer to validate it and replayed by the others; owned by
+    # repro.fabric.validation.validate_block, opaque here.
+    _validation_memo: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -103,6 +107,13 @@ class Block:
         )
         self._hash_ok_cache = (verdict, count)
         return verdict
+
+    def __getstate__(self) -> dict:
+        # The memo belongs to the run that validated this instance; a copy
+        # (another process, a later unpickle) validates afresh.
+        state = self.__dict__.copy()
+        state["_validation_memo"] = None
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Block #{self.number} txs={self.tx_count} size={self.size_bytes()}B>"

@@ -82,11 +82,12 @@ class Blockchain:
         """
         return self._pending.get(len(self._committed))
 
-    def commit(self, block: Block) -> None:
-        """Append a validated block to the committed chain.
+    def check_next(self, block: Block) -> None:
+        """Raise :class:`ChainError` unless ``block`` may be committed next.
 
         Enforces sequence numbers and hash linkage, and verifies the data
-        hash — the integrity checks any Fabric peer performs.
+        hash — the integrity checks any Fabric peer performs, before the
+        block's writes reach its world state.
         """
         expected = len(self._committed)
         if block.number != expected:
@@ -95,6 +96,11 @@ class Blockchain:
             raise ChainError(f"block #{block.number} does not link to chain tip")
         if not block.verify_data_hash():
             raise ChainError(f"block #{block.number} data hash mismatch")
+
+    def commit(self, block: Block) -> None:
+        """Append a validated block to the committed chain (checked by
+        :meth:`check_next`)."""
+        self.check_next(block)
         self._pending.pop(block.number, None)
         self._committed.append(block)
 
@@ -133,7 +139,12 @@ class Blockchain:
         if top < 0:
             return []
         low = max(0, top - window + 1)
-        return [number for number in range(low, top + 1) if self.has_block(number)]
+        # The committed prefix is contiguous; only numbers above it need a
+        # lookup, and there are none once the peer has caught up.
+        height = len(self._committed)
+        numbers = list(range(low, height))
+        numbers.extend(n for n in range(max(low, height), top + 1) if n in self._pending)
+        return numbers
 
     def verify_committed_chain(self) -> bool:
         """Full-chain integrity scan (tests / audits)."""

@@ -9,7 +9,7 @@ in read sets; validation compares them against the committed state (MVCC).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -40,11 +40,18 @@ class KeyValueStore:
 
     Only *valid* transactions write here, in commit order, so the store is a
     deterministic function of the blockchain prefix the peer has validated.
+
+    ``state_tag`` names the contents, so that two stores with equal tags
+    hold equal entries: ``""`` for an empty store; a token handed out by
+    :func:`repro.fabric.validation.validate_block`, which every store that
+    reaches the same state through the same validations shares; and None
+    — equal to no tag — once anything else has written to the store.
     """
 
     def __init__(self) -> None:
         self._data: Dict[str, VersionedValue] = {}
         self.writes_applied = 0
+        self.state_tag: object = ""
 
     def get(self, key: str) -> Optional[VersionedValue]:
         """Value + version for ``key``, or None if never written."""
@@ -63,11 +70,31 @@ class KeyValueStore:
         """Apply one committed write."""
         self._data[key] = VersionedValue(value=value, version=version)
         self.writes_applied += 1
+        self.state_tag = None
 
     def apply_writes(self, writes: Dict[str, Any], version: Version) -> None:
         """Apply a validated transaction's write set atomically."""
         for key, value in writes.items():
             self.put(key, value, version)
+
+    def apply_block(self, entries: Mapping[str, VersionedValue], puts: int, tag: object) -> None:
+        """Apply a validated block's net writes and take its state tag.
+
+        ``entries`` maps each key the block's valid transactions wrote to
+        the (shared, frozen) entry its last writer left; ``puts`` is the
+        number of individual writes that stands for in ``writes_applied``.
+        """
+        self._data.update(entries)
+        self.writes_applied += puts
+        self.state_tag = tag
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A copy keeps the data but leaves the lineage of validations its
+        # tag stands for; only "empty" means the same everywhere.
+        state = self.__dict__.copy()
+        if state["state_tag"] != "":
+            state["state_tag"] = None
+        return state
 
     def __contains__(self, key: str) -> bool:
         return key in self._data

@@ -28,10 +28,19 @@ class ConflictTracker:
     by_code: Counter = field(default_factory=Counter)
     _seen_blocks: Set[int] = field(default_factory=set)
     per_block_invalid: Dict[int, int] = field(default_factory=dict)
+    # How each (peer, block) verdict was reached: by running the checks, or
+    # by replaying the block's memo. A run whose peers share their blocks
+    # shows one full validation per block.
+    full_validations: int = 0
+    replayed_validations: int = 0
 
     def record_block_validation(self, peer: str, result: BlockValidationResult) -> None:
         """Record a block's outcomes; duplicate blocks (other peers
-        validating the same block) are ignored."""
+        validating the same block) only count as a validation."""
+        if result.replayed:
+            self.replayed_validations += 1
+        else:
+            self.full_validations += 1
         if result.block_number in self._seen_blocks:
             return
         self._seen_blocks.add(result.block_number)

@@ -46,6 +46,14 @@ def test_all_peers_converge_to_same_state(small_result):
         assert snapshot == reference
 
 
+def test_each_block_fully_validated_once_and_replayed_at_the_other_peers(small_result):
+    conflicts = small_result.net.conflicts
+    peers = len(small_result.net.peers)
+    assert conflicts.full_validations == small_result.blocks
+    assert conflicts.replayed_validations == small_result.blocks * (peers - 1)
+    assert len({peer.state.state_tag for peer in small_result.net.peers.values()}) == 1
+
+
 def test_blocks_respect_period_sizing(small_result):
     # 10 tx/s with 0.5 s batches => ~5 tx per block.
     assert 3.0 <= small_result.tx_per_block <= 7.0

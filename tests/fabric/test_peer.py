@@ -200,3 +200,41 @@ def test_full_validation_counts_conflicts(sim, network, streams):
     sim.run(until=1.0)
     assert peer.conflicts.invalidated_transactions == 1
     assert peer.conflicts.valid_transactions == 1
+
+
+def test_refused_block_leaves_the_world_state_untouched(sim, network, streams):
+    """A block the chain refuses (tampered, mis-linked, out of order) must
+    not have been validated into the state first."""
+    from repro.crypto.identity import MembershipServiceProvider
+    from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
+    from repro.ledger.chain import ChainError
+    from repro.ledger.transaction import Endorsement, TransactionProposal
+
+    config = PeerConfig(per_tx_validation_time=0.0, validation_mode=ValidationMode.FULL)
+    peer = build_peer(sim, network, streams, config=config)
+    endorser = MembershipServiceProvider(domain="t").enroll("e0", "org0", "peer")
+
+    def increment(key, tx_id):
+        rwset = CounterIncrementChaincode().simulate(peer.state, (key,))
+        return TransactionProposal(
+            tx_id=tx_id, client="c", chaincode_id="cc", args=(key,),
+            rwset=rwset, endorsements=[Endorsement.create(endorser, rwset)],
+        )
+
+    genesis = Block.create(0, GENESIS_PREVIOUS_HASH, [increment("c1", "t0")])
+    peer.deliver_block(genesis, "push")
+    sim.run(until=1.0)
+    assert peer.ledger_height == 1
+    before = (peer.state.snapshot_values(), peer.state.writes_applied, peer.state.state_tag)
+    assert before[0] == {"c1": 1} and before[2] is not None
+
+    tampered = Block.create(1, genesis.block_hash, [increment("c1", "t1")])
+    tampered.transactions.append(increment("c2", "t2"))
+    mislinked = Block.create(1, "f" * 64, [increment("c1", "t3")])
+    out_of_order = Block.create(2, genesis.block_hash, [increment("c1", "t4")])
+    for refused in (tampered, mislinked, out_of_order):
+        with pytest.raises(ChainError):
+            peer._commit(refused)
+        assert (peer.state.snapshot_values(), peer.state.writes_applied) == before[:2]
+        assert peer.state.state_tag is before[2]
+        assert peer.ledger_height == 1

@@ -1,5 +1,7 @@
 """Unit tests for the original pull component."""
 
+import random
+
 from repro.gossip.messages import (
     PullBlockRequest,
     PullBlockResponse,
@@ -142,3 +144,32 @@ def test_old_committed_blocks_not_rerequested():
     host.sent.clear()
     pull.on_digest_response("p3", PullDigestResponse([0, 1]))
     assert host.sent == []
+
+
+def test_digest_response_filter_equals_the_lookup_first_definition():
+    """The predicates were reordered cheapest-first; whatever the host holds,
+    has committed or has already requested, the request must list what the
+    old order listed."""
+    rng = random.Random(11)
+    for _ in range(200):
+        host, pull = make_pull()
+        chain = make_chain([0] * 12)
+        host.height = rng.randint(0, 8)
+        for block in chain:
+            if block.number < host.height or rng.random() < 0.3:
+                host.deliver_block(block, "test")
+        pull._requested_this_round = {n for n in range(12) if rng.random() < 0.2}
+        requested = set(pull._requested_this_round)
+        advertised = [rng.randint(0, 13) for _ in range(rng.randint(0, 10))]
+        expected = [
+            n for n in advertised
+            if host.get_block(n) is None and n >= host.ledger_height and n not in requested
+        ]
+        host.sent.clear()
+        pull.on_digest_response("p3", PullDigestResponse(advertised))
+        requests = [msg for _, msg in host.sent if isinstance(msg, PullBlockRequest)]
+        if expected:
+            assert [list(msg.block_numbers) for msg in requests] == [sorted(expected)]
+            assert pull._requested_this_round == requested | set(expected)
+        else:
+            assert requests == []

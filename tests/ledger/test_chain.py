@@ -1,5 +1,7 @@
 """Unit tests for the per-peer blockchain store."""
 
+import random
+
 import pytest
 
 from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
@@ -151,6 +153,37 @@ def test_known_numbers_window():
 
 def test_known_numbers_empty_chain():
     assert Blockchain().known_numbers(window=5) == []
+
+
+def test_known_numbers_equals_a_has_block_scan_on_random_chains():
+    """The committed prefix is listed as a range; the result must be what
+    probing every number of the window gives: same numbers, same order."""
+    rng = random.Random(20)
+    for _ in range(200):
+        blocks = make_chain([0] * rng.randint(1, 40))
+        chain = Blockchain()
+        for block in blocks[: rng.randint(0, len(blocks))]:
+            chain.commit(block)
+        for block in blocks[chain.height:]:
+            if rng.random() < 0.5:  # buffered out of order, with gaps
+                chain.receive(block)
+        for window in (0, 1, 3, 20, 100):
+            top = chain.max_known_number()
+            low = max(0, top - window + 1)
+            scan = [n for n in range(low, top + 1) if chain.has_block(n)] if top >= 0 else []
+            assert chain.known_numbers(window) == scan
+
+
+def test_check_next_raises_what_commit_raises_and_changes_nothing():
+    chain = Blockchain()
+    blocks = make_chain([1, 2])
+    tampered = make_chain([2])[0]
+    tampered.transactions.pop()
+    for bad in (blocks[1], Block.create(0, "f" * 64, make_transactions(1)), tampered):
+        with pytest.raises(ChainError):
+            chain.check_next(bad)
+    chain.check_next(blocks[0])
+    assert chain.height == 0 and chain.pending_count() == 0
 
 
 def test_verify_committed_chain_detects_corruption():

@@ -77,3 +77,28 @@ def test_items_iterates_entries():
 
 def test_nil_version_distinct_from_genesis_writes():
     assert NIL_VERSION != Version(0, 0)
+
+
+def test_state_tag_empty_then_untagged_by_direct_writes():
+    store = KeyValueStore()
+    assert store.state_tag == KeyValueStore().state_tag == ""
+    store.put("a", 1, Version(0, 0))
+    assert store.state_tag is None
+    other = KeyValueStore()
+    other.apply_writes({"a": 1}, Version(0, 0))
+    assert other.state_tag is None  # equal contents, but nobody vouches for it
+
+
+def test_apply_block_takes_entries_count_and_tag():
+    source = KeyValueStore()
+    source.put("a", 1, Version(0, 0))
+    source.put("a", 2, Version(0, 1))
+    source.put("b", 3, Version(0, 1))
+    entries = dict(source.items())
+    tag = object()
+    store = KeyValueStore()
+    store.apply_block(entries, 3, tag)
+    assert store.state_tag is tag
+    assert store.writes_applied == 3
+    assert store.get("a") is source.get("a")
+    assert store.snapshot_values() == {"a": 2, "b": 3}

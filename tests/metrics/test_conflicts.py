@@ -28,6 +28,16 @@ def test_each_block_counted_once_across_peers():
     assert tracker.total_ordered_transactions == 1
 
 
+def test_validations_counted_by_how_the_verdict_was_reached():
+    tracker = ConflictTracker()
+    tracker.record_block_validation("p0", result(0, [ValidationCode.VALID]))
+    replay = BlockValidationResult(0, [ValidationCode.VALID], replayed=True)
+    tracker.record_block_validation("p1", replay)
+    tracker.record_block_validation("p2", replay)
+    assert (tracker.full_validations, tracker.replayed_validations) == (1, 2)
+    assert tracker.total_ordered_transactions == 1
+
+
 def test_distinct_blocks_accumulate():
     tracker = ConflictTracker()
     tracker.record_block_validation("p0", result(0, [ValidationCode.VALID]))
