@@ -19,8 +19,6 @@ count, and asserts three invariants:
 import json
 import os
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.metrics.report import format_table
 from repro.perf import (
@@ -31,7 +29,6 @@ from repro.perf import (
     run_core_benchmark,
     run_recovery_benchmark,
 )
-from repro.simulation._core import active_engine
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_core.json")
 
@@ -82,16 +79,6 @@ def test_core_engine(benchmark, full_scale):
 
     with open(BENCH_JSON, encoding="utf-8") as handle:
         committed = json.load(handle)
-    committed_engine = committed.get("engine", "pure")
-    active = active_engine()
-    if committed_engine != active:
-        # Cross-engine events/sec is not a regression signal; the
-        # determinism and reduction gates above already ran on this engine.
-        pytest.skip(
-            f"BENCH_core.json was recorded on the {committed_engine!r} engine "
-            f"but this run uses {active!r}; throughput comparison skipped "
-            "(rewrite the baseline with scripts/perf_gate.py --update)"
-        )
     dissemination = [r for r in results if r.scenario == "dissemination"]
     current = {
         "results": [

@@ -7,13 +7,12 @@ Usage::
 
 Exits 0 when the snapshots match on every key except the ignored ones
 (default: ``events_executed``, the documented shard-variant key — exact
-tie grouping is shard-local, see docs/sharding.md — ``run_health``, the
-wall-clock supervision ledger ``run --json`` embeds, and ``runtime``, the
-engine-core stamp: pure and compiled runs produce identical physics, so
-the stamp is metadata, not a metric), 1 with a readable per-key diff
-otherwise. The CI adversarial-determinism job uses this to assert that a
-byzantine/churn scenario's snapshot is identical whether the simulation
-ran in one process or partitioned across shard workers.
+tie grouping is shard-local, see docs/sharding.md — and ``run_health``,
+the wall-clock supervision ledger ``run --json`` embeds), 1 with a
+readable per-key diff otherwise. The CI adversarial-determinism job uses
+this to assert that a byzantine/churn scenario's snapshot is identical
+whether the simulation ran in one process or partitioned across shard
+workers.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import argparse
 import json
 import sys
 
-DEFAULT_IGNORED = ("events_executed", "run_health", "runtime")
+DEFAULT_IGNORED = ("events_executed", "run_health")
 
 
 def diff_snapshots(a: dict, b: dict, ignored: frozenset) -> list:

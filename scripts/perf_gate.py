@@ -15,7 +15,6 @@ Usage::
     PYTHONPATH=src python scripts/perf_gate.py --update-goldens-only  # goldens only
     PYTHONPATH=src python scripts/perf_gate.py --determinism-only   # CI mode
     PYTHONPATH=src python scripts/perf_gate.py --determinism-only --shards 4
-    PYTHONPATH=src python scripts/perf_gate.py --determinism-only --engine compiled
     PYTHONPATH=src python scripts/perf_gate.py --threshold 0.3
     PYTHONPATH=src python scripts/perf_gate.py --sizes 50,100 --skip-determinism
 
@@ -34,19 +33,6 @@ CI runs ``--determinism-only``: the bit-for-bit golden replay is
 machine-independent, while events/sec on shared runners is noise — the
 throughput comparison is meaningful only on a quiet, consistent machine.
 
-Engine selection
-----------------
-
-``--engine {auto,pure,compiled}`` picks the engine core for the whole run
-(it sets ``REPRO_ENGINE`` before anything imports the simulator; see
-docs/performance.md). ``compiled`` fails fast when the mypyc extension is
-not built — never a silent fallback. Every run banners the active engine,
-every bench row is stamped with it, and the gate **refuses** to compare
-events/sec against a baseline recorded under a different engine: a 2x
-compiled speedup must never be read as a 2x pure regression (or vice
-versa). Crossing engines is exactly what ``--update`` is for — it rewrites
-the baseline with the new engine stamp, loudly.
-
 When is ``--update`` legitimate?
 --------------------------------
 
@@ -56,10 +42,8 @@ in ``BENCH_core.json`` and the bit-for-bit goldens in
 final step of a change that intentionally alters event interleaving or
 cost — a scheduler refactor that reorders same-instant events, an
 event-count optimization like the timer wheel, a deliberate scenario
-change, or switching the recorded engine (pure -> compiled) on a machine
-where the compiled numbers are the ones future gates should defend. It is
-**masking a regression** when used to silence a gate failure whose diff
-you cannot explain: goldens that moved without an intentional
+change. It is **masking a regression** when used to silence a gate failure
+whose diff you cannot explain: goldens that moved without an intentional
 interleaving change mean the engine stopped being deterministic, and an
 events/sec drop without a corresponding scenario/feature cost means the
 hot path got slower.
@@ -83,6 +67,23 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+
+from repro.perf import (  # noqa: E402 (path bootstrap above)
+    EVENT_REDUCTION_FLOOR,
+    check_determinism,
+    check_event_reduction,
+    check_reference_tolerance,
+    check_sharded_determinism,
+    compare_bench,
+    run_congestion_benchmark,
+    run_core_benchmark,
+    run_recovery_benchmark,
+    run_shard_scaling_benchmark,
+    run_sweep_benchmark,
+    update_golden,
+    write_bench_json,
+)
+from repro.perf.profile import BENCH_SIZES  # noqa: E402
 
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_core.json")
 
@@ -109,17 +110,12 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", default=DEFAULT_BASELINE, help="committed BENCH_core.json")
     parser.add_argument("--threshold", type=float, default=0.20,
                         help="allowed fractional events/sec drop (default 0.20)")
-    parser.add_argument("--reduction-floor", type=float, default=None,
+    parser.add_argument("--reduction-floor", type=float, default=EVENT_REDUCTION_FLOOR,
                         help="required batched-vs-naive event reduction "
-                             "(default: repro.perf.EVENT_REDUCTION_FLOOR)")
+                             f"(default {EVENT_REDUCTION_FLOOR})")
     parser.add_argument("--sizes", default=None,
                         help="comma-separated organization sizes (default: the baseline's)")
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats per size")
-    parser.add_argument("--engine", choices=("auto", "pure", "compiled"), default="auto",
-                        help="engine core to run on: 'pure' forces the Python twin, "
-                             "'compiled' requires the mypyc extension (no silent "
-                             "fallback), 'auto' (default) prefers the extension when "
-                             "built. Sets REPRO_ENGINE for this process")
     parser.add_argument("--update", action="store_true",
                         help="rewrite BENCH_core.json and golden_metrics.json with this "
                              "run instead of gating (see module docstring for when this "
@@ -166,41 +162,6 @@ def main(argv=None) -> int:
     if args.shard_bench and not args.update:
         parser.error("--shard-bench only applies with --update (it re-measures "
                      "the committed shard-scaling section)")
-
-    # Engine selection happens at import time (repro.simulation._core reads
-    # REPRO_ENGINE once), so the flag must land in the environment before
-    # any repro import — which is why every repro import below sits inside
-    # main(), after argument parsing.
-    if args.engine != "auto":
-        os.environ["REPRO_ENGINE"] = args.engine
-    try:
-        from repro.simulation._core import core_info
-    except (ImportError, ValueError) as error:
-        print(f"ENGINE SELECTION FAILED: {error}")
-        return 1
-    info = core_info()
-    engine = info["engine"]
-    print(f"engine: {engine} ({info['module']})")
-
-    from repro.perf import (
-        EVENT_REDUCTION_FLOOR,
-        check_determinism,
-        check_event_reduction,
-        check_reference_tolerance,
-        check_sharded_determinism,
-        compare_bench,
-        run_congestion_benchmark,
-        run_core_benchmark,
-        run_recovery_benchmark,
-        run_shard_scaling_benchmark,
-        run_sweep_benchmark,
-        update_golden,
-        write_bench_json,
-    )
-
-    reduction_floor = (
-        EVENT_REDUCTION_FLOOR if args.reduction_floor is None else args.reduction_floor
-    )
 
     if args.update_goldens_only:
         try:
@@ -264,8 +225,6 @@ def main(argv=None) -> int:
     elif args.update:
         # A refresh re-measures the harness's full matrix, so newly added
         # sizes land in the baseline instead of inheriting the old sweep.
-        from repro.perf.profile import BENCH_SIZES
-
         sizes = BENCH_SIZES
     elif os.path.exists(args.baseline):
         with open(args.baseline, encoding="utf-8") as handle:
@@ -273,8 +232,6 @@ def main(argv=None) -> int:
                 point["n_peers"] for point in json.load(handle).get("results", [])
             )
     else:
-        from repro.perf.profile import BENCH_SIZES
-
         sizes = BENCH_SIZES
 
     repeats = 1 if args.determinism_only else args.repeats
@@ -287,7 +244,7 @@ def main(argv=None) -> int:
     _print_results(list(results) + recovery_results)
 
     reduction_failures = check_event_reduction(
-        list(results) + recovery_results, floor=reduction_floor
+        list(results) + recovery_results, floor=args.reduction_floor
     )
     if reduction_failures:
         print("EVENT-REDUCTION GATE FAILED:")
@@ -304,16 +261,6 @@ def main(argv=None) -> int:
                 "WARNING: --update with --sizes rewrites BENCH_core.json with "
                 f"ONLY n={sizes}; future gate runs derive their sweep from the "
                 "baseline, so coverage of the other sizes is dropped"
-            )
-        committed_engine = None
-        if os.path.exists(args.baseline):
-            with open(args.baseline, encoding="utf-8") as handle:
-                committed_engine = json.load(handle).get("engine", "pure")
-        if committed_engine is not None and committed_engine != engine:
-            print(
-                f"NOTE: baseline engine switches {committed_engine!r} -> "
-                f"{engine!r}; future gate runs will defend the {engine} "
-                "numbers (see docs/performance.md)"
             )
         try:
             golden = update_golden()
@@ -374,12 +321,12 @@ def main(argv=None) -> int:
             shard_scaling=shard_scaling,
             congestion=congestion,
         )
-        print(f"baseline updated: {args.baseline} (engine={engine})")
+        print(f"baseline updated: {args.baseline}")
         return 0
 
     if args.determinism_only:
         print("determinism-only gate passed (event reduction >= "
-              f"{reduction_floor:.0%} at n={sizes})")
+              f"{args.reduction_floor:.0%} at n={sizes})")
         return 0
 
     if not os.path.exists(args.baseline):
@@ -387,16 +334,6 @@ def main(argv=None) -> int:
         return 1
     with open(args.baseline, encoding="utf-8") as handle:
         committed = json.load(handle)
-    committed_engine = committed.get("engine", "pure")
-    if committed_engine != engine:
-        print(
-            f"PERF GATE REFUSED: baseline {args.baseline} was recorded on the "
-            f"{committed_engine!r} engine but this run uses {engine!r} — "
-            "events/sec across engines is not a regression signal. Re-run "
-            f"with --engine {committed_engine}, or rewrite the baseline "
-            "explicitly with --update (see docs/performance.md)"
-        )
-        return 1
     current = {
         "results": [
             {"n_peers": result.n_peers, "events_per_sec": result.events_per_sec}
@@ -417,7 +354,7 @@ def main(argv=None) -> int:
             print(f"  - {line}")
         return 1
     print(f"perf gate passed (threshold {args.threshold:.0%}, "
-          f"event reduction >= {reduction_floor:.0%}, engine={engine})")
+          f"event reduction >= {args.reduction_floor:.0%})")
     return 0
 
 

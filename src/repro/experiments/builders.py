@@ -30,7 +30,7 @@ from repro.metrics.conflicts import ConflictTracker
 from repro.metrics.latency import DisseminationTracker
 from repro.net.network import Network, NetworkConfig
 from repro.net.spec import LatencySpec
-from repro.simulation.engine import Simulator
+from repro.simulation._core import Simulator
 from repro.simulation.random import RandomStreams
 
 GossipChoice = Union[OriginalGossipConfig, EnhancedGossipConfig]

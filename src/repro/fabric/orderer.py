@@ -23,7 +23,7 @@ from repro.ledger.transaction import TransactionProposal
 from repro.metrics.latency import DisseminationTracker
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.simulation.engine import EventHandle
+from repro.simulation._core import EventHandle
 from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
 

@@ -4,7 +4,7 @@ The paper's bandwidth figures (6/9/10/11/14) plot, for the leader peer and
 for a regular peer, network utilization in MB/s aggregated over 10-second
 intervals, with dotted lines for the averages. :class:`BandwidthReport`
 extracts those series and averages from a run's
-:class:`~repro.net.monitor.TrafficMonitor`.
+:class:`~repro.simulation._core.TrafficMonitor`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.net.monitor import TrafficMonitor
+from repro.simulation._core import TrafficMonitor
 
 MB = 1_000_000.0
 

@@ -15,11 +15,6 @@ rides along one sharded run or one sweep and accumulates:
   fallback produced the result, and the last error text of cells that
   kept failing.
 
-The exported dict also stamps ``runtime.engine`` — which engine core
-(pure or compiled, see :mod:`repro.simulation._core`) executed the run —
-so health ledgers collected on different builds are never silently
-conflated.
-
 Unlike every simulation metric, run health is **not deterministic**: it
 contains wall-clock timings and infrastructure failure records. It is
 therefore exported *alongside* snapshots (the ``run_health`` key of
@@ -115,16 +110,10 @@ class RunHealth:
 
     def to_dict(self) -> dict:
         """JSON-stable export (sorted keys throughout)."""
-        # Deferred import: the engine core selects at import time, and the
-        # metrics layer must not force that selection before CLI entry
-        # points have settled the environment.
-        from repro.simulation._core import active_engine
-
         window_mean = (
             self.window_wall_total / self.window_rounds if self.window_rounds else 0.0
         )
         payload = {
-            "runtime": {"engine": active_engine()},
             "attempts": self.attempts,
             "restarts": self.restarts,
             "retries": self.retries,

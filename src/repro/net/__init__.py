@@ -7,7 +7,8 @@ wire sizes (:mod:`repro.net.message`), configurable latency models
 per-node full-duplex NIC serialization and delivery
 (:mod:`repro.net.network`), optional bottleneck-link bandwidth/queueing
 physics (:mod:`repro.net.link`) and traffic accounting for the bandwidth
-figures (:mod:`repro.net.monitor`).
+figures (:class:`TrafficMonitor`, defined with the engine in
+:mod:`repro.simulation._core`).
 """
 
 from repro.net.latency import (
@@ -21,9 +22,9 @@ from repro.net.latency import (
 )
 from repro.net.link import CoDelConfig, LinkModel
 from repro.net.message import Message
-from repro.net.monitor import TrafficMonitor, TrafficTotals
 from repro.net.network import Network, NetworkConfig
 from repro.net.spec import LatencySpec, latency_kinds, register_latency_kind
+from repro.simulation._core import TrafficMonitor, TrafficTotals
 
 __all__ = [
     "CoDelConfig",

@@ -91,7 +91,7 @@ class ConstantLatency(LatencyModel):
     """Fixed delay; handy for deterministic unit tests."""
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
+        if not delay >= 0:  # `not >=` also rejects NaN
             raise ValueError(f"latency must be >= 0, got {delay}")
         self.delay = delay
 
@@ -246,7 +246,7 @@ class TopologyLatency(LatencyModel):
         base = float(parts[0])
         jitter_median = float(parts[1]) if len(parts) > 1 else 0.0
         jitter_sigma = float(parts[2]) if len(parts) > 2 else 0.8
-        if base < 0 or jitter_median < 0 or jitter_sigma < 0:
+        if not (base >= 0 and jitter_median >= 0 and jitter_sigma >= 0):  # rejects NaN too
             raise ValueError("latency parameters must be >= 0")
         mu = math.log(jitter_median) if jitter_median > 0 else None
         return (base, mu, jitter_sigma)
@@ -367,7 +367,7 @@ class LanLatency(LatencyModel):
         jitter_median: float = 0.003,
         jitter_sigma: float = 0.8,
     ) -> None:
-        if base < 0 or jitter_median < 0 or jitter_sigma < 0:
+        if not (base >= 0 and jitter_median >= 0 and jitter_sigma >= 0):  # rejects NaN too
             raise ValueError("latency parameters must be >= 0")
         self.base = base
         self.jitter_median = jitter_median
@@ -401,8 +401,7 @@ class LanLatency(LatencyModel):
         # Kinderman-Monahan rejection sampling verbatim (same NV_MAGICCONST,
         # same order of rng.random() consumption), so the draw sequence and
         # results are bit-for-bit those of the un-bound sample(). It lives
-        # in repro.simulation._core so the compiled engine accelerates the
-        # per-copy draws too.
+        # in repro.simulation._core with the rest of the per-event hot path.
         return make_lan_sampler(rng.random, base, self._mu, self.jitter_sigma)
 
     def bind_batch(self, rng: random.Random) -> "Callable[[str, Sequence[str]], List[float]]":

@@ -10,7 +10,7 @@ because the bounded queue is full (tail drop) or because a CoDel-style
 AQM sheds load once standing queueing delay persists past its target.
 
 The model is a frozen config value; the mutable per-source queue state
-and the hot-path admission logic live in the compiled-core kernel
+and the hot-path admission logic live in the engine-core kernel
 :func:`repro.simulation._core.link_enqueue`, driven by
 :class:`~repro.net.network.Network`. Probabilistic CoDel drops draw from
 the per-source ``network:queue:<src>`` RNG stream (exactly one uniform
@@ -59,15 +59,15 @@ class CoDelConfig:
     ramp: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.target <= 0.0:
+        if not self.target > 0.0:  # `not >` also rejects NaN
             raise ValueError(f"CoDel target must be > 0, got {self.target}")
-        if self.interval <= 0.0:
+        if not self.interval > 0.0:
             raise ValueError(f"CoDel interval must be > 0, got {self.interval}")
         if not 0.0 < self.max_drop_probability <= 1.0:
             raise ValueError(
                 f"CoDel max_drop_probability must be in (0, 1], got {self.max_drop_probability}"
             )
-        if self.ramp < 1.0:
+        if not self.ramp >= 1.0:
             raise ValueError(f"CoDel ramp must be >= 1, got {self.ramp}")
 
 
@@ -89,9 +89,9 @@ class LinkModel:
     codel: Optional[CoDelConfig] = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0.0:
+        if not self.bandwidth > 0.0:  # `not >` also rejects NaN
             raise ValueError(f"link bandwidth must be > 0, got {self.bandwidth}")
-        if self.queue_bytes <= 0.0:
+        if not self.queue_bytes > 0.0:
             raise ValueError(f"link queue_bytes must be > 0, got {self.queue_bytes}")
         if self.codel is not None and not isinstance(self.codel, CoDelConfig):
             raise TypeError(f"codel must be a CoDelConfig, got {type(self.codel).__name__}")

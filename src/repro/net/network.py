@@ -17,7 +17,7 @@ disconnect nodes. All traffic is accounted in the :class:`TrafficMonitor`.
 gossip message passes through it two or three times as scheduled events),
 so the config, latency sampler and monitor lookups are hoisted into bound
 attributes at construction time and events are scheduled through the
-engine's handle-free :meth:`~repro.simulation.engine.Simulator.schedule_call`
+engine's handle-free :meth:`~repro.simulation._core.Simulator.schedule_call`
 fast path.
 
 Fanout API — ``send`` vs ``multicast`` vs ``send_aggregate``
@@ -53,10 +53,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.net.latency import LanLatency, LatencyModel
 from repro.net.link import LinkModel, new_queue_stats, summarize_queue_accounting
 from repro.net.message import Message
-from repro.net.monitor import TrafficMonitor
 from repro.net.spec import LatencySpec
-from repro.simulation._core import LINK_DROP_TAIL, link_enqueue
-from repro.simulation.engine import Simulator
+from repro.simulation._core import LINK_DROP_TAIL, Simulator, TrafficMonitor, link_enqueue
 from repro.simulation.random import RandomStreams
 
 Handler = Callable[[str, Message], None]
@@ -166,7 +164,7 @@ class Network:
     ) -> None:
         self.sim = sim
         self.config = config or NetworkConfig()
-        if self.config.bandwidth <= 0:
+        if not self.config.bandwidth > 0:  # `not >` also rejects NaN
             raise ValueError("bandwidth must be positive")
         self._streams = streams
         self._handlers: Dict[str, Handler] = {}

@@ -38,7 +38,6 @@ from repro.experiments.builders import build_network
 from repro.experiments.workloads import synthetic_block_transactions
 from repro.fabric.config import PeerConfig, ValidationMode
 from repro.gossip.config import BackgroundTrafficConfig, EnhancedGossipConfig
-from repro.simulation._core import active_engine
 
 BENCH_SIZES = (50, 100, 250, 500, 1000)
 BENCH_BLOCKS = 6
@@ -118,9 +117,6 @@ class CoreBenchResult:
     # "dissemination" (the canonical run) or "recovery" (crash-fault
     # catch-up); recovery points live in their own BENCH_core.json section.
     scenario: str = "dissemination"
-    # Which engine core produced this point ("pure" or "compiled") — stamped
-    # so pure and compiled events/sec can never be silently compared.
-    engine: str = "pure"
 
 
 def _run_scenario(n_peers: int, blocks: int, seed: int, batched: bool = True):
@@ -254,7 +250,6 @@ def run_recovery_benchmark(
             naive_events=naive_events,
             event_reduction=(1.0 - events / naive_events if naive_events else None),
             scenario="recovery",
-            engine=active_engine(),
         )
         if best is None or candidate.events_per_sec > best.events_per_sec:
             best = candidate
@@ -457,7 +452,6 @@ def run_congestion_benchmark(
                     "latency_p50_s": snapshot["latency_p50"],
                     "latency_p95_s": snapshot["latency_p95"],
                     "dropped_messages": snapshot["dropped_messages"],
-                    "engine": active_engine(),
                 }
             )
     return {
@@ -509,7 +503,6 @@ def run_core_benchmark(
                 event_reduction=(
                     1.0 - events / naive_events if naive_events else None
                 ),
-                engine=active_engine(),
             )
             if best is None or candidate.events_per_sec > best.events_per_sec:
                 best = candidate
@@ -553,9 +546,6 @@ def write_bench_json(
     """
     payload = {
         "benchmark": "core_engine",
-        # Engine that produced the measured points; the gate refuses to
-        # compare a baseline against a differently-engined run.
-        "engine": active_engine(),
         "scenario": {
             "gossip": "enhanced",
             "fout": BENCH_FOUT,

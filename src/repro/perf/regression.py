@@ -384,16 +384,8 @@ def update_golden(path: str = GOLDEN_PATH) -> Dict[str, dict]:
     Refuses to write metrics that drift out of tolerance from the PR-1
     reference: a refresh is only legitimate when the interleaving changed
     but the physics did not.
-
-    The snapshot's ``runtime`` stamp (which engine core ran) is stripped
-    before writing: goldens pin physics and must stay engine-agnostic —
-    the same file gates the pure and the compiled twin.
     """
-    captured: Dict[str, dict] = {}
-    for name in _SCENARIOS:
-        snapshot = dict(_snapshot_scenario(name))
-        snapshot.pop("runtime", None)
-        captured[name] = snapshot
+    captured = {name: _snapshot_scenario(name) for name in _SCENARIOS}
     failures = check_reference_tolerance(golden=captured)
     if failures:
         raise ValueError(

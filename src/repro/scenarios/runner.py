@@ -26,7 +26,6 @@ from repro.metrics.resilience import peer_resilience_counters, resilience_snapsh
 from repro.net.network import NetworkConfig
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.simulation._core import active_engine
 
 
 def dissemination_config(
@@ -110,11 +109,6 @@ class ScenarioRun:
             # model disabled); sharded runs rebuild the identical section
             # from merged per-source records (see merge_shard_results).
             "link": net.network.link_summary(),
-            # Which engine core (pure/compiled) produced the run. Runtime
-            # metadata, not physics: both twins produce identical metrics
-            # (the compiled-core CI job replays the goldens to prove it),
-            # so diff_snapshots.py ignores it and goldens never pin it.
-            "runtime": {"engine": active_engine()},
         }
 
     def resilience(self) -> dict:

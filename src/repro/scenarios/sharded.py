@@ -53,12 +53,11 @@ from repro.metrics.latency import DisseminationTracker
 from repro.metrics.resilience import peer_resilience_counters, resilience_snapshot
 from repro.metrics.runhealth import RunHealth
 from repro.net.link import merge_queue_accounting, summarize_queue_accounting
-from repro.net.monitor import TrafficMonitor
 from repro.net.network import NetworkConfig
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import dissemination_config, run_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.simulation._core import active_engine
+from repro.simulation._core import TrafficMonitor
 from repro.simulation.sharded import (
     InlineTransport,
     PipeTransport,
@@ -435,11 +434,6 @@ def merge_shard_results(
                 merge_queue_accounting(result.queue_accounting for result in ordered)
             ),
         ),
-        # Same runtime metadata as ScenarioRun.snapshot — workers inherit
-        # the coordinator's environment, so the active engine is uniform
-        # across shards and sharded == single-process snapshots stay
-        # byte-identical.
-        "runtime": {"engine": active_engine()},
     }
 
 

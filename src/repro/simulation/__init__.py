@@ -2,18 +2,23 @@
 
 This package provides the deterministic, seedable discrete-event engine on
 which the whole Fabric model runs: a heap-based scheduler with cancellable
-events (:mod:`repro.simulation.engine`), periodic timers — both the naive
-one-event-per-tick :mod:`repro.simulation.timers` and the slot-batched
-hierarchical :mod:`repro.simulation.timerwheel` — named deterministic
+events (:class:`Simulator`) and the slot-batched hierarchical
+:class:`TimerWheel`, both in :mod:`repro.simulation._core`; the naive
+one-event-per-tick :mod:`repro.simulation.timers`; named deterministic
 random streams (:mod:`repro.simulation.random`) and a light-weight
 process/actor base class (:mod:`repro.simulation.process`).
 """
 
-from repro.simulation.engine import EventHandle, Simulator, SimulationError
+from repro.simulation._core import (
+    EventHandle,
+    SimulationError,
+    Simulator,
+    TimerWheel,
+    WheelTimer,
+)
 from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
 from repro.simulation.timers import PeriodicTimer
-from repro.simulation.timerwheel import TimerWheel, WheelTimer
 
 __all__ = [
     "EventHandle",

@@ -1,141 +1,1405 @@
-"""Engine core selection: pure-Python twin vs mypyc-compiled extension.
+"""The engine core: every class on the per-event hot path, in one module.
 
-``_pure.py`` is the single source of truth for the engine inner loop
-(:class:`Simulator`, :class:`TimerWheel`, :class:`TrafficMonitor`, the
-latency kernels). ``setup.py`` with ``REPRO_BUILD_EXT=1`` generates
-``_compiled.py`` as a mechanical copy and compiles it with mypyc; both
-twins are then importable side by side (the parity suite in
-``tests/property/test_core_parity.py`` runs random schedules through both
-and asserts identical execution sequences).
+The :class:`Simulator` event heap, the :class:`TimerWheel` tick cascade,
+the :class:`TrafficMonitor` counter updates, the inlined Kinderman-Monahan
+latency kernels and the bottleneck-link admission kernel live together
+here so that everything bound by the determinism contract below has one
+definition and one import path; the layers above (network, gossip,
+fabric, metrics) build on it.
 
-This package picks the *active* twin at import time from the
-``REPRO_ENGINE`` environment variable:
+Determinism contract
+--------------------
 
-* ``auto`` (default) — the compiled extension when it is importable and
-  genuinely compiled, the pure twin otherwise;
-* ``pure`` — always the pure twin (never even tries the import);
-* ``compiled`` — the extension or :class:`ImportError`; never a silent
-  fallback (this is what ``perf_gate.py --engine compiled`` relies on).
+Reproducibility is bit-for-bit: with a fixed seed, two runs execute the
+exact same events in the exact same order at the exact same times, and all
+derived metrics (latency samples, byte counts) are equal as floats. Ties on
+the event time are broken by the scheduling sequence number. Any refactor
+of this module must preserve (a) the ``(time, seq)`` ordering, (b) the
+assignment of sequence numbers in scheduling order, (c) the relative order
+of callback execution and clock advancement, and (d) the RNG consumption
+order of the latency kernels. The checker in :mod:`repro.perf.regression`
+asserts this contract against committed golden metrics, single-process
+and sharded.
 
-A stray *interpreted* ``_compiled.py`` (left over from a build that never
-ran mypyc) is rejected: it would be a second, slower pure twin silently
-masquerading as the extension. :func:`active_engine` reports which twin
-won — every place that records results (snapshots, ``BENCH_core.json``,
-the perf-gate banner) stamps it so pure and compiled numbers can never be
-silently compared.
+Heap layout
+-----------
+
+The heap stores plain five-element lists rather than handle objects::
+
+    [time, seq, callback, args, handle]
+
+``heapq`` then compares entries with C-level list comparison: ``time``
+first, then the monotonically increasing ``seq``, which is unique, so the
+comparison never reaches the callback. Cancellation is lazy and in-place:
+cancelling sets ``entry[2]`` (the callback) to ``None``; the entry stays in
+the heap and is discarded when it surfaces. Executed and discarded entries
+are recycled through a bounded free list, so steady-state scheduling
+allocates no new lists. When lazily cancelled entries exceed half the heap
+(mass timer cancellation, e.g. a crash fault stopping every periodic
+component), the heap is compacted in one pass to bound memory in long runs.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Optional, Tuple
+import random as _random
+from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from math import ceil, exp as _exp, log as _log
+from operator import itemgetter as _itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-_VALID_ENGINES = ("auto", "pure", "compiled")
+from collections import _count_elements  # type: ignore[attr-defined]
+
+_INF = float("inf")
+
+# Heap entry slots: [time, seq, callback, args, handle]. ``callback is
+# None`` marks a lazily cancelled entry.
+_ENTRY_POOL_MAX = 4096
+# Compact when stale (cancelled-in-heap) entries pass both thresholds.
+_COMPACT_MIN_STALE = 64
 
 
-def _is_compiled(module: Any) -> bool:
-    """True when ``module`` is a genuine extension (not interpreted source).
+class SimulationError(RuntimeError):
+    """Raised on invalid scheduler usage (e.g. scheduling in the past)."""
 
-    A mypyc build leaves a ``.so``/``.pyd``; an abandoned generated copy
-    leaves ``_compiled.py``, which must not be mistaken for the extension.
+
+class EventHandle:
+    """Handle for a scheduled event, usable to cancel it.
+
+    Cancellation is lazy: the entry stays in the heap but is skipped when it
+    surfaces. ``handle.cancelled`` and ``handle.executed`` expose the state.
     """
-    file = getattr(module, "__file__", None) or ""
-    return bool(file) and not (file.endswith(".py") or file.endswith(".pyc"))
+
+    __slots__ = ("time", "seq", "_sim", "_entry", "_cancelled", "_fired")
+
+    time: float
+    seq: int
+    _sim: "Simulator"
+    _entry: Any
+    _cancelled: bool
+    _fired: bool
+
+    def __init__(self, sim: "Simulator", entry: List[Any]) -> None:
+        self.time = entry[0]
+        self.seq = entry[1]
+        self._sim = sim
+        self._entry = entry
+        self._cancelled = False
+        self._fired = False
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    @property
+    def executed(self) -> bool:
+        return self._fired
+
+    @property
+    def pending(self) -> bool:
+        """True while the event is still waiting to fire."""
+        return not self._cancelled and not self._fired
+
+    def cancel(self) -> None:
+        """Cancel the event. Cancelling an executed event is a no-op."""
+        if self._fired or self._cancelled:
+            return
+        self._cancelled = True
+        entry = self._entry
+        self._entry = None
+        entry[2] = None
+        entry[3] = None
+        entry[4] = None
+        self._sim._note_cancel()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "cancelled" if self._cancelled else ("done" if self._fired else "pending")
+        return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
 
 
-def select_implementation(
-    preference: str, compiled_module: Optional[Any], pure_module: Any
-) -> Tuple[Any, str]:
-    """Resolve ``preference`` against the available twins.
+class Simulator:
+    """Heap-based deterministic discrete-event simulator.
 
-    Returns ``(module, engine_name)``. Raises :class:`ValueError` for an
-    unknown preference and :class:`ImportError` when ``compiled`` is forced
-    but no genuine extension is available.
+    Typical usage::
+
+        sim = Simulator()
+        sim.schedule(1.5, callback, arg1, arg2)
+        sim.run(until=100.0)
+
+    All times are in simulated seconds. The simulator starts at time 0.
     """
-    if preference not in _VALID_ENGINES:
-        raise ValueError(
-            f"invalid REPRO_ENGINE {preference!r}; expected one of {_VALID_ENGINES}"
+
+    __slots__ = (
+        "_now",
+        "_seq",
+        "_heap",
+        "_running",
+        "_events_executed",
+        "_live",
+        "_stale",
+        "_pool",
+        "_peak_heap",
+        "_wheel",
+        "use_timer_wheel",
+    )
+
+    _now: float
+    _seq: int
+    _heap: List[List[Any]]
+    _running: bool
+    _events_executed: int
+    _live: int
+    _stale: int
+    _pool: List[List[Any]]
+    _peak_heap: int
+    _wheel: Optional["TimerWheel"]
+    use_timer_wheel: bool
+
+    def __init__(self, use_timer_wheel: bool = True) -> None:
+        self._now = 0.0
+        self._seq = 0
+        self._heap = []
+        self._running = False
+        self._events_executed = 0
+        self._live = 0  # scheduled minus cancelled minus executed: O(1)
+        self._stale = 0  # lazily cancelled entries still in the heap
+        self._pool = []
+        self._peak_heap = 0
+        self._wheel = None
+        # Recurring timers batch into shared wheel slots when True (the
+        # process layer consults this); False forces the naive
+        # one-event-per-tick PeriodicTimer path — kept selectable so the
+        # perf harness can measure the event-count reduction.
+        self.use_timer_wheel = use_timer_wheel
+
+    @property
+    def now(self) -> float:
+        """Current simulated time in seconds."""
+        return self._now
+
+    @property
+    def events_executed(self) -> int:
+        """Number of events executed so far (for instrumentation)."""
+        return self._events_executed
+
+    @property
+    def pending_events(self) -> int:
+        """Number of live queued events, excluding lazily cancelled ones.
+
+        Maintained as an O(1) counter; the old implementation scanned the
+        whole heap.
+        """
+        return self._live
+
+    @property
+    def peak_heap_size(self) -> int:
+        """Largest heap length observed (perf instrumentation)."""
+        return self._peak_heap
+
+    @property
+    def wheel(self) -> "TimerWheel":
+        """The simulator's shared :class:`TimerWheel`, created on demand.
+
+        All recurring timers of a simulation share one wheel so that
+        same-tick firings across processes coalesce into single events.
+        """
+        wheel = self._wheel
+        if wheel is None:
+            wheel = self._wheel = TimerWheel(self)
+        return wheel
+
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        ``delay`` must be finite and non-negative.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        return self.schedule_at(self._now + delay, callback, *args)
+
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+        entry = self._push(time, callback, args)
+        handle = EventHandle(self, entry)
+        entry[4] = handle
+        return handle
+
+    def schedule_call(
+        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...] = ()
+    ) -> None:
+        """Fast-path schedule without an :class:`EventHandle`.
+
+        For hot callers that never cancel (the network layer schedules two
+        to three events per message); skips the handle allocation. The body
+        duplicates :meth:`_push` to save a call frame per event.
+        """
+        if not (self._now <= time < _INF):
+            self._reject_time(time)
+        pool = self._pool
+        if pool:
+            entry = pool.pop()
+            entry[0] = time
+            entry[1] = self._seq
+            entry[2] = callback
+            entry[3] = args
+            entry[4] = None
+        else:
+            entry = [time, self._seq, callback, args, None]
+        self._seq += 1
+        heap = self._heap
+        _heappush(heap, entry)
+        self._live += 1
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
+
+    def schedule_records(self, callback: Callable[..., Any], records: List[List[Any]]) -> None:
+        """Batch fast path: schedule ``callback(*rec)`` at ``rec[0]`` for
+        each record in ``records``.
+
+        The record list itself is the event's argument vector — the run
+        loop unpacks it with ``callback(*rec)`` — so a caller that makes
+        the record's last slot the record itself can reclaim it into a
+        free list inside the callback. This is what the network multicast
+        path uses for its pooled slot-delivery records: one call frame
+        schedules a whole fanout, sequence numbers are assigned in list
+        order (consecutively, which the multicast tie-grouping proof
+        relies on), and steady-state dissemination allocates neither heap
+        entries (engine free list) nor argument tuples (caller free list)
+        per recipient.
+        """
+        now = self._now
+        seq = self._seq
+        pool = self._pool
+        heap = self._heap
+        heappush = _heappush
+        for rec in records:
+            time = rec[0]
+            if not (now <= time < _INF):
+                # Repair the counters consumed so far before raising so a
+                # rejected record cannot corrupt the live count.
+                self._live += seq - self._seq
+                self._seq = seq
+                self._reject_time(time)
+            if pool:
+                entry = pool.pop()
+                entry[0] = time
+                entry[1] = seq
+                entry[2] = callback
+                entry[3] = rec
+                entry[4] = None
+            else:
+                entry = [time, seq, callback, rec, None]
+            seq += 1
+            heappush(heap, entry)
+        self._live += seq - self._seq
+        self._seq = seq
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
+
+    def _push(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]) -> List[Any]:
+        # ``not (now <= time < inf)`` is a single guard catching NaN
+        # (comparisons are False), +/-inf and past times at once.
+        if not (self._now <= time < _INF):
+            self._reject_time(time)
+        pool = self._pool
+        if pool:
+            entry = pool.pop()
+            entry[0] = time
+            entry[1] = self._seq
+            entry[2] = callback
+            entry[3] = args
+            entry[4] = None
+        else:
+            entry = [time, self._seq, callback, args, None]
+        self._seq += 1
+        heap = self._heap
+        _heappush(heap, entry)
+        self._live += 1
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
+        return entry
+
+    def _reject_time(self, time: float) -> None:
+        if time != time or time == _INF:
+            raise SimulationError(f"invalid event time: {time}")
+        raise SimulationError(
+            f"cannot schedule at t={time} before current time t={self._now}"
         )
-    if preference == "pure":
-        return pure_module, "pure"
-    if compiled_module is not None and _is_compiled(compiled_module):
-        return compiled_module, "compiled"
-    if preference == "compiled":
-        raise ImportError(
-            "REPRO_ENGINE=compiled but the mypyc extension is not available; "
-            "build it with REPRO_BUILD_EXT=1 pip install -e . "
-            "(see docs/performance.md)"
-        )
-    return pure_module, "pure"
 
+    def _note_cancel(self) -> None:
+        self._live -= 1
+        self._stale += 1
+        heap_len = len(self._heap)
+        if self._stale > _COMPACT_MIN_STALE and self._stale * 2 >= heap_len:
+            self._compact()
 
-def load_implementation() -> Tuple[Any, str]:
-    """Import the twins and pick one per ``REPRO_ENGINE``."""
-    preference = os.environ.get("REPRO_ENGINE", "auto").strip().lower() or "auto"
-    from repro.simulation._core import _pure
+    def _compact(self) -> None:
+        """Drop lazily cancelled entries and re-heapify in one pass.
 
-    compiled = None
-    if preference != "pure":
+        Bounds memory when timers are cancelled en masse (crash faults in
+        long recovery/background runs) instead of letting dead entries
+        accumulate until their scheduled times.
+        """
+        pool = self._pool
+        live_entries: List[List[Any]] = []
+        for entry in self._heap:
+            if entry[2] is not None:
+                live_entries.append(entry)
+            elif len(pool) < _ENTRY_POOL_MAX:
+                pool.append(entry)
+        _heapify(live_entries)
+        self._heap = live_entries
+        self._stale = 0
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+        """Run the event loop.
+
+        Args:
+            until: stop once the next event would fire strictly after this
+                time; the clock is then advanced to ``until``. ``None`` runs
+                until the queue drains.
+            max_events: safety valve; raise :class:`SimulationError` if more
+                than this many events execute.
+
+        Returns:
+            The simulated time when the loop stopped.
+        """
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
+        self._running = True
+        # Executed-event accounting is batched into locals and flushed in
+        # the ``finally`` block: one attribute read-modify-write per run()
+        # instead of two per event. ``_live``/``_events_executed`` are
+        # therefore only exact while the loop is not executing a callback,
+        # which is when anyone queries them.
+        executed = 0
+        heappop = _heappop
+        pool = self._pool
+        heap = self._heap
+        # One comparison per event instead of two None tests: absent
+        # bounds become sentinels no event time / count can exceed.
+        limit = _INF if until is None else until
+        event_budget = _INF if max_events is None else max_events
         try:
-            from repro.simulation._core import _compiled  # type: ignore[attr-defined]
+            while heap:
+                entry = heap[0]
+                callback = entry[2]
+                if callback is None:
+                    heappop(heap)
+                    self._stale -= 1
+                    if len(pool) < _ENTRY_POOL_MAX:
+                        pool.append(entry)
+                    continue
+                event_time = entry[0]
+                if event_time > limit:
+                    break
+                heappop(heap)
+                self._now = event_time
+                args = entry[3]
+                handle = entry[4]
+                if handle is not None:
+                    handle._fired = True
+                    handle._entry = None
+                entry[2] = None
+                entry[3] = None
+                entry[4] = None
+                if len(pool) < _ENTRY_POOL_MAX:
+                    pool.append(entry)
+                executed += 1
+                callback(*args)
+                # _compact() (reachable only through a cancel inside the
+                # callback) swaps the heap list object; re-bind after each
+                # callback, the only place the swap can happen.
+                heap = self._heap
+                if executed >= event_budget:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; possible runaway simulation"
+                    )
+            if until is not None and self._now < until:
+                self._now = until
+            return self._now
+        finally:
+            self._events_executed += executed
+            self._live -= executed
+            self._running = False
 
-            compiled = _compiled
-        except ImportError:
-            compiled = None
-    return select_implementation(preference, compiled, _pure)
+    def run_until_idle(self, max_time: Optional[float] = None) -> float:
+        """Run until the queue is empty or ``max_time`` is reached."""
+        return self.run(until=max_time)
+
+    def run_window(self, end: float) -> float:
+        """Execute every event with time **strictly below** ``end``, then
+        advance the clock to exactly ``end``.
+
+        This is the conservative-window hook of the process-sharded
+        executor (:mod:`repro.simulation.sharded`): a shard runs the
+        half-open window ``[now, end)``, leaving events at exactly ``end``
+        pending, so that cross-shard records injected at the barrier —
+        whose times are ``>= end`` by the lookahead guarantee — can still
+        be scheduled (``now`` never passes them) and order among the
+        window-edge events by scheduling sequence. Contrast :meth:`run`,
+        whose ``until`` bound is inclusive.
+        """
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
+        if end < self._now:
+            raise SimulationError(
+                f"cannot run a window ending at t={end} before current time t={self._now}"
+            )
+        self._running = True
+        executed = 0
+        heappop = _heappop
+        pool = self._pool
+        heap = self._heap
+        try:
+            while heap:
+                entry = heap[0]
+                callback = entry[2]
+                if callback is None:
+                    heappop(heap)
+                    self._stale -= 1
+                    if len(pool) < _ENTRY_POOL_MAX:
+                        pool.append(entry)
+                    continue
+                event_time = entry[0]
+                if event_time >= end:
+                    break
+                heappop(heap)
+                self._now = event_time
+                args = entry[3]
+                handle = entry[4]
+                if handle is not None:
+                    handle._fired = True
+                    handle._entry = None
+                entry[2] = None
+                entry[3] = None
+                entry[4] = None
+                if len(pool) < _ENTRY_POOL_MAX:
+                    pool.append(entry)
+                executed += 1
+                callback(*args)
+                heap = self._heap  # _compact() may swap the list object
+            self._now = end
+            return self._now
+        finally:
+            self._events_executed += executed
+            self._live -= executed
+            self._running = False
+
+    def reset(self) -> None:
+        """Drop all pending events and rewind the clock to zero."""
+        if self._running:
+            raise SimulationError("cannot reset a running simulator")
+        self._now = 0.0
+        self._seq = 0
+        self._heap.clear()
+        self._pool.clear()
+        self._events_executed = 0
+        self._live = 0
+        self._stale = 0
+        self._peak_heap = 0
+        self._wheel = None  # wheel state references dropped heap events
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<Simulator t={self._now:.6f} pending={self._live}>"
 
 
-_impl, _engine = load_implementation()
+# ---------------------------------------------------------------------------
+# Timer wheel (see repro/simulation/timerwheel.py for the design discussion)
+# ---------------------------------------------------------------------------
+
+DEFAULT_TICKS_PER_SECOND = 20
+DEFAULT_RING_TICKS = 512
+
+# Slots sort armed entries by arming sequence before firing; the seq is
+# unique, so keying on it alone reproduces full-tuple ordering without
+# ever comparing WheelTimer objects.
+_ARM_ORDER = _itemgetter(0)
 
 
-def active_engine() -> str:
-    """Name of the twin this process runs on: ``"pure"`` or ``"compiled"``."""
-    return _engine
+class WheelTimer:
+    """Handle for one recurring registration on a :class:`TimerWheel`.
+
+    API-compatible with :class:`~repro.simulation.timers.PeriodicTimer`
+    (``ticks``, ``running``, ``period``, ``stop``, ``reschedule``) so
+    processes can hold either interchangeably.
+    """
+
+    __slots__ = ("_wheel", "_period", "_callback", "_jitter", "_stopped", "_ticks")
+
+    _wheel: "TimerWheel"
+    _period: float
+    _callback: Callable[[], Any]
+    _jitter: Optional[Callable[[], float]]
+    _stopped: bool
+    _ticks: int
+
+    def __init__(
+        self,
+        wheel: "TimerWheel",
+        period: float,
+        callback: Callable[[], Any],
+        jitter: Optional[Callable[[], float]] = None,
+    ) -> None:
+        self._wheel = wheel
+        self._period = period
+        self._callback = callback
+        self._jitter = jitter
+        self._stopped = False
+        self._ticks = 0
+
+    @property
+    def ticks(self) -> int:
+        """Number of times the callback has fired."""
+        return self._ticks
+
+    @property
+    def running(self) -> bool:
+        """True until :meth:`stop` is called."""
+        return not self._stopped
+
+    @property
+    def period(self) -> float:
+        return self._period
+
+    def stop(self) -> None:
+        """Stop the timer: O(1), no heap entry is touched.
+
+        The slot the timer sits in fires regardless (it may be shared) and
+        skips stopped entries; the registration is dropped there.
+        """
+        if not self._stopped:
+            self._stopped = True
+            self._wheel._live -= 1
+
+    def reschedule(self, period: float) -> None:
+        """Change the period; takes effect from the next firing onwards.
+
+        Rejects periods the wheel cannot carry without rate distortion
+        (sub-tick or off the tick grid) — callers needing those cadences
+        must use a naive :class:`PeriodicTimer` instead, as the process
+        layer does at registration time.
+        """
+        if period <= 0:
+            raise SimulationError(f"timer period must be positive, got {period}")
+        if not self._wheel.supports_period(period):
+            raise SimulationError(
+                f"period {period} is not a whole number of wheel ticks "
+                f"(tick={self._wheel.tick}); use a PeriodicTimer for off-grid rates"
+            )
+        self._period = period
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "stopped" if self._stopped else "running"
+        return f"<WheelTimer period={self._period} ticks={self._ticks} {state}>"
 
 
-def core_info() -> dict:
-    """Engine metadata for banners and result stamping."""
-    return {"engine": _engine, "module": _impl.__name__}
+class TimerWheel:
+    """Two-level (ring + overflow) timer wheel over a :class:`Simulator`.
+
+    Args:
+        sim: the simulator to fire slots on.
+        ticks_per_second: slot granularity; slot times are exact multiples
+            of ``1 / ticks_per_second`` computed by division, so an integer
+            ratio (20 -> 50 ms) keeps grid times bit-equal to literals.
+        ring_ticks: level-0 window length in ticks; timers due further out
+            park in the level-1 overflow and cascade in later.
+    """
+
+    _sim: Simulator
+    _tps: int
+    _tick: float
+    _ring_ticks: int
+    _ring: List[Optional[List[Tuple[int, WheelTimer]]]]
+    _far: Dict[int, List[Tuple[int, int, WheelTimer]]]
+    _armed_rotations: Set[int]
+    _armed_slots: Set[int]
+    _fired_through: int
+    _arm_seq: int
+    _live: int
+    slot_events: int
+    cascade_events: int
+
+    def __init__(
+        self,
+        sim: Simulator,
+        ticks_per_second: int = DEFAULT_TICKS_PER_SECOND,
+        ring_ticks: int = DEFAULT_RING_TICKS,
+    ) -> None:
+        if ticks_per_second < 1:
+            raise SimulationError(
+                f"ticks_per_second must be a positive integer, got {ticks_per_second}"
+            )
+        if ring_ticks < 2:
+            raise SimulationError(f"ring_ticks must be >= 2, got {ring_ticks}")
+        self._sim = sim
+        self._tps = ticks_per_second
+        self._tick = 1.0 / ticks_per_second
+        self._ring_ticks = ring_ticks
+        # Level 0: ring of buckets, position = slot index % ring_ticks. A
+        # bucket is a list of (arming_seq, timer); None when empty.
+        self._ring = [None] * ring_ticks
+        # Level 1: rotation -> [(slot_index, arming_seq, timer)].
+        self._far = {}
+        self._armed_rotations = set()
+        self._armed_slots = set()
+        self._fired_through = -1  # highest slot index already fired
+        self._arm_seq = 0
+        self._live = 0
+        # Instrumentation: engine events consumed by the wheel.
+        self.slot_events = 0
+        self.cascade_events = 0
+
+    # ----- public API -----------------------------------------------------
+
+    @property
+    def tick(self) -> float:
+        """Slot granularity in seconds."""
+        return self._tick
+
+    @property
+    def live_timers(self) -> int:
+        """Registrations that are still running."""
+        return self._live
+
+    def every(
+        self,
+        period: float,
+        callback: Callable[[], Any],
+        initial_delay: Optional[float] = None,
+        jitter: Optional[Callable[[], float]] = None,
+    ) -> WheelTimer:
+        """Register a recurring callback; mirrors :class:`PeriodicTimer`.
+
+        Args:
+            period: seconds between firings; must be positive. Periods
+                shorter than one tick would alias to the tick — callers
+                wanting sub-tick cadence (high-rate clients) should use the
+                naive timer instead (see :meth:`supports_period`).
+            callback: invoked with no arguments at every firing.
+            initial_delay: delay before the first firing (default: one
+                period). Quantized up to the next slot boundary.
+            jitter: optional callable returning an additive offset applied
+                independently to every firing before quantization.
+        """
+        if period <= 0:
+            raise SimulationError(f"timer period must be positive, got {period}")
+        if initial_delay is not None and initial_delay < 0:
+            raise SimulationError(f"initial delay must be >= 0, got {initial_delay}")
+        timer = WheelTimer(self, period, callback, jitter)
+        self._live += 1
+        first = period if initial_delay is None else initial_delay
+        if jitter is not None:
+            first = max(0.0, first + jitter())
+        self._insert(timer, self._sim.now + first)
+        return timer
+
+    def supports_period(self, period: float) -> bool:
+        """Whether ``period`` can ride the wheel without rate distortion.
+
+        Two classes of period are refused, and the process layer falls back
+        to the naive per-event timer for them:
+
+        * sub-tick periods, which would alias to the tick;
+        * periods that are not a whole number of ticks — each firing
+          re-quantizes *up* from its slot, so an off-grid period would be
+          stretched toward the next boundary every cycle (0.26 s would
+          effectively become 0.30 s), silently lowering calibrated rates.
+
+        Grid-multiple periods re-quantize stably: the epsilon in
+        :meth:`_slot_for` absorbs accumulated float dust, so the effective
+        period is exact.
+        """
+        if period < self._tick:
+            return False
+        ticks = round(period * self._tps)
+        return ticks >= 1 and abs(period - ticks / self._tps) <= 1e-9 * period
+
+    # ----- internals ------------------------------------------------------
+
+    def _slot_for(self, time: float) -> int:
+        """First slot index whose boundary is >= ``time``.
+
+        The epsilon absorbs float dust from summed periods (e.g.
+        0.15 + 0.15 = 0.30000000000000004) so accumulated grid-aligned
+        schedules stay on their intended slot.
+        """
+        scaled = time * self._tps
+        slot = ceil(scaled - 1e-9 * (abs(scaled) + 1.0))
+        if slot <= self._fired_through:
+            # The boundary already fired (registration from inside its own
+            # slot, or a zero delay at a fired boundary): defer one tick.
+            slot = self._fired_through + 1
+        return slot
+
+    def _insert(self, timer: WheelTimer, time: float) -> Optional[List[Tuple[int, WheelTimer]]]:
+        """Bucket ``timer`` for its next firing.
+
+        Returns the ring bucket the timer landed in (for the re-arm memo
+        in :meth:`_fire_slot`), or None when it parked in the overflow.
+        """
+        slot = self._slot_for(time)
+        seq = self._arm_seq
+        self._arm_seq = seq + 1
+        # The ring window starts at the first boundary that can still fire.
+        # ``_fired_through`` alone goes stale when the wheel idles (every
+        # timer stopped, clock advanced by other events): anchoring the
+        # base at the current time keeps near registrations in the ring and
+        # keeps cascade times in the future.
+        base = self._fired_through + 1
+        scaled_now = self._sim._now * self._tps
+        now_slot = ceil(scaled_now - 1e-9 * (abs(scaled_now) + 1.0))
+        if now_slot > base:
+            base = now_slot
+        if slot < base + self._ring_ticks:
+            position = slot % self._ring_ticks
+            bucket = self._ring[position]
+            if bucket is None:
+                bucket = self._ring[position] = [(seq, timer)]
+            else:
+                bucket.append((seq, timer))
+            if slot not in self._armed_slots:
+                self._armed_slots.add(slot)
+                self._arm_slot(slot)
+            return bucket
+        else:
+            rotation = slot // self._ring_ticks
+            entries = self._far.get(rotation)
+            if entries is None:
+                self._far[rotation] = [(slot, seq, timer)]
+            else:
+                entries.append((slot, seq, timer))
+            if rotation not in self._armed_rotations:
+                self._armed_rotations.add(rotation)
+                # The cascade runs half a tick before the rotation's first
+                # boundary so cascaded entries are bucketed (and their
+                # slots armed) before any direct slot event of the same
+                # rotation can fire.
+                cascade_at = (rotation * self._ring_ticks - 0.5) / self._tps
+                now = self._sim._now
+                if cascade_at < now:
+                    cascade_at = now
+                self._sim.schedule_call(cascade_at, self._cascade, (rotation,))
+            return None
+
+    def _arm_slot(self, slot: int) -> None:
+        # The clock can sit a hair *past* the boundary when _slot_for's
+        # epsilon mapped a dust-contaminated time back onto it (e.g. a
+        # registration from a callback at B + 1e-13); firing "now" instead
+        # of raising keeps the slot time semantics (slot/tps) intact.
+        fire_at = slot / self._tps
+        now = self._sim._now
+        if fire_at < now:
+            fire_at = now
+        self._sim.schedule_call(fire_at, self._fire_slot, (slot,))
+
+    def _cascade(self, rotation: int) -> None:
+        """Move one overflow rotation into the ring (level 1 -> level 0)."""
+        self._armed_rotations.discard(rotation)
+        entries = self._far.pop(rotation, None)
+        self.cascade_events += 1
+        if not entries:
+            return
+        ring = self._ring
+        ring_ticks = self._ring_ticks
+        for slot, seq, timer in entries:
+            if timer._stopped:
+                continue
+            position = slot % ring_ticks
+            bucket = ring[position]
+            if bucket is None:
+                ring[position] = [(seq, timer)]
+            else:
+                bucket.append((seq, timer))
+            if slot not in self._armed_slots:
+                self._armed_slots.add(slot)
+                self._arm_slot(slot)
+
+    def _fire_slot(self, slot: int) -> None:
+        self._armed_slots.discard(slot)
+        self._fired_through = slot
+        self.slot_events += 1
+        position = slot % self._ring_ticks
+        bucket = self._ring[position]
+        if bucket is None:
+            return
+        self._ring[position] = None
+        if len(bucket) > 1:
+            # Arming order == the (time, seq) order of the naive heap for
+            # tick-aligned schedules; cascaded entries may have appended
+            # out of order relative to direct ones. Arming seqs are unique,
+            # so keying on them alone is full-tuple order.
+            bucket.sort(key=_ARM_ORDER)
+        slot_time = slot / self._tps
+        # Re-arm memo: every non-jittered timer of the same period re-arms
+        # at the same ``slot_time + period``, i.e. into the same bucket.
+        # Computing the target slot once per period (instead of once per
+        # timer) skips the _slot_for math for the whole herd of same-period
+        # emitters sharing a slot, while assigning arming sequence numbers
+        # in exactly the order the per-timer path would.
+        memo_period = -1.0
+        memo_bucket: Optional[List[Tuple[int, WheelTimer]]] = None
+        for seq, timer in bucket:
+            if timer._stopped:
+                continue
+            timer._ticks += 1
+            timer._callback()
+            if timer._stopped:
+                continue
+            period = timer._period
+            if timer._jitter is None:
+                if period == memo_period and memo_bucket is not None:
+                    arm_seq = self._arm_seq
+                    self._arm_seq = arm_seq + 1
+                    memo_bucket.append((arm_seq, timer))
+                    continue
+                memo_bucket = self._insert(timer, slot_time + period)
+                memo_period = period
+                continue
+            self._insert(timer, max(slot_time, slot_time + period + timer._jitter()))
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"<TimerWheel tick={self._tick} live={self._live} "
+            f"armed_slots={len(self._armed_slots)} far_rotations={len(self._far)}>"
+        )
 
 
-SimulationError = _impl.SimulationError
-EventHandle = _impl.EventHandle
-Simulator = _impl.Simulator
-WheelTimer = _impl.WheelTimer
-TimerWheel = _impl.TimerWheel
-DEFAULT_TICKS_PER_SECOND = _impl.DEFAULT_TICKS_PER_SECOND
-DEFAULT_RING_TICKS = _impl.DEFAULT_RING_TICKS
-TrafficTotals = _impl.TrafficTotals
-TrafficMonitor = _impl.TrafficMonitor
-make_lan_sampler = _impl.make_lan_sampler
-make_lan_batch_sampler = _impl.make_lan_batch_sampler
-link_enqueue = _impl.link_enqueue
-LINK_DROP_TAIL = _impl.LINK_DROP_TAIL
-LINK_DROP_CODEL = _impl.LINK_DROP_CODEL
-_ENTRY_POOL_MAX = _impl._ENTRY_POOL_MAX
-_COMPACT_MIN_STALE = _impl._COMPACT_MIN_STALE
-_MAX_DENSE_GROWTH = _impl._MAX_DENSE_GROWTH
-_TX_BINS = _impl._TX_BINS
-_TX_KINDS = _impl._TX_KINDS
-_TX_OVER = _impl._TX_OVER
+# ---------------------------------------------------------------------------
+# Traffic accounting (see repro/net/monitor.py for the design discussion)
+# ---------------------------------------------------------------------------
 
-__all__ = [
-    "DEFAULT_RING_TICKS",
-    "DEFAULT_TICKS_PER_SECOND",
-    "EventHandle",
-    "LINK_DROP_CODEL",
-    "LINK_DROP_TAIL",
-    "SimulationError",
-    "Simulator",
-    "TimerWheel",
-    "TrafficMonitor",
-    "TrafficTotals",
-    "WheelTimer",
-    "active_engine",
-    "core_info",
-    "link_enqueue",
-    "load_implementation",
-    "make_lan_batch_sampler",
-    "make_lan_sampler",
-    "select_implementation",
-]
+# Sender-record slots. The overflow dict holds sparse far-future bins so a
+# single record at a huge timestamp cannot force an O(timestamp) dense
+# allocation (see record()).
+_TX_BINS, _TX_KINDS, _TX_OVER = 0, 1, 2
+
+# A dense bin list only grows contiguously by at most this many bins per
+# record; larger jumps (idle gaps, stray far-future timers) go to the
+# sparse overflow dict instead.
+_MAX_DENSE_GROWTH = 4096
+
+
+class TrafficTotals:
+    """Whole-run aggregate counters."""
+
+    messages: int
+    bytes: int
+    by_kind_messages: Dict[str, int]
+    by_kind_bytes: Dict[str, int]
+
+    def __init__(
+        self,
+        messages: int = 0,
+        bytes: int = 0,
+        by_kind_messages: Optional[Dict[str, int]] = None,
+        by_kind_bytes: Optional[Dict[str, int]] = None,
+    ) -> None:
+        self.messages = messages
+        self.bytes = bytes
+        self.by_kind_messages = {} if by_kind_messages is None else by_kind_messages
+        self.by_kind_bytes = {} if by_kind_bytes is None else by_kind_bytes
+
+    def record(self, kind: str, size: int) -> None:
+        self.messages += 1
+        self.bytes += size
+        self.by_kind_messages[kind] = self.by_kind_messages.get(kind, 0) + 1
+        self.by_kind_bytes[kind] = self.by_kind_bytes.get(kind, 0) + size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrafficTotals):
+            return NotImplemented
+        return (
+            self.messages == other.messages
+            and self.bytes == other.bytes
+            and self.by_kind_messages == other.by_kind_messages
+            and self.by_kind_bytes == other.by_kind_bytes
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"TrafficTotals(messages={self.messages}, bytes={self.bytes}, "
+            f"by_kind_messages={self.by_kind_messages}, "
+            f"by_kind_bytes={self.by_kind_bytes})"
+        )
+
+
+def _merge_rx_side(target: Dict[Any, Any], source: Dict[Any, Any]) -> None:
+    """Fold one rx-side sparse counting structure into another (both sides
+    are ``key -> size -> {node: messages}``; the outer key is a bin index
+    or a kind string)."""
+    for key, by_size in source.items():
+        mine_by_size = target.get(key)
+        if mine_by_size is None:
+            target[key] = {size: dict(counts) for size, counts in by_size.items()}
+            continue
+        for size, counts in by_size.items():
+            mine_counts = mine_by_size.get(size)
+            if mine_counts is None:
+                mine_by_size[size] = dict(counts)
+            else:
+                for name, seen in counts.items():
+                    mine_counts[name] = mine_counts.get(name, 0) + seen
+
+
+class TrafficMonitor:
+    """Online per-node, per-direction byte binning.
+
+    Args:
+        bin_width: width of the accounting bins in seconds. The paper
+            aggregates at 10 s for plotting; we bin at 1 s by default and
+            re-aggregate in :mod:`repro.metrics.bandwidth`, which preserves
+            the ability to compute both fine- and coarse-grained series.
+    """
+
+    __slots__ = ("bin_width", "_unit_bins", "_node", "_rx_bins", "_rx_kinds", "_last_time")
+
+    bin_width: float
+    _unit_bins: bool
+    _node: Dict[str, List[Any]]
+    _rx_bins: Dict[int, Dict[int, Dict[str, int]]]
+    _rx_kinds: Dict[str, Dict[int, Dict[str, int]]]
+    _last_time: float
+
+    def __init__(self, bin_width: float = 1.0) -> None:
+        if bin_width <= 0:
+            raise ValueError(f"bin width must be positive, got {bin_width}")
+        self.bin_width = bin_width
+        self._unit_bins = bin_width == 1.0  # skip the division on the default
+        # Sender side: node -> [tx_bins, tx_kinds, tx_over].
+        self._node = {}
+        # Receiver side (sparse counting; see module docstring). Plain
+        # dicts rather than Counters: ``collections._count_elements`` (the
+        # C helper behind Counter.update) takes its exact-dict fast path
+        # and the single-message increment skips Counter's __missing__.
+        # bin index -> wire size -> {node: messages}.
+        self._rx_bins = {}
+        # kind -> wire size -> {node: messages}.
+        self._rx_kinds = {}
+        self._last_time = 0.0
+
+    def record(self, time: float, src: str, dst: str, kind: str, size: int) -> None:
+        """Account one message of ``size`` bytes sent at ``time``."""
+        bin_index = int(time) if self._unit_bins else int(time / self.bin_width)
+        node = self._node
+        src_record = node.get(src)
+        if src_record is None:
+            src_record = node[src] = [[], {}, {}]
+        bins = src_record[_TX_BINS]
+        grow = bin_index + 1 - len(bins)
+        if grow <= 0:
+            bins[bin_index] += size
+        elif grow <= _MAX_DENSE_GROWTH:
+            bins.extend([0] * grow)
+            bins[bin_index] += size
+        else:
+            # Far beyond the dense tail: sparse overflow, so one stray
+            # far-future record cannot force an O(timestamp) allocation.
+            overflow = src_record[_TX_OVER]
+            overflow[bin_index] = overflow.get(bin_index, 0) + size
+        kinds = src_record[_TX_KINDS]
+        acc = kinds.get(kind)
+        if acc is None:
+            kinds[kind] = [1, size]
+        else:
+            acc[0] += 1
+            acc[1] += size
+        by_size = self._rx_bins.get(bin_index)
+        if by_size is None:
+            by_size = self._rx_bins[bin_index] = {}
+        counts = by_size.get(size)
+        if counts is None:
+            by_size[size] = {dst: 1}
+        else:
+            counts[dst] = counts.get(dst, 0) + 1
+        kind_by_size = self._rx_kinds.get(kind)
+        if kind_by_size is None:
+            kind_by_size = self._rx_kinds[kind] = {}
+        counts = kind_by_size.get(size)
+        if counts is None:
+            kind_by_size[size] = {dst: 1}
+        else:
+            counts[dst] = counts.get(dst, 0) + 1
+        if time > self._last_time:
+            self._last_time = time
+
+    def record_multicast(
+        self, time: float, src: str, dsts: List[str], kind: str, size: int
+    ) -> None:
+        """Account one ``size``-byte message from ``src`` to each of ``dsts``.
+
+        Byte-exact equivalent of calling :meth:`record` once per
+        destination (the multicast and aggregated-traffic fast paths rely
+        on this): the sender's tx side is bumped once with ``len(dsts)``
+        messages and ``size * len(dsts)`` bytes, each receiver's rx side
+        exactly as an individual record would — but through two C-level
+        ``Counter.update`` calls, so the cost is independent of the
+        fanout width (duplicate destinations count once each, like the
+        per-copy loop).
+        """
+        if not dsts:
+            return
+        bin_index = int(time) if self._unit_bins else int(time / self.bin_width)
+        node = self._node
+        count = len(dsts)
+        total = size * count
+        src_record = node.get(src)
+        if src_record is None:
+            src_record = node[src] = [[], {}, {}]
+        bins = src_record[_TX_BINS]
+        grow = bin_index + 1 - len(bins)
+        if grow <= 0:
+            bins[bin_index] += total
+        elif grow <= _MAX_DENSE_GROWTH:
+            bins.extend([0] * grow)
+            bins[bin_index] += total
+        else:
+            overflow = src_record[_TX_OVER]
+            overflow[bin_index] = overflow.get(bin_index, 0) + total
+        kinds = src_record[_TX_KINDS]
+        acc = kinds.get(kind)
+        if acc is None:
+            kinds[kind] = [count, total]
+        else:
+            acc[0] += count
+            acc[1] += total
+        by_size = self._rx_bins.get(bin_index)
+        if by_size is None:
+            by_size = self._rx_bins[bin_index] = {}
+        counts = by_size.get(size)
+        if counts is None:
+            counts = by_size[size] = {}
+        _count_elements(counts, dsts)
+        kind_by_size = self._rx_kinds.get(kind)
+        if kind_by_size is None:
+            kind_by_size = self._rx_kinds[kind] = {}
+        counts = kind_by_size.get(size)
+        if counts is None:
+            counts = kind_by_size[size] = {}
+        _count_elements(counts, dsts)
+        if time > self._last_time:
+            self._last_time = time
+
+    def record_fanout(
+        self, time: float, src: str, dsts: List[str], kind: str, size: int
+    ) -> None:
+        """Historical name from the aggregated-background PR; the multicast
+        generalization made the vectorized record the common case. (A real
+        delegating method rather than a class-body alias: native classes
+        cannot re-expose a sibling method object under a second name.)"""
+        self.record_multicast(time, src, dsts, kind, size)
+
+    def merge_from(self, other: "TrafficMonitor") -> None:
+        """Fold another monitor's accounting into this one, exactly.
+
+        Every counter in both structures is an integer, so the merge is
+        associative and bit-exact: merging the per-shard monitors of a
+        process-sharded run reproduces the single-process monitor as long
+        as each message was recorded on exactly one shard (sends record on
+        the sender's owner shard — see docs/sharding.md).
+        """
+        if other.bin_width != self.bin_width:
+            raise ValueError(
+                "cannot merge monitors with different bin widths "
+                f"({other.bin_width} vs {self.bin_width})"
+            )
+        node = self._node
+        for name, src_record in other._node.items():
+            mine = node.get(name)
+            if mine is None:
+                node[name] = [
+                    list(src_record[_TX_BINS]),
+                    {kind: list(acc) for kind, acc in src_record[_TX_KINDS].items()},
+                    dict(src_record[_TX_OVER]),
+                ]
+                continue
+            bins = mine[_TX_BINS]
+            theirs = src_record[_TX_BINS]
+            if len(theirs) > len(bins):
+                bins.extend([0] * (len(theirs) - len(bins)))
+            for index, size in enumerate(theirs):
+                if size:
+                    bins[index] += size
+            kinds = mine[_TX_KINDS]
+            for kind, (messages, size) in src_record[_TX_KINDS].items():
+                acc = kinds.get(kind)
+                if acc is None:
+                    kinds[kind] = [messages, size]
+                else:
+                    acc[0] += messages
+                    acc[1] += size
+            overflow = mine[_TX_OVER]
+            for index, size in src_record[_TX_OVER].items():
+                overflow[index] = overflow.get(index, 0) + size
+        _merge_rx_side(self._rx_bins, other._rx_bins)
+        _merge_rx_side(self._rx_kinds, other._rx_kinds)
+        if other._last_time > self._last_time:
+            self._last_time = other._last_time
+
+    @property
+    def totals(self) -> TrafficTotals:
+        """Whole-run totals, materialized lazily from the per-node records.
+
+        Every message is counted exactly once on its sender's tx side, so
+        summing tx kind stats across nodes reproduces the global totals
+        without any dedicated per-message bookkeeping.
+        """
+        totals = TrafficTotals()
+        by_kind_messages = totals.by_kind_messages
+        by_kind_bytes = totals.by_kind_bytes
+        for record in self._node.values():
+            for kind, (messages, size) in record[_TX_KINDS].items():
+                totals.messages += messages
+                totals.bytes += size
+                by_kind_messages[kind] = by_kind_messages.get(kind, 0) + messages
+                by_kind_bytes[kind] = by_kind_bytes.get(kind, 0) + size
+        return totals
+
+    @property
+    def last_time(self) -> float:
+        """Time of the most recent recorded message."""
+        return self._last_time
+
+    def nodes(self) -> List[str]:
+        """All node names that sent or received at least one message."""
+        names = set(self._node)
+        for by_size in self._rx_kinds.values():
+            for counts in by_size.values():
+                names.update(counts)
+        return sorted(names)
+
+    def node_totals(self, node: str) -> TrafficTotals:
+        """Whole-run totals for one node (kinds prefixed ``tx:``/``rx:``)."""
+        totals = TrafficTotals()
+        record = self._node.get(node)
+        if record is not None:
+            for kind, (messages, size) in record[_TX_KINDS].items():
+                totals.messages += messages
+                totals.bytes += size
+                totals.by_kind_messages["tx:" + kind] = messages
+                totals.by_kind_bytes["tx:" + kind] = size
+        for kind, by_size in self._rx_kinds.items():
+            messages = 0
+            received = 0
+            for size, counts in by_size.items():
+                seen = counts.get(node)
+                if seen:
+                    messages += seen
+                    received += size * seen
+            if messages:
+                totals.messages += messages
+                totals.bytes += received
+                totals.by_kind_messages["rx:" + kind] = messages
+                totals.by_kind_bytes["rx:" + kind] = received
+        return totals
+
+    def series(
+        self,
+        node: str,
+        direction: str = "both",
+        end_time: Optional[float] = None,
+    ) -> List[float]:
+        """Bytes per bin for ``node``; index i covers [i*w, (i+1)*w).
+
+        Args:
+            node: node name.
+            direction: ``"tx"``, ``"rx"`` or ``"both"`` (sum).
+            end_time: pad the series with zero bins up to this time, so idle
+                tails (paper Fig. 6's 1500-2000 s window) appear explicitly.
+        """
+        if direction not in ("tx", "rx", "both"):
+            raise ValueError(f"unknown direction {direction!r}")
+        horizon = self._last_time if end_time is None else end_time
+        n_bins = int(horizon / self.bin_width) + 1
+        values = [0.0] * n_bins
+        if direction != "rx":
+            record = self._node.get(node)
+            if record is not None:
+                bins = record[_TX_BINS]
+                for index in range(min(len(bins), n_bins)):
+                    size = bins[index]
+                    if size:
+                        values[index] += size
+                for index, size in record[_TX_OVER].items():
+                    if index < n_bins:
+                        values[index] += size
+        if direction != "tx":
+            for index, by_size in self._rx_bins.items():
+                if index >= n_bins:
+                    continue
+                received = 0
+                for size, counts in by_size.items():
+                    seen = counts.get(node)
+                    if seen:
+                        received += size * seen
+                if received:
+                    values[index] += received
+        return values
+
+    def rate_series(
+        self, node: str, direction: str = "both", end_time: Optional[float] = None
+    ) -> List[float]:
+        """Same as :meth:`series` but in bytes/second."""
+        return [value / self.bin_width for value in self.series(node, direction, end_time)]
+
+    def average_rate(
+        self, node: str, direction: str = "both", start: float = 0.0, end: Optional[float] = None
+    ) -> float:
+        """Average bytes/second for ``node`` over ``[start, end]``."""
+        series = self.series(node, direction, end_time=end)
+        end = self._last_time if end is None else end
+        if end <= start:
+            return 0.0
+        first = int(start / self.bin_width)
+        last = int(end / self.bin_width)
+        window = series[first : last + 1]
+        return sum(window) / (end - start) if window else 0.0
+
+    def network_total_bytes(self) -> int:
+        """Total bytes carried by the network over the whole run."""
+        return sum(
+            size
+            for record in self._node.values()
+            for _, size in record[_TX_KINDS].values()
+        )
+
+
+# ---------------------------------------------------------------------------
+# Latency sampling kernels (see repro/net/latency.py for the model classes)
+# ---------------------------------------------------------------------------
+
+# Same magic constant random.normalvariate uses; imported rather than
+# recomputed so the kernels are bit-for-bit the stdlib's draws.
+_NV_MAGICCONST: float = _random.NV_MAGICCONST  # type: ignore[attr-defined]
+
+
+def make_lan_sampler(
+    uniform: Callable[[], float], base: float, mu: float, sigma: float
+) -> Callable[[str, str], float]:
+    """Build the bound per-message sampler for :class:`~repro.net.latency.
+    LanLatency`: ``base`` plus a lognormal draw.
+
+    The loop replicates ``random.normalvariate``'s Kinderman-Monahan
+    rejection sampling verbatim (same NV_MAGICCONST, same order of
+    ``uniform()`` consumption), so the draw sequence and results are
+    bit-for-bit those of ``rng.lognormvariate(mu, sigma)`` — the stdlib
+    pair of call frames (lognormvariate -> normalvariate) costs more than
+    the draw itself on this path.
+    """
+    nv_magic = _NV_MAGICCONST
+    log_, exp_ = _log, _exp
+
+    def sample(src: str, dst: str) -> float:
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = nv_magic * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log_(u2):
+                break
+        return base + exp_(mu + z * sigma)
+
+    return sample
+
+
+def make_lan_batch_sampler(
+    uniform: Callable[[], float], base: float, mu: float, sigma: float
+) -> Callable[[str, Sequence[str]], List[float]]:
+    """Batch twin of :func:`make_lan_sampler`: one draw per destination in
+    destination order — the whole fanout's draws cost one call frame yet
+    consume the RNG bit-for-bit like sequential ``sample()`` calls would.
+    """
+    nv_magic = _NV_MAGICCONST
+    log_, exp_ = _log, _exp
+
+    def sample_batch(src: str, dsts: Sequence[str]) -> List[float]:
+        delays: List[float] = []
+        append = delays.append
+        for _ in dsts:
+            while True:
+                u1 = uniform()
+                u2 = 1.0 - uniform()
+                z = nv_magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log_(u2):
+                    break
+            append(base + exp_(mu + z * sigma))
+        return delays
+
+    return sample_batch
+
+
+# ---------------------------------------------------------------------------
+# Link queueing kernel (see repro/net/link.py for the LinkModel config)
+# ---------------------------------------------------------------------------
+
+# link_enqueue sentinel returns: the packet was dropped instead of queued.
+LINK_DROP_TAIL: float = -1.0
+LINK_DROP_CODEL: float = -2.0
+
+
+def link_enqueue(
+    state: List[float],
+    now: float,
+    transfer: float,
+    queue_limit: float,
+    target: float,
+    interval: float,
+    max_p: float,
+    ramp: float,
+    uniform: Callable[[], float],
+) -> float:
+    """Admit one packet to a bottleneck link queue; return its drain time.
+
+    ``state`` is the mutable per-link queue state ``[free_at, first_above,
+    drop_count, dropping]`` (floats throughout). ``now`` is when the packet reaches
+    the bottleneck, ``transfer`` its serialization time (size/bandwidth).
+
+    Semantics, in order:
+
+    * The packet's queueing delay is ``max(free_at - now, 0)`` — time
+      spent behind packets already serializing. If that exceeds
+      ``queue_limit`` (the queue's capacity expressed in seconds of
+      drain time) the packet is tail-dropped: return ``LINK_DROP_TAIL``,
+      **no RNG consumed, no state mutated**.
+    * CoDel-style AQM (only when ``target > 0``): a queueing delay below
+      ``target`` resets the congestion episode; at or above ``target``
+      the first such packet arms a deadline ``now + interval``, and once
+      the deadline passes the link enters dropping state. While dropping,
+      each packet consumes **exactly one** ``uniform()`` draw and is
+      dropped with probability ``min(max_p, (drop_count + 1) / ramp)``
+      (return ``LINK_DROP_CODEL``) — drop probability ramps up the
+      longer the episode persists, mirroring CoDel's control law without
+      its sqrt schedule.
+    * Otherwise the packet is admitted: ``free_at`` advances to
+      ``start + transfer``, which is returned as the drain time.
+
+    The RNG contract the rest of the stack relies on: a disabled link
+    (infinite ``queue_limit``, ``target <= 0``) consumes **zero** RNG and
+    returns ``now + transfer`` — with ``transfer == 0`` it is a pure
+    no-op, which is what keeps pre-link goldens bit-for-bit identical.
+    """
+    free_at = state[0]
+    start = free_at if free_at > now else now
+    wait = start - now
+    if wait > queue_limit:
+        return LINK_DROP_TAIL
+    if target > 0.0:
+        if wait < target:
+            # Below target: the congestion episode (if any) ends.
+            state[1] = 0.0
+            state[2] = 0.0
+            state[3] = 0.0
+        else:
+            if state[3] == 0.0:
+                if state[1] == 0.0:
+                    state[1] = now + interval
+                elif now >= state[1]:
+                    state[3] = 1.0
+            if state[3] != 0.0:
+                p = (state[2] + 1.0) / ramp
+                if p > max_p:
+                    p = max_p
+                if uniform() < p:
+                    state[2] = state[2] + 1.0
+                    return LINK_DROP_CODEL
+    end = start + transfer
+    state[0] = end
+    return end

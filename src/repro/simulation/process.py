@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, List, Optional, Union
 
-from repro.simulation.engine import EventHandle, Simulator
+from repro.simulation._core import EventHandle, Simulator, WheelTimer
 from repro.simulation.random import RandomStreams
 from repro.simulation.timers import PeriodicTimer
-from repro.simulation.timerwheel import WheelTimer
 
 RecurringTimer = Union[PeriodicTimer, WheelTimer]
 

@@ -28,7 +28,7 @@ land on exact machine numbers (``j / m``) and every integer second is a
 barrier. Each round:
 
 1. every shard executes its half-open window ``[t, t + 1/m)`` via the
-   engine's :meth:`~repro.simulation.engine.Simulator.run_window` hook
+   engine's :meth:`~repro.simulation._core.Simulator.run_window` hook
    (events at exactly the window edge stay pending);
 2. shards hand their egress — cross-shard deliveries whose full send-side
    physics (monitor accounting, uplink reservation, per-source latency

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.simulation.engine import EventHandle, SimulationError, Simulator
+from repro.simulation._core import EventHandle, SimulationError, Simulator
 
 
 class PeriodicTimer:

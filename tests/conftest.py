@@ -13,7 +13,7 @@ from repro.ledger.rwset import ReadWriteSet
 from repro.ledger.transaction import TransactionProposal
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network, NetworkConfig
-from repro.simulation.engine import Simulator
+from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
 

@@ -23,7 +23,7 @@ from repro.faults.schedule import (
 from repro.net.latency import ConstantLatency
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
-from repro.simulation.engine import Simulator
+from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
 NODES = ("a", "b", "c", "d", "e", "f")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.bandwidth import BandwidthReport, aggregate_series
-from repro.net.monitor import TrafficMonitor
+from repro.net import TrafficMonitor
 
 
 def test_aggregate_series_means_consecutive_bins():

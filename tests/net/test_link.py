@@ -57,6 +57,24 @@ def test_codel_validation():
         CoDelConfig(ramp=0.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LinkModel(bandwidth=math.nan),
+        lambda: LinkModel(bandwidth=1e6, queue_bytes=math.nan),
+        lambda: CoDelConfig(target=math.nan),
+        lambda: CoDelConfig(interval=math.nan),
+        lambda: CoDelConfig(ramp=math.nan),
+    ],
+    ids=["bandwidth", "queue_bytes", "codel-target", "codel-interval", "codel-ramp"],
+)
+def test_nan_is_rejected_at_construction(build):
+    """NaN fails every ``x <= 0`` comparison; it must not slip through as
+    an unbounded queue or an invalid event time mid-run."""
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_finite_link_is_not_noop_and_derives_times():
     link = LinkModel(bandwidth=1_000_000.0, queue_bytes=500_000.0)
     assert not link.is_noop

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.monitor import TrafficMonitor
+from repro.net import TrafficMonitor
 
 
 def test_records_totals():
@@ -208,7 +208,7 @@ def test_overflow_and_dense_bins_accumulate_independently():
 def test_overflow_threshold_boundary_grows_dense():
     """A jump of exactly the dense-growth cap still extends the dense
     list; one bin beyond it goes sparse."""
-    from repro.net.monitor import _MAX_DENSE_GROWTH
+    from repro.simulation._core import _MAX_DENSE_GROWTH
 
     monitor = TrafficMonitor(bin_width=1.0)
     monitor.record(float(_MAX_DENSE_GROWTH - 1), "a", "b", "M", 5)

@@ -351,7 +351,7 @@ def test_multicast_unknown_source_and_self_send_rejected_before_any_traffic(sim)
 def test_multicast_matches_per_copy_send_loop_exactly(sim):
     """The equivalence contract on a plain fanout: same delivery times,
     same delivery order, same monitor accounting as a send loop."""
-    from repro.simulation.engine import Simulator
+    from repro.simulation import Simulator
 
     sim_b = Simulator()
     multicast_net = make_network(sim, latency=0.010, overhead=256)
@@ -573,7 +573,7 @@ def test_send_aggregate_is_one_simulator_event(sim):
 def test_send_aggregate_byte_accounting_matches_per_copy_sends(sim):
     """Monitor accounting must be exactly what fanout individual sends
     would have recorded (same instant, same sizes, same kinds)."""
-    from repro.simulation.engine import Simulator
+    from repro.simulation import Simulator
 
     aggregate_net = make_network(sim, overhead=256)
     sim_b = Simulator()

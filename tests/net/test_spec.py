@@ -2,6 +2,7 @@
 model round-trips and NetworkConfig's spec resolution."""
 
 import json
+import math
 
 import pytest
 
@@ -14,8 +15,9 @@ from repro.net.latency import (
     UniformLatency,
     WanLatency,
 )
-from repro.net.network import NetworkConfig
+from repro.net.network import Network, NetworkConfig
 from repro.net.spec import LatencySpec, latency_kinds, resolve_latency_spec
+from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
 
@@ -142,6 +144,29 @@ def test_network_config_defaults_to_lan():
 def test_network_config_resolves_spec():
     config = NetworkConfig(latency=LatencySpec.of("constant", delay=0.004))
     assert isinstance(config.latency_model, ConstantLatency)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LatencySpec.of("constant", delay=math.nan),
+        LatencySpec.of("lan", base=math.nan),
+        LatencySpec.of("lan", jitter_sigma=math.nan),
+        LatencySpec.of("topology", default=math.nan),
+        LatencySpec.of("topology", matrix=(("eu", "us", (0.04, math.nan)),)),
+    ],
+    ids=["constant", "lan-base", "lan-sigma", "topology-default", "topology-matrix"],
+)
+def test_nan_latency_params_are_rejected_when_resolved(spec):
+    """A NaN delay must fail at config construction, not surface mid-run
+    as ``invalid event time: nan``."""
+    with pytest.raises(ValueError):
+        NetworkConfig(latency=spec)
+
+
+def test_network_rejects_nan_bandwidth():
+    with pytest.raises(ValueError):
+        Network(Simulator(), RandomStreams(1), NetworkConfig(bandwidth=math.nan))
 
 
 def test_network_config_accepts_model_instance():

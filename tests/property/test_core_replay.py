@@ -1,18 +1,12 @@
-"""Property test: the pure and compiled engine twins are indistinguishable.
+"""Property tests: the engine core replays bit-for-bit.
 
-``repro.simulation._core._pure`` is the source of truth; ``setup.py``
-generates and mypyc-compiles ``_compiled`` from the same text. The twins'
-contract is *bit-for-bit* equality: for any schedule — cancellations,
-mass-cancel compaction, timer-wheel re-arms, exact ``schedule_records``
-ties — both must execute the exact same ``(time, tag)`` callback sequence
-with identical clock, event counts and heap instrumentation, and the
-traffic monitor and latency kernels must produce identical numbers.
-
-When the extension is not built (the local default: the build is opt-in
-via ``REPRO_BUILD_EXT=1``), the cross-twin legs skip with a visible
-reason; the pure-vs-pure replay legs — the same random programs run twice
-through the pure twin — always run, so the determinism property itself is
-exercised on every machine.
+The determinism contract of :mod:`repro.simulation._core` is *bit-for-bit*
+equality: for any schedule — cancellations, mass-cancel compaction,
+timer-wheel re-arms, exact ``schedule_records`` ties — two runs execute the
+exact same ``(time, tag)`` callback sequence with identical clock, event
+counts and heap instrumentation. The traffic monitor must survive merge
+and pickle (the shard-worker wire) unchanged, and the latency kernels must
+reproduce the stdlib ``lognormvariate`` stream they inline.
 """
 
 from __future__ import annotations
@@ -20,33 +14,15 @@ from __future__ import annotations
 import pickle
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulation._core import _pure
-
-
-def _load_compiled():
-    """The genuinely compiled twin, or (None, reason)."""
-    try:
-        from repro.simulation._core import _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        return None, "mypyc extension not built (REPRO_BUILD_EXT=1 pip install -e .)"
-    from repro.simulation._core import _is_compiled
-
-    if not _is_compiled(_compiled):
-        return None, "_compiled.py present but interpreted (stale generated copy)"
-    return _compiled, None
-
-
-_COMPILED, _COMPILED_ABSENT_REASON = _load_compiled()
-
-
-def require_compiled():
-    if _COMPILED is None:
-        pytest.skip(f"cross-twin parity leg skipped: {_COMPILED_ABSENT_REASON}")
-    return _COMPILED
-
+from repro.simulation._core import (
+    Simulator,
+    TimerWheel,
+    TrafficMonitor,
+    make_lan_batch_sampler,
+    make_lan_sampler,
+)
 
 # ---------------------------------------------------------------------------
 # Random schedule programs
@@ -80,15 +56,15 @@ _op = st.one_of(
 programs = st.lists(_op, min_size=1, max_size=40)
 
 
-def run_program(core, program):
-    """Execute one program against a twin; return the observable state.
+def run_program(program):
+    """Execute one program; return the observable state.
 
     The trace records ``(now, tag)`` at every callback execution — the
     exact quantity the determinism contract pins — plus the monitor fed
     from inside the callbacks and the engine instrumentation counters.
     """
-    sim = core.Simulator()
-    monitor = core.TrafficMonitor()
+    sim = Simulator()
+    monitor = TrafficMonitor()
     trace = []
     handles = []
     tag_box = [0]
@@ -133,7 +109,7 @@ def run_program(core, program):
                 trace.append((sim.now, tag))
                 if timer.ticks >= stop_after:
                     timer.stop()
-                elif rearm > 0 and core.TimerWheel.supports_period(sim.wheel, rearm):
+                elif rearm > 0 and TimerWheel.supports_period(sim.wheel, rearm):
                     timer.reschedule(rearm)
 
             holder.append(sim.wheel.every(period, tick))
@@ -159,52 +135,36 @@ def run_program(core, program):
 
 @given(programs)
 @settings(max_examples=60, deadline=None)
-def test_pure_replay_is_deterministic(program):
-    """The same program run twice through the pure twin is bit-identical."""
-    assert run_program(_pure, program) == run_program(_pure, program)
+def test_replay_is_deterministic(program):
+    """The same program run twice is bit-identical."""
+    assert run_program(program) == run_program(program)
 
 
-@given(programs)
-@settings(max_examples=60, deadline=None)
-def test_pure_compiled_parity(program):
-    """Identical (time, tag) sequences and counters through both twins."""
-    compiled = require_compiled()
-    assert run_program(_pure, program) == run_program(compiled, program)
-
-
-def test_mass_cancel_compaction_parity():
-    """A compaction-triggering mass cancel leaves both twins in the same
-    observable state (counters, survivor sequence)."""
-
-    def run(core):
-        sim = core.Simulator()
-        fired = []
-        doomed = [
-            sim.schedule(1.0 + i * 0.001, fired.append, ("doomed", i))
-            for i in range(200)
-        ]
-        survivors = [
-            sim.schedule(2.0 + i * 0.001, fired.append, ("kept", i)) for i in range(10)
-        ]
-        for handle in doomed:
-            handle.cancel()
-        # The compaction threshold (stale > _COMPACT_MIN_STALE and
-        # stale*2 >= heap) has tripped: no stale entries remain.
-        state_mid = (sim.pending_events, sim.peak_heap_size)
-        sim.run()
-        return state_mid, fired, sim.events_executed, [h.executed for h in survivors]
-
-    pure_result = run(_pure)
-    assert pure_result[0] == (10, 210)
-    assert pure_result[2] == 10
-    if _COMPILED is not None:
-        assert run(_COMPILED) == pure_result
-    else:
-        pytest.skip(f"pure leg passed; {_COMPILED_ABSENT_REASON}")
+def test_mass_cancel_compaction():
+    """A compaction-triggering mass cancel leaves exact counters and only
+    the survivors to run."""
+    sim = Simulator()
+    fired = []
+    doomed = [
+        sim.schedule(1.0 + i * 0.001, fired.append, ("doomed", i))
+        for i in range(200)
+    ]
+    survivors = [
+        sim.schedule(2.0 + i * 0.001, fired.append, ("kept", i)) for i in range(10)
+    ]
+    for handle in doomed:
+        handle.cancel()
+    # The compaction threshold (stale > _COMPACT_MIN_STALE and
+    # stale*2 >= heap) has tripped: no stale entries remain.
+    assert (sim.pending_events, sim.peak_heap_size) == (10, 210)
+    sim.run()
+    assert sim.events_executed == 10
+    assert fired == [("kept", i) for i in range(10)]
+    assert all(handle.executed for handle in survivors)
 
 
 # ---------------------------------------------------------------------------
-# Monitor wire/merge parity
+# Monitor merge and wire format
 # ---------------------------------------------------------------------------
 
 
@@ -240,49 +200,34 @@ def _monitor_view(monitor):
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_monitor_merge_and_pickle_parity(seed_a, seed_b):
-    """record/record_multicast/merge_from/pickle agree across the twins."""
-
-    def run(core):
-        a = _feed(core.TrafficMonitor(), seed_a)
-        b = _feed(core.TrafficMonitor(), seed_b)
-        a.merge_from(b)
-        roundtrip = pickle.loads(pickle.dumps(a))
-        view = _monitor_view(a)
-        assert _monitor_view(roundtrip) == view
-        return view
-
-    pure_view = run(_pure)
-    if _COMPILED is None:
-        pytest.skip(f"pure leg passed; {_COMPILED_ABSENT_REASON}")
-    assert run(_COMPILED) == pure_view
+def test_monitor_merge_survives_pickle(seed_a, seed_b):
+    """A merged monitor crosses pickle (the shard-worker wire) unchanged."""
+    a = _feed(TrafficMonitor(), seed_a)
+    b = _feed(TrafficMonitor(), seed_b)
+    a.merge_from(b)
+    roundtrip = pickle.loads(pickle.dumps(a))
+    assert _monitor_view(roundtrip) == _monitor_view(a)
 
 
 # ---------------------------------------------------------------------------
-# Latency kernel parity
+# Latency kernels vs the stdlib
 # ---------------------------------------------------------------------------
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_latency_kernel_matches_stdlib_and_twin(seed):
-    """Both twins' kernels reproduce ``base + lognormvariate`` bit-for-bit
-    and consume the RNG in the same order."""
+def test_latency_kernel_matches_stdlib(seed):
+    """The kernels reproduce ``base + lognormvariate`` bit-for-bit and
+    consume the RNG in the same order."""
     base, mu, sigma = 0.001, -1.5, 0.6
 
     reference_rng = random.Random(seed)
     reference = [base + reference_rng.lognormvariate(mu, sigma) for _ in range(32)]
 
-    def draws(core):
-        rng = random.Random(seed)
-        sample = core.make_lan_sampler(rng.random, base, mu, sigma)
-        singles = [sample("a", "b") for _ in range(16)]
-        batch = core.make_lan_batch_sampler(rng.random, base, mu, sigma)(
-            "a", [f"d{i}" for i in range(16)]
-        )
-        return singles + list(batch)
-
-    assert draws(_pure) == reference
-    if _COMPILED is None:
-        pytest.skip(f"pure leg passed; {_COMPILED_ABSENT_REASON}")
-    assert draws(_COMPILED) == reference
+    rng = random.Random(seed)
+    sample = make_lan_sampler(rng.random, base, mu, sigma)
+    singles = [sample("a", "b") for _ in range(16)]
+    batch = make_lan_batch_sampler(rng.random, base, mu, sigma)(
+        "a", [f"d{i}" for i in range(16)]
+    )
+    assert singles + list(batch) == reference

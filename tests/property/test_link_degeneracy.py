@@ -30,7 +30,7 @@ from repro.net.network import Network, NetworkConfig
 from repro.perf.regression import _SCENARIOS, GOLDEN_METRICS
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import run_scenario
-from repro.simulation.engine import Simulator
+from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
@@ -163,16 +163,22 @@ def test_armed_link_reports_enabled_and_noop_does_not():
     assert inert.link_summary()["enabled"] is False
 
 
-@pytest.mark.parametrize("golden_name", sorted(_SCENARIOS))
+# Congestion goldens arm the link by design; only link-free scenarios can
+# take a no-op link unchanged.
+LINK_FREE_GOLDENS = sorted(
+    name for name, (scenario, _) in _SCENARIOS.items()
+    if get_scenario(scenario).link is None
+)
+
+
+@pytest.mark.parametrize("golden_name", LINK_FREE_GOLDENS)
 def test_goldens_replay_with_explicit_noop_link(golden_name):
-    """Re-run every golden scenario with ``link=LinkModel()`` forced onto
-    the spec; the committed golden metrics are the baseline."""
+    """Re-run every link-free golden scenario with ``link=LinkModel()``
+    forced onto the spec; the committed golden metrics are the baseline."""
     golden = GOLDEN_METRICS.get(golden_name)
     assert golden, "golden metrics missing — run scripts/perf_gate.py --update-goldens"
     scenario, seed = _SCENARIOS[golden_name]
     spec = get_scenario(scenario)
-    if spec.link is not None:
-        pytest.skip("congestion scenario: link armed by design")
     noop_spec = dataclasses.replace(spec, link=LinkModel())
     snapshot = run_scenario(noop_spec, seed=seed).snapshot()
     for key, expected in golden.items():

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
-from repro.simulation.engine import Simulator
+from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
 NODES = ["n0", "n1", "n2", "n3", "n4", "n5"]

@@ -17,7 +17,7 @@ from repro.ledger.kvstore import KeyValueStore, Version
 from repro.metrics.bandwidth import aggregate_series
 from repro.metrics.latency import percentile
 from repro.metrics.probability_plot import logistic_probability_points, logit
-from repro.simulation.engine import Simulator
+from repro.simulation import Simulator
 from repro.simulation.random import sample_without
 
 from tests.conftest import make_chain

@@ -18,9 +18,8 @@ overflow/cascade level as well.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.engine import Simulator
+from repro.simulation import Simulator, TimerWheel
 from repro.simulation.timers import PeriodicTimer
-from repro.simulation.timerwheel import TimerWheel
 
 TPS = 16
 TICK = 1.0 / TPS

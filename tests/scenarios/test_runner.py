@@ -18,7 +18,7 @@ SNAPSHOT_KEYS = {
     "scenario", "seed", "events_executed", "final_time", "latency_max",
     "latency_mean", "latency_p50", "latency_p95", "total_bytes",
     "total_messages", "by_kind_bytes", "dropped_messages",
-    "blocks_via_recovery", "resilience", "link", "runtime",
+    "blocks_via_recovery", "resilience", "link",
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from repro.faults.schedule import DegradeEvent
 from repro.gossip.config import EnhancedGossipConfig
 from repro.metrics.latency import DisseminationTracker
-from repro.net.monitor import TrafficMonitor
+from repro.net import TrafficMonitor
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.sharded import (
     ShardSession,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.engine import SimulationError, Simulator
+from repro.simulation import SimulationError, Simulator
 
 
 def test_starts_at_time_zero(sim):
@@ -297,7 +297,7 @@ def test_crash_fault_mass_cancel_compacts_in_one_pass(sim):
     """A crash event cancelling >half the heap mid-run triggers exactly one
     compaction pass and leaves live accounting exact (the run loop must
     re-bind the swapped heap list and keep executing)."""
-    from repro.simulation import engine as engine_module
+    from repro.simulation import _core as engine_module
 
     fired = []
     # Periodic-timer corpus: one far-future handle per "timer", as a crash

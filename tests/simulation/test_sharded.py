@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.latency import ConstantLatency, LanLatency, TopologyLatency, UniformLatency
-from repro.simulation.engine import SimulationError, Simulator
+from repro.simulation import SimulationError, Simulator
 from repro.simulation.sharded import MIN_LOOKAHEAD, ShardPlan, plan_shards
 
 

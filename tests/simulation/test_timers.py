@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.engine import SimulationError
+from repro.simulation import SimulationError
 from repro.simulation.timers import PeriodicTimer
 
 

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.simulation.engine import SimulationError, Simulator
+from repro.simulation import SimulationError, Simulator, TimerWheel, WheelTimer
 from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
 from repro.simulation.timers import PeriodicTimer
-from repro.simulation.timerwheel import TimerWheel, WheelTimer
 
 
 @pytest.fixture
