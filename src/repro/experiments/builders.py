@@ -221,7 +221,7 @@ def build_network(
         # Region-aware models receive the placement before the Network
         # binds its samplers (the bound closures resolve pairs lazily, but
         # assigning first keeps the model fully initialized up front).
-        assign = getattr(network_config.latency_model, "assign_regions", None)
+        assign = getattr(network_config.latency, "assign_regions", None)
         if assign is not None:
             assign(region_of)
 

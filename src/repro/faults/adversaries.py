@@ -29,16 +29,16 @@ randomness at all.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, Set, Tuple
 
-from repro.faults.injectors import PerSourceStreams, _drop_filter_for
+from repro.faults.injectors import DropFault, PerSourceStreams
 from repro.gossip.messages import BlockPush, PushDigest
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.simulation.random import RandomStreams
 
 
-class LazyForwarderFault:
+class LazyForwarderFault(DropFault):
     """Peers that drop their forwarding work with probability ``drop_prob``.
 
     Forwarding work is what :class:`~repro.faults.injectors.
@@ -61,24 +61,13 @@ class LazyForwarderFault:
             raise ValueError(f"drop probability must be in [0, 1], got {drop_prob}")
         self.lazy: Set[str] = set(lazy_peers)
         self.drop_prob = drop_prob
-        self.active = active
-        self.dropped = 0
         self._rng_for = PerSourceStreams(streams, "faults:lazy")
-        self._network = network
-        self.arm()
+        super().__init__(network, active)
 
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        _drop_filter_for(network or self._network).add(self._predicate)
-
-    def activate(self) -> None:
-        self.active = True
-
-    def stop(self) -> None:
-        self.active = False
+    stop = DropFault.deactivate
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self.active or src not in self.lazy:
+        if not self._active or src not in self.lazy:
             return False
         is_forward_work = isinstance(message, PushDigest) or (
             isinstance(message, BlockPush) and not message.requested
@@ -91,7 +80,7 @@ class LazyForwarderFault:
         return False
 
 
-class DigestLiarFault:
+class DigestLiarFault(DropFault):
     """Peers that advertise blocks they will not (or cannot) serve.
 
     A liar's ``PushDigest`` handler is rewired: instead of requesting the
@@ -125,24 +114,13 @@ class DigestLiarFault:
         if unknown:
             raise ValueError(f"digest-liar fault names unknown peers: {unknown}")
         self.lie_fanout = lie_fanout
-        self.active = active
         self.lies_told = 0
-        self.dropped = 0
         self._rng_for = PerSourceStreams(streams, "faults:liar")
-        self._network = network
-        self.arm()
+        super().__init__(network, active)
         for name in sorted(self.liars):
             self._rewire(peers[name])
 
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the serve-withholding predicate; idempotent."""
-        _drop_filter_for(network or self._network).add(self._predicate)
-
-    def activate(self) -> None:
-        self.active = True
-
-    def stop(self) -> None:
-        self.active = False
+    stop = DropFault.deactivate
 
     def _rewire(self, peer) -> None:
         """Replace one liar peer's digest handler with the lying version."""
@@ -157,7 +135,7 @@ class DigestLiarFault:
         view = peer.view
 
         def lying_on_digest(src: str, message: PushDigest) -> None:
-            if not self.active:
+            if not self._active:
                 honest(src, message)
                 return
             self.lies_told += 1
@@ -171,7 +149,7 @@ class DigestLiarFault:
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
         if (
-            self.active
+            self._active
             and src in self.liars
             and isinstance(message, BlockPush)
             and message.requested
@@ -181,7 +159,7 @@ class DigestLiarFault:
         return False
 
 
-class EclipseFault:
+class EclipseFault(DropFault):
     """A coalition monopolizes the victim's connectivity.
 
     While active, every message between ``victim`` and any node that is
@@ -206,23 +184,12 @@ class EclipseFault:
         if self.victim in self.attackers:
             raise ValueError(f"victim {victim!r} cannot be its own attacker")
         self.protect: Set[str] = set(protect)
-        self.active = active
-        self.dropped = 0
-        self._network = network
-        self.arm()
+        super().__init__(network, active)
 
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        _drop_filter_for(network or self._network).add(self._predicate)
-
-    def activate(self) -> None:
-        self.active = True
-
-    def release(self) -> None:
-        self.active = False
+    release = DropFault.deactivate
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self.active:
+        if not self._active:
             return False
         if src == self.victim:
             other = dst
@@ -236,7 +203,7 @@ class EclipseFault:
         return True
 
 
-class FlakyLinkFault:
+class FlakyLinkFault(DropFault):
     """Asymmetric directional link loss between two node sets.
 
     Unlike :class:`~repro.faults.injectors.LinkDegradeFault` (whose
@@ -260,24 +227,13 @@ class FlakyLinkFault:
         self.src_nodes: Set[str] = set(src_nodes)
         self.dst_nodes: Set[str] = set(dst_nodes)
         self.loss_rate = loss_rate
-        self.active = active
-        self.dropped = 0
         self._rng_for = PerSourceStreams(streams, "faults:flaky")
-        self._network = network
-        self.arm()
+        super().__init__(network, active)
 
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        _drop_filter_for(network or self._network).add(self._predicate)
-
-    def activate(self) -> None:
-        self.active = True
-
-    def restore(self) -> None:
-        self.active = False
+    restore = DropFault.deactivate
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self.active or self.loss_rate <= 0.0:
+        if not self._active or self.loss_rate <= 0.0:
             return False
         if src not in self.src_nodes or dst not in self.dst_nodes:
             return False

@@ -69,41 +69,108 @@ class _ComposableDropFilter:
     message, only the earliest-installed one counts it. ``add`` is
     idempotent by identity: re-arming the same injector never double-wraps
     nor duplicates a predicate, so its drop counter stays single-counted.
+
+    Visibility: the chain is the network's drop filter only while at least
+    one predicate can drop — one whose ``owner`` is active, or one without
+    an owner (an adopted plain callable). An inactive predicate returns
+    ``False`` before drawing or counting anything, so hiding a chain of
+    them changes no decision, no counter and no stream position; it only
+    spares the network the guard stage for every copy sent outside the
+    fault windows. The network's ``_drop_chain`` attribute keeps the
+    hidden chain findable.
     """
 
     def __init__(self, network: Network) -> None:
         self.network = network
         self._predicates: List[Callable[[str, str, Message], bool]] = []
-        network.set_drop_filter(self)
+        self._owners: List[Optional["DropFault"]] = []
+        network._drop_chain = self
 
-    def add(self, predicate: Callable[[str, str, Message], bool]) -> None:
+    def add(
+        self,
+        predicate: Callable[[str, str, Message], bool],
+        owner: Optional["DropFault"] = None,
+    ) -> None:
         if predicate is self:
             return  # never chain a composable into itself
         if predicate not in self._predicates:
             self._predicates.append(predicate)
+            self._owners.append(owner)
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Show the chain to the network iff some predicate can drop."""
+        live = any(owner is None or owner.active for owner in self._owners)
+        self.network.set_drop_filter(self if live else None)
 
     def __call__(self, src: str, dst: str, message: Message) -> bool:
-        return any(predicate(src, dst, message) for predicate in self._predicates)
+        for predicate in self._predicates:
+            if predicate(src, dst, message):
+                return True
+        return False
 
 
 def _drop_filter_for(network: Network) -> _ComposableDropFilter:
-    """The network's composable drop filter, installing one if needed.
+    """The network's composable drop filter, creating one if needed.
 
     A plain callable already installed via ``set_drop_filter`` is adopted
-    as the chain's first predicate (it keeps evaluation priority);
-    repeated calls return the same composable, so arming any number of
-    injectors — or the same injector twice — composes idempotently.
+    into the chain (first, when it was there before the chain); repeated
+    calls return the same composable, so arming any number of injectors —
+    or the same injector twice — composes idempotently.
     """
+    composable = getattr(network, "_drop_chain", None)
+    if composable is None:
+        composable = _ComposableDropFilter(network)
     existing = getattr(network, "_drop_filter", None)
-    if isinstance(existing, _ComposableDropFilter):
-        return existing
-    composable = _ComposableDropFilter(network)
     if existing is not None:
         composable.add(existing)
     return composable
 
 
-class SilentPeerFault:
+class DropFault:
+    """What every drop-filter injector shares: a ``_predicate`` armed on
+    the network's chain, a ``dropped`` counter and an ``active`` flag the
+    chain watches (:meth:`_ComposableDropFilter.refresh`).
+
+    Subclasses alias :meth:`deactivate` under the name their fault reads
+    best with (``stop``, ``heal``, ``restore``, ``release``).
+    """
+
+    def __init__(self, network: Network, active: bool = True) -> None:
+        self.dropped = 0
+        self._network = network
+        self._chains: List[_ComposableDropFilter] = []
+        self._active = active
+        self.arm()
+
+    def arm(self, network: Optional[Network] = None) -> None:
+        """(Re-)install the predicate; idempotent on the same network."""
+        chain = _drop_filter_for(network or self._network)
+        if chain not in self._chains:
+            self._chains.append(chain)
+        chain.add(self._predicate, self)
+
+    @property
+    def active(self) -> bool:
+        return self._active
+
+    @active.setter
+    def active(self, active: bool) -> None:
+        self._active = active
+        for chain in self._chains:
+            chain.refresh()
+
+    def activate(self) -> None:
+        self.active = True
+
+    def deactivate(self) -> None:
+        self.active = False
+
+    def _predicate(self, src: str, dst: str, message: Message) -> bool:
+        raise NotImplementedError
+
+
+class SilentPeerFault(DropFault):
     """Free-riding peers: they take blocks but contribute nothing.
 
     Models the mildest §VII adversary: the peers drop all *outgoing*
@@ -120,23 +187,12 @@ class SilentPeerFault:
         self, network: Network, silent_peers: Iterable[str], active: bool = True
     ) -> None:
         self.silent: Set[str] = set(silent_peers)
-        self.active = active
-        self.dropped = 0
-        self._network = network
-        self.arm()
+        super().__init__(network, active)
 
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        _drop_filter_for(network or self._network).add(self._predicate)
-
-    def activate(self) -> None:
-        self.active = True
-
-    def stop(self) -> None:
-        self.active = False
+    stop = DropFault.deactivate
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self.active or src not in self.silent:
+        if not self._active or src not in self.silent:
             return False
         is_forward_work = isinstance(message, PushDigest) or (
             isinstance(message, BlockPush) and not message.requested
@@ -147,7 +203,7 @@ class SilentPeerFault:
         return False
 
 
-class TeasingPeerFault:
+class TeasingPeerFault(DropFault):
     """Withholding peers that advertise and then stonewall.
 
     The nastiest §VII adversary against the enhanced module: it forwards
@@ -162,29 +218,18 @@ class TeasingPeerFault:
         self, network: Network, teasing_peers: Iterable[str], active: bool = True
     ) -> None:
         self.teasing: Set[str] = set(teasing_peers)
-        self.active = active
-        self.dropped = 0
-        self._network = network
-        self.arm()
+        super().__init__(network, active)
 
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        _drop_filter_for(network or self._network).add(self._predicate)
-
-    def activate(self) -> None:
-        self.active = True
-
-    def stop(self) -> None:
-        self.active = False
+    stop = DropFault.deactivate
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if self.active and src in self.teasing and isinstance(message, BlockPush):
+        if self._active and src in self.teasing and isinstance(message, BlockPush):
             self.dropped += 1
             return True
         return False
 
 
-class PartitionFault:
+class PartitionFault(DropFault):
     """A network partition: traffic crossing island boundaries is dropped.
 
     ``islands`` are disjoint groups of node names; every node not listed
@@ -213,23 +258,12 @@ class PartitionFault:
                 if name in self._group_of:
                     raise ValueError(f"node {name!r} listed in two partition islands")
                 self._group_of[name] = index
-        self.active = active
-        self.dropped = 0
-        self._network = network
-        self.arm()
+        super().__init__(network, active)
 
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        _drop_filter_for(network or self._network).add(self._predicate)
-
-    def activate(self) -> None:
-        self.active = True
-
-    def heal(self) -> None:
-        self.active = False
+    heal = DropFault.deactivate
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self.active:
+        if not self._active:
             return False
         group_of = self._group_of
         if group_of.get(src, self._MAINLAND) != group_of.get(dst, self._MAINLAND):
@@ -238,7 +272,7 @@ class PartitionFault:
         return False
 
 
-class LinkDegradeFault:
+class LinkDegradeFault(DropFault):
     """Random loss on a selected set of links while active.
 
     Models flaky long-haul links: every message whose ``(src, dst)`` pair
@@ -274,23 +308,12 @@ class LinkDegradeFault:
                 return _rng
         self._rng_for = per_source
         self._link_filter = link_filter
-        self.active = active
-        self.dropped = 0
-        self._network = network
-        self.arm()
+        super().__init__(network, active)
 
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        _drop_filter_for(network or self._network).add(self._predicate)
-
-    def activate(self) -> None:
-        self.active = True
-
-    def restore(self) -> None:
-        self.active = False
+    restore = DropFault.deactivate
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self.active or self.loss_rate <= 0.0:
+        if not self._active or self.loss_rate <= 0.0:
             return False
         link_filter = self._link_filter
         if link_filter is not None and not link_filter(src, dst):
@@ -301,7 +324,7 @@ class LinkDegradeFault:
         return False
 
 
-class PacketLossFault:
+class PacketLossFault(DropFault):
     """Uniform random message loss at a configured rate."""
 
     def __init__(self, network: Network, loss_rate: float, rng: random.Random) -> None:
@@ -309,16 +332,10 @@ class PacketLossFault:
             raise ValueError(f"loss rate must be in [0, 1], got {loss_rate}")
         self.loss_rate = loss_rate
         self._rng = rng
-        self.dropped = 0
-        self._network = network
-        self.arm()
-
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        _drop_filter_for(network or self._network).add(self._predicate)
+        super().__init__(network)
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+        if self._active and self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.dropped += 1
             return True
         return False

@@ -13,10 +13,10 @@ import json
 import math
 import os
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.net.spec import LatencySpec, register_latency_kind, resolve_latency_spec
-from repro.simulation._core import make_lan_batch_sampler, make_lan_sampler
+from repro.simulation._core import make_lan_sampler, make_topology_sampler
 
 
 class LatencyModel:
@@ -51,27 +51,14 @@ class LatencyModel:
     def bind(self, rng: random.Random) -> "Callable[[str, str], float]":
         """Return a ``(src, dst) -> delay`` sampler pre-bound to ``rng``.
 
-        The network calls the sampler once per message, so subclasses
-        specialize this to hoist attribute lookups out of the per-message
-        path. Bound samplers MUST draw from ``rng`` exactly like
-        :meth:`sample` — the determinism contract compares metrics
-        bit-for-bit across refactors.
+        The network's fan-out kernel calls the sampler once per copy, in
+        destination order, so subclasses specialize this to hoist
+        attribute lookups out of the per-message path. Bound samplers
+        MUST draw from ``rng`` exactly like :meth:`sample` — the
+        determinism contract compares metrics bit-for-bit across
+        refactors.
         """
         return lambda src, dst: self.sample(rng, src, dst)
-
-    def bind_batch(self, rng: random.Random) -> "Callable[[str, Sequence[str]], List[float]]":
-        """Return a ``(src, dsts) -> [delay, ...]`` batch sampler.
-
-        The multicast fast path draws one latency per destination in one
-        call frame. The RNG-order contract is strict: a batch draw MUST
-        consume ``rng`` exactly as sequential :meth:`sample` calls in
-        destination order would, so a multicast fanout reproduces the
-        per-copy ``send`` loop's draws bit-for-bit. Subclasses specialize
-        this to hoist the per-draw frame; this default delegates to
-        :meth:`bind` and is always contract-correct.
-        """
-        sample = self.bind(rng)
-        return lambda src, dsts: [sample(src, dst) for dst in dsts]
 
     def min_delay(self) -> float:
         """A lower bound on any delay this model can produce.
@@ -102,10 +89,6 @@ class ConstantLatency(LatencyModel):
         delay = self.delay
         return lambda src, dst: delay
 
-    def bind_batch(self, rng: random.Random) -> "Callable[[str, Sequence[str]], List[float]]":
-        delay = self.delay
-        return lambda src, dsts: [delay] * len(dsts)
-
     def min_delay(self) -> float:
         return self.delay
 
@@ -129,11 +112,6 @@ class UniformLatency(LatencyModel):
         uniform = rng.uniform
         low, high = self.low, self.high
         return lambda src, dst: uniform(low, high)
-
-    def bind_batch(self, rng: random.Random) -> "Callable[[str, Sequence[str]], List[float]]":
-        uniform = rng.uniform
-        low, high = self.low, self.high
-        return lambda src, dsts: [uniform(low, high) for _ in dsts]
 
     def min_delay(self) -> float:
         return self.low
@@ -200,10 +178,10 @@ class TopologyLatency(LatencyModel):
     necessarily *before* the :class:`~repro.net.network.Network` binds its
     samplers.
 
-    RNG-order contract: :meth:`bind` (and the inherited :meth:`bind_batch`,
-    which delegates to it) draws via ``rng.lognormvariate`` exactly as
-    :meth:`sample` does, one draw per jittered copy in destination order,
-    so multicast fanouts reproduce a per-copy ``send`` loop bit-for-bit.
+    RNG-order contract: :meth:`bind` consumes ``rng`` exactly as
+    :meth:`sample` does — one lognormal draw per jittered copy, none for
+    a base-only pair, in destination order — so multicast fanouts
+    reproduce a per-copy ``send`` loop bit-for-bit.
 
     Args:
         matrix: ``{(region, region): params}`` where params is a
@@ -231,9 +209,11 @@ class TopologyLatency(LatencyModel):
         }
         self._spec_default = self._pad(default)
         self._region_of: dict = dict(region_of) if region_of else {}
-        # (src_node, dst_node) -> params memo; node pairs are bounded by
-        # n^2 and the per-message resolve is two dict probes after warmup.
-        self._pair_memo: dict = {}
+        # (src_region, dst_region) -> params with the symmetric and default
+        # fallbacks applied (``None`` stands for an unplaced node): at most
+        # (regions + 1)^2 entries, so the per-message resolve is two
+        # placement probes and one memo probe whatever the deployment size.
+        self._pair_params: dict = {}
 
     @staticmethod
     def _normalize(params):
@@ -263,17 +243,13 @@ class TopologyLatency(LatencyModel):
         return (base, jitter_median, jitter_sigma)
 
     def assign_regions(self, region_of: "dict") -> None:
-        """Place (or re-place) nodes into regions; clears the pair memo."""
+        """Place (or re-place) nodes into regions."""
         self._region_of.update(region_of)
-        self._pair_memo.clear()
 
     def region_of(self, node: str) -> "Optional[str]":
         return self._region_of.get(node)
 
-    def _resolve(self, src: str, dst: str):
-        region_of = self._region_of
-        src_region = region_of.get(src)
-        dst_region = region_of.get(dst)
+    def _resolve(self, src_region: "Optional[str]", dst_region: "Optional[str]"):
         if src_region is None or dst_region is None:
             params = self._default
         else:
@@ -281,13 +257,15 @@ class TopologyLatency(LatencyModel):
             params = matrix.get((src_region, dst_region))
             if params is None:
                 params = matrix.get((dst_region, src_region), self._default)
-        self._pair_memo[(src, dst)] = params
+        self._pair_params[(src_region, dst_region)] = params
         return params
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        params = self._pair_memo.get((src, dst))
+        region_of = self._region_of
+        src_region, dst_region = region_of.get(src), region_of.get(dst)
+        params = self._pair_params.get((src_region, dst_region))
         if params is None:
-            params = self._resolve(src, dst)
+            params = self._resolve(src_region, dst_region)
         base, mu, sigma = params
         if mu is None:
             return base
@@ -324,22 +302,11 @@ class TopologyLatency(LatencyModel):
         return LatencySpec.of("topology", matrix=matrix, default=self._spec_default)
 
     def bind(self, rng: random.Random) -> "Callable[[str, str], float]":
-        # Same draw sequence as sample() — rng.lognormvariate per jittered
-        # copy — with the memo/attribute lookups hoisted.
-        memo = self._pair_memo
-        resolve = self._resolve
-        lognormvariate = rng.lognormvariate
-
-        def sample(src: str, dst: str) -> float:
-            params = memo.get((src, dst))
-            if params is None:
-                params = resolve(src, dst)
-            base, mu, sigma = params
-            if mu is None:
-                return base
-            return base + lognormvariate(mu, sigma)
-
-        return sample
+        # Same draw sequence as sample() with the attribute lookups hoisted
+        # and rng.lognormvariate inlined, like LanLatency.bind.
+        return make_topology_sampler(
+            rng.random, self._region_of, self._pair_params, self._resolve
+        )
 
 
 class LanLatency(LatencyModel):
@@ -403,16 +370,6 @@ class LanLatency(LatencyModel):
         # results are bit-for-bit those of the un-bound sample(). It lives
         # in repro.simulation._core with the rest of the per-event hot path.
         return make_lan_sampler(rng.random, base, self._mu, self.jitter_sigma)
-
-    def bind_batch(self, rng: random.Random) -> "Callable[[str, Sequence[str]], List[float]]":
-        base = self.base
-        if self._mu is None:
-            return lambda src, dsts: [base] * len(dsts)
-        # Same inlined Kinderman-Monahan kernel as bind(), one draw per
-        # destination in destination order — the whole fanout's draws cost
-        # one call frame yet consume the RNG bit-for-bit like sequential
-        # sample() calls would.
-        return make_lan_batch_sampler(rng.random, base, self._mu, self.jitter_sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Delivery time of a message from A to B decomposes as:
   and messages queue FIFO, so a burst of ``fout`` pushes of a 160 KB block
   serializes — this is exactly the leader-peer bottleneck the paper's Fig. 10
   ablation demonstrates;
+* an optional **bottleneck link** behind the NIC (:mod:`repro.net.link`):
+  finite bandwidth, a bounded queue and CoDel drops;
 * **propagation latency** drawn from the latency model;
 * **downlink serialization** at B, modelling receive-side contention when
   many peers push the same block to one target.
@@ -13,48 +15,54 @@ Delivery time of a message from A to B decomposes as:
 Nodes register a handler; the fault layer can additionally drop messages or
 disconnect nodes. All traffic is accounted in the :class:`TrafficMonitor`.
 
-``send`` is the single hottest function of the whole simulator (every
-gossip message passes through it two or three times as scheduled events),
-so the config, latency sampler and monitor lookups are hoisted into bound
-attributes at construction time and events are scheduled through the
-engine's handle-free :meth:`~repro.simulation._core.Simulator.schedule_call`
-fast path.
+One kernel, three entry points
+------------------------------
 
-Fanout API — ``send`` vs ``multicast`` vs ``send_aggregate``
-------------------------------------------------------------
+Every copy of every message goes through one per-copy loop,
+:func:`repro.simulation._core.fan_out`. :meth:`Network.multicast` is the
+primitive, :meth:`Network.send` is its width-1 case, and
+:meth:`Network.send_aggregate` is the deliberate approximation (one burst,
+one latency draw, one shared delivery) that shares the guard stage, the
+link admission and the delivery callback. ``docs/networking.md`` is the
+decision guide; in short:
 
-Three entry points move a message, trading event cost against modelled
-detail (see ``docs/networking.md`` for the full decision guide):
+* **per copy, in destination order**: the guards (disconnect set and drop
+  filter, re-read for every copy so a filter that mutates fault state
+  mid-fanout acts on the remaining copies), the sender's NIC reservation,
+  link admission (tail drop, then at most one CoDel draw), the latency
+  draw, the shard-egress decision and the pooled delivery record with its
+  sequence number;
+* **per call**: argument validation, the sender's state lookup (its
+  *port*: NIC, link queue, bound latency sampler), and the traffic
+  accounting — one ``record_multicast`` for the copies that passed the
+  guards. Batching it is exact: the counters are integer sums, which
+  commute, and simulated time does not advance inside a call.
 
-* :meth:`Network.send` — one copy to one destination, full physics.
-* :meth:`Network.multicast` — one shared message instance to many
-  destinations with **per-destination physics identical to a ``send``
-  loop**: same drop/disconnect filtering, same per-copy uplink
-  reservation and latency draw (in destination order — the RNG-order
-  contract), same delivery times, byte-for-byte identical monitor
-  accounting. It is purely a mechanical fast path: vectorized recording,
-  batch latency sampling, pooled delivery records, and consecutive
-  same-time arrivals coalesced into shared slot-delivery events. Every
-  gossip fanout goes through it.
-* :meth:`Network.send_aggregate` — one *approximated* batch: a single
-  latency draw and a single shared arrival for the whole fanout, no
-  receiver downlink queueing. Reserved for calibrated background traffic
-  where only the byte accounting matters.
+The three random streams a copy can touch — the drop filter's
+``faults:*:<src>``, the link's ``network:queue:<src>`` and
+``network:latency:<src>`` — are separate generators, so running all of a
+fan-out's guards before its first latency draw consumes each of them
+exactly as a per-copy ``send`` loop would; within one stream the order is
+destination order, and a dropped copy draws nothing further.
 """
 
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass
-from heapq import heappush as _heappush
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.net.latency import LanLatency, LatencyModel
 from repro.net.link import LinkModel, new_queue_stats, summarize_queue_accounting
 from repro.net.message import Message
 from repro.net.spec import LatencySpec
-from repro.simulation._core import LINK_DROP_TAIL, Simulator, TrafficMonitor, link_enqueue
+from repro.simulation._core import (
+    LINK_DROP_TAIL,
+    Simulator,
+    TrafficMonitor,
+    fan_out,
+    link_enqueue,
+)
 from repro.simulation.random import RandomStreams
 
 Handler = Callable[[str, Message], None]
@@ -65,11 +73,6 @@ GIGABIT_PER_SECOND_BYTES = 125_000_000  # 1 Gbps full duplex, per direction
 # engine's entry pool): steady-state dissemination cycles a few dozen
 # records; the cap only matters after pathological bursts.
 _RECORD_POOL_MAX = 4096
-
-# One DeprecationWarning per process for the latency_model= construction
-# path; dataclasses.replace re-runs __post_init__ on every copy, and a
-# config replicated across shard workers must not spam the log.
-_warned_latency_model = False
 
 
 @dataclass
@@ -83,7 +86,10 @@ class NetworkConfig:
         latency: the propagation model, preferably as a declarative
             :class:`~repro.net.spec.LatencySpec` (resolved through the
             kind registry); a ready :class:`LatencyModel` instance is also
-            accepted. ``None`` defaults to LAN latency.
+            accepted and ``None`` means LAN latency. After construction
+            the field holds the *resolved* model instance, so
+            ``dataclasses.replace`` carries the very model (and whatever
+            ``assign_regions`` did to it) into the copy.
         link: optional :class:`~repro.net.link.LinkModel` adding sender
             bottleneck-link physics — finite bandwidth (serialization
             delay), a bounded queue and CoDel-style AQM drops — on top of
@@ -98,11 +104,6 @@ class NetworkConfig:
             topologies). Region-aware latency models consult it; the fault
             layer uses it to resolve region-level partition/degrade events.
             ``build_network`` fills it from the organization placement.
-        latency_model: deprecated constructor alias for ``latency``
-            (model-instance form). After construction this attribute
-            always holds the *resolved* model instance — existing readers
-            keep working — but passing it is deprecated; pass ``latency``
-            (ideally a spec) instead.
     """
 
     bandwidth: float = float(GIGABIT_PER_SECOND_BYTES)
@@ -112,35 +113,16 @@ class NetworkConfig:
     downlink_queue_min_bytes: int = 25_000
     regions: Optional[Dict[str, str]] = None
     link: Optional[LinkModel] = None
-    latency_model: Optional[LatencyModel] = None
 
     def __post_init__(self) -> None:
         if self.link is not None and not isinstance(self.link, LinkModel):
             raise TypeError(f"link must be a LinkModel, got {type(self.link).__name__}")
-        if self.latency_model is not None:
-            # Deprecated path — or a dataclasses.replace of an already
-            # resolved config, which carries both fields. In either case
-            # the instance wins: replace() must preserve a model whose
-            # assign_regions state was mutated after resolution.
-            if self.latency is None:
-                global _warned_latency_model
-                if not _warned_latency_model:
-                    _warned_latency_model = True
-                    warnings.warn(
-                        "NetworkConfig(latency_model=...) is deprecated; pass "
-                        "latency=<LatencySpec> (or a LatencyModel) instead",
-                        DeprecationWarning,
-                        stacklevel=3,
-                    )
-            return
         latency = self.latency
         if latency is None:
-            self.latency_model = LanLatency()
+            self.latency = LanLatency()
         elif isinstance(latency, LatencySpec):
-            self.latency_model = LatencyModel.from_spec(latency)
-        elif isinstance(latency, LatencyModel):
-            self.latency_model = latency
-        else:
+            self.latency = LatencyModel.from_spec(latency)
+        elif not isinstance(latency, LatencyModel):
             raise TypeError(
                 f"latency must be a LatencySpec or LatencyModel, got {type(latency).__name__}"
             )
@@ -168,74 +150,60 @@ class Network:
             raise ValueError("bandwidth must be positive")
         self._streams = streams
         self._handlers: Dict[str, Handler] = {}
-        self._uplink_free_at: Dict[str, float] = {}
         self._downlink_free_at: Dict[str, float] = {}
         self._disconnected: Dict[str, bool] = {}
-        # Count of currently disconnected nodes: lets every hot path skip
-        # the per-copy dict probes once a crashed peer has recovered (the
-        # flag dict keeps ``False`` tombstones forever).
+        # Count of currently disconnected nodes: lets every send skip the
+        # per-copy dict probes once a crashed peer has recovered (the flag
+        # dict keeps ``False`` tombstones forever).
         self._n_disconnected = 0
         self.monitor = TrafficMonitor(bin_width=self.config.monitor_bin_width)
         self.regions: Dict[str, str] = dict(self.config.regions) if self.config.regions else {}
         self.dropped_messages = 0
         self._drop_filter: Optional[Callable[[str, str, Message], bool]] = None
-        # Hot-path hoists: one attribute lookup at construction instead of
-        # several per message.
+        # Hoists: one attribute lookup at construction instead of several
+        # per message.
         self._bandwidth = self.config.bandwidth
         self._overhead = self.config.envelope_overhead
         self._queue_min = self.config.downlink_queue_min_bytes
-        # Latency draws come from a *per-source* stream
-        # (``network:latency:<src>``), bound lazily on a node's first send.
-        # Keying the stream by sender is what makes the simulation
-        # shardable: a node's draw sequence depends only on its own event
-        # order, never on how other nodes' events interleave with it, so a
-        # shard that executes a subset of the nodes consumes each stream
-        # exactly as the single-process run does (see docs/sharding.md).
-        self._latency_model = self.config.latency_model
-        self._send_samplers: Dict[str, Callable[[str, str], float]] = {}
-        self._batch_samplers: Dict[str, Callable] = {}
-        self._record = self.monitor.record
+        self._latency_model = self.config.latency
         self._record_multicast = self.monitor.record_multicast
         # Bottleneck-link physics (repro.net.link). A no-op link (infinite
-        # bandwidth) is disarmed outright so the link-free hot paths —
-        # including the vectorized multicast fast path, which a live link
-        # must avoid because copies can drop — run exactly as before;
-        # that, plus the kernel's zero-RNG guarantee, is what keeps
-        # pre-link goldens bit-for-bit identical (docs/networking.md).
+        # bandwidth) is disarmed outright: that, plus the admission
+        # arithmetic's zero-RNG guarantee, is what keeps pre-link goldens
+        # bit-for-bit identical (docs/networking.md).
         link = self.config.link
-        if link is not None and link.is_noop:
-            link = None
-        self._link = link
-        if link is not None:
-            self._link_bandwidth = link.bandwidth
-            (
-                self._link_queue_limit,
-                self._link_target,
-                self._link_interval,
-                self._link_max_p,
-                self._link_ramp,
-            ) = link.kernel_args()
-        # Per-source mutable queue state ([free_at, first_above, count,
-        # dropping]), CoDel drop RNG (stream ``network:queue:<src>``) and
-        # accounting — all keyed by sender, like the latency streams, so
-        # link physics shard along with everything else.
-        self._link_states: Dict[str, list] = {}
-        self._queue_rngs: Dict[str, Callable[[], float]] = {}
+        self._link = (
+            None if link is None or link.is_noop else (link.bandwidth,) + link.kernel_args()
+        )
+        # Per-sender state, opened on a node's first send (_open_port):
+        # [uplink_free_at, latency sampler, link queue state, queue draw,
+        # queue accounting] — the ``port`` of _core.fan_out. Everything a
+        # send mutates or draws from is keyed by sender: a node's draw
+        # sequences depend only on its own event order, never on how other
+        # nodes' events interleave with it, so a shard that executes a
+        # subset of the nodes consumes each stream exactly as the
+        # single-process run does (docs/sharding.md).
+        self._ports: Dict[str, list] = {}
         self._queue_stats: Dict[str, List[float]] = {}
         # Process-sharded execution (repro.simulation.sharded): when a
-        # shard owns only a subset of the nodes, sends to foreign
-        # destinations compute their full physics here (monitor record,
-        # uplink reservation, latency draw) and are appended to the egress
-        # queue as plain records instead of being scheduled locally; the
-        # owning shard injects them at the next window barrier.
+        # shard owns only a subset of the nodes, copies to foreign
+        # destinations get their full send-side physics here and are
+        # appended to the egress queue as plain records instead of being
+        # scheduled locally; the owning shard injects them at the next
+        # window barrier.
         self._shard_owned: Optional[frozenset] = None
         self._shard_egress: Optional[list] = None
-        # Free lists for multicast delivery/arrival records. Each record's
-        # last slot is the record itself, so the engine's ``callback(*rec)``
-        # hands the callback its own record to reclaim — zero allocations
-        # per recipient in steady state.
+        # Free lists for delivery/arrival records. Each record's last slot
+        # is the record itself, so the engine's ``callback(*rec)`` hands
+        # the callback its own record to reclaim — zero allocations per
+        # recipient in steady state. _phases[two_phase] is the ``phase``
+        # argument of _core.fan_out.
         self._deliver_pool: list = []
         self._arrive_pool: list = []
+        self._phases = (
+            (False, self._deliver_pool, self._deliver_multicast),
+            (True, self._arrive_pool, self._arrive_multicast),
+        )
 
     def register(self, name: str, handler: Handler) -> None:
         """Attach a process; ``handler(src, message)`` is called on delivery."""
@@ -265,72 +233,31 @@ class Network:
         """Install a message-drop predicate (fault injection / packet loss)."""
         self._drop_filter = drop
 
-    def _bind_latency(self, src: str) -> Callable[[str, str], float]:
-        """Create and cache the per-source latency samplers for ``src``.
+    def _open_port(self, src: str) -> list:
+        """Create ``src``'s sender state on its first send.
 
-        Both the scalar and the batch sampler close over the *same*
-        ``random.Random``, so sends and multicasts from one source consume
-        its stream sequentially in call order — the per-source form of the
-        RNG-order contract (docs/networking.md).
+        The latency sampler is bound to the per-source stream
+        ``network:latency:<src>`` and, with a live link, CoDel draws come
+        from ``network:queue:<src>``: every send path of one source
+        consumes the same two generators in call order — the per-source
+        form of the RNG-order contract (docs/networking.md).
         """
-        rng = self._streams.stream(f"network:latency:{src}")
-        sampler = self._latency_model.bind(rng)
-        self._send_samplers[src] = sampler
-        self._batch_samplers[src] = self._latency_model.bind_batch(rng)
-        return sampler
+        streams = self._streams
+        sample = self._latency_model.bind(streams.stream(f"network:latency:{src}"))
+        if self._link is None:
+            port = [0.0, sample, None, None, None]
+        else:
+            stats = self._queue_stats[src] = new_queue_stats()
+            uniform = streams.stream(f"network:queue:{src}").random
+            port = [0.0, sample, [0.0, 0.0, 0.0, 0.0], uniform, stats]
+        self._ports[src] = port
+        return port
 
     def latency_rng(self, src: str):
         """The raw per-source latency stream (tests probe its position)."""
-        if src not in self._send_samplers:
-            self._bind_latency(src)
+        if src not in self._ports:
+            self._open_port(src)
         return self._streams.stream(f"network:latency:{src}")
-
-    def _link_admit(self, src: str, size: int, at: float) -> float:
-        """Admit one ``size``-byte copy to ``src``'s bottleneck link at
-        time ``at`` (the moment it clears the NIC). Returns the time the
-        copy finishes serializing onto the wire, or ``-1.0`` if the link
-        dropped it (bounded queue overflow or CoDel).
-
-        RNG contract (docs/networking.md): CoDel's probabilistic drops
-        draw from the per-source ``network:queue:<src>`` stream — at most
-        one uniform per copy, *before* the copy's latency draw, and a
-        dropped copy consumes no latency draw at all. Tail drops consume
-        no RNG. Callers must therefore invoke this before sampling
-        propagation latency and skip the sample on drop.
-        """
-        state = self._link_states.get(src)
-        if state is None:
-            state = [0.0, 0.0, 0.0, 0.0]
-            self._link_states[src] = state
-            self._queue_rngs[src] = self._streams.stream(f"network:queue:{src}").random
-            self._queue_stats[src] = new_queue_stats()
-        transfer = size / self._link_bandwidth
-        done = link_enqueue(
-            state,
-            at,
-            transfer,
-            self._link_queue_limit,
-            self._link_target,
-            self._link_interval,
-            self._link_max_p,
-            self._link_ramp,
-            self._queue_rngs[src],
-        )
-        stats = self._queue_stats[src]
-        stats[0] += 1.0
-        if done < 0.0:
-            if done == LINK_DROP_TAIL:
-                stats[1] += 1.0
-            else:
-                stats[2] += 1.0
-            return -1.0
-        wait = done - transfer - at
-        if wait > 0.0:
-            stats[3] += wait
-            if wait > stats[4]:
-                stats[4] = wait
-            stats[5] += size
-        return done
 
     def queue_accounting(self) -> Dict[str, List[float]]:
         """Per-source link-queue accounting records (see
@@ -354,7 +281,9 @@ class Network:
         is the list that collects outbound cross-shard records. Records
         are plain picklable tuples — ``("d", time, src, dst, message)``
         for single-phase deliveries and ``("a", time, src, dst, message,
-        transfer)`` for two-phase (downlink-queued) arrivals — appended in
+        transfer)`` for two-phase (downlink-queued) arrivals, which hand
+        over at their physical arrival so the receiver's downlink is
+        reserved in merged arrival order on the owner shard — appended in
         send order. The shard coordinator drains the list at every window
         barrier and injects each record on the destination's owner shard
         (:meth:`inject_shard_records`).
@@ -370,19 +299,22 @@ class Network:
         that order assigns consecutive sequence numbers, which fixes the
         relative order of same-time injected events deterministically.
         """
-        sim = self.sim
+        schedule = self.sim.schedule_records
         for rec in records:
             if rec[0] == "d":
-                sim.schedule_call(rec[1], self._deliver, (rec[2], rec[3], rec[4]))
+                out = self._deliver_record(rec[1], rec[2], rec[4], rec[3])
+                schedule(self._deliver_multicast, (out,))
             else:
-                sim.schedule_call(rec[1], self._arrive, (rec[2], rec[3], rec[4], rec[5]))
+                out = [rec[1], rec[2], rec[4], rec[3], rec[5], None]
+                out[5] = out
+                schedule(self._arrive_multicast, (out,))
 
     def wire_size(self, message: Message) -> int:
         """Bytes on the wire: payload plus fixed envelope."""
         return message.payload_size() + self._overhead
 
     def send(self, src: str, dst: str, message: Message) -> None:
-        """Send ``message`` from ``src`` to ``dst``.
+        """Send ``message`` from ``src`` to ``dst``: a fan-out of width one.
 
         Sends to unknown or disconnected destinations are silently dropped,
         like packets to a crashed host; sends from a disconnected source are
@@ -394,255 +326,64 @@ class Network:
             raise ValueError(f"{src!r} attempted to send a message to itself")
         if src not in self._handlers:
             raise ValueError(f"unknown source node {src!r}")
-        size = message.payload_size() + self._overhead
-        if self._n_disconnected:
-            disconnected = self._disconnected
-            if disconnected.get(src) or disconnected.get(dst):
-                self.dropped_messages += 1
-                return
-        if self._drop_filter is not None and self._drop_filter(src, dst, message):
-            self.dropped_messages += 1
-            return
-        sim = self.sim
-        now = sim._now  # friend access: skips the property call per message
-        # The monitor accounts the message at send time: utilization plots
-        # reflect when bytes enter the network, as a host-side counter would.
-        self._record(now, src, dst, message.kind, size)
-        transfer = size / self._bandwidth
-        uplink_free_at = self._uplink_free_at
-        free_at = uplink_free_at.get(src, 0.0)
-        uplink_done = (free_at if free_at > now else now) + transfer
-        uplink_free_at[src] = uplink_done
-        if self._link is not None:
-            # Bottleneck link after the NIC: serialization at link
-            # bandwidth plus bounded-queue residency; a dropped copy
-            # consumed its queue draw (if any) but takes no latency draw.
-            uplink_done = self._link_admit(src, size, uplink_done)
-            if uplink_done < 0.0:
-                self.dropped_messages += 1
-                return
-        sample = self._send_samplers.get(src)
-        if sample is None:
-            sample = self._bind_latency(src)
-        arrival = uplink_done + sample(src, dst)
-        owned = self._shard_owned
-        if owned is not None and dst not in owned:
-            # Cross-shard: the full send-side physics (monitor record,
-            # uplink reservation, latency draw) happened above exactly as
-            # in a local send; the delivery itself is the destination
-            # shard's job. Two-phase copies hand over at their physical
-            # arrival so the receiver's downlink is reserved in merged
-            # arrival order on the owner shard.
-            if size < self._queue_min:
-                self._shard_egress.append(("d", arrival + transfer, src, dst, message))
-            else:
-                self._shard_egress.append(("a", arrival, src, dst, message, transfer))
-            return
-        if size < self._queue_min:
-            # Single-phase delivery through a pooled record, with the heap
-            # push inlined (friend access, same pattern as the multicast
-            # loop): no scheduling call frame and no argument-tuple
-            # allocation on the hottest function of the simulator.
-            pool = self._deliver_pool
-            if pool:
-                rec = pool.pop()
-                rec[0] = arrival + transfer
-                rec[1] = src
-                rec[2] = message
-                rec[3] = dst
-            else:
-                rec = [arrival + transfer, src, message, dst, None]
-                rec[4] = rec
-            if not rec[0] >= now:
-                self._deliver_pool.append(rec)
-                sim._reject_time(rec[0])
-            entry_pool = sim._pool
-            if entry_pool:
-                entry = entry_pool.pop()
-                entry[0] = rec[0]
-                entry[1] = sim._seq
-                entry[2] = self._deliver_multicast
-                entry[3] = rec
-                entry[4] = None
-            else:
-                entry = [rec[0], sim._seq, self._deliver_multicast, rec, None]
-            sim._seq += 1
-            sim._live += 1
-            heap = sim._heap
-            _heappush(heap, entry)
-            if len(heap) > sim._peak_heap:
-                sim._peak_heap = len(heap)
-            return
-        # Receive-side queueing must be resolved in ARRIVAL order, not send
-        # order: an early-sent message on a slow (WAN) path must not
-        # reserve the receiver's downlink ahead of later-sent messages on
-        # fast paths. Large messages therefore take a two-phase schedule.
-        sim.schedule_call(arrival, self._arrive, (src, dst, message, transfer))
+        if self._n_disconnected or self._drop_filter is not None:
+            self._fan_out_guarded(src, (dst,), message)
+        else:
+            self._fan_out(src, (dst,), message)
 
     def multicast(self, src: str, dsts: Sequence[str], message: Message) -> None:
         """Send one shared ``message`` instance from ``src`` to every
         destination in ``dsts``, with per-destination physics identical to
         calling :meth:`send` once per destination in order.
 
-        This is the gossip-fanout fast path. The equivalence contract is
-        exact — the property suite replays random fanouts against a naive
-        ``send`` loop and asserts the same (time, dst, message) delivery
-        sequence:
+        The equivalence is exact — the property suite replays random
+        fanouts against a naive ``send`` loop and asserts the same (time,
+        dst, message) delivery sequence, drop counters, monitor and RNG
+        stream positions:
 
         * drop rules (disconnected source/destination, drop filters) apply
-          per copy, in destination order, before that copy is recorded;
-        * the sender's uplink serializes the copies back to back and each
-          copy draws its own propagation latency, **in destination order**
-          — the RNG-order contract that keeps metrics bit-for-bit equal to
-          the per-copy loop;
-        * large copies take the same two-phase arrival/downlink schedule
-          as :meth:`send`, per destination.
-
-        What changes is purely mechanical cost: traffic is recorded
-        through one vectorized :meth:`TrafficMonitor.record_multicast`
-        call, latencies come from the model's batch sampler, deliveries
-        are scheduled through pooled records in one engine call, and
-        consecutive copies whose computed delivery times tie exactly
-        coalesce into one shared slot-delivery event (sharing is safe
-        precisely because their sequence numbers are consecutive, so no
-        foreign event can order between them).
+          per copy, in destination order, and only copies that pass are
+          recorded;
+        * the sender's uplink serializes the copies back to back, a live
+          link admits or drops each one, and each surviving copy draws its
+          own propagation latency, **in destination order** — the
+          RNG-order contract that keeps metrics bit-for-bit equal to the
+          per-copy loop;
+        * large copies take the two-phase arrival/downlink schedule, per
+          destination;
+        * consecutive copies whose computed delivery times tie exactly
+          share one delivery event (safe because their sequence numbers
+          would be consecutive, so no foreign event can order between
+          them).
         """
         if src not in self._handlers:
             raise ValueError(f"unknown source node {src!r}")
         # Full validation before any state change, exactly like send().
-        for dst in dsts:
-            if dst == src:
-                raise ValueError(f"{src!r} attempted to send a message to itself")
-        if "send" in self.__dict__ or self._shard_owned is not None:
+        if src in dsts:
+            raise ValueError(f"{src!r} attempted to send a message to itself")
+        if "send" in self.__dict__:
             # ``send`` was wrapped by instance assignment (integration-test
-            # instrumentation), or the network runs in sharded mode: route
-            # every copy through ``send`` so the wrapper observes the
-            # fanout / foreign copies land on the egress queue. The
+            # instrumentation): route every copy through the wrapper. The
             # per-copy loop is the definitional semantics of multicast, so
             # physics and monitor accounting stay byte-identical.
             send = self.send
             for dst in dsts:
                 send(src, dst, message)
-            return
-        n = len(dsts)
-        if n == 0:
-            return
-        if n == 1:
-            self.send(src, dsts[0], message)
-            return
-        if self._n_disconnected or self._drop_filter is not None or self._link is not None:
-            # A live link can drop copies and interleaves a queue draw
-            # before each latency draw, so it needs the per-copy loop too.
-            self._multicast_guarded(src, dsts, message)
-            return
-        # Steady-state fast path: no fault machinery installed, so no copy
-        # can drop and the per-copy bookkeeping vectorizes.
-        size = message.payload_size() + self._overhead
-        sim = self.sim
-        now = sim._now
-        self._record_multicast(now, src, dsts, message.kind, size)
-        transfer = size / self._bandwidth
-        uplink_free_at = self._uplink_free_at
-        free_at = uplink_free_at.get(src, 0.0)
-        uplink_done = free_at if free_at > now else now
-        sample_batch = self._batch_samplers.get(src)
-        if sample_batch is None:
-            self._bind_latency(src)
-            sample_batch = self._batch_samplers[src]
-        latencies = sample_batch(src, dsts)
-        two_phase = size >= self._queue_min
-        if two_phase:
-            pool = self._arrive_pool
-            callback = self._arrive_multicast
-        else:
-            pool = self._deliver_pool
-            callback = self._deliver_multicast
-        # Scheduling is inlined (friend access to the engine's entry pool
-        # and heap, same pattern as ``sim._now``): one pooled record and
-        # one pooled heap entry per surviving copy, pushed in destination
-        # order with consecutive sequence numbers, no per-copy call frame.
-        entry_pool = sim._pool
-        heap = sim._heap
-        seq = sim._seq
-        previous_time = -1.0
-        previous_rec: Optional[list] = None
-        index = 0
-        for dst in dsts:
-            uplink_done += transfer
-            arrival = uplink_done + latencies[index]
-            index += 1
-            event_time = arrival if two_phase else arrival + transfer
-            if not event_time >= now:
-                # Negative or NaN latency from a broken model: fail loudly
-                # like schedule_call would, with the counters consistent.
-                sim._live += seq - sim._seq
-                sim._seq = seq
-                sim._reject_time(event_time)
-            if event_time == previous_time:
-                # Exact tie with the immediately preceding copy: fold into
-                # its (already scheduled) record, keeping destination
-                # (= sequence) order. Heap ordering is untouched — only
-                # the record's target slot mutates.
-                target = previous_rec[3]
-                if target.__class__ is list:
-                    target.append(dst)
-                else:
-                    previous_rec[3] = [target, dst]
-                continue
-            if pool:
-                rec = pool.pop()
-                rec[0] = event_time
-                rec[1] = src
-                rec[2] = message
-                rec[3] = dst
-            elif two_phase:
-                rec = [event_time, src, message, dst, transfer, None]
-                rec[5] = rec
-            else:
-                rec = [event_time, src, message, dst, None]
-                rec[4] = rec
-            if two_phase:
-                rec[4] = transfer
-            if entry_pool:
-                entry = entry_pool.pop()
-                entry[0] = event_time
-                entry[1] = seq
-                entry[2] = callback
-                entry[3] = rec
-                entry[4] = None
-            else:
-                entry = [event_time, seq, callback, rec, None]
-            seq += 1
-            _heappush(heap, entry)
-            previous_time = event_time
-            previous_rec = rec
-        uplink_free_at[src] = uplink_done
-        sim._live += seq - sim._seq
-        sim._seq = seq
-        if len(heap) > sim._peak_heap:
-            sim._peak_heap = len(heap)
+        elif self._n_disconnected or self._drop_filter is not None:
+            self._fan_out_guarded(src, dsts, message)
+        elif dsts:
+            self._fan_out(src, dsts, message)
 
-    def _multicast_guarded(self, src: str, dsts: Sequence[str], message: Message) -> None:
-        """Multicast with fault machinery active: the exact per-copy loop.
+    def _guard(self, src: str, dsts: Sequence[str], message: Message, survivors: list) -> None:
+        """The guard stage: append to ``survivors`` every destination whose
+        copy neither endpoint's disconnection nor the drop filter stops,
+        and count the others as dropped.
 
-        Checks, monitor records, uplink reservations and latency draws
-        interleave per destination precisely as the naive ``send`` loop
-        would, so re-entrant fault mutations — e.g. a drop filter that
-        disconnects the source or swaps itself mid-fanout — observe and
-        produce identical state. The filter and disconnect set are
-        re-read per copy for exactly that reason.
+        The filter and the disconnect set are re-read per copy, so
+        re-entrant fault mutations — a drop filter that disconnects the
+        source or swaps itself mid-fanout — act on the remaining copies
+        exactly as they would in a per-copy ``send`` loop.
         """
-        size = message.payload_size() + self._overhead
-        kind = message.kind
-        sim = self.sim
-        record = self._record
-        sample = self._send_samplers.get(src)
-        if sample is None:
-            sample = self._bind_latency(src)
-        transfer = size / self._bandwidth
-        queue_min = self._queue_min
-        uplink_free_at = self._uplink_free_at
-        link_armed = self._link is not None
         for dst in dsts:
             if self._n_disconnected:
                 disconnected = self._disconnected
@@ -653,24 +394,64 @@ class Network:
             if drop_filter is not None and drop_filter(src, dst, message):
                 self.dropped_messages += 1
                 continue
-            now = sim._now
-            record(now, src, dst, kind, size)
-            free_at = uplink_free_at.get(src, 0.0)
-            uplink_done = (free_at if free_at > now else now) + transfer
-            uplink_free_at[src] = uplink_done
-            if link_armed:
-                # Same order as send(): queue draw (if CoDel is dropping)
-                # before the latency draw; a dropped copy takes neither
-                # the latency draw nor a delivery event.
-                uplink_done = self._link_admit(src, size, uplink_done)
-                if uplink_done < 0.0:
-                    self.dropped_messages += 1
-                    continue
-            arrival = uplink_done + sample(src, dst)
-            if size < queue_min:
-                sim.schedule_call(arrival + transfer, self._deliver, (src, dst, message))
-            else:
-                sim.schedule_call(arrival, self._arrive, (src, dst, message, transfer))
+            survivors.append(dst)
+
+    def _fan_out_guarded(self, src: str, dsts: Sequence[str], message: Message) -> None:
+        """Fan out with fault machinery armed: guard stage, then kernel.
+
+        ``finally``: when a drop filter raises on the k-th copy, the k-1
+        copies before it are sent and recorded — the state a per-copy
+        ``send`` loop leaves behind.
+        """
+        survivors: List[str] = []
+        try:
+            self._guard(src, dsts, message, survivors)
+        finally:
+            if survivors:
+                self._fan_out(src, survivors, message)
+
+    def _fan_out(self, src: str, dsts: Sequence[str], message: Message) -> None:
+        """Account and emit one copy per destination; nothing can stop a
+        copy any more except the sender's link."""
+        size = message.payload_size() + self._overhead
+        port = self._ports.get(src)
+        if port is None:
+            port = self._open_port(src)
+        sim = self.sim
+        # The monitor accounts a copy at send time, before the link may
+        # drop it: utilization plots reflect when bytes enter the network,
+        # as a host-side counter would.
+        self._record_multicast(sim._now, src, dsts, message.kind, size)
+        dropped = fan_out(
+            sim,
+            port,
+            self._link,
+            src,
+            dsts,
+            message,
+            size,
+            size / self._bandwidth,
+            self._phases[size >= self._queue_min],
+            self._shard_owned,
+            self._shard_egress,
+        )
+        if dropped:
+            self.dropped_messages += dropped
+
+    def _deliver_record(self, time: float, src: str, message: Message, target) -> list:
+        """A pooled single-phase delivery record ``[time, src, message,
+        target, record]`` for :meth:`_deliver_multicast`."""
+        pool = self._deliver_pool
+        if pool:
+            rec = pool.pop()
+            rec[0] = time
+            rec[1] = src
+            rec[2] = message
+            rec[3] = target
+        else:
+            rec = [time, src, message, target, None]
+            rec[4] = rec
+        return rec
 
     def _deliver_multicast(self, time: float, src: str, message: Message, target, rec: list) -> None:
         # Reclaim the pooled record first (locals hold everything needed).
@@ -709,14 +490,17 @@ class Network:
     def _arrive_multicast(
         self, time: float, src: str, message: Message, target, transfer: float, rec: list
     ) -> None:
-        """Phase two of a large-copy multicast: grant receiver downlinks.
+        """Phase two of a large copy: grant receiver downlinks.
 
-        Runs at the copies' (shared or singleton) physical arrival time and
-        reserves each destination's downlink in destination order — exactly
-        the reservations the per-copy :meth:`_arrive` events would make,
-        since tied arrivals carry consecutive sequence numbers. Deliveries
-        are then re-scheduled through the pooled single-phase records,
-        re-grouping any delivery-time ties.
+        Receive-side queueing must be resolved in ARRIVAL order, not send
+        order: an early-sent message on a slow (WAN) path must not reserve
+        the receiver's downlink ahead of later-sent messages on fast
+        paths. So this runs at the copies' (shared or singleton) physical
+        arrival time and reserves each destination's downlink in
+        destination order — tied arrivals carry consecutive sequence
+        numbers, so that is the order separate events would run in.
+        Deliveries are then scheduled through the pooled single-phase
+        records, re-grouping any delivery-time ties.
         """
         rec[2] = None
         pool = self._arrive_pool
@@ -724,7 +508,6 @@ class Network:
             pool.append(rec)
         now = self.sim._now
         downlink_free_at = self._downlink_free_at
-        deliver_pool = self._deliver_pool
         if target.__class__ is not list:
             target = (target,)
         records: list = []
@@ -741,28 +524,20 @@ class Network:
                 else:
                     previous_rec[3] = [grouped, dst]
                 continue
-            if deliver_pool:
-                out = deliver_pool.pop()
-                out[0] = delivered
-                out[1] = src
-                out[2] = message
-                out[3] = dst
-            else:
-                out = [delivered, src, message, dst, None]
-                out[4] = out
-            records.append(out)
+            previous_rec = self._deliver_record(delivered, src, message, dst)
             previous_time = delivered
-            previous_rec = out
+            records.append(previous_rec)
         self.sim.schedule_records(self._deliver_multicast, records)
 
     def send_aggregate(self, src: str, dsts: Sequence[str], message: Message) -> None:
         """Send one identical metadata message to each destination as a
         single simulator event.
 
-        The aggregated-background fast path: a periodic emitter's fanout of
+        The aggregated-background path: a periodic emitter's fanout of
         ``MembershipAlive`` copies coalesces into one scheduled delivery
-        instead of one or two events per copy. Semantics relative to
-        per-copy :meth:`send`:
+        instead of one or two events per copy. It shares the guard stage,
+        the link admission and the delivery callback of the other two
+        paths; relative to per-copy :meth:`send`:
 
         * **byte accounting is exactly equivalent** — the monitor records
           one ``wire_size`` message per destination at send time (the
@@ -771,6 +546,9 @@ class Network:
           bytes of the fanout, like the per-copy sends would;
         * drop rules (disconnected source/destination, drop filters) apply
           per copy, before anything is recorded;
+        * the fanout crosses a live link as one burst: a single admission
+          (one queue draw at most) for its total bytes, and a drop loses
+          the whole batch;
         * one propagation latency is drawn for the whole batch and the
           copies are delivered together one transfer after arrival —
           per-destination latency spread is dropped;
@@ -781,129 +559,78 @@ class Network:
           path deliberately trades that receive-contention detail away —
           metadata is a small, steady fraction of any receiver's downlink,
           and the golden tolerance check pins the resulting latency drift.
-
-        Drop state is re-read per copy, so a drop filter that mutates the
-        fault machinery mid-fanout (disconnecting the source, swapping
-        itself) affects the remaining copies exactly as it would a
-        per-copy loop — a mid-fanout drop can never leave the shared-event
-        accounting out of step with the drop counters.
         """
         if src not in self._handlers:
             raise ValueError(f"unknown source node {src!r}")
         # Full validation before any state change, exactly like send(): a
         # rejected call must not pollute drop counters or the monitor.
-        for dst in dsts:
-            if dst == src:
-                raise ValueError(f"{src!r} attempted to send a message to itself")
-        size = message.payload_size() + self._overhead
-        if self._n_disconnected == 0 and self._drop_filter is None:
-            # Steady state: no fault machinery installed, nothing can drop
-            # — every destination is a recipient (copied: the scheduled
-            # delivery must not alias a caller-owned list).
-            recipients = list(dsts)
-            if not recipients:
-                return
+        if src in dsts:
+            raise ValueError(f"{src!r} attempted to send a message to itself")
+        recipients: List[str] = []
+        if self._n_disconnected or self._drop_filter is not None:
+            self._guard(src, dsts, message, recipients)
         else:
-            if self._disconnected.get(src):
-                self.dropped_messages += len(dsts)
-                return
-            recipients = []
-            for dst in dsts:
-                if self._n_disconnected:
-                    disconnected = self._disconnected
-                    if disconnected.get(src) or disconnected.get(dst):
-                        self.dropped_messages += 1
-                        continue
-                drop_filter = self._drop_filter
-                if drop_filter is not None and drop_filter(src, dst, message):
-                    self.dropped_messages += 1
-                    continue
-                recipients.append(dst)
-            if not recipients:
-                return
+            # Copied: the scheduled delivery must not alias a caller-owned list.
+            recipients.extend(dsts)
+        if not recipients:
+            return
+        size = message.payload_size() + self._overhead
+        port = self._ports.get(src)
+        if port is None:
+            port = self._open_port(src)
         sim = self.sim
         now = sim._now
         self._record_multicast(now, src, recipients, message.kind, size)
         transfer = size / self._bandwidth
-        uplink_free_at = self._uplink_free_at
-        free_at = uplink_free_at.get(src, 0.0)
+        free_at = port[0]
         uplink_done = (free_at if free_at > now else now) + transfer * len(recipients)
-        uplink_free_at[src] = uplink_done
-        if self._link is not None:
-            # The aggregate is one batched emission, so it crosses the
-            # bottleneck as one burst: a single admission (one queue draw
-            # at most) for the fanout's total bytes, and a drop loses the
-            # whole batch — mirroring the single shared latency draw.
-            uplink_done = self._link_admit(src, size * len(recipients), uplink_done)
+        port[0] = uplink_done
+        if port[2] is not None:
+            uplink_done = self._admit_burst(port, size * len(recipients), uplink_done)
             if uplink_done < 0.0:
                 self.dropped_messages += len(recipients)
                 return
-        sample = self._send_samplers.get(src)
-        if sample is None:
-            sample = self._bind_latency(src)
-        arrival = uplink_done + sample(src, recipients[0]) + transfer
-        if not arrival >= now:
-            sim._reject_time(arrival)
+        arrival = uplink_done + port[1](src, recipients[0]) + transfer
         owned = self._shard_owned
         if owned is not None:
             # Sharded mode: foreign recipients leave as single-phase
-            # records at the shared arrival (the aggregated path models no
-            # downlink queueing); local recipients keep the one batched
-            # delivery event.
-            local = [dst for dst in recipients if dst in owned]
+            # records at the shared arrival; local recipients keep the one
+            # batched delivery event.
             egress = self._shard_egress
             for dst in recipients:
                 if dst not in owned:
                     egress.append(("d", arrival, src, dst, message))
-            if not local:
+            recipients = [dst for dst in recipients if dst in owned]
+            if not recipients:
                 return
-            recipients = local
-        # Inlined heap push (friend access), as in send()/multicast():
-        # the background emitters call this once per period per peer.
-        entry_pool = sim._pool
-        if entry_pool:
-            entry = entry_pool.pop()
-            entry[0] = arrival
-            entry[1] = sim._seq
-            entry[2] = self._deliver_aggregate
-            entry[3] = (src, recipients, message)
-            entry[4] = None
-        else:
-            entry = [arrival, sim._seq, self._deliver_aggregate, (src, recipients, message), None]
-        sim._seq += 1
-        sim._live += 1
-        heap = sim._heap
-        _heappush(heap, entry)
-        if len(heap) > sim._peak_heap:
-            sim._peak_heap = len(heap)
+        sim.schedule_records(
+            self._deliver_multicast, (self._deliver_record(arrival, src, message, recipients),)
+        )
 
-    def _deliver_aggregate(self, src: str, recipients: list, message: Message) -> None:
-        handlers = self._handlers
-        for dst in recipients:
-            # Re-read per copy: a handler may disconnect a later recipient
-            # of the same batch (see _deliver_multicast).
-            if self._n_disconnected and self._disconnected.get(dst):
-                self.dropped_messages += 1
-                continue
-            handler = handlers.get(dst)
-            if handler is None:
-                self.dropped_messages += 1
-                continue
-            handler(src, message)
+    def _admit_burst(self, port: list, size: int, at: float) -> float:
+        """Admit ``size`` bytes to the sender's bottleneck link as one
+        packet at time ``at`` (the moment they clear the NIC). Returns the
+        time they finish serializing onto the wire, or ``-1.0`` if the
+        link dropped them (bounded queue overflow or CoDel).
 
-    def _arrive(self, src: str, dst: str, message: Message, transfer: float) -> None:
-        now = self.sim._now
-        free_at = self._downlink_free_at.get(dst, 0.0)
-        delivered = (free_at if free_at > now else now) + transfer
-        self._downlink_free_at[dst] = delivered
-        self.sim.schedule_call(delivered, self._deliver, (src, dst, message))
-
-    def _deliver(self, src: str, dst: str, message: Message) -> None:
-        if self._n_disconnected and self._disconnected.get(dst):
-            self.dropped_messages += 1
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self.dropped_messages += 1
-            return
-        handler(src, message)
+        Same contract as a copy inside ``fan_out`` (docs/networking.md):
+        at most one ``network:queue:<src>`` draw, before the latency draw,
+        which a drop skips; tail drops consume no RNG.
+        """
+        bandwidth, queue_limit, target, interval, max_p, ramp = self._link
+        transfer = size / bandwidth
+        done = link_enqueue(
+            port[2], at, transfer, queue_limit, target, interval, max_p, ramp, port[3]
+        )
+        stats = port[4]
+        stats[0] += 1.0
+        if done < 0.0:
+            stats[1 if done == LINK_DROP_TAIL else 2] += 1.0
+            return -1.0
+        wait = done - transfer - at
+        if wait > 0.0:
+            stats[3] += wait
+            if wait > stats[4]:
+                stats[4] = wait
+            stats[5] += size
+        return done

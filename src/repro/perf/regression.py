@@ -121,8 +121,7 @@ PR1_REFERENCE_METRICS: Dict[str, dict] = {
 # fault-active branches — crash drops, state-info fanouts to dead peers,
 # catch-up batches after recovery. The wan-3-region scenario pins the
 # declarative-scenario stack end to end: region placement, the
-# TopologyLatency pair resolution and its bind/bind_batch RNG-order
-# contract, and the multi-organization build.
+# TopologyLatency pair resolution and its bind() RNG-order contract, and the multi-organization build.
 _SCENARIOS: Dict[str, tuple] = {
     "enhanced-n50-b6-seed1": ("golden-enhanced-50", 1),
     "enhanced-n50-b6-seed2": ("golden-enhanced-50", 2),

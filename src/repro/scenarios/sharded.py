@@ -101,7 +101,7 @@ def plan_for(
         regions = node_region_placement(
             org_members, config.org_regions, config.orderer_region
         )
-    model = (config.network or NetworkConfig()).latency_model
+    model = (config.network or NetworkConfig()).latency
     # Aggregated background fanouts (send_aggregate) share a single
     # latency draw that can come from the source's *fastest* link, so the
     # tight cross-region lookahead is unsound for them — fall back to the

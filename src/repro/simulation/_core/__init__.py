@@ -2,10 +2,11 @@
 
 The :class:`Simulator` event heap, the :class:`TimerWheel` tick cascade,
 the :class:`TrafficMonitor` counter updates, the inlined Kinderman-Monahan
-latency kernels and the bottleneck-link admission kernel live together
-here so that everything bound by the determinism contract below has one
-definition and one import path; the layers above (network, gossip,
-fabric, metrics) build on it.
+latency kernels, the bottleneck-link admission kernel and the per-copy
+fan-out loop of the network's send paths live together here so that
+everything bound by the determinism contract below has one definition and
+one import path; the layers above (network, gossip, fabric, metrics)
+build on it.
 
 Determinism contract
 --------------------
@@ -228,9 +229,9 @@ class Simulator:
     ) -> None:
         """Fast-path schedule without an :class:`EventHandle`.
 
-        For hot callers that never cancel (the network layer schedules two
-        to three events per message); skips the handle allocation. The body
-        duplicates :meth:`_push` to save a call frame per event.
+        For hot callers that never cancel (the timer wheel arms its slots
+        through it); skips the handle allocation. The body duplicates
+        :meth:`_push` to save a call frame per event.
         """
         if not (self._now <= time < _INF):
             self._reject_time(time)
@@ -258,13 +259,13 @@ class Simulator:
         The record list itself is the event's argument vector — the run
         loop unpacks it with ``callback(*rec)`` — so a caller that makes
         the record's last slot the record itself can reclaim it into a
-        free list inside the callback. This is what the network multicast
-        path uses for its pooled slot-delivery records: one call frame
-        schedules a whole fanout, sequence numbers are assigned in list
-        order (consecutively, which the multicast tie-grouping proof
-        relies on), and steady-state dissemination allocates neither heap
-        entries (engine free list) nor argument tuples (caller free list)
-        per recipient.
+        free list inside the callback. The network uses it for the
+        deliveries it schedules outside :func:`fan_out` (downlink grants,
+        aggregated batches, injected cross-shard records): one call frame
+        schedules a whole group, sequence numbers are assigned in list
+        order (consecutively, which the tie-grouping proof relies on), and
+        steady-state dissemination allocates neither heap entries (engine
+        free list) nor argument tuples (caller free list) per recipient.
         """
         now = self._now
         seq = self._seq
@@ -1300,30 +1301,39 @@ def make_lan_sampler(
     return sample
 
 
-def make_lan_batch_sampler(
-    uniform: Callable[[], float], base: float, mu: float, sigma: float
-) -> Callable[[str, Sequence[str]], List[float]]:
-    """Batch twin of :func:`make_lan_sampler`: one draw per destination in
-    destination order — the whole fanout's draws cost one call frame yet
-    consume the RNG bit-for-bit like sequential ``sample()`` calls would.
+def make_topology_sampler(
+    uniform: Callable[[], float],
+    region_of: Dict[str, str],
+    pair_params: Dict[Tuple[Optional[str], Optional[str]], Tuple[float, Optional[float], float]],
+    resolve: Callable[[Optional[str], Optional[str]], Tuple[float, Optional[float], float]],
+) -> Callable[[str, str], float]:
+    """Build the bound per-message sampler for :class:`~repro.net.latency.
+    TopologyLatency`: the ``(base, mu, sigma)`` of the endpoints' region
+    pair from ``pair_params`` (``resolve`` fills it on a miss), then the
+    same inlined Kinderman-Monahan draw as :func:`make_lan_sampler` for a
+    jittered pair and no draw at all for a base-only one (``mu is None``).
     """
     nv_magic = _NV_MAGICCONST
     log_, exp_ = _log, _exp
 
-    def sample_batch(src: str, dsts: Sequence[str]) -> List[float]:
-        delays: List[float] = []
-        append = delays.append
-        for _ in dsts:
-            while True:
-                u1 = uniform()
-                u2 = 1.0 - uniform()
-                z = nv_magic * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -log_(u2):
-                    break
-            append(base + exp_(mu + z * sigma))
-        return delays
+    def sample(src: str, dst: str) -> float:
+        src_region = region_of.get(src)
+        dst_region = region_of.get(dst)
+        params = pair_params.get((src_region, dst_region))
+        if params is None:
+            params = resolve(src_region, dst_region)
+        base, mu, sigma = params
+        if mu is None:
+            return base
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = nv_magic * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log_(u2):
+                break
+        return base + exp_(mu + z * sigma)
 
-    return sample_batch
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -1403,3 +1413,152 @@ def link_enqueue(
     end = start + transfer
     state[0] = end
     return end
+
+
+# ---------------------------------------------------------------------------
+# Fan-out kernel (driven by repro/net/network.py; see docs/networking.md)
+# ---------------------------------------------------------------------------
+
+
+def fan_out(
+    sim: Simulator,
+    port: List[Any],
+    link: Optional[Tuple[float, float, float, float, float, float]],
+    src: str,
+    dsts: Sequence[str],
+    message: Any,
+    size: int,
+    transfer: float,
+    phase: Tuple[bool, List[List[Any]], Callable[..., Any]],
+    owned: Optional[Any],
+    egress: Optional[List[Tuple[Any, ...]]],
+) -> int:
+    """Put one ``size``-byte copy of ``message`` per destination on the
+    wire: the per-copy physics behind every ``Network`` send path, in
+    destination order. Returns how many copies the link dropped.
+
+    ``port`` is the sender's mutable state ``[uplink_free_at, sample,
+    link_state, queue_uniform, queue_stats]``; the last three are ``None``
+    without a bottleneck link, else the :func:`link_enqueue` state, the
+    ``network:queue:<src>`` draw and the accounting record of
+    :func:`repro.net.link.new_queue_stats`. ``link`` is ``(bandwidth,
+    queue_limit, target, interval, max_p, ramp)``. ``phase`` is
+    ``(two_phase, record_pool, callback)``: copies below the downlink
+    threshold are delivered one ``transfer`` after they arrive, larger
+    ones hand over to the receiver's downlink at arrival.
+
+    Per copy, exactly what one ``send`` does: the NIC serializes it behind
+    the previous copy; :func:`link_enqueue` admits it or drops it before
+    any latency is drawn; ``sample`` draws its propagation delay; a
+    destination another shard owns (``owned`` / ``egress``) leaves as a
+    plain record, a local one as a pooled record ``[time, src, message,
+    dst(s), ..., record]`` pushed with the next sequence number. A copy
+    whose time ties exactly with the previous local copy's joins that
+    copy's record instead: their sequence numbers would be consecutive, so
+    no other event could run between them.
+
+    Per call: the sender's NIC, the queue accounting and the engine's
+    sequence counter are read into locals once and written back in
+    ``finally``, so an invalid latency raises with every counter
+    consistent for the copies already sent.
+    """
+    now = sim._now
+    uplink_done = port[0]
+    if uplink_done < now:
+        uplink_done = now
+    sample = port[1]
+    state = port[2]
+    if state is not None:
+        bandwidth, queue_limit, target, interval, max_p, ramp = link
+        link_transfer = size / bandwidth
+        uniform = port[3]
+        stats = port[4]
+        stats[0] += len(dsts)
+        delay_sum = stats[3]
+        delay_max = stats[4]
+    two_phase, pool, callback = phase
+    entry_pool = sim._pool
+    heap = sim._heap
+    seq = sim._seq
+    previous_time = -1.0
+    previous_rec: Optional[List[Any]] = None
+    tail = codel = queued = 0
+    try:
+        for dst in dsts:
+            uplink_done += transfer
+            at = uplink_done
+            if state is not None:
+                done = link_enqueue(
+                    state, at, link_transfer, queue_limit, target, interval, max_p, ramp, uniform
+                )
+                if done < 0.0:
+                    if done == LINK_DROP_TAIL:
+                        tail += 1
+                    else:
+                        codel += 1
+                    continue
+                wait = done - link_transfer - at
+                if wait > 0.0:
+                    delay_sum += wait
+                    if wait > delay_max:
+                        delay_max = wait
+                    queued += 1
+                at = done
+            event_time = at + sample(src, dst)
+            if not two_phase:
+                event_time += transfer
+            if not (now <= event_time < _INF):
+                sim._reject_time(event_time)
+            if owned is not None and dst not in owned:
+                if two_phase:
+                    egress.append(("a", event_time, src, dst, message, transfer))
+                else:
+                    egress.append(("d", event_time, src, dst, message))
+                continue
+            if event_time == previous_time:
+                grouped = previous_rec[3]
+                if grouped.__class__ is list:
+                    grouped.append(dst)
+                else:
+                    previous_rec[3] = [grouped, dst]
+                continue
+            if pool:
+                rec = pool.pop()
+                rec[0] = event_time
+                rec[1] = src
+                rec[2] = message
+                rec[3] = dst
+            elif two_phase:
+                rec = [event_time, src, message, dst, transfer, None]
+                rec[5] = rec
+            else:
+                rec = [event_time, src, message, dst, None]
+                rec[4] = rec
+            if two_phase:
+                rec[4] = transfer
+            if entry_pool:
+                entry = entry_pool.pop()
+                entry[0] = event_time
+                entry[1] = seq
+                entry[2] = callback
+                entry[3] = rec
+                entry[4] = None
+            else:
+                entry = [event_time, seq, callback, rec, None]
+            seq += 1
+            _heappush(heap, entry)
+            previous_time = event_time
+            previous_rec = rec
+    finally:
+        port[0] = uplink_done
+        if state is not None:
+            stats[1] += tail
+            stats[2] += codel
+            stats[3] = delay_sum
+            stats[4] = delay_max
+            stats[5] += queued * size
+        sim._live += seq - sim._seq
+        sim._seq = seq
+        if len(heap) > sim._peak_heap:
+            sim._peak_heap = len(heap)
+    return tail + codel

@@ -139,7 +139,7 @@ def test_topology_deferred_region_assignment(rng):
     model = TopologyLatency(matrix={("eu", "eu"): (0.001,)}, default=(0.050,))
     assert model.sample(rng, "a", "b") == 0.050  # nobody placed yet
     model.assign_regions({"a": "eu", "b": "eu"})
-    assert model.sample(rng, "a", "b") == 0.001  # memo cleared, re-resolved
+    assert model.sample(rng, "a", "b") == 0.001  # placement is read per draw
     assert model.region_of("a") == "eu"
 
 
@@ -159,18 +159,30 @@ def test_topology_bound_sampler_matches_sample_bitwise():
     assert rng1.getstate() == rng2.getstate()
 
 
-def test_topology_batch_sampler_matches_sequential_draws():
+def test_topology_bound_sampler_consumes_the_rng_like_sample_over_10k_pairs():
+    """bind() inlines the lognormal draw; over 10k pairs mixing jittered,
+    base-only, swapped, default and unplaced endpoints it must return
+    sample()'s floats bit-for-bit and leave the generator in sample()'s
+    state (sample() is the stdlib ``lognormvariate``)."""
     model = TopologyLatency(
-        matrix={("eu", "eu"): (0.001, 0.0005, 0.7)},
+        matrix={
+            ("eu", "eu"): (0.001, 0.0005, 0.7),
+            ("eu", "us"): (0.04,),  # base only: no draw
+            ("us", "ap"): (0.09, 0.004, 0.9),
+            ("ap", "ap"): (0.002, 0.0, 0.8),  # zero median: no draw either
+        },
         default=(0.1, 0.001, 0.8),
-        region_of={"a": "eu", "b": "eu", "c": "us"},
+        region_of={"a": "eu", "b": "eu", "c": "us", "d": "ap", "e": "ap"},
     )
-    dsts = ["b", "c", "b", "x", "c"]
-    rng1, rng2 = random.Random(3), random.Random(3)
-    sequential = [model.sample(rng1, "a", dst) for dst in dsts]
-    batch = model.bind_batch(rng2)("a", dsts)
-    assert sequential == batch
-    assert rng1.getstate() == rng2.getstate()
+    nodes = ["a", "b", "c", "d", "e", "unplaced"]
+    picker = random.Random(11)
+    pairs = [(picker.choice(nodes), picker.choice(nodes)) for _ in range(10_000)]
+    reference_rng, bound_rng = random.Random(5), random.Random(5)
+    reference = [model.sample(reference_rng, src, dst) for src, dst in pairs]
+    bound = model.bind(bound_rng)
+    assert [bound(src, dst) for src, dst in pairs] == reference
+    assert bound_rng.getstate() == reference_rng.getstate()
+    assert len(set(reference)) > 2_000  # jittered pairs really drew
 
 
 def test_topology_param_normalization():

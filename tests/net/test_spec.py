@@ -138,12 +138,12 @@ def test_measured_latency_unknown_location_uses_default():
 
 
 def test_network_config_defaults_to_lan():
-    assert isinstance(NetworkConfig().latency_model, LanLatency)
+    assert isinstance(NetworkConfig().latency, LanLatency)
 
 
 def test_network_config_resolves_spec():
     config = NetworkConfig(latency=LatencySpec.of("constant", delay=0.004))
-    assert isinstance(config.latency_model, ConstantLatency)
+    assert isinstance(config.latency, ConstantLatency)
 
 
 @pytest.mark.parametrize(
@@ -171,34 +171,21 @@ def test_network_rejects_nan_bandwidth():
 
 def test_network_config_accepts_model_instance():
     model = ConstantLatency(0.004)
-    assert NetworkConfig(latency=model).latency_model is model
-
-
-def test_network_config_legacy_keyword_warns_once():
-    import repro.net.network as network_module
-
-    network_module._warned_latency_model = False
-    with pytest.warns(DeprecationWarning, match="latency_model"):
-        config = NetworkConfig(latency_model=ConstantLatency(0.004))
-    assert isinstance(config.latency_model, ConstantLatency)
-    # one warning per process: the second construction stays silent
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        NetworkConfig(latency_model=ConstantLatency(0.004))
+    assert NetworkConfig(latency=model).latency is model
 
 
 def test_network_config_replace_preserves_resolved_model():
     """dataclasses.replace round-trips the already-resolved model without
-    re-resolution or a deprecation warning (the builders do this when
-    merging region placements)."""
+    re-resolution (the builders do this when merging region placements)."""
     import dataclasses
-    import warnings
 
     config = NetworkConfig(latency=LatencySpec.of("lan"))
-    model = config.latency_model
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        derived = dataclasses.replace(config, regions={"n0": "eu"})
-    assert derived.latency_model is model
+    model = config.latency
+    derived = dataclasses.replace(config, regions={"n0": "eu"})
+    assert derived.latency is model
+
+
+def test_network_config_has_no_latency_model_keyword():
+    """The one-release ``latency_model=`` constructor alias is gone."""
+    with pytest.raises(TypeError):
+        NetworkConfig(latency_model=ConstantLatency(0.004))

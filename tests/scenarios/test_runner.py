@@ -43,7 +43,7 @@ def test_config_materialization_topology_scenario():
     assert config.org_regions == {
         "org0": "eu-west", "org1": "us-east", "org2": "ap-south"
     }
-    assert isinstance(config.network.latency_model, TopologyLatency)
+    assert isinstance(config.network.latency, TopologyLatency)
     assert config.background is not None  # spec default
 
 
