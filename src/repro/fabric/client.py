@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.identity import Identity
-from repro.fabric.endorsement import EndorsementPolicy
+from repro.fabric.endorsement import DEFAULT_POLICY, EndorsementPolicy
 from repro.fabric.messages import EndorsementRequest, EndorsementResponse, SubmitTransaction
 from repro.ledger.transaction import TransactionProposal
 from repro.metrics.conflicts import ConflictTracker
@@ -90,7 +90,7 @@ class Client(Process):
         self.orderer = orderer
         self.workload = workload
         self.rate = rate
-        self.policy = policy or EndorsementPolicy.any_single()
+        self.policy = policy or DEFAULT_POLICY
         self.conflicts = conflicts
         self.endorsement_timeout = endorsement_timeout
         self.tx_size_bytes = tx_size_bytes

@@ -57,3 +57,8 @@ class EndorsementPolicy:
     def validate_proposal(self, proposal: TransactionProposal) -> bool:
         """Full endorsement check: quorum satisfied AND digests agree."""
         return proposal.endorsements_consistent() and self.satisfied_by(proposal.endorsements)
+
+
+#: What a peer or client built without a policy checks against. The class
+#: is frozen, so one instance serves the whole deployment.
+DEFAULT_POLICY = EndorsementPolicy.any_single()

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 from repro.crypto.identity import Identity
 from repro.fabric.chaincode import ChaincodeRegistry
 from repro.fabric.config import PeerConfig, ValidationMode
-from repro.fabric.endorsement import EndorsementPolicy
+from repro.fabric.endorsement import DEFAULT_POLICY, EndorsementPolicy
 from repro.fabric.messages import EndorsementRequest, EndorsementResponse, OrdererBlock
 from repro.fabric.validation import validate_block
 from repro.gossip.background import BackgroundTraffic
@@ -60,7 +60,7 @@ class Peer(Process):
         self.network = network
         self.view = view
         self.config = config or PeerConfig()
-        self.policy = policy or EndorsementPolicy.any_single()
+        self.policy = policy or DEFAULT_POLICY
         self.tracker = tracker
         self.conflicts = conflicts
         self.blockchain = Blockchain()

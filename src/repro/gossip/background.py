@@ -28,16 +28,19 @@ from __future__ import annotations
 from repro.gossip.config import BackgroundTrafficConfig
 from repro.gossip.messages import MembershipAlive
 from repro.gossip.view import OrganizationView
+from repro.simulation.random import first_draw
 
 
 class BackgroundTraffic:
     """Per-peer periodic emitter of aggregate metadata bytes."""
 
+    STREAM = "background"
+
     def __init__(self, host, view: OrganizationView, config: BackgroundTrafficConfig) -> None:
         self.host = host
         self.view = view
         self.config = config
-        self._rng = host.rng("background")
+        self._rng = None  # bound by first_draw
         self.messages_sent = 0
         # Aggregation needs the host's network; send_aggregate itself is
         # deliberately NOT pre-bound (same convention as ``network.send``:
@@ -54,11 +57,11 @@ class BackgroundTraffic:
     def start(self) -> None:
         if not self.config.enabled:
             return
-        phase = self._rng.uniform(0.0, self.config.period)
+        phase = (self._rng or first_draw(self)).uniform(0.0, self.config.period)
         self.host.every(self.config.period, self._emit, initial_delay=phase)
 
     def _emit(self) -> None:
-        targets = self.view.sample_channel(self._rng, self._fanout)
+        targets = self.view.sample_channel(self._rng or first_draw(self), self._fanout)
         if not targets:
             return
         send_aggregate = getattr(self._network, "send_aggregate", None)

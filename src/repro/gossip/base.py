@@ -39,7 +39,9 @@ class GossipHost(Protocol):
         """
 
     def rng(self, purpose: str) -> random.Random:
-        """Deterministic RNG stream scoped to the host and purpose."""
+        """Deterministic RNG stream scoped to the host and purpose, seeded
+        by the first call — components bind it at their first draw
+        (:func:`repro.simulation.random.first_draw`), not at construction."""
 
     def after(self, delay: float, callback: Callable, *args) -> object:
         """One-shot timer."""
@@ -94,10 +96,6 @@ class GossipModule:
     def __init__(self, host: GossipHost, view: OrganizationView) -> None:
         self.host = host
         self.view = view
-        # Bound once for the per-message fast path; ``host.send`` resolves
-        # liveness itself, so the binding stays valid across crash/recover.
-        # (getattr: construction-only test doubles may omit ``send``.)
-        self._send = getattr(host, "send", None)
         self._multicast = bind_multicast(host)
         self._started = False
 

@@ -29,10 +29,13 @@ from repro.gossip.recovery import RecoveryComponent
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
 from repro.net.message import Message
+from repro.simulation.random import first_draw
 
 
 class EnhancedGossip(GossipModule):
     """Enhanced dissemination (paper §IV)."""
+
+    STREAM = "leader-initial-gossiper"  # drawn by the leader only
 
     def __init__(self, host, view: OrganizationView, config: EnhancedGossipConfig) -> None:
         super().__init__(host, view)
@@ -58,7 +61,7 @@ class EnhancedGossip(GossipModule):
             batch_max=config.recovery.batch_max,
             deliver=self._deliver,
         )
-        self._leader_rng = host.rng("leader-initial-gossiper")
+        self._rng = None  # bound by first_draw
         # Bound once: BlockPush handling calls it on every reception.
         # (getattr: construction-only test doubles may omit it.)
         self._deliver_block = getattr(host, "deliver_block", None)
@@ -90,7 +93,7 @@ class EnhancedGossip(GossipModule):
         # the epidemic does not make it act as a second initial gossiper,
         # but it does NOT forward: initiation is delegated.
         self.push.mark_seen(block.number, 0)
-        targets = self.view.sample_org(self._leader_rng, self.config.leader_fanout)
+        targets = self.view.sample_org(self._rng or first_draw(self), self.config.leader_fanout)
         self._multicast(targets, BlockPush(block, counter=0))
 
     def _on_block_push(self, src: str, message: BlockPush) -> None:

@@ -25,10 +25,13 @@ from repro.gossip.messages import (
 )
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
+from repro.simulation.random import first_draw
 
 
 class PullComponent:
     """Periodic digest-based pull."""
+
+    STREAM = "pull-targets"
 
     def __init__(
         self,
@@ -55,7 +58,7 @@ class PullComponent:
         self.t_pull = t_pull
         self.digest_window = digest_window
         self._deliver = deliver
-        self._rng = host.rng("pull-targets")
+        self._rng = None  # bound by first_draw
         self._multicast = bind_multicast(host)
         # Blocks already requested in the current round, so the initiator
         # does not fetch the same block from several advertisers.
@@ -66,13 +69,13 @@ class PullComponent:
     def start(self) -> None:
         """Arm the periodic pull with a random phase (unsynchronized
         clocks: peers' pull rounds are uniformly staggered)."""
-        phase = self._rng.uniform(0.0, self.t_pull)
+        phase = (self._rng or first_draw(self)).uniform(0.0, self.t_pull)
         self.host.every(self.t_pull, self._round, initial_delay=phase)
 
     def _round(self) -> None:
         self.rounds += 1
         self._requested_this_round = set()
-        targets = self.view.sample_org(self._rng, self.fin)
+        targets = self.view.sample_org(self._rng or first_draw(self), self.fin)
         if targets:
             # Stateless request: one shared instance, one multicast event.
             self._multicast(targets, PullDigestRequest())

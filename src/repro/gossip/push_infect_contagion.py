@@ -52,6 +52,7 @@ from repro.gossip.base import bind_multicast
 from repro.gossip.messages import BlockPush, PushDigest, PushRequest
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
+from repro.simulation.random import first_draw
 
 # Pair keys pack (block number, counter) into one int so the dedup check —
 # run once per received pair or digest, the hottest gossip code path — is a
@@ -97,6 +98,43 @@ class InfectUponContagionPush:
     """
 
     REQUEST_RETRY_TIMEOUT = 0.5  # default base timeout of the retry ladder
+    STREAM = "iuc-push-targets"
+
+    # One instance per peer, ~30 attributes: past CPython's 30-key limit
+    # for key-sharing instance dicts each one would carry a private
+    # 1.5 KB ``__dict__``. Slots keep it a fixed table.
+    __slots__ = (
+        "host",
+        "view",
+        "fout",
+        "ttl",
+        "ttl_direct",
+        "use_digests",
+        "t_push",
+        "request_timeout",
+        "request_retries",
+        "retry_backoff",
+        "_rng",
+        "_multicast",
+        "_get_block",
+        "_on_forward",
+        "_seen_pairs",
+        "_inflight_requests",
+        "_digest_holders",
+        "_pending_pairs",
+        "_pending_serves",
+        "_buffer",
+        "_flush_pending",
+        "pairs_received",
+        "pairs_forwarded",
+        "digests_sent",
+        "full_pushes_sent",
+        "requests_sent",
+        "requests_retried",
+        "request_timeouts",
+        "requests_abandoned",
+        "stalls_rescued_by_retry",
+    )
 
     def __init__(
         self,
@@ -122,10 +160,7 @@ class InfectUponContagionPush:
         self.request_timeout = request_timeout
         self.request_retries = request_retries
         self.retry_backoff = retry_backoff
-        self._rng = host.rng("iuc-push-targets")
-        # Hot path: bound once, not per message (getattr: construction-only
-        # test doubles may omit ``send``).
-        self._send = getattr(host, "send", None)
+        self._rng = None  # bound by first_draw
         self._multicast = bind_multicast(host)
         # get_block runs once per digest reception — the dominant message
         # class at scale — so the host hop is resolved once here.
@@ -301,7 +336,9 @@ class InfectUponContagionPush:
             return
         # Inline of the former _send_pair: sample + transmit without an
         # extra frame on the per-pair hot path.
-        self._transmit(block, next_counter, self.view.sample_org(self._rng, self.fout))
+        self._transmit(
+            block, next_counter, self.view.sample_org(self._rng or first_draw(self), self.fout)
+        )
 
     def _flush(self) -> None:
         """Ablation mode: Fabric-style buffered flush.
@@ -313,7 +350,7 @@ class InfectUponContagionPush:
         if not self._buffer:
             return
         batch, self._buffer = self._buffer, []
-        targets = self.view.sample_org(self._rng, self.fout)
+        targets = self.view.sample_org(self._rng or first_draw(self), self.fout)
         for block, received_counter in batch:
             self._transmit(block, received_counter + 1, targets)
 

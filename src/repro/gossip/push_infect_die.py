@@ -20,6 +20,7 @@ from repro.gossip.base import bind_multicast
 from repro.gossip.messages import BlockPush
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
+from repro.simulation.random import first_draw
 
 
 class InfectAndDiePush:
@@ -33,6 +34,8 @@ class InfectAndDiePush:
         buffer_max: flush early when the buffer reaches this many blocks.
         on_push: optional instrumentation hook ``(block, targets) -> None``.
     """
+
+    STREAM = "push-targets"
 
     def __init__(
         self,
@@ -48,7 +51,7 @@ class InfectAndDiePush:
         self.fout = fout
         self.t_push = t_push
         self.buffer_max = buffer_max
-        self._rng = host.rng("push-targets")
+        self._rng = None  # bound by first_draw
         self._multicast = bind_multicast(host)
         self._buffer: List[Block] = []
         self._flush_pending = False
@@ -79,7 +82,7 @@ class InfectAndDiePush:
         self._push(batch)
 
     def _push(self, blocks: List[Block]) -> None:
-        targets = self.view.sample_org(self._rng, self.fout)
+        targets = self.view.sample_org(self._rng or first_draw(self), self.fout)
         multicast = self._multicast
         for block in blocks:
             # One shared BlockPush per block across the fanout (receivers

@@ -19,10 +19,13 @@ from repro.gossip.base import bind_multicast
 from repro.gossip.messages import RecoveryRequest, RecoveryResponse, StateInfo
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
+from repro.simulation.random import first_draw
 
 
 class RecoveryComponent:
     """State-info gossip + batch catch-up."""
+
+    STREAM = "recovery"
 
     def __init__(
         self,
@@ -51,7 +54,7 @@ class RecoveryComponent:
         self.state_info_fanout = state_info_fanout
         self.batch_max = batch_max
         self._deliver = deliver
-        self._rng = host.rng("recovery")
+        self._rng = None  # bound by first_draw
         self._multicast = bind_multicast(host)
         self.known_heights: Dict[str, int] = {}
         self.recovery_requests_sent = 0
@@ -59,15 +62,16 @@ class RecoveryComponent:
 
     def start(self) -> None:
         """Arm state-info gossip and the recovery check, phase-staggered."""
-        state_phase = self._rng.uniform(0.0, self.t_state_info)
+        rng = self._rng or first_draw(self)
+        state_phase = rng.uniform(0.0, self.t_state_info)
         self.host.every(self.t_state_info, self._broadcast_state_info, initial_delay=state_phase)
-        recovery_phase = self._rng.uniform(0.0, self.t_recovery)
+        recovery_phase = rng.uniform(0.0, self.t_recovery)
         self.host.every(self.t_recovery, self._check, initial_delay=recovery_phase)
 
     # ----- state info ----------------------------------------------------
 
     def _broadcast_state_info(self) -> None:
-        targets = self.view.sample_channel(self._rng, self.state_info_fanout)
+        targets = self.view.sample_channel(self._rng or first_draw(self), self.state_info_fanout)
         if targets:
             # One shared StateInfo for the whole fanout (receivers only
             # read the height), multicast as a single pooled network event.
@@ -89,7 +93,7 @@ class RecoveryComponent:
             return
         # Ask one of the most advanced peers for the next missing batch.
         best_peers = [name for name, height in self.known_heights.items() if height == best_height]
-        target = self._rng.choice(best_peers)
+        target = (self._rng or first_draw(self)).choice(best_peers)
         to_number = min(best_height, my_height + self.batch_max)
         self.host.send(target, RecoveryRequest(my_height, to_number))
         self.recovery_requests_sent += 1

@@ -298,16 +298,31 @@ class Network:
         (time, then source-shard id, then send order); scheduling them in
         that order assigns consecutive sequence numbers, which fixes the
         relative order of same-time injected events deterministically.
+        Each run of records with the same callback goes to the engine in
+        one ``schedule_records`` call, which numbers them in list order.
         """
         schedule = self.sim.schedule_records
+        deliver = self._deliver_multicast
+        arrive = self._arrive_multicast
+        deliver_record = self._deliver_record
+        callback = deliver
+        run: List[list] = []
         for rec in records:
             if rec[0] == "d":
-                out = self._deliver_record(rec[1], rec[2], rec[4], rec[3])
-                schedule(self._deliver_multicast, (out,))
+                kind = deliver
+                out = deliver_record(rec[1], rec[2], rec[4], rec[3])
             else:
+                kind = arrive
                 out = [rec[1], rec[2], rec[4], rec[3], rec[5], None]
                 out[5] = out
-                schedule(self._arrive_multicast, (out,))
+            if kind is not callback:
+                if run:
+                    schedule(callback, run)
+                    run = []
+                callback = kind
+            run.append(out)
+        if run:
+            schedule(callback, run)
 
     def wire_size(self, message: Message) -> int:
         """Bytes on the wire: payload plus fixed envelope."""

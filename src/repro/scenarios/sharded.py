@@ -12,8 +12,10 @@ Replicated state, partitioned execution
 ---------------------------------------
 
 Every worker builds the *entire* deployment from ``(spec, seed)`` — the
-construction is deterministic and RNG-stream creation is order-free, so
-all workers hold identical initial state. A shard then *executes* only
+construction is deterministic and draws nothing: a named RNG stream is
+seeded from ``(master_seed, name)`` at its first draw, so all workers hold
+identical initial state and a foreign peer's replica, never started,
+holds no RNG state at all. A shard then *executes* only
 its owned nodes: only owned peers' timers are armed, the orderer's block
 driver runs on the orderer's owner shard, and sends to foreign
 destinations are captured by the network's egress queue

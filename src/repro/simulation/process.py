@@ -47,7 +47,12 @@ class Process:
         return self._alive
 
     def rng(self, purpose: str) -> random.Random:
-        """A deterministic stream scoped to this process and ``purpose``."""
+        """A deterministic stream scoped to this process and ``purpose``.
+
+        The first call seeds it, so call this where the first draw
+        happens, never from a constructor: components bind it through
+        :func:`repro.simulation.random.first_draw`.
+        """
         return self._streams.stream(f"{self.name}:{purpose}")
 
     def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:

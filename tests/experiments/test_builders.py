@@ -93,6 +93,66 @@ def test_build_memory_is_linear_in_peers():
     assert _build_peak_bytes(2000) < 6 * _build_peak_bytes(500)
 
 
+def _peer_streams(net):
+    return [name for name in net.streams.names() if name.startswith("peer-")]
+
+
+def test_a_built_peer_holds_no_rng_state():
+    """Streams exist from their first draw: a deployment that is built but
+    never started — every foreign replica of a sharded run — has seeded
+    none, and costs a third of what it did with one Mersenne-Twister state
+    per component (18.4 KB per peer at 500 peers; 5.1 KB now)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = build_network(
+            n_peers=500,
+            gossip=EnhancedGossipConfig.paper_f4(),
+            seed=1,
+            background=BackgroundTrafficConfig(),
+        )
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _peer_streams(net) == []
+    assert traced / net.n_peers <= 8 * 1024
+
+
+@pytest.mark.parametrize("background", [None, BackgroundTrafficConfig()])
+def test_start_seeds_only_the_timer_phases(background):
+    net = build_network(
+        n_peers=12, gossip=EnhancedGossipConfig.paper_f4(), seed=1, background=background
+    )
+    net.start()
+    purposes = ["recovery"] + (["background"] if background else [])
+    assert sorted(_peer_streams(net)) == sorted(
+        f"{name}:{purpose}" for name in net.peers for purpose in purposes
+    )
+
+
+def test_run_seeds_the_leader_stream_for_leaders_only():
+    from tests.conftest import make_transactions
+
+    net = build_network(
+        n_peers=50, gossip=EnhancedGossipConfig.paper_f4(), seed=1, organizations=2
+    )
+    net.start()
+    net.orderer.emit_block(make_transactions(2))
+    net.run_until(lambda: net.all_peers_received(1), step=1.0, max_time=30.0)
+    leader_streams = [n for n in _peer_streams(net) if n.endswith(":leader-initial-gossiper")]
+    assert sorted(leader_streams) == sorted(
+        f"{leader}:leader-initial-gossiper" for leader in net.leaders.values()
+    )
+    # Every peer forwarded, so every push component bound its stream — into
+    # a slot, not a per-instance dict (31 attributes once cost each push
+    # component a private 1.5 KB one).
+    for peer in net.peers.values():
+        push = peer.gossip.push
+        assert f"{peer.name}:iuc-push-targets" in net.streams
+        assert push._rng is net.streams.stream(f"{peer.name}:iuc-push-targets")
+        assert not hasattr(push, "__dict__")
+
+
 def test_seed_determinism():
     def run_once():
         net = build_network(n_peers=10, gossip=EnhancedGossipConfig(), seed=9)

@@ -731,3 +731,73 @@ def test_send_aggregate_drop_filter_swapping_itself_mid_fanout(sim):
     assert inboxes["b"] == []
     assert len(inboxes["c"]) == 1 and len(inboxes["d"]) == 1
     assert network.dropped_messages == 1
+
+
+def _shard_records():
+    """Cross-shard records in the coordinator's canonical order: runs of
+    single-phase ("d") and two-phase ("a") records, with same-time ties
+    inside a run and across a boundary."""
+    kinds = "ddadaaaddddadda"
+    times = [0.01, 0.01, 0.01, 0.02, 0.02, 0.02, 0.03, 0.03, 0.04, 0.04, 0.04, 0.05, 0.06, 0.06, 0.06]
+    records = []
+    for index, (kind, time) in enumerate(zip(kinds, times)):
+        dst = "bcd"[index % 3]
+        message = RawMessage(100 + index)
+        if kind == "d":
+            records.append(("d", time, "a", dst, message))
+        else:
+            records.append(("a", time, "a", dst, message, 0.001 * (index + 1)))
+    return records
+
+
+def _inject_one_by_one(network, records):
+    """The per-record reference: one ``schedule_records`` call per record."""
+    schedule = network.sim.schedule_records
+    for rec in records:
+        if rec[0] == "d":
+            out = network._deliver_record(rec[1], rec[2], rec[4], rec[3])
+            schedule(network._deliver_multicast, (out,))
+        else:
+            out = [rec[1], rec[2], rec[4], rec[3], rec[5], None]
+            out[5] = out
+            schedule(network._arrive_multicast, (out,))
+
+
+def test_batched_shard_injection_numbers_records_like_one_call_each():
+    """Sequence numbers are consecutive in list order whether a run of
+    same-callback records is scheduled in one call or one call each, so
+    the heap — and with it the order of same-time deliveries — is the same."""
+    from repro.simulation import Simulator
+
+    class CountingSimulator(Simulator):
+        def schedule_records(self, callback, records):
+            batch_sizes.append(len(records))
+            super().schedule_records(callback, records)
+
+    records = _shard_records()
+    heaps, logs, calls = [], [], []
+    for inject in (Network.inject_shard_records, _inject_one_by_one):
+        batch_sizes = []
+        sim = CountingSimulator()
+        network = make_network(sim)
+        log = []
+        for name in "abcd":
+            network.register(
+                name, lambda src, msg, name=name, sim=sim, log=log: log.append((sim.now, name, msg.payload_size()))
+            )
+        sim.schedule(0.005, lambda: None)
+        sim.run(until=0.006)  # injection starts from a non-zero clock and sequence number
+        inject(network, records)
+        calls.append(list(batch_sizes))
+        heaps.append(
+            sorted(
+                (time, seq, callback.__name__, rec[2].payload_size(), rec[3])
+                for time, seq, callback, rec, _ in sim._heap
+            )
+        )
+        sim.run()
+        logs.append(log)
+    assert heaps[0] == heaps[1]
+    assert logs[0] == logs[1] and len(logs[0]) == len(records)
+    assert calls[1] == [1] * len(records)
+    assert calls[0] == [2, 1, 1, 3, 4, 1, 2, 1]  # one call per run of "ddadaaaddddadda"

@@ -121,3 +121,65 @@ def test_perf_gate_refuses_update_with_determinism_only():
     with pytest.raises(SystemExit) as excinfo:
         perf_gate.main(["--update", "--determinism-only"])
     assert excinfo.value.code == 2  # argparse usage error
+
+
+def _replay_recovery_crash(crash_at, eager):
+    """The recovery golden's deployment with its crash moved to ``crash_at``.
+
+    ``eager`` seeds every peer's streams before anything runs, in the
+    order component constructors used to; otherwise each is bound at its
+    first draw. Returns the snapshot, the push-stream census of the
+    crashed peers at the moment they crash, and the final registry.
+    """
+    from dataclasses import replace
+
+    from repro.experiments.dissemination import run_dissemination
+    from repro.faults.schedule import compile_fault_schedule
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.runner import ScenarioRun, dissemination_config
+
+    golden = get_scenario("golden-recovery-crash")
+    (crash,) = golden.faults
+    spec = replace(golden, faults=(replace(crash, at=crash_at),))
+    bound_at_crash = {}
+    compiled = []
+
+    def prepare(net):
+        if eager:
+            for name in net.peers:
+                for purpose in ("iuc-push-targets", "recovery", "leader-initial-gossiper", "background"):
+                    net.streams.stream(f"{name}:{purpose}")
+        first, last = crash.regular_slice
+        for name in net.regular_peers()[first:last]:
+            peer = net.peers[name]
+
+            def crash_and_note(peer=peer, crash=peer.crash):
+                bound_at_crash[peer.name] = peer.gossip.push._rng is not None
+                crash()
+
+            peer.crash = crash_and_note  # an instance attribute: no extra event
+        compiled.append(compile_fault_schedule(spec.faults, net))
+
+    result = run_dissemination(dissemination_config(spec, seed=1), prepare=prepare)
+    run = ScenarioRun(spec=spec, seed=1, result=result, faults=compiled[0])
+    return run.snapshot(), bound_at_crash, result.net.streams
+
+
+def test_recovery_golden_replays_with_streams_bound_in_the_loop():
+    """Whether a crashed peer had drawn from a stream before it went down
+    cannot move a draw after it recovers. At the golden's t=2 s the five
+    peers have all forwarded block 0; crashed at t=1 s — before any block
+    exists — they have never drawn a push target and first do so after
+    ``recover()``. Either way the run equals the one whose streams were
+    all seeded up front, and the unmoved one is the committed golden."""
+    snapshot, bound_at_crash, _ = _replay_recovery_crash(2.0, eager=False)
+    golden = GOLDEN_METRICS["recovery-crash-n50-b6-seed1"]
+    assert {key: snapshot[key] for key in golden} == golden
+    assert len(bound_at_crash) == 5 and all(bound_at_crash.values())
+
+    lazy, bound_at_crash, streams = _replay_recovery_crash(1.0, eager=False)
+    assert len(bound_at_crash) == 5 and not any(bound_at_crash.values())
+    assert all(f"{name}:iuc-push-targets" in streams for name in bound_at_crash)
+    eager, _, _ = _replay_recovery_crash(1.0, eager=True)
+    assert lazy == eager
+    assert lazy["blocks_via_recovery"] > 0

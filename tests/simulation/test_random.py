@@ -1,6 +1,11 @@
 """Unit tests for named deterministic random streams."""
 
-from repro.simulation.random import RandomStreams, derive_seed, sample_without
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simulation import Simulator
+from repro.simulation.process import Process
+from repro.simulation.random import RandomStreams, derive_seed, first_draw, sample_without
 
 
 def test_same_seed_same_sequence():
@@ -32,6 +37,77 @@ def test_contains_reports_created_streams():
     assert "s" not in streams
     streams.stream("s")
     assert "s" in streams
+
+
+def test_names_lists_streams_in_first_draw_order():
+    streams = RandomStreams(3)
+    assert streams.names() == []
+    streams.stream("b")
+    streams.stream("a")
+    streams.stream("b")
+    assert streams.names() == ["b", "a"]
+
+
+class _Owner:
+    """A stream owner in the shape every gossip component has."""
+
+    def __init__(self, host, purpose):
+        self.host = host
+        self.STREAM = purpose
+        self._rng = None
+        self.name = f"{host.name}:{purpose}"
+
+    def draw(self):
+        return (self._rng or first_draw(self)).random()
+
+
+def test_first_draw_binds_once_and_only_on_use():
+    streams = RandomStreams(4)
+    host = Process(Simulator(), "peer-0", streams)
+    used, unused = _Owner(host, "used"), _Owner(host, "unused")
+    assert streams.names() == []  # constructing an owner seeds nothing
+    first = used.draw()
+    assert streams.names() == ["peer-0:used"] and unused._rng is None
+    assert used._rng is streams.stream("peer-0:used")
+    assert first == RandomStreams(4).stream("peer-0:used").random()
+    bound = used._rng
+    used.draw()
+    assert used._rng is bound
+
+
+_PURPOSES = ["background", "iuc-push-targets", "leader-initial-gossiper", "recovery"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    master_seed=st.integers(min_value=0, max_value=2**32),
+    first_use=st.permutations([(peer, purpose) for peer in range(3) for purpose in _PURPOSES]),
+    interleave=st.randoms(use_true_random=False),
+)
+def test_first_draw_order_is_immaterial(master_seed, first_use, interleave):
+    """The "RNG-stream creation is order-free" sentence sharded runs rely
+    on: whatever order owners first draw in — and however their later
+    draws interleave — each stream yields what a registry that created
+    every stream eagerly, in sorted order, yields."""
+    eager = RandomStreams(master_seed)
+    names = sorted(f"peer-{peer}:{purpose}" for peer, purpose in first_use)
+    for name in names:
+        eager.stream(name)
+    expected = {name: [eager.stream(name).random() for _ in range(8)] for name in names}
+
+    lazy = RandomStreams(master_seed)
+    sim = Simulator()
+    hosts = [Process(sim, f"peer-{peer}", lazy) for peer in range(3)]
+    owners = [_Owner(hosts[peer], purpose) for peer, purpose in first_use]
+    drawn = {owner.name: [] for owner in owners}
+    for owner in owners:  # first use, in the permuted order
+        drawn[owner.name].append(owner.draw())
+    assert lazy.names() == [owner.name for owner in owners]
+    rest = [owner for owner in owners for _ in range(7)]
+    interleave.shuffle(rest)
+    for owner in rest:
+        drawn[owner.name].append(owner.draw())
+    assert drawn == expected
 
 
 def test_draw_in_one_stream_does_not_affect_another():
