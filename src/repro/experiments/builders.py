@@ -174,7 +174,6 @@ def build_network(
     orderer_config: Optional[OrdererConfig] = None,
     background: Optional[BackgroundTrafficConfig] = None,
     policy: Optional[EndorsementPolicy] = None,
-    timer_wheel: bool = True,
     org_regions: Optional[Dict[str, str]] = None,
     orderer_region: Optional[str] = None,
 ) -> FabricNetwork:
@@ -187,9 +186,6 @@ def build_network(
         seed: master seed for all random streams.
         organizations: number of organizations; each gets a leader (its
             first peer) to which the orderer sends every block.
-        timer_wheel: batch recurring timers into shared wheel slots (the
-            default); False forces one heap event per timer tick — kept so
-            the perf harness can measure the event-count reduction.
         org_regions: organization→region placement for multi-datacenter
             topologies. Every peer inherits its organization's region; the
             resulting node→region map is stored on the network config and
@@ -225,7 +221,7 @@ def build_network(
         if assign is not None:
             assign(region_of)
 
-    sim = Simulator(use_timer_wheel=timer_wheel)
+    sim = Simulator()
     streams = RandomStreams(seed)
     network = Network(sim, streams, network_config)
     msp = MembershipServiceProvider()

@@ -19,8 +19,9 @@ Two scaling mechanisms keep the event count tractable at paper scale:
   is byte-for-byte identical to the unbatched per-copy stream.
 
 Hosts without a ``network`` attribute exposing ``send_aggregate`` (unit
-test doubles) and runs with ``aggregate=False`` (the perf harness measures
-the event-count reduction against this) fall back to per-copy sends.
+test doubles) and runs with ``aggregate=False`` (the byte-accounting
+reference of ``tests/gossip/test_background.py``) fall back to per-copy
+sends.
 """
 
 from __future__ import annotations

@@ -94,9 +94,9 @@ class OrganizationView:
         self._bind_org(org.names, at)
         self._bind_channel(channel.names, channel.index.get(self_name, len(channel.names)))
 
-    # ``sample_org(rng, k, exclude=())`` — k distinct random org peers,
-    # excluding self — and ``sample_channel(rng, k, exclude=())`` — k
-    # distinct random channel peers (recovery is cross-org) — are instance
+    # ``sample_org(rng, k)`` — k distinct random org peers, excluding
+    # self — and ``sample_channel(rng, k)`` — k distinct random channel
+    # peers, excluding self (recovery is cross-org) — are instance
     # partials over (member array, owner's position): a C-level call with
     # no wrapper frame, because target selection runs once per gossip
     # fanout and these are two of the hottest calls in the simulator.

@@ -1,67 +1,35 @@
-"""Performance harness for the simulation core.
+"""The determinism gate of the simulation core.
 
-Two concerns live here:
-
-* :mod:`repro.perf.profile` — timing/profiling of the canonical
-  dissemination scenario (now including the calibrated background
-  traffic): events/sec, wall time, peak heap size and the batched-vs-naive
-  event-count reduction across organization sizes, emitted as
-  ``BENCH_core.json``;
-* :mod:`repro.perf.regression` — the determinism checker (same seed must
-  reproduce the committed ``golden_metrics.json`` bit-for-bit), the
-  PR-1 reference tolerance check that gates golden refreshes, the >20%
-  throughput-regression gate and the event-reduction floor used by
-  ``scripts/perf_gate.py``.
+:mod:`repro.perf.regression` holds the committed golden metrics
+(``golden_metrics.json``), the checker that replays them bit-for-bit
+(single-process or process-sharded) and the PR-1 reference tolerance that
+gates every golden refresh; ``scripts/perf_gate.py`` is its CLI.
+Performance itself is measured by ``bench/run.py`` against
+``BENCHMARK.json``, not here.
 """
 
-from repro.perf.profile import (
-    CoreBenchResult,
-    ShardScalingResult,
-    SweepBenchResult,
-    profile_core,
-    run_congestion_benchmark,
-    run_core_benchmark,
-    run_recovery_benchmark,
-    run_shard_scaling_benchmark,
-    run_sweep_benchmark,
-    write_bench_json,
-)
 from repro.perf.regression import (
     EVENT_REDUCTION_FLOOR,
     GOLDEN_METRICS,
     GOLDEN_PATH,
+    GOLDEN_SCENARIOS,
+    NAIVE_ENGINE_EVENTS,
     PR1_REFERENCE_METRICS,
     SHARD_VARIANT_KEYS,
     check_determinism,
-    check_event_reduction,
     check_reference_tolerance,
-    check_sharded_determinism,
-    compare_bench,
-    metric_snapshot,
     update_golden,
 )
 
 __all__ = [
-    "CoreBenchResult",
     "EVENT_REDUCTION_FLOOR",
-    "ShardScalingResult",
-    "SweepBenchResult",
     "GOLDEN_METRICS",
     "GOLDEN_PATH",
+    "GOLDEN_SCENARIOS",
+    "NAIVE_ENGINE_EVENTS",
     "PR1_REFERENCE_METRICS",
     "SHARD_VARIANT_KEYS",
     "check_determinism",
-    "check_event_reduction",
     "check_reference_tolerance",
-    "check_sharded_determinism",
-    "compare_bench",
-    "metric_snapshot",
-    "profile_core",
-    "run_congestion_benchmark",
-    "run_core_benchmark",
-    "run_recovery_benchmark",
-    "run_shard_scaling_benchmark",
-    "run_sweep_benchmark",
     "update_golden",
-    "write_bench_json",
 ]

@@ -1,17 +1,17 @@
-"""Determinism checker and throughput/event-count regression gates.
+"""Determinism checker for the committed golden metrics.
 
 Determinism
 -----------
 
 The golden metrics live in ``golden_metrics.json`` next to this module and
-were captured with the **current** engine (timer wheel + aggregated
-background) on fixed seeds. The contract is bit-for-bit: replaying a
-scenario must reproduce every value exactly — event counts, latency
-statistics as exact floats, byte totals. ``check_determinism()`` reruns
-the scenarios and reports any divergence; it is wired into
-``benchmarks/bench_core_engine.py``, the test suite and CI, so any future
-"optimization" that silently perturbs event order or RNG consumption fails
-immediately.
+were captured with the engine (timer wheel + aggregated background) on
+fixed seeds. The contract is bit-for-bit: replaying a scenario must
+reproduce every value exactly — event counts, latency statistics as exact
+floats, byte totals. ``check_determinism()`` reruns the scenarios of
+``GOLDEN_SCENARIOS``, single-process or process-sharded, and reports any
+divergence; it is wired into the test suite and CI through
+``scripts/perf_gate.py``, so any future "optimization" that silently
+perturbs event order or RNG consumption fails immediately.
 
 Reference tolerance
 -------------------
@@ -21,19 +21,12 @@ so the goldens were re-captured after PR 2 — but the *measured physics*
 (latency distributions, byte totals) must not drift: the PR-1 goldens are
 frozen in ``PR1_REFERENCE_METRICS`` and ``check_reference_tolerance()``
 asserts the current goldens sit within a small relative tolerance of them.
-``scripts/perf_gate.py --update`` refuses to write goldens that fail this
-check, which is what separates a legitimate baseline refresh (new event
-interleaving, same physics) from masking a real regression.
-
-Regression gates
-----------------
-
-``compare_bench`` compares a freshly measured ``BENCH_core.json`` payload
-against the committed baseline and flags any size whose events/sec dropped
-more than ``threshold`` (default 20%). ``check_event_reduction`` asserts
-the wheel/aggregation event-count reduction stays at or above
-``EVENT_REDUCTION_FLOOR`` at every measured size. ``scripts/perf_gate.py``
-is the CLI wrapper for all of it.
+``scripts/perf_gate.py --update-goldens-only`` refuses to write goldens
+that fail this check, which is what separates a legitimate baseline
+refresh (new event interleaving, same physics) from masking a real
+regression. The same check holds the goldens' event counts at least
+``EVENT_REDUCTION_FLOOR`` below the frozen ``NAIVE_ENGINE_EVENTS``, so a
+refresh cannot let the wheel/aggregation batching rot either.
 """
 
 from __future__ import annotations
@@ -42,14 +35,10 @@ import json
 import os
 from typing import Dict, List, Optional
 
-from repro.experiments.dissemination import DisseminationConfig, run_dissemination
+from repro.scenarios.runner import scenario_snapshot
+from repro.scenarios.sharded import run_scenario_sharded
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_metrics.json")
-
-# Minimum acceptable event-count reduction of the batched (timer wheel +
-# aggregated background) engine versus the naive one-event-per-firing path
-# on the canonical scenario, at every benchmarked size.
-EVENT_REDUCTION_FLOOR = 0.30
 
 # Frozen goldens of the PR-1 engine (object-heap interleaving, naive
 # timers, no background traffic in the scenarios). These are the reference
@@ -111,10 +100,20 @@ PR1_REFERENCE_METRICS: Dict[str, dict] = {
     },
 }
 
+# Executed events of the retired naive engine (one heap event per timer
+# firing, per-copy background sends) on the goldens that carry background
+# traffic, measured at the last commit that could still run it (seed 1).
+# Every golden's event count must stay EVENT_REDUCTION_FLOOR below them.
+NAIVE_ENGINE_EVENTS: Dict[str, int] = {
+    "enhanced-n50-b6-seed1-background": 18_896,
+    "recovery-crash-n50-b6-seed1": 23_976,
+    "wan-3-region-seed1": 9_341,
+}
+EVENT_REDUCTION_FLOOR = 0.30
+
 # golden key -> (registered scenario name, seed). Every golden resolves
 # through the scenario registry, so exactly the same declaration replays
-# single-process (check_determinism) and process-sharded
-# (check_sharded_determinism, --shards N).
+# single-process and process-sharded (check_determinism(shards=N)).
 # The background scenario has no PR-1 counterpart; it pins the determinism
 # of the aggregated-emission path (wheel ticks, batched byte accounting).
 # The recovery scenario likewise has no PR-1 counterpart: it pins the
@@ -122,7 +121,7 @@ PR1_REFERENCE_METRICS: Dict[str, dict] = {
 # catch-up batches after recovery. The wan-3-region scenario pins the
 # declarative-scenario stack end to end: region placement, the
 # TopologyLatency pair resolution and its bind() RNG-order contract, and the multi-organization build.
-_SCENARIOS: Dict[str, tuple] = {
+GOLDEN_SCENARIOS: Dict[str, tuple] = {
     "enhanced-n50-b6-seed1": ("golden-enhanced-50", 1),
     "enhanced-n50-b6-seed2": ("golden-enhanced-50", 2),
     "original-n30-b4-seed1": ("golden-original-30", 1),
@@ -146,14 +145,6 @@ _SCENARIOS: Dict[str, tuple] = {
 SHARD_VARIANT_KEYS = frozenset({"events_executed"})
 
 
-def _registered_scenario_snapshot(name: str, seed: int) -> dict:
-    # Imported lazily: repro.scenarios sits above the experiment layer and
-    # this keeps `import repro.perf` cheap for the bench-only callers.
-    from repro.scenarios.runner import scenario_snapshot
-
-    return scenario_snapshot(name, seed=seed)
-
-
 def _load_golden(path: str = GOLDEN_PATH) -> Dict[str, dict]:
     if not os.path.exists(path):
         return {}
@@ -166,145 +157,77 @@ def _load_golden(path: str = GOLDEN_PATH) -> Dict[str, dict]:
 GOLDEN_METRICS: Dict[str, dict] = _load_golden()
 
 
-def metric_snapshot(
-    gossip, n_peers: int, blocks: int, seed: int, background=None
-) -> dict:
-    """Run one dissemination scenario and snapshot its comparable metrics."""
-    config = DisseminationConfig(
-        gossip=gossip, n_peers=n_peers, blocks=blocks, block_period=1.5, seed=seed,
-        background=background,
-    )
-    result = run_dissemination(config)
-    return _snapshot_net(result.net, result.latency_summary())
-
-
-def _snapshot_net(net, stats) -> dict:
-    totals = net.network.monitor.totals
-    return {
-        "events_executed": net.sim.events_executed,
-        "final_time": net.sim.now,
-        "latency_max": stats.maximum,
-        "latency_mean": stats.mean,
-        "latency_p50": stats.p50,
-        "latency_p95": stats.p95,
-        "total_bytes": totals.bytes,
-        "total_messages": totals.messages,
-        "by_kind_bytes": dict(sorted(totals.by_kind_bytes.items())),
-    }
-
-
-def _snapshot_scenario(name: str) -> dict:
-    scenario, seed = _SCENARIOS[name]
-    return _registered_scenario_snapshot(scenario, seed)
-
-
 def check_determinism(
+    shards: int = 1,
+    mode: str = "auto",
     scenarios: Optional[Dict[str, tuple]] = None,
     golden: Optional[Dict[str, dict]] = None,
     diff: Optional[List[dict]] = None,
 ) -> List[str]:
     """Replay the golden scenarios; return human-readable mismatches.
 
-    An empty list means the current engine reproduces the committed golden
-    metrics bit-for-bit. When ``diff`` is given, each mismatch is also
-    appended to it as a structured record (scenario, key, golden, actual)
-    — the machine-readable payload CI uploads as a debugging artifact.
+    An empty list means the engine reproduces the committed golden metrics
+    bit-for-bit. With ``shards > 1`` the replay is process-sharded and
+    every metric except :data:`SHARD_VARIANT_KEYS` must still match — the
+    merged delivery physics, traffic accounting and latency statistics of
+    the sharded run are exactly those of the single-process run. A plan
+    that silently degrades to single-process execution is itself a
+    failure: a forced fallback would otherwise let the sharded gate go
+    green while testing nothing sharded. So is a golden no table row
+    replays: it pins nothing.
+
+    When ``diff`` is given, each mismatch is also appended to it as a
+    structured record (scenario, shards, key, golden, actual) — the
+    machine-readable payload CI uploads as a debugging artifact.
     """
     if scenarios is None:
-        scenarios = _SCENARIOS
+        scenarios = GOLDEN_SCENARIOS
     if golden is None:
         golden = GOLDEN_METRICS
+    label = f" [shards={shards}]" if shards > 1 else ""
     mismatches: List[str] = []
-    for name in scenarios:
+
+    def report(name: str, key: str, expected, actual, line: str) -> None:
+        mismatches.append(f"{name}{label}: {line}")
+        if diff is not None:
+            diff.append(
+                {"scenario": name, "shards": shards, "key": key,
+                 "golden": expected, "actual": actual}
+            )
+
+    for name, (scenario, seed) in scenarios.items():
         expected_metrics = golden.get(name)
         if expected_metrics is None:
-            mismatches.append(
-                f"{name}: no golden metrics committed — run "
-                "`scripts/perf_gate.py --update` and commit golden_metrics.json"
+            report(
+                name, "golden", None, None,
+                "no golden metrics committed — run `scripts/perf_gate.py "
+                "--update-goldens-only` and commit golden_metrics.json",
             )
             continue
-        current = _snapshot_scenario(name)
-        for key, expected in expected_metrics.items():
-            actual = current.get(key)
-            if actual != expected:
-                mismatches.append(
-                    f"{name}: {key} diverged — golden {expected!r}, current {actual!r}"
-                )
-                if diff is not None:
-                    diff.append(
-                        {"scenario": name, "key": key, "golden": expected, "actual": actual}
-                    )
-    return mismatches
-
-
-def check_sharded_determinism(
-    shards: int = 2,
-    mode: str = "auto",
-    scenarios: Optional[Dict[str, tuple]] = None,
-    golden: Optional[Dict[str, dict]] = None,
-    diff: Optional[List[dict]] = None,
-) -> List[str]:
-    """Replay the golden scenarios process-sharded; return mismatches.
-
-    Every golden metric except :data:`SHARD_VARIANT_KEYS` must reproduce
-    the committed values bit-for-bit under ``--shards N`` — the merged
-    delivery physics, traffic accounting and latency statistics of the
-    sharded run are exactly those of the single-process run. A plan that
-    silently degrades to single-process execution is itself a failure:
-    the gate's job is to exercise the sharded path, and a forced fallback
-    would otherwise let it go green while testing nothing sharded.
-    """
-    from repro.scenarios.sharded import run_scenario_sharded
-
-    if scenarios is None:
-        scenarios = _SCENARIOS
-    if golden is None:
-        golden = GOLDEN_METRICS
-    mismatches: List[str] = []
-    for name in scenarios:
-        expected_metrics = golden.get(name)
-        if expected_metrics is None:
-            mismatches.append(f"{name}: no golden metrics committed")
-            continue
-        scenario, seed = scenarios[name]
         run = run_scenario_sharded(scenario, seed=seed, shards=shards, mode=mode)
         if shards > 1 and run.plan.shards <= 1:
-            mismatches.append(
-                f"{name} [shards={shards}]: plan degraded to single-process "
-                f"execution ({run.plan.forced_reason or 'no reason recorded'}) "
-                "— the sharded gate exercised nothing sharded"
+            reason = run.plan.forced_reason or "single-process"
+            report(
+                name, "plan", "sharded execution", reason,
+                f"plan degraded to single-process execution ({reason}) — "
+                "the sharded gate exercised nothing sharded",
             )
-            if diff is not None:
-                diff.append(
-                    {
-                        "scenario": name,
-                        "shards": shards,
-                        "key": "plan",
-                        "golden": "sharded execution",
-                        "actual": run.plan.forced_reason or "single-process",
-                    }
-                )
             continue
         current = run.snapshot()
         for key, expected in expected_metrics.items():
-            if key in SHARD_VARIANT_KEYS:
+            if shards > 1 and key in SHARD_VARIANT_KEYS:
                 continue
             actual = current.get(key)
             if actual != expected:
-                mismatches.append(
-                    f"{name} [shards={shards}]: {key} diverged — "
-                    f"golden {expected!r}, sharded {actual!r}"
+                report(
+                    name, key, expected, actual,
+                    f"{key} diverged — golden {expected!r}, current {actual!r}",
                 )
-                if diff is not None:
-                    diff.append(
-                        {
-                            "scenario": name,
-                            "shards": shards,
-                            "key": key,
-                            "golden": expected,
-                            "actual": actual,
-                        }
-                    )
+    for name in sorted(golden.keys() - scenarios.keys() - GOLDEN_SCENARIOS.keys()):
+        report(
+            name, "scenario", "a GOLDEN_SCENARIOS row", None,
+            "golden metrics committed but no GOLDEN_SCENARIOS row replays them",
+        )
     return mismatches
 
 
@@ -331,6 +254,11 @@ def check_reference_tolerance(
     rest: a kind carrying a few dozen messages shifts by whole-message
     quanta under any interleaving change, while its aggregate contribution
     stays pinned by the total-byte check.
+
+    Last, every golden named in :data:`NAIVE_ENGINE_EVENTS` must execute at
+    least :data:`EVENT_REDUCTION_FLOOR` fewer events than the naive engine
+    did on the same scenario — both counts are deterministic, so this is
+    an exact check.
     """
     if golden is None:
         golden = GOLDEN_METRICS
@@ -374,6 +302,17 @@ def check_reference_tolerance(
             bulk = reference_bytes >= 0.10 * reference["total_bytes"]
             relative(f"by_kind_bytes[{kind}]", current_bytes, reference_bytes,
                      traffic_tolerance if bulk else minor_kind_tolerance, name)
+
+    for name, naive_events in NAIVE_ENGINE_EVENTS.items():
+        events = golden.get(name, {}).get("events_executed")
+        if events is None:
+            failures.append(f"{name}: no events_executed in the committed goldens")
+        elif events > (1.0 - EVENT_REDUCTION_FLOOR) * naive_events:
+            failures.append(
+                f"{name}: {events} events is only {1.0 - events / naive_events:.1%} "
+                f"below the naive engine's {naive_events} "
+                f"(floor {EVENT_REDUCTION_FLOOR:.0%})"
+            )
     return failures
 
 
@@ -384,7 +323,10 @@ def update_golden(path: str = GOLDEN_PATH) -> Dict[str, dict]:
     reference: a refresh is only legitimate when the interleaving changed
     but the physics did not.
     """
-    captured = {name: _snapshot_scenario(name) for name in _SCENARIOS}
+    captured = {
+        name: scenario_snapshot(scenario, seed=seed)
+        for name, (scenario, seed) in GOLDEN_SCENARIOS.items()
+    }
     failures = check_reference_tolerance(golden=captured)
     if failures:
         raise ValueError(
@@ -397,63 +339,3 @@ def update_golden(path: str = GOLDEN_PATH) -> Dict[str, dict]:
     GOLDEN_METRICS.clear()
     GOLDEN_METRICS.update(captured)
     return captured
-
-
-def compare_bench(
-    current: dict, baseline: dict, threshold: float = 0.20
-) -> List[str]:
-    """Compare two ``BENCH_core.json`` payloads; return regression messages.
-
-    A point regresses when its events/sec falls more than ``threshold``
-    below the baseline's. Sizes present in the baseline but missing from
-    the current run are reported too (silent coverage loss is a failure).
-    """
-    failures: List[str] = []
-
-    def compare_section(section: str, label: str) -> None:
-        baseline_points = {point["n_peers"]: point for point in baseline.get(section, [])}
-        current_points = {point["n_peers"]: point for point in current.get(section, [])}
-        for n_peers, base_point in sorted(baseline_points.items()):
-            point = current_points.get(n_peers)
-            if point is None:
-                failures.append(f"{label} n={n_peers}: missing from current benchmark run")
-                continue
-            base_eps = base_point["events_per_sec"]
-            current_eps = point["events_per_sec"]
-            if current_eps < base_eps * (1.0 - threshold):
-                failures.append(
-                    f"{label} n={n_peers}: events/sec regressed "
-                    f"{1.0 - current_eps / base_eps:.1%} "
-                    f"({current_eps:,.0f} vs baseline {base_eps:,.0f}, "
-                    f"threshold {threshold:.0%})"
-                )
-
-    compare_section("results", "dissemination")
-    compare_section("recovery_results", "recovery")
-    return failures
-
-
-def check_event_reduction(results, floor: float = EVENT_REDUCTION_FLOOR) -> List[str]:
-    """Assert the batched engine's event-count reduction at every size.
-
-    ``results`` are :class:`~repro.perf.profile.CoreBenchResult` points (or
-    dicts with the same keys). The reduction is deterministic — both event
-    counts replay bit-for-bit — so this is an exact gate, not a timing one.
-    """
-    failures: List[str] = []
-    for point in results:
-        if isinstance(point, dict):
-            n_peers = point["n_peers"]
-            reduction = point.get("event_reduction")
-        else:
-            n_peers = point.n_peers
-            reduction = point.event_reduction
-        if reduction is None:
-            failures.append(f"n={n_peers}: no event-reduction measurement")
-            continue
-        if reduction < floor:
-            failures.append(
-                f"n={n_peers}: event reduction {reduction:.1%} below the "
-                f"{floor:.0%} floor"
-            )
-    return failures

@@ -28,7 +28,6 @@ from repro.scenarios.registry import (
 from repro.scenarios.sharded import (
     ShardedScenarioRun,
     run_scenario_sharded,
-    sharded_scenario_snapshot,
 )
 from repro.scenarios.runner import (
     ScenarioRun,
@@ -62,5 +61,4 @@ __all__ = [
     "run_scenario_sharded",
     "scenario_names",
     "scenario_snapshot",
-    "sharded_scenario_snapshot",
 ]

@@ -147,16 +147,6 @@ register(ScenarioSpec(
 ))
 
 register(ScenarioSpec(
-    name="sweep-bench",
-    description="Campaign-throughput benchmark: canonical 100-peer run, 8 seeds",
-    gossip=EnhancedGossipConfig.paper_f4,
-    n_peers=100,
-    background=True,
-    workload=WorkloadSpec(blocks=6, idle_tail=0.0),
-    seeds=(1, 2, 3, 4, 5, 6, 7, 8),
-))
-
-register(ScenarioSpec(
     name="scaling-template",
     description="Template for the organization-size sweep (per-size TTL applied)",
     gossip=EnhancedGossipConfig.paper_f4,

@@ -77,7 +77,6 @@ __all__ = [
     "merge_shard_results",
     "plan_for",
     "run_scenario_sharded",
-    "sharded_scenario_snapshot",
 ]
 
 _ERROR_SENTINEL = "__shard_error__"
@@ -639,11 +638,3 @@ def run_scenario_sharded(
             health=health,
         )
     raise last_error
-
-
-def sharded_scenario_snapshot(
-    name: str, seed: int = 1, shards: int = 2, mode: str = "auto"
-) -> dict:
-    """Sharded counterpart of :func:`repro.scenarios.runner.
-    scenario_snapshot`; the hook the sharded determinism gate uses."""
-    return run_scenario_sharded(name, seed=seed, shards=shards, mode=mode).snapshot()

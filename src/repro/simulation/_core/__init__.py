@@ -140,7 +140,6 @@ class Simulator:
         "_pool",
         "_peak_heap",
         "_wheel",
-        "use_timer_wheel",
     )
 
     _now: float
@@ -153,9 +152,8 @@ class Simulator:
     _pool: List[List[Any]]
     _peak_heap: int
     _wheel: Optional["TimerWheel"]
-    use_timer_wheel: bool
 
-    def __init__(self, use_timer_wheel: bool = True) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
         self._heap = []
@@ -166,11 +164,6 @@ class Simulator:
         self._pool = []
         self._peak_heap = 0
         self._wheel = None
-        # Recurring timers batch into shared wheel slots when True (the
-        # process layer consults this); False forces the naive
-        # one-event-per-tick PeriodicTimer path — kept selectable so the
-        # perf harness can measure the event-count reduction.
-        self.use_timer_wheel = use_timer_wheel
 
     @property
     def now(self) -> float:

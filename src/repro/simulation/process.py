@@ -78,12 +78,11 @@ class Process:
         draw in ``[-jitter_fraction, +jitter_fraction] * period`` from the
         named stream.
 
-        When the simulator's timer wheel is enabled (the default) the
-        registration lands on the shared wheel: same-tick firings across
-        the whole deployment coalesce into single engine events, and
-        :meth:`shutdown` cancels the registration in O(1) without touching
-        the event heap. Sub-tick periods (high-rate client drivers) and
-        wheel-disabled simulators fall back to the naive one-event-per-tick
+        The registration lands on the simulator's shared timer wheel:
+        same-tick firings across the whole deployment coalesce into single
+        engine events, and :meth:`shutdown` cancels the registration in
+        O(1) without touching the event heap. Sub-tick periods (high-rate
+        client drivers) fall back to the naive one-event-per-tick
         :class:`PeriodicTimer`.
         """
         jitter: Optional[Callable[[], float]] = None
@@ -100,7 +99,7 @@ class Process:
 
         sim = self.sim
         timer: RecurringTimer
-        if sim.use_timer_wheel and sim.wheel.supports_period(period):
+        if sim.wheel.supports_period(period):
             timer = sim.wheel.every(period, guarded, initial_delay=initial_delay, jitter=jitter)
         else:
             timer = PeriodicTimer(sim, period, guarded, initial_delay=initial_delay, jitter=jitter)

@@ -82,21 +82,17 @@ def first_draw(owner) -> random.Random:
     return rng
 
 
-def sample_without(
-    rng: random.Random, population: Sequence[T], k: int, exclude: Sequence[T] = ()
-) -> List[T]:
-    """Sample ``k`` distinct items from ``population`` excluding ``exclude``.
+def sample_without(rng: random.Random, population: Sequence[T], k: int) -> List[T]:
+    """Sample ``k`` distinct items from ``population``.
 
     This is the canonical gossip target selection: a peer picks ``fout``
     peers uniformly at random among the other peers. If fewer than ``k``
-    candidates remain the whole candidate set is returned (in random order).
+    candidates exist the whole population is returned (in random order).
     """
-    return sample_skipping(population, len(population), rng, k, exclude)
+    return sample_skipping(population, len(population), rng, k)
 
 
-def sample_skipping(
-    population: Sequence[T], skip: int, rng: random.Random, k: int, exclude: Sequence[T] = ()
-) -> List[T]:
+def sample_skipping(population: Sequence[T], skip: int, rng: random.Random, k: int) -> List[T]:
     """:func:`sample_without` over ``population`` minus the item at ``skip``.
 
     The candidates are ``population`` with position ``skip`` left out
@@ -109,16 +105,7 @@ def sample_skipping(
     materialised list of candidates, bit for bit.
     """
     size = len(population)
-    if exclude:
-        excluded = set(exclude)
-        if skip < size:
-            excluded.add(population[skip])
-        population = [item for item in population if item not in excluded]
-        skip = n = len(population)
-    else:
-        # No exclusions: index straight into the population without the
-        # per-call copy (the copy dominated gossip target selection).
-        n = size - 1 if skip < size else size
+    n = size - 1 if skip < size else size
     if k >= n:
         shuffled = list(population)
         del shuffled[skip : skip + 1]

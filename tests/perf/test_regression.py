@@ -1,13 +1,20 @@
-"""Tests for the perf harness: determinism contract and the gate logic."""
+"""Tests for the determinism gate: golden replay, tolerance, orphans."""
 
-from repro.gossip.config import EnhancedGossipConfig
+import pytest
+
 from repro.perf import (
+    EVENT_REDUCTION_FLOOR,
     GOLDEN_METRICS,
+    GOLDEN_SCENARIOS,
+    NAIVE_ENGINE_EVENTS,
+    PR1_REFERENCE_METRICS,
     check_determinism,
-    compare_bench,
-    metric_snapshot,
-    run_core_benchmark,
+    check_reference_tolerance,
 )
+
+# One process, and the cheapest genuinely sharded run (two shards stepped
+# inline): the gate's reporting must hold through both.
+BOTH_GATES = ({"shards": 1}, {"shards": 2, "mode": "inline"})
 
 
 def test_determinism_contract_holds():
@@ -19,41 +26,59 @@ def test_determinism_contract_holds():
 def test_sharded_determinism_contract_holds_on_subset():
     """A cheap tier-1 slice of the sharded golden gate: one LAN golden and
     the WAN golden replay bit-for-bit across 2 shard workers (CI runs the
-    full set at shards=4 via perf_gate --determinism-only --shards 4)."""
-    from repro.perf import check_sharded_determinism
-    from repro.perf.regression import _SCENARIOS
-
+    full set at shards=4 via perf_gate --shards 4)."""
     subset = {
-        name: _SCENARIOS[name]
+        name: GOLDEN_SCENARIOS[name]
         for name in ("enhanced-n50-b6-seed1", "wan-3-region-seed1")
     }
-    assert check_sharded_determinism(shards=2, mode="inline", scenarios=subset) == []
+    assert check_determinism(shards=2, mode="inline", scenarios=subset) == []
 
 
 def test_determinism_diff_records_structured_mismatches():
     """A golden perturbation surfaces as a structured diff record (the
     payload CI uploads as an artifact)."""
-    from repro.perf.regression import GOLDEN_METRICS
-
     perturbed = {name: dict(metrics) for name, metrics in GOLDEN_METRICS.items()}
     name = "original-n30-b4-seed1"
     perturbed[name]["total_messages"] = -1
+    subset = {name: GOLDEN_SCENARIOS[name]}
+    for sharding in BOTH_GATES:
+        diff = []
+        mismatches = check_determinism(scenarios=subset, golden=perturbed, diff=diff, **sharding)
+        assert len(mismatches) == len(diff) == 1
+        assert diff[0]["scenario"] == name
+        assert diff[0]["shards"] == sharding["shards"]
+        assert diff[0]["key"] == "total_messages"
+        assert diff[0]["golden"] == -1
+
+
+def test_events_executed_is_compared_single_process_only():
+    """The one shard-variant metric: pinned at shards=1, skipped above."""
+    name = "original-n30-b4-seed1"
+    perturbed = {name: dict(GOLDEN_METRICS[name], events_executed=-1)}
+    subset = {name: GOLDEN_SCENARIOS[name]}
+    [mismatch] = check_determinism(scenarios=subset, golden=perturbed)
+    assert "events_executed" in mismatch
+    assert check_determinism(shards=2, mode="inline", scenarios=subset, golden=perturbed) == []
+
+
+def test_orphaned_golden_is_a_failure():
+    """A committed golden that no GOLDEN_SCENARIOS row replays pins nothing
+    while the gate stays green, so it is reported — also on a subset run."""
+    name = "original-n30-b4-seed1"
+    orphaned = {name: GOLDEN_METRICS[name], "retired-scenario-seed1": {"total_messages": 1}}
     diff = []
-    subset = {name: ("golden-original-30", 1)}
-    mismatches = check_determinism(scenarios=subset, golden=perturbed, diff=diff)
-    assert mismatches and diff
-    assert diff[0]["scenario"] == name
-    assert diff[0]["key"] == "total_messages"
-    assert diff[0]["golden"] == -1
-
-
-def test_metric_snapshot_is_reproducible():
-    gossip = EnhancedGossipConfig(fout=4, ttl=9, ttl_direct=2)
-    first = metric_snapshot(gossip, 20, 3, seed=7)
-    second = metric_snapshot(
-        EnhancedGossipConfig(fout=4, ttl=9, ttl_direct=2), 20, 3, seed=7
+    [mismatch] = check_determinism(
+        scenarios={name: GOLDEN_SCENARIOS[name]}, golden=orphaned, diff=diff
     )
-    assert first == second
+    assert mismatch.startswith("retired-scenario-seed1:")
+    assert "no GOLDEN_SCENARIOS row" in mismatch
+    assert diff[0]["scenario"] == "retired-scenario-seed1"
+
+
+def test_missing_golden_is_reported_with_the_refresh_command():
+    subset = {"brand-new-seed1": GOLDEN_SCENARIOS["original-n30-b4-seed1"]}
+    [mismatch] = check_determinism(scenarios=subset, golden={})
+    assert mismatch.startswith("brand-new-seed1:") and "--update-goldens-only" in mismatch
 
 
 def test_golden_metrics_cover_both_protocols():
@@ -62,43 +87,11 @@ def test_golden_metrics_cover_both_protocols():
     assert any(name.startswith("original") for name in names)
 
 
-def test_core_benchmark_reports_point():
-    [result] = run_core_benchmark(sizes=(20,), blocks=2, repeats=1)
-    assert result.n_peers == 20
-    assert result.events > 0
-    assert result.events_per_sec > 0
-    assert result.peak_heap_size > 0
-    assert result.final_sim_time >= 2 * 1.5
-
-
-def _payload(points):
-    return {"results": [{"n_peers": n, "events_per_sec": eps} for n, eps in points]}
-
-
-def test_compare_bench_passes_within_threshold():
-    baseline = _payload([(50, 100_000.0), (100, 90_000.0)])
-    current = _payload([(50, 85_000.0), (100, 95_000.0)])  # -15%, +5%
-    assert compare_bench(current, baseline, threshold=0.20) == []
-
-
-def test_compare_bench_flags_regression():
-    baseline = _payload([(50, 100_000.0)])
-    current = _payload([(50, 70_000.0)])  # -30%
-    failures = compare_bench(current, baseline, threshold=0.20)
-    assert len(failures) == 1
-    assert "n=50" in failures[0]
-
-
-def test_compare_bench_flags_missing_size():
-    baseline = _payload([(50, 100_000.0), (100, 90_000.0)])
-    current = _payload([(50, 100_000.0)])
-    failures = compare_bench(current, baseline)
-    assert any("missing" in failure for failure in failures)
+def test_committed_goldens_sit_within_the_frozen_references():
+    assert check_reference_tolerance() == []
 
 
 def test_reference_tolerance_reports_missing_metric_keys():
-    from repro.perf import PR1_REFERENCE_METRICS, check_reference_tolerance
-
     truncated = {
         name: {k: v for k, v in metrics.items() if k != "latency_p95"}
         for name, metrics in PR1_REFERENCE_METRICS.items()
@@ -108,19 +101,16 @@ def test_reference_tolerance_reports_missing_metric_keys():
     assert any("missing metrics" in failure for failure in failures)
 
 
-def test_perf_gate_refuses_update_with_determinism_only():
-    import importlib.util
-    import os
-    import pytest
-
-    spec = importlib.util.spec_from_file_location(
-        "perf_gate", os.path.join(os.path.dirname(__file__), "..", "..", "scripts", "perf_gate.py")
-    )
-    perf_gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(perf_gate)
-    with pytest.raises(SystemExit) as excinfo:
-        perf_gate.main(["--update", "--determinism-only"])
-    assert excinfo.value.code == 2  # argparse usage error
+@pytest.mark.parametrize("name", sorted(NAIVE_ENGINE_EVENTS))
+def test_naive_event_floor_trips_when_batching_erodes(name):
+    """A refreshed golden may move its event count, but not to within 30%
+    of what the naive one-event-per-firing engine executed."""
+    ceiling = int((1.0 - EVENT_REDUCTION_FLOOR) * NAIVE_ENGINE_EVENTS[name])
+    at_floor = dict(GOLDEN_METRICS, **{name: dict(GOLDEN_METRICS[name], events_executed=ceiling)})
+    assert check_reference_tolerance(golden=at_floor) == []
+    at_floor[name]["events_executed"] = ceiling + 1
+    [failure] = check_reference_tolerance(golden=at_floor)
+    assert failure.startswith(f"{name}:") and "naive engine" in failure
 
 
 def _replay_recovery_crash(crash_at, eager):

@@ -27,7 +27,7 @@ from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.link import CoDelConfig, LinkModel
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
-from repro.perf.regression import _SCENARIOS, GOLDEN_METRICS
+from repro.perf.regression import GOLDEN_METRICS, GOLDEN_SCENARIOS
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import run_scenario
 from repro.simulation import Simulator
@@ -166,7 +166,7 @@ def test_armed_link_reports_enabled_and_noop_does_not():
 # Congestion goldens arm the link by design; only link-free scenarios can
 # take a no-op link unchanged.
 LINK_FREE_GOLDENS = sorted(
-    name for name, (scenario, _) in _SCENARIOS.items()
+    name for name, (scenario, _) in GOLDEN_SCENARIOS.items()
     if get_scenario(scenario).link is None
 )
 
@@ -176,8 +176,8 @@ def test_goldens_replay_with_explicit_noop_link(golden_name):
     """Re-run every link-free golden scenario with ``link=LinkModel()``
     forced onto the spec; the committed golden metrics are the baseline."""
     golden = GOLDEN_METRICS.get(golden_name)
-    assert golden, "golden metrics missing — run scripts/perf_gate.py --update-goldens"
-    scenario, seed = _SCENARIOS[golden_name]
+    assert golden, "golden metrics missing — run scripts/perf_gate.py --update-goldens-only"
+    scenario, seed = GOLDEN_SCENARIOS[golden_name]
     spec = get_scenario(scenario)
     noop_spec = dataclasses.replace(spec, link=LinkModel())
     snapshot = run_scenario(noop_spec, seed=seed).snapshot()

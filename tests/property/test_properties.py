@@ -18,7 +18,7 @@ from repro.metrics.bandwidth import aggregate_series
 from repro.metrics.latency import percentile
 from repro.metrics.probability_plot import logistic_probability_points, logit
 from repro.simulation import Simulator
-from repro.simulation.random import sample_without
+from repro.simulation.random import sample_skipping
 
 from tests.conftest import make_chain
 
@@ -64,11 +64,10 @@ def test_sample_without_properties(population_size, k, seed):
 
     rng = random.Random(seed)
     population = [f"n{i}" for i in range(population_size)]
-    exclude = population[:1]
-    sample = sample_without(rng, population, k, exclude)
+    sample = sample_skipping(population, 0, rng, k)
     assert len(sample) == min(k, population_size - 1)
     assert len(set(sample)) == len(sample)
-    assert exclude[0] not in sample
+    assert population[0] not in sample
     assert set(sample) <= set(population)
 
 

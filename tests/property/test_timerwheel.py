@@ -44,7 +44,7 @@ timer_specs = st.tuples(
 
 
 def _run_naive(specs):
-    sim = Simulator(use_timer_wheel=False)
+    sim = Simulator()
     fired = []
     timers = []
     for index, (period_ticks, delay_ticks, _) in enumerate(specs):

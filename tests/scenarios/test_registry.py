@@ -20,7 +20,6 @@ EXPECTED_BUILTINS = {
     "fig-leader-fanout-ablation",
     "fig-no-digest-ablation",
     "scaling-template",
-    "sweep-bench",
     # WAN / fault scenarios
     "wan-3-region",
     "partition-heal",

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from repro.simulation import Simulator
 from repro.simulation.process import Process
-from repro.simulation.random import RandomStreams, derive_seed, first_draw, sample_without
+from repro.simulation.random import (
+    RandomStreams,
+    derive_seed,
+    first_draw,
+    sample_skipping,
+    sample_without,
+)
 
 
 def test_same_seed_same_sequence():
@@ -142,7 +148,7 @@ def test_sample_without_excludes_self():
     rng = RandomStreams(7).stream("s")
     population = list(range(10))
     for _ in range(50):
-        sample = sample_without(rng, population, 3, exclude=[4])
+        sample = sample_skipping(population, 4, rng, 3)
         assert 4 not in sample
         assert len(sample) == 3
         assert len(set(sample)) == 3
@@ -150,7 +156,7 @@ def test_sample_without_excludes_self():
 
 def test_sample_without_returns_all_when_k_too_large():
     rng = RandomStreams(7).stream("s")
-    sample = sample_without(rng, [1, 2, 3], 10, exclude=[2])
+    sample = sample_skipping([1, 2, 3], 1, rng, 10)
     assert sorted(sample) == [1, 3]
 
 

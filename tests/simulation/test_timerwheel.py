@@ -213,13 +213,6 @@ def test_process_every_falls_back_for_sub_tick_period(sim):
     assert isinstance(timer, PeriodicTimer)
 
 
-def test_process_every_falls_back_when_wheel_disabled():
-    sim = Simulator(use_timer_wheel=False)
-    process = Process(sim, "p", RandomStreams(1))
-    timer = process.every(1.0, lambda: None)
-    assert isinstance(timer, PeriodicTimer)
-
-
 def test_process_shutdown_stops_wheel_registrations_without_heap_churn(sim):
     process = Process(sim, "p", RandomStreams(1))
     fired = []
