@@ -23,6 +23,7 @@ from repro.fabric.config import OrdererConfig, PeerConfig, ValidationMode
 from repro.fabric.endorsement import EndorsementPolicy
 from repro.gossip.config import BackgroundTrafficConfig, OriginalGossipConfig
 from repro.net.network import NetworkConfig
+from repro.simulation import collector
 
 PAPER_KEYS = 100
 PAPER_INCREMENTS_PER_KEY = 100
@@ -91,68 +92,70 @@ class ConflictResult:
 
 def run_conflict_experiment(config: ConflictExperimentConfig) -> ConflictResult:
     """Run one cell of Table II."""
-    net = build_network(
-        n_peers=config.n_peers,
-        gossip=config.gossip,
-        seed=config.seed,
-        network_config=config.network,
-        peer_config=PeerConfig(
-            per_tx_validation_time=config.per_tx_validation_time,
-            validation_mode=ValidationMode.FULL,
-        ),
-        orderer_config=OrdererConfig(
-            max_tx_per_block=50,
-            batch_timeout=config.block_period,
-        ),
-        background=config.background,
-        policy=EndorsementPolicy.any_single(),
-    )
+    with collector.deployment() as built:
+        net = build_network(
+            n_peers=config.n_peers,
+            gossip=config.gossip,
+            seed=config.seed,
+            network_config=config.network,
+            peer_config=PeerConfig(
+                per_tx_validation_time=config.per_tx_validation_time,
+                validation_mode=ValidationMode.FULL,
+            ),
+            orderer_config=OrdererConfig(
+                max_tx_per_block=50,
+                batch_timeout=config.block_period,
+            ),
+            background=config.background,
+            policy=EndorsementPolicy.any_single(),
+        )
 
-    # Single endorsing peer (paper §V-D); a regular (non-leader) peer so
-    # its view of the chain depends on gossip like any other's.
-    endorser_name = config.endorser or net.regular_peers()[len(net.regular_peers()) // 2]
-    endorser = net.peers[endorser_name]
-    endorser.chaincodes.install(CounterIncrementChaincode())
+        # Single endorsing peer (paper §V-D); a regular (non-leader) peer so
+        # its view of the chain depends on gossip like any other's.
+        endorser_name = config.endorser or net.regular_peers()[len(net.regular_peers()) // 2]
+        endorser = net.peers[endorser_name]
+        endorser.chaincodes.install(CounterIncrementChaincode())
 
-    workload = CounterIncrementWorkload(
-        keys=config.keys,
-        increments_per_key=config.increments_per_key,
-        rng=net.streams.stream("workload:permutations"),
-    )
-    client_identity = net.msp.enroll("client-0", "client-org", "client")
-    client = Client(
-        net.sim,
-        net.network,
-        net.streams,
-        client_identity,
-        endorsers=[endorser_name],
-        orderer=net.orderer.name,
-        workload=workload,
-        rate=config.tx_rate,
-        conflicts=net.conflicts,
-    )
-    net.start()
-    client.start()
+        workload = CounterIncrementWorkload(
+            keys=config.keys,
+            increments_per_key=config.increments_per_key,
+            rng=net.streams.stream("workload:permutations"),
+        )
+        client_identity = net.msp.enroll("client-0", "client-org", "client")
+        client = Client(
+            net.sim,
+            net.network,
+            net.streams,
+            client_identity,
+            endorsers=[endorser_name],
+            orderer=net.orderer.name,
+            workload=workload,
+            rate=config.tx_rate,
+            conflicts=net.conflicts,
+        )
+        net.start()
+        client.start()
+        built()
 
-    total = config.total_transactions
-    # The workload takes total/rate seconds to issue, plus ordering,
-    # dissemination and validation drain time.
-    issue_time = total / config.tx_rate
-    max_time = issue_time + 30 * config.block_period + 120.0
+        total = config.total_transactions
+        # The workload takes total/rate seconds to issue, plus ordering,
+        # dissemination and validation drain time.
+        issue_time = total / config.tx_rate
+        max_time = issue_time + 30 * config.block_period + 120.0
 
-    def finished() -> bool:
-        if not client.idle:
-            return False
-        if net.orderer.transactions_ordered < client.stats.proposals_submitted:
-            return False
-        if net.orderer.pending_transactions:
-            # A final partial batch is still waiting for its timeout; the
-            # ledger cross-check needs every ordered transaction validated.
-            return False
-        blocks_cut = net.orderer.blocks_cut
-        return all(peer.ledger_height >= blocks_cut for peer in net.peers.values())
+        def finished() -> bool:
+            if not client.idle:
+                return False
+            if net.orderer.transactions_ordered < client.stats.proposals_submitted:
+                return False
+            if net.orderer.pending_transactions:
+                # A final partial batch is still waiting for its timeout; the
+                # ledger cross-check needs every ordered transaction validated.
+                return False
+            blocks_cut = net.orderer.blocks_cut
+            return all(peer.ledger_height >= blocks_cut for peer in net.peers.values())
 
-    net.run_until(finished, step=1.0, max_time=max_time)
+        net.run_until(finished, step=1.0, max_time=max_time)
 
     # Cross-check the paper's counting: conflicts = submitted - sum(counters).
     reference = net.peers[net.regular_peers()[0]]

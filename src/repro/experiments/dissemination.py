@@ -21,6 +21,7 @@ from repro.gossip.config import BackgroundTrafficConfig, OriginalGossipConfig
 from repro.metrics.bandwidth import BandwidthReport, PeerBandwidth
 from repro.metrics.latency import DisseminationTracker, LatencyStats
 from repro.net.network import NetworkConfig
+from repro.simulation import collector
 
 # Paper §V-A: 1,000 blocks of 50 transactions (~160 KB) every ~1.5 s.
 PAPER_BLOCKS = 1_000
@@ -176,44 +177,46 @@ def run_dissemination(
     before any timer is armed — the scenario subsystem uses it to compile
     and arm declarative fault schedules against the fresh deployment.
     """
-    net = build_network(
-        n_peers=config.n_peers,
-        gossip=config.gossip,
-        seed=config.seed,
-        organizations=config.organizations,
-        network_config=config.network,
-        peer_config=PeerConfig(
-            per_tx_validation_time=config.per_tx_validation_time,
-            validation_mode=ValidationMode.DELAY_ONLY,
-        ),
-        background=config.background,
-        org_regions=config.org_regions,
-        orderer_region=config.orderer_region,
-    )
-    if prepare is not None:
-        prepare(net)
-    net.start()
-
-    transactions = synthetic_block_transactions(config.tx_per_block, config.tx_size)
-    for index in range(config.blocks):
-        net.sim.schedule_at(
-            (index + 1) * config.block_period,
-            net.orderer.emit_block,
-            transactions,
+    with collector.deployment() as built:
+        net = build_network(
+            n_peers=config.n_peers,
+            gossip=config.gossip,
+            seed=config.seed,
+            organizations=config.organizations,
+            network_config=config.network,
+            peer_config=PeerConfig(
+                per_tx_validation_time=config.per_tx_validation_time,
+                validation_mode=ValidationMode.DELAY_ONLY,
+            ),
+            background=config.background,
+            org_regions=config.org_regions,
+            orderer_region=config.orderer_region,
         )
+        if prepare is not None:
+            prepare(net)
+        net.start()
 
-    workload_end = config.blocks * config.block_period
-    # Let dissemination complete: all peers hold all blocks. The recovery
-    # period bounds how long a (theoretically possible) push miss can take.
-    deadline = workload_end + config.grace_period
-    net.run_until(
-        lambda: net.sim.now >= workload_end and net.all_peers_received(config.blocks),
-        step=1.0,
-        max_time=deadline,
-    )
-    end_of_measurement = net.sim.now + config.idle_tail
-    if config.idle_tail > 0:
-        net.sim.run(until=end_of_measurement)
+        transactions = synthetic_block_transactions(config.tx_per_block, config.tx_size)
+        for index in range(config.blocks):
+            net.sim.schedule_at(
+                (index + 1) * config.block_period,
+                net.orderer.emit_block,
+                transactions,
+            )
+        built()
+
+        workload_end = config.blocks * config.block_period
+        # Let dissemination complete: all peers hold all blocks. The recovery
+        # period bounds how long a (theoretically possible) push miss can take.
+        deadline = workload_end + config.grace_period
+        net.run_until(
+            lambda: net.sim.now >= workload_end and net.all_peers_received(config.blocks),
+            step=1.0,
+            max_time=deadline,
+        )
+        end_of_measurement = net.sim.now + config.idle_tail
+        if config.idle_tail > 0:
+            net.sim.run(until=end_of_measurement)
     return DisseminationResult(
         config=config,
         net=net,

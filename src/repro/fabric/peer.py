@@ -37,7 +37,8 @@ from repro.simulation.random import RandomStreams
 
 
 def _discard_message(src: str, message: Message) -> None:
-    """Background bytes: accounted by the monitor, no peer logic."""
+    """Background bytes: accounted by the monitor, no peer logic. Only the
+    per-copy reference (``aggregate=False``) ever delivers one."""
 
 
 class Peer(Process):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -129,9 +130,9 @@ class BackgroundTrafficConfig:
     the original 100 KB/s aggregate: closer to the many-small-messages
     shape of real membership/deliver chatter at the same byte rate. The
     finer cadence is affordable because emissions ride the shared timer
-    wheel and, with ``aggregate`` on, each fanout coalesces into a single
-    batched network event whose monitor accounting is byte-for-byte
-    identical to per-copy sends.
+    wheel and, with ``aggregate`` on, each fanout is accounted and occupies
+    its sender without ever becoming a delivery event — its monitor
+    accounting is byte-for-byte identical to per-copy sends.
     """
 
     enabled: bool = True
@@ -140,9 +141,18 @@ class BackgroundTrafficConfig:
     message_size: int = 25_000
     aggregate: bool = True
 
+    def __post_init__(self) -> None:
+        # `not >` also rejects NaN, which would reach the timer wheel.
+        if not self.period > 0 or math.isinf(self.period):
+            raise ValueError(f"period must be positive and finite, got {self.period!r}")
+        if self.fanout < 1:
+            raise ValueError(f"fanout must be >= 1, got {self.fanout!r}")
+        if self.message_size < 0:
+            raise ValueError(f"message_size must be >= 0, got {self.message_size!r}")
+
     @property
     def per_peer_tx_rate(self) -> float:
         """Average transmitted bytes/second per peer."""
-        if not self.enabled or self.period <= 0:
+        if not self.enabled:
             return 0.0
         return self.fanout * self.message_size / self.period

@@ -21,9 +21,9 @@ One kernel, three entry points
 Every copy of every message goes through one per-copy loop,
 :func:`repro.simulation._core.fan_out`. :meth:`Network.multicast` is the
 primitive, :meth:`Network.send` is its width-1 case, and
-:meth:`Network.send_aggregate` is the deliberate approximation (one burst,
-one latency draw, one shared delivery) that shares the guard stage, the
-link admission and the delivery callback. ``docs/networking.md`` is the
+:meth:`Network.send_aggregate` is the deliberate approximation for traffic
+nobody reads (one burst, one latency draw, no delivery) that shares the
+guard stage and the link admission. ``docs/networking.md`` is the
 decision guide; in short:
 
 * **per copy, in destination order**: the guards (disconnect set and drop
@@ -545,35 +545,46 @@ class Network:
         self.sim.schedule_records(self._deliver_multicast, records)
 
     def send_aggregate(self, src: str, dsts: Sequence[str], message: Message) -> None:
-        """Send one identical metadata message to each destination as a
-        single simulator event.
+        """Account one identical metadata message to each destination and
+        occupy the sender for the burst; deliver nothing.
 
         The aggregated-background path: a periodic emitter's fanout of
-        ``MembershipAlive`` copies coalesces into one scheduled delivery
-        instead of one or two events per copy. It shares the guard stage,
-        the link admission and the delivery callback of the other two
-        paths; relative to per-copy :meth:`send`:
+        ``MembershipAlive`` copies, which every receiver discards unread
+        and of which only the byte rate reaches a figure. Everything the
+        copies do to *other* traffic is kept, in the order a per-copy
+        :meth:`send` loop does it; the deliveries themselves, whose only
+        reader was a no-op handler, are not scheduled. ``dsts`` must be a
+        sequence (``len()`` and indexing): with no guard armed it is read in
+        place, not copied:
 
+        * drop rules (disconnected source/destination, drop filters) apply
+          per copy, before anything is recorded (the shared guard stage);
         * **byte accounting is exactly equivalent** — the monitor records
-          one ``wire_size`` message per destination at send time (the
-          delivery batching is invisible to every bandwidth figure);
+          one ``wire_size`` message per surviving destination at send time;
         * uplink serialization reserves the sender's NIC for the *total*
           bytes of the fanout, like the per-copy sends would;
-        * drop rules (disconnected source/destination, drop filters) apply
-          per copy, before anything is recorded;
         * the fanout crosses a live link as one burst: a single admission
           (one queue draw at most) for its total bytes, and a drop loses
           the whole batch;
-        * one propagation latency is drawn for the whole batch and the
-          copies are delivered together one transfer after arrival —
-          per-destination latency spread is dropped;
+        * an admitted burst draws one propagation latency from
+          ``network:latency:<src>``. The value is unused; the draw stays
+          because the sender's protocol sends share the stream, so
+          skipping it would move every later latency of that sender.
+
+        Given up relative to per-copy sends:
+
+        * no handler is called, no simulator event exists and, in sharded
+          mode, nothing crosses to another shard;
         * receiver-side downlink queueing is not modelled. Per-copy sends
           of default-sized background messages *do* cross the
           ``downlink_queue_min_bytes`` threshold and occupy receiver
-          downlinks (the seed's 100 KB messages did too); the aggregated
-          path deliberately trades that receive-contention detail away —
-          metadata is a small, steady fraction of any receiver's downlink,
-          and the golden tolerance check pins the resulting latency drift.
+          downlinks (the seed's 100 KB messages did too); metadata is a
+          small, steady fraction of any receiver's downlink, and the
+          golden tolerance check pins the resulting latency drift;
+        * a copy in flight at the instant its destination disconnects or
+          unregisters is not counted in ``dropped_messages``, as a
+          per-copy send's would be at its delivery: only the send-time
+          rules above count.
         """
         if src not in self._handlers:
             raise ValueError(f"unknown source node {src!r}")
@@ -581,46 +592,26 @@ class Network:
         # rejected call must not pollute drop counters or the monitor.
         if src in dsts:
             raise ValueError(f"{src!r} attempted to send a message to itself")
-        recipients: List[str] = []
+        recipients = dsts
         if self._n_disconnected or self._drop_filter is not None:
+            recipients = []
             self._guard(src, dsts, message, recipients)
-        else:
-            # Copied: the scheduled delivery must not alias a caller-owned list.
-            recipients.extend(dsts)
         if not recipients:
             return
         size = message.payload_size() + self._overhead
         port = self._ports.get(src)
         if port is None:
             port = self._open_port(src)
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
+        copies = len(recipients)
         self._record_multicast(now, src, recipients, message.kind, size)
-        transfer = size / self._bandwidth
         free_at = port[0]
-        uplink_done = (free_at if free_at > now else now) + transfer * len(recipients)
+        uplink_done = (free_at if free_at > now else now) + size / self._bandwidth * copies
         port[0] = uplink_done
-        if port[2] is not None:
-            uplink_done = self._admit_burst(port, size * len(recipients), uplink_done)
-            if uplink_done < 0.0:
-                self.dropped_messages += len(recipients)
-                return
-        arrival = uplink_done + port[1](src, recipients[0]) + transfer
-        owned = self._shard_owned
-        if owned is not None:
-            # Sharded mode: foreign recipients leave as single-phase
-            # records at the shared arrival; local recipients keep the one
-            # batched delivery event.
-            egress = self._shard_egress
-            for dst in recipients:
-                if dst not in owned:
-                    egress.append(("d", arrival, src, dst, message))
-            recipients = [dst for dst in recipients if dst in owned]
-            if not recipients:
-                return
-        sim.schedule_records(
-            self._deliver_multicast, (self._deliver_record(arrival, src, message, recipients),)
-        )
+        if port[2] is not None and self._admit_burst(port, size * copies, uplink_done) < 0.0:
+            self.dropped_messages += copies
+            return
+        port[1](src, recipients[0])
 
     def _admit_burst(self, port: list, size: int, at: float) -> float:
         """Admit ``size`` bytes to the sender's bottleneck link as one

@@ -115,7 +115,8 @@ EVENT_REDUCTION_FLOOR = 0.30
 # through the scenario registry, so exactly the same declaration replays
 # single-process and process-sharded (check_determinism(shards=N)).
 # The background scenario has no PR-1 counterpart; it pins the determinism
-# of the aggregated-emission path (wheel ticks, batched byte accounting).
+# of the aggregated-emission path (wheel ticks, batched byte accounting,
+# the bursts' NIC occupancy and latency-stream position; no delivery).
 # The recovery scenario likewise has no PR-1 counterpart: it pins the
 # fault-active branches — crash drops, state-info fanouts to dead peers,
 # catch-up batches after recovery. The wan-3-region scenario pins the

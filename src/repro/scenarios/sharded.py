@@ -59,6 +59,7 @@ from repro.net.network import NetworkConfig
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import dissemination_config, run_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.simulation import collector
 from repro.simulation._core import TrafficMonitor
 from repro.simulation.sharded import (
     InlineTransport,
@@ -103,17 +104,7 @@ def plan_for(
             org_members, config.org_regions, config.orderer_region
         )
     model = (config.network or NetworkConfig()).latency
-    # Aggregated background fanouts (send_aggregate) share a single
-    # latency draw that can come from the source's *fastest* link, so the
-    # tight cross-region lookahead is unsound for them — fall back to the
-    # model's global minimum delay whenever background traffic is armed.
-    return plan_shards(
-        nodes,
-        shards,
-        regions=regions,
-        latency_model=model,
-        region_lookahead=config.background is None,
-    )
+    return plan_shards(nodes, shards, regions=regions, latency_model=model)
 
 
 @dataclass
@@ -326,23 +317,25 @@ def _shard_worker_main(
     chaos_rng = chaos.make_rng() if chaos_armed else None
     windows_seen = 0
     try:
-        plan = plan_for(spec, shards, seed=seed, full=full)
-        session = ShardSession(
-            spec, seed, plan, shard_id, full=full, chaos=chaos, attempt=attempt
-        )
-        while True:
-            command = conn.recv()
-            op = command[0]
-            if op == "exit":
-                return
-            if chaos_armed and op == "window":
-                windows_seen += 1
-                if chaos.fires(windows_seen, chaos_rng):
-                    # kill/close never return; wedge/delay sleep, then
-                    # the command is served (late) below.
-                    chaos.act_in_process(conn)
-            conn.send(session.handle(command))
-            op = None
+        with collector.deployment() as built:
+            plan = plan_for(spec, shards, seed=seed, full=full)
+            session = ShardSession(
+                spec, seed, plan, shard_id, full=full, chaos=chaos, attempt=attempt
+            )
+            built()
+            while True:
+                command = conn.recv()
+                op = command[0]
+                if op == "exit":
+                    return
+                if chaos_armed and op == "window":
+                    windows_seen += 1
+                    if chaos.fires(windows_seen, chaos_rng):
+                        # kill/close never return; wedge/delay sleep, then
+                        # the command is served (late) below.
+                        chaos.act_in_process(conn)
+                conn.send(session.handle(command))
+                op = None
     except EOFError:
         return
     except (KeyboardInterrupt, SystemExit):
@@ -459,6 +452,33 @@ class ShardedScenarioRun:
         return self._snapshot
 
 
+def _drive_attempt(
+    transports: list,
+    spec: ScenarioSpec,
+    seed: int,
+    plan: ShardPlan,
+    full: bool,
+    health: RunHealth,
+) -> dict:
+    """Step ``transports`` through the window protocol and merge."""
+    config = dissemination_config(spec, seed=seed, full=full)
+    workload_end = config.blocks * config.block_period
+    coordinator = WindowedCoordinator(
+        transports,
+        plan,
+        workload_end=workload_end,
+        deadline=workload_end + config.grace_period,
+        idle_tail=config.idle_tail,
+        health=health,
+    )
+    try:
+        coordinator.run()
+        results = coordinator.collect()
+    finally:
+        coordinator.close()
+    return merge_shard_results(spec, seed, results)
+
+
 def _run_sharded_attempt(
     spec: ScenarioSpec,
     seed: int,
@@ -474,54 +494,39 @@ def _run_sharded_attempt(
     """One supervised execution attempt: build transports, drive the
     window protocol, merge. Raises ShardWorkerError on worker failure
     (all siblings already reaped by the coordinator)."""
-    config = dissemination_config(spec, seed=seed, full=full)
-    workload_end = config.blocks * config.block_period
-    deadline = workload_end + config.grace_period
     if mode == "inline":
-        transports = [
-            InlineTransport(
-                ShardSession(
-                    spec, seed, plan, shard_id, full=full, chaos=chaos, attempt=attempt
+        # One collector scope for the process: every shard's deployment is
+        # built before any of them is frozen. (A worker process opens its
+        # own, in _shard_worker_main.)
+        with collector.deployment() as built:
+            transports = [
+                InlineTransport(
+                    ShardSession(
+                        spec, seed, plan, shard_id, full=full, chaos=chaos, attempt=attempt
+                    )
                 )
-            )
-            for shard_id in range(plan.shards)
-        ]
-    elif mode == "processes":
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        transports = []
-        for shard_id in range(plan.shards):
-            parent, child = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_shard_worker_main,
-                args=(child, spec, seed, shards, shard_id, full, chaos, attempt),
-                daemon=True,
-            )
-            process.start()
-            child.close()
-            transports.append(
-                _CheckedPipeTransport(
-                    parent, process, shard_id=shard_id, supervision=supervision
-                )
-            )
-    else:
+                for shard_id in range(plan.shards)
+            ]
+            built()
+            return _drive_attempt(transports, spec, seed, plan, full, health)
+    if mode != "processes":
         raise ValueError(f"unknown sharded mode {mode!r}")
-    coordinator = WindowedCoordinator(
-        transports,
-        plan,
-        workload_end=workload_end,
-        deadline=deadline,
-        idle_tail=config.idle_tail,
-        health=health,
-    )
-    try:
-        coordinator.run()
-        results = coordinator.collect()
-    finally:
-        coordinator.close()
-    return merge_shard_results(spec, seed, results)
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    transports = []
+    for shard_id in range(plan.shards):
+        parent, child = context.Pipe(duplex=True)
+        process = context.Process(
+            target=_shard_worker_main,
+            args=(child, spec, seed, shards, shard_id, full, chaos, attempt),
+            daemon=True,
+        )
+        process.start()
+        child.close()
+        transports.append(
+            _CheckedPipeTransport(parent, process, shard_id=shard_id, supervision=supervision)
+        )
+    return _drive_attempt(transports, spec, seed, plan, full, health)
 
 
 def run_scenario_sharded(

@@ -254,7 +254,7 @@ class Simulator:
         the record's last slot the record itself can reclaim it into a
         free list inside the callback. The network uses it for the
         deliveries it schedules outside :func:`fan_out` (downlink grants,
-        aggregated batches, injected cross-shard records): one call frame
+        injected cross-shard records): one call frame
         schedules a whole group, sequence numbers are assigned in list
         order (consecutively, which the tie-grouping proof relies on), and
         steady-state dissemination allocates neither heap entries (engine

@@ -134,7 +134,6 @@ def plan_shards(
     regions: Optional[Dict[str, str]] = None,
     latency_model=None,
     min_lookahead: float = MIN_LOOKAHEAD,
-    region_lookahead: bool = True,
 ) -> ShardPlan:
     """Partition ``nodes`` and derive the window lookahead.
 
@@ -150,14 +149,12 @@ def plan_shards(
             lookahead bound (``min_delay`` /
             ``min_delay_between_regions``).
         min_lookahead: below this bound the plan degrades to shards=1.
-        region_lookahead: use the tighter minimum over *cross-shard
-            region pairs* as the lookahead. Only sound when every
-            cross-shard message is in flight for at least its own link's
-            bound — true for ``send``/``multicast`` (per-destination
-            latency draws) but NOT for ``send_aggregate``, whose whole
-            fanout shares one draw that may come from the fastest link.
-            Deployments with aggregated background traffic must pass
-            ``False`` to fall back to the global ``min_delay`` bound.
+
+    A region-aligned plan's lookahead is the minimum over *cross-shard
+    region pairs*: every message that crosses a shard draws its own
+    latency on its own link (``send``/``multicast``), and the one path
+    that shares a draw across a fanout, ``send_aggregate``, schedules no
+    delivery at all.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -178,7 +175,7 @@ def plan_shards(
         region_shard = {region: index % effective for index, region in enumerate(distinct)}
         owner_of = {node: region_shard[regions[node]] for node in nodes}
         min_between = getattr(latency_model, "min_delay_between_regions", None)
-        if region_lookahead and min_between is not None:
+        if min_between is not None:
             lookahead = min(
                 (
                     min_between(a, b)

@@ -34,6 +34,26 @@ def test_per_peer_tx_rate_calibration():
     assert BackgroundTrafficConfig(enabled=False).per_peer_tx_rate == 0.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("period", 0.0),
+        ("period", -0.25),
+        ("period", float("nan")),
+        ("period", float("inf")),
+        ("fanout", 0),
+        ("fanout", -1),
+        ("message_size", -30_000),
+    ],
+)
+def test_config_rejects_values_that_would_run_to_wrong_numbers(field, value):
+    """Before the check: a negative size ran to completion and reported
+    negative bytes, ``fanout=-1`` silently emitted nothing and a NaN period
+    died inside the timer wheel at ``start()``."""
+    with pytest.raises(ValueError, match=field):
+        BackgroundTrafficConfig(**{field: value})
+
+
 def test_message_sizes_match_config():
     host = FakeHost("p0")
     config = BackgroundTrafficConfig(period=1.0, fanout=1, message_size=12_345)

@@ -509,17 +509,6 @@ def test_multicast_handler_disconnecting_later_group_member_drops_it(sim):
     assert network.dropped_messages == 1
 
 
-def test_send_aggregate_handler_disconnecting_later_recipient_drops_it(sim):
-    network = make_network(sim)
-    register_sink(network, "a")
-    inbox_c = register_sink(network, "c")
-    network.register("b", lambda src, msg: network.set_disconnected("c", True))
-    network.send_aggregate("a", ["b", "c"], RawMessage(50))
-    sim.run()
-    assert inbox_c == []
-    assert network.dropped_messages == 1
-
-
 def test_multicast_drop_filter_that_disconnects_source_mid_fanout(sim):
     """Regression: a drop filter with side effects (fault injection
     disconnecting the source on first drop) must stop the rest of the
@@ -544,30 +533,29 @@ def test_multicast_drop_filter_that_disconnects_source_mid_fanout(sim):
     assert network.monitor.node_totals("a").by_kind_messages == {"tx:RawMessage": 1}
 
 
-# ----- aggregated sends (batched background traffic) -------------------------
+# ----- aggregated sends (background traffic: accounted, never delivered) -----
 
 
-def test_send_aggregate_delivers_to_every_destination(sim):
+def register_clock(network, sim, name):
+    """A sink that records when each delivery reaches ``name``."""
+    times = []
+    network.register(name, lambda src, msg: times.append(sim.now))
+    return times
+
+
+def test_send_aggregate_schedules_nothing_and_calls_no_handler(sim):
     network = make_network(sim)
     register_sink(network, "a")
-    inboxes = {name: register_sink(network, name) for name in ("b", "c", "d")}
-    network.send_aggregate("a", ["b", "c", "d"], RawMessage(100))
+    inboxes = [register_sink(network, name) for name in ("b", "c", "d")]
+    network.send("a", "b", RawMessage(10))  # something pending to compare against
+    pending = sim.pending_events
+    # A tuple: unguarded, the caller's sequence is read in place, not copied.
+    network.send_aggregate("a", ("b", "c", "d"), RawMessage(100))
+    assert sim.pending_events == pending
     sim.run()
-    for name, inbox in inboxes.items():
-        assert len(inbox) == 1
-        src, message = inbox[0]
-        assert src == "a" and message.payload_size() == 100
-
-
-def test_send_aggregate_is_one_simulator_event(sim):
-    network = make_network(sim)
-    register_sink(network, "a")
-    for name in ("b", "c", "d", "e"):
-        register_sink(network, name)
-    network.send_aggregate("a", ["b", "c", "d", "e"], RawMessage(100))
-    assert sim.pending_events == 1  # one batched delivery, not 4-8 events
-    sim.run()
-    assert sim.events_executed == 1
+    assert [len(inbox) for inbox in inboxes] == [1, 0, 0]  # the send's copy only
+    assert network.monitor.totals.messages == 4
+    assert network.dropped_messages == 0
 
 
 def test_send_aggregate_byte_accounting_matches_per_copy_sends(sim):
@@ -593,66 +581,56 @@ def test_send_aggregate_byte_accounting_matches_per_copy_sends(sim):
 
 
 def test_send_aggregate_reserves_uplink_for_total_bytes(sim):
-    """The batch serializes the full fanout through the sender's NIC, so a
-    later send queues behind all copies, like per-copy sends."""
+    """The burst occupies the sender's NIC for the full fanout, so a later
+    send queues behind all copies, like per-copy sends."""
     network = make_network(sim, bandwidth=1_000_000.0, latency=0.0)
     register_sink(network, "a")
-    inbox = register_sink(network, "b")
     register_sink(network, "c")
+    arrivals = register_clock(network, sim, "b")
     network.send_aggregate("a", ["b", "c"], RawMessage(100_000))  # 0.2 s uplink
-    network.send("a", "b", RawMessage(100_000))  # queues behind the batch
+    network.send("a", "b", RawMessage(0))  # queues behind the burst
     sim.run()
-    assert len(inbox) == 2
-    assert sim.now == pytest.approx(0.4)  # 0.2 batch + 0.1 queued + 0.1 transfer
+    assert arrivals == [pytest.approx(0.2)]
 
 
 def test_send_aggregate_drops_disconnected_destination_only(sim):
-    network = make_network(sim)
+    network = make_network(sim, bandwidth=1_000_000.0, latency=0.0)
     register_sink(network, "a")
-    inbox_b = register_sink(network, "b")
-    inbox_c = register_sink(network, "c")
+    register_sink(network, "b")
+    arrivals = register_clock(network, sim, "c")
     network.set_disconnected("b", True)
-    network.send_aggregate("a", ["b", "c"], RawMessage(50))
-    sim.run()
-    assert inbox_b == [] and len(inbox_c) == 1
+    network.send_aggregate("a", ["b", "c"], RawMessage(100_000))
     assert network.dropped_messages == 1
-    # The dropped copy was never recorded, exactly like send().
+    # The dropped copy was never recorded, exactly like send() ...
     assert network.monitor.node_totals("a").by_kind_messages == {"tx:RawMessage": 1}
+    assert network.monitor.node_totals("c").by_kind_messages == {"rx:RawMessage": 1}
+    assert "b" not in network.monitor.nodes()
+    # ... and never occupied the uplink: one copy's 0.1 s, not two.
+    network.send("a", "c", RawMessage(0))
+    sim.run()
+    assert arrivals == [pytest.approx(0.1)]
 
 
 def test_send_aggregate_from_disconnected_source_drops_everything(sim):
     network = make_network(sim)
     register_sink(network, "a")
-    inbox = register_sink(network, "b")
+    register_sink(network, "b")
     network.set_disconnected("a", True)
     network.send_aggregate("a", ["b"], RawMessage(50))
-    sim.run()
-    assert inbox == []
     assert network.dropped_messages == 1
     assert network.monitor.nodes() == []
 
 
 def test_send_aggregate_applies_drop_filter_per_copy(sim):
     network = make_network(sim)
-    register_sink(network, "a")
-    inbox_b = register_sink(network, "b")
-    inbox_c = register_sink(network, "c")
+    for name in ("a", "b", "c"):
+        register_sink(network, name)
     network.set_drop_filter(lambda src, dst, message: dst == "b")
     network.send_aggregate("a", ["b", "c"], RawMessage(50))
-    sim.run()
-    assert inbox_b == [] and len(inbox_c) == 1
     assert network.dropped_messages == 1
-
-
-def test_send_aggregate_disconnect_mid_flight_drops_at_delivery(sim):
-    network = make_network(sim)
-    register_sink(network, "a")
-    inbox = register_sink(network, "b")
-    network.send_aggregate("a", ["b"], RawMessage(50))
-    network.set_disconnected("b", True)
-    sim.run()
-    assert inbox == []
-    assert network.dropped_messages == 1
+    assert network.monitor.node_totals("a").by_kind_messages == {"tx:RawMessage": 1}
+    assert network.monitor.node_totals("c").by_kind_messages == {"rx:RawMessage": 1}
+    assert "b" not in network.monitor.nodes()
 
 
 def test_send_aggregate_rejects_self_and_unknown_source(sim):
@@ -691,12 +669,11 @@ def test_send_aggregate_self_send_rejected_before_any_state_change(sim):
 def test_send_aggregate_drop_filter_that_disconnects_source_mid_fanout(sim):
     """Regression for partial-drop fanouts: when the drop filter's side
     effect disconnects the source mid-fanout, the copies after the fault
-    must drop through the disconnect rule (not reach the shared event),
-    keeping monitor accounting and drop counters exactly in step with a
-    per-copy send loop."""
+    must drop through the disconnect rule, keeping monitor accounting and
+    drop counters exactly in step with a per-copy send loop."""
     network = make_network(sim)
-    register_sink(network, "a")
-    inboxes = {name: register_sink(network, name) for name in ("b", "c", "d")}
+    for name in ("a", "b", "c", "d"):
+        register_sink(network, name)
 
     def drop_and_kill(src, dst, message):
         if dst == "c":
@@ -706,20 +683,19 @@ def test_send_aggregate_drop_filter_that_disconnects_source_mid_fanout(sim):
 
     network.set_drop_filter(drop_and_kill)
     network.send_aggregate("a", ["b", "c", "d"], RawMessage(50))
-    sim.run()
-    assert len(inboxes["b"]) == 1  # accepted before the fault
-    assert inboxes["c"] == [] and inboxes["d"] == []
-    # One filtered copy plus one disconnected-source copy.
+    # One filtered copy plus one disconnected-source copy; only the copy
+    # accepted before the fault is recorded.
     assert network.dropped_messages == 2
     assert network.monitor.node_totals("a").by_kind_messages == {"tx:RawMessage": 1}
+    assert sorted(network.monitor.nodes()) == ["a", "b"]
 
 
 def test_send_aggregate_drop_filter_swapping_itself_mid_fanout(sim):
     """The filter is re-read per copy: a filter that uninstalls itself
     after the first drop must stop affecting the rest of the fanout."""
     network = make_network(sim)
-    register_sink(network, "a")
-    inboxes = {name: register_sink(network, name) for name in ("b", "c", "d")}
+    for name in ("a", "b", "c", "d"):
+        register_sink(network, name)
 
     def drop_once(src, dst, message):
         network.set_drop_filter(None)
@@ -727,10 +703,73 @@ def test_send_aggregate_drop_filter_swapping_itself_mid_fanout(sim):
 
     network.set_drop_filter(drop_once)
     network.send_aggregate("a", ["b", "c", "d"], RawMessage(50))
-    sim.run()
-    assert inboxes["b"] == []
-    assert len(inboxes["c"]) == 1 and len(inboxes["d"]) == 1
     assert network.dropped_messages == 1
+    assert network.monitor.node_totals("a").by_kind_messages == {"tx:RawMessage": 2}
+    assert sorted(network.monitor.nodes()) == ["a", "c", "d"]
+
+
+def _lossy_link_network(sim, queue_bytes):
+    """A twin-able network behind a 1 MB/s link with a bounded queue and a
+    random (LAN) latency, so every admitted copy moves the latency stream."""
+    from repro.net.link import LinkModel
+
+    config = NetworkConfig(
+        envelope_overhead=0,
+        link=LinkModel(bandwidth=1_000_000.0, queue_bytes=queue_bytes),
+    )
+    network = Network(sim, RandomStreams(1), config)
+    for name in ("a", "b", "c"):
+        register_sink(network, name)
+    return network
+
+
+def test_send_aggregate_draws_latency_like_one_width_one_send(sim):
+    """The stream ``network:latency:<src>`` is shared with the sender's
+    protocol sends: an admitted burst advances it exactly as one ``send``
+    does, whatever the fanout width."""
+    from repro.simulation import Simulator
+
+    network = _lossy_link_network(sim, queue_bytes=1e9)
+    twin = _lossy_link_network(Simulator(), queue_bytes=1e9)
+    before = network.latency_rng("a").getstate()
+    network.send_aggregate("a", ["b", "c"], RawMessage(1_000))
+    twin.send("a", "b", RawMessage(1_000))
+    assert network.latency_rng("a").getstate() != before
+    assert network.latency_rng("a").getstate() == twin.latency_rng("a").getstate()
+
+
+def test_send_aggregate_draws_nothing_when_no_copy_leaves(sim):
+    """Guarded away entirely, or dropped by the link as a burst: no
+    latency draw, exactly like per-copy sends that never left."""
+    from repro.simulation import Simulator
+
+    network = _lossy_link_network(sim, queue_bytes=10_000.0)
+    twin = _lossy_link_network(Simulator(), queue_bytes=10_000.0)
+    for each in (network, twin):
+        each.send("a", "b", RawMessage(50_000))  # 50 ms of backlog, queue holds 10 ms
+    network.set_disconnected("b", True)
+    network.send_aggregate("a", ["b"], RawMessage(1_000))
+    assert network.dropped_messages == 1
+    network.set_disconnected("b", False)
+    network.send_aggregate("a", ["b", "c"], RawMessage(1_000))
+    assert network.dropped_messages == 3
+    assert network.link_summary()["dropped_tail"] == 1
+    assert network.latency_rng("a").getstate() == twin.latency_rng("a").getstate()
+    assert sim.pending_events == twin.sim.pending_events
+
+
+def test_send_aggregate_to_foreign_shard_appends_no_egress_record(sim):
+    network = make_network(sim)
+    for name in ("a", "b", "c"):
+        register_sink(network, name)
+    egress = []
+    network.enable_shard_egress({"a", "b"}, egress)
+    network.send_aggregate("a", ["b", "c"], RawMessage(100))  # c is foreign
+    assert egress == []
+    assert sim.pending_events == 0
+    assert network.monitor.node_totals("c").by_kind_messages == {"rx:RawMessage": 1}
+    network.send("a", "c", RawMessage(100))  # the per-copy path does cross
+    assert [record[3] for record in egress] == ["c"]
 
 
 def _shard_records():

@@ -63,6 +63,21 @@ def test_plan_for_wan_scenario_is_region_aligned():
     assert len(owners) == 1
 
 
+def test_background_traffic_does_not_shorten_the_wan_lookahead():
+    """Aggregated background copies never cross a shard (they are never
+    delivered), so they cannot hold the window below the cross-shard
+    region-pair bound; before, background forced the intra-region
+    ``min_delay`` and 1,008 window rounds on this run."""
+    spec = get_scenario("wan-3-region")
+    assert spec.background
+    plan = plan_for(spec, shards=3)
+    quiet = plan_for(spec.with_overrides(background=False), shards=3)
+    assert plan.lookahead == quiet.lookahead == pytest.approx(0.042)
+    run = run_scenario_sharded(spec, seed=1, shards=3, mode="inline")
+    assert run.mode == "inline"
+    assert 0 < run.health.window_rounds < 400
+
+
 def test_run_scenario_sharded_falls_back_to_single():
     # A one-region topology cannot be region-partitioned into two shards.
     spec = _tiny_spec(topology=RegionTopology(regions=("solo",)))

@@ -57,21 +57,6 @@ def test_plan_region_aligned_uses_cross_shard_link_minimum():
     assert plan.lookahead == pytest.approx(0.050)
 
 
-def test_plan_region_lookahead_can_be_disabled():
-    regions = {name: ("east" if i % 2 else "west") for i, name in enumerate(NODES)}
-    model = TopologyLatency(
-        {
-            ("east", "east"): (0.002,),
-            ("west", "west"): (0.002,),
-            ("east", "west"): (0.050,),
-        }
-    )
-    plan = plan_shards(
-        NODES, 2, regions=regions, latency_model=model, region_lookahead=False
-    )
-    assert plan.lookahead == pytest.approx(0.002)
-
-
 def test_plan_caps_shards_at_region_count():
     regions = {name: ("east" if i % 2 else "west") for i, name in enumerate(NODES)}
     model = TopologyLatency({("east", "west"): (0.040,)}, default=0.010)
