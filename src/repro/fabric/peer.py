@@ -84,10 +84,12 @@ class Peer(Process):
         if type(self).get_block is Peer.get_block:
             self.get_block = self.blockchain.get_any
         # Unified exact-type dispatch table: the gossip module's entries
-        # merged with the peer-level message types, so _on_message resolves
-        # every message class with a single dict probe. None until a
-        # module with a dispatch table is attached; modules without one
-        # (custom subclasses) keep the handle()/isinstance fallback chain.
+        # merged with the peer-level message types. While the peer is
+        # alive the network holds it (Network.set_dispatch) and calls the
+        # handlers directly; _on_message is the fallback for everything
+        # else. None until a module with a dispatch table is attached;
+        # modules without one (custom subclasses) keep the
+        # handle()/isinstance fallback chain.
         self._dispatch_all: Optional[dict] = None
         network.register(self.name, self._on_message)
 
@@ -111,6 +113,14 @@ class Peer(Process):
             }
             table.update(gossip_dispatch)
             self._dispatch_all = table
+            self._publish_dispatch()
+
+    def _publish_dispatch(self) -> None:
+        """Hand the network the dispatch table, by reference (the fault
+        layer rewrites entries in place). A subclass that overrides
+        ``_on_message`` keeps every delivery for itself."""
+        if self._dispatch_all is not None and type(self)._on_message is Peer._on_message:
+            self.network.set_dispatch(self.name, self._dispatch_all)
 
     def attach_background(self, config: BackgroundTrafficConfig) -> None:
         self.background = BackgroundTraffic(self, self.view, config)
@@ -285,6 +295,17 @@ class Peer(Process):
         self._pump_validation()
 
     # ----- faults -------------------------------------------------------------
+
+    def shutdown(self) -> None:
+        """Stop timers, mark the peer dead and withdraw its dispatch table:
+        a dead but still connected peer (churn leave) hears nothing, and
+        the per-message path needs no liveness test."""
+        super().shutdown()
+        self.network.set_dispatch(self.name, None)
+
+    def restart(self) -> None:
+        super().restart()
+        self._publish_dispatch()
 
     def crash(self) -> None:
         """Crash the peer: stop timers, drop in-flight work, disconnect."""

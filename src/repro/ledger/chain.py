@@ -3,15 +3,15 @@
 Peers must append blocks in sequence: block ``k+1`` both references block
 ``k`` by hash and reads state written by it, so a peer holding blocks
 ``k+1, k+2`` but missing ``k`` cannot commit any of them. The chain store
-therefore separates *received* blocks (any order, e.g. via gossip) from the
-*committed* prefix, exposing the next committable blocks to the validation
+therefore tells *received* blocks (any order, e.g. via gossip) from the
+*committed* prefix, exposing the next committable block to the validation
 pipeline. This head-of-line blocking is what turns one slow dissemination
 into a multi-block state lag — the effect behind the paper's Table II.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
 
@@ -21,57 +21,62 @@ class ChainError(RuntimeError):
 
 
 class Blockchain:
-    """Received-block buffer + committed chain of one peer."""
+    """Received-block buffer + committed chain of one peer.
+
+    Every block the peer holds sits in one ``{number: block}`` dict; the
+    committed prefix is the numbers ``[0, height)``, anything above it is
+    buffered. "Do I hold block k" — asked once per received digest — is
+    therefore the dict's own ``get``, with no Python frame.
+    """
+
+    # Committed or buffered block, for serving gossip requests; None when
+    # the peer does not hold it. Bound to the block dict's ``get``.
+    get_any: Callable[[int], Optional[Block]]
 
     def __init__(self) -> None:
-        self._committed: List[Block] = []
-        self._pending: Dict[int, Block] = {}
+        self._blocks: Dict[int, Block] = {}
+        self._height = 0
+        self._top = -1  # highest number held, committed or buffered
+        self.get_any = self._blocks.get
 
     @property
     def height(self) -> int:
         """Number of committed blocks (the Fabric ledger height)."""
-        return len(self._committed)
+        return self._height
 
     @property
     def next_commit_number(self) -> int:
-        return len(self._committed)
+        return self._height
 
     def tip_hash(self) -> str:
         """Hash of the last committed block; genesis constant when empty."""
-        if not self._committed:
+        if not self._height:
             return GENESIS_PREVIOUS_HASH
-        return self._committed[-1].block_hash
+        return self._blocks[self._height - 1].block_hash
 
     def has_block(self, number: int) -> bool:
         """True if the block is committed or buffered (gossip dedup check)."""
-        return number < len(self._committed) or number in self._pending
+        return number in self._blocks
 
     def get_committed(self, number: int) -> Optional[Block]:
-        if 0 <= number < len(self._committed):
-            return self._committed[number]
-        return None
-
-    def get_any(self, number: int) -> Optional[Block]:
-        """Committed or buffered block, for serving gossip requests.
-
-        Called once per received digest — the committed-range check is
-        inlined rather than delegated to :meth:`get_committed`.
-        """
-        committed = self._committed
-        if 0 <= number < len(committed):
-            return committed[number]
-        return self._pending.get(number)
+        return self._blocks[number] if 0 <= number < self._height else None
 
     def receive(self, block: Block) -> bool:
         """Buffer a block received from the network.
 
         Returns True if the block is new, False for duplicates. Blocks may
-        arrive in any order; commit order is enforced by :meth:`pop_ready`.
+        arrive in any order; commit order is enforced by :meth:`commit`.
         """
-        if self.has_block(block.number):
+        number = block.number
+        if number in self._blocks:
             return False
-        self._pending[block.number] = block
+        self._hold(number, block)
         return True
+
+    def _hold(self, number: int, block: Block) -> None:
+        self._blocks[number] = block
+        if number > self._top:
+            self._top = number
 
     def peek_ready(self) -> Optional[Block]:
         """The next in-sequence block awaiting commit, if buffered.
@@ -80,7 +85,7 @@ class Blockchain:
         it keeps being advertised and served to other peers while its
         validation is in flight.
         """
-        return self._pending.get(len(self._committed))
+        return self._blocks.get(self._height)
 
     def check_next(self, block: Block) -> None:
         """Raise :class:`ChainError` unless ``block`` may be committed next.
@@ -89,7 +94,7 @@ class Blockchain:
         hash — the integrity checks any Fabric peer performs, before the
         block's writes reach its world state.
         """
-        expected = len(self._committed)
+        expected = self._height
         if block.number != expected:
             raise ChainError(f"commit out of order: got #{block.number}, expected #{expected}")
         if block.header.previous_hash != self.tip_hash():
@@ -101,11 +106,11 @@ class Blockchain:
         """Append a validated block to the committed chain (checked by
         :meth:`check_next`)."""
         self.check_next(block)
-        self._pending.pop(block.number, None)
-        self._committed.append(block)
+        self._hold(block.number, block)
+        self._height += 1
 
     def committed_blocks(self) -> List[Block]:
-        return list(self._committed)
+        return [self._blocks[number] for number in range(self._height)]
 
     def missing_ranges(self, up_to_height: int) -> List[int]:
         """Block numbers below ``up_to_height`` that this peer lacks.
@@ -113,21 +118,14 @@ class Blockchain:
         Used by the recovery component: a peer that observes another peer's
         higher ledger height requests the consecutive missing blocks.
         """
-        return [
-            number
-            for number in range(len(self._committed), up_to_height)
-            if number not in self._pending
-        ]
+        return [n for n in range(self._height, up_to_height) if n not in self._blocks]
 
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self._blocks) - self._height
 
     def max_known_number(self) -> int:
         """Highest block number held (committed or buffered); -1 if none."""
-        highest = len(self._committed) - 1
-        if self._pending:
-            highest = max(highest, max(self._pending))
-        return highest
+        return self._top
 
     def known_numbers(self, window: int) -> List[int]:
         """Block numbers held within ``window`` of the highest known one.
@@ -135,21 +133,13 @@ class Blockchain:
         This is the content of a pull digest response: Fabric's message
         store only advertises recent blocks.
         """
-        top = self.max_known_number()
-        if top < 0:
-            return []
-        low = max(0, top - window + 1)
-        # The committed prefix is contiguous; only numbers above it need a
-        # lookup, and there are none once the peer has caught up.
-        height = len(self._committed)
-        numbers = list(range(low, height))
-        numbers.extend(n for n in range(max(low, height), top + 1) if n in self._pending)
-        return numbers
+        top = self._top
+        return [n for n in range(max(0, top - window + 1), top + 1) if n in self._blocks]
 
     def verify_committed_chain(self) -> bool:
         """Full-chain integrity scan (tests / audits)."""
         previous = GENESIS_PREVIOUS_HASH
-        for index, block in enumerate(self._committed):
+        for index, block in enumerate(self.committed_blocks()):
             if block.number != index or block.header.previous_hash != previous:
                 return False
             if not block.verify_data_hash():

@@ -12,8 +12,10 @@ Delivery time of a message from A to B decomposes as:
 * **downlink serialization** at B, modelling receive-side contention when
   many peers push the same block to one target.
 
-Nodes register a handler; the fault layer can additionally drop messages or
-disconnect nodes. All traffic is accounted in the :class:`TrafficMonitor`.
+Nodes register a handler and may hand the network a ``{message class:
+handler}`` table that deliveries probe first (:meth:`Network.set_dispatch`);
+the fault layer can additionally drop messages or disconnect nodes. All
+traffic is accounted in the :class:`TrafficMonitor`.
 
 One kernel, three entry points
 ------------------------------
@@ -30,7 +32,7 @@ decision guide; in short:
   filter, re-read for every copy so a filter that mutates fault state
   mid-fanout acts on the remaining copies), the sender's NIC reservation,
   link admission (tail drop, then at most one CoDel draw), the latency
-  draw, the shard-egress decision and the pooled delivery record with its
+  draw, the shard-egress decision and the delivery event with its
   sequence number;
 * **per call**: argument validation, the sender's state lookup (its
   *port*: NIC, link queue, bound latency sampler), and the traffic
@@ -68,11 +70,6 @@ from repro.simulation.random import RandomStreams
 Handler = Callable[[str, Message], None]
 
 GIGABIT_PER_SECOND_BYTES = 125_000_000  # 1 Gbps full duplex, per direction
-
-# Free-list bound for pooled multicast delivery records (same spirit as the
-# engine's entry pool): steady-state dissemination cycles a few dozen
-# records; the cap only matters after pathological bursts.
-_RECORD_POOL_MAX = 4096
 
 
 @dataclass
@@ -150,6 +147,10 @@ class Network:
             raise ValueError("bandwidth must be positive")
         self._streams = streams
         self._handlers: Dict[str, Handler] = {}
+        # Per-node {message class: handler} tables (set_dispatch): a
+        # delivery probes the destination's table by exact class and falls
+        # back to the registered handler.
+        self._dispatch: Dict[str, Dict[type, Handler]] = {}
         self._downlink_free_at: Dict[str, float] = {}
         self._disconnected: Dict[str, bool] = {}
         # Count of currently disconnected nodes: lets every send skip the
@@ -193,16 +194,10 @@ class Network:
         # window barrier.
         self._shard_owned: Optional[frozenset] = None
         self._shard_egress: Optional[list] = None
-        # Free lists for delivery/arrival records. Each record's last slot
-        # is the record itself, so the engine's ``callback(*rec)`` hands
-        # the callback its own record to reclaim — zero allocations per
-        # recipient in steady state. _phases[two_phase] is the ``phase``
-        # argument of _core.fan_out.
-        self._deliver_pool: list = []
-        self._arrive_pool: list = []
+        # _phases[two_phase] is the ``phase`` argument of _core.fan_out.
         self._phases = (
-            (False, self._deliver_pool, self._deliver_multicast),
-            (True, self._arrive_pool, self._arrive_multicast),
+            (False, self._deliver_multicast),
+            (True, self._arrive_multicast),
         )
 
     def register(self, name: str, handler: Handler) -> None:
@@ -213,8 +208,27 @@ class Network:
         # comparison in the common case.
         self._handlers[sys.intern(name)] = handler
 
-    def unregister(self, name: str) -> None:
-        self._handlers.pop(name, None)
+    def set_dispatch(self, name: str, table: Optional[Dict[type, Handler]]) -> None:
+        """Give node ``name`` a ``{message class: handler}`` table, or
+        withdraw it with ``None``.
+
+        A delivery looks the message's exact class up in the destination's
+        table and calls that handler directly; on a miss, or for a node
+        without a table, it calls the registered handler. The table is
+        held by reference, so its owner may rewrite entries in place.
+        """
+        if name not in self._handlers:
+            raise ValueError(f"unknown node {name!r}")
+        if table is None:
+            self._dispatch.pop(name, None)
+        else:
+            self._dispatch[name] = table
+
+    def replace_handler(self, name: str, handler: Handler) -> None:
+        """Route every delivery for the registered node ``name`` to
+        ``handler`` from now on; its class table, if any, is dropped."""
+        self.set_dispatch(name, None)
+        self._handlers[name] = handler
 
     def region_of(self, name: str) -> Optional[str]:
         """The node's region in a multi-datacenter topology, if placed."""
@@ -222,6 +236,8 @@ class Network:
 
     def set_disconnected(self, name: str, disconnected: bool) -> None:
         """Simulate a node dropping off the network (crash / partition)."""
+        if name not in self._handlers:
+            raise ValueError(f"unknown node {name!r}")
         previously = self._disconnected.get(name, False)
         if disconnected and not previously:
             self._n_disconnected += 1
@@ -298,31 +314,15 @@ class Network:
         (time, then source-shard id, then send order); scheduling them in
         that order assigns consecutive sequence numbers, which fixes the
         relative order of same-time injected events deterministically.
-        Each run of records with the same callback goes to the engine in
-        one ``schedule_records`` call, which numbers them in list order.
         """
-        schedule = self.sim.schedule_records
+        schedule = self.sim.schedule_call
         deliver = self._deliver_multicast
         arrive = self._arrive_multicast
-        deliver_record = self._deliver_record
-        callback = deliver
-        run: List[list] = []
         for rec in records:
             if rec[0] == "d":
-                kind = deliver
-                out = deliver_record(rec[1], rec[2], rec[4], rec[3])
+                schedule(rec[1], deliver, (rec[2], rec[4], rec[3]))
             else:
-                kind = arrive
-                out = [rec[1], rec[2], rec[4], rec[3], rec[5], None]
-                out[5] = out
-            if kind is not callback:
-                if run:
-                    schedule(callback, run)
-                    run = []
-                callback = kind
-            run.append(out)
-        if run:
-            schedule(callback, run)
+                schedule(rec[1], arrive, (rec[2], rec[4], rec[3], rec[5]))
 
     def wire_size(self, message: Message) -> int:
         """Bytes on the wire: payload plus fixed envelope."""
@@ -453,58 +453,33 @@ class Network:
         if dropped:
             self.dropped_messages += dropped
 
-    def _deliver_record(self, time: float, src: str, message: Message, target) -> list:
-        """A pooled single-phase delivery record ``[time, src, message,
-        target, record]`` for :meth:`_deliver_multicast`."""
-        pool = self._deliver_pool
-        if pool:
-            rec = pool.pop()
-            rec[0] = time
-            rec[1] = src
-            rec[2] = message
-            rec[3] = target
-        else:
-            rec = [time, src, message, target, None]
-            rec[4] = rec
-        return rec
-
-    def _deliver_multicast(self, time: float, src: str, message: Message, target, rec: list) -> None:
-        # Reclaim the pooled record first (locals hold everything needed).
-        # Only the message slot is cleared: a parked record must not pin a
-        # 160 KB block, while node-name strings are interned and live for
-        # the whole run anyway.
-        rec[2] = None
-        pool = self._deliver_pool
-        if len(pool) < _RECORD_POOL_MAX:
-            pool.append(rec)
-        handlers = self._handlers
+    def _deliver_multicast(self, src: str, message: Message, target) -> None:
+        """Hand ``message`` to ``target`` (a node, or the list of nodes
+        whose copies tied on one delivery time)."""
         if target.__class__ is list:
+            # One copy at a time, so the disconnect state is re-read per
+            # copy: a handler earlier in the group may disconnect a later
+            # recipient, and the per-copy send loop this path must match
+            # would drop that copy at its own delivery event.
             for dst in target:
-                # Disconnect state is re-read per copy: a handler earlier
-                # in the group may disconnect a later recipient, and the
-                # per-copy send loop this path must match would drop that
-                # copy at its own delivery event.
-                if self._n_disconnected and self._disconnected.get(dst):
-                    self.dropped_messages += 1
-                    continue
-                handler = handlers.get(dst)
-                if handler is None:
-                    self.dropped_messages += 1
-                    continue
-                handler(src, message)
+                self._deliver_multicast(src, message, dst)
             return
         if self._n_disconnected and self._disconnected.get(target):
             self.dropped_messages += 1
             return
-        handler = handlers.get(target)
+        table = self._dispatch.get(target)
+        if table is not None:
+            handler = table.get(message.__class__)
+            if handler is not None:
+                handler(src, message)
+                return
+        handler = self._handlers.get(target)
         if handler is None:
             self.dropped_messages += 1
             return
         handler(src, message)
 
-    def _arrive_multicast(
-        self, time: float, src: str, message: Message, target, transfer: float, rec: list
-    ) -> None:
+    def _arrive_multicast(self, src: str, message: Message, target, transfer: float) -> None:
         """Phase two of a large copy: grant receiver downlinks.
 
         Receive-side queueing must be resolved in ARRIVAL order, not send
@@ -514,35 +489,30 @@ class Network:
         arrival time and reserves each destination's downlink in
         destination order — tied arrivals carry consecutive sequence
         numbers, so that is the order separate events would run in.
-        Deliveries are then scheduled through the pooled single-phase
-        records, re-grouping any delivery-time ties.
+        Deliveries are then scheduled in that order, re-grouping any
+        delivery-time ties.
         """
-        rec[2] = None
-        pool = self._arrive_pool
-        if len(pool) < _RECORD_POOL_MAX:
-            pool.append(rec)
         now = self.sim._now
         downlink_free_at = self._downlink_free_at
         if target.__class__ is not list:
             target = (target,)
-        records: list = []
-        previous_time = -1.0
-        previous_rec: Optional[list] = None
+        deliveries: List[list] = []  # [time, node or tied nodes]
         for dst in target:
             free_at = downlink_free_at.get(dst, 0.0)
             delivered = (free_at if free_at > now else now) + transfer
             downlink_free_at[dst] = delivered
-            if delivered == previous_time:
-                grouped = previous_rec[3]
-                if grouped.__class__ is list:
-                    grouped.append(dst)
+            if deliveries and deliveries[-1][0] == delivered:
+                tied = deliveries[-1]
+                if tied[1].__class__ is list:
+                    tied[1].append(dst)
                 else:
-                    previous_rec[3] = [grouped, dst]
-                continue
-            previous_rec = self._deliver_record(delivered, src, message, dst)
-            previous_time = delivered
-            records.append(previous_rec)
-        self.sim.schedule_records(self._deliver_multicast, records)
+                    tied[1] = [tied[1], dst]
+            else:
+                deliveries.append([delivered, dst])
+        schedule = self.sim.schedule_call
+        deliver = self._deliver_multicast
+        for delivered, grouped in deliveries:
+            schedule(delivered, deliver, (src, message, grouped))
 
     def send_aggregate(self, src: str, dsts: Sequence[str], message: Message) -> None:
         """Account one identical metadata message to each destination and
@@ -581,10 +551,9 @@ class Network:
           downlinks (the seed's 100 KB messages did too); metadata is a
           small, steady fraction of any receiver's downlink, and the
           golden tolerance check pins the resulting latency drift;
-        * a copy in flight at the instant its destination disconnects or
-          unregisters is not counted in ``dropped_messages``, as a
-          per-copy send's would be at its delivery: only the send-time
-          rules above count.
+        * a copy in flight at the instant its destination disconnects is
+          not counted in ``dropped_messages``, as a per-copy send's would
+          be at its delivery: only the send-time rules above count.
         """
         if src not in self._handlers:
             raise ValueError(f"unknown source node {src!r}")

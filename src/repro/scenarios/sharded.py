@@ -196,11 +196,12 @@ class ShardSession:
         self.owned_peers = [name for name in net.peers if name in owned]
         self._egress: List[tuple] = []
         net.network.enable_shard_egress(owned, self._egress)
-        for name in net.peers:
+        # A delivery for a node another shard executes is a routing bug:
+        # replace_handler also drops the replica's class table, so the
+        # guard cannot be bypassed.
+        for name in [*net.peers, "orderer"]:
             if name not in owned:
-                net.network._handlers[name] = _foreign_handler(name, shard_id)
-        if "orderer" not in owned:
-            net.network._handlers["orderer"] = _foreign_handler("orderer", shard_id)
+                net.network.replace_handler(name, _foreign_handler(name, shard_id))
         self.schedule = compile_fault_schedule(spec.faults, net, owned=owned)
         for name in self.owned_peers:
             net.peers[name].start()

@@ -13,8 +13,8 @@ One scope, no parameters, for the code that owns a run
 left behind must not be frozen along), paused while it builds and starts,
 then — ``built()`` — everything alive is moved to the permanent generation
 *before* the collector is switched back on, so the collections that go on
-during the event loop (they reclaim the self-referential pooled records
-dropped on pool overflow) walk only what the loop allocates. Enabling
+during the event loop (they find nothing: the loop allocates no cycles)
+walk only what the loop allocates. Enabling
 first would make the very next allocation run a young pass over the whole
 unpromoted deployment, which is most of the cost this module exists to
 remove: a pause without the freeze was measured inside a bare

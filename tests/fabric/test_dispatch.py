@@ -1,0 +1,214 @@
+"""How a delivery finds its handler: the network's per-node class table,
+the registered ``Peer._on_message`` fallback behind it, and what a peer's
+lifecycle does to both. Behaviour only: every test sends through
+``Network.send`` and looks at what the peer did."""
+
+import pytest
+
+from repro.experiments.builders import build_network
+from repro.fabric.messages import EndorsementRequest, OrdererBlock
+from repro.fabric.peer import Peer
+from repro.faults.adversaries import DigestLiarFault
+from repro.gossip.base import GossipModule
+from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
+from repro.gossip.enhanced import EnhancedGossip
+from repro.gossip.leader_election import LeadershipHeartbeat
+from repro.gossip.messages import (
+    BlockPush,
+    MembershipAlive,
+    PullBlockRequest,
+    PullBlockResponse,
+    PullDigestRequest,
+    PullDigestResponse,
+    PushDigest,
+    PushRequest,
+    RecoveryRequest,
+    RecoveryResponse,
+    StateInfo,
+)
+from repro.gossip.view import OrganizationView
+from repro.net.message import RawMessage
+
+from tests.conftest import make_chain
+
+
+def one_of_each(block):
+    """An instance of every message class a peer knows a handler for."""
+    return [
+        BlockPush(block, counter=1),
+        PushDigest(0, block.block_hash, 1),
+        PushRequest(0, 1),
+        PullDigestRequest(),
+        PullDigestResponse([0]),
+        PullBlockRequest([0]),
+        PullBlockResponse([block]),
+        StateInfo(1),
+        RecoveryRequest(0, 1),
+        RecoveryResponse([block]),
+        MembershipAlive(100),
+        LeadershipHeartbeat(1),
+        OrdererBlock(block),
+        EndorsementRequest("request-1", "counter", ()),
+    ]
+
+
+@pytest.mark.parametrize(
+    "gossip", [EnhancedGossipConfig.paper_f4(), OriginalGossipConfig()], ids=["enhanced", "original"]
+)
+def test_network_delivery_reaches_the_handler_on_message_picks(gossip):
+    net = build_network(n_peers=4, gossip=gossip, seed=3)
+    peer = net.peers["peer-2"]
+    table = peer._dispatch_all
+    messages = [m for m in one_of_each(make_chain([1])[0]) if type(m) in table]
+    assert {type(m) for m in messages} == set(table), "extend one_of_each()"
+    calls = []
+    for message_class, handler in list(table.items()):
+        # Rewritten in place, as the fault layer does: the table the
+        # network holds is this very dict.
+        table[message_class] = lambda src, message, handler=handler: calls.append(
+            (handler, src, message)
+        )
+    for message in messages:
+        net.network.send("peer-1", "peer-2", message)
+    net.sim.run(until=1.0)
+    through_network, calls[:] = list(calls), []
+    for message in messages:
+        peer._on_message("peer-1", message)
+    assert len(through_network) == len(messages)
+    key = lambda call: type(call[2]).__name__  # noqa: E731 - arrival order differs by size
+    assert sorted(through_network, key=key) == sorted(calls, key=key)
+
+
+class _NoTableGossip(GossipModule):
+    """A custom module without a ``_dispatch`` table: ``handle()`` only."""
+
+    def __init__(self, host, view):
+        super().__init__(host, view)
+        self.handled = []
+
+    def _start_components(self):
+        pass
+
+    def handle(self, src, message):
+        self.handled.append((src, message))
+        return True
+
+
+def make_peer(sim, network, streams, cls=Peer, name="peer-0"):
+    from repro.crypto.identity import MembershipServiceProvider
+
+    identity = MembershipServiceProvider(domain=name).enroll(name, "org0", "peer")
+    members = ["peer-0", "peer-1"]
+    return cls(sim, network, streams, identity, OrganizationView(name, members, members, "peer-0"))
+
+
+def test_classes_outside_the_table_arrive_through_on_message():
+    net = build_network(n_peers=4, gossip=EnhancedGossipConfig.paper_f4(), seed=3)
+    leader = next(peer for peer in net.peers.values() if peer.is_leader)
+    other = next(name for name in net.peers if name != leader.name)
+
+    class WrappedOrdererBlock(OrdererBlock):
+        __slots__ = ()
+
+    assert WrappedOrdererBlock not in leader._dispatch_all
+    net.network.send(other, leader.name, WrappedOrdererBlock(make_chain([1])[0]))
+    net.network.send(other, leader.name, RawMessage(10))  # no handler anywhere: ignored, not dropped
+    net.sim.run(until=1.0)
+    assert leader.blocks_received_via["orderer"] == 1  # the isinstance chain of _on_message ran
+    assert net.network.dropped_messages == 0
+
+
+def test_module_without_a_table_keeps_the_handle_fallback(sim, network, streams):
+    peer = make_peer(sim, network, streams)
+    peer.attach_gossip(_NoTableGossip)
+    network.register("peer-1", lambda src, message: None)
+    digest = PushDigest(0, "hash", 1)
+    network.send("peer-1", "peer-0", digest)
+    sim.run(until=1.0)
+    assert peer.gossip.handled == [("peer-1", digest)]
+
+
+def enhanced_peer(sim, network, streams, cls=Peer):
+    """One enhanced-gossip peer whose only neighbour is a silent stub."""
+    peer = make_peer(sim, network, streams, cls=cls)
+    peer.attach_gossip(lambda host, view: EnhancedGossip(host, view, EnhancedGossipConfig.paper_f4()))
+    network.register("peer-1", lambda src, message: None)
+    return peer
+
+
+def test_subclass_overriding_on_message_sees_every_message(sim, network, streams):
+    seen = []
+
+    class Tap(Peer):
+        def _on_message(self, src, message):
+            seen.append(type(message))
+            super()._on_message(src, message)
+
+    peer = enhanced_peer(sim, network, streams, cls=Tap)
+    block = make_chain([1])[0]
+    messages = [m for m in one_of_each(block) if type(m) in peer._dispatch_all] + [RawMessage(10)]
+    for message in messages:
+        network.send("peer-1", "peer-0", message)
+    sim.run(until=1.0)
+    by_name = lambda cls: cls.__name__  # noqa: E731 - arrival order differs by size
+    assert sorted(seen, key=by_name) == sorted((type(m) for m in messages), key=by_name)
+    assert peer.gossip.push.pairs_received == 1  # and super() dispatched: push and digest are one pair
+    peer.crash()
+    peer.recover()  # a lifecycle round trip must not hand the table over either
+    network.send("peer-1", "peer-0", PushDigest(0, block.block_hash, 2))
+    sim.run(until=2.0)
+    assert seen[-1] is PushDigest and len(seen) == len(messages) + 1
+
+
+def test_lifecycle_decides_what_a_peer_hears(sim, network, streams):
+    peer = enhanced_peer(sim, network, streams)
+    push = peer.gossip.push
+
+    def digest(counter, until):
+        network.send("peer-1", "peer-0", PushDigest(0, "hash", counter))
+        sim.run(until=until)
+
+    digest(1, 1.0)
+    assert push.pairs_received == 1
+    # Dead but connected (a churn leave): nothing is handled, nothing is
+    # counted as dropped.
+    peer.shutdown()
+    digest(2, 2.0)
+    assert (push.pairs_received, network.dropped_messages) == (1, 0)
+    peer.restart()
+    digest(3, 3.0)
+    assert push.pairs_received == 2
+    # Crashed: disconnected as well, so the copy is a counted drop.
+    peer.crash()
+    digest(4, 4.0)
+    assert (push.pairs_received, network.dropped_messages) == (2, 1)
+    peer.recover()
+    digest(5, 5.0)
+    assert (push.pairs_received, network.dropped_messages) == (3, 1)
+
+
+def test_adversary_still_intercepts_digests_after_crash_and_recover():
+    net = build_network(n_peers=8, gossip=EnhancedGossipConfig.paper_f4(), seed=3)
+    fault = DigestLiarFault(net.network, net.peers, ["peer-5"], net.streams, lie_fanout=2)
+    liar = net.peers["peer-5"]
+    block = make_chain([1])[0]
+    net.network.send("peer-1", "peer-5", PushDigest(0, block.block_hash, 1))
+    net.sim.run(until=0.2)
+    assert fault.lies_told == 1
+    liar.crash()
+    liar.recover()
+    net.network.send("peer-1", "peer-5", PushDigest(0, block.block_hash, 2))
+    net.sim.run(until=0.4)
+    assert fault.lies_told == 2
+    assert liar.gossip.push.requests_sent == 0
+
+
+def test_set_dispatch_and_disconnect_reject_unknown_nodes(sim, network):
+    with pytest.raises(ValueError, match="ghost"):
+        network.set_dispatch("ghost", {})
+    with pytest.raises(ValueError, match="ghost"):
+        network.replace_handler("ghost", lambda src, message: None)
+    with pytest.raises(ValueError, match="ghost"):
+        network.set_disconnected("ghost", True)
+    with pytest.raises(ValueError, match="ghost"):
+        network.set_disconnected("ghost", False)

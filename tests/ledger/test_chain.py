@@ -192,7 +192,7 @@ def test_verify_committed_chain_detects_corruption():
     chain.commit(blocks[0])
     chain.commit(blocks[1])
     assert chain.verify_committed_chain()
-    chain._committed[0].transactions.append(make_transactions(1)[0])
+    chain.get_committed(0).transactions.append(make_transactions(1)[0])
     assert not chain.verify_committed_chain()
 
 

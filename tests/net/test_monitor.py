@@ -1,8 +1,22 @@
 """Unit tests for traffic accounting."""
 
+import sys
+import tracemalloc
+
 import pytest
 
 from repro.net import TrafficMonitor
+
+
+def traced_bytes(build):
+    """Bytes still allocated by ``build()``'s result, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
 
 
 def test_records_totals():
@@ -162,12 +176,18 @@ def test_totals_derived_from_tx_side_counts_each_message_once():
 
 
 def test_far_future_record_does_not_allocate_dense_bins():
+    def build():
+        monitor = TrafficMonitor(bin_width=1.0)
+        monitor.record(0.5, "a", "b", "M", 10)
+        monitor.record(1e9, "a", "b", "M", 5)  # one stray far-future record
+        return monitor
+
+    held, monitor = traced_bytes(build)
+    assert held < 16_384  # not O(t): a dense list to bin 1e9 would be 8 GB
+    assert monitor.last_time == 1e9 and monitor.totals.bytes == 15
     monitor = TrafficMonitor(bin_width=1.0)
     monitor.record(0.5, "a", "b", "M", 10)
     monitor.record(100_000.0, "a", "b", "M", 20)  # beyond the dense-growth cap
-    record = monitor._node["a"]
-    assert len(record[0]) < 10_000  # dense tx bins stayed small
-    assert record[2] == {100_000: 20}  # sparse overflow holds the stray bin
     assert monitor.series("a", "tx", end_time=2.0) == [10.0, 0.0, 0.0]
     full = monitor.series("a", "tx")
     assert full[0] == 10.0
@@ -193,30 +213,52 @@ def test_overflow_bins_feed_rate_and_average_series():
 
 
 def test_overflow_and_dense_bins_accumulate_independently():
-    monitor = TrafficMonitor(bin_width=1.0)
-    monitor.record(0.0, "a", "b", "M", 10)
-    monitor.record(99_999.0, "a", "b", "M", 1)  # lands in overflow
-    monitor.record(99_999.5, "a", "b", "M", 2)  # same overflow bin
-    monitor.record(3.0, "a", "b", "M", 30)  # dense again after the stray
-    record = monitor._node["a"]
-    assert record[2] == {99_999: 3}
-    assert record[0][0] == 10 and record[0][3] == 30
-    series = monitor.series("a", "tx")
-    assert series[0] == 10.0 and series[3] == 30.0 and series[99_999] == 3.0
+    def build():
+        monitor = TrafficMonitor(bin_width=1.0)
+        monitor.record(0.0, "a", "b", "M", 10)
+        monitor.record(99_999.0, "a", "b", "M", 1)  # far beyond the dense tail
+        monitor.record(99_999.5, "a", "b", "M", 2)  # same far-future bin
+        monitor.record(3.0, "a", "b", "M", 30)  # dense again after the stray
+        return monitor
+
+    held, monitor = traced_bytes(build)
+    assert held < 16_384  # 100,000 dense bins would be 800 KB
+    for node, direction in (("a", "tx"), ("b", "rx")):
+        series = monitor.series(node, direction)
+        assert series[0] == 10.0 and series[3] == 30.0 and series[99_999] == 3.0
+        assert sum(series) == 43.0
+    assert monitor.node_totals("a").by_kind_bytes == {"tx:M": 43}
 
 
 def test_overflow_threshold_boundary_grows_dense():
-    """A jump of exactly the dense-growth cap still extends the dense
-    list; one bin beyond it goes sparse."""
-    from repro.simulation._core import _MAX_DENSE_GROWTH
+    """A sender's memory follows the bins it filled, not the latest
+    timestamp: steady traffic grows by a word per bin, and every further
+    far-future stray costs the same few hundred bytes whatever its time."""
 
-    monitor = TrafficMonitor(bin_width=1.0)
-    monitor.record(float(_MAX_DENSE_GROWTH - 1), "a", "b", "M", 5)
-    record = monitor._node["a"]
-    assert len(record[0]) == _MAX_DENSE_GROWTH and record[2] == {}
-    monitor.record(float(2 * _MAX_DENSE_GROWTH + 1), "a", "b", "M", 7)
-    assert len(record[0]) == _MAX_DENSE_GROWTH  # unchanged
-    assert record[2] == {2 * _MAX_DENSE_GROWTH + 1: 7}
+    def steady():
+        monitor = TrafficMonitor(bin_width=1.0)
+        for second in range(3_000):
+            monitor.record(float(second), "a", "b", "M", 5)
+        return monitor
+
+    def strays(times):
+        def build():
+            monitor = TrafficMonitor(bin_width=1.0)
+            monitor.record(0.0, "a", "b", "M", 5)
+            for time in times:
+                monitor.record(time, "a", "b", "M", 7)
+            return monitor
+
+        return build
+
+    held, monitor = traced_bytes(steady)
+    assert monitor.series("a", "tx") == [5.0] * 3_000
+    one, _ = traced_bytes(strays([1e6]))
+    far, monitor = traced_bytes(strays([1e9]))
+    two, _ = traced_bytes(strays([1e9, 2e9]))
+    assert abs(far - one) < 256  # the stray's cost does not depend on its time
+    assert two - far < 1_024
+    assert monitor.totals.bytes == 12
 
 
 def test_totals_are_lazy_and_reflect_later_records():
@@ -246,36 +288,52 @@ def test_lazy_totals_include_overflow_recorded_messages():
     assert monitor.node_totals("b").by_kind_bytes == {"rx:M": 35}
 
 
-def test_record_fanout_equivalent_to_individual_records():
-    """The aggregated-send accounting path must be byte-for-byte identical
-    to per-copy record() calls, overflow bins included."""
-    schedule = [
-        (0.2, "a", ["b", "c", "d"], "Alive", 100),
-        (0.7, "b", ["a"], "Alive", 40),
-        (2.4, "a", ["c"], "Alive", 100),
-        (90_000.0, "c", ["a", "b"], "Alive", 9),  # overflow on tx and rx
-    ]
-    fanout, individual = TrafficMonitor(), TrafficMonitor()
-    for time, src, dsts, kind, size in schedule:
-        fanout.record_fanout(time, src, dsts, kind, size)
-        for dst in dsts:
-            individual.record(time, src, dst, kind, size)
-    assert fanout.last_time == individual.last_time
-    assert fanout.nodes() == individual.nodes()
-    for node in individual.nodes():
-        for direction in ("tx", "rx", "both"):
-            assert fanout.series(node, direction) == individual.series(node, direction)
-        agg, ind = fanout.node_totals(node), individual.node_totals(node)
-        assert agg.by_kind_messages == ind.by_kind_messages
-        assert agg.by_kind_bytes == ind.by_kind_bytes
-    assert fanout.totals.messages == individual.totals.messages
-    assert fanout.totals.bytes == individual.totals.bytes
-    assert fanout.network_total_bytes() == individual.network_total_bytes()
+@pytest.mark.parametrize(
+    "prior, call",
+    [
+        ([(3.2, "a", "b", "K", 100)], (-1.5, "a", "b", "K", 7)),  # wrapped into the last bin
+        ([], (-1.5, "a", "b", "K", 7)),  # IndexError on an empty monitor
+        ([(3.2, "a", "b", "K", 100)], (1.0, "a", "b", "K", -50)),  # negative totals
+        ([(0.2, "a", "b", "K", 7)], (-0.5, "a", "b", "K", 7)),  # int() truncates towards bin 0
+        ([(3.2, "a", "b", "K", 100)], (float("nan"), "a", "b", "K", 7)),
+    ],
+)
+def test_negative_or_nan_time_and_negative_size_are_rejected(prior, call):
+    monitor, untouched = TrafficMonitor(), TrafficMonitor()
+    for record in prior:
+        monitor.record(*record)
+        untouched.record(*record)
+    with pytest.raises(ValueError):
+        monitor.record(*call)
+    time, src, dst, kind, size = call
+    with pytest.raises(ValueError):
+        monitor.record_multicast(time, src, [dst, "c"], kind, size)
+    assert monitor.totals == untouched.totals
+    assert monitor.last_time == untouched.last_time
+    for node in ("a", "b", "c"):
+        assert monitor.series(node, "both") == untouched.series(node, "both")
+        assert monitor.node_totals(node) == untouched.node_totals(node)
 
 
-def test_record_fanout_empty_destinations_is_noop():
-    monitor = TrafficMonitor()
-    monitor.record_fanout(1.0, "a", [], "Alive", 10)
-    assert monitor.nodes() == []
-    assert monitor.totals.messages == 0
-    assert monitor.last_time == 0.0
+def test_memory_per_simulated_second_is_no_larger_than_before():
+    """100 nodes, 2,000 s, three kinds of four-wide fan-outs. The monitor
+    this one replaced (two receiver indexes, a record per sender) traced
+    28,655,816 bytes on this workload; a sender-side dict per bin, tried
+    on the way, is what this bound exists to keep out."""
+    names = [sys.intern(f"peer-{index}") for index in range(100)]
+    kinds = (("BlockPush", 160_256), ("PushDigest", 296), ("StateInfo", 280))
+
+    def build():
+        monitor = TrafficMonitor()
+        for second in range(2_000):
+            for index, src in enumerate(names):
+                kind, size = kinds[(second + index) % 3]
+                first = (7 * second + 13 * index) % 96
+                monitor.record_multicast(
+                    second + index / 100, src, names[first : first + 4], kind, size
+                )
+        return monitor
+
+    held, monitor = traced_bytes(build)
+    assert monitor.totals.messages == 2_000 * 100 * 4
+    assert held <= 28_655_816

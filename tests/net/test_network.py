@@ -790,34 +790,23 @@ def _shard_records():
 
 
 def _inject_one_by_one(network, records):
-    """The per-record reference: one ``schedule_records`` call per record."""
-    schedule = network.sim.schedule_records
+    """The per-record reference: one ``inject_shard_records`` call per record."""
     for rec in records:
-        if rec[0] == "d":
-            out = network._deliver_record(rec[1], rec[2], rec[4], rec[3])
-            schedule(network._deliver_multicast, (out,))
-        else:
-            out = [rec[1], rec[2], rec[4], rec[3], rec[5], None]
-            out[5] = out
-            schedule(network._arrive_multicast, (out,))
+        network.inject_shard_records([rec])
 
 
 def test_batched_shard_injection_numbers_records_like_one_call_each():
-    """Sequence numbers are consecutive in list order whether a run of
-    same-callback records is scheduled in one call or one call each, so
-    the heap — and with it the order of same-time deliveries — is the same."""
+    """Sequence numbers are consecutive in list order whether a barrier's
+    records are injected in one call or one call each, so the heap — and
+    with it the order of same-time deliveries — is the same; every record
+    becomes one handle-free event whose arguments are the plain tuple its
+    callback takes."""
     from repro.simulation import Simulator
 
-    class CountingSimulator(Simulator):
-        def schedule_records(self, callback, records):
-            batch_sizes.append(len(records))
-            super().schedule_records(callback, records)
-
     records = _shard_records()
-    heaps, logs, calls = [], [], []
+    heaps, logs = [], []
     for inject in (Network.inject_shard_records, _inject_one_by_one):
-        batch_sizes = []
-        sim = CountingSimulator()
+        sim = Simulator()
         network = make_network(sim)
         log = []
         for name in "abcd":
@@ -826,17 +815,17 @@ def test_batched_shard_injection_numbers_records_like_one_call_each():
             )
         sim.schedule(0.005, lambda: None)
         sim.run(until=0.006)  # injection starts from a non-zero clock and sequence number
+        first_seq = sim._seq
         inject(network, records)
-        calls.append(list(batch_sizes))
-        heaps.append(
-            sorted(
-                (time, seq, callback.__name__, rec[2].payload_size(), rec[3])
-                for time, seq, callback, rec, _ in sim._heap
-            )
-        )
+        heaps.append(sorted((time, seq, callback.__name__, args) for time, seq, callback, args, _ in sim._heap))
+        assert sorted(entry[1] for entry in heaps[-1]) == list(range(first_seq, first_seq + len(records)))
         sim.run()
         logs.append(log)
     assert heaps[0] == heaps[1]
+    assert [entry[2:] for entry in sorted(heaps[0], key=lambda entry: entry[1])] == [
+        ("_deliver_multicast", (rec[2], rec[4], rec[3]))
+        if rec[0] == "d"
+        else ("_arrive_multicast", (rec[2], rec[4], rec[3], rec[5]))
+        for rec in records
+    ]
     assert logs[0] == logs[1] and len(logs[0]) == len(records)
-    assert calls[1] == [1] * len(records)
-    assert calls[0] == [2, 1, 1, 3, 4, 1, 2, 1]  # one call per run of "ddadaaaddddadda"

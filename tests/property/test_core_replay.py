@@ -2,7 +2,7 @@
 
 The determinism contract of :mod:`repro.simulation._core` is *bit-for-bit*
 equality: for any schedule — cancellations, mass-cancel compaction,
-timer-wheel re-arms, exact ``schedule_records`` ties — two runs execute the
+timer-wheel re-arms, exact ``schedule_call`` ties — two runs execute the
 exact same ``(time, tag)`` callback sequence with identical clock, event
 counts and heap instrumentation. The traffic monitor must survive merge
 and pickle (the shard-worker wire) unchanged, and the latency kernels must
@@ -36,8 +36,9 @@ _op = st.one_of(
     st.tuples(st.just("call"), st.integers(0, 40)),
     st.tuples(st.just("at"), st.integers(0, 40)),
     st.tuples(st.just("fast"), st.integers(0, 40)),
-    # k same-time records through the batch path: exact ties, consecutive
-    # sequence numbers.
+    # k same-time records through the handle-free path, as a barrier's
+    # cross-shard injection makes them: exact ties, consecutive sequence
+    # numbers.
     st.tuples(st.just("records"), st.integers(0, 40), st.integers(1, 6)),
     st.tuples(st.just("cancel"), st.integers(0, 1000)),
     st.tuples(st.just("mass_cancel")),
@@ -89,9 +90,8 @@ def run_program(program):
             sim.schedule_call(sim.now + op[1] * _TICK, fire, (next_tag(),))
         elif kind == "records":
             time = sim.now + op[1] * _TICK
-            sim.schedule_records(
-                fire_record, [[time, next_tag()] for _ in range(op[2])]
-            )
+            for _ in range(op[2]):
+                sim.schedule_call(time, fire_record, (time, next_tag()))
         elif kind == "cancel":
             if handles:
                 handles[op[1] % len(handles)].cancel()

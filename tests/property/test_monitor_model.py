@@ -1,0 +1,140 @@
+"""The traffic monitor against a naive per-copy reference model.
+
+The model keeps one ``(bin, src, dst, kind, size)`` row per copy and
+answers every reader by scanning the rows. Random programs of ``record``,
+``record_multicast``, ``merge_from`` and pickle round trips — unit and
+non-unit bin widths, duplicate destinations, one far-future time — must
+leave the monitor and the model in agreement on every public reader, for
+every node, in all three directions.
+"""
+
+from __future__ import annotations
+
+import math
+import pickle
+
+from hypothesis import given, settings, strategies as st
+
+from repro.simulation._core import TrafficMonitor, TrafficTotals
+
+NODES = ["n0", "n1", "n2", "n3", "ghost"]  # "ghost" never appears in a program
+FAR_FUTURE = 20_000.0  # beyond the dense tail at every bin width used here
+
+
+class Rows:
+    """Reference: one row per copy, every reader a scan."""
+
+    def __init__(self, bin_width: float) -> None:
+        self.bin_width = bin_width
+        self.rows = []
+        self.last_time = 0.0
+
+    def record(self, time, src, dst, kind, size):
+        self.rows.append((math.floor(time / self.bin_width), src, dst, kind, size))
+        self.last_time = max(self.last_time, time)
+
+    def merge_from(self, other):
+        self.rows.extend(other.rows)
+        self.last_time = max(self.last_time, other.last_time)
+
+    def totals(self, rows=None, prefix=None):
+        totals = TrafficTotals()
+        for _, _, _, kind, size in self.rows if rows is None else rows:
+            totals.record(kind if prefix is None else prefix + kind, size)
+        return totals
+
+    def node_totals(self, node):
+        sent = self.totals([row for row in self.rows if row[1] == node], "tx:")
+        received = self.totals([row for row in self.rows if row[2] == node], "rx:")
+        return TrafficTotals(
+            sent.messages + received.messages,
+            sent.bytes + received.bytes,
+            {**sent.by_kind_messages, **received.by_kind_messages},
+            {**sent.by_kind_bytes, **received.by_kind_bytes},
+        )
+
+    def nodes(self):
+        return sorted({row[1] for row in self.rows} | {row[2] for row in self.rows})
+
+    def series(self, node, direction, end_time):
+        values = [0.0] * (int(end_time / self.bin_width) + 1)
+        for index, src, dst, _, size in self.rows:
+            if index < len(values):
+                if direction != "rx" and src == node:
+                    values[index] += size
+                if direction != "tx" and dst == node:
+                    values[index] += size
+        return values
+
+
+node = st.sampled_from(NODES[:-1])
+time = st.one_of(
+    st.floats(0.0, 40.0, allow_nan=False),
+    st.integers(0, 40).map(float),  # exact bin boundaries
+    st.just(FAR_FUTURE),
+)
+kind = st.sampled_from(["Block", "Digest", "Alive"])
+size = st.sampled_from([0, 1, 296, 160_256])
+sends = st.one_of(
+    st.tuples(st.just("record"), time, node, node, kind, size),
+    st.tuples(st.just("multicast"), time, node, st.lists(node, max_size=6), kind, size),
+)
+# A program is a list of per-monitor send lists; monitors after the first
+# are merged into it in order, with a pickle round trip wherever asked.
+programs = st.lists(
+    st.tuples(st.lists(sends, max_size=25), st.booleans()), min_size=1, max_size=3
+)
+
+
+def feed(monitor, model, ops):
+    for op in ops:
+        if op[0] == "record":
+            _, at, src, dst, message_kind, message_size = op
+            monitor.record(at, src, dst, message_kind, message_size)
+            model.record(at, src, dst, message_kind, message_size)
+        else:
+            _, at, src, dsts, message_kind, message_size = op
+            monitor.record_multicast(at, src, dsts, message_kind, message_size)
+            for dst in dsts:
+                model.record(at, src, dst, message_kind, message_size)
+
+
+@given(programs, st.sampled_from([1.0, 0.25, 2.5]))
+@settings(max_examples=150, deadline=None)
+def test_monitor_agrees_with_per_copy_model(program, bin_width):
+    monitor = model = None
+    for ops, through_pickle in program:
+        part, part_model = TrafficMonitor(bin_width), Rows(bin_width)
+        feed(part, part_model, ops)
+        if through_pickle:
+            part = pickle.loads(pickle.dumps(part))
+        if monitor is None:
+            monitor, model = part, part_model
+        else:
+            monitor.merge_from(part)
+            model.merge_from(part_model)
+            # The merged-in monitor stays usable and independent.
+            assert part.totals == part_model.totals()
+    if program[-1][1]:
+        monitor = pickle.loads(pickle.dumps(monitor))
+        feed(monitor, model, program[0][0])  # an unpickled monitor keeps recording
+    assert monitor.totals == model.totals()
+    assert monitor.network_total_bytes() == model.totals().bytes
+    assert monitor.last_time == model.last_time
+    assert monitor.nodes() == model.nodes()
+    end_time = 45.0  # past every near time; the far-future bin stays out of range
+    for name in NODES:
+        assert monitor.node_totals(name) == model.node_totals(name)
+        for direction in ("tx", "rx", "both"):
+            expected = model.series(name, direction, end_time)
+            assert monitor.series(name, direction, end_time=end_time) == expected
+            rates = monitor.rate_series(name, direction, end_time=end_time)
+            assert rates == [value / bin_width for value in expected]
+            assert monitor.average_rate(name, direction, 0.0, end_time) == sum(expected) / end_time
+    # The far-future bin, read where it is.
+    far = [row for row in model.rows if row[0] == math.floor(FAR_FUTURE / bin_width)]
+    for name in NODES:
+        for direction, column in (("tx", 1), ("rx", 2)):
+            expected = sum(row[4] for row in far if row[column] == name)
+            rate = monitor.average_rate(name, direction, FAR_FUTURE, FAR_FUTURE + bin_width)
+            assert rate == expected / bin_width

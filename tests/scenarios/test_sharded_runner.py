@@ -105,14 +105,25 @@ def test_sharded_snapshot_matches_single_for_tiny_spec():
 
 
 def test_shard_session_rejects_foreign_delivery():
+    """A record mis-routed to a shard that does not execute its
+    destination must raise when its delivery event runs — for a message
+    class the replica's gossip table knows, too — not reach the replica."""
+    from repro.gossip.messages import PushDigest
+
     spec = _tiny_spec()
     plan = plan_for(spec, shards=2)
-    session = ShardSession(spec, 1, plan, shard_id=0)
-    foreign = next(
-        name for name in session.net.peers if name not in session.owned
-    )
-    with pytest.raises(AssertionError, match="foreign"):
-        session.net.network._handlers[foreign]("peer-x", object())
+    shard_id = 1 - plan.owner_of["orderer"]  # the shard the orderer is foreign to
+    for foreign in ("orderer", None):
+        session = ShardSession(spec, 1, plan, shard_id=shard_id)
+        if foreign is None:
+            foreign = next(name for name in session.net.peers if name not in session.owned)
+        local = session.owned_peers[0]
+        replica = session.net.peers.get(foreign)
+        record = ("d", 0.005, local, foreign, PushDigest(0, "hash", 1))
+        with pytest.raises(AssertionError, match=f"foreign node {foreign!r}"):
+            session.handle(("window", 0.01, [record]))
+        if replica is not None:
+            assert replica.gossip.push.pairs_received == 0
 
 
 def test_merge_requires_matching_final_times():
