@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Union
 
 from repro.crypto.identity import MembershipServiceProvider
 from repro.fabric.config import OrdererConfig, PeerConfig
@@ -120,10 +120,13 @@ class FabricNetwork:
             names.extend(name for name in members if name not in leaders)
         return sorted(names)
 
-    def start(self) -> None:
-        """Arm every peer's gossip and background timers."""
-        for peer in self.peers.values():
-            peer.start()
+    def start(self, owned: Optional[FrozenSet[str]] = None) -> None:
+        """Arm every peer's gossip and background timers — of the peers
+        named in ``owned`` only, when given (a shard's replicas of foreign
+        peers are built and never started)."""
+        for name, peer in self.peers.items():
+            if owned is None or name in owned:
+                peer.start()
 
     def run_until(
         self,
@@ -143,18 +146,18 @@ class FabricNetwork:
             self.sim.run(until=min(self.sim.now + step, max_time))
         return self.sim.now
 
-    def all_peers_at_height(self, height: int) -> bool:
-        return all(peer.ledger_height >= height for peer in self.peers.values())
-
-    def all_peers_received(self, block_count: int) -> bool:
-        """Every present peer holds every block below ``block_count``.
+    def all_peers_received(
+        self, block_count: int, owned: Optional[FrozenSet[str]] = None
+    ) -> bool:
+        """Every present peer (of ``owned``, when given) holds every block
+        below ``block_count``.
 
         Peers the churn engine removed from the membership (``departed``)
         are exempt — they will never catch up, and the completion
         predicate must not wait for them.
         """
-        for peer in self.peers.values():
-            if peer.departed:
+        for name, peer in self.peers.items():
+            if peer.departed or (owned is not None and name not in owned):
                 continue
             chain = peer.blockchain
             if chain.max_known_number() < block_count - 1:

@@ -163,8 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     from repro.metrics.runhealth import RunHealth
     from repro.scenarios import run_scenario_sharded
-    from repro.scenarios.sharded import ShardWorkerError
-    from repro.simulation.sharded import SupervisionConfig
+    from repro.scenarios.sharded import ShardWorkerError, SupervisionConfig
 
     supervision = None
     if args.response_timeout is not None:

@@ -12,7 +12,7 @@ bandwidth floor is visible (Fig. 6's 1500-2000 s window).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.experiments.builders import FabricNetwork, GossipChoice, build_network
 from repro.experiments.workloads import synthetic_block_transactions
@@ -167,35 +167,38 @@ class DisseminationResult:
         return sum(peer.blocks_received_via.get("pull", 0) for peer in self.net.peers.values())
 
 
-def run_dissemination(
+def deploy(
     config: DisseminationConfig,
     prepare: Optional[Callable[[FabricNetwork], None]] = None,
-) -> DisseminationResult:
-    """Execute one dissemination experiment end to end.
+    owned: Optional[FrozenSet[str]] = None,
+) -> FabricNetwork:
+    """Build ``config``'s deployment, arm it and schedule its blocks.
 
     ``prepare(net)``, when given, runs after the network is built and
     before any timer is armed — the scenario subsystem uses it to compile
     and arm declarative fault schedules against the fresh deployment.
+    ``owned`` names the nodes this process executes (a shard worker;
+    ``None`` executes everything): only their timers are armed, and the
+    block driver is scheduled only where the orderer is owned.
     """
-    with collector.deployment() as built:
-        net = build_network(
-            n_peers=config.n_peers,
-            gossip=config.gossip,
-            seed=config.seed,
-            organizations=config.organizations,
-            network_config=config.network,
-            peer_config=PeerConfig(
-                per_tx_validation_time=config.per_tx_validation_time,
-                validation_mode=ValidationMode.DELAY_ONLY,
-            ),
-            background=config.background,
-            org_regions=config.org_regions,
-            orderer_region=config.orderer_region,
-        )
-        if prepare is not None:
-            prepare(net)
-        net.start()
-
+    net = build_network(
+        n_peers=config.n_peers,
+        gossip=config.gossip,
+        seed=config.seed,
+        organizations=config.organizations,
+        network_config=config.network,
+        peer_config=PeerConfig(
+            per_tx_validation_time=config.per_tx_validation_time,
+            validation_mode=ValidationMode.DELAY_ONLY,
+        ),
+        background=config.background,
+        org_regions=config.org_regions,
+        orderer_region=config.orderer_region,
+    )
+    if prepare is not None:
+        prepare(net)
+    net.start(owned)
+    if owned is None or "orderer" in owned:
         transactions = synthetic_block_transactions(config.tx_per_block, config.tx_size)
         for index in range(config.blocks):
             net.sim.schedule_at(
@@ -203,6 +206,17 @@ def run_dissemination(
                 net.orderer.emit_block,
                 transactions,
             )
+    return net
+
+
+def run_dissemination(
+    config: DisseminationConfig,
+    prepare: Optional[Callable[[FabricNetwork], None]] = None,
+) -> DisseminationResult:
+    """Execute one dissemination experiment end to end (``prepare`` as in
+    :func:`deploy`)."""
+    with collector.deployment() as built:
+        net = deploy(config, prepare)
         built()
 
         workload_end = config.blocks * config.block_period

@@ -3,7 +3,7 @@
 Every other module in :mod:`repro.faults` breaks the *simulated* system;
 this one breaks the **runners** — the shard worker processes and sweep
 pool cells that execute simulations — so the supervision layer
-(:mod:`repro.simulation.sharded`, :mod:`repro.scenarios.sweep`) can be
+(:mod:`repro.scenarios.sharded`, :mod:`repro.scenarios.sweep`) can be
 tested against the failures it exists for: an OOM-killed worker, a
 wedged process, a closed pipe, a cell that raises.
 

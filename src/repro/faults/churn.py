@@ -100,6 +100,8 @@ class ChurnController:
 
     def _leave(self, names: List[str]) -> None:
         net = self.net
+        # A peer an earlier wave already removed has nothing left to leave.
+        names = [name for name in names if not net.peers[name].departed]
         departing = set(names)
         for peer in net.peers.values():
             if peer.name in departing:

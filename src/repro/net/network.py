@@ -186,7 +186,7 @@ class Network:
         # single-process run does (docs/sharding.md).
         self._ports: Dict[str, list] = {}
         self._queue_stats: Dict[str, List[float]] = {}
-        # Process-sharded execution (repro.simulation.sharded): when a
+        # Process-sharded execution (repro.scenarios.sharded): when a
         # shard owns only a subset of the nodes, copies to foreign
         # destinations get their full send-side physics here and are
         # appended to the egress queue as plain records instead of being

@@ -15,8 +15,8 @@ matrices in parallel:
 * :mod:`repro.scenarios.sweep` — :class:`SweepRunner`: scenario × seed
   fan-out over worker processes with a byte-deterministic merge;
 * :mod:`repro.scenarios.sharded` — one scenario run partitioned across
-  shard worker processes under the conservative window protocol of
-  :mod:`repro.simulation.sharded`, merged bit-for-bit (docs/sharding.md).
+  shard worker processes under a conservative window protocol, merged
+  bit-for-bit (docs/sharding.md).
 """
 
 from repro.scenarios.registry import (

@@ -12,8 +12,8 @@ line in :mod:`repro.perf.regression`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.experiments.dissemination import (
     DisseminationConfig,
@@ -22,10 +22,13 @@ from repro.experiments.dissemination import (
 )
 from repro.faults.schedule import FaultSchedule, compile_fault_schedule
 from repro.gossip.config import BackgroundTrafficConfig
+from repro.metrics.latency import DisseminationTracker
 from repro.metrics.resilience import peer_resilience_counters, resilience_snapshot
+from repro.net.link import merge_queue_accounting, summarize_queue_accounting
 from repro.net.network import NetworkConfig
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
+from repro.simulation._core import TrafficMonitor
 
 
 def dissemination_config(
@@ -70,6 +73,145 @@ def dissemination_config(
     )
 
 
+def resolve(
+    scenario: Union[str, ScenarioSpec], seed: Optional[int] = None
+) -> Tuple[ScenarioSpec, int]:
+    """The spec a name or spec stands for, and the seed a run of it uses
+    (the spec's first when none is asked for)."""
+    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
+    return spec, spec.seeds[0] if seed is None else seed
+
+
+@dataclass
+class ShardResult:
+    """What one process contributes to a run's snapshot (picklable).
+
+    A single-process run has one, covering every peer; a sharded run has
+    one per shard, covering the peers that shard executed.
+    """
+
+    shard_id: int
+    events_executed: int
+    final_time: float
+    monitor: TrafficMonitor
+    tracker: DisseminationTracker
+    dropped_messages: int
+    blocks_via_recovery: int
+    # Hardening counters summed over this process's peers, plus its
+    # injectors' drop count — each recorded in exactly one process, so the
+    # merge sums them. Membership (joined, departed, still expected) is
+    # replicated global state (every shard applies every join/leave to
+    # every replica), so the merge takes it from one result.
+    resilience_counters: Dict[str, int] = field(default_factory=dict)
+    faults_dropped: int = 0
+    peers_joined: int = 0
+    peers_departed: int = 0
+    peers_expected: int = 0
+    # Bottleneck-link queue accounting of this process's sources (every
+    # source is executed by exactly one), merged into the ``link`` section.
+    link_enabled: bool = False
+    queue_accounting: Dict[str, list] = field(default_factory=dict)
+
+
+def collect_result(
+    net, schedule: FaultSchedule, owned_peers: Iterable[str], shard_id: int = 0
+) -> ShardResult:
+    """The :class:`ShardResult` of the process that executed
+    ``owned_peers`` of ``net`` under the compiled ``schedule``."""
+    peers = [net.peers[name] for name in owned_peers]
+    return ShardResult(
+        shard_id=shard_id,
+        events_executed=net.sim.events_executed,
+        final_time=net.sim.now,
+        monitor=net.network.monitor,
+        tracker=net.tracker,
+        dropped_messages=net.network.dropped_messages,
+        blocks_via_recovery=sum(
+            peer.blocks_received_via.get("recovery", 0) for peer in peers
+        ),
+        resilience_counters=peer_resilience_counters(peers),
+        faults_dropped=schedule.dropped_messages,
+        peers_joined=schedule.peers_joined,
+        peers_departed=schedule.peers_departed,
+        # The infection curves' denominator: a curve that waited for peers
+        # that left for good would never close.
+        peers_expected=sum(1 for peer in net.peers.values() if not peer.departed),
+        link_enabled=net.network._link is not None,
+        queue_accounting=net.network.queue_accounting(),
+    )
+
+
+def merge_shard_results(
+    spec: ScenarioSpec, seed: int, results: Sequence[ShardResult]
+) -> dict:
+    """The comparable, JSON-stable snapshot of one run, from the results
+    of every process that executed a part of it.
+
+    The shape matches the perf layer's golden snapshots (event count,
+    horizon, latency statistics as exact floats, per-kind byte totals)
+    plus the fault accounting, so sweep merges and golden replays share
+    one vocabulary. Every physics metric is the same at any shard count;
+    ``events_executed`` is the sum of the per-shard engine counters, which
+    legitimately differs (exact-tie delivery grouping is shard-local —
+    see docs/sharding.md). ``results`` is only read: merging the same
+    results again returns the same snapshot.
+    """
+    ordered = sorted(results, key=lambda result: result.shard_id)
+    first = ordered[0]
+    final_times = {result.final_time for result in ordered}
+    if len(final_times) != 1:
+        # Deferred: the sharded module imports this one.
+        from repro.scenarios.sharded import ShardWorkerError
+
+        raise ShardWorkerError(f"shards ended at different times: {sorted(final_times)}")
+    monitor, tracker = first.monitor, first.tracker
+    if len(ordered) > 1:
+        # Fresh accumulators, so that no result is written to. (One result
+        # is its own merge; copying it would only cost a 1,000-peer run
+        # 1.4 MB of peak RSS.)
+        monitor = TrafficMonitor(bin_width=monitor.bin_width)
+        tracker = DisseminationTracker()
+        for result in ordered:
+            monitor.merge_from(result.monitor)
+            tracker.merge_from(result.tracker)
+    counters: Dict[str, int] = {}
+    for result in ordered:
+        for name, value in result.resilience_counters.items():
+            counters[name] = counters.get(name, 0) + value
+    stats = tracker.summary()
+    totals = monitor.totals
+    resilience = resilience_snapshot(counters, tracker, first.peers_expected)
+    resilience["faults_dropped"] = sum(result.faults_dropped for result in ordered)
+    resilience["peers_joined"] = first.peers_joined
+    resilience["peers_departed"] = first.peers_departed
+    return {
+        "scenario": spec.name,
+        "seed": seed,
+        "events_executed": sum(result.events_executed for result in ordered),
+        "final_time": first.final_time,
+        "latency_max": stats.maximum,
+        "latency_mean": stats.mean,
+        "latency_p50": stats.p50,
+        "latency_p95": stats.p95,
+        "total_bytes": totals.bytes,
+        "total_messages": totals.messages,
+        "by_kind_bytes": dict(sorted(totals.by_kind_bytes.items())),
+        "dropped_messages": sum(result.dropped_messages for result in ordered),
+        "blocks_via_recovery": sum(result.blocks_via_recovery for result in ordered),
+        "resilience": resilience,
+        # Bottleneck-link queue accounting (all-zero with the link model
+        # disabled), from the disjoint per-source records;
+        # summarize_queue_accounting sums in sorted source order, so the
+        # floats are the same at any shard count.
+        "link": dict(
+            {"enabled": first.link_enabled},
+            **summarize_queue_accounting(
+                merge_queue_accounting(result.queue_accounting for result in ordered)
+            ),
+        ),
+    }
+
+
 @dataclass
 class ScenarioRun:
     """Outcome of one scenario run for one seed."""
@@ -80,54 +222,12 @@ class ScenarioRun:
     faults: FaultSchedule
 
     def snapshot(self) -> dict:
-        """Comparable, JSON-stable metrics of this run.
-
-        The shape matches the perf layer's golden snapshots (event count,
-        horizon, latency statistics as exact floats, per-kind byte
-        totals) plus the fault accounting, so sweep merges and golden
-        replays share one vocabulary.
-        """
+        """This run's snapshot (:func:`merge_shard_results` of the one
+        process that executed all of it)."""
         net = self.result.net
-        stats = self.result.latency_summary()
-        totals = net.network.monitor.totals
-        return {
-            "scenario": self.spec.name,
-            "seed": self.seed,
-            "events_executed": net.sim.events_executed,
-            "final_time": net.sim.now,
-            "latency_max": stats.maximum,
-            "latency_mean": stats.mean,
-            "latency_p50": stats.p50,
-            "latency_p95": stats.p95,
-            "total_bytes": totals.bytes,
-            "total_messages": totals.messages,
-            "by_kind_bytes": dict(sorted(totals.by_kind_bytes.items())),
-            "dropped_messages": net.network.dropped_messages,
-            "blocks_via_recovery": self.result.recovery_usage(),
-            "resilience": self.resilience(),
-            # Bottleneck-link queue accounting (all-zero with the link
-            # model disabled); sharded runs rebuild the identical section
-            # from merged per-source records (see merge_shard_results).
-            "link": net.network.link_summary(),
-        }
-
-    def resilience(self) -> dict:
-        """Hardening counters, infection curves and churn accounting.
-
-        Counters sum over every peer (a departed peer's pre-departure
-        activity happened); the infection-curve denominator excludes
-        departed peers — a curve that waits for peers that left for good
-        would never close.
-        """
-        net = self.result.net
-        expected = sum(1 for peer in net.peers.values() if not peer.departed)
-        report = resilience_snapshot(
-            peer_resilience_counters(net.peers.values()), net.tracker, expected
+        return merge_shard_results(
+            self.spec, self.seed, [collect_result(net, self.faults, net.peers)]
         )
-        report["faults_dropped"] = self.faults.dropped_messages
-        report["peers_joined"] = self.faults.peers_joined
-        report["peers_departed"] = self.faults.peers_departed
-        return report
 
 
 def run_scenario(
@@ -136,18 +236,15 @@ def run_scenario(
     full: bool = False,
 ) -> ScenarioRun:
     """Build, fault-arm and drive one scenario run for one seed."""
-    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    if seed is None:
-        seed = spec.seeds[0]
+    spec, seed = resolve(scenario, seed)
     config = dissemination_config(spec, seed=seed, full=full)
     compiled: list = []  # box: prepare runs inside run_dissemination
 
     def prepare(net) -> None:
         compiled.append(compile_fault_schedule(spec.faults, net))
 
-    result = run_dissemination(config, prepare=prepare if spec.faults else None)
-    schedule = compiled[0] if compiled else FaultSchedule()
-    return ScenarioRun(spec=spec, seed=seed, result=result, faults=schedule)
+    result = run_dissemination(config, prepare=prepare)
+    return ScenarioRun(spec=spec, seed=seed, result=result, faults=compiled[0])
 
 
 def scenario_snapshot(name: str, seed: int = 1) -> dict:

@@ -180,6 +180,8 @@ class ScenarioSpec:
             raise ValueError("invalid peer/organization counts")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed")
         if (
             self.placement is not None
             and self.topology is None

@@ -372,16 +372,12 @@ class Simulator:
             self._live -= executed
             self._running = False
 
-    def run_until_idle(self, max_time: Optional[float] = None) -> float:
-        """Run until the queue is empty or ``max_time`` is reached."""
-        return self.run(until=max_time)
-
     def run_window(self, end: float) -> float:
         """Execute every event with time **strictly below** ``end``, then
         advance the clock to exactly ``end``.
 
         This is the conservative-window hook of the process-sharded
-        executor (:mod:`repro.simulation.sharded`): a shard runs the
+        executor (:mod:`repro.scenarios.sharded`): a shard runs the
         half-open window ``[now, end)``, leaving events at exactly ``end``
         pending, so that cross-shard records injected at the barrier —
         whose times are ``>= end`` by the lookahead guarantee — can still

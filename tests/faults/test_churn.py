@@ -76,6 +76,27 @@ def test_leave_removes_peer_for_good():
             assert "peer-6" not in peer.view.channel_others
 
 
+def test_overlapping_leave_waves_count_each_departure_once():
+    """A second wave naming peers the first already removed departs only
+    the new ones: 15 names over two waves, 10 peers gone. Single-process
+    and sharded runs agree on it (and so on the infection curves, whose
+    denominator is the membership still expected)."""
+    from repro.scenarios import get_scenario, run_scenario, run_scenario_sharded
+
+    spec = get_scenario("mass-departure")
+    spec = spec.with_overrides(
+        faults=spec.faults + (LeaveEvent(at=5.0, regular_slice=(19, 24)),)
+    )
+    single = run_scenario(spec, seed=1)
+    snapshot = single.snapshot()
+    assert snapshot["resilience"]["peers_departed"] == 10
+    assert sum(peer.departed for peer in single.result.net.peers.values()) == 10
+    sharded = run_scenario_sharded(spec, seed=1, shards=2, mode="inline").snapshot()
+    for key, value in snapshot.items():
+        if key != "events_executed":
+            assert sharded[key] == value, key
+
+
 def test_completion_predicate_skips_departed_peers():
     net = churn_net()
     controller = ChurnController(net)

@@ -3,7 +3,7 @@
 import json
 
 from repro.metrics.runhealth import RunHealth
-from repro.simulation.sharded import ShardWorkerError
+from repro.scenarios.sharded import ShardWorkerError
 
 
 def test_record_round_accumulates_per_shard_progress():

@@ -10,9 +10,14 @@ from repro.faults.schedule import DegradeEvent
 from repro.gossip.config import EnhancedGossipConfig
 from repro.metrics.latency import DisseminationTracker
 from repro.net import TrafficMonitor
+from repro.perf.regression import GOLDEN_SCENARIOS
 from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.sharded import (
+    InlineTransport,
+    ShardPlan,
     ShardSession,
+    WindowedCoordinator,
     merge_shard_results,
     plan_for,
     run_scenario_sharded,
@@ -93,8 +98,6 @@ def test_run_scenario_sharded_uses_spec_default_shards():
 
 
 def test_sharded_snapshot_matches_single_for_tiny_spec():
-    from repro.scenarios.runner import run_scenario
-
     spec = _tiny_spec()
     single = run_scenario(spec, seed=3).snapshot()
     snap = run_scenario_sharded(spec, seed=3, shards=2, mode="inline").snapshot()
@@ -136,6 +139,74 @@ def test_merge_requires_matching_final_times():
 
     with pytest.raises(ShardWorkerError, match="different times"):
         merge_shard_results(spec, 1, [a, b])
+
+
+def test_merge_reads_its_results_and_is_repeatable():
+    """Merging folds into fresh accumulators: a second merge of the same
+    results returns the same snapshot and no shard's monitor has grown."""
+    spec = get_scenario("byzantine-teasers")
+    plan = plan_for(spec, shards=2)
+    sessions = [ShardSession(spec, 1, plan, shard_id) for shard_id in range(2)]
+    coordinator = WindowedCoordinator(
+        [InlineTransport(session) for session in sessions], plan, deadline=60.0
+    )
+    coordinator.run()
+    results = coordinator.collect()
+    before = results[0].monitor.totals.__dict__
+    first = merge_shard_results(spec, 1, results)
+    assert merge_shard_results(spec, 1, results) == first
+    assert results[0].monitor.totals.__dict__ == before
+    assert first["total_bytes"] > before["bytes"]  # shard 1 sent something too
+
+
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("shards", lambda: run_scenario_sharded(_tiny_spec(), shards=0, mode="inline")),
+        ("shards", lambda: run_scenario_sharded(_tiny_spec(), shards=-3, mode="inline")),
+        ("mode", lambda: run_scenario_sharded(_tiny_spec(), shards=1, mode="bogus")),
+        ("mode", lambda: run_scenario_sharded(_tiny_spec(), shards=2, mode="bogus")),
+        ("seeds", lambda: _tiny_spec(seeds=())),
+    ],
+)
+def test_bad_arguments_are_refused_by_name_before_any_work(monkeypatch, field, call):
+    from repro.net.network import Network
+
+    def build(*args, **kwargs):
+        raise AssertionError("a deployment was built for a call that had to be refused")
+
+    monkeypatch.setattr(Network, "__init__", build)
+    with pytest.raises(ValueError, match=field):
+        call()
+
+
+@pytest.mark.parametrize(
+    "scenario, seed", [*GOLDEN_SCENARIOS.values(), ("mass-departure", 1)]
+)
+def test_one_shard_window_protocol_returns_the_single_process_snapshot(scenario, seed):
+    """The window protocol with one shard owning every node slices the
+    single-process run at the two-shard plan's barriers and changes
+    nothing — ``events_executed`` included, which no comparison at
+    shards > 1 can check."""
+    spec = get_scenario(scenario)
+    two = plan_for(spec, shards=2, seed=seed)
+    assert two.shards == 2
+    plan = ShardPlan(
+        shards=1,
+        owner_of=dict.fromkeys(two.owner_of, 0),
+        lookahead=two.lookahead,
+        windows_per_second=two.windows_per_second,
+    )
+    workload = spec.workload
+    coordinator = WindowedCoordinator(
+        [InlineTransport(ShardSession(spec, seed, plan, shard_id=0))],
+        plan,
+        deadline=workload.blocks * workload.block_period + workload.grace_period,
+        idle_tail=workload.idle_tail,
+    )
+    coordinator.run()
+    snapshot = merge_shard_results(spec, seed, coordinator.collect())
+    assert snapshot == run_scenario(spec, seed=seed).snapshot()
 
 
 def test_sharded_gate_flags_forced_single_plans():

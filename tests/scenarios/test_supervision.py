@@ -15,7 +15,7 @@ from repro.metrics.runhealth import RunHealth
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.sharded import run_scenario_sharded
 from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
-from repro.simulation.sharded import (
+from repro.scenarios.sharded import (
     PipeTransport,
     ShardWorkerError,
     SupervisionConfig,
