@@ -83,15 +83,34 @@ def gossip_factory(choice: GossipChoice) -> Callable:
     raise TypeError(f"unknown gossip configuration: {type(choice).__name__}")
 
 
+def _foreign_handler(name: str):
+    """The handler of a node another shard executes: a delivery for it
+    here is a routing bug, raised loudly instead of silently dropped."""
+
+    def guard(src, message):
+        raise AssertionError(
+            f"executed a delivery for foreign node {name!r} (from {src!r}), "
+            "which another shard executes — cross-shard routing bug"
+        )
+
+    return guard
+
+
 @dataclass
 class FabricNetwork:
-    """A fully wired simulated deployment."""
+    """A wired simulated deployment.
+
+    ``peers`` (and ``orderer``) hold the nodes this process executes —
+    every node, unless the network was built for one shard.
+    ``org_members``, ``leaders``, ``peer_names`` and ``n_peers`` describe
+    the whole membership either way.
+    """
 
     sim: Simulator
     streams: RandomStreams
     network: Network
     msp: MembershipServiceProvider
-    orderer: OrderingService
+    orderer: Optional[OrderingService]
     peers: Dict[str, Peer]
     org_members: Dict[str, List[str]]
     leaders: Dict[str, str]
@@ -101,11 +120,11 @@ class FabricNetwork:
 
     @property
     def peer_names(self) -> List[str]:
-        return sorted(self.peers)
+        return sorted(name for members in self.org_members.values() for name in members)
 
     @property
     def n_peers(self) -> int:
-        return len(self.peers)
+        return sum(len(members) for members in self.org_members.values())
 
     def leader_of(self, org: str) -> Peer:
         return self.peers[self.leaders[org]]
@@ -120,13 +139,10 @@ class FabricNetwork:
             names.extend(name for name in members if name not in leaders)
         return sorted(names)
 
-    def start(self, owned: Optional[FrozenSet[str]] = None) -> None:
-        """Arm every peer's gossip and background timers — of the peers
-        named in ``owned`` only, when given (a shard's replicas of foreign
-        peers are built and never started)."""
-        for name, peer in self.peers.items():
-            if owned is None or name in owned:
-                peer.start()
+    def start(self) -> None:
+        """Arm every peer's gossip and background timers."""
+        for peer in self.peers.values():
+            peer.start()
 
     def run_until(
         self,
@@ -146,18 +162,15 @@ class FabricNetwork:
             self.sim.run(until=min(self.sim.now + step, max_time))
         return self.sim.now
 
-    def all_peers_received(
-        self, block_count: int, owned: Optional[FrozenSet[str]] = None
-    ) -> bool:
-        """Every present peer (of ``owned``, when given) holds every block
-        below ``block_count``.
+    def all_peers_received(self, block_count: int) -> bool:
+        """Every present peer holds every block below ``block_count``.
 
         Peers the churn engine removed from the membership (``departed``)
         are exempt — they will never catch up, and the completion
         predicate must not wait for them.
         """
-        for name, peer in self.peers.items():
-            if peer.departed or (owned is not None and name not in owned):
+        for peer in self.peers.values():
+            if peer.departed:
                 continue
             chain = peer.blockchain
             if chain.max_known_number() < block_count - 1:
@@ -179,6 +192,7 @@ def build_network(
     policy: Optional[EndorsementPolicy] = None,
     org_regions: Optional[Dict[str, str]] = None,
     orderer_region: Optional[str] = None,
+    owned: Optional[FrozenSet[str]] = None,
 ) -> FabricNetwork:
     """Build the deployment of the paper's §V-A (defaults: one org).
 
@@ -196,6 +210,12 @@ def build_network(
             before any sampler is bound.
         orderer_region: region of the ordering service; defaults to the
             first placed region (sorted) when ``org_regions`` is given.
+        owned: the node names this process executes (one shard of a
+            sharded run); ``None`` builds every node. A name outside
+            ``owned`` is enrolled, placed and registered on the network
+            like any other, but its handler is a guard that raises on
+            delivery, and no peer, view, gossip or background module (or
+            ordering service) is built for it.
     """
     if n_peers < 2:
         raise ValueError("need at least 2 peers")
@@ -231,13 +251,16 @@ def build_network(
     tracker = DisseminationTracker()
     conflicts = ConflictTracker()
 
-    views = build_views(org_members, leaders)
+    views = build_views(org_members, leaders, owned)
 
     factory = gossip_factory(gossip)
     peers: Dict[str, Peer] = {}
     for org, members in org_members.items():
         for name in members:
             identity = msp.enroll(name, org, "peer")
+            if owned is not None and name not in owned:
+                network.register(name, _foreign_handler(name))
+                continue
             peer = Peer(
                 sim,
                 network,
@@ -255,15 +278,19 @@ def build_network(
             peers[name] = peer
 
     msp.enroll("orderer", "ordering-org", "orderer")
-    orderer = OrderingService(
-        sim,
-        network,
-        streams,
-        name="orderer",
-        config=orderer_config,
-        org_leaders=leaders,
-        tracker=tracker,
-    )
+    orderer: Optional[OrderingService] = None
+    if owned is None or "orderer" in owned:
+        orderer = OrderingService(
+            sim,
+            network,
+            streams,
+            name="orderer",
+            config=orderer_config,
+            org_leaders=leaders,
+            tracker=tracker,
+        )
+    else:
+        network.register("orderer", _foreign_handler("orderer"))
 
     return FabricNetwork(
         sim=sim,

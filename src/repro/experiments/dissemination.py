@@ -178,8 +178,9 @@ def deploy(
     before any timer is armed — the scenario subsystem uses it to compile
     and arm declarative fault schedules against the fresh deployment.
     ``owned`` names the nodes this process executes (a shard worker;
-    ``None`` executes everything): only their timers are armed, and the
-    block driver is scheduled only where the orderer is owned.
+    ``None`` executes everything): only they are built
+    (:func:`~repro.experiments.builders.build_network`), and the block
+    driver is scheduled only where the orderer is.
     """
     net = build_network(
         n_peers=config.n_peers,
@@ -194,11 +195,12 @@ def deploy(
         background=config.background,
         org_regions=config.org_regions,
         orderer_region=config.orderer_region,
+        owned=owned,
     )
     if prepare is not None:
         prepare(net)
-    net.start(owned)
-    if owned is None or "orderer" in owned:
+    net.start()
+    if net.orderer is not None:
         transactions = synthetic_block_transactions(config.tx_per_block, config.tx_size)
         for index in range(config.blocks):
             net.sim.schedule_at(

@@ -95,7 +95,9 @@ class DigestLiarFault(DropFault):
 
     Re-advertising draws targets from the liar's own
     ``faults:liar:<name>`` stream on its own delivery path, so the fault
-    composes with sharding.
+    composes with sharding: ``peers`` holds the peers this process
+    executes, and only the liars among them are rewired (the drop filter
+    covers every liar, since a serve drops on its sender's shard).
     """
 
     def __init__(
@@ -110,7 +112,7 @@ class DigestLiarFault(DropFault):
         if lie_fanout < 0:
             raise ValueError(f"lie fanout must be >= 0, got {lie_fanout}")
         self.liars: Set[str] = set(liars)
-        unknown = sorted(self.liars - set(peers))
+        unknown = sorted(name for name in self.liars if name not in network)
         if unknown:
             raise ValueError(f"digest-liar fault names unknown peers: {unknown}")
         self.lie_fanout = lie_fanout
@@ -118,7 +120,8 @@ class DigestLiarFault(DropFault):
         self._rng_for = PerSourceStreams(streams, "faults:liar")
         super().__init__(network, active)
         for name in sorted(self.liars):
-            self._rewire(peers[name])
+            if name in peers:
+                self._rewire(peers[name])
 
     stop = DropFault.deactivate
 

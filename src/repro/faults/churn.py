@@ -19,17 +19,18 @@ appended after every build-time member of an incumbent's view, while the
 held-out joiner's own view — which the controller never touches — keeps
 build order.
 
-Sharding contract (docs/sharding.md): membership flips (view mutations,
-disconnect flags, the ``departed`` marker) are **global simulation state**
-and run on every shard at the same scheduled instant — they draw no
-randomness and mutate no RNG stream, so replicated execution keeps shards
-identical. Peer *lifecycle* (arming timers at join, shutdown at leave) is
-execution and runs only on the owner shard, exactly like crash handling.
+Sharding contract (docs/sharding.md): a shard's network holds only the
+peers it executes, so a membership flip runs on every shard at the same
+scheduled instant and touches what that shard holds — the views and the
+lifecycle (timers armed at join, shutdown at leave) of its own peers —
+plus the state every shard replicates: disconnect flags and the set of
+departed names. None of it draws randomness or mutates an RNG stream, so
+the shards stay identical to the single-process run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, List, Sequence, Set
 
 
 class ChurnController:
@@ -37,24 +38,23 @@ class ChurnController:
 
     Args:
         net: the freshly built :class:`~repro.experiments.builders.
-            FabricNetwork`.
-        owned: the node names this process executes (sharded mode);
-            ``None`` means single-process (owns everything).
+            FabricNetwork` (of one shard, or of the whole run).
     """
 
-    def __init__(self, net, owned: Optional[FrozenSet[str]] = None) -> None:
+    def __init__(self, net) -> None:
         self.net = net
-        self.owned = owned
         self.peers_joined = 0
-        self.peers_departed = 0
+        # Every name that has left, whichever shard executes it.
+        self.departed: Set[str] = set()
         self._org_of: Dict[str, str] = {
             name: org
             for org, members in net.org_members.items()
             for name in members
         }
 
-    def _owns(self, name: str) -> bool:
-        return self.owned is None or name in self.owned
+    @property
+    def peers_departed(self) -> int:
+        return len(self.departed)
 
     # ----- joins --------------------------------------------------------
 
@@ -68,9 +68,9 @@ class ChurnController:
         net = self.net
         joining = set(names)
         for name in names:
-            peer = net.peers[name]
-            peer.defer_start = True
             net.network.set_disconnected(name, True)
+            if name in net.peers:
+                net.peers[name].defer_start = True
         for peer in net.peers.values():
             if peer.name in joining:
                 continue
@@ -79,16 +79,17 @@ class ChurnController:
 
     def _join(self, names: List[str]) -> None:
         net = self.net
+        departed = self.departed
         for name in names:
             org = self._org_of[name]
             for peer in net.peers.values():
-                if peer.name == name or peer.departed:
+                if peer.name == name or peer.name in departed:
                     continue
                 peer.view.add_member(name, same_org=self._org_of[peer.name] == org)
             net.network.set_disconnected(name, False)
-            peer = net.peers[name]
-            peer.defer_start = False
-            if self._owns(name):
+            peer = net.peers.get(name)
+            if peer is not None:
+                peer.defer_start = False
                 peer.start()
             self.peers_joined += 1
 
@@ -101,17 +102,17 @@ class ChurnController:
     def _leave(self, names: List[str]) -> None:
         net = self.net
         # A peer an earlier wave already removed has nothing left to leave.
-        names = [name for name in names if not net.peers[name].departed]
+        names = [name for name in names if name not in self.departed]
         departing = set(names)
+        self.departed |= departing
         for peer in net.peers.values():
             if peer.name in departing:
                 continue
             for name in names:
                 peer.view.discard_member(name)
         for name in names:
-            peer = net.peers[name]
-            peer.departed = True
-            if self._owns(name):
+            peer = net.peers.get(name)
+            if peer is not None:
+                peer.departed = True
                 peer.shutdown()
             net.network.set_disconnected(name, True)
-            self.peers_departed += 1

@@ -23,20 +23,21 @@ Name resolution happens at compile time:
   the orderer, whose atomic-broadcast connections are reliable and
   flow-controlled in Fabric) are exempt.
 
-Sharded compilation: ``compile_fault_schedule(events, net, owned=...)``
-arms the same schedule on a shard worker. Global simulation state —
-disconnect flags, drop predicates, view membership — is applied on every
-shard at the same instants; peer *lifecycle* (crash/recover, timer arms
-at join, shutdown at leave) runs only on the owner shard. Every injector
-draws either no randomness or per-source streams, so the compiled run is
-bit-for-bit identical at any shard count (docs/faults.md has the
-per-injector contract).
+Sharded compilation: a shard worker's network holds only the peers it
+executes (``net.peers``), while names resolve against the whole membership
+(``net.peer_names``, ``net.network.regions``). Global simulation state —
+disconnect flags, drop predicates, the departed-name set — is applied on
+every shard at the same instants; per-peer state (crash/recover, views,
+timer arms at join, shutdown at leave) exists and changes only on the
+owner shard. Every injector draws either no randomness or per-source
+streams, so the compiled run is bit-for-bit identical at any shard count
+(docs/faults.md has the per-injector contract).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.faults.adversaries import (
     DigestLiarFault,
@@ -305,7 +306,7 @@ def _resolve_names(
 ) -> List[str]:
     """Expand an explicit-names/``regular_slice`` selection to peer names."""
     if explicit:
-        unknown = sorted(set(explicit) - set(net.peers))
+        unknown = sorted(set(explicit) - set(net.peer_names))
         if unknown:
             raise ValueError(f"{label} event names unknown peers: {unknown}")
         selected = list(explicit)
@@ -346,7 +347,7 @@ def _resolve_islands(event: PartitionEvent, net) -> List[List[str]]:
         for entry in island:
             if entry in by_region:
                 members.extend(sorted(by_region[entry]))
-            elif entry in net.peers or entry == "orderer":
+            elif entry in net.network:
                 members.append(entry)
             else:
                 raise ValueError(
@@ -417,9 +418,7 @@ def _build_adversary(event: AdversaryEvent, net):
     )
 
 
-def compile_fault_schedule(
-    events, net, owned: Optional[FrozenSet[str]] = None
-) -> FaultSchedule:
+def compile_fault_schedule(events, net) -> FaultSchedule:
     """Compile declarative ``events`` against ``net`` and arm the timers.
 
     Crash/recover arms become one-shot simulator events per peer (the
@@ -430,12 +429,12 @@ def compile_fault_schedule(
     deployment size. Churn events hold joiners out now and arm runtime
     membership flips.
 
-    ``owned`` compiles the schedule for one shard worker: global state
-    transitions (disconnect flags, drop predicates, view membership) are
-    armed identically everywhere, while peer lifecycle (crash/recover,
-    start-at-join, shutdown-at-leave) is restricted to owned peers —
-    foreign crashes degrade to the network-level disconnect flips every
-    shard needs at send time.
+    On a shard worker (a network built with ``owned``) global state
+    transitions (disconnect flags, drop predicates, departures) are armed
+    identically everywhere, while peer lifecycle (crash/recover,
+    start-at-join, shutdown-at-leave) is armed for the peers in
+    ``net.peers`` only — foreign crashes degrade to the network-level
+    disconnect flips every shard needs at send time.
     """
     schedule = FaultSchedule()
     sim = net.sim
@@ -445,10 +444,9 @@ def compile_fault_schedule(
             names = _resolve_crash_peers(event, net)
             schedule.crashes.append((event, names))
             for name in names:
-                if owned is None or name in owned:
-                    CrashSchedule(
-                        net.peers[name], crash_at=event.at, recover_at=event.recover_at
-                    ).arm(sim)
+                peer = net.peers.get(name)
+                if peer is not None:
+                    CrashSchedule(peer, crash_at=event.at, recover_at=event.recover_at).arm(sim)
                 else:
                     # Foreign crash: every shard needs the network-level
                     # disconnect flags (sends to a dead peer drop at send
@@ -478,7 +476,7 @@ def compile_fault_schedule(
             schedule.adversaries.append(fault)
             _arm_window(sim, fault, event.at, fault.stop, event.until)
         elif isinstance(event, EclipseEvent):
-            if event.victim not in net.peers:
+            if event.victim not in net.peer_names:
                 raise ValueError(f"eclipse names unknown victim {event.victim!r}")
             attackers = _resolve_names(
                 event.attackers, event.regular_slice, net, "eclipse"
@@ -506,7 +504,7 @@ def compile_fault_schedule(
             _arm_window(sim, fault, event.at, fault.restore, event.restore_at)
         elif isinstance(event, (JoinEvent, LeaveEvent)):
             if churn is None:
-                churn = ChurnController(net, owned=owned)
+                churn = ChurnController(net)
                 schedule.churn.append(churn)
             names = _resolve_event_peers(
                 event, net, "join" if isinstance(event, JoinEvent) else "leave",

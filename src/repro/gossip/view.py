@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.simulation.random import sample_skipping
 
@@ -170,7 +170,9 @@ class OrganizationView:
 
 
 def build_views(
-    org_members: Dict[str, List[str]], leaders: Dict[str, str]
+    org_members: Dict[str, List[str]],
+    leaders: Dict[str, str],
+    owned: Optional[AbstractSet[str]] = None,
 ) -> Dict[str, OrganizationView]:
     """Construct the per-peer views for a multi-organization channel.
 
@@ -180,6 +182,8 @@ def build_views(
     Args:
         org_members: organization name -> member peer names.
         leaders: organization name -> leader peer name.
+        owned: when given, build views for these peers only (their
+            memberships still list every member).
 
     Returns:
         peer name -> its :class:`OrganizationView`.
@@ -190,4 +194,5 @@ def build_views(
         name: OrganizationView(name, members, channel, leaders[org])
         for org, members in orgs.items()
         for name in members.names
+        if owned is None or name in owned
     }

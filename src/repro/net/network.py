@@ -224,11 +224,9 @@ class Network:
         else:
             self._dispatch[name] = table
 
-    def replace_handler(self, name: str, handler: Handler) -> None:
-        """Route every delivery for the registered node ``name`` to
-        ``handler`` from now on; its class table, if any, is dropped."""
-        self.set_dispatch(name, None)
-        self._handlers[name] = handler
+    def __contains__(self, name: str) -> bool:
+        """Whether ``name`` is a registered node."""
+        return name in self._handlers
 
     def region_of(self, name: str) -> Optional[str]:
         """The node's region in a multi-datacenter topology, if placed."""

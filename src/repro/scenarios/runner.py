@@ -13,7 +13,7 @@ line in :mod:`repro.perf.regression`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.experiments.dissemination import (
     DisseminationConfig,
@@ -99,9 +99,9 @@ class ShardResult:
     blocks_via_recovery: int
     # Hardening counters summed over this process's peers, plus its
     # injectors' drop count — each recorded in exactly one process, so the
-    # merge sums them. Membership (joined, departed, still expected) is
-    # replicated global state (every shard applies every join/leave to
-    # every replica), so the merge takes it from one result.
+    # merge sums them. Membership counts (joined, departed, still expected)
+    # are replicated: every shard counts every join and leave of the whole
+    # membership, so the merge takes them from one result.
     resilience_counters: Dict[str, int] = field(default_factory=dict)
     faults_dropped: int = 0
     peers_joined: int = 0
@@ -113,12 +113,10 @@ class ShardResult:
     queue_accounting: Dict[str, list] = field(default_factory=dict)
 
 
-def collect_result(
-    net, schedule: FaultSchedule, owned_peers: Iterable[str], shard_id: int = 0
-) -> ShardResult:
-    """The :class:`ShardResult` of the process that executed
-    ``owned_peers`` of ``net`` under the compiled ``schedule``."""
-    peers = [net.peers[name] for name in owned_peers]
+def collect_result(net, schedule: FaultSchedule, shard_id: int = 0) -> ShardResult:
+    """The :class:`ShardResult` of the process that executed the peers of
+    ``net`` under the compiled ``schedule``."""
+    peers = net.peers.values()
     return ShardResult(
         shard_id=shard_id,
         events_executed=net.sim.events_executed,
@@ -135,7 +133,7 @@ def collect_result(
         peers_departed=schedule.peers_departed,
         # The infection curves' denominator: a curve that waited for peers
         # that left for good would never close.
-        peers_expected=sum(1 for peer in net.peers.values() if not peer.departed),
+        peers_expected=net.n_peers - schedule.peers_departed,
         link_enabled=net.network._link is not None,
         queue_accounting=net.network.queue_accounting(),
     )
@@ -224,9 +222,8 @@ class ScenarioRun:
     def snapshot(self) -> dict:
         """This run's snapshot (:func:`merge_shard_results` of the one
         process that executed all of it)."""
-        net = self.result.net
         return merge_shard_results(
-            self.spec, self.seed, [collect_result(net, self.faults, net.peers)]
+            self.spec, self.seed, [collect_result(self.result.net, self.faults)]
         )
 
 

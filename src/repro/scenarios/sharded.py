@@ -589,21 +589,11 @@ class WindowedCoordinator:
 # ----- one shard --------------------------------------------------------------
 
 
-def _foreign_handler(name: str, shard_id: int):
-    def guard(src, message):
-        raise AssertionError(
-            f"shard {shard_id} executed a delivery for foreign node {name!r} "
-            f"(from {src!r}) — cross-shard routing bug"
-        )
-
-    return guard
-
-
 class ShardSession:
-    """One shard's live half of a sharded scenario run: the whole
-    deployment, built by :func:`~repro.experiments.dissemination.deploy`
-    with only this shard's nodes executing (docs/sharding.md,
-    "Partitioning")."""
+    """One shard's live half of a sharded scenario run: the deployment
+    built by :func:`~repro.experiments.dissemination.deploy` with only
+    this shard's nodes, the rest of the membership held as names
+    (docs/sharding.md, "Partitioning")."""
 
     def __init__(
         self,
@@ -630,21 +620,14 @@ class ShardSession:
         self._windows_seen = 0
         self.config = config = dissemination_config(spec, seed=seed, full=full)
         self.workload_end = config.blocks * config.block_period
-        self.owned = owned = frozenset(plan.owned_by(shard_id))
+        owned = frozenset(plan.owned_by(shard_id))
         self._egress: List[tuple] = []
 
         def prepare(net) -> None:
             net.network.enable_shard_egress(owned, self._egress)
-            # A delivery for a node another shard executes is a routing bug:
-            # replace_handler also drops the replica's class table, so the
-            # guard cannot be bypassed.
-            for name in [*net.peers, "orderer"]:
-                if name not in owned:
-                    net.network.replace_handler(name, _foreign_handler(name, shard_id))
-            self.schedule = compile_fault_schedule(spec.faults, net, owned=owned)
+            self.schedule = compile_fault_schedule(spec.faults, net)
 
-        self.net = net = deploy(config, prepare, owned)
-        self.owned_peers = [name for name in net.peers if name in owned]
+        self.net = deploy(config, prepare, owned)
 
     # ----- command handling (shared by inline and process transports) ----
 
@@ -672,13 +655,11 @@ class ShardSession:
         advance(time)
         egress = list(self._egress)
         self._egress.clear()
-        done = net.sim.now >= self.workload_end and net.all_peers_received(
-            self.config.blocks, self.owned
-        )
+        done = net.sim.now >= self.workload_end and net.all_peers_received(self.config.blocks)
         return egress, done
 
     def result(self) -> ShardResult:
-        return collect_result(self.net, self.schedule, self.owned_peers, self.shard_id)
+        return collect_result(self.net, self.schedule, self.shard_id)
 
 
 def _report_worker_error(conn, shard_id, command) -> None:

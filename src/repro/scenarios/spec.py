@@ -17,6 +17,7 @@ and cheap to derive variants from with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -39,6 +40,18 @@ LAN_JITTER_MEDIAN = _LAN_DEFAULTS.jitter_median
 LAN_JITTER_SIGMA = _LAN_DEFAULTS.jitter_sigma
 
 
+def _require_finite(spec, *fields: str, positive: bool = False) -> None:
+    """Refuse any of ``spec``'s ``fields`` that is NaN, infinite, negative
+    or, with ``positive``, zero — by name, when the spec is built."""
+    for name in fields:
+        value = getattr(spec, name)
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            bound = "> 0" if positive else ">= 0"
+            raise ValueError(
+                f"{type(spec).__name__}.{name} must be finite and {bound}, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """One-way delay parameters of a (region, region) link class."""
@@ -48,8 +61,7 @@ class LinkSpec:
     jitter_sigma: float = LAN_JITTER_SIGMA
 
     def __post_init__(self) -> None:
-        if self.base < 0 or self.jitter_median < 0 or self.jitter_sigma < 0:
-            raise ValueError("latency parameters must be >= 0")
+        _require_finite(self, "base", "jitter_median", "jitter_sigma")
 
     def params(self) -> Tuple[float, float, float]:
         return (self.base, self.jitter_median, self.jitter_sigma)
@@ -118,8 +130,10 @@ class WorkloadSpec:
     grace_period: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.blocks < 1 or self.block_period <= 0:
-            raise ValueError("need at least 1 block and a positive period")
+        if self.blocks < 1:
+            raise ValueError(f"WorkloadSpec.blocks must be >= 1, got {self.blocks!r}")
+        _require_finite(self, "block_period", positive=True)
+        _require_finite(self, "tx_per_block", "tx_size", "idle_tail", "grace_period")
 
 
 @dataclass(frozen=True)
@@ -182,6 +196,7 @@ class ScenarioSpec:
             raise ValueError("shards must be >= 1")
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
+        _require_finite(self, "per_tx_validation_time")
         if (
             self.placement is not None
             and self.topology is None

@@ -9,8 +9,7 @@ not perturb the sequence seen by another.
 A stream exists from its first draw, not from the construction of the
 component that owns it: a Mersenne-Twister state is 2.5 KB, a deployment
 builds three to four stream owners per peer, and most of them never draw
-(only a leader draws ``leader-initial-gossiper``; a shard replica that is
-built but never started draws nothing). Seeds derive
+(only a leader draws ``leader-initial-gossiper``). Seeds derive
 from ``(master_seed, name)`` alone, so which owner draws first — or
 whether one ever does — cannot move another stream's sequence.
 :func:`first_draw` is the one binding idiom every owner uses.

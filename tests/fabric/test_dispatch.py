@@ -207,8 +207,6 @@ def test_set_dispatch_and_disconnect_reject_unknown_nodes(sim, network):
     with pytest.raises(ValueError, match="ghost"):
         network.set_dispatch("ghost", {})
     with pytest.raises(ValueError, match="ghost"):
-        network.replace_handler("ghost", lambda src, message: None)
-    with pytest.raises(ValueError, match="ghost"):
         network.set_disconnected("ghost", True)
     with pytest.raises(ValueError, match="ghost"):
         network.set_disconnected("ghost", False)

@@ -146,9 +146,27 @@ def test_liar_requires_the_enhanced_module(sim):
         gossip = NoDigestModule()
         _dispatch_all = None
 
-    network, streams, _ = make_net(sim)
+    network, streams, _ = make_net(sim, nodes=("x",))
     with pytest.raises(ValueError, match="enhanced"):
         DigestLiarFault(network, {"x": FakePeer()}, ["x"], streams)
+
+
+def test_liar_on_another_shard_is_known_by_name_and_rewired_there_only():
+    owned = frozenset({"peer-1", "peer-5", "orderer"})
+    net = build_network(
+        n_peers=8, gossip=EnhancedGossipConfig.paper_f4(), seed=3, owned=owned
+    )
+    net.network.enable_shard_egress(owned, [])  # lies to other shards leave
+    fault = DigestLiarFault(
+        net.network, net.peers, ["peer-5", "peer-6"], net.streams, lie_fanout=2
+    )
+    block = make_chain([1])[0]
+    net.network.send("peer-1", "peer-5", PushDigest(0, block.block_hash, 1))
+    net.sim.run(until=1.0)
+    assert fault.lies_told == 1
+    assert net.peers["peer-5"].gossip.push.requests_sent == 0
+    with pytest.raises(ValueError, match="unknown"):
+        DigestLiarFault(net.network, net.peers, ["peer-8"], net.streams)
 
 
 def test_liar_validates_inputs(sim):

@@ -110,17 +110,33 @@ def test_completion_predicate_skips_departed_peers():
 
 
 def test_sharded_controller_flips_membership_everywhere_but_lifecycle_owner_only():
-    net = churn_net()
-    controller = ChurnController(net, owned=frozenset({"peer-0", "orderer"}))
+    owned = frozenset({"peer-0", "peer-5", "orderer"})
+    net = build_network(
+        n_peers=8,
+        gossip=EnhancedGossipConfig.paper_f4(),
+        organizations=2,
+        seed=1,
+        owned=owned,
+    )
+    net.network.enable_shard_egress(owned, [])  # sends to other shards leave
+    controller = ChurnController(net)
     net.start()
     controller.schedule_join(1.0, ["peer-7"])
-    net.sim.run(until=2.0)
-    # Membership (global state) flipped on this shard even though the
-    # joiner is foreign...
+    controller.schedule_leave(1.5, ["peer-6", "peer-5"])
+    net.sim.run(until=1.2)
+    # The joiner is foreign: no peer of it here, but its endpoint was held
+    # down until the join, and this shard's views admit it...
+    assert "peer-7" not in net.peers
     assert "peer-7" in net.peers["peer-5"].view.org_others
+    assert "peer-7" in net.peers["peer-0"].view.channel_others
     assert controller.peers_joined == 1
-    # ...but the foreign joiner's timers were not armed here.
-    assert net.peers["peer-7"].gossip.push.digests_sent == 0
+    net.sim.run(until=2.0)
+    # ...and every shard counts every departure, its own peers' and
+    # foreign ones alike, while only its own peers are marked and stopped.
+    assert controller.departed == {"peer-5", "peer-6"}
+    assert controller.peers_departed == 2
+    assert net.peers["peer-5"].departed and not net.peers["peer-5"].alive
+    assert "peer-6" not in net.peers["peer-0"].view.channel_others
 
 
 def test_join_event_compiles_through_the_schedule():

@@ -11,7 +11,7 @@ from repro.gossip.config import EnhancedGossipConfig
 from repro.metrics.latency import DisseminationTracker
 from repro.net import TrafficMonitor
 from repro.perf.regression import GOLDEN_SCENARIOS
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.sharded import (
     InlineTransport,
@@ -109,24 +109,83 @@ def test_sharded_snapshot_matches_single_for_tiny_spec():
 
 def test_shard_session_rejects_foreign_delivery():
     """A record mis-routed to a shard that does not execute its
-    destination must raise when its delivery event runs — for a message
-    class the replica's gossip table knows, too — not reach the replica."""
+    destination — a peer or the orderer — must raise when its delivery
+    event runs, not vanish."""
     from repro.gossip.messages import PushDigest
 
     spec = _tiny_spec()
     plan = plan_for(spec, shards=2)
     shard_id = 1 - plan.owner_of["orderer"]  # the shard the orderer is foreign to
-    for foreign in ("orderer", None):
+    local = plan.owned_by(shard_id)[0]
+    foreign_peer = next(
+        name for name in plan.owned_by(1 - shard_id) if name != "orderer"
+    )
+    for foreign in ("orderer", foreign_peer):
         session = ShardSession(spec, 1, plan, shard_id=shard_id)
-        if foreign is None:
-            foreign = next(name for name in session.net.peers if name not in session.owned)
-        local = session.owned_peers[0]
-        replica = session.net.peers.get(foreign)
+        assert foreign not in session.net.peers
         record = ("d", 0.005, local, foreign, PushDigest(0, "hash", 1))
         with pytest.raises(AssertionError, match=f"foreign node {foreign!r}"):
             session.handle(("window", 0.01, [record]))
-        if replica is not None:
-            assert replica.gossip.push.pairs_received == 0
+
+
+def test_a_shard_builds_only_the_peers_it_executes():
+    """Foreign nodes are names: enrolled, placed and guard-registered,
+    with no peer, view or gossip module built for them."""
+    spec = _tiny_spec()
+    plan = plan_for(spec, shards=2)
+    for shard_id in range(2):
+        session = ShardSession(spec, 1, plan, shard_id)
+        net = session.net
+        owned = set(plan.owned_by(shard_id))
+        assert set(net.peers) == owned - {"orderer"}
+        assert (net.orderer is not None) == ("orderer" in owned)
+        assert net.n_peers == spec.n_peers
+        assert net.peer_names == sorted(plan.owner_of.keys() - {"orderer"})
+        assert all(name in net.network for name in plan.owner_of)
+        assert all(net.msp.is_certified(name) for name in plan.owner_of)
+
+
+def test_a_shard_session_holds_a_fraction_of_a_whole_deployment():
+    """A two-shard session builds half the peers, so it holds little more
+    than half a whole deployment's memory (0.55 here; a session that also
+    built never-started replicas of the other half held 0.80)."""
+    import tracemalloc
+
+    from repro.experiments.dissemination import deploy
+    from repro.scenarios.runner import dissemination_config
+
+    spec = _tiny_spec(n_peers=400)
+    plan = plan_for(spec, shards=2)
+
+    def footprint(build):
+        tracemalloc.start()
+        try:
+            built = build()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del built
+        return size
+
+    whole = footprint(lambda: deploy(dissemination_config(spec, seed=1)))
+    shard = footprint(lambda: ShardSession(spec, 1, plan, shard_id=0))
+    assert shard < 0.6 * whole, (shard, whole)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [name for name in scenario_names() if not name.startswith("fig-")],
+)
+def test_two_inline_shards_return_the_single_process_snapshot(scenario):
+    """Every registered scenario but the paper-figure ones (which take
+    ~4x as long): the churn, adversary and partition paths resolve names
+    against the membership and touch only the peers a shard holds."""
+    single = run_scenario(scenario).snapshot()
+    sharded = run_scenario_sharded(scenario, shards=2, mode="inline").snapshot()
+    assert sharded.keys() == single.keys()
+    for key, value in single.items():
+        if key != "events_executed":
+            assert sharded[key] == value, key
 
 
 def test_merge_requires_matching_final_times():

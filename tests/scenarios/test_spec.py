@@ -106,3 +106,26 @@ def test_workload_validation():
         WorkloadSpec(blocks=0)
     with pytest.raises(ValueError):
         WorkloadSpec(block_period=0.0)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("base", lambda: LinkSpec(base=NAN)),
+        ("base", lambda: LinkSpec(base=INF)),
+        ("jitter_sigma", lambda: LinkSpec(0.01, jitter_sigma=-INF)),
+        ("block_period", lambda: WorkloadSpec(block_period=NAN)),
+        ("tx_size", lambda: WorkloadSpec(tx_size=-5000)),
+        ("idle_tail", lambda: WorkloadSpec(idle_tail=-1.0)),
+        ("grace_period", lambda: WorkloadSpec(grace_period=NAN)),
+        ("per_tx_validation_time", lambda: minimal_spec(per_tx_validation_time=-1.0)),
+        ("per_tx_validation_time", lambda: minimal_spec(per_tx_validation_time=INF)),
+    ],
+)
+def test_non_finite_or_negative_values_are_refused_by_name(field, build):
+    with pytest.raises(ValueError, match=field):
+        build()
