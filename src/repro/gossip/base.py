@@ -43,8 +43,8 @@ class GossipHost(Protocol):
         by the first call — components bind it at their first draw
         (:func:`repro.simulation.random.first_draw`), not at construction."""
 
-    def after(self, delay: float, callback: Callable, *args) -> object:
-        """One-shot timer."""
+    def after(self, delay: float, callback: Callable, *args) -> None:
+        """One-shot timer, not cancellable."""
 
     def every(self, period: float, callback: Callable[[], None], **kwargs) -> object:
         """Periodic timer."""

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from repro.checks import require_finite
 
 
 @dataclass
@@ -19,6 +20,10 @@ class RecoveryConfig:
     t_state_info: float = 4.0
     state_info_fanout: int = 3
     batch_max: int = 10
+
+    def __post_init__(self) -> None:
+        require_finite(self, "t_recovery", "t_state_info", "batch_max", positive=True)
+        require_finite(self, "state_info_fanout")
 
 
 @dataclass
@@ -46,8 +51,8 @@ class OriginalGossipConfig:
     def __post_init__(self) -> None:
         if self.fout < 1 or self.fin < 0:
             raise ValueError("fan-outs must be positive")
-        if self.t_push < 0 or self.t_pull <= 0:
-            raise ValueError("invalid timers")
+        require_finite(self, "t_push")
+        require_finite(self, "t_pull", positive=True)
 
 
 @dataclass
@@ -98,10 +103,7 @@ class EnhancedGossipConfig:
             raise ValueError("ttl must be >= 1")
         if self.ttl_direct < 0 or self.ttl_direct > self.ttl:
             raise ValueError("require 0 <= ttl_direct <= ttl")
-        if self.t_push < 0:
-            raise ValueError("t_push must be >= 0")
-        if self.request_timeout < 0:
-            raise ValueError("request_timeout must be >= 0")
+        require_finite(self, "t_push", "request_timeout", "retry_backoff")
         if self.request_retries < 0:
             raise ValueError("request_retries must be >= 0")
         if self.retry_backoff < 1.0:
@@ -142,13 +144,10 @@ class BackgroundTrafficConfig:
     aggregate: bool = True
 
     def __post_init__(self) -> None:
-        # `not >` also rejects NaN, which would reach the timer wheel.
-        if not self.period > 0 or math.isinf(self.period):
-            raise ValueError(f"period must be positive and finite, got {self.period!r}")
+        require_finite(self, "period", positive=True)
         if self.fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {self.fanout!r}")
-        if self.message_size < 0:
-            raise ValueError(f"message_size must be >= 0, got {self.message_size!r}")
+        require_finite(self, "message_size")
 
     @property
     def per_peer_tx_rate(self) -> float:

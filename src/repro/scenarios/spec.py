@@ -17,10 +17,10 @@ and cheap to derive variants from with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple, Union
 
+from repro.checks import require_finite
 from repro.faults.schedule import FaultEvent
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
 from repro.net.latency import LanLatency, TopologyLatency
@@ -40,18 +40,6 @@ LAN_JITTER_MEDIAN = _LAN_DEFAULTS.jitter_median
 LAN_JITTER_SIGMA = _LAN_DEFAULTS.jitter_sigma
 
 
-def _require_finite(spec, *fields: str, positive: bool = False) -> None:
-    """Refuse any of ``spec``'s ``fields`` that is NaN, infinite, negative
-    or, with ``positive``, zero — by name, when the spec is built."""
-    for name in fields:
-        value = getattr(spec, name)
-        if not math.isfinite(value) or value < 0 or (positive and value == 0):
-            bound = "> 0" if positive else ">= 0"
-            raise ValueError(
-                f"{type(spec).__name__}.{name} must be finite and {bound}, got {value!r}"
-            )
-
-
 @dataclass(frozen=True)
 class LinkSpec:
     """One-way delay parameters of a (region, region) link class."""
@@ -61,7 +49,7 @@ class LinkSpec:
     jitter_sigma: float = LAN_JITTER_SIGMA
 
     def __post_init__(self) -> None:
-        _require_finite(self, "base", "jitter_median", "jitter_sigma")
+        require_finite(self, "base", "jitter_median", "jitter_sigma")
 
     def params(self) -> Tuple[float, float, float]:
         return (self.base, self.jitter_median, self.jitter_sigma)
@@ -132,8 +120,8 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.blocks < 1:
             raise ValueError(f"WorkloadSpec.blocks must be >= 1, got {self.blocks!r}")
-        _require_finite(self, "block_period", positive=True)
-        _require_finite(self, "tx_per_block", "tx_size", "idle_tail", "grace_period")
+        require_finite(self, "block_period", positive=True)
+        require_finite(self, "tx_per_block", "tx_size", "idle_tail", "grace_period")
 
 
 @dataclass(frozen=True)
@@ -196,7 +184,7 @@ class ScenarioSpec:
             raise ValueError("shards must be >= 1")
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
-        _require_finite(self, "per_tx_validation_time")
+        require_finite(self, "per_tx_validation_time")
         if (
             self.placement is not None
             and self.topology is None

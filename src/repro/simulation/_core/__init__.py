@@ -25,19 +25,24 @@ and sharded.
 Heap layout
 -----------
 
-The heap stores plain five-element lists rather than handle objects::
+Every heap entry is one immutable tuple, built once when the event is
+scheduled and dropped by reference count when it has run::
 
-    [time, seq, callback, args, handle]
+    (time, seq, callback, args)            # schedule_call, fan_out
+    (time, seq, callback, args, handle)    # schedule, schedule_at
 
-``heapq`` then compares entries with C-level list comparison: ``time``
-first, then the monotonically increasing ``seq``, which is unique, so the
-comparison never reaches the callback. Cancellation is lazy and in-place:
-cancelling sets ``entry[2]`` (the callback) to ``None``; the entry stays in
-the heap and is discarded when it surfaces. Executed and discarded entries
-are recycled through a bounded free list, so steady-state scheduling
-allocates no new lists. When lazily cancelled entries exceed half the heap
-(mass timer cancellation, e.g. a crash fault stopping every periodic
-component), the heap is compacted in one pass to bound memory in long runs.
+``heapq`` compares entries with C-level tuple comparison: ``time`` first,
+then the monotonically increasing ``seq``, which is unique, so the
+comparison never reaches the callback. Only an entry scheduled through
+:meth:`Simulator.schedule` / :meth:`~Simulator.schedule_at` carries the
+fifth slot, its :class:`EventHandle`; the run loop checks that handle and
+nothing else. Cancellation is lazy: it marks the handle, the entry stays in
+the heap and is discarded uncounted when it surfaces. There is no free
+list: a recycled entry would have to be a mutable list, which costs a
+second allocation and a pointer chase in every heap comparison. When
+lazily cancelled entries exceed half the heap (mass timer cancellation,
+e.g. a crash fault stopping every periodic component), the heap is
+compacted in one pass to bound memory in long runs.
 """
 
 from __future__ import annotations
@@ -52,9 +57,6 @@ from collections import _count_elements  # type: ignore[attr-defined]
 
 _INF = float("inf")
 
-# Heap entry slots: [time, seq, callback, args, handle]. ``callback is
-# None`` marks a lazily cancelled entry.
-_ENTRY_POOL_MAX = 4096
 # Compact when stale (cancelled-in-heap) entries pass both thresholds.
 _COMPACT_MIN_STALE = 64
 
@@ -68,22 +70,21 @@ class EventHandle:
 
     Cancellation is lazy: the entry stays in the heap but is skipped when it
     surfaces. ``handle.cancelled`` and ``handle.executed`` expose the state.
+    The heap entry points at its handle, never the other way round.
     """
 
-    __slots__ = ("time", "seq", "_sim", "_entry", "_cancelled", "_fired")
+    __slots__ = ("time", "seq", "_sim", "_cancelled", "_fired")
 
     time: float
     seq: int
     _sim: "Simulator"
-    _entry: Any
     _cancelled: bool
     _fired: bool
 
-    def __init__(self, sim: "Simulator", entry: List[Any]) -> None:
-        self.time = entry[0]
-        self.seq = entry[1]
+    def __init__(self, sim: "Simulator", time: float, seq: int) -> None:
+        self.time = time
+        self.seq = seq
         self._sim = sim
-        self._entry = entry
         self._cancelled = False
         self._fired = False
 
@@ -105,11 +106,6 @@ class EventHandle:
         if self._fired or self._cancelled:
             return
         self._cancelled = True
-        entry = self._entry
-        self._entry = None
-        entry[2] = None
-        entry[3] = None
-        entry[4] = None
         self._sim._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -137,19 +133,17 @@ class Simulator:
         "_events_executed",
         "_live",
         "_stale",
-        "_pool",
         "_peak_heap",
         "_wheel",
     )
 
     _now: float
     _seq: int
-    _heap: List[List[Any]]
+    _heap: List[Tuple[Any, ...]]
     _running: bool
     _events_executed: int
     _live: int
     _stale: int
-    _pool: List[List[Any]]
     _peak_heap: int
     _wheel: Optional["TimerWheel"]
 
@@ -161,7 +155,6 @@ class Simulator:
         self._events_executed = 0
         self._live = 0  # scheduled minus cancelled minus executed: O(1)
         self._stale = 0  # lazily cancelled entries still in the heap
-        self._pool = []
         self._peak_heap = 0
         self._wheel = None
 
@@ -212,9 +205,18 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        entry = self._push(time, callback, args)
-        handle = EventHandle(self, entry)
-        entry[4] = handle
+        # ``not (now <= time < inf)`` is a single guard catching NaN
+        # (comparisons are False), +/-inf and past times at once.
+        if not (self._now <= time < _INF):
+            self._reject_time(time)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(self, time, seq)
+        heap = self._heap
+        _heappush(heap, (time, seq, callback, args, handle))
+        self._live += 1
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
         return handle
 
     def schedule_call(
@@ -223,50 +225,17 @@ class Simulator:
         """Fast-path schedule without an :class:`EventHandle`.
 
         For hot callers that never cancel (the timer wheel arms its slots
-        through it); skips the handle allocation. The body duplicates
-        :meth:`_push` to save a call frame per event.
+        through it, ``Process.after`` its one-shots): a four-slot entry,
+        no handle allocation.
         """
         if not (self._now <= time < _INF):
             self._reject_time(time)
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = self._seq
-            entry[2] = callback
-            entry[3] = args
-            entry[4] = None
-        else:
-            entry = [time, self._seq, callback, args, None]
-        self._seq += 1
         heap = self._heap
-        _heappush(heap, entry)
+        _heappush(heap, (time, self._seq, callback, args))
+        self._seq += 1
         self._live += 1
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
-
-    def _push(self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]) -> List[Any]:
-        # ``not (now <= time < inf)`` is a single guard catching NaN
-        # (comparisons are False), +/-inf and past times at once.
-        if not (self._now <= time < _INF):
-            self._reject_time(time)
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = time
-            entry[1] = self._seq
-            entry[2] = callback
-            entry[3] = args
-            entry[4] = None
-        else:
-            entry = [time, self._seq, callback, args, None]
-        self._seq += 1
-        heap = self._heap
-        _heappush(heap, entry)
-        self._live += 1
-        if len(heap) > self._peak_heap:
-            self._peak_heap = len(heap)
-        return entry
 
     def _reject_time(self, time: float) -> None:
         if time != time or time == _INF:
@@ -289,13 +258,9 @@ class Simulator:
         long recovery/background runs) instead of letting dead entries
         accumulate until their scheduled times.
         """
-        pool = self._pool
-        live_entries: List[List[Any]] = []
-        for entry in self._heap:
-            if entry[2] is not None:
-                live_entries.append(entry)
-            elif len(pool) < _ENTRY_POOL_MAX:
-                pool.append(entry)
+        live_entries = [
+            entry for entry in self._heap if len(entry) == 4 or not entry[4]._cancelled
+        ]
         _heapify(live_entries)
         self._heap = live_entries
         self._stale = 0
@@ -323,7 +288,6 @@ class Simulator:
         # which is when anyone queries them.
         executed = 0
         heappop = _heappop
-        pool = self._pool
         heap = self._heap
         # One comparison per event instead of two None tests: absent
         # bounds become sentinels no event time / count can exceed.
@@ -332,30 +296,26 @@ class Simulator:
         try:
             while heap:
                 entry = heap[0]
-                callback = entry[2]
-                if callback is None:
-                    heappop(heap)
-                    self._stale -= 1
-                    if len(pool) < _ENTRY_POOL_MAX:
-                        pool.append(entry)
-                    continue
                 event_time = entry[0]
-                if event_time > limit:
-                    break
-                heappop(heap)
-                self._now = event_time
-                args = entry[3]
-                handle = entry[4]
-                if handle is not None:
+                if len(entry) == 4:
+                    if event_time > limit:
+                        break
+                    heappop(heap)
+                else:
+                    # A cancelled entry is discarded uncounted whenever it
+                    # surfaces, past the bound or not.
+                    handle = entry[4]
+                    if handle._cancelled:
+                        heappop(heap)
+                        self._stale -= 1
+                        continue
+                    if event_time > limit:
+                        break
+                    heappop(heap)
                     handle._fired = True
-                    handle._entry = None
-                entry[2] = None
-                entry[3] = None
-                entry[4] = None
-                if len(pool) < _ENTRY_POOL_MAX:
-                    pool.append(entry)
+                self._now = event_time
                 executed += 1
-                callback(*args)
+                entry[2](*entry[3])
                 # _compact() (reachable only through a cancel inside the
                 # callback) swaps the heap list object; re-bind after each
                 # callback, the only place the swap can happen.
@@ -394,35 +354,28 @@ class Simulator:
         self._running = True
         executed = 0
         heappop = _heappop
-        pool = self._pool
         heap = self._heap
         try:
             while heap:
                 entry = heap[0]
-                callback = entry[2]
-                if callback is None:
-                    heappop(heap)
-                    self._stale -= 1
-                    if len(pool) < _ENTRY_POOL_MAX:
-                        pool.append(entry)
-                    continue
                 event_time = entry[0]
-                if event_time >= end:
-                    break
-                heappop(heap)
-                self._now = event_time
-                args = entry[3]
-                handle = entry[4]
-                if handle is not None:
+                if len(entry) == 4:
+                    if event_time >= end:
+                        break
+                    heappop(heap)
+                else:
+                    handle = entry[4]
+                    if handle._cancelled:
+                        heappop(heap)
+                        self._stale -= 1
+                        continue
+                    if event_time >= end:
+                        break
+                    heappop(heap)
                     handle._fired = True
-                    handle._entry = None
-                entry[2] = None
-                entry[3] = None
-                entry[4] = None
-                if len(pool) < _ENTRY_POOL_MAX:
-                    pool.append(entry)
+                self._now = event_time
                 executed += 1
-                callback(*args)
+                entry[2](*entry[3])
                 heap = self._heap  # _compact() may swap the list object
             self._now = end
             return self._now
@@ -438,7 +391,6 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._heap.clear()
-        self._pool.clear()
         self._events_executed = 0
         self._live = 0
         self._stale = 0
@@ -460,6 +412,13 @@ DEFAULT_RING_TICKS = 512
 # unique, so keying on it alone reproduces full-tuple ordering without
 # ever comparing WheelTimer objects.
 _ARM_ORDER = _itemgetter(0)
+
+
+def _require_period(period: float) -> None:
+    # ``not (0 < period < inf)`` also refuses NaN, on which the slot
+    # arithmetic would raise a bare ValueError.
+    if not (0 < period < _INF):
+        raise SimulationError(f"timer period must be positive and finite, got {period}")
 
 
 class WheelTimer:
@@ -525,8 +484,7 @@ class WheelTimer:
         must use a naive :class:`PeriodicTimer` instead, as the process
         layer does at registration time.
         """
-        if period <= 0:
-            raise SimulationError(f"timer period must be positive, got {period}")
+        _require_period(period)
         if not self._wheel.supports_period(period):
             raise SimulationError(
                 f"period {period} is not a whole number of wheel ticks "
@@ -627,10 +585,11 @@ class TimerWheel:
             jitter: optional callable returning an additive offset applied
                 independently to every firing before quantization.
         """
-        if period <= 0:
-            raise SimulationError(f"timer period must be positive, got {period}")
-        if initial_delay is not None and initial_delay < 0:
-            raise SimulationError(f"initial delay must be >= 0, got {initial_delay}")
+        _require_period(period)
+        if initial_delay is not None and not (0 <= initial_delay < _INF):
+            raise SimulationError(
+                f"initial_delay must be finite and >= 0, got {initial_delay}"
+            )
         timer = WheelTimer(self, period, callback, jitter)
         self._live += 1
         first = period if initial_delay is None else initial_delay
@@ -653,9 +612,9 @@ class TimerWheel:
 
         Grid-multiple periods re-quantize stably: the epsilon in
         :meth:`_slot_for` absorbs accumulated float dust, so the effective
-        period is exact.
+        period is exact. A NaN or infinite period is not supported.
         """
-        if period < self._tick:
+        if not (self._tick <= period < _INF):
             return False
         ticks = round(period * self._tps)
         return ticks >= 1 and abs(period - ticks / self._tps) <= 1e-9 * period
@@ -1296,13 +1255,15 @@ def fan_out(
     the previous copy; :func:`link_enqueue` admits it or drops it before
     any latency is drawn; ``sample`` draws its propagation delay; a
     destination another shard owns (``owned`` / ``egress``) leaves as a
-    plain record, a local one as a heap entry whose argument tuple is
-    ``(src, message, dst)`` (``(src, message, dst, transfer)`` for a
-    two-phase copy), pushed with the next sequence number. A copy whose
-    time ties exactly with the previous local copy's joins that copy's
-    entry instead — its tuple is rebuilt around a destination list: their
-    sequence numbers would be consecutive, so no other event could run
-    between them.
+    plain record, a local one as a heap entry ``(time, seq, callback,
+    args)`` whose argument tuple is ``(src, message, dst)`` (``(src,
+    message, dst, transfer)`` for a two-phase copy), pushed with the next
+    sequence number. Each local push waits until the next local copy's
+    time differs (or the call ends), so a copy whose time ties exactly
+    with the previous local copy's joins its pending destination — a name
+    becomes a list — before the entry is built: their sequence numbers
+    would be consecutive, so no other event could run between them, and
+    no tuple is ever rebuilt.
 
     Per call: the sender's NIC, the queue accounting and the engine's
     sequence counter are read into locals once and written back in
@@ -1324,11 +1285,12 @@ def fan_out(
         delay_sum = stats[3]
         delay_max = stats[4]
     two_phase, callback = phase
-    entry_pool = sim._pool
     heap = sim._heap
     seq = sim._seq
-    previous_time = -1.0
-    previous_entry: Optional[List[Any]] = None
+    # The local copy not pushed yet: its time and its destination, or the
+    # list of destinations whose copies tied with it.
+    pending_time = -1.0
+    pending: Any = None
     tail = codel = queued = 0
     try:
         for dst in dsts:
@@ -1362,30 +1324,23 @@ def fan_out(
                 else:
                     egress.append(("d", event_time, src, dst, message))
                 continue
-            if event_time == previous_time:
-                grouped = previous_entry[3][2]
-                if grouped.__class__ is list:
-                    grouped.append(dst)
-                elif two_phase:
-                    previous_entry[3] = (src, message, [grouped, dst], transfer)
+            if event_time == pending_time:
+                if pending.__class__ is list:
+                    pending.append(dst)
                 else:
-                    previous_entry[3] = (src, message, [grouped, dst])
+                    pending = [pending, dst]
                 continue
-            args = (src, message, dst, transfer) if two_phase else (src, message, dst)
-            if entry_pool:
-                entry = entry_pool.pop()
-                entry[0] = event_time
-                entry[1] = seq
-                entry[2] = callback
-                entry[3] = args
-                entry[4] = None
-            else:
-                entry = [event_time, seq, callback, args, None]
-            seq += 1
-            _heappush(heap, entry)
-            previous_time = event_time
-            previous_entry = entry
+            if pending is not None:
+                args = (src, message, pending, transfer) if two_phase else (src, message, pending)
+                _heappush(heap, (pending_time, seq, callback, args))
+                seq += 1
+            pending_time = event_time
+            pending = dst
     finally:
+        if pending is not None:
+            args = (src, message, pending, transfer) if two_phase else (src, message, pending)
+            _heappush(heap, (pending_time, seq, callback, args))
+            seq += 1
         port[0] = uplink_done
         if state is not None:
             stats[1] += tail

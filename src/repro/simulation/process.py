@@ -10,9 +10,9 @@ process, and to timer management so processes can be shut down cleanly
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
-from repro.simulation._core import EventHandle, Simulator, WheelTimer
+from repro.simulation._core import Simulator, WheelTimer
 from repro.simulation.random import RandomStreams
 from repro.simulation.timers import PeriodicTimer
 
@@ -55,14 +55,18 @@ class Process:
         """
         return self._streams.stream(f"{self.name}:{purpose}")
 
-    def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule a one-shot callback, skipped if the process has died."""
+    def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Schedule a one-shot callback, skipped if the process has died.
 
-        def guarded(*inner_args: Any) -> None:
-            if self._alive:
-                callback(*inner_args)
+        Not cancellable: a one-shot that may need cancelling goes through
+        ``sim.schedule`` / ``sim.schedule_at``, which return a handle.
+        """
+        sim = self.sim
+        sim.schedule_call(sim._now + delay, self._if_alive, (callback, args))
 
-        return self.sim.schedule(delay, guarded, *args)
+    def _if_alive(self, callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        if self._alive:
+            callback(*args)
 
     def every(
         self,

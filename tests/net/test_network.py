@@ -389,6 +389,8 @@ def test_multicast_groups_tied_deliveries_into_one_event(sim):
     inboxes = {name: register_sink(network, name) for name in ("b", "c", "d")}
     network.multicast("a", ["b", "c", "d"], RawMessage(0))
     assert sim.pending_events == 1
+    ((_, _, _, args),) = sim._heap  # one handle-free entry, grouped before the push
+    assert args[2] == ["b", "c", "d"]
     sim.run()
     assert sim.events_executed == 1
     assert all(len(inbox) == 1 for inbox in inboxes.values())
@@ -817,7 +819,8 @@ def test_batched_shard_injection_numbers_records_like_one_call_each():
         sim.run(until=0.006)  # injection starts from a non-zero clock and sequence number
         first_seq = sim._seq
         inject(network, records)
-        heaps.append(sorted((time, seq, callback.__name__, args) for time, seq, callback, args, _ in sim._heap))
+        entries = [entry[:4] for entry in sim._heap]
+        heaps.append(sorted((time, seq, callback.__name__, args) for time, seq, callback, args in entries))
         assert sorted(entry[1] for entry in heaps[-1]) == list(range(first_seq, first_seq + len(records)))
         sim.run()
         logs.append(log)

@@ -1,12 +1,15 @@
-"""Property tests: the engine core replays bit-for-bit.
+"""Property tests: the engine core replays bit-for-bit, and correctly.
 
 The determinism contract of :mod:`repro.simulation._core` is *bit-for-bit*
 equality: for any schedule — cancellations, mass-cancel compaction,
 timer-wheel re-arms, exact ``schedule_call`` ties — two runs execute the
 exact same ``(time, tag)`` callback sequence with identical clock, event
-counts and heap instrumentation. The traffic monitor must survive merge
-and pickle (the shard-worker wire) unchanged, and the latency kernels must
-reproduce the stdlib ``lognormvariate`` stream they inline.
+counts and heap instrumentation. A replay that is consistently wrong would
+pass that, so the same programs (timers aside) also run on a sorted-list
+reference engine and must produce its trace and counters. The traffic
+monitor must survive merge and pickle (the shard-worker wire) unchanged,
+and the latency kernels must reproduce the stdlib ``lognormvariate``
+stream they inline.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import pickle
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.simulation._core import (
     Simulator,
@@ -32,7 +35,7 @@ from repro.simulation._core import (
 # an implementation divergence.
 _TICK = 0.05
 
-_op = st.one_of(
+_event_ops = (
     st.tuples(st.just("call"), st.integers(0, 40)),
     st.tuples(st.just("at"), st.integers(0, 40)),
     st.tuples(st.just("fast"), st.integers(0, 40)),
@@ -42,30 +45,86 @@ _op = st.one_of(
     st.tuples(st.just("records"), st.integers(0, 40), st.integers(1, 6)),
     st.tuples(st.just("cancel"), st.integers(0, 1000)),
     st.tuples(st.just("mass_cancel")),
-    # Recurring wheel timer: grid-multiple period, self-stops after a few
-    # ticks, optionally re-arms onto a new period mid-life.
-    st.tuples(
-        st.just("timer"),
-        st.integers(1, 8),          # period in ticks
-        st.integers(1, 3),          # stop after this many firings
-        st.integers(0, 8),          # re-arm period in ticks (0 = never)
-    ),
     st.tuples(st.just("run"), st.integers(0, 40)),
 )
+# Recurring wheel timer: grid-multiple period, self-stops after a few
+# ticks, optionally re-arms onto a new period mid-life.
+_timer_op = st.tuples(
+    st.just("timer"),
+    st.integers(1, 8),          # period in ticks
+    st.integers(1, 3),          # stop after this many firings
+    st.integers(0, 8),          # re-arm period in ticks (0 = never)
+)
 
-programs = st.lists(_op, min_size=1, max_size=40)
+programs = st.lists(st.one_of(*_event_ops, _timer_op), min_size=1, max_size=40)
+event_programs = st.lists(st.one_of(*_event_ops), min_size=1, max_size=40)
 
 
-def run_program(program):
-    """Execute one program; return the observable state.
+class _ReferenceHandle:
+    def __init__(self) -> None:
+        self.cancelled = False
+        self.executed = False
+
+    def cancel(self) -> None:
+        if not self.executed:
+            self.cancelled = True
+
+
+class ReferenceSimulator:
+    """The scheduling semantics with nothing clever: an unordered list of
+    ``(time, seq, callback, args, handle)``, scanned for its ``(time,
+    seq)`` minimum among the entries not cancelled, up to an inclusive
+    ``until``. No heap, no lazy discard, no compaction, no batching."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.events_executed = 0
+        self._seq = 0
+        self._queue = []
+
+    @property
+    def pending_events(self) -> int:
+        return sum(not entry[4].cancelled for entry in self._queue)
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def schedule_at(self, time, callback, *args):
+        handle = _ReferenceHandle()
+        self._queue.append((time, self._seq, callback, args, handle))
+        self._seq += 1
+        return handle
+
+    def schedule_call(self, time, callback, args=()):
+        self.schedule_at(time, callback, *args)
+
+    def run(self, until):
+        while True:
+            live = [entry for entry in self._queue if not entry[4].cancelled]
+            if not live:
+                break
+            entry = min(live, key=lambda entry: (entry[0], entry[1]))
+            if entry[0] > until:
+                break
+            self._queue.remove(entry)
+            self.now = entry[0]
+            self.events_executed += 1
+            entry[4].executed = True
+            entry[2](*entry[3])
+        self.now = max(self.now, until)
+        return self.now
+
+
+def run_program(program, sim):
+    """Execute one program on ``sim``; return the observable state.
 
     The trace records ``(now, tag)`` at every callback execution — the
     exact quantity the determinism contract pins — plus the monitor fed
-    from inside the callbacks and the engine instrumentation counters.
+    from inside the callbacks and the engine's counters after every op.
     """
-    sim = Simulator()
     monitor = TrafficMonitor()
     trace = []
+    counters = []
     handles = []
     tag_box = [0]
 
@@ -114,13 +173,14 @@ def run_program(program):
             holder.append(sim.wheel.every(period, tick))
         elif kind == "run":
             sim.run(until=sim.now + op[1] * _TICK)
+        counters.append((sim.now, sim.events_executed, sim.pending_events))
     sim.run(until=sim.now + 60.0)
     return {
         "trace": trace,
+        "counters": counters,
         "now": sim.now,
         "events_executed": sim.events_executed,
         "pending": sim.pending_events,
-        "peak_heap": sim.peak_heap_size,
         "totals": (
             monitor.totals.messages,
             monitor.totals.bytes,
@@ -136,7 +196,21 @@ def run_program(program):
 @settings(max_examples=60, deadline=None)
 def test_replay_is_deterministic(program):
     """The same program run twice is bit-identical."""
-    assert run_program(program) == run_program(program)
+    first, second = Simulator(), Simulator()
+    assert run_program(program, first) == run_program(program, second)
+    assert first.peak_heap_size == second.peak_heap_size
+
+
+@given(event_programs)
+@settings(max_examples=60, deadline=None)
+# Events at exactly a run's ``until`` fire in that run; random programs
+# rarely land on the bound.
+@example([("fast", 3), ("run", 3)])
+@example([("call", 3), ("at", 3), ("cancel", 0), ("run", 3)])
+def test_engine_matches_the_sorted_list_reference(program):
+    """The heap engine executes what the reference does: the same ``(now,
+    tag)`` trace, ``events_executed``, ``pending_events`` and final clock."""
+    assert run_program(program, Simulator()) == run_program(program, ReferenceSimulator())
 
 
 def test_mass_cancel_compaction():

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import tracemalloc
+import weakref
+
 import pytest
 
 from repro.simulation import SimulationError, Simulator
@@ -190,7 +193,7 @@ def test_many_events_keep_global_order(sim):
     assert order == sorted(order, key=lambda item: (item[0], item[1]))
 
 
-# ----- fast-path internals: pooling, O(1) counting, compaction -------------
+# ----- fast-path internals: entry layout, O(1) counting, compaction --------
 
 
 def test_pending_events_counter_is_live(sim):
@@ -224,18 +227,67 @@ def test_schedule_call_rejects_past_and_nan(sim):
         sim.schedule_call(float("inf"), lambda: None)
 
 
-def test_heap_entries_are_pooled(sim):
-    fired = []
-    for i in range(50):
-        sim.schedule_call(float(i), fired.append, (i,))
+def test_handle_free_entries_are_four_tuples(sim):
+    sim.schedule_call(1.0, print, ("a",))
+    handle = sim.schedule(2.0, print, "b")
+    assert sorted(sim._heap) == [
+        (1.0, 0, print, ("a",)),
+        (2.0, 1, print, ("b",), handle),
+    ]
+
+
+class _Payload:
+    """A weakly referenceable callback argument."""
+
+
+def test_fired_or_cancelled_handle_holds_no_heap_entry(sim):
+    """Neither handle keeps its entry (and with it the callback's
+    arguments) alive once the entry has left the heap."""
+    fired_payload, cancelled_payload = _Payload(), _Payload()
+    fired_ref, cancelled_ref = weakref.ref(fired_payload), weakref.ref(cancelled_payload)
+    fired = sim.schedule(1.0, lambda payload: None, fired_payload)
+    cancelled = sim.schedule(2.0, lambda payload: None, cancelled_payload)
+    del fired_payload, cancelled_payload
+    cancelled.cancel()
     sim.run()
-    assert len(fired) == 50
-    assert len(sim._pool) >= 1  # executed entries went back to the free list
-    pooled_before = len(sim._pool)
-    sim.schedule_call(sim.now + 1.0, fired.append, (99,))
-    assert len(sim._pool) == pooled_before - 1  # reused, not reallocated
+    assert fired.executed and cancelled.cancelled
+    assert fired_ref() is None and cancelled_ref() is None
+    assert sim._heap == []
+
+
+def test_compaction_leaves_only_live_entries(sim):
+    doomed = [sim.schedule(100.0 + i, lambda: None) for i in range(40)]
+    kept = [sim.schedule(50.0 + i, lambda: None) for i in range(5)]
+    for i in range(5):
+        sim.schedule_call(60.0 + i, lambda: None)
+    for handle in doomed:
+        handle.cancel()
+    assert sim._stale == 40  # below the threshold: still lazy
+    sim._compact()
+    assert sim._stale == 0
+    assert len(sim._heap) == sim.pending_events == 10
+    assert all(len(entry) == 4 or entry[4].pending for entry in sim._heap)
+    assert {entry[4] for entry in sim._heap if len(entry) == 5} == set(kept)
     sim.run()
-    assert fired[-1] == 99
+    assert all(handle.executed for handle in kept)
+    assert sim.events_executed == 10
+
+
+def test_a_pending_fast_path_event_is_one_small_tuple(sim):
+    """10,000 pending ``schedule_call`` events cost at most 145 traced
+    bytes each: the 4-tuple, its time and the heap slot. Measured 121-136
+    (a pooled 5-slot list entry cost 159)."""
+    n = 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            sim.schedule_call(1.0 + i, print)
+        per_event = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert sim.pending_events == n
+    assert per_event <= 145
 
 
 def test_mass_cancellation_compacts_heap(sim):
@@ -257,7 +309,7 @@ def test_cancelled_handle_states_survive_pool_reuse(sim):
     cancelled.cancel()
     executed = sim.schedule(2.0, lambda: None)
     sim.run()
-    # Recycle entries through many new events; old handles must not change.
+    # Many later events; old handles must not change.
     for i in range(20):
         sim.schedule_call(sim.now + i + 1.0, lambda: None)
     sim.run()
@@ -364,13 +416,3 @@ def test_small_cancellation_batches_stay_lazy(sim):
     sim.run()
     assert all(handle.executed for handle in keep)
 
-
-def test_compacted_entries_are_recycled_through_the_pool(sim):
-    handles = [sim.schedule(100.0 + i, lambda: None) for i in range(200)]
-    for handle in handles:
-        handle.cancel()
-    pooled = len(sim._pool)
-    assert pooled >= 150  # compaction passes fed the corpses to the free list
-    for i in range(50):
-        sim.schedule_call(1.0 + i, lambda: ())
-    assert len(sim._pool) == pooled - 50  # new events reuse, not allocate

@@ -23,7 +23,9 @@ def test_rng_streams_scoped_by_process_name(sim, streams):
 def test_after_runs_callback(sim, streams):
     process = make_process(sim, streams)
     fired = []
-    process.after(1.0, fired.append, "x")
+    assert process.after(1.0, fired.append, "x") is None  # not cancellable
+    ((time, _, _, _),) = sim._heap  # one handle-free entry, no closure
+    assert time == 1.0
     sim.run()
     assert fired == ["x"]
 

@@ -127,6 +127,34 @@ def test_invalid_arguments_rejected(sim, wheel):
         TimerWheel(sim, ring_ticks=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"period": float("nan")}, "period"),
+        ({"period": float("inf")}, "period"),
+        ({"period": 1.0, "initial_delay": float("nan")}, "initial_delay"),
+        ({"period": 1.0, "initial_delay": float("inf")}, "initial_delay"),
+    ],
+)
+def test_non_finite_registration_is_refused_before_counting_a_timer(sim, wheel, kwargs, named):
+    """A NaN period used to escape as a bare ValueError from the slot
+    arithmetic after ``live_timers`` had counted the timer."""
+    with pytest.raises(SimulationError, match=named):
+        wheel.every(callback=lambda: None, **kwargs)
+    assert wheel.live_timers == 0
+    assert sim.pending_events == 0
+
+
+def test_non_finite_periods_are_unsupported_and_refused_by_reschedule(wheel):
+    assert not wheel.supports_period(float("inf"))
+    assert not wheel.supports_period(float("nan"))
+    timer = wheel.every(1.0, lambda: None)
+    for period in (float("nan"), float("inf")):
+        with pytest.raises(SimulationError, match="period"):
+            timer.reschedule(period)
+    assert timer.period == 1.0
+
+
 def test_jitter_applied_and_quantized(sim):
     wheel = sim.wheel
     fired = []
