@@ -83,8 +83,8 @@ class Peer(Process):
         # but only when the subclass has not overridden get_block.
         if type(self).get_block is Peer.get_block:
             self.get_block = self.blockchain.get_any
-        # Unified exact-type dispatch table: the gossip module's entries
-        # merged with the peer-level message types. While the peer is
+        # Unified exact-type dispatch table: the gossip module's own table,
+        # completed with the peer-level message types. While the peer is
         # alive the network holds it (Network.set_dispatch) and calls the
         # handlers directly; _on_message is the fallback for everything
         # else. None until a module with a dispatch table is attached;
@@ -100,18 +100,16 @@ class Peer(Process):
         if self.gossip is not None:
             raise RuntimeError(f"{self.name} already has a gossip module")
         self.gossip = factory(self, self.view)
-        gossip_dispatch = getattr(self.gossip, "_dispatch", None)
-        if gossip_dispatch is not None:
-            # Peer-level defaults first so the gossip module's own entries
-            # win on (hypothetical) overlaps, preserving the old probe
-            # order: gossip table, then peer message types.
-            table = {
-                MembershipAlive: _discard_message,
-                LeadershipHeartbeat: self._on_heartbeat_message,
-                OrdererBlock: self._on_orderer_block_message,
-                EndorsementRequest: self._on_endorsement_request,
-            }
-            table.update(gossip_dispatch)
+        table = getattr(self.gossip, "_dispatch", None)
+        if table is not None:
+            # The module's own table, completed with the peer-level message
+            # types: one dict per peer. setdefault lets the module's entries
+            # win on (hypothetical) overlaps, as if the gossip table were
+            # probed before the peer message types.
+            table.setdefault(MembershipAlive, _discard_message)
+            table.setdefault(LeadershipHeartbeat, self._on_heartbeat_message)
+            table.setdefault(OrdererBlock, self._on_orderer_block_message)
+            table.setdefault(EndorsementRequest, self._on_endorsement_request)
             self._dispatch_all = table
             self._publish_dispatch()
 

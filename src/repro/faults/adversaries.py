@@ -146,9 +146,9 @@ class DigestLiarFault(DropFault):
             if targets:
                 peer.multicast(targets, message)
 
+        # The module's table is the peer's one dispatch table, which the
+        # network holds by reference: one write rewires every path.
         module._dispatch[PushDigest] = lying_on_digest
-        if peer._dispatch_all is not None:
-            peer._dispatch_all[PushDigest] = lying_on_digest
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
         if (

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.checks import require_finite
 from repro.faults.adversaries import (
     DigestLiarFault,
     EclipseFault,
@@ -53,6 +54,12 @@ from repro.faults.injectors import (
     SilentPeerFault,
     TeasingPeerFault,
 )
+
+
+def _require_times(event, *optional: str) -> None:
+    """Refuse a NaN, infinite or negative ``at``, or such a value in any
+    of the ``optional`` time fields that is set, by field name."""
+    require_finite(event, "at", *(name for name in optional if getattr(event, name) is not None))
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,7 @@ class CrashEvent:
     regular_slice: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("crash time must be >= 0")
+        _require_times(self, "recover_at")
         if self.recover_at is not None and self.recover_at <= self.at:
             raise ValueError("recover_at must be after the crash time")
         if bool(self.peers) == (self.regular_slice is not None):
@@ -91,8 +97,7 @@ class PartitionEvent:
     islands: Tuple[Tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("partition time must be >= 0")
+        _require_times(self, "heal_at")
         if self.heal_at is not None and self.heal_at <= self.at:
             raise ValueError("heal_at must be after the partition time")
         if not self.islands:
@@ -116,8 +121,7 @@ class DegradeEvent:
     protect: Tuple[str, ...] = ("orderer",)
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("degrade time must be >= 0")
+        _require_times(self, "restore_at")
         if self.restore_at is not None and self.restore_at <= self.at:
             raise ValueError("restore_at must be after the degrade time")
         if not 0.0 <= self.loss_rate <= 1.0:
@@ -153,8 +157,7 @@ class AdversaryEvent:
             raise ValueError(
                 f"unknown adversary kind {self.kind!r}; known: {ADVERSARY_KINDS}"
             )
-        if self.at < 0:
-            raise ValueError("adversary time must be >= 0")
+        _require_times(self, "until")
         if self.until is not None and self.until <= self.at:
             raise ValueError("until must be after the activation time")
         if bool(self.peers) == (self.regular_slice is not None):
@@ -184,8 +187,7 @@ class EclipseEvent:
     def __post_init__(self) -> None:
         if not self.victim:
             raise ValueError("eclipse needs a victim")
-        if self.at < 0:
-            raise ValueError("eclipse time must be >= 0")
+        _require_times(self, "release_at")
         if self.release_at is not None and self.release_at <= self.at:
             raise ValueError("release_at must be after the eclipse time")
         if bool(self.attackers) == (self.regular_slice is not None):
@@ -207,8 +209,7 @@ class FlakyLinkEvent:
     protect: Tuple[str, ...] = ("orderer",)
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("flaky-link time must be >= 0")
+        _require_times(self, "restore_at")
         if self.restore_at is not None and self.restore_at <= self.at:
             raise ValueError("restore_at must be after the flaky-link time")
         if not 0.0 <= self.loss_rate <= 1.0:
@@ -232,6 +233,7 @@ class JoinEvent:
     regular_slice: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
+        _require_times(self)
         if self.at <= 0:
             raise ValueError("join time must be > 0 (members from t=0 need no event)")
         if bool(self.peers) == (self.regular_slice is not None):
@@ -247,8 +249,7 @@ class LeaveEvent:
     regular_slice: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("leave time must be >= 0")
+        _require_times(self)
         if bool(self.peers) == (self.regular_slice is not None):
             raise ValueError("select peers via exactly one of peers/regular_slice")
 

@@ -313,14 +313,14 @@ class Network:
         that order assigns consecutive sequence numbers, which fixes the
         relative order of same-time injected events deterministically.
         """
-        schedule = self.sim.schedule_call
+        schedule = self.sim.schedule_delivery
         deliver = self._deliver_multicast
         arrive = self._arrive_multicast
         for rec in records:
             if rec[0] == "d":
-                schedule(rec[1], deliver, (rec[2], rec[4], rec[3]))
+                schedule(rec[1], deliver, rec[2], rec[4], rec[3])
             else:
-                schedule(rec[1], arrive, (rec[2], rec[4], rec[3], rec[5]))
+                schedule(rec[1], arrive, rec[2], rec[4], rec[3], rec[5])
 
     def wire_size(self, message: Message) -> int:
         """Bytes on the wire: payload plus fixed envelope."""
@@ -507,10 +507,10 @@ class Network:
                     tied[1] = [tied[1], dst]
             else:
                 deliveries.append([delivered, dst])
-        schedule = self.sim.schedule_call
+        schedule = self.sim.schedule_delivery
         deliver = self._deliver_multicast
         for delivered, grouped in deliveries:
-            schedule(delivered, deliver, (src, message, grouped))
+            schedule(delivered, deliver, src, message, grouped)
 
     def send_aggregate(self, src: str, dsts: Sequence[str], message: Message) -> None:
         """Account one identical metadata message to each destination and

@@ -28,15 +28,22 @@ Heap layout
 Every heap entry is one immutable tuple, built once when the event is
 scheduled and dropped by reference count when it has run::
 
-    (time, seq, callback, args)            # schedule_call, fan_out
-    (time, seq, callback, args, handle)    # schedule, schedule_at
+    (time, seq, callback, args)                               # schedule_call
+    (time, seq, callback, args, handle)                       # schedule, schedule_at
+    (time, seq, callback, src, message, target)               # a delivery
+    (time, seq, callback, src, message, target, transfer)     # a two-phase arrival
+
+A delivery (pushed by :func:`fan_out` and
+:meth:`Simulator.schedule_delivery`) carries its arguments in the entry
+itself, so an in-flight message costs one tuple, not two; the run loop
+calls it as ``callback(src, message, target[, transfer])``.
 
 ``heapq`` compares entries with C-level tuple comparison: ``time`` first,
 then the monotonically increasing ``seq``, which is unique, so the
 comparison never reaches the callback. Only an entry scheduled through
-:meth:`Simulator.schedule` / :meth:`~Simulator.schedule_at` carries the
-fifth slot, its :class:`EventHandle`; the run loop checks that handle and
-nothing else. Cancellation is lazy: it marks the handle, the entry stays in
+:meth:`Simulator.schedule` / :meth:`~Simulator.schedule_at` has five
+slots, the fifth its :class:`EventHandle`; the run loop checks that handle
+and nothing else. Cancellation is lazy: it marks the handle, the entry stays in
 the heap and is discarded uncounted when it surfaces. There is no free
 list: a recycled entry would have to be a mutable list, which costs a
 second allocation and a pointer chase in every heap comparison. When
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import random as _random
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
-from math import ceil, exp as _exp, floor as _floor, log as _log
+from math import ceil, exp as _exp, floor as _floor, log as _log, nextafter as _nextafter
 from operator import itemgetter as _itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -237,6 +244,20 @@ class Simulator:
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
 
+    def schedule_delivery(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Fast-path schedule of ``callback(src, message, target[,
+        transfer])``, ``args`` being those three or four: the six- or
+        seven-slot delivery entry of :func:`fan_out`, for the network's
+        deliveries scheduled outside it."""
+        if not (self._now <= time < _INF):
+            self._reject_time(time)
+        heap = self._heap
+        _heappush(heap, (time, self._seq, callback, *args))
+        self._seq += 1
+        self._live += 1
+        if len(heap) > self._peak_heap:
+            self._peak_heap = len(heap)
+
     def _reject_time(self, time: float) -> None:
         if time != time or time == _INF:
             raise SimulationError(f"invalid event time: {time}")
@@ -259,7 +280,7 @@ class Simulator:
         accumulate until their scheduled times.
         """
         live_entries = [
-            entry for entry in self._heap if len(entry) == 4 or not entry[4]._cancelled
+            entry for entry in self._heap if len(entry) != 5 or not entry[4]._cancelled
         ]
         _heapify(live_entries)
         self._heap = live_entries
@@ -297,7 +318,8 @@ class Simulator:
             while heap:
                 entry = heap[0]
                 event_time = entry[0]
-                if len(entry) == 4:
+                slots = len(entry)
+                if slots != 5:
                     if event_time > limit:
                         break
                     heappop(heap)
@@ -315,7 +337,12 @@ class Simulator:
                     handle._fired = True
                 self._now = event_time
                 executed += 1
-                entry[2](*entry[3])
+                if slots == 6:
+                    entry[2](entry[3], entry[4], entry[5])
+                elif slots == 7:
+                    entry[2](entry[3], entry[4], entry[5], entry[6])
+                else:
+                    entry[2](*entry[3])
                 # _compact() (reachable only through a cancel inside the
                 # callback) swaps the heap list object; re-bind after each
                 # callback, the only place the swap can happen.
@@ -343,7 +370,9 @@ class Simulator:
         whose times are ``>= end`` by the lookahead guarantee — can still
         be scheduled (``now`` never passes them) and order among the
         window-edge events by scheduling sequence. Contrast :meth:`run`,
-        whose ``until`` bound is inclusive.
+        whose ``until`` bound is inclusive: for floats, ``t >= end`` is
+        exactly ``t > nextafter(end, -inf)``, so the window is :meth:`run`
+        up to the largest float below ``end``.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -351,38 +380,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot run a window ending at t={end} before current time t={self._now}"
             )
-        self._running = True
-        executed = 0
-        heappop = _heappop
-        heap = self._heap
-        try:
-            while heap:
-                entry = heap[0]
-                event_time = entry[0]
-                if len(entry) == 4:
-                    if event_time >= end:
-                        break
-                    heappop(heap)
-                else:
-                    handle = entry[4]
-                    if handle._cancelled:
-                        heappop(heap)
-                        self._stale -= 1
-                        continue
-                    if event_time >= end:
-                        break
-                    heappop(heap)
-                    handle._fired = True
-                self._now = event_time
-                executed += 1
-                entry[2](*entry[3])
-                heap = self._heap  # _compact() may swap the list object
-            self._now = end
-            return self._now
-        finally:
-            self._events_executed += executed
-            self._live -= executed
-            self._running = False
+        self.run(until=_nextafter(end, -_INF))
+        self._now = end
+        return end
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
@@ -419,6 +419,11 @@ def _require_period(period: float) -> None:
     # arithmetic would raise a bare ValueError.
     if not (0 < period < _INF):
         raise SimulationError(f"timer period must be positive and finite, got {period}")
+
+
+def _require_initial_delay(initial_delay: Optional[float]) -> None:
+    if initial_delay is not None and not (0 <= initial_delay < _INF):
+        raise SimulationError(f"initial_delay must be finite and >= 0, got {initial_delay}")
 
 
 class WheelTimer:
@@ -586,10 +591,7 @@ class TimerWheel:
                 independently to every firing before quantization.
         """
         _require_period(period)
-        if initial_delay is not None and not (0 <= initial_delay < _INF):
-            raise SimulationError(
-                f"initial_delay must be finite and >= 0, got {initial_delay}"
-            )
+        _require_initial_delay(initial_delay)
         timer = WheelTimer(self, period, callback, jitter)
         self._live += 1
         first = period if initial_delay is None else initial_delay
@@ -1255,10 +1257,10 @@ def fan_out(
     the previous copy; :func:`link_enqueue` admits it or drops it before
     any latency is drawn; ``sample`` draws its propagation delay; a
     destination another shard owns (``owned`` / ``egress``) leaves as a
-    plain record, a local one as a heap entry ``(time, seq, callback,
-    args)`` whose argument tuple is ``(src, message, dst)`` (``(src,
-    message, dst, transfer)`` for a two-phase copy), pushed with the next
-    sequence number. Each local push waits until the next local copy's
+    plain record, a local one as the delivery entry ``(time, seq,
+    callback, src, message, dst)`` (``(..., dst, transfer)`` for a
+    two-phase copy), its arguments in the entry itself, pushed with the
+    next sequence number. Each local push waits until the next local copy's
     time differs (or the call ends), so a copy whose time ties exactly
     with the previous local copy's joins its pending destination — a name
     becomes a list — before the entry is built: their sequence numbers
@@ -1331,15 +1333,19 @@ def fan_out(
                     pending = [pending, dst]
                 continue
             if pending is not None:
-                args = (src, message, pending, transfer) if two_phase else (src, message, pending)
-                _heappush(heap, (pending_time, seq, callback, args))
+                if two_phase:
+                    _heappush(heap, (pending_time, seq, callback, src, message, pending, transfer))
+                else:
+                    _heappush(heap, (pending_time, seq, callback, src, message, pending))
                 seq += 1
             pending_time = event_time
             pending = dst
     finally:
         if pending is not None:
-            args = (src, message, pending, transfer) if two_phase else (src, message, pending)
-            _heappush(heap, (pending_time, seq, callback, args))
+            if two_phase:
+                _heappush(heap, (pending_time, seq, callback, src, message, pending, transfer))
+            else:
+                _heappush(heap, (pending_time, seq, callback, src, message, pending))
             seq += 1
         port[0] = uplink_done
         if state is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, List, Optional, Tuple, Union
 
-from repro.simulation._core import Simulator, WheelTimer
+from repro.simulation._core import SimulationError, Simulator, WheelTimer
 from repro.simulation.random import RandomStreams
 from repro.simulation.timers import PeriodicTimer
 
@@ -88,7 +88,15 @@ class Process:
         O(1) without touching the event heap. Sub-tick periods (high-rate
         client drivers) fall back to the naive one-event-per-tick
         :class:`PeriodicTimer`.
+
+        The timer calls ``callback`` itself, with no liveness guard around
+        it: a process is dead only after :meth:`shutdown`, which stops
+        every timer it registered, and a stopped timer is skipped before
+        its callback. Registering on a dead process raises
+        :class:`SimulationError`.
         """
+        if not self._alive:
+            raise SimulationError(f"{self.name} is not alive: cannot register a periodic timer")
         jitter: Optional[Callable[[], float]] = None
         if jitter_stream is not None and jitter_fraction > 0:
             rng = self.rng(jitter_stream)
@@ -97,16 +105,12 @@ class Process:
             def jitter() -> float:
                 return rng.uniform(-amplitude, amplitude)
 
-        def guarded() -> None:
-            if self._alive:
-                callback()
-
         sim = self.sim
         timer: RecurringTimer
         if sim.wheel.supports_period(period):
-            timer = sim.wheel.every(period, guarded, initial_delay=initial_delay, jitter=jitter)
+            timer = sim.wheel.every(period, callback, initial_delay=initial_delay, jitter=jitter)
         else:
-            timer = PeriodicTimer(sim, period, guarded, initial_delay=initial_delay, jitter=jitter)
+            timer = PeriodicTimer(sim, period, callback, initial_delay=initial_delay, jitter=jitter)
         self._timers.append(timer)
         return timer
 

@@ -36,8 +36,18 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+class Stream(random.Random):
+    """A :class:`random.Random` that is its generator state and nothing
+    more: the slot holds the one attribute ``Random`` sets, so no stream
+    carries an instance ``__dict__`` (~330 B each, over 9,000 streams at
+    3,000 peers). Draws, ``getstate()``, pickling and ``deepcopy`` are
+    those of ``random.Random``."""
+
+    __slots__ = ("gauss_next",)
+
+
 class RandomStreams:
-    """Factory and registry of named :class:`random.Random` streams."""
+    """Factory and registry of named :class:`Stream` generators."""
 
     def __init__(self, master_seed: int = 0) -> None:
         self._master_seed = master_seed
@@ -51,7 +61,7 @@ class RandomStreams:
         """Return the stream registered under ``name``, creating it lazily."""
         rng = self._streams.get(name)
         if rng is None:
-            rng = random.Random(derive_seed(self._master_seed, name))
+            rng = Stream(derive_seed(self._master_seed, name))
             self._streams[name] = rng
         return rng
 

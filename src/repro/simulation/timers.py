@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.simulation._core import EventHandle, SimulationError, Simulator
+from repro.simulation._core import EventHandle, Simulator, _require_initial_delay, _require_period
 
 
 class PeriodicTimer:
@@ -19,9 +19,11 @@ class PeriodicTimer:
 
     Args:
         sim: the simulator to schedule on.
-        period: seconds between invocations; must be positive.
+        period: seconds between invocations; must be positive and finite,
+            here and in :meth:`reschedule`.
         callback: invoked with no arguments at every tick.
-        initial_delay: delay before the first tick. Defaults to one period.
+        initial_delay: delay before the first tick, finite and >= 0.
+            Defaults to one period.
         jitter: optional callable returning a (possibly random) additive
             offset applied independently to every tick, e.g. drawn from a
             seeded RNG stream. The effective delay is clamped at >= 0.
@@ -35,8 +37,8 @@ class PeriodicTimer:
         initial_delay: Optional[float] = None,
         jitter: Optional[Callable[[], float]] = None,
     ) -> None:
-        if period <= 0:
-            raise SimulationError(f"timer period must be positive, got {period}")
+        _require_period(period)
+        _require_initial_delay(initial_delay)
         self._sim = sim
         self._period = period
         self._callback = callback
@@ -83,6 +85,5 @@ class PeriodicTimer:
 
     def reschedule(self, period: float) -> None:
         """Change the period; takes effect from the next tick onwards."""
-        if period <= 0:
-            raise SimulationError(f"timer period must be positive, got {period}")
+        _require_period(period)
         self._period = period

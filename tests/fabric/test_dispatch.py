@@ -79,6 +79,20 @@ def test_network_delivery_reaches_the_handler_on_message_picks(gossip):
     assert sorted(through_network, key=key) == sorted(calls, key=key)
 
 
+@pytest.mark.parametrize(
+    "gossip", [EnhancedGossipConfig.paper_f4(), OriginalGossipConfig()], ids=["enhanced", "original"]
+)
+def test_a_peer_holds_one_dispatch_table(gossip):
+    """The module's own table, completed with the four peer-level
+    classes, is the table the peer probes and the network holds."""
+    net = build_network(n_peers=4, gossip=gossip, seed=3)
+    peer = net.peers["peer-2"]
+    table = peer.gossip._dispatch
+    assert peer._dispatch_all is table and net.network._dispatch["peer-2"] is table
+    assert {MembershipAlive, LeadershipHeartbeat, OrdererBlock, EndorsementRequest} <= set(table)
+    assert table[EndorsementRequest] == peer._on_endorsement_request
+
+
 class _NoTableGossip(GossipModule):
     """A custom module without a ``_dispatch`` table: ``handle()`` only."""
 

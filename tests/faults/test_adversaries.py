@@ -118,6 +118,21 @@ def test_liar_readvertises_instead_of_requesting():
     assert liar.ledger_height == 0  # and indeed never got the block
 
 
+def test_liar_rewires_the_one_shared_table():
+    """The gossip module's table is the peer's dispatch table and the one
+    the network holds: one write reaches the network path, the peer's
+    ``_on_message`` fallback and ``module.handle`` alike."""
+    net, fault = liar_net()
+    liar = net.peers["peer-5"]
+    table = liar.gossip._dispatch
+    assert liar._dispatch_all is table and net.network._dispatch["peer-5"] is table
+    assert table[PushDigest].__name__ == "lying_on_digest"
+    block = make_chain([1])[0]
+    liar._on_message("peer-1", PushDigest(0, block.block_hash, 1))
+    liar.gossip.handle("peer-1", PushDigest(0, block.block_hash, 2))
+    assert fault.lies_told == 2 and liar.gossip.push.requests_sent == 0
+
+
 def test_liar_withholds_requested_serves():
     net, fault = liar_net()
     block = make_chain([1])[0]
@@ -144,7 +159,6 @@ def test_liar_requires_the_enhanced_module(sim):
     class FakePeer:
         name = "x"
         gossip = NoDigestModule()
-        _dispatch_all = None
 
     network, streams, _ = make_net(sim, nodes=("x",))
     with pytest.raises(ValueError, match="enhanced"):

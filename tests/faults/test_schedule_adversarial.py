@@ -8,8 +8,11 @@ from repro.faults.injectors import SilentPeerFault, TeasingPeerFault, _drop_filt
 from repro.faults.schedule import (
     AdversaryEvent,
     CrashEvent,
+    DegradeEvent,
     EclipseEvent,
     FlakyLinkEvent,
+    JoinEvent,
+    LeaveEvent,
     PartitionEvent,
     compile_fault_schedule,
 )
@@ -68,6 +71,47 @@ def test_eclipse_and_flaky_event_validation():
         FlakyLinkEvent(at=1.0, direction=("east", "east"))
     with pytest.raises(ValueError):
         FlakyLinkEvent(at=1.0, direction=("east", "west"), loss_rate=2.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_SELECT = {"peers": ("peer-1",)}
+
+
+@pytest.mark.parametrize(
+    "event, kwargs, field",
+    [
+        (CrashEvent, {"at": _NAN, **_SELECT}, "at"),
+        (CrashEvent, {"at": -1.0, **_SELECT}, "at"),
+        (CrashEvent, {"at": 1.0, "recover_at": _INF, **_SELECT}, "recover_at"),
+        (CrashEvent, {"at": 1.0, "recover_at": _NAN, **_SELECT}, "recover_at"),
+        (PartitionEvent, {"at": _INF, "islands": (("east",),)}, "at"),
+        (PartitionEvent, {"at": 1.0, "heal_at": _NAN, "islands": (("east",),)}, "heal_at"),
+        (DegradeEvent, {"at": _NAN}, "at"),
+        (DegradeEvent, {"at": 1.0, "restore_at": _INF}, "restore_at"),
+        (AdversaryEvent, {"kind": "silent", "at": _NAN, **_SELECT}, "at"),
+        (AdversaryEvent, {"kind": "silent", "until": _INF, **_SELECT}, "until"),
+        (EclipseEvent, {"victim": "v", "at": _INF, "attackers": ("a",)}, "at"),
+        (EclipseEvent, {"victim": "v", "release_at": _NAN, "attackers": ("a",)}, "release_at"),
+        (FlakyLinkEvent, {"at": _NAN, "direction": ("east", "west")}, "at"),
+        (FlakyLinkEvent, {"at": 1.0, "direction": ("east", "west"), "restore_at": _NAN}, "restore_at"),
+        (JoinEvent, {"at": _INF, **_SELECT}, "at"),
+        (JoinEvent, {"at": _NAN, **_SELECT}, "at"),
+        (LeaveEvent, {"at": _NAN, **_SELECT}, "at"),
+        (LeaveEvent, {"at": -0.5, **_SELECT}, "at"),
+    ],
+)
+def test_non_finite_or_negative_event_times_are_refused_by_name(event, kwargs, field):
+    """Regression: NaN and infinite times constructed and the run failed
+    late; an optional time is checked only when set (``None`` passes)."""
+    with pytest.raises(ValueError, match=rf"{event.__name__}\.{field} must be finite and >= 0"):
+        event(**kwargs)
+
+
+def test_unset_optional_event_times_pass():
+    assert CrashEvent(at=0.0, **_SELECT).recover_at is None
+    assert DegradeEvent(at=0.0).restore_at is None
+    assert AdversaryEvent(kind="lazy", **_SELECT).until is None
+    assert EclipseEvent(victim="v", attackers=("a",)).release_at is None
 
 
 # ----- compilation ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the simulated network (delivery, serialization, faults)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.net.latency import ConstantLatency
@@ -389,11 +391,38 @@ def test_multicast_groups_tied_deliveries_into_one_event(sim):
     inboxes = {name: register_sink(network, name) for name in ("b", "c", "d")}
     network.multicast("a", ["b", "c", "d"], RawMessage(0))
     assert sim.pending_events == 1
-    ((_, _, _, args),) = sim._heap  # one handle-free entry, grouped before the push
-    assert args[2] == ["b", "c", "d"]
+    # One delivery entry, its arguments in the entry, grouped before the push.
+    ((_, _, _, src, _, target),) = sim._heap
+    assert (src, target) == ("a", ["b", "c", "d"])
     sim.run()
     assert sim.events_executed == 1
     assert all(len(inbox) == 1 for inbox in inboxes.values())
+
+
+def test_a_pending_delivery_is_one_small_tuple(sim):
+    """A 10,000-destination ``multicast`` costs at most 185 traced bytes
+    per pending delivery: the six-slot entry, its time and the heap slot.
+    Measured 155; an entry plus a separate argument tuple cost 194. The
+    first multicast opens the sender's port and the monitor cell, so the
+    measured one allocates nothing but its deliveries."""
+    n = 10_000
+    network = make_network(sim, latency=0.01, queue_min=1_000_000)
+    dsts = [f"n{i}" for i in range(n)]
+    for name in ["src"] + dsts:
+        network.register(name, lambda src, msg: None)
+    message = RawMessage(100)
+    network.multicast("src", dsts, message)
+    sim.run()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        network.multicast("src", dsts, message)
+        per_delivery = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert sim.pending_events == n  # no two copies tied: one entry each
+    assert all(len(entry) == 6 for entry in sim._heap)
+    assert per_delivery <= 185
 
 
 def test_multicast_large_copies_take_downlink_queue_per_destination(sim):
@@ -801,8 +830,8 @@ def test_batched_shard_injection_numbers_records_like_one_call_each():
     """Sequence numbers are consecutive in list order whether a barrier's
     records are injected in one call or one call each, so the heap — and
     with it the order of same-time deliveries — is the same; every record
-    becomes one handle-free event whose arguments are the plain tuple its
-    callback takes."""
+    becomes one delivery entry ``(time, seq, callback, src, message,
+    dst[, transfer])`` carrying its callback's arguments in its own slots."""
     from repro.simulation import Simulator
 
     records = _shard_records()
@@ -819,16 +848,16 @@ def test_batched_shard_injection_numbers_records_like_one_call_each():
         sim.run(until=0.006)  # injection starts from a non-zero clock and sequence number
         first_seq = sim._seq
         inject(network, records)
-        entries = [entry[:4] for entry in sim._heap]
-        heaps.append(sorted((time, seq, callback.__name__, args) for time, seq, callback, args in entries))
+        # seq is unique, so sorting never compares past it.
+        heaps.append(sorted((entry[0], entry[1], entry[2].__name__) + entry[3:] for entry in sim._heap))
         assert sorted(entry[1] for entry in heaps[-1]) == list(range(first_seq, first_seq + len(records)))
         sim.run()
         logs.append(log)
     assert heaps[0] == heaps[1]
     assert [entry[2:] for entry in sorted(heaps[0], key=lambda entry: entry[1])] == [
-        ("_deliver_multicast", (rec[2], rec[4], rec[3]))
+        ("_deliver_multicast", rec[2], rec[4], rec[3])
         if rec[0] == "d"
-        else ("_arrive_multicast", (rec[2], rec[4], rec[3], rec[5]))
+        else ("_arrive_multicast", rec[2], rec[4], rec[3], rec[5])
         for rec in records
     ]
     assert logs[0] == logs[1] and len(logs[0]) == len(records)

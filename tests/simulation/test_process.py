@@ -1,6 +1,10 @@
 """Unit tests for the process/actor base class."""
 
+import pytest
+
+from repro.simulation import SimulationError
 from repro.simulation.process import Process
+from repro.simulation.timers import PeriodicTimer
 
 
 def make_process(sim, streams, name="proc"):
@@ -58,13 +62,43 @@ def test_shutdown_stops_timers(sim, streams):
 
 
 def test_periodic_callback_guarded_after_death(sim, streams):
+    """Death is ``shutdown()``, which stops the timer: the callback, which
+    the timer calls directly, never runs again."""
     process = make_process(sim, streams)
     ticks = []
     timer = process.every(1.0, lambda: ticks.append(process.now))
-    process._alive = False  # kill without stopping the timer
+    sim.run(until=1.5)
+    process.shutdown()
     sim.run(until=3.0)
-    assert ticks == []
-    assert timer.ticks == 3  # timer fired but callback was guarded
+    assert ticks == [1.0]
+    assert timer.ticks == 1 and not timer.running
+
+
+def test_every_on_a_dead_process_raises(sim, streams):
+    process = make_process(sim, streams)
+    process.shutdown()
+    with pytest.raises(SimulationError, match="proc is not alive"):
+        process.every(1.0, lambda: None)
+    process.restart()
+    assert process.every(1.0, lambda: None).running
+
+
+def test_naive_timer_callback_shutting_its_process_down_stops_its_later_timers(sim, streams):
+    """On the ``PeriodicTimer`` path (an off-grid period) two timers of one
+    process fire at the same instant; the first shuts the process down, so
+    the second, stopped before its event surfaces, never calls back."""
+    process = make_process(sim, streams)
+    fired = []
+
+    def first():
+        fired.append(("first", sim.now))
+        process.shutdown()
+
+    timers = [process.every(1.0 / 3.0, first), process.every(1.0 / 3.0, lambda: fired.append("second"))]
+    assert all(isinstance(timer, PeriodicTimer) for timer in timers)
+    sim.run(until=2.0)
+    assert fired == [("first", 1.0 / 3.0)]
+    assert [timer.ticks for timer in timers] == [1, 0]
 
 
 def test_every_with_jitter_stream_is_deterministic(sim, streams):

@@ -107,6 +107,37 @@ def test_reschedule_invalid_period(sim):
         timer.reschedule(0.0)
 
 
+@pytest.mark.parametrize("period", [float("nan"), float("inf")])
+def test_reschedule_refuses_nan_and_infinite_periods_before_the_next_tick(sim, period):
+    """Regression: ``reschedule(nan)`` was accepted and the next tick
+    raised ``invalid event time: nan`` mid-run."""
+    times = []
+    timer = PeriodicTimer(sim, 1.0, lambda: times.append(sim.now))
+    with pytest.raises(SimulationError, match="timer period must be positive and finite"):
+        timer.reschedule(period)
+    assert timer.period == 1.0
+    sim.run(until=2.0)
+    assert times == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"period": float("inf")}, "timer period"),
+        ({"period": float("nan")}, "timer period"),
+        ({"period": 1.0, "initial_delay": float("nan")}, "initial_delay"),
+        ({"period": 1.0, "initial_delay": float("inf")}, "initial_delay"),
+        ({"period": 1.0, "initial_delay": -0.5}, "initial_delay"),
+    ],
+)
+def test_construction_refuses_a_bad_period_or_initial_delay_by_name(sim, kwargs, named):
+    """Regression: these failed inside the engine with ``invalid event
+    time``, which names no argument; they are the wheel's own checks."""
+    with pytest.raises(SimulationError, match=named):
+        PeriodicTimer(sim, callback=lambda: None, **kwargs)
+    assert sim.pending_events == 0
+
+
 def test_two_timers_independent(sim):
     a, b = [], []
     PeriodicTimer(sim, 1.0, lambda: a.append(sim.now))

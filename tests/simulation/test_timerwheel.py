@@ -257,13 +257,38 @@ def test_process_shutdown_stops_wheel_registrations_without_heap_churn(sim):
 
 
 def test_process_guard_skips_callback_after_death(sim):
+    """The wheel calls the process's callback itself; death is
+    ``shutdown()``, which stops the registration, and the slot skips a
+    stopped timer before its callback."""
     process = Process(sim, "p", RandomStreams(1))
     fired = []
-    process.every(1.0, lambda: fired.append(sim.now))
+    timer = process.every(1.0, lambda: fired.append(sim.now))
+    assert timer._callback.__name__ == "<lambda>"  # no liveness closure around it
     sim.run(until=1.5)
-    process._alive = False  # simulate death without stopping timers
+    process.shutdown()
     sim.run(until=3.5)
     assert fired == [1.0]
+    assert timer.ticks == 1 and sim.wheel.live_timers == 0
+
+
+def test_callback_shutting_its_process_down_stops_its_later_timers_in_the_slot(sim):
+    """Three registrations share one wheel slot; the first shuts its own
+    process down. Its process's later timer in that slot is skipped, the
+    other process's still fires, then and at every later slot."""
+    process = Process(sim, "p", RandomStreams(1))
+    other = Process(sim, "q", RandomStreams(1))
+    fired = []
+
+    def first():
+        fired.append("p-first")
+        process.shutdown()
+
+    process.every(1.0, first)
+    other.every(1.0, lambda: fired.append("q"))
+    later = process.every(1.0, lambda: fired.append("p-later"))
+    sim.run(until=2.5)
+    assert fired == ["p-first", "q", "q"]
+    assert later.ticks == 0 and not later.running
 
 
 def test_simulator_reset_drops_wheel(sim):
