@@ -167,7 +167,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     supervision = None
     if args.response_timeout is not None:
-        supervision = SupervisionConfig(response_timeout=args.response_timeout)
+        try:
+            supervision = SupervisionConfig(response_timeout=args.response_timeout)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_USAGE
     health = RunHealth()
     try:
         run = run_scenario_sharded(

@@ -98,16 +98,9 @@ def _run(
     reference = net.peers[net.peer_names[0]]
     for block in tracker.blocks():
         committed = reference.blockchain.get_committed(block)
-        if committed is None:
+        last_commit = tracker.last_commit(block)
+        if committed is None or last_commit is None:
             continue
-        commits = [
-            tracker.commit_times[(peer, block)]
-            for peer in net.peer_names
-            if (peer, block) in tracker.commit_times
-        ]
-        if not commits:
-            continue
-        last_commit = max(commits)
         samples.extend(last_commit - tx.created_at for tx in committed.transactions)
     dissemination_worst = max(
         (value for _, value in tracker.block_ranking()), default=0.0

@@ -288,7 +288,7 @@ class Peer(Process):
                 self.conflicts.record_block_validation(self.name, result)
         self.blockchain.commit(block)
         if self.tracker is not None:
-            self.tracker.committed(self.name, block.number, self.now)
+            self.tracker.committed(block.number, self.now)
         self._validating = False
         self._pump_validation()
 

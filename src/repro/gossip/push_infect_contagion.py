@@ -41,25 +41,24 @@ The paper also sets ``t_push = 0`` for data blocks: Fabric's 10 ms buffer
 merges pairs of the same block with different counters and sends them to a
 single target sample, which biases the randomness and degrades the
 probability guarantee. An optional buffer is kept here for the ablation.
+
+The pairs a peer has seen are kept for the whole run — forgetting one would
+re-forward a late digest of it — as one int per block: a bitmask with bit
+``k`` set once ``(block, k)`` was seen. Counters stop at the TTL (tens at
+most), so a block's mask is one small int and one dict slot, not a heap
+int and a set slot per pair.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.gossip.base import bind_multicast
 from repro.gossip.messages import BlockPush, PushDigest, PushRequest
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
 from repro.simulation.random import first_draw
-
-# Pair keys pack (block number, counter) into one int so the dedup check —
-# run once per received pair or digest, the hottest gossip code path — is a
-# single flat-set probe instead of a per-block dict of sets. Counters are
-# bounded by the TTL (tens in practice); 20 bits leave room far beyond any
-# configured TTL while block numbers occupy the upper bits.
-_PAIR_SHIFT = 20
 
 
 class _InflightRequest:
@@ -166,8 +165,8 @@ class InfectUponContagionPush:
         # class at scale — so the host hop is resolved once here.
         self._get_block = getattr(host, "get_block", None)
         self._on_forward = on_forward
-        # Packed (block << _PAIR_SHIFT | counter) keys already seen.
-        self._seen_pairs: Set[int] = set()
+        # block number -> bitmask of the counters seen with it.
+        self._seen_pairs: Dict[int, int] = {}
         # Blocks with an outstanding PushRequest: block number -> retry state.
         self._inflight_requests: Dict[int, _InflightRequest] = {}
         # Peers that advertised a block we do not hold yet, in digest
@@ -208,11 +207,11 @@ class InfectUponContagionPush:
             # request: a stall the ladder resolved without recovery.
             self.stalls_rescued_by_retry += 1
         self._digest_holders.pop(number, None)
-        seen = self._seen_pairs
-        key = (number << _PAIR_SHIFT) | counter
-        is_new = key not in seen
+        seen = self._seen_pairs.get(number, 0)
+        bit = 1 << counter
+        is_new = not seen & bit
         if is_new:
-            seen.add(key)
+            self._seen_pairs[number] = seen | bit
             self.pairs_received += 1
             self._forward(block, counter)
         if number in self._pending_pairs:
@@ -239,11 +238,11 @@ class InfectUponContagionPush:
         number = message.block_number
         counter = message.counter
         block = self._get_block(number)
-        seen = self._seen_pairs
-        key = (number << _PAIR_SHIFT) | counter
+        seen = self._seen_pairs.get(number, 0)
+        bit = 1 << counter
         if block is not None:
-            if key not in seen:
-                seen.add(key)
+            if not seen & bit:
+                self._seen_pairs[number] = seen | bit
                 self.pairs_received += 1
                 self._forward(block, counter)
             return
@@ -258,8 +257,8 @@ class InfectUponContagionPush:
             self.host.send(src, PushRequest(number, counter))
             self.requests_sent += 1
             self._arm_request_timer(number, state)
-        if key not in seen:
-            seen.add(key)
+        if not seen & bit:
+            self._seen_pairs[number] = seen | bit
             self.pairs_received += 1
             self._pending_pairs[number].append(counter)
 
@@ -374,18 +373,4 @@ class InfectUponContagionPush:
 
     def mark_seen(self, block_number: int, counter: int) -> None:
         """Record the pair as seen without forwarding (leader initiation)."""
-        self._seen_pairs.add((block_number << _PAIR_SHIFT) | counter)
-
-    def forget_before(self, block_number: int) -> None:
-        """Drop pair-tracking state for old blocks (memory bound)."""
-        threshold = block_number << _PAIR_SHIFT
-        self._seen_pairs = {key for key in self._seen_pairs if key >= threshold}
-        for mapping in (self._pending_pairs, self._pending_serves, self._digest_holders):
-            stale = [number for number in mapping if number < block_number]
-            for number in stale:
-                del mapping[number]
-        stale_requests = [
-            number for number in self._inflight_requests if number < block_number
-        ]
-        for number in stale_requests:
-            del self._inflight_requests[number]
+        self._seen_pairs[block_number] = self._seen_pairs.get(block_number, 0) | (1 << counter)

@@ -14,11 +14,20 @@ Two aggregations feed the figures:
 * **block level** (Figs. 5/8/13): for each block, the distribution of peer
   latencies; the paper plots the fastest / median / slowest blocks ranked
   by the time to reach all peers.
+
+A run records one first reception per (peer, block) — 100,000 of them over
+the paper's 1,000 blocks — so :class:`DisseminationTracker` keeps them as
+bytes, not objects: one ``array('d')`` of absolute reception times per
+block, indexed by a tracker-local peer column, NaN where the peer has not
+received the block. A latency is computed when it is read, so a query about
+one block reads one row and a report over every block is linear in the
+receptions.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,111 +78,138 @@ def percentile(ordered: Sequence[float], fraction: float) -> float:
     return ordered[low] + (ordered[high] - ordered[low]) * weight
 
 
+# One "not received" cell; a row of n is ``_NOT_RECEIVED * n``.
+_NOT_RECEIVED = array("d", [math.nan])
+
+
+def _keep_earliest(times: Dict[int, float], block_number: int, time: float) -> None:
+    known = times.get(block_number)
+    if known is None or time < known:
+        times[block_number] = time
+
+
 class DisseminationTracker:
-    """Records first-reception times of every (block, peer) pair."""
+    """Records the first reception of every (peer, block) pair.
+
+    Every recording hook keeps the earliest time it was given for its key
+    (simulated time never goes back, so within one process that is the
+    first) and :meth:`committed` the latest, so the recordings of several
+    trackers merge in any order to those of one.
+    """
 
     def __init__(self) -> None:
-        # block number -> leader reception time (dissemination t0)
+        # block number -> leader reception time (dissemination t0). Its
+        # order — the order blocks got a t0 — is the order every per-block
+        # query walks.
         self._t0: Dict[int, float] = {}
         self._cut_at: Dict[int, float] = {}
-        # block number -> {peer -> latency relative to t0}
-        self._latency: Dict[int, Dict[str, float]] = {}
-        # receptions that arrive before the leader's t0 is known (possible
-        # only with cross-org relaying); resolved lazily.
-        self._absolute: Dict[int, Dict[str, float]] = {}
-        self.commit_times: Dict[Tuple[str, int], float] = {}
+        # peer -> column of the reception rows, and the peers by column.
+        self._columns: Dict[str, int] = {}
+        self._peers: List[str] = []
+        # block number -> absolute first-reception time by column, NaN
+        # where not received; every row is as wide as ``_peers``.
+        self._rows: Dict[int, array] = {}
+        # block number -> latest commit of it at any peer.
+        self._last_commit: Dict[int, float] = {}
 
     # ----- recording hooks (called by orderer / peers) -------------------
 
     def block_cut(self, block_number: int, time: float) -> None:
-        self._cut_at.setdefault(block_number, time)
+        _keep_earliest(self._cut_at, block_number, time)
 
     def leader_received(self, block_number: int, time: float) -> None:
-        if block_number not in self._t0:
-            self._t0[block_number] = time
-            self._latency.setdefault(block_number, {})
+        _keep_earliest(self._t0, block_number, time)
 
     def first_reception(self, peer: str, block_number: int, time: float) -> None:
-        # Hand-rolled setdefault: avoids allocating the default dict (and
-        # calling two C methods) on the per-reception hot path.
-        receptions = self._absolute.get(block_number)
-        if receptions is None:
-            receptions = self._absolute[block_number] = {}
-        if peer not in receptions:
-            receptions[peer] = time
+        column = self._columns.get(peer)
+        if column is None:
+            column = self._add_column(peer)
+        row = self._rows.get(block_number)
+        if row is None:
+            row = self._rows[block_number] = _NOT_RECEIVED * len(self._peers)
+        if not row[column] <= time:  # not received yet (NaN), or later
+            row[column] = time
 
-    def committed(self, peer: str, block_number: int, time: float) -> None:
-        self.commit_times[(peer, block_number)] = time
+    def committed(self, block_number: int, time: float) -> None:
+        last = self._last_commit.get(block_number)
+        if last is None or time > last:
+            self._last_commit[block_number] = time
+
+    def _add_column(self, peer: str) -> int:
+        column = self._columns[peer] = len(self._peers)
+        self._peers.append(peer)
+        for row in self._rows.values():
+            row.append(math.nan)
+        return column
 
     def merge_from(self, other: "DisseminationTracker") -> None:
-        """Fold another tracker's raw recordings into this one.
+        """Fold another tracker's recordings into this one, by peer name.
 
         Used by the process-sharded executor: each shard records only its
-        own peers' receptions (and, on the leader/orderer shards, the t0
-        and cut instants), so the merged multiset of (block, peer, time)
-        recordings equals the single-process run's exactly and every
-        derived statistic — :meth:`summary` sorts its samples before
-        aggregating — is bit-for-bit identical. Resolution state is
-        rebuilt lazily after the merge.
+        own peers' receptions and commits (and, on the leader/orderer
+        shards, the t0 and cut instants), so the merged recordings equal
+        the single-process run's exactly, and so does every statistic
+        derived from them.
         """
         for number, t0 in other._t0.items():
-            mine = self._t0.get(number)
-            if mine is None or t0 < mine:
-                self._t0[number] = t0
-                self._latency.setdefault(number, {})
+            _keep_earliest(self._t0, number, t0)
         for number, cut in other._cut_at.items():
-            mine = self._cut_at.get(number)
-            if mine is None or cut < mine:
-                self._cut_at[number] = cut
-        for number, receptions in other._absolute.items():
-            mine_receptions = self._absolute.setdefault(number, {})
-            for peer, when in receptions.items():
-                existing = mine_receptions.get(peer)
-                if existing is None or when < existing:
-                    mine_receptions[peer] = when
-        for number, latencies in other._latency.items():
-            per_block = self._latency.setdefault(number, {})
-            for peer, value in latencies.items():
-                per_block.setdefault(peer, value)
-        self.commit_times.update(other.commit_times)
-
-    # ----- resolution ----------------------------------------------------
-
-    def _resolve(self) -> None:
-        for number, receptions in self._absolute.items():
-            t0 = self._t0.get(number)
-            if t0 is None:
-                continue
-            per_block = self._latency.setdefault(number, {})
-            for peer, when in receptions.items():
-                per_block.setdefault(peer, max(0.0, when - t0))
+            _keep_earliest(self._cut_at, number, cut)
+        for number, when in other._last_commit.items():
+            self.committed(number, when)
+        columns = [
+            self._columns[peer] if peer in self._columns else self._add_column(peer)
+            for peer in other._peers
+        ]
+        for number, theirs in other._rows.items():
+            mine = self._rows.get(number)
+            if mine is None:
+                mine = self._rows[number] = _NOT_RECEIVED * len(self._peers)
+            for column, when in zip(columns, theirs):
+                # Their NaN (not received) never overwrites a time of ours.
+                if when == when and not mine[column] <= when:
+                    mine[column] = when
 
     # ----- queries ---------------------------------------------------------
 
     def blocks(self) -> List[int]:
-        self._resolve()
-        return sorted(self._latency)
+        """The blocks with a t0, in number order."""
+        return sorted(self._t0)
 
     def block_latencies(self, block_number: int) -> Dict[str, float]:
-        """peer -> latency for one block."""
-        self._resolve()
-        return dict(self._latency.get(block_number, {}))
+        """peer -> latency for one block (empty until the block has a t0)."""
+        t0 = self._t0.get(block_number)
+        row = self._rows.get(block_number)
+        if t0 is None or row is None:
+            return {}
+        peers = self._peers
+        return {
+            peers[column]: max(0.0, when - t0)
+            for column, when in enumerate(row)
+            if when == when
+        }
 
     def peer_latencies(self, peer: str) -> List[float]:
         """This peer's latency over all blocks it received."""
-        self._resolve()
-        return [
-            latencies[peer]
-            for latencies in self._latency.values()
-            if peer in latencies
-        ]
+        column = self._columns.get(peer)
+        if column is None:
+            return []
+        latencies = []
+        for number, t0 in self._t0.items():
+            row = self._rows.get(number)
+            if row is not None and row[column] == row[column]:
+                latencies.append(max(0.0, row[column] - t0))
+        return latencies
 
     def peers(self) -> List[str]:
-        self._resolve()
         names = set()
-        for latencies in self._latency.values():
-            names.update(latencies)
+        for number in self._t0:
+            names.update(self.block_latencies(number))
         return sorted(names)
+
+    def last_commit(self, block_number: int) -> Optional[float]:
+        """The latest time any peer committed the block, if one did."""
+        return self._last_commit.get(block_number)
 
     def orderer_to_leader_delay(self, block_number: int) -> Optional[float]:
         """Consensus-to-leader delay (not part of dissemination latency)."""
@@ -208,11 +244,10 @@ class DisseminationTracker:
         A block's dissemination time is the maximum peer latency, i.e. the
         time for the block to reach every peer.
         """
-        self._resolve()
         ranking = [
             (number, max(latencies.values()))
-            for number, latencies in self._latency.items()
-            if latencies
+            for number in self._t0
+            if (latencies := self.block_latencies(number))
         ]
         ranking.sort(key=lambda item: item[1])
         return ranking
@@ -225,13 +260,13 @@ class DisseminationTracker:
         return ranking[0][0], ranking[len(ranking) // 2][0], ranking[-1][0]
 
     def all_latencies(self) -> List[float]:
-        self._resolve()
-        return [value for latencies in self._latency.values() for value in latencies.values()]
+        return [
+            value for number in self._t0 for value in self.block_latencies(number).values()
+        ]
 
     def coverage(self, expected_peers: int) -> Dict[int, int]:
         """block -> number of peers that received it (completeness check)."""
-        self._resolve()
-        return {number: len(latencies) for number, latencies in self._latency.items()}
+        return {number: len(self.block_latencies(number)) for number in self._t0}
 
     def summary(self) -> LatencyStats:
         return LatencyStats.from_samples(self.all_latencies())

@@ -14,6 +14,7 @@ from math import ceil
 from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.checks import require_finite
 from repro.experiments.builders import node_region_placement, organization_members
 from repro.experiments.dissemination import deploy
 from repro.faults.chaos import ChaosInjected, ShardChaos
@@ -257,6 +258,12 @@ class SupervisionConfig:
     shutdown_join: float = 30.0
     terminate_join: float = 5.0
     kill_join: float = 2.0
+
+    def __post_init__(self) -> None:
+        require_finite(self, "poll_interval", positive=True)
+        if self.response_timeout is not None:
+            require_finite(self, "response_timeout", positive=True)
+        require_finite(self, "shutdown_join", "terminate_join", "kill_join")
 
 
 # ----- transports -------------------------------------------------------------

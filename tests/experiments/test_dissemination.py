@@ -1,5 +1,8 @@
 """Integration tests for the dissemination experiment runner (small scale)."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.experiments.dissemination import DisseminationConfig, run_dissemination
@@ -112,3 +115,32 @@ def test_deterministic_given_seed():
         return sorted(result.tracker.block_latencies(0).items())
 
     assert run_once() == run_once()
+
+
+def _live_bytes_after_run(blocks, background):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_dissemination(
+            DisseminationConfig(
+                gossip=EnhancedGossipConfig(fout=4, ttl=9, ttl_direct=2),
+                n_peers=100, blocks=blocks, idle_tail=0.0, background=background,
+            )
+        )
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.coverage_complete()  # keeps the run alive across the reading
+    return live
+
+
+@pytest.mark.parametrize("background", [None, BackgroundTrafficConfig()])
+def test_a_run_holds_few_bytes_per_peer_and_block(background):
+    """What a run keeps grows by < 450 B per (peer, block): a bitmask of
+    seen counters and one reception cell per (peer, block) instead of a
+    heap int per seen pair and a dict entry per reception and commit
+    (~930-1,000 B, ~300-380 B now). What is left is mostly the monitor's
+    per-bin receiver cells and the chain's dict entry."""
+    grown = _live_bytes_after_run(30, background) - _live_bytes_after_run(10, background)
+    assert grown / (100 * 20) < 450

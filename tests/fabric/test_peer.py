@@ -108,10 +108,13 @@ def test_leader_gossips_orderer_block(sim, network, streams):
 def test_first_reception_recorded_once(sim, network, streams):
     peer = build_peer(sim, network, streams)
     block = make_chain([1])[0]
+    peer.tracker.leader_received(0, 0.0)
+    sim.run(until=0.25)
     peer.deliver_block(block, "push")
+    sim.run(until=0.75)
     peer.deliver_block(block, "recovery")
-    latencies = peer.tracker._absolute[0]
-    assert list(latencies) == ["peer-0"]
+    assert peer.tracker.block_latencies(0) == {"peer-0": 0.25}
+    assert peer.tracker.coverage(expected_peers=3) == {0: 1}
 
 
 def test_endorsement_round_trip(sim, network, streams):

@@ -163,16 +163,17 @@ def test_t_push_buffer_merges_target_sample():
     assert all(sorted(counters) == [1, 2] for counters in by_target.values())
 
 
-def test_forget_before_clears_state():
-    host, push = make_push()
-    block = make_chain([1])[0]
-    host.deliver_block(block, "push")
-    push.on_pair(block, 0)
-    push.on_digest("p3", PushDigest(5, "b" * 64, counter=1))
-    push.forget_before(6)
-    assert push._seen_pairs == set()
-    assert push._pending_pairs == {}
-    assert push._inflight_requests == {}
+def test_large_counter_does_not_alias_the_next_block():
+    """Nothing caps the TTL, so a counter may exceed any fixed bit budget:
+    (b, 2**20 + c) and (b + 1, c) are different pairs."""
+    host, push = make_push(fout=2, ttl=2**21, ttl_direct=2**21)
+    first, second = make_chain([1, 1])
+    host.deliver_block(first, "push")
+    host.deliver_block(second, "push")
+    assert push.on_pair(first, 2**20 + 3)
+    assert push.on_pair(second, 3)
+    assert not push.on_pair(first, 2**20 + 3)
+    assert push.pairs_received == 2
 
 
 def test_counters_statistics():

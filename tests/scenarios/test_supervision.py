@@ -256,6 +256,47 @@ def test_abort_skips_graceful_exit():
     assert process.killed
 
 
+# ----- supervision config validation ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("poll_interval", float("nan")),
+        ("poll_interval", float("inf")),
+        ("poll_interval", 0.0),
+        ("poll_interval", -0.05),
+        ("response_timeout", float("nan")),
+        ("response_timeout", float("inf")),
+        ("response_timeout", 0.0),
+        ("response_timeout", -1.0),
+        ("shutdown_join", float("nan")),
+        ("shutdown_join", -1.0),
+        ("terminate_join", float("inf")),
+        ("terminate_join", -0.5),
+        ("kill_join", float("nan")),
+        ("kill_join", -2.0),
+    ],
+)
+def test_supervision_config_refuses_bad_values_by_name(field, value):
+    with pytest.raises(ValueError, match=f"SupervisionConfig.{field} must be finite"):
+        SupervisionConfig(**{field: value})
+
+
+def test_supervision_config_accepts_its_boundaries():
+    config = SupervisionConfig(
+        response_timeout=None, shutdown_join=0.0, terminate_join=0.0, kill_join=0.0
+    )
+    assert config.response_timeout is None
+
+
+def test_cli_refuses_a_bad_response_timeout_as_usage(capsys):
+    from repro.experiments.cli import main
+
+    assert main(["run", "golden-original-30", "--response-timeout", "0"]) == 2
+    assert "SupervisionConfig.response_timeout" in capsys.readouterr().err
+
+
 # ----- chaos spec parsing --------------------------------------------------
 
 
