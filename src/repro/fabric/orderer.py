@@ -65,14 +65,6 @@ class OrderingService(Process):
         """
         return len(self._buffer)
 
-    def set_leaders(self, org_leaders: Dict[str, str]) -> None:
-        self.org_leaders = dict(org_leaders)
-
-    def use_leader_registry(self, registry) -> None:
-        """Route blocks through a dynamic :class:`LeaderRegistry` instead of
-        the static leader map (Fabric's dynamic leader election mode)."""
-        self._leader_registry = registry
-
     # ----- ingestion --------------------------------------------------------
 
     def _on_message(self, src: str, message: Message) -> None:
@@ -101,35 +93,11 @@ class OrderingService(Process):
             self._batch_timer.cancel()
             self._batch_timer = None
         batch, self._buffer = self._buffer, []
-        block = Block.create(
-            number=self._next_number,
-            previous_hash=self._tip_hash,
-            transactions=batch,
-            cut_at=self.now,
-        )
-        self._next_number += 1
-        self._tip_hash = block.block_hash
-        self.blocks_cut += 1
-        if self.tracker is not None:
-            self.tracker.block_cut(block.number, self.now)
-        # Consensus: the block becomes final after the ordering round trip.
-        self.after(self.config.consensus_delay, self._finalize, block)
+        self._seal(batch)
 
-    def _finalize(self, block: Block) -> None:
-        registry = getattr(self, "_leader_registry", None)
-        leaders = registry.snapshot() if registry is not None else self.org_leaders
-        for leader in leaders.values():
-            self.network.send(self.name, leader, OrdererBlock(block))
-
-    # ----- direct drivers (dissemination experiments) ------------------------
-
-    def emit_block(self, transactions: List[TransactionProposal]) -> Block:
-        """Cut and finalize a block immediately from the given transactions.
-
-        Used by the synthetic block driver of the dissemination
-        experiments, which models the paper's steady 50-tx/1.5-s block
-        arrival process without simulating 50,000 client submissions.
-        """
+    def _seal(self, transactions: List[TransactionProposal]) -> Block:
+        """Chain the next block onto the tip and finalize it after the
+        ordering round trip (consensus)."""
         block = Block.create(
             number=self._next_number,
             previous_hash=self._tip_hash,
@@ -143,3 +111,18 @@ class OrderingService(Process):
             self.tracker.block_cut(block.number, self.now)
         self.after(self.config.consensus_delay, self._finalize, block)
         return block
+
+    def _finalize(self, block: Block) -> None:
+        for leader in self.org_leaders.values():
+            self.network.send(self.name, leader, OrdererBlock(block))
+
+    # ----- direct drivers (dissemination experiments) ------------------------
+
+    def emit_block(self, transactions: List[TransactionProposal]) -> Block:
+        """Cut and finalize a block immediately from the given transactions.
+
+        Used by the synthetic block driver of the dissemination
+        experiments, which models the paper's steady 50-tx/1.5-s block
+        arrival process without simulating 50,000 client submissions.
+        """
+        return self._seal(transactions)

@@ -21,8 +21,6 @@ from repro.fabric.validation import validate_block
 from repro.gossip.background import BackgroundTraffic
 from repro.gossip.base import GossipModule
 from repro.gossip.config import BackgroundTrafficConfig
-from repro.gossip.leader_election import LeaderElection, LeaderRegistry, LeadershipHeartbeat
-from repro.gossip.messages import MembershipAlive
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
@@ -34,11 +32,6 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
-
-
-def _discard_message(src: str, message: Message) -> None:
-    """Background bytes: accounted by the monitor, no peer logic. Only the
-    per-copy reference (``aggregate=False``) ever delivers one."""
 
 
 class Peer(Process):
@@ -69,7 +62,6 @@ class Peer(Process):
         self.chaincodes = ChaincodeRegistry()
         self.gossip: Optional[GossipModule] = None
         self.background: Optional[BackgroundTraffic] = None
-        self.election: Optional[LeaderElection] = None
         # Churn engine flags (repro.faults.churn): a deferred peer is built
         # but held out of the deployment until its JoinEvent fires; a
         # departed peer has left for good and is excluded from completion
@@ -83,13 +75,10 @@ class Peer(Process):
         # but only when the subclass has not overridden get_block.
         if type(self).get_block is Peer.get_block:
             self.get_block = self.blockchain.get_any
-        # Unified exact-type dispatch table: the gossip module's own table,
-        # completed with the peer-level message types. While the peer is
-        # alive the network holds it (Network.set_dispatch) and calls the
-        # handlers directly; _on_message is the fallback for everything
-        # else. None until a module with a dispatch table is attached;
-        # modules without one (custom subclasses) keep the
-        # handle()/isinstance fallback chain.
+        # Exact-type dispatch table: the gossip module's own table, completed
+        # with the peer-level message types. While the peer is alive the
+        # network holds it (Network.set_dispatch) and calls the handlers
+        # directly. None until a gossip module is attached.
         self._dispatch_all: Optional[dict] = None
         network.register(self.name, self._on_message)
 
@@ -100,18 +89,13 @@ class Peer(Process):
         if self.gossip is not None:
             raise RuntimeError(f"{self.name} already has a gossip module")
         self.gossip = factory(self, self.view)
-        table = getattr(self.gossip, "_dispatch", None)
-        if table is not None:
-            # The module's own table, completed with the peer-level message
-            # types: one dict per peer. setdefault lets the module's entries
-            # win on (hypothetical) overlaps, as if the gossip table were
-            # probed before the peer message types.
-            table.setdefault(MembershipAlive, _discard_message)
-            table.setdefault(LeadershipHeartbeat, self._on_heartbeat_message)
-            table.setdefault(OrdererBlock, self._on_orderer_block_message)
-            table.setdefault(EndorsementRequest, self._on_endorsement_request)
-            self._dispatch_all = table
-            self._publish_dispatch()
+        # The module's own table, completed with the peer-level message
+        # types: one dict per peer.
+        table = self.gossip._dispatch
+        table[OrdererBlock] = self._on_orderer_block
+        table[EndorsementRequest] = self._on_endorsement_request
+        self._dispatch_all = table
+        self._publish_dispatch()
 
     def _publish_dispatch(self) -> None:
         """Hand the network the dispatch table, by reference (the fault
@@ -123,27 +107,8 @@ class Peer(Process):
     def attach_background(self, config: BackgroundTrafficConfig) -> None:
         self.background = BackgroundTraffic(self, self.view, config)
 
-    def attach_leader_election(
-        self,
-        registry: LeaderRegistry,
-        heartbeat_period: float = 1.0,
-        election_timeout: float = 3.0,
-    ) -> None:
-        """Enable dynamic leader election (Fabric's dynamic-leader mode).
-
-        Without this, the peer uses the static leader from its view.
-        """
-        self.election = LeaderElection(
-            self,
-            self.view,
-            org=self.identity.organization,
-            registry=registry,
-            heartbeat_period=heartbeat_period,
-            election_timeout=election_timeout,
-        )
-
     def start(self) -> None:
-        """Arm gossip timers, background traffic and leader election."""
+        """Arm gossip timers and background traffic."""
         if self.defer_start:
             return  # held out by the churn engine until its JoinEvent
         if self.gossip is None:
@@ -151,14 +116,10 @@ class Peer(Process):
         self.gossip.start()
         if self.background is not None:
             self.background.start()
-        if self.election is not None:
-            self.election.start()
 
     @property
     def is_leader(self) -> bool:
-        """Current leadership: dynamic when an election is attached."""
-        if self.election is not None:
-            return self.election.is_leader
+        """Static leadership, from the view (the paper's one leader per org)."""
         return self.view.is_leader
 
     # ----- GossipHost protocol ---------------------------------------------
@@ -204,49 +165,19 @@ class Peer(Process):
     # ----- message dispatch --------------------------------------------------
 
     def _on_message(self, src: str, message: Message) -> None:
-        if not self._alive:
-            return
-        # The unified table resolves every known message class — gossip
-        # traffic and peer-level types alike — with one dict probe.
-        # Modules without a dispatch table (custom subclasses) keep the
-        # original fallback chain: handle() first, then the peer types.
-        # A table MISS (exact-type lookup) still falls through to the
-        # isinstance chain below, so subclassed peer-level message types
-        # (test/fault-injection wrappers) keep being handled.
-        dispatch = self._dispatch_all
-        if dispatch is not None:
-            handler = dispatch.get(type(message))
+        """The registered handler, behind the table the network probes: it
+        hears what a live peer's table does not hold (ignored) and, as the
+        table is withdrawn while the peer is dead, every delivery to a dead
+        but connected peer (ignored too). A subclass that overrides this
+        method keeps its table to itself and hears everything here."""
+        if self._alive and self._dispatch_all is not None:
+            handler = self._dispatch_all.get(type(message))
             if handler is not None:
                 handler(src, message)
-                return
-        elif self.gossip is not None and self.gossip.handle(src, message):
-            return
-        if isinstance(message, MembershipAlive):
-            return  # background bytes: accounted by the monitor, no logic
-        if isinstance(message, LeadershipHeartbeat):
-            self._on_heartbeat_message(src, message)
-            return
-        if isinstance(message, OrdererBlock):
-            self._on_orderer_block(message.block)
-            return
-        if isinstance(message, EndorsementRequest):
-            self._on_endorsement_request(src, message)
-            return
 
-    def _on_heartbeat_message(self, src: str, message: LeadershipHeartbeat) -> None:
-        if self.election is not None:
-            self.election.on_heartbeat(src, message)
-
-    def _on_orderer_block_message(self, src: str, message: OrdererBlock) -> None:
-        self._on_orderer_block(message.block)
-
-    def _on_orderer_block(self, block: Block) -> None:
-        if not self.is_leader:
-            # Defensive: only leaders receive orderer blocks by construction.
-            self.deliver_block(block, via="orderer")
-            return
-        assert self.gossip is not None
-        self.gossip.on_block_from_orderer(block)
+    def _on_orderer_block(self, src: str, message: OrdererBlock) -> None:
+        # Only the org's static leader hears the orderer (its org_leaders).
+        self.gossip.on_block_from_orderer(message.block)
 
     # ----- endorsement ------------------------------------------------------
 

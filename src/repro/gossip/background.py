@@ -12,16 +12,11 @@ Two scaling mechanisms keep the event count tractable at paper scale:
 * the emitters ride the shared hierarchical timer wheel (via
   ``host.every``), so the per-peer periodic ticks coalesce into shared
   slot events instead of one heap entry per peer per period;
-* with ``config.aggregate`` (the default) each emission's fanout of
-  :class:`MembershipAlive` copies goes through
+* each emission's fanout of :class:`MembershipAlive` copies goes through
   :meth:`~repro.net.network.Network.send_aggregate`, which accounts the
-  bytes exactly as the unbatched per-copy stream would, occupies the
-  sender's NIC and link for the burst and schedules nothing: receivers
-  discard the message unread, so its delivery was an event nobody read.
-
-Hosts without a ``network`` attribute exposing ``send_aggregate`` (unit
-test doubles) and runs with ``aggregate=False`` (the byte-accounting
-reference of ``tests/gossip/test_background.py``) send per copy.
+  bytes exactly as a per-copy ``send`` loop would, occupies the sender's
+  NIC and link for the burst and schedules nothing: no peer reads the
+  message, so its delivery would be an event nobody reads.
 """
 
 from __future__ import annotations
@@ -45,33 +40,22 @@ class BackgroundTraffic:
         self.messages_sent = 0
         # Per-emission constants, hoisted out of the periodic hot path. The
         # message instance is shared across emissions: MembershipAlive is
-        # immutable, receivers discard it unread, and only its byte size
-        # reaches the monitor.
+        # immutable and only its byte size reaches the monitor.
         self._fanout = config.fanout
         self._message = MembershipAlive(config.message_size)
-        # The path is picked here, once. send_aggregate itself is
-        # deliberately NOT pre-bound (same convention as ``network.send``:
-        # integration tests wrap send methods by assignment and must
-        # observe background traffic).
-        network = getattr(host, "network", None) if config.aggregate else None
-        self._network = network if hasattr(network, "send_aggregate") else None
+        # send_aggregate itself is deliberately NOT pre-bound (same
+        # convention as ``network.send``: integration tests wrap send
+        # methods by assignment and must observe background traffic).
+        self._network = host.network
 
     def start(self) -> None:
         if not self.config.enabled:
             return
         phase = (self._rng or first_draw(self)).uniform(0.0, self.config.period)
-        emit = self._emit_per_copy if self._network is None else self._emit_aggregated
-        self.host.every(self.config.period, emit, initial_delay=phase)
+        self.host.every(self.config.period, self._emit, initial_delay=phase)
 
-    def _emit_aggregated(self) -> None:
+    def _emit(self) -> None:
         targets = self.view.sample_channel(self._rng or first_draw(self), self._fanout)
         if targets:
             self._network.send_aggregate(self.host.name, targets, self._message)
             self.messages_sent += len(targets)
-
-    def _emit_per_copy(self) -> None:
-        targets = self.view.sample_channel(self._rng or first_draw(self), self._fanout)
-        send = self.host.send
-        for target in targets:
-            send(target, self._message)
-            self.messages_sent += 1

@@ -12,7 +12,7 @@ switch.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.ledger.block import Block
 from repro.net.message import Message
@@ -67,36 +67,20 @@ class GossipHost(Protocol):
         """Recent block numbers this peer holds (pull digest contents)."""
 
 
-def bind_multicast(host: GossipHost) -> Optional[Callable[[List[str], Message], None]]:
-    """The host's fanout entry point, bound once at construction.
-
-    Hosts implementing the full protocol (peers) expose ``multicast``,
-    which every gossip fanout routes through; minimal test doubles that
-    only implement ``send`` get a per-copy fallback loop with identical
-    semantics. ``host.multicast``/``host.send`` resolve liveness
-    themselves, so the binding stays valid across crash/recover.
-    """
-    multicast = getattr(host, "multicast", None)
-    if multicast is not None:
-        return multicast
-    send = getattr(host, "send", None)
-    if send is None:
-        return None  # construction-only doubles never fan out
-
-    def fanout(dsts: List[str], message: Message) -> None:
-        for dst in dsts:
-            send(dst, message)
-
-    return fanout
-
-
 class GossipModule:
     """Base class for the original and enhanced gossip modules."""
+
+    #: ``{message class: handler(src, message)}``, filled by the subclass.
+    #: The hosting peer completes it with its own message classes and hands
+    #: it to the network (:meth:`repro.fabric.peer.Peer.attach_gossip`).
+    _dispatch: Dict[type, Callable[[str, Message], None]]
 
     def __init__(self, host: GossipHost, view: OrganizationView) -> None:
         self.host = host
         self.view = view
-        self._multicast = bind_multicast(host)
+        # host.multicast resolves liveness itself, so the binding stays
+        # valid across crash/recover.
+        self._multicast = host.multicast
         self._started = False
 
     def start(self) -> None:
@@ -115,11 +99,15 @@ class GossipModule:
         raise NotImplementedError
 
     def handle(self, src: str, message: Message) -> bool:
-        """Process an incoming gossip message.
+        """Process an incoming gossip message through the dispatch table.
 
         Returns True if the message type was recognized and consumed.
         """
-        raise NotImplementedError
+        handler = self._dispatch.get(type(message))
+        if handler is None:
+            return False
+        handler(src, message)
+        return True
 
     # ----- helpers shared by both modules ------------------------------
 

@@ -132,16 +132,15 @@ class BackgroundTrafficConfig:
     the original 100 KB/s aggregate: closer to the many-small-messages
     shape of real membership/deliver chatter at the same byte rate. The
     finer cadence is affordable because emissions ride the shared timer
-    wheel and, with ``aggregate`` on, each fanout is accounted and occupies
-    its sender without ever becoming a delivery event — its monitor
-    accounting is byte-for-byte identical to per-copy sends.
+    wheel and each fanout is accounted and occupies its sender without
+    ever becoming a delivery event (``Network.send_aggregate``) — its
+    monitor accounting is byte-for-byte identical to per-copy sends.
     """
 
     enabled: bool = True
     period: float = 0.25
     fanout: int = 2
     message_size: int = 25_000
-    aggregate: bool = True
 
     def __post_init__(self) -> None:
         require_finite(self, "period", positive=True)

@@ -28,7 +28,6 @@ from repro.gossip.push_infect_contagion import InfectUponContagionPush
 from repro.gossip.recovery import RecoveryComponent
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
-from repro.net.message import Message
 from repro.simulation.random import first_draw
 
 
@@ -63,8 +62,7 @@ class EnhancedGossip(GossipModule):
         )
         self._rng = None  # bound by first_draw
         # Bound once: BlockPush handling calls it on every reception.
-        # (getattr: construction-only test doubles may omit it.)
-        self._deliver_block = getattr(host, "deliver_block", None)
+        self._deliver_block = host.deliver_block
         # Exact-type dispatch table: one dict probe per message instead of
         # an isinstance chain (message classes are final by convention).
         self._dispatch = {
@@ -100,10 +98,3 @@ class EnhancedGossip(GossipModule):
         block = message.block
         self._deliver_block(block, "push")
         self.push.on_pair(block, message.counter)
-
-    def handle(self, src: str, message: Message) -> bool:
-        handler = self._dispatch.get(type(message))
-        if handler is None:
-            return False
-        handler(src, message)
-        return True

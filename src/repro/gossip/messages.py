@@ -175,21 +175,6 @@ class MembershipAlive(Message):
         return self.size
 
 
-GOSSIP_MESSAGE_TYPES = (
-    BlockPush,
-    PushDigest,
-    PushRequest,
-    PullDigestRequest,
-    PullDigestResponse,
-    PullBlockRequest,
-    PullBlockResponse,
-    StateInfo,
-    RecoveryRequest,
-    RecoveryResponse,
-    MembershipAlive,
-)
-
-
 def block_messages_kinds() -> List[str]:
     """Message kinds that carry full blocks (for bandwidth breakdowns)."""
     return ["BlockPush", "PullBlockResponse", "RecoveryResponse"]

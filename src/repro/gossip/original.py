@@ -19,7 +19,6 @@ from repro.gossip.push_infect_die import InfectAndDiePush
 from repro.gossip.recovery import RecoveryComponent
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
-from repro.net.message import Message
 
 
 class OriginalGossip(GossipModule):
@@ -58,7 +57,7 @@ class OriginalGossip(GossipModule):
             deliver=self._deliver,
         )
 
-        # Exact-type dispatch table; see EnhancedGossip.handle.
+        # Exact-type dispatch table; see GossipModule._dispatch.
         self._dispatch = {
             BlockPush: self._on_block_push,
             PullDigestRequest: lambda src, message: self.pull.on_digest_request(src),
@@ -82,10 +81,3 @@ class OriginalGossip(GossipModule):
     def _on_block_push(self, src: str, message: BlockPush) -> None:
         if self._deliver(message.block, via="push"):
             self.push.on_first_reception(message.block)
-
-    def handle(self, src: str, message: Message) -> bool:
-        handler = self._dispatch.get(type(message))
-        if handler is None:
-            return False
-        handler(src, message)
-        return True

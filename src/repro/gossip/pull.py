@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.gossip.base import bind_multicast
 from repro.gossip.messages import (
     PullBlockRequest,
     PullBlockResponse,
@@ -59,7 +58,7 @@ class PullComponent:
         self.digest_window = digest_window
         self._deliver = deliver
         self._rng = None  # bound by first_draw
-        self._multicast = bind_multicast(host)
+        self._multicast = host.multicast
         # Blocks already requested in the current round, so the initiator
         # does not fetch the same block from several advertisers.
         self._requested_this_round: set = set()

@@ -54,7 +54,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.gossip.base import bind_multicast
 from repro.gossip.messages import BlockPush, PushDigest, PushRequest
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
@@ -160,10 +159,10 @@ class InfectUponContagionPush:
         self.request_retries = request_retries
         self.retry_backoff = retry_backoff
         self._rng = None  # bound by first_draw
-        self._multicast = bind_multicast(host)
+        self._multicast = host.multicast
         # get_block runs once per digest reception — the dominant message
         # class at scale — so the host hop is resolved once here.
-        self._get_block = getattr(host, "get_block", None)
+        self._get_block = host.get_block
         self._on_forward = on_forward
         # block number -> bitmask of the counters seen with it.
         self._seen_pairs: Dict[int, int] = {}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.gossip.base import bind_multicast
 from repro.gossip.messages import BlockPush
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
@@ -52,7 +51,7 @@ class InfectAndDiePush:
         self.t_push = t_push
         self.buffer_max = buffer_max
         self._rng = None  # bound by first_draw
-        self._multicast = bind_multicast(host)
+        self._multicast = host.multicast
         self._buffer: List[Block] = []
         self._flush_pending = False
         self._on_push = on_push

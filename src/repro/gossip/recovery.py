@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.gossip.base import bind_multicast
 from repro.gossip.messages import RecoveryRequest, RecoveryResponse, StateInfo
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
@@ -55,7 +54,7 @@ class RecoveryComponent:
         self.batch_max = batch_max
         self._deliver = deliver
         self._rng = None  # bound by first_draw
-        self._multicast = bind_multicast(host)
+        self._multicast = host.multicast
         self.known_heights: Dict[str, int] = {}
         self.recovery_requests_sent = 0
         self.blocks_recovered = 0

@@ -516,12 +516,12 @@ class Network:
         """Account one identical metadata message to each destination and
         occupy the sender for the burst; deliver nothing.
 
-        The aggregated-background path: a periodic emitter's fanout of
-        ``MembershipAlive`` copies, which every receiver discards unread
-        and of which only the byte rate reaches a figure. Everything the
-        copies do to *other* traffic is kept, in the order a per-copy
-        :meth:`send` loop does it; the deliveries themselves, whose only
-        reader was a no-op handler, are not scheduled. ``dsts`` must be a
+        The background path: a periodic emitter's fanout of
+        ``MembershipAlive`` copies, which no peer reads and of which only
+        the byte rate reaches a figure. Everything the copies do to
+        *other* traffic is kept, in the order a per-copy :meth:`send` loop
+        does it; the deliveries themselves, which no handler would read,
+        are not scheduled. ``dsts`` must be a
         sequence (``len()`` and indexing): with no guard armed it is read in
         place, not copied:
 

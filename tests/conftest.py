@@ -79,6 +79,9 @@ class FakeHost:
         self.deliveries: List[Tuple[int, str]] = []
         self.height = 0
         self.timers: List[Tuple[float, object]] = []
+        # Background traffic sends through ``host.network.send_aggregate``;
+        # the double is its own network.
+        self.network = self
 
     # --- GossipHost protocol ---
 
@@ -94,6 +97,11 @@ class FakeHost:
         # a send loop, matching the real host's equivalence contract.
         for dst in dsts:
             self.sent.append((dst, message))
+
+    def send_aggregate(self, src: str, dsts, message) -> None:
+        # One row per copy: the monitor accounts an aggregate per copy too.
+        assert src == self.name
+        self.multicast(dsts, message)
 
     def rng(self, purpose: str) -> random.Random:
         return self._streams.stream(f"{self.name}:{purpose}")

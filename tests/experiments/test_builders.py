@@ -10,6 +10,8 @@ from repro.gossip.config import BackgroundTrafficConfig, EnhancedGossipConfig, O
 from repro.gossip.enhanced import EnhancedGossip
 from repro.gossip.original import OriginalGossip
 
+from tests.conftest import FakeHost
+
 
 def test_single_org_layout():
     net = build_network(n_peers=6, gossip=OriginalGossipConfig(), seed=1)
@@ -30,10 +32,10 @@ def test_multi_org_layout():
 
 def test_gossip_factory_dispatch():
     assert isinstance(
-        gossip_factory(OriginalGossipConfig())(_FakePeer(), _fake_view()), OriginalGossip
+        gossip_factory(OriginalGossipConfig())(FakeHost("peer-x"), _fake_view()), OriginalGossip
     )
     assert isinstance(
-        gossip_factory(EnhancedGossipConfig())(_FakePeer(), _fake_view()), EnhancedGossip
+        gossip_factory(EnhancedGossipConfig())(FakeHost("peer-x"), _fake_view()), EnhancedGossip
     )
     with pytest.raises(TypeError):
         gossip_factory("nonsense")
@@ -164,15 +166,6 @@ def test_seed_determinism():
         return sorted(net.tracker.block_latencies(0).items())
 
     assert run_once() == run_once()
-
-
-class _FakePeer:
-    name = "peer-x"
-
-    def rng(self, purpose):
-        import random
-
-        return random.Random(0)
 
 
 def _fake_view():

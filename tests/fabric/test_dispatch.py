@@ -1,7 +1,7 @@
 """How a delivery finds its handler: the network's per-node class table,
-the registered ``Peer._on_message`` fallback behind it, and what a peer's
-lifecycle does to both. Behaviour only: every test sends through
-``Network.send`` and looks at what the peer did."""
+the registered ``Peer._on_message`` behind it (the same table, behind a
+liveness test), and what a peer's lifecycle does to both. Behaviour only:
+every test sends through ``Network.send`` and looks at what the peer did."""
 
 import pytest
 
@@ -9,13 +9,10 @@ from repro.experiments.builders import build_network
 from repro.fabric.messages import EndorsementRequest, OrdererBlock
 from repro.fabric.peer import Peer
 from repro.faults.adversaries import DigestLiarFault
-from repro.gossip.base import GossipModule
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
 from repro.gossip.enhanced import EnhancedGossip
-from repro.gossip.leader_election import LeadershipHeartbeat
 from repro.gossip.messages import (
     BlockPush,
-    MembershipAlive,
     PullBlockRequest,
     PullBlockResponse,
     PullDigestRequest,
@@ -45,8 +42,6 @@ def one_of_each(block):
         StateInfo(1),
         RecoveryRequest(0, 1),
         RecoveryResponse([block]),
-        MembershipAlive(100),
-        LeadershipHeartbeat(1),
         OrdererBlock(block),
         EndorsementRequest("request-1", "counter", ()),
     ]
@@ -83,29 +78,14 @@ def test_network_delivery_reaches_the_handler_on_message_picks(gossip):
     "gossip", [EnhancedGossipConfig.paper_f4(), OriginalGossipConfig()], ids=["enhanced", "original"]
 )
 def test_a_peer_holds_one_dispatch_table(gossip):
-    """The module's own table, completed with the four peer-level
+    """The module's own table, completed with the two peer-level
     classes, is the table the peer probes and the network holds."""
     net = build_network(n_peers=4, gossip=gossip, seed=3)
     peer = net.peers["peer-2"]
     table = peer.gossip._dispatch
     assert peer._dispatch_all is table and net.network._dispatch["peer-2"] is table
-    assert {MembershipAlive, LeadershipHeartbeat, OrdererBlock, EndorsementRequest} <= set(table)
+    assert {OrdererBlock, EndorsementRequest} <= set(table)
     assert table[EndorsementRequest] == peer._on_endorsement_request
-
-
-class _NoTableGossip(GossipModule):
-    """A custom module without a ``_dispatch`` table: ``handle()`` only."""
-
-    def __init__(self, host, view):
-        super().__init__(host, view)
-        self.handled = []
-
-    def _start_components(self):
-        pass
-
-    def handle(self, src, message):
-        self.handled.append((src, message))
-        return True
 
 
 def make_peer(sim, network, streams, cls=Peer, name="peer-0"):
@@ -120,26 +100,41 @@ def test_classes_outside_the_table_arrive_through_on_message():
     net = build_network(n_peers=4, gossip=EnhancedGossipConfig.paper_f4(), seed=3)
     leader = next(peer for peer in net.peers.values() if peer.is_leader)
     other = next(name for name in net.peers if name != leader.name)
+    # The table misses, so _on_message hears it and ignores it: not a drop.
+    net.network.send(other, leader.name, RawMessage(10))
+    net.sim.run(until=1.0)
+    assert net.network.dropped_messages == 0
+
+
+def test_a_subclass_of_a_table_class_is_not_dispatched():
+    """The table is keyed by exact class: a subclass of ``OrdererBlock``
+    misses it and is ignored, like any class outside the table."""
+    net = build_network(n_peers=4, gossip=EnhancedGossipConfig.paper_f4(), seed=3)
+    leader = next(peer for peer in net.peers.values() if peer.is_leader)
+    other = next(name for name in net.peers if name != leader.name)
 
     class WrappedOrdererBlock(OrdererBlock):
         __slots__ = ()
 
     assert WrappedOrdererBlock not in leader._dispatch_all
     net.network.send(other, leader.name, WrappedOrdererBlock(make_chain([1])[0]))
-    net.network.send(other, leader.name, RawMessage(10))  # no handler anywhere: ignored, not dropped
     net.sim.run(until=1.0)
-    assert leader.blocks_received_via["orderer"] == 1  # the isinstance chain of _on_message ran
+    assert leader.blocks_received_via["orderer"] == 0
+    assert leader.get_block(0) is None
     assert net.network.dropped_messages == 0
 
 
-def test_module_without_a_table_keeps_the_handle_fallback(sim, network, streams):
+def test_a_peer_without_gossip_ignores_what_it_hears(sim, network, streams):
     peer = make_peer(sim, network, streams)
-    peer.attach_gossip(_NoTableGossip)
     network.register("peer-1", lambda src, message: None)
-    digest = PushDigest(0, "hash", 1)
-    network.send("peer-1", "peer-0", digest)
+    assert peer._dispatch_all is None
+    block = make_chain([1])[0]
+    for message in one_of_each(block):
+        network.send("peer-1", "peer-0", message)
     sim.run(until=1.0)
-    assert peer.gossip.handled == [("peer-1", digest)]
+    assert peer.get_block(0) is None
+    assert peer.blocks_received_via["orderer"] == 0
+    assert network.dropped_messages == 0
 
 
 def enhanced_peer(sim, network, streams, cls=Peer):

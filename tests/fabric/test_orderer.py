@@ -124,6 +124,43 @@ def test_emit_block_direct_driver(sim, network, streams):
     assert second.header.previous_hash == block.block_hash
 
 
+def test_cut_and_emit_block_extend_one_chain(sim, network, streams):
+    """A size cut and the direct driver seal through the same path: one
+    numbering, one hash chain, one ``blocks_cut`` count."""
+    inbox = leader_inbox(network)
+    orderer = make_orderer(sim, network, streams, max_tx=1, leaders={"org0": "leader"})
+    orderer.submit(proposal("t0"))
+    orderer.emit_block(make_transactions(2))
+    orderer.submit(proposal("t1"))
+    sim.run()
+    blocks = [message.block for message in inbox]
+    assert [block.number for block in blocks] == [0, 1, 2]
+    assert [block.tx_count for block in blocks] == [1, 2, 1]
+    for previous, block in zip(blocks, blocks[1:]):
+        assert block.header.previous_hash == previous.block_hash
+    assert orderer.blocks_cut == 3
+
+
+def test_both_seal_paths_record_the_cut_before_consensus(sim, network, streams):
+    from repro.metrics.latency import DisseminationTracker
+
+    tracker = DisseminationTracker()
+    network.register(
+        "leader", lambda src, msg: tracker.leader_received(msg.block.number, sim.now)
+    )
+    config = OrdererConfig(max_tx_per_block=1, batch_timeout=2.0, consensus_delay=0.5)
+    orderer = OrderingService(
+        sim, network, streams, config=config, org_leaders={"org0": "leader"}, tracker=tracker
+    )
+    sim.schedule(1.0, orderer.submit, proposal("t0"))
+    sim.schedule(2.0, orderer.emit_block, make_transactions(3))
+    sim.run()
+    assert tracker.blocks() == [0, 1]
+    for number in (0, 1):
+        # The consensus delay plus one small transfer: cut at seal time.
+        assert 0.5 <= tracker.orderer_to_leader_delay(number) < 0.6
+
+
 def test_orderer_never_validates(sim, network, streams):
     """Orderers accept proposals without endorsements (paper §II-B)."""
     leader_inbox(network)

@@ -1,8 +1,8 @@
-"""Tests for orderer routing through the dynamic leader registry."""
+"""Tests for orderer routing through the static leader map: every finalized
+block goes, once, to the leader the deployment named for each organization."""
 
 from repro.fabric.config import OrdererConfig
 from repro.fabric.orderer import OrderingService
-from repro.gossip.leader_election import LeaderRegistry
 
 from tests.conftest import make_transactions
 
@@ -11,26 +11,6 @@ def collect(network, name):
     inbox = []
     network.register(name, lambda src, msg: inbox.append(msg))
     return inbox
-
-
-def test_registry_overrides_static_leaders(sim, network, streams):
-    old = collect(network, "old-leader")
-    new = collect(network, "new-leader")
-    orderer = OrderingService(
-        sim, network, streams,
-        config=OrdererConfig(consensus_delay=0.0),
-        org_leaders={"org0": "old-leader"},
-    )
-    registry = LeaderRegistry({"org0": "old-leader"})
-    orderer.use_leader_registry(registry)
-    orderer.emit_block(make_transactions(1))
-    sim.run(until=1.0)
-    assert len(old) == 1 and len(new) == 0
-    registry.claim("org0", "new-leader")
-    orderer.emit_block(make_transactions(1))
-    sim.run(until=2.0)
-    assert len(old) == 1
-    assert len(new) == 1
 
 
 def test_without_registry_static_map_used(sim, network, streams):
@@ -45,19 +25,26 @@ def test_without_registry_static_map_used(sim, network, streams):
     assert len(leader) == 1
 
 
-def test_registry_snapshot_taken_at_finalize_time(sim, network, streams):
-    """A leader change during the consensus delay applies to the block."""
-    old = collect(network, "old-leader")
-    new = collect(network, "new-leader")
+def test_a_peer_outside_the_map_never_hears_the_orderer(sim, network, streams):
+    leader = collect(network, "leader")
+    bystander = collect(network, "bystander")
     orderer = OrderingService(
         sim, network, streams,
-        config=OrdererConfig(consensus_delay=1.0),
-        org_leaders={"org0": "old-leader"},
+        config=OrdererConfig(consensus_delay=0.0),
+        org_leaders={"org0": "leader"},
     )
-    registry = LeaderRegistry({"org0": "old-leader"})
-    orderer.use_leader_registry(registry)
+    for count in (1, 2, 3):
+        orderer.emit_block(make_transactions(count))
+    sim.run(until=1.0)
+    assert [message.block.number for message in leader] == [0, 1, 2]
+    assert bystander == []
+
+
+def test_an_empty_map_seals_blocks_and_sends_none(sim, network, streams):
+    orderer = OrderingService(
+        sim, network, streams, config=OrdererConfig(consensus_delay=0.0)
+    )
     orderer.emit_block(make_transactions(1))
-    sim.schedule(0.5, registry.claim, "org0", "new-leader")
-    sim.run(until=2.0)
-    assert len(old) == 0
-    assert len(new) == 1
+    sim.run(until=1.0)
+    assert orderer.blocks_cut == 1
+    assert network.monitor.nodes() == []

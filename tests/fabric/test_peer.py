@@ -105,6 +105,48 @@ def test_leader_gossips_orderer_block(sim, network, streams):
     assert peer.blocks_received_via["orderer"] == 1
 
 
+def test_leadership_is_the_views_static_leader():
+    from repro.experiments.builders import build_network
+
+    net = build_network(n_peers=9, gossip=OriginalGossipConfig(), seed=2, organizations=3)
+    for org, members in net.org_members.items():
+        leaders = [name for name in members if net.peers[name].is_leader]
+        assert leaders == [net.leaders[org]]
+        assert all(net.peers[name].is_leader == net.peers[name].view.is_leader for name in members)
+    assert net.orderer.org_leaders == net.leaders
+
+
+def test_orderer_blocks_reach_only_the_static_leaders():
+    from repro.experiments.builders import build_network
+    from tests.conftest import make_transactions
+
+    net = build_network(n_peers=12, gossip=OriginalGossipConfig(), seed=2, organizations=2)
+    net.start()
+    net.orderer.emit_block(make_transactions(2))
+    net.run_until(lambda: net.all_peers_received(1), step=1.0, max_time=30.0)
+    leaders = set(net.leaders.values())
+    for name, peer in net.peers.items():
+        assert peer.blocks_received_via["orderer"] == (1 if name in leaders else 0)
+
+
+def test_a_crashed_leader_is_not_replaced():
+    """Leadership is static: while the org's leader is down, no other peer
+    takes the orderer's blocks, and the copy sent to the leader is lost."""
+    from repro.experiments.builders import build_network
+    from tests.conftest import make_transactions
+
+    net = build_network(n_peers=6, gossip=OriginalGossipConfig(), seed=2)
+    net.start()
+    leader = net.leader_of("org0")
+    leader.crash()
+    net.orderer.emit_block(make_transactions(2))
+    net.sim.run(until=5.0)
+    assert net.network.dropped_messages >= 1
+    assert [peer.name for peer in net.peers.values() if peer.is_leader] == [leader.name]
+    assert all(peer.blocks_received_via["orderer"] == 0 for peer in net.peers.values())
+    assert all(peer.get_block(0) is None for peer in net.peers.values())
+
+
 def test_first_reception_recorded_once(sim, network, streams):
     peer = build_peer(sim, network, streams)
     block = make_chain([1])[0]

@@ -65,7 +65,10 @@ def test_message_sizes_match_config():
 # ----- aggregated emission (batched network events) --------------------------
 
 
-def _built_network(aggregate, n_peers=8, seed=5, until=6.0):
+def _built_network(per_copy=False, n_peers=8, seed=5, until=6.0):
+    """A small background run. ``per_copy`` is the reference: the
+    network's ``send_aggregate`` is replaced, by instance assignment, with
+    a loop over ``send``, so every copy is a delivery of its own."""
     from repro.experiments.builders import build_network
     from repro.gossip.config import EnhancedGossipConfig
 
@@ -73,8 +76,16 @@ def _built_network(aggregate, n_peers=8, seed=5, until=6.0):
         n_peers=n_peers,
         gossip=EnhancedGossipConfig(),
         seed=seed,
-        background=BackgroundTrafficConfig(aggregate=aggregate),
+        background=BackgroundTrafficConfig(),
     )
+    if per_copy:
+        network = net.network
+
+        def send_per_copy(src, dsts, message):
+            for dst in dsts:
+                network.send(src, dst, message)
+
+        network.send_aggregate = send_per_copy
     net.start()
     net.sim.run(until=until)
     return net
@@ -84,8 +95,8 @@ def test_aggregated_byte_accounting_identical_to_per_copy():
     """The tentpole equivalence: with identical emission times (both runs
     ride the wheel), aggregation must not move a single byte in the
     monitor — per node, per direction, per kind, per bin."""
-    aggregated = _built_network(aggregate=True)
-    per_copy = _built_network(aggregate=False)
+    aggregated = _built_network()
+    per_copy = _built_network(per_copy=True)
     mon_a, mon_b = aggregated.network.monitor, per_copy.network.monitor
     assert mon_a.nodes() == mon_b.nodes()
     for node in mon_a.nodes():
@@ -97,13 +108,13 @@ def test_aggregated_byte_accounting_identical_to_per_copy():
 
 
 def test_aggregation_reduces_simulator_events():
-    aggregated = _built_network(aggregate=True)
-    per_copy = _built_network(aggregate=False)
+    aggregated = _built_network()
+    per_copy = _built_network(per_copy=True)
     assert aggregated.sim.events_executed < 0.7 * per_copy.sim.events_executed
 
 
 def test_aggregate_emission_counts_copies():
-    net = _built_network(aggregate=True, until=4.0)
+    net = _built_network(until=4.0)
     for peer in net.peers.values():
         background = peer.background
         assert background is not None
@@ -112,18 +123,68 @@ def test_aggregate_emission_counts_copies():
         assert 0.5 * expected <= background.messages_sent <= 1.5 * expected
 
 
-def test_fakehost_without_network_falls_back_to_per_copy_sends():
+def test_fakehost_records_one_sent_row_per_aggregated_copy():
     host = FakeHost("p0")
-    config = BackgroundTrafficConfig(period=1.0, fanout=2, message_size=1000, aggregate=True)
+    config = BackgroundTrafficConfig(period=1.0, fanout=2, message_size=1000)
     traffic = BackgroundTraffic(host, make_view("p0", org_size=6), config)
     traffic.start()
     host.run(until=3.0)
     assert traffic.messages_sent > 0
+    assert len(host.sent) == traffic.messages_sent
     assert all(message.kind == "MembershipAlive" for _, message in host.sent)
 
 
+def test_each_emission_is_one_aggregate_of_distinct_channel_peers():
+    class AggregateHost(FakeHost):
+        def __init__(self, name):
+            super().__init__(name)
+            self.aggregates = []
+
+        def send_aggregate(self, src, dsts, message):
+            self.aggregates.append((src, list(dsts)))
+            super().send_aggregate(src, dsts, message)
+
+    host = AggregateHost("p0")
+    view = make_view("p0", org_size=6)
+    config = BackgroundTrafficConfig(period=1.0, fanout=3, message_size=1000)
+    traffic = BackgroundTraffic(host, view, config)
+    traffic.start()
+    host.run(until=4.0)
+    assert len(host.aggregates) >= 3
+    for src, dsts in host.aggregates:
+        assert src == "p0"
+        assert len(dsts) == len(set(dsts)) == 3
+        assert "p0" not in dsts and set(dsts) <= {f"p{i}" for i in range(6)}
+    assert traffic.messages_sent == sum(len(dsts) for _, dsts in host.aggregates)
+
+
+def test_config_has_no_per_copy_knob():
+    import dataclasses
+
+    names = [field.name for field in dataclasses.fields(BackgroundTrafficConfig)]
+    assert names == ["enabled", "period", "fanout", "message_size"]
+    with pytest.raises(TypeError):
+        BackgroundTrafficConfig(aggregate=False)
+
+
+def test_background_copies_reach_no_peer_handler():
+    """The aggregate is accounted at every receiver and delivered to none:
+    no peer's table holds ``MembershipAlive``, and no copy is a drop."""
+    from repro.gossip.messages import MembershipAlive
+
+    net = _built_network(until=3.0)
+    assert all(MembershipAlive not in peer._dispatch_all for peer in net.peers.values())
+    monitor = net.network.monitor
+    received = sum(
+        monitor.node_totals(name).by_kind_messages["rx:MembershipAlive"] for name in net.peers
+    )
+    sent = sum(peer.background.messages_sent for peer in net.peers.values())
+    assert received == sent > 0
+    assert net.network.dropped_messages == 0
+
+
 def test_crashed_peer_stops_emitting_background():
-    net = _built_network(aggregate=True, until=2.0)
+    net = _built_network(until=2.0)
     victim = net.peers["peer-3"]
     sent_at_crash = victim.background.messages_sent
     victim.crash()
@@ -134,7 +195,7 @@ def test_crashed_peer_stops_emitting_background():
 def test_wrapping_send_aggregate_by_assignment_observes_traffic():
     """Convention check: like network.send, send_aggregate is resolved at
     emission time, so tests wrapping it by assignment see every batch."""
-    net = _built_network(aggregate=True, until=0.0)
+    net = _built_network(until=0.0)
     observed = []
     original = net.network.send_aggregate
 

@@ -64,6 +64,31 @@ def test_initial_gossiper_forwards_with_counter_one():
     assert all(msg.counter == 1 for msg in pushes)
 
 
+def test_forwarding_goes_through_host_multicast():
+    """The push component binds ``host.multicast`` itself: the initial
+    gossiper's forward is one multicast of one shared message to ``fout``
+    distinct peers other than itself."""
+    calls = []
+
+    class MulticastHost(FakeHost):
+        def multicast(self, dsts, message):
+            calls.append((list(dsts), message))
+            super().multicast(dsts, message)
+
+    host = MulticastHost("p0")
+    config = EnhancedGossipConfig(fout=4, ttl_direct=2)
+    module = EnhancedGossip(host, make_view("p0", org_size=10), config)
+    module.handle("p9", BlockPush(make_chain([1])[0], counter=0))
+    pushes = [(dsts, message) for dsts, message in calls if isinstance(message, BlockPush)]
+    assert len(pushes) == 1
+    dsts, message = pushes[0]
+    assert message.counter == 1
+    assert len(set(dsts)) == 4 and "p0" not in dsts
+    assert [(dst, sent) for dst, sent in host.sent if isinstance(sent, BlockPush)] == [
+        (dst, message) for dst in dsts
+    ]
+
+
 def test_digest_and_request_routed():
     host, module = make_module()
     block = make_chain([1])[0]

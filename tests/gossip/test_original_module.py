@@ -33,6 +33,27 @@ def test_orderer_block_delivered_and_pushed():
     assert len(pushes) == 3
 
 
+def test_push_fanout_goes_through_host_multicast():
+    """The module binds ``host.multicast`` itself: the leader's push is one
+    multicast of one shared message to ``fout`` distinct peers."""
+    calls = []
+
+    class MulticastHost(FakeHost):
+        def multicast(self, dsts, message):
+            calls.append((list(dsts), message))
+            super().multicast(dsts, message)
+
+    host = MulticastHost("p0")
+    config = OriginalGossipConfig(fout=3, t_push=0.0)
+    module = OriginalGossip(host, make_view("p0", org_size=8), config)
+    module.on_block_from_orderer(make_chain([1])[0])
+    pushes = [(dsts, message) for dsts, message in calls if isinstance(message, BlockPush)]
+    assert len(pushes) == 1
+    dsts, message = pushes[0]
+    assert len(set(dsts)) == 3 and "p0" not in dsts
+    assert host.sent == [(dst, message) for dst in dsts]
+
+
 def test_pushed_block_reforwarded_once():
     host, module = make_module(fout=2, t_push=0.0)
     block = make_chain([1])[0]
