@@ -54,6 +54,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.checks import require_finite
 from repro.net.latency import LanLatency, LatencyModel
 from repro.net.link import LinkModel, new_queue_stats, summarize_queue_accounting
 from repro.net.message import Message
@@ -101,6 +102,10 @@ class NetworkConfig:
             topologies). Region-aware latency models consult it; the fault
             layer uses it to resolve region-level partition/degrade events.
             ``build_network`` fills it from the organization placement.
+
+    ``monitor_bin_width``, ``envelope_overhead`` and
+    ``downlink_queue_min_bytes`` are refused by field name at construction
+    when NaN, infinite or negative (the bin width also when zero).
     """
 
     bandwidth: float = float(GIGABIT_PER_SECOND_BYTES)
@@ -112,6 +117,8 @@ class NetworkConfig:
     link: Optional[LinkModel] = None
 
     def __post_init__(self) -> None:
+        require_finite(self, "monitor_bin_width", positive=True)
+        require_finite(self, "envelope_overhead", "downlink_queue_min_bytes")
         if self.link is not None and not isinstance(self.link, LinkModel):
             raise TypeError(f"link must be a LinkModel, got {type(self.link).__name__}")
         latency = self.latency

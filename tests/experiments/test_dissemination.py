@@ -137,10 +137,12 @@ def _live_bytes_after_run(blocks, background):
 
 @pytest.mark.parametrize("background", [None, BackgroundTrafficConfig()])
 def test_a_run_holds_few_bytes_per_peer_and_block(background):
-    """What a run keeps grows by < 450 B per (peer, block): a bitmask of
+    """What a run keeps grows by < 260 B per (peer, block): a bitmask of
     seen counters and one reception cell per (peer, block) instead of a
     heap int per seen pair and a dict entry per reception and commit
-    (~930-1,000 B, ~300-380 B now). What is left is mostly the monitor's
-    per-bin receiver cells and the chain's dict entry."""
+    (~930-1,000 B), and the monitor's bytes per (node, bin) instead of a
+    receiver dict per (bin, kind, size) (~330-380 B; ~200-210 B now).
+    What is left is mostly the seen-pair mask and the chain's dict
+    entry."""
     grown = _live_bytes_after_run(30, background) - _live_bytes_after_run(10, background)
-    assert grown / (100 * 20) < 450
+    assert grown / (100 * 20) < 260

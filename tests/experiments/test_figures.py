@@ -1,5 +1,7 @@
 """Tests for figure configuration resolution and series extraction."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.dissemination import DisseminationConfig, run_dissemination
@@ -11,6 +13,7 @@ from repro.experiments.figures import (
     block_level_figure,
     figure_config,
     peer_level_figure,
+    run_figure,
 )
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
 from repro.scenarios import scenario_names
@@ -90,3 +93,34 @@ def test_bandwidth_figure_extraction(tiny_result):
     assert figure.interval == 10.0
     assert len(figure.leader_series) == len(figure.regular_series)
     assert figure.leader_average >= 0
+
+
+# SHA-256 over every node of scaled fig6 at seed 1 (101 nodes, 156 one-second
+# bins): its tx and rx byte series and its node totals. Recorded when the
+# monitor still kept a receiver dict per (bin, kind, size), before it folded
+# closed bins into per-node byte rows.
+FIG6_SERIES_SHA256 = "d43fd8ba6b20d13df581b7fc84aaf2239403a98d9a75140e5fab28632467f540"
+
+
+def test_scaled_fig6_series_are_pinned_bit_for_bit():
+    """Snapshots and goldens carry only the monitor's whole-run totals;
+    this pins the per-node, per-bin series the bandwidth figures are
+    drawn from."""
+    _, result = run_figure("fig6", seed=1)
+    monitor = result.net.network.monitor
+    digest = hashlib.sha256()
+    for node in monitor.nodes():
+        totals = monitor.node_totals(node)
+        digest.update(
+            repr((
+                node,
+                monitor.series(node, "tx"),
+                monitor.series(node, "rx"),
+                totals.messages,
+                totals.bytes,
+                sorted(totals.by_kind_messages.items()),
+                sorted(totals.by_kind_bytes.items()),
+            )).encode()
+        )
+    assert len(monitor.nodes()) == 101
+    assert digest.hexdigest() == FIG6_SERIES_SHA256

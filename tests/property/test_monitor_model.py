@@ -6,6 +6,11 @@ answers every reader by scanning the rows. Random programs of ``record``,
 non-unit bin widths, duplicate destinations, one far-future time — must
 leave the monitor and the model in agreement on every public reader, for
 every node, in all three directions.
+
+The monitor folds the cells of a closed bin into per-node byte rows when
+a later bin opens or a reader runs. The second half checks that the fold
+is invisible: reads between records, records into bins already folded,
+pickling with a bin open, and merges of folded with unfolded monitors.
 """
 
 from __future__ import annotations
@@ -13,12 +18,14 @@ from __future__ import annotations
 import math
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulation._core import TrafficMonitor, TrafficTotals
 
 NODES = ["n0", "n1", "n2", "n3", "ghost"]  # "ghost" never appears in a program
 FAR_FUTURE = 20_000.0  # beyond the dense tail at every bin width used here
+BIN_WIDTHS = [1.0, 0.25, 2.5]
 
 
 class Rows:
@@ -99,7 +106,7 @@ def feed(monitor, model, ops):
                 model.record(at, src, dst, message_kind, message_size)
 
 
-@given(programs, st.sampled_from([1.0, 0.25, 2.5]))
+@given(programs, st.sampled_from(BIN_WIDTHS))
 @settings(max_examples=150, deadline=None)
 def test_monitor_agrees_with_per_copy_model(program, bin_width):
     monitor = model = None
@@ -118,6 +125,12 @@ def test_monitor_agrees_with_per_copy_model(program, bin_width):
     if program[-1][1]:
         monitor = pickle.loads(pickle.dumps(monitor))
         feed(monitor, model, program[0][0])  # an unpickled monitor keeps recording
+    assert_agrees(monitor, model, bin_width)
+
+
+def assert_agrees(monitor, model, bin_width, far=True):
+    """Every public reader of ``monitor`` equals ``model``'s answer; with
+    ``far``, the far-future bin is read where it is too."""
     assert monitor.totals == model.totals()
     assert monitor.network_total_bytes() == model.totals().bytes
     assert monitor.last_time == model.last_time
@@ -131,10 +144,109 @@ def test_monitor_agrees_with_per_copy_model(program, bin_width):
             rates = monitor.rate_series(name, direction, end_time=end_time)
             assert rates == [value / bin_width for value in expected]
             assert monitor.average_rate(name, direction, 0.0, end_time) == sum(expected) / end_time
-    # The far-future bin, read where it is.
-    far = [row for row in model.rows if row[0] == math.floor(FAR_FUTURE / bin_width)]
+    if not far:
+        return
+    far_rows = [row for row in model.rows if row[0] == math.floor(FAR_FUTURE / bin_width)]
     for name in NODES:
         for direction, column in (("tx", 1), ("rx", 2)):
-            expected = sum(row[4] for row in far if row[column] == name)
+            expected = sum(row[4] for row in far_rows if row[column] == name)
             rate = monitor.average_rate(name, direction, FAR_FUTURE, FAR_FUTURE + bin_width)
             assert rate == expected / bin_width
+
+
+# A step of a single monitor's life: a send, a full read (which folds), a
+# pickle round trip (with whatever bin is open), or a merge of a fresh
+# monitor fed its own sends, read (folded) before the merge or not.
+steps = st.lists(
+    st.one_of(
+        sends,
+        st.just(("read",)),
+        st.just(("pickle",)),
+        st.tuples(st.just("merge"), st.lists(sends, max_size=8), st.booleans()),
+    ),
+    max_size=30,
+)
+
+
+@given(steps, st.sampled_from(BIN_WIDTHS))
+@settings(max_examples=150, deadline=None)
+def test_reads_pickles_and_merges_between_records_are_invisible(program, bin_width):
+    monitor, model = TrafficMonitor(bin_width), Rows(bin_width)
+    for step in program:
+        if step[0] == "read":
+            assert_agrees(monitor, model, bin_width, far=False)
+        elif step[0] == "pickle":
+            monitor = pickle.loads(pickle.dumps(monitor))
+        elif step[0] == "merge":
+            _, ops, folded = step
+            part, part_model = TrafficMonitor(bin_width), Rows(bin_width)
+            feed(part, part_model, ops)
+            if folded:
+                part.nodes()
+            monitor.merge_from(part)
+            model.merge_from(part_model)
+        else:
+            feed(monitor, model, [step])
+    assert_agrees(monitor, model, bin_width)
+
+
+@pytest.mark.parametrize("bin_width", BIN_WIDTHS)
+def test_a_record_into_a_folded_bin_is_counted(bin_width):
+    """A later bin folds bin 0 and a read folds the later one; records
+    into both afterwards land where a per-copy count puts them."""
+    monitor, model = TrafficMonitor(bin_width), Rows(bin_width)
+    ops = [
+        ("multicast", 0.1, "n0", ["n1", "n2", "n1"], "Block", 160_256),
+        ("record", 30.0, "n1", "n0", "Digest", 296),  # opens a later bin: bin 0 folds
+    ]
+    feed(monitor, model, ops)
+    assert_agrees(monitor, model, bin_width)  # folds the later bin too
+    feed(monitor, model, [
+        ("multicast", 0.2, "n0", ["n1", "n3"], "Block", 160_256),  # bin 0 again
+        ("record", 30.1, "n1", "n0", "Digest", 296),
+        ("record", 0.0, "n3", "n1", "Alive", 1),  # a new flow in bin 0
+    ])
+    assert_agrees(monitor, model, bin_width)
+
+
+@pytest.mark.parametrize("bin_width", BIN_WIDTHS)
+def test_pickling_with_a_bin_open_keeps_its_cells(bin_width):
+    """No reader has run, so the last bin's cells are still open when the
+    monitor is pickled; the copy folds them and keeps recording."""
+    monitor, model = TrafficMonitor(bin_width), Rows(bin_width)
+    feed(monitor, model, [
+        ("multicast", 3.0, "n0", ["n1", "n2"], "Digest", 296),
+        ("multicast", 7.5, "n1", ["n0", "n2", "n3"], "Block", 160_256),
+    ])
+    copy, copy_model = pickle.loads(pickle.dumps(monitor)), Rows(bin_width)
+    copy_model.merge_from(model)
+    feed(copy, copy_model, [("record", 7.6, "n2", "n1", "Block", 160_256)])
+    assert_agrees(copy, copy_model, bin_width)
+    assert_agrees(monitor, model, bin_width)  # the original shares nothing with it
+
+
+@pytest.mark.parametrize("bin_width", BIN_WIDTHS)
+def test_merging_a_folded_and_an_unfolded_monitor_either_way(bin_width):
+    def fed(ops, folded):
+        monitor, model = TrafficMonitor(bin_width), Rows(bin_width)
+        feed(monitor, model, ops)
+        if folded:
+            monitor.series("n0")
+        return monitor, model
+
+    first = [
+        ("multicast", 1.5, "n0", ["n1", "n2"], "Block", 160_256),
+        ("multicast", 12.0, "n2", ["n0", "n3"], "Digest", 296),
+    ]
+    second = [
+        ("multicast", 1.2, "n1", ["n0", "n2"], "Block", 160_256),
+        ("record", 12.5, "n3", "n2", "Digest", 296),
+        ("record", FAR_FUTURE, "n3", "n0", "Alive", 1),
+    ]
+    for folded_first in (True, False):
+        into, into_model = fed(first, folded_first)
+        other, other_model = fed(second, not folded_first)
+        into.merge_from(other)
+        into_model.merge_from(other_model)
+        assert_agrees(into, into_model, bin_width)
+        assert_agrees(other, other_model, bin_width)  # the merged-in one is untouched
