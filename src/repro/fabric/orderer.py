@@ -5,7 +5,9 @@ a single logical service with Fabric's exact block-cutting rules: a block
 is cut when it holds ``max_tx_per_block`` transactions, or when the batch
 timeout expires, counted from the arrival of the batch's *first*
 transaction (paper §II-B: "a new block is proposed for consensus when its
-size reaches a maximal size, or after a timer expires"). A configurable
+size reaches a maximal size, or after a timer expires"). The timeout
+carries its batch's number and does nothing if that batch was already cut
+by size: a scheduled event is final. A configurable
 ``consensus_delay`` models the ordering round trip, after which the block
 is final and sent, once, to the leader peer of every organization.
 
@@ -23,7 +25,6 @@ from repro.ledger.transaction import TransactionProposal
 from repro.metrics.latency import DisseminationTracker
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.simulation._core import EventHandle
 from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
 
@@ -47,7 +48,7 @@ class OrderingService(Process):
         self.org_leaders = dict(org_leaders or {})
         self.tracker = tracker
         self._buffer: List[TransactionProposal] = []
-        self._batch_timer: Optional[EventHandle] = None
+        self._batch = 0  # number of the open batch: batches cut so far
         self._next_number = 0
         self._tip_hash = GENESIS_PREVIOUS_HASH
         self.blocks_cut = 0
@@ -77,23 +78,20 @@ class OrderingService(Process):
         self.transactions_ordered += 1
         if len(self._buffer) >= self.config.max_tx_per_block:
             self._cut()
-        elif self._batch_timer is None:
+        elif len(self._buffer) == 1:
             # Fabric's BatchTimeout counts from the first tx of the batch.
-            self._batch_timer = self.sim.schedule(self.config.batch_timeout, self._on_timeout)
+            self.sim.schedule(self.config.batch_timeout, self._on_timeout, self._batch)
 
-    def _on_timeout(self) -> None:
-        self._batch_timer = None
-        if self._buffer:
+    def _on_timeout(self, batch: int) -> None:
+        if batch == self._batch:
             self._cut()
 
     # ----- block cutting & consensus ---------------------------------------
 
     def _cut(self) -> None:
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-        batch, self._buffer = self._buffer, []
-        self._seal(batch)
+        self._batch += 1
+        transactions, self._buffer = self._buffer, []
+        self._seal(transactions)
 
     def _seal(self, transactions: List[TransactionProposal]) -> Block:
         """Chain the next block onto the tip and finalize it after the

@@ -423,8 +423,8 @@ def compile_fault_schedule(events, net) -> FaultSchedule:
     """Compile declarative ``events`` against ``net`` and arm the timers.
 
     Crash/recover arms become one-shot simulator events per peer (the
-    cancellation-heavy part — a crash stops every periodic timer — rides
-    the timer wheel's O(1) cancellation via ``Peer.crash``). Drop-filter
+    stop-heavy part — a crash stops every periodic timer — rides the
+    timer wheel's O(1) stop via ``Peer.crash``). Drop-filter
     injectors install immediately (inactive) and arm activation/heal
     flips, so a mid-run flip costs two scheduled events regardless of
     deployment size. Churn events hold joiners out now and arm runtime

@@ -9,43 +9,26 @@ overhead) configured in :class:`repro.net.network.NetworkConfig`.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 
 class Message:
     """A message in flight between two processes.
 
-    Subclasses override :meth:`payload_size` (bytes). Each instance gets a
-    unique ``msg_id`` for tracing. ``kind`` defaults to the class name and is
-    the key under which the traffic monitor aggregates byte counts; it is
-    materialized as a plain class attribute on each subclass (unless the
-    subclass defines its own ``kind``), so the per-send monitor lookup costs
-    one attribute read instead of a property call computing ``type(...)``.
+    Subclasses override :meth:`payload_size` (bytes). ``kind`` defaults to
+    the class name and is the key under which the traffic monitor
+    aggregates byte counts; it is materialized as a plain class attribute
+    on each subclass (unless the subclass defines its own ``kind``), so the
+    per-send monitor lookup costs one attribute read instead of a property
+    call computing ``type(...)``.
     """
 
-    _ids = itertools.count()
-
-    __slots__ = ("_msg_id",)
+    __slots__ = ()  # subclasses that declare slots get no instance __dict__
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if "kind" not in cls.__dict__:
             cls.kind = cls.__name__
-
-    @property
-    def msg_id(self) -> int:
-        """Unique id for tracing, assigned lazily on first access.
-
-        Laziness keeps message construction free of any base-class work on
-        the hot path; ids are unique but reflect access order, not
-        construction order.
-        """
-        try:
-            return self._msg_id
-        except AttributeError:
-            self._msg_id = next(Message._ids)
-            return self._msg_id
 
     @property
     def kind(self) -> str:
@@ -57,7 +40,7 @@ class Message:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{self.kind} id={self.msg_id} {self.payload_size()}B>"
+        return f"<{self.kind} {self.payload_size()}B>"
 
 
 class RawMessage(Message):

@@ -1,8 +1,8 @@
 """Discrete-event simulation substrate.
 
 This package provides the deterministic, seedable discrete-event engine on
-which the whole Fabric model runs: a heap-based scheduler with cancellable
-events (:class:`Simulator`) and the slot-batched hierarchical
+which the whole Fabric model runs: a heap-based scheduler whose scheduled
+events are final (:class:`Simulator`) and the slot-batched hierarchical
 :class:`TimerWheel`, both in :mod:`repro.simulation._core`; the naive
 one-event-per-tick :mod:`repro.simulation.timers`; named deterministic
 random streams (:mod:`repro.simulation.random`) and a light-weight
@@ -10,7 +10,6 @@ process/actor base class (:mod:`repro.simulation.process`).
 """
 
 from repro.simulation._core import (
-    EventHandle,
     SimulationError,
     Simulator,
     TimerWheel,
@@ -21,7 +20,6 @@ from repro.simulation.random import RandomStreams
 from repro.simulation.timers import PeriodicTimer
 
 __all__ = [
-    "EventHandle",
     "PeriodicTimer",
     "Process",
     "RandomStreams",

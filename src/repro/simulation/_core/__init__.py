@@ -28,8 +28,7 @@ Heap layout
 Every heap entry is one immutable tuple, built once when the event is
 scheduled and dropped by reference count when it has run::
 
-    (time, seq, callback, args)                               # schedule_call
-    (time, seq, callback, args, handle)                       # schedule, schedule_at
+    (time, seq, callback, args)                               # schedule, schedule_at, schedule_call
     (time, seq, callback, src, message, target)               # a delivery
     (time, seq, callback, src, message, target, transfer)     # a two-phase arrival
 
@@ -40,23 +39,21 @@ calls it as ``callback(src, message, target[, transfer])``.
 
 ``heapq`` compares entries with C-level tuple comparison: ``time`` first,
 then the monotonically increasing ``seq``, which is unique, so the
-comparison never reaches the callback. Only an entry scheduled through
-:meth:`Simulator.schedule` / :meth:`~Simulator.schedule_at` has five
-slots, the fifth its :class:`EventHandle`; the run loop checks that handle
-and nothing else. Cancellation is lazy: it marks the handle, the entry stays in
-the heap and is discarded uncounted when it surfaces. There is no free
+comparison never reaches the callback. A scheduled event is final: no
+handle is returned and nothing takes an entry back, so the run loop runs
+every entry it pops and ``pending_events`` is the heap's length. A
+one-shot that may have become moot checks its own state when it fires
+(the orderer's batch timeout carries its batch number); a recurring timer
+stops through its own flag (:meth:`WheelTimer.stop`). There is no free
 list: a recycled entry would have to be a mutable list, which costs a
-second allocation and a pointer chase in every heap comparison. When
-lazily cancelled entries exceed half the heap (mass timer cancellation,
-e.g. a crash fault stopping every periodic component), the heap is
-compacted in one pass to bound memory in long runs.
+second allocation and a pointer chase in every heap comparison.
 """
 
 from __future__ import annotations
 
 import random as _random
 from array import array
-from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from math import ceil, exp as _exp, floor as _floor, log as _log, nextafter as _nextafter
 from operator import itemgetter as _itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -67,60 +64,9 @@ from repro.checks import require_finite
 
 _INF = float("inf")
 
-# Compact when stale (cancelled-in-heap) entries pass both thresholds.
-_COMPACT_MIN_STALE = 64
-
 
 class SimulationError(RuntimeError):
     """Raised on invalid scheduler usage (e.g. scheduling in the past)."""
-
-
-class EventHandle:
-    """Handle for a scheduled event, usable to cancel it.
-
-    Cancellation is lazy: the entry stays in the heap but is skipped when it
-    surfaces. ``handle.cancelled`` and ``handle.executed`` expose the state.
-    The heap entry points at its handle, never the other way round.
-    """
-
-    __slots__ = ("time", "seq", "_sim", "_cancelled", "_fired")
-
-    time: float
-    seq: int
-    _sim: "Simulator"
-    _cancelled: bool
-    _fired: bool
-
-    def __init__(self, sim: "Simulator", time: float, seq: int) -> None:
-        self.time = time
-        self.seq = seq
-        self._sim = sim
-        self._cancelled = False
-        self._fired = False
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def executed(self) -> bool:
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is still waiting to fire."""
-        return not self._cancelled and not self._fired
-
-    def cancel(self) -> None:
-        """Cancel the event. Cancelling an executed event is a no-op."""
-        if self._fired or self._cancelled:
-            return
-        self._cancelled = True
-        self._sim._note_cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self._cancelled else ("done" if self._fired else "pending")
-        return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
 
 
 class Simulator:
@@ -141,8 +87,6 @@ class Simulator:
         "_heap",
         "_running",
         "_events_executed",
-        "_live",
-        "_stale",
         "_peak_heap",
         "_wheel",
     )
@@ -152,8 +96,6 @@ class Simulator:
     _heap: List[Tuple[Any, ...]]
     _running: bool
     _events_executed: int
-    _live: int
-    _stale: int
     _peak_heap: int
     _wheel: Optional["TimerWheel"]
 
@@ -163,8 +105,6 @@ class Simulator:
         self._heap = []
         self._running = False
         self._events_executed = 0
-        self._live = 0  # scheduled minus cancelled minus executed: O(1)
-        self._stale = 0  # lazily cancelled entries still in the heap
         self._peak_heap = 0
         self._wheel = None
 
@@ -180,12 +120,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live queued events, excluding lazily cancelled ones.
-
-        Maintained as an O(1) counter; the old implementation scanned the
-        whole heap.
-        """
-        return self._live
+        """Number of queued events: every heap entry is live."""
+        return len(self._heap)
 
     @property
     def peak_heap_size(self) -> int:
@@ -204,46 +140,33 @@ class Simulator:
             wheel = self._wheel = TimerWheel(self)
         return wheel
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         ``delay`` must be finite and non-negative.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        self.schedule_call(self._now + delay, callback, args)
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        # ``not (now <= time < inf)`` is a single guard catching NaN
-        # (comparisons are False), +/-inf and past times at once.
-        if not (self._now <= time < _INF):
-            self._reject_time(time)
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(self, time, seq)
-        heap = self._heap
-        _heappush(heap, (time, seq, callback, args, handle))
-        self._live += 1
-        if len(heap) > self._peak_heap:
-            self._peak_heap = len(heap)
-        return handle
+        self.schedule_call(time, callback, args)
 
     def schedule_call(
         self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...] = ()
     ) -> None:
-        """Fast-path schedule without an :class:`EventHandle`.
-
-        For hot callers that never cancel (the timer wheel arms its slots
-        through it, ``Process.after`` its one-shots): a four-slot entry,
-        no handle allocation.
-        """
+        """Schedule ``callback(*args)`` at ``time`` with the arguments as
+        one tuple: the four-slot entry, pushed with no ``*args`` packing
+        (the timer wheel arms its slots through it, ``Process.after`` its
+        one-shots)."""
+        # ``not (now <= time < inf)`` is a single guard catching NaN
+        # (comparisons are False), +/-inf and past times at once.
         if not (self._now <= time < _INF):
             self._reject_time(time)
         heap = self._heap
         _heappush(heap, (time, self._seq, callback, args))
         self._seq += 1
-        self._live += 1
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
 
@@ -257,7 +180,6 @@ class Simulator:
         heap = self._heap
         _heappush(heap, (time, self._seq, callback, *args))
         self._seq += 1
-        self._live += 1
         if len(heap) > self._peak_heap:
             self._peak_heap = len(heap)
 
@@ -267,27 +189,6 @@ class Simulator:
         raise SimulationError(
             f"cannot schedule at t={time} before current time t={self._now}"
         )
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        self._stale += 1
-        heap_len = len(self._heap)
-        if self._stale > _COMPACT_MIN_STALE and self._stale * 2 >= heap_len:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop lazily cancelled entries and re-heapify in one pass.
-
-        Bounds memory when timers are cancelled en masse (crash faults in
-        long recovery/background runs) instead of letting dead entries
-        accumulate until their scheduled times.
-        """
-        live_entries = [
-            entry for entry in self._heap if len(entry) != 5 or not entry[4]._cancelled
-        ]
-        _heapify(live_entries)
-        self._heap = live_entries
-        self._stale = 0
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the event loop.
@@ -305,11 +206,10 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        # Executed-event accounting is batched into locals and flushed in
+        # Executed-event accounting is batched into a local and flushed in
         # the ``finally`` block: one attribute read-modify-write per run()
-        # instead of two per event. ``_live``/``_events_executed`` are
-        # therefore only exact while the loop is not executing a callback,
-        # which is when anyone queries them.
+        # instead of one per event, so ``events_executed`` is only exact
+        # while the loop is not executing a callback.
         executed = 0
         heappop = _heappop
         heap = self._heap
@@ -321,35 +221,18 @@ class Simulator:
             while heap:
                 entry = heap[0]
                 event_time = entry[0]
-                slots = len(entry)
-                if slots != 5:
-                    if event_time > limit:
-                        break
-                    heappop(heap)
-                else:
-                    # A cancelled entry is discarded uncounted whenever it
-                    # surfaces, past the bound or not.
-                    handle = entry[4]
-                    if handle._cancelled:
-                        heappop(heap)
-                        self._stale -= 1
-                        continue
-                    if event_time > limit:
-                        break
-                    heappop(heap)
-                    handle._fired = True
+                if event_time > limit:
+                    break
+                heappop(heap)
                 self._now = event_time
                 executed += 1
+                slots = len(entry)
                 if slots == 6:
                     entry[2](entry[3], entry[4], entry[5])
                 elif slots == 7:
                     entry[2](entry[3], entry[4], entry[5], entry[6])
                 else:
                     entry[2](*entry[3])
-                # _compact() (reachable only through a cancel inside the
-                # callback) swaps the heap list object; re-bind after each
-                # callback, the only place the swap can happen.
-                heap = self._heap
                 if executed >= event_budget:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; possible runaway simulation"
@@ -359,7 +242,6 @@ class Simulator:
             return self._now
         finally:
             self._events_executed += executed
-            self._live -= executed
             self._running = False
 
     def run_window(self, end: float) -> float:
@@ -387,21 +269,8 @@ class Simulator:
         self._now = end
         return end
 
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        if self._running:
-            raise SimulationError("cannot reset a running simulator")
-        self._now = 0.0
-        self._seq = 0
-        self._heap.clear()
-        self._events_executed = 0
-        self._live = 0
-        self._stale = 0
-        self._peak_heap = 0
-        self._wheel = None  # wheel state references dropped heap events
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator t={self._now:.6f} pending={self._live}>"
+        return f"<Simulator t={self._now:.6f} pending={len(self._heap)}>"
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +302,8 @@ class WheelTimer:
     """Handle for one recurring registration on a :class:`TimerWheel`.
 
     API-compatible with :class:`~repro.simulation.timers.PeriodicTimer`
-    (``ticks``, ``running``, ``period``, ``stop``, ``reschedule``) so
-    processes can hold either interchangeably.
+    (``ticks``, ``running``, ``period``, ``stop``) so processes can hold
+    either interchangeably.
     """
 
     __slots__ = ("_wheel", "_period", "_callback", "_jitter", "_stopped", "_ticks")
@@ -483,22 +352,6 @@ class WheelTimer:
         if not self._stopped:
             self._stopped = True
             self._wheel._live -= 1
-
-    def reschedule(self, period: float) -> None:
-        """Change the period; takes effect from the next firing onwards.
-
-        Rejects periods the wheel cannot carry without rate distortion
-        (sub-tick or off the tick grid) — callers needing those cadences
-        must use a naive :class:`PeriodicTimer` instead, as the process
-        layer does at registration time.
-        """
-        _require_period(period)
-        if not self._wheel.supports_period(period):
-            raise SimulationError(
-                f"period {period} is not a whole number of wheel ticks "
-                f"(tick={self._wheel.tick}); use a PeriodicTimer for off-grid rates"
-            )
-        self._period = period
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "stopped" if self._stopped else "running"
@@ -1440,7 +1293,6 @@ def fan_out(
             stats[3] = delay_sum
             stats[4] = delay_max
             stats[5] += queued * size
-        sim._live += seq - sim._seq
         sim._seq = seq
         if len(heap) > sim._peak_heap:
             sim._peak_heap = len(heap)

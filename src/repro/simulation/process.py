@@ -58,8 +58,8 @@ class Process:
     def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule a one-shot callback, skipped if the process has died.
 
-        Not cancellable: a one-shot that may need cancelling goes through
-        ``sim.schedule`` / ``sim.schedule_at``, which return a handle.
+        Like every scheduled event, it cannot be taken back: a one-shot
+        that may become moot checks its own state when it fires.
         """
         sim = self.sim
         sim.schedule_call(sim._now + delay, self._if_alive, (callback, args))
@@ -84,7 +84,7 @@ class Process:
 
         The registration lands on the simulator's shared timer wheel:
         same-tick firings across the whole deployment coalesce into single
-        engine events, and :meth:`shutdown` cancels the registration in
+        engine events, and :meth:`shutdown` stops the registration in
         O(1) without touching the event heap. Sub-tick periods (high-rate
         client drivers) fall back to the naive one-event-per-tick
         :class:`PeriodicTimer`.

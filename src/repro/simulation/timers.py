@@ -4,14 +4,17 @@ Gossip components are driven by repeating timers (pull every ``t_pull``,
 recovery every ``t_recovery``, membership heart-beats...). The
 :class:`PeriodicTimer` wraps the rescheduling plumbing and supports optional
 phase jitter so that 100 peers do not all fire in the same instant — matching
-the unsynchronized clocks of a real deployment.
+the unsynchronized clocks of a real deployment. It costs one engine event
+per tick; the process layer uses it only for periods the shared
+:class:`~repro.simulation.TimerWheel` cannot carry, and the wheel's tests
+use it as their oracle.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.simulation._core import EventHandle, Simulator, _require_initial_delay, _require_period
+from repro.simulation._core import Simulator, _require_initial_delay, _require_period
 
 
 class PeriodicTimer:
@@ -19,8 +22,7 @@ class PeriodicTimer:
 
     Args:
         sim: the simulator to schedule on.
-        period: seconds between invocations; must be positive and finite,
-            here and in :meth:`reschedule`.
+        period: seconds between invocations; must be positive and finite.
         callback: invoked with no arguments at every tick.
         initial_delay: delay before the first tick, finite and >= 0.
             Defaults to one period.
@@ -43,7 +45,6 @@ class PeriodicTimer:
         self._period = period
         self._callback = callback
         self._jitter = jitter
-        self._handle: Optional[EventHandle] = None
         self._stopped = False
         self._ticks = 0
         first = period if initial_delay is None else initial_delay
@@ -66,7 +67,7 @@ class PeriodicTimer:
     def _schedule(self, delay: float) -> None:
         if self._jitter is not None:
             delay = max(0.0, delay + self._jitter())
-        self._handle = self._sim.schedule(delay, self._tick)
+        self._sim.schedule(delay, self._tick)
 
     def _tick(self) -> None:
         if self._stopped:
@@ -77,13 +78,6 @@ class PeriodicTimer:
             self._schedule(self._period)
 
     def stop(self) -> None:
-        """Stop the timer; pending tick (if any) is cancelled."""
+        """Stop the timer. The pending tick still fires, as a no-op: a
+        scheduled event is final."""
         self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def reschedule(self, period: float) -> None:
-        """Change the period; takes effect from the next tick onwards."""
-        _require_period(period)
-        self._period = period

@@ -61,13 +61,82 @@ def test_timeout_counts_from_first_tx_of_batch(sim, network, streams):
     assert orderer.blocks_cut == 1
 
 
-def test_size_cut_cancels_timer(sim, network, streams):
+def test_size_cut_leaves_its_timeout_a_no_op(sim, network, streams):
     leader_inbox(network)
     orderer = make_orderer(sim, network, streams, max_tx=2, timeout=2.0)
     orderer.submit(proposal("t0"))
     orderer.submit(proposal("t1"))  # size cut at t=0
     sim.run(until=5.0)
     assert orderer.blocks_cut == 1  # timer must not cut an empty block
+
+
+def test_timeout_of_a_size_cut_batch_does_not_cut_the_next_batch(sim, network, streams):
+    """The first batch is cut by size at t=0 with its timeout (t=2.0)
+    pending; the next batch opens at t=1.0 and must wait for its own
+    timeout at t=3.0. A timeout that checked "buffer non-empty" instead of
+    its batch number would cut it at t=2.0."""
+    inbox = leader_inbox(network)
+    orderer = make_orderer(sim, network, streams, max_tx=2, timeout=2.0, leaders={"o": "leader"})
+    orderer.submit(proposal("t0"))
+    orderer.submit(proposal("t1"))  # size cut at t=0, its timeout pending at t=2.0
+    sim.schedule_at(1.0, orderer.submit, proposal("t2"))
+    sim.run(until=5.0)
+    assert [(m.block.tx_count, m.block.cut_at) for m in inbox] == [(2, 0.0), (1, 3.0)]
+
+
+
+def test_a_stale_timeout_at_the_instant_a_new_batch_opens_does_not_cut_it(sim, network, streams):
+    """The next batch opens at t=2.0, the same instant as the size-cut
+    batch's timeout, and its submit runs first (lower seq). The stale
+    timeout then finds a one-transaction buffer but a newer batch number,
+    so the batch waits for its own timeout at t=4.0."""
+    inbox = leader_inbox(network)
+    orderer = make_orderer(sim, network, streams, max_tx=2, timeout=2.0, leaders={"o": "leader"})
+    sim.schedule_at(2.0, orderer.submit, proposal("t2"))
+    orderer.submit(proposal("t0"))
+    orderer.submit(proposal("t1"))  # size cut at t=0, its timeout pending at t=2.0
+    sim.run(until=3.9)
+    assert orderer.blocks_cut == 1 and orderer.pending_transactions == 1
+    sim.run(until=5.0)
+    assert [(m.block.tx_count, m.block.cut_at) for m in inbox] == [(2, 0.0), (1, 4.0)]
+
+def test_a_timeout_cut_opens_a_batch_with_its_own_timeout(sim, network, streams):
+    inbox = leader_inbox(network)
+    orderer = make_orderer(sim, network, streams, max_tx=50, timeout=2.0, leaders={"o": "leader"})
+    orderer.submit(proposal("t0"))
+    sim.schedule_at(2.5, orderer.submit, proposal("t1"))
+    sim.run(until=10.0)
+    assert [m.block.cut_at for m in inbox] == [2.0, 4.5]
+    assert orderer.pending_transactions == 0
+
+
+def test_a_sealed_emit_block_leaves_the_batch_timeout_armed(sim, network, streams):
+    """The timeout keys on batches cut, not on block numbers: a block the
+    direct driver seals meanwhile does not make the batch's timeout moot."""
+    inbox = leader_inbox(network)
+    orderer = make_orderer(sim, network, streams, max_tx=50, timeout=2.0, leaders={"o": "leader"})
+    orderer.submit(proposal("t0"))
+    sim.schedule_at(1.0, orderer.emit_block, make_transactions(3))
+    sim.run(until=5.0)
+    blocks = [(m.block.number, m.block.tx_count, m.block.cut_at) for m in inbox]
+    assert blocks == [(0, 3, 1.0), (1, 1, 2.0)]
+
+
+def test_the_moot_timeout_of_a_size_cut_fires_as_a_no_op(sim, network, streams):
+    leader_inbox(network)
+    orderer = make_orderer(sim, network, streams, max_tx=2, timeout=2.0, leaders={"o": "leader"})
+    orderer.submit(proposal("t0"))
+    orderer.submit(proposal("t1"))
+    assert sim.run() == 2.0  # the last event is the timeout, and it ran
+    assert orderer.blocks_cut == 1
+    assert sim.pending_events == 0
+
+
+def test_single_transaction_blocks_arm_no_timeout(sim, network, streams):
+    orderer = make_orderer(sim, network, streams, max_tx=1, timeout=2.0)
+    orderer.submit(proposal())
+    assert orderer.blocks_cut == 1
+    assert sim.pending_events == 1  # the consensus one-shot only
 
 
 def test_blocks_linked_in_sequence(sim, network, streams):

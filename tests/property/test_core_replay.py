@@ -1,12 +1,14 @@
 """Property tests: the engine core replays bit-for-bit, and correctly.
 
 The determinism contract of :mod:`repro.simulation._core` is *bit-for-bit*
-equality: for any schedule — cancellations, mass-cancel compaction,
-timer-wheel re-arms, exact ``schedule_call`` ties — two runs execute the
-exact same ``(time, tag)`` callback sequence with identical clock, event
-counts and heap instrumentation. A replay that is consistently wrong would
-pass that, so the same programs (timers aside) also run on a sorted-list
-reference engine and must produce its trace and counters. The traffic
+equality: for any schedule — self-stopping timer-wheel registrations,
+deliveries, exact ``schedule_call`` ties — two runs execute the exact same
+``(time, tag)`` callback sequence with identical clock, event counts and
+heap instrumentation. A replay that is consistently wrong would pass that,
+so the same programs (timers aside) also run on a sorted-list reference
+engine and must produce its trace and counters. A scheduled event is
+final: after every op the engine's heap holds only 4-, 6- or 7-slot
+entries, and ``pending_events`` is its length. The traffic
 monitor must survive merge and pickle (the shard-worker wire) unchanged,
 and the latency kernels must reproduce the stdlib ``lognormvariate``
 stream they inline.
@@ -19,12 +21,7 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.simulation._core import (
-    Simulator,
-    TimerWheel,
-    TrafficMonitor,
-    make_lan_sampler,
-)
+from repro.simulation._core import Simulator, TrafficMonitor, make_lan_sampler
 
 # ---------------------------------------------------------------------------
 # Random schedule programs
@@ -43,38 +40,26 @@ _event_ops = (
     # cross-shard injection makes them: exact ties, consecutive sequence
     # numbers.
     st.tuples(st.just("records"), st.integers(0, 40), st.integers(1, 6)),
-    st.tuples(st.just("cancel"), st.integers(0, 1000)),
-    st.tuples(st.just("mass_cancel")),
+    # A network delivery, one-phase (6 slots) or two-phase (7 slots).
+    st.tuples(st.just("delivery"), st.integers(0, 40), st.booleans()),
     st.tuples(st.just("run"), st.integers(0, 40)),
 )
 # Recurring wheel timer: grid-multiple period, self-stops after a few
-# ticks, optionally re-arms onto a new period mid-life.
+# ticks.
 _timer_op = st.tuples(
     st.just("timer"),
     st.integers(1, 8),          # period in ticks
     st.integers(1, 3),          # stop after this many firings
-    st.integers(0, 8),          # re-arm period in ticks (0 = never)
 )
 
 programs = st.lists(st.one_of(*_event_ops, _timer_op), min_size=1, max_size=40)
 event_programs = st.lists(st.one_of(*_event_ops), min_size=1, max_size=40)
 
 
-class _ReferenceHandle:
-    def __init__(self) -> None:
-        self.cancelled = False
-        self.executed = False
-
-    def cancel(self) -> None:
-        if not self.executed:
-            self.cancelled = True
-
-
 class ReferenceSimulator:
     """The scheduling semantics with nothing clever: an unordered list of
-    ``(time, seq, callback, args, handle)``, scanned for its ``(time,
-    seq)`` minimum among the entries not cancelled, up to an inclusive
-    ``until``. No heap, no lazy discard, no compaction, no batching."""
+    ``(time, seq, callback, args)``, scanned for its ``(time, seq)``
+    minimum up to an inclusive ``until``. No heap, no batching."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -84,35 +69,37 @@ class ReferenceSimulator:
 
     @property
     def pending_events(self) -> int:
-        return sum(not entry[4].cancelled for entry in self._queue)
+        return len(self._queue)
 
     def schedule(self, delay, callback, *args):
-        return self.schedule_at(self.now + delay, callback, *args)
+        self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time, callback, *args):
-        handle = _ReferenceHandle()
-        self._queue.append((time, self._seq, callback, args, handle))
+        self._queue.append((time, self._seq, callback, args))
         self._seq += 1
-        return handle
 
     def schedule_call(self, time, callback, args=()):
         self.schedule_at(time, callback, *args)
 
+    def schedule_delivery(self, time, callback, *args):
+        self.schedule_at(time, callback, *args)
+
     def run(self, until):
-        while True:
-            live = [entry for entry in self._queue if not entry[4].cancelled]
-            if not live:
-                break
-            entry = min(live, key=lambda entry: (entry[0], entry[1]))
+        while self._queue:
+            entry = min(self._queue, key=lambda entry: (entry[0], entry[1]))
             if entry[0] > until:
                 break
             self._queue.remove(entry)
             self.now = entry[0]
             self.events_executed += 1
-            entry[4].executed = True
             entry[2](*entry[3])
         self.now = max(self.now, until)
         return self.now
+
+
+def _assert_every_entry_is_live(sim):
+    assert sim.pending_events == len(sim._heap)
+    assert all(len(entry) in (4, 6, 7) for entry in sim._heap)
 
 
 def run_program(program, sim):
@@ -125,7 +112,6 @@ def run_program(program, sim):
     monitor = TrafficMonitor()
     trace = []
     counters = []
-    handles = []
     tag_box = [0]
 
     def fire(tag):
@@ -135,6 +121,9 @@ def run_program(program, sim):
     def fire_record(time, tag):
         trace.append((sim.now, tag))
 
+    def deliver(src, tag, target, transfer=None):
+        trace.append((sim.now, tag))
+
     def next_tag():
         tag_box[0] += 1
         return tag_box[0]
@@ -142,38 +131,35 @@ def run_program(program, sim):
     for op in program:
         kind = op[0]
         if kind == "call":
-            handles.append(sim.schedule(op[1] * _TICK, fire, next_tag()))
+            sim.schedule(op[1] * _TICK, fire, next_tag())
         elif kind == "at":
-            handles.append(sim.schedule_at(sim.now + op[1] * _TICK, fire, next_tag()))
+            sim.schedule_at(sim.now + op[1] * _TICK, fire, next_tag())
         elif kind == "fast":
             sim.schedule_call(sim.now + op[1] * _TICK, fire, (next_tag(),))
         elif kind == "records":
             time = sim.now + op[1] * _TICK
             for _ in range(op[2]):
                 sim.schedule_call(time, fire_record, (time, next_tag()))
-        elif kind == "cancel":
-            if handles:
-                handles[op[1] % len(handles)].cancel()
-        elif kind == "mass_cancel":
-            for handle in handles:
-                handle.cancel()
+        elif kind == "delivery":
+            args = ("src", next_tag(), "dst", 0.5) if op[2] else ("src", next_tag(), "dst")
+            sim.schedule_delivery(sim.now + op[1] * _TICK, deliver, *args)
         elif kind == "timer":
-            period, stop_after, rearm = op[1] * _TICK, op[2], op[3] * _TICK
+            period, stop_after = op[1] * _TICK, op[2]
             tag = next_tag()
             holder = []
 
-            def tick(tag=tag, stop_after=stop_after, rearm=rearm, holder=holder):
+            def tick(tag=tag, stop_after=stop_after, holder=holder):
                 timer = holder[0]
                 trace.append((sim.now, tag))
                 if timer.ticks >= stop_after:
                     timer.stop()
-                elif rearm > 0 and TimerWheel.supports_period(sim.wheel, rearm):
-                    timer.reschedule(rearm)
 
             holder.append(sim.wheel.every(period, tick))
         elif kind == "run":
             sim.run(until=sim.now + op[1] * _TICK)
         counters.append((sim.now, sim.events_executed, sim.pending_events))
+        if isinstance(sim, Simulator):
+            _assert_every_entry_is_live(sim)
     sim.run(until=sim.now + 60.0)
     return {
         "trace": trace,
@@ -206,34 +192,11 @@ def test_replay_is_deterministic(program):
 # Events at exactly a run's ``until`` fire in that run; random programs
 # rarely land on the bound.
 @example([("fast", 3), ("run", 3)])
-@example([("call", 3), ("at", 3), ("cancel", 0), ("run", 3)])
+@example([("call", 3), ("at", 3), ("delivery", 3, True), ("run", 3)])
 def test_engine_matches_the_sorted_list_reference(program):
     """The heap engine executes what the reference does: the same ``(now,
     tag)`` trace, ``events_executed``, ``pending_events`` and final clock."""
     assert run_program(program, Simulator()) == run_program(program, ReferenceSimulator())
-
-
-def test_mass_cancel_compaction():
-    """A compaction-triggering mass cancel leaves exact counters and only
-    the survivors to run."""
-    sim = Simulator()
-    fired = []
-    doomed = [
-        sim.schedule(1.0 + i * 0.001, fired.append, ("doomed", i))
-        for i in range(200)
-    ]
-    survivors = [
-        sim.schedule(2.0 + i * 0.001, fired.append, ("kept", i)) for i in range(10)
-    ]
-    for handle in doomed:
-        handle.cancel()
-    # The compaction threshold (stale > _COMPACT_MIN_STALE and
-    # stale*2 >= heap) has tripped: no stale entries remain.
-    assert (sim.pending_events, sim.peak_heap_size) == (10, 210)
-    sim.run()
-    assert sim.events_executed == 10
-    assert fired == [("kept", i) for i in range(10)]
-    assert all(handle.executed for handle in survivors)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.simulation import SimulationError, Simulator
+from repro.simulation import SimulationError
 
 
 def test_starts_at_time_zero(sim):
@@ -102,43 +102,11 @@ def test_nan_and_inf_times_rejected(sim):
         sim.schedule(float("inf"), lambda: None)
 
 
-def test_cancelled_event_does_not_fire(sim):
-    fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
-    handle.cancel()
-    sim.run()
-    assert fired == []
-
-
-def test_cancel_is_idempotent(sim):
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    sim.run()
-    assert handle.cancelled
-
-
-def test_handle_states(sim):
-    handle = sim.schedule(1.0, lambda: None)
-    assert handle.pending
-    sim.run()
-    assert handle.executed
-    assert not handle.pending
-
-
 def test_events_executed_counter(sim):
     for delay in (1.0, 2.0, 3.0):
         sim.schedule(delay, lambda: None)
     sim.run()
     assert sim.events_executed == 3
-
-
-def test_pending_events_excludes_cancelled(sim):
-    keep = sim.schedule(1.0, lambda: None)
-    drop = sim.schedule(2.0, lambda: None)
-    drop.cancel()
-    assert sim.pending_events == 1
-    assert keep.pending
 
 
 def test_max_events_guard(sim):
@@ -148,19 +116,10 @@ def test_max_events_guard(sim):
     sim.schedule(1.0, reschedule)
     with pytest.raises(SimulationError):
         sim.run(max_events=100)
-
-
-def test_reset_clears_state(sim):
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    sim.schedule(5.0, lambda: None)
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending_events == 0
-    fired = []
-    sim.schedule(1.0, fired.append, "post-reset")
-    sim.run()
-    assert fired == ["post-reset"]
+    # The counts are exact after the raise and the simulator runs on.
+    assert (sim.now, sim.events_executed, sim.pending_events) == (100.0, 100, 1)
+    sim.run(until=102.0)
+    assert sim.events_executed == 102
 
 
 def test_not_reentrant(sim):
@@ -193,18 +152,16 @@ def test_many_events_keep_global_order(sim):
     assert order == sorted(order, key=lambda item: (item[0], item[1]))
 
 
-# ----- fast-path internals: entry layout, O(1) counting, compaction --------
+# ----- fast-path internals: entry layout, O(1) counting ------------------
 
 
 def test_pending_events_counter_is_live(sim):
-    handles = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
+    for i in range(10):
+        sim.schedule(float(i + 1), lambda: None)
     assert sim.pending_events == 10
-    for handle in handles[:4]:
-        handle.cancel()
-    assert sim.pending_events == 6
     sim.run(until=6.5)
-    # Events at t=5 and t=6 fired (1-4 cancelled), 7..10 still queued.
-    assert sim.pending_events == 4
+    # Events at t=1..6 fired, 7..10 still queued.
+    assert sim.pending_events == 4 == len(sim._heap)
 
 
 def test_schedule_call_fast_path_executes_in_order(sim):
@@ -229,10 +186,12 @@ def test_schedule_call_rejects_past_and_nan(sim):
 
 def test_handle_free_entries_are_four_tuples(sim):
     sim.schedule_call(1.0, print, ("a",))
-    handle = sim.schedule(2.0, print, "b")
+    assert sim.schedule(2.0, print, "b") is None
+    assert sim.schedule_at(3.0, print, "c") is None
     assert sorted(sim._heap) == [
         (1.0, 0, print, ("a",)),
-        (2.0, 1, print, ("b",), handle),
+        (2.0, 1, print, ("b",)),
+        (3.0, 2, print, ("c",)),
     ]
 
 
@@ -240,37 +199,14 @@ class _Payload:
     """A weakly referenceable callback argument."""
 
 
-def test_fired_or_cancelled_handle_holds_no_heap_entry(sim):
-    """Neither handle keeps its entry (and with it the callback's
-    arguments) alive once the entry has left the heap."""
-    fired_payload, cancelled_payload = _Payload(), _Payload()
-    fired_ref, cancelled_ref = weakref.ref(fired_payload), weakref.ref(cancelled_payload)
-    fired = sim.schedule(1.0, lambda payload: None, fired_payload)
-    cancelled = sim.schedule(2.0, lambda payload: None, cancelled_payload)
-    del fired_payload, cancelled_payload
-    cancelled.cancel()
+def test_a_fired_event_holds_no_reference_to_its_arguments(sim):
+    payload = _Payload()
+    ref = weakref.ref(payload)
+    sim.schedule(1.0, lambda payload: None, payload)
+    del payload
     sim.run()
-    assert fired.executed and cancelled.cancelled
-    assert fired_ref() is None and cancelled_ref() is None
+    assert ref() is None
     assert sim._heap == []
-
-
-def test_compaction_leaves_only_live_entries(sim):
-    doomed = [sim.schedule(100.0 + i, lambda: None) for i in range(40)]
-    kept = [sim.schedule(50.0 + i, lambda: None) for i in range(5)]
-    for i in range(5):
-        sim.schedule_call(60.0 + i, lambda: None)
-    for handle in doomed:
-        handle.cancel()
-    assert sim._stale == 40  # below the threshold: still lazy
-    sim._compact()
-    assert sim._stale == 0
-    assert len(sim._heap) == sim.pending_events == 10
-    assert all(len(entry) == 4 or entry[4].pending for entry in sim._heap)
-    assert {entry[4] for entry in sim._heap if len(entry) == 5} == set(kept)
-    sim.run()
-    assert all(handle.executed for handle in kept)
-    assert sim.events_executed == 10
 
 
 def test_a_pending_fast_path_event_is_one_small_tuple(sim):
@@ -290,41 +226,6 @@ def test_a_pending_fast_path_event_is_one_small_tuple(sim):
     assert per_event <= 145
 
 
-def test_mass_cancellation_compacts_heap(sim):
-    handles = [sim.schedule(1000.0 + i, lambda: None) for i in range(200)]
-    keep = sim.schedule(0.5, lambda: None)
-    for handle in handles:
-        handle.cancel()
-    # Far more than half the heap was cancelled: compaction must have
-    # dropped the dead entries without waiting for their scheduled times.
-    assert len(sim._heap) < 50
-    assert sim.pending_events == 1
-    assert keep.pending
-    sim.run()
-    assert keep.executed
-
-
-def test_cancelled_handle_states_survive_pool_reuse(sim):
-    cancelled = sim.schedule(1.0, lambda: None)
-    cancelled.cancel()
-    executed = sim.schedule(2.0, lambda: None)
-    sim.run()
-    # Many later events; old handles must not change.
-    for i in range(20):
-        sim.schedule_call(sim.now + i + 1.0, lambda: None)
-    sim.run()
-    assert cancelled.cancelled and not cancelled.executed and not cancelled.pending
-    assert executed.executed and not executed.cancelled and not executed.pending
-
-
-def test_cancel_after_execution_is_noop(sim):
-    handle = sim.schedule(1.0, lambda: None)
-    sim.run()
-    handle.cancel()
-    assert handle.executed
-    assert not handle.cancelled
-
-
 def test_peak_heap_size_tracks_maximum(sim):
     assert sim.peak_heap_size == 0
     for i in range(7):
@@ -332,8 +233,6 @@ def test_peak_heap_size_tracks_maximum(sim):
     assert sim.peak_heap_size == 7
     sim.run()
     assert sim.peak_heap_size == 7
-    sim.reset()
-    assert sim.peak_heap_size == 0
 
 
 def test_events_executed_counts_across_runs(sim):
@@ -345,74 +244,78 @@ def test_events_executed_counts_across_runs(sim):
     assert sim.events_executed == 5
 
 
-def test_crash_fault_mass_cancel_compacts_in_one_pass(sim):
-    """A crash event cancelling >half the heap mid-run triggers exactly one
-    compaction pass and leaves live accounting exact (the run loop must
-    re-bind the swapped heap list and keep executing)."""
-    from repro.simulation import _core as engine_module
-
-    fired = []
-    # Periodic-timer corpus: one far-future handle per "timer", as a crash
-    # fault sees it (every component holds a pending tick).
-    handles = [sim.schedule(10.0 + i * 0.01, fired.append, i) for i in range(300)]
-    survivors = [sim.schedule(5.0 + i, fired.append, 1000 + i) for i in range(3)]
-
-    passes = []
-    original_compact = engine_module.Simulator._compact
-
-    def counting_compact(self):
-        passes.append(len(self._heap))
-        original_compact(self)
-
-    def crash():
-        for handle in handles:
-            handle.cancel()
-
-    sim.schedule(1.0, crash)
-    engine_module.Simulator._compact = counting_compact
-    try:
-        sim.run()
-    finally:
-        engine_module.Simulator._compact = original_compact
-
-    # Compaction runs as whole-heap passes (not per-cancellation) and the
-    # geometric trigger bounds the total work at O(heap): each pass halves
-    # the heap, so the pass sizes sum to less than twice the original.
-    assert 1 <= len(passes) <= 4
-    assert sum(passes) <= 2 * 304
-    assert sim._stale == 0  # stale counter fully consumed by the passes
-    assert fired == [1000, 1001, 1002]  # survivors fired, corpses did not
-    assert sim.pending_events == 0
-    assert all(handle.cancelled and not handle.executed for handle in handles)
-    assert all(handle.executed for handle in survivors)
+# ----- a scheduled event is final -----------------------------------------
 
 
-def test_mass_cancel_pending_counts_stay_exact_through_compaction(sim):
-    handles = [sim.schedule(100.0 + i, lambda: None) for i in range(150)]
-    live = [sim.schedule(50.0 + i, lambda: None) for i in range(10)]
-    assert sim.pending_events == 160
-    for index, handle in enumerate(handles):
-        handle.cancel()
-        # Exact at every step, through the compaction threshold and after.
-        assert sim.pending_events == 160 - (index + 1)
-    assert sim.pending_events == len(live) == 10
-    # Compaction dropped the mass-cancelled corpses; at most a sub-threshold
-    # lazy tail (< _COMPACT_MIN_STALE) may still sit in the heap.
-    assert len(sim._heap) - sim.pending_events == sim._stale < 64
-    executed = sim.run()
-    assert sim.pending_events == 0
-    assert executed == 59.0
-
-
-def test_small_cancellation_batches_stay_lazy(sim):
-    """Below the compaction thresholds cancelled entries stay in the heap
-    (lazy discard) — compaction is reserved for mass cancellation."""
-    keep = [sim.schedule(10.0 + i, lambda: None) for i in range(200)]
-    cancelled = [sim.schedule(20.0 + i, lambda: None) for i in range(30)]
-    for handle in cancelled:
-        handle.cancel()
-    assert len(sim._heap) == 230  # corpses still queued, below threshold
-    assert sim.pending_events == 200
+def test_pending_events_is_exact_inside_a_callback(sim):
+    """Every queued entry is live, so the count is the heap's length even
+    while the loop runs a callback."""
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.pending_events))
+    sim.schedule(2.0, lambda: None)
+    sim.schedule(3.0, lambda: None)
     sim.run()
-    assert all(handle.executed for handle in keep)
+    assert seen == [2]
+
+
+def test_an_event_scheduled_past_until_stays_queued_as_four_slots(sim):
+    sim.schedule(1.0, lambda: sim.schedule(5.0, print, "late"))
+    sim.run(until=3.0)
+    assert sim._heap == [(6.0, 1, print, ("late",))]
+    assert sim.pending_events == 1
+
+
+def test_a_rejected_schedule_queues_nothing_and_draws_no_seq(sim):
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), print)
+    with pytest.raises(SimulationError):
+        sim.schedule_delivery(-1.0, print, "src", "message", "target")
+    sim.schedule(1.0, print, "x")
+    assert sim._heap == [(1.0, 0, print, ("x",))]
+
+
+def test_entries_of_every_shape_run_in_time_then_seq_order(sim):
+    calls = []
+
+    def record(*args):
+        calls.append((sim.now, args))
+
+    sim.schedule_delivery(1.0, record, "src", "a", "target")
+    sim.schedule_call(1.0, record, ("b",))
+    sim.schedule_delivery(1.0, record, "src", "c", "target", 0.25)
+    sim.schedule_at(0.5, record, "first")
+    assert sorted(len(entry) for entry in sim._heap) == [4, 4, 6, 7]
+    sim.run()
+    assert calls == [
+        (0.5, ("first",)),
+        (1.0, ("src", "a", "target")),
+        (1.0, ("b",)),
+        (1.0, ("src", "c", "target", 0.25)),
+    ]
+
+
+def test_deliveries_count_toward_pending_events_and_peak_heap_size(sim):
+    sim.schedule_delivery(1.0, print, "src", "a", "target")
+    sim.schedule_delivery(2.0, print, "src", "b", "target", 0.5)
+    sim.schedule(3.0, print)
+    assert sim.pending_events == 3 == sim.peak_heap_size
+    sim.run(until=1.5)
+    assert sim.pending_events == 2 and sim.peak_heap_size == 3
+
+
+def test_a_raising_callback_is_consumed_and_the_run_resumes(sim):
+    """The loop pops an entry before calling it: an exception leaves that
+    event spent, the rest queued and the counts exact."""
+    fired = []
+
+    def boom():
+        raise ValueError("boom")
+
+    sim.schedule(1.0, boom)
+    sim.schedule(2.0, fired.append, "after")
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert (sim.now, sim.events_executed, sim.pending_events) == (1.0, 1, 1)
+    sim.run()
+    assert fired == ["after"] and sim.events_executed == 2
 

@@ -43,6 +43,31 @@ def test_after_skipped_when_dead(sim, streams):
     assert fired == []
 
 
+def test_after_checks_liveness_when_it_fires_not_when_scheduled(sim, streams):
+    """A one-shot is final: death and restart before it fires leave it to
+    run, because the guard reads ``alive`` at fire time."""
+    process = make_process(sim, streams)
+    fired = []
+    process.after(1.0, fired.append, "x")
+    process.shutdown()
+    process.restart()
+    sim.run()
+    assert fired == ["x"]
+
+
+
+def test_a_one_shot_that_fires_while_dead_is_spent_not_deferred(sim, streams):
+    """A one-shot due while its process is down is dropped for good: a
+    restart after its time does not replay it."""
+    process = make_process(sim, streams)
+    fired = []
+    process.after(2.0, fired.append, "x")
+    process.shutdown()
+    sim.schedule(3.0, process.restart)
+    sim.run()
+    assert fired == [] and process.alive
+    assert sim.pending_events == 0
+
 def test_every_registers_periodic_timer(sim, streams):
     process = make_process(sim, streams)
     ticks = []

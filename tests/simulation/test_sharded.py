@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.latency import ConstantLatency, LanLatency, TopologyLatency, UniformLatency
 from repro.simulation import SimulationError, Simulator
-from repro.scenarios.sharded import MIN_LOOKAHEAD, ShardPlan, plan_shards
+from repro.scenarios.sharded import MIN_LOOKAHEAD, plan_shards
 
 
 NODES = [f"peer-{i}" for i in range(10)] + ["orderer"]

@@ -34,6 +34,18 @@ def test_stop_halts_future_ticks(sim):
     sim.run(until=10.0)
     assert times == [1.0, 2.0]
     assert not timer.running
+    # The tick pending at the stop (t=3.0) fired as a no-op and armed none.
+    assert sim.events_executed == 4 and sim.pending_events == 0
+
+
+def test_stop_before_the_first_tick_leaves_one_no_op_tick(sim):
+    fired = []
+    timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now))
+    timer.stop()
+    timer.stop()  # idempotent
+    sim.run()
+    assert fired == [] and timer.ticks == 0
+    assert (sim.now, sim.events_executed, sim.pending_events) == (1.0, 1, 0)
 
 
 def test_stop_from_inside_callback(sim):
@@ -47,6 +59,37 @@ def test_stop_from_inside_callback(sim):
     sim.run(until=10.0)
     assert timer_box[0].ticks == 3
 
+
+
+def test_stopping_inside_the_callback_arms_no_next_tick(sim):
+    timer_box = []
+    pending_after_stop = []
+
+    def tick():
+        timer_box[0].stop()
+        sim.schedule(0.0, lambda: pending_after_stop.append(sim.pending_events))
+
+    timer_box.append(PeriodicTimer(sim, 1.0, tick))
+    sim.run()
+    # Only the probe was queued: the stopped timer left no tick behind.
+    assert pending_after_stop == [0]
+    assert (timer_box[0].ticks, sim.now, sim.events_executed) == (1, 1.0, 2)
+
+
+def test_a_stopped_timer_draws_no_more_jitter(sim):
+    """The no-op tick left by ``stop()`` must not consume the jitter
+    stream, or stopping a timer would shift every later draw."""
+    draws = []
+
+    def jitter():
+        draws.append(sim.now)
+        return 0.0
+
+    timer = PeriodicTimer(sim, 1.0, lambda: None, jitter=jitter)
+    sim.schedule(2.5, timer.stop)
+    sim.run()
+    assert draws == [0.0, 1.0, 2.0]  # at construction and after ticks 1, 2
+    assert timer.ticks == 2 and sim.now == 3.0
 
 def test_tick_counter(sim):
     timer = PeriodicTimer(sim, 1.0, lambda: None)
@@ -91,33 +134,6 @@ def test_extreme_negative_jitter_clamped_to_zero_delay(sim):
     times.clear()
     sim.run()
     assert times == [0.0, 0.0, 0.0]
-
-
-def test_reschedule_changes_period_from_next_tick(sim):
-    times = []
-    timer = PeriodicTimer(sim, 1.0, lambda: times.append(sim.now))
-    sim.schedule(1.5, timer.reschedule, 3.0)
-    sim.run(until=9.0)
-    assert times == [1.0, 2.0, 5.0, 8.0]
-
-
-def test_reschedule_invalid_period(sim):
-    timer = PeriodicTimer(sim, 1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        timer.reschedule(0.0)
-
-
-@pytest.mark.parametrize("period", [float("nan"), float("inf")])
-def test_reschedule_refuses_nan_and_infinite_periods_before_the_next_tick(sim, period):
-    """Regression: ``reschedule(nan)`` was accepted and the next tick
-    raised ``invalid event time: nan`` mid-run."""
-    times = []
-    timer = PeriodicTimer(sim, 1.0, lambda: times.append(sim.now))
-    with pytest.raises(SimulationError, match="timer period must be positive and finite"):
-        timer.reschedule(period)
-    assert timer.period == 1.0
-    sim.run(until=2.0)
-    assert times == [1.0, 2.0]
 
 
 @pytest.mark.parametrize(
