@@ -5,7 +5,9 @@ Fabric restricts block gossip to peers of the same organization; the
 orderer sends each block to one leader per org, and each org disseminates
 internally (paper Fig. 1). This example deploys three organizations of 20
 peers each, verifies that push traffic never crosses org boundaries, and
-compares per-org dissemination latency.
+compares per-org dissemination latency. A WAN variant then puts each
+organization in its own datacenter: a ``TopologyLatency`` with one LAN
+diagonal entry per site and the inter-site delay as its default.
 
 Usage::
 
@@ -85,7 +87,7 @@ def wan_scenario() -> None:
     delivery delay — evidence for the paper's expectation that cross-org
     relaying would be the interesting future extension.
     """
-    from repro.net.latency import ConstantLatency, LanLatency, WanLatency
+    from repro.net.latency import LanLatency, TopologyLatency
     from repro.net.network import NetworkConfig
 
     print("\n=== WAN variant: one datacenter per organization ===")
@@ -94,11 +96,15 @@ def wan_scenario() -> None:
         for peer_index in range(60):
             if peer_index % 3 == org_index:
                 site_of[f"peer-{peer_index}"] = f"dc{org_index}"
+    # LAN latency within a datacenter (the diagonal), ~transatlantic one-way
+    # delay between datacenters and to the unplaced orderer (the default).
+    lan = LanLatency()
+    intra = (lan.base, lan.jitter_median, lan.jitter_sigma)
     config = NetworkConfig(
-        latency=WanLatency(
-            site_of=site_of,
-            intra=LanLatency(),
-            inter=ConstantLatency(0.045),  # ~transatlantic one-way
+        latency=TopologyLatency(
+            {(f"dc{index}", f"dc{index}"): intra for index in range(3)},
+            default=0.045,
+            region_of=site_of,
         )
     )
     net = build_network(

@@ -29,7 +29,6 @@ from repro.gossip.view import build_views
 from repro.metrics.conflicts import ConflictTracker
 from repro.metrics.latency import DisseminationTracker
 from repro.net.network import Network, NetworkConfig
-from repro.net.spec import LatencySpec
 from repro.simulation._core import Simulator
 from repro.simulation.random import RandomStreams
 
@@ -185,7 +184,7 @@ def build_network(
     gossip: GossipChoice,
     seed: int = 1,
     organizations: int = 1,
-    network_config: "Union[NetworkConfig, LatencySpec, None]" = None,
+    network_config: Optional[NetworkConfig] = None,
     peer_config: Optional[PeerConfig] = None,
     orderer_config: Optional[OrdererConfig] = None,
     background: Optional[BackgroundTrafficConfig] = None,
@@ -221,10 +220,6 @@ def build_network(
         raise ValueError("need at least 2 peers")
     if organizations < 1 or organizations > n_peers:
         raise ValueError("invalid organization count")
-    if isinstance(network_config, LatencySpec):
-        # Declarative shorthand: a bare latency spec means "default wire
-        # parameters with this propagation model".
-        network_config = NetworkConfig(latency=network_config)
     org_members = organization_members(n_peers, organizations)
     leaders = {org: members[0] for org, members in org_members.items()}
 

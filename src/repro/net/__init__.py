@@ -1,10 +1,9 @@
 """Simulated network substrate.
 
 Models the 1 Gbps LAN of the paper's testbed: typed messages with explicit
-wire sizes (:mod:`repro.net.message`), configurable latency models
-(:mod:`repro.net.latency`) front-ended by the declarative
-:class:`~repro.net.spec.LatencySpec` registry (:mod:`repro.net.spec`),
-per-node full-duplex NIC serialization and delivery
+wire sizes (:mod:`repro.net.message`), latency models and the declarative
+:class:`~repro.net.latency.LatencySpec` that names one of their four kinds
+(:mod:`repro.net.latency`), per-node full-duplex NIC serialization and delivery
 (:mod:`repro.net.network`), optional bottleneck-link bandwidth/queueing
 physics (:mod:`repro.net.link`) and traffic accounting for the bandwidth
 figures (:class:`TrafficMonitor`, defined with the engine in
@@ -15,15 +14,13 @@ from repro.net.latency import (
     ConstantLatency,
     LanLatency,
     LatencyModel,
+    LatencySpec,
     MeasuredLatency,
     TopologyLatency,
-    UniformLatency,
-    WanLatency,
 )
 from repro.net.link import CoDelConfig, LinkModel
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
-from repro.net.spec import LatencySpec, latency_kinds, register_latency_kind
 from repro.simulation._core import TrafficMonitor, TrafficTotals
 
 __all__ = [
@@ -40,8 +37,4 @@ __all__ = [
     "TopologyLatency",
     "TrafficMonitor",
     "TrafficTotals",
-    "UniformLatency",
-    "WanLatency",
-    "latency_kinds",
-    "register_latency_kind",
 ]

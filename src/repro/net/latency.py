@@ -1,10 +1,17 @@
-"""Propagation latency models.
+"""Propagation latency models, and the declarative spec that names one.
 
 The transfer time of a message is handled by the NIC serialization model in
 :mod:`repro.net.network`; the latency model only contributes the one-way
 propagation + processing delay. The default :class:`LanLatency` matches a
 datacenter LAN: a small base delay plus a lognormal jitter tail, which is
 what gives realistic sub-millisecond medians with occasional slow deliveries.
+
+A :class:`LatencySpec` describes a model as data, one of four kinds
+(``constant``, ``lan``, ``topology``, ``measured``); the table at the end
+of this module maps each kind to the model it builds. Latency is described
+one way: a spec (or a model) goes into a
+:class:`~repro.net.network.NetworkConfig`, and no model is turned back into
+a spec.
 """
 
 from __future__ import annotations
@@ -13,37 +20,72 @@ import json
 import math
 import os
 import random
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
-from repro.net.spec import LatencySpec, register_latency_kind, resolve_latency_spec
 from repro.simulation._core import make_lan_sampler, make_topology_sampler
+
+
+def _freeze(value: Any) -> Any:
+    """``value`` as a hashable spec param: sequences become tuples
+    (recursively), and str / int / float / bool / None pass through."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(item) for item in value)
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise TypeError(
+        f"LatencySpec params must be str/int/float/bool/None or sequences "
+        f"of them; got {type(value).__name__}"
+    )
+
+
+@dataclass(frozen=True)
+class LatencySpec:
+    """A latency model as data: a ``kind`` plus frozen keyword ``params``.
+
+    Build one with :meth:`of` and the model with
+    :meth:`LatencyModel.from_spec`::
+
+        LatencySpec.of("lan", base=0.012)
+        LatencySpec.of("measured", locations=("Virginia", "Tokyo"))
+
+    A spec is frozen, hashable and equal by value (params are sorted by
+    name), so it can sit in a :class:`~repro.scenarios.spec.ScenarioSpec`
+    where a live model, with its bound samplers and memos, cannot.
+    """
+
+    kind: str
+    params: Tuple[Tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.kind or not isinstance(self.kind, str):
+            raise ValueError(f"LatencySpec.kind must be a non-empty string, got {self.kind!r}")
+        params = dict(self.params)
+        object.__setattr__(
+            self, "params", tuple(sorted((str(k), _freeze(v)) for k, v in params.items()))
+        )
+
+    @classmethod
+    def of(cls, kind: str, **params: Any) -> "LatencySpec":
+        return cls(kind=kind, params=tuple(params.items()))
 
 
 class LatencyModel:
     """Interface: one-way propagation delay for a (src, dst) pair."""
 
     @classmethod
-    def from_spec(cls, spec: "LatencySpec") -> "LatencyModel":
-        """Resolve a declarative :class:`~repro.net.spec.LatencySpec`
-        against the kind registry (``constant``, ``uniform``, ``lan``,
-        ``topology``, ``wan``, ``measured``, plus anything registered via
-        :func:`repro.net.spec.register_latency_kind`)."""
-        model = resolve_latency_spec(spec)
-        if not isinstance(model, LatencyModel):
-            raise TypeError(
-                f"latency kind {spec.kind!r} built a {type(model).__name__}, "
-                "expected a LatencyModel"
-            )
-        return model
-
-    def spec(self) -> "LatencySpec":
-        """The declarative spec this model round-trips through
-        (``LatencyModel.from_spec(model.spec())`` builds an equivalent
-        model). Models constructed from non-value state (ad-hoc
-        subclasses) may not support this."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define a declarative spec()"
-        )
+    def from_spec(cls, spec: LatencySpec) -> "LatencyModel":
+        """Build the model ``spec`` describes. Raises ``KeyError`` for a
+        kind outside the four, ``TypeError`` for a non-spec."""
+        if not isinstance(spec, LatencySpec):
+            raise TypeError(f"expected a LatencySpec, got {type(spec).__name__}")
+        try:
+            build = _KINDS[spec.kind]
+        except KeyError:
+            raise KeyError(
+                f"unknown latency kind {spec.kind!r}; kinds: {', '.join(sorted(_KINDS))}"
+            ) from None
+        return build(**dict(spec.params))
 
     def sample(self, rng: random.Random, src: str, dst: str) -> float:
         raise NotImplementedError
@@ -92,72 +134,6 @@ class ConstantLatency(LatencyModel):
     def min_delay(self) -> float:
         return self.delay
 
-    def spec(self) -> "LatencySpec":
-        return LatencySpec.of("constant", delay=self.delay)
-
-
-class UniformLatency(LatencyModel):
-    """Uniform delay in ``[low, high]``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"invalid latency bounds [{low}, {high}]")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def bind(self, rng: random.Random) -> "Callable[[str, str], float]":
-        uniform = rng.uniform
-        low, high = self.low, self.high
-        return lambda src, dst: uniform(low, high)
-
-    def min_delay(self) -> float:
-        return self.low
-
-    def spec(self) -> "LatencySpec":
-        return LatencySpec.of("uniform", low=self.low, high=self.high)
-
-
-class WanLatency(LatencyModel):
-    """Composite model for multi-datacenter (multi-organization) networks.
-
-    The paper's future work (§VII) considers gossip across organizations,
-    which in practice sit in different datacenters. This model applies one
-    latency model within a site and another between sites, keyed by a
-    node→site mapping; unmapped nodes (orderer, clients) count as their own
-    site and get inter-site latency to everyone.
-    """
-
-    def __init__(
-        self,
-        site_of: dict,
-        intra: "LatencyModel",
-        inter: "LatencyModel",
-    ) -> None:
-        self.site_of = dict(site_of)
-        self.intra = intra
-        self.inter = inter
-
-    def sample(self, rng: random.Random, src: str, dst: str) -> float:
-        src_site = self.site_of.get(src)
-        dst_site = self.site_of.get(dst)
-        if src_site is not None and src_site == dst_site:
-            return self.intra.sample(rng, src, dst)
-        return self.inter.sample(rng, src, dst)
-
-    def min_delay(self) -> float:
-        return min(self.intra.min_delay(), self.inter.min_delay())
-
-    def spec(self) -> "LatencySpec":
-        return LatencySpec.of(
-            "wan",
-            site_of=self.site_of,
-            intra=self.intra.spec(),
-            inter=self.inter.spec(),
-        )
-
 
 class TopologyLatency(LatencyModel):
     """Region-topology latency: per-(region, region) base delay plus an
@@ -202,12 +178,6 @@ class TopologyLatency(LatencyModel):
             (src, dst): self._normalize(params) for (src, dst), params in matrix.items()
         }
         self._default = self._normalize(default)
-        # Raw (base, jitter_median, sigma) triples — kept so spec() can
-        # round-trip without exp(log(median)) float drift.
-        self._spec_matrix = {
-            (src, dst): self._pad(params) for (src, dst), params in matrix.items()
-        }
-        self._spec_default = self._pad(default)
         self._region_of: dict = dict(region_of) if region_of else {}
         # (src_region, dst_region) -> params with the symmetric and default
         # fallbacks applied (``None`` stands for an unplaced node): at most
@@ -231,23 +201,14 @@ class TopologyLatency(LatencyModel):
         mu = math.log(jitter_median) if jitter_median > 0 else None
         return (base, mu, jitter_sigma)
 
-    @staticmethod
-    def _pad(params) -> "Tuple[float, float, float]":
-        """Params padded to ``(base, jitter_median, sigma)``, jitter kept raw."""
-        if isinstance(params, (int, float)):
-            params = (float(params),)
-        parts = tuple(float(part) for part in params)
-        base = parts[0]
-        jitter_median = parts[1] if len(parts) > 1 else 0.0
-        jitter_sigma = parts[2] if len(parts) > 2 else 0.8
-        return (base, jitter_median, jitter_sigma)
-
     def assign_regions(self, region_of: "dict") -> None:
         """Place (or re-place) nodes into regions."""
         self._region_of.update(region_of)
 
-    def region_of(self, node: str) -> "Optional[str]":
-        return self._region_of.get(node)
+    @property
+    def regions(self) -> "FrozenSet[str]":
+        """The region names its matrix declares."""
+        return frozenset(region for pair in self._matrix for region in pair)
 
     def _resolve(self, src_region: "Optional[str]", dst_region: "Optional[str]"):
         if src_region is None or dst_region is None:
@@ -293,13 +254,6 @@ class TopologyLatency(LatencyModel):
         if params is None:
             params = self._matrix.get((region_b, region_a), self._default)
         return params[0]
-
-    def spec(self) -> "LatencySpec":
-        matrix = tuple(
-            (src, dst, self._spec_matrix[(src, dst)])
-            for src, dst in sorted(self._spec_matrix)
-        )
-        return LatencySpec.of("topology", matrix=matrix, default=self._spec_default)
 
     def bind(self, rng: random.Random) -> "Callable[[str, str], float]":
         # Same draw sequence as sample() with the attribute lookups hoisted
@@ -350,13 +304,6 @@ class LanLatency(LatencyModel):
     def min_delay(self) -> float:
         return self.base
 
-    def spec(self) -> "LatencySpec":
-        return LatencySpec.of(
-            "lan",
-            base=self.base,
-            jitter_median=self.jitter_median,
-            jitter_sigma=self.jitter_sigma,
-        )
 
     def bind(self, rng: random.Random) -> "Callable[[str, str], float]":
         base = self.base
@@ -455,9 +402,6 @@ class MeasuredLatency(TopologyLatency):
                     ms = rtt_ms.get(f"{loc_b}|{loc_a}", default_rtt)
                 matrix[(loc_a, loc_b)] = self._params_for(float(ms), jitter)
         super().__init__(matrix, default=self._params_for(default_rtt, jitter))
-        self._locations = chosen
-        self._dataset = dataset
-        self._jitter = jitter
 
     @staticmethod
     def _params_for(rtt_ms: float, jitter: bool) -> "Tuple[float, float, float]":
@@ -466,55 +410,15 @@ class MeasuredLatency(TopologyLatency):
             return (base, 0.0, 0.8)
         return (base, base * measured_jitter_ratio(base), 0.8)
 
-    @property
-    def countries(self) -> "Tuple[str, ...]":
-        """Locations this model covers (dataset order)."""
-        return self._locations
 
-    def get_latency(self, loc_a: str, loc_b: str) -> float:
-        """One-way base delay in seconds between two covered locations."""
-        if loc_a not in self._locations or loc_b not in self._locations:
-            raise KeyError(f"location pair ({loc_a!r}, {loc_b!r}) not covered")
-        return self.min_delay_between_regions(loc_a, loc_b)
-
-    def spec(self) -> "LatencySpec":
-        params: dict = {}
-        if self._locations is not None and self._dataset is None:
-            data = _load_measured_dataset(DEFAULT_MEASURED_DATASET)
-            if self._locations != tuple(data["locations"]):
-                params["locations"] = self._locations
-        elif self._dataset is not None:
-            params["locations"] = self._locations
-            params["dataset"] = self._dataset
-        if not self._jitter:
-            params["jitter"] = False
-        return LatencySpec.of("measured", **params)
+def _build_topology(matrix=(), default=0.048) -> TopologyLatency:
+    return TopologyLatency({(src, dst): params for src, dst, params in matrix}, default=default)
 
 
-# ---------------------------------------------------------------------------
-# Spec-kind registry (see repro/net/spec.py; LatencyModel.from_spec resolves)
-# ---------------------------------------------------------------------------
-
-
-def _build_topology(matrix=(), default=0.048, region_of=None) -> TopologyLatency:
-    entries = {}
-    for entry in matrix:
-        src, dst, params = entry
-        entries[(src, dst)] = params
-    return TopologyLatency(entries, default=default, region_of=region_of)
-
-
-def _build_wan(site_of, intra, inter) -> WanLatency:
-    return WanLatency(
-        site_of=dict(site_of),
-        intra=LatencyModel.from_spec(intra),
-        inter=LatencyModel.from_spec(inter),
-    )
-
-
-register_latency_kind("constant", ConstantLatency)
-register_latency_kind("uniform", UniformLatency)
-register_latency_kind("lan", LanLatency)
-register_latency_kind("topology", _build_topology)
-register_latency_kind("wan", _build_wan)
-register_latency_kind("measured", MeasuredLatency)
+# The closed set of kinds a LatencySpec may name (LatencyModel.from_spec).
+_KINDS: Dict[str, Callable[..., LatencyModel]] = {
+    "constant": ConstantLatency,
+    "lan": LanLatency,
+    "topology": _build_topology,
+    "measured": MeasuredLatency,
+}

@@ -55,10 +55,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.checks import require_finite
-from repro.net.latency import LanLatency, LatencyModel
+from repro.net.latency import LanLatency, LatencyModel, LatencySpec
 from repro.net.link import LinkModel, new_queue_stats, summarize_queue_accounting
 from repro.net.message import Message
-from repro.net.spec import LatencySpec
 from repro.simulation._core import (
     LINK_DROP_TAIL,
     Simulator,
@@ -82,12 +81,12 @@ class NetworkConfig:
         envelope_overhead: fixed per-message overhead in bytes (TCP/IP +
             gRPC framing + protobuf envelope + signature).
         latency: the propagation model, preferably as a declarative
-            :class:`~repro.net.spec.LatencySpec` (resolved through the
-            kind registry); a ready :class:`LatencyModel` instance is also
-            accepted and ``None`` means LAN latency. After construction
-            the field holds the *resolved* model instance, so
-            ``dataclasses.replace`` carries the very model (and whatever
-            ``assign_regions`` did to it) into the copy.
+            :class:`~repro.net.latency.LatencySpec` (built by
+            ``LatencyModel.from_spec``); a ready :class:`LatencyModel`
+            instance is also accepted and ``None`` means LAN latency.
+            After construction the field holds the *resolved* model
+            instance, so ``dataclasses.replace`` carries the very model
+            (and whatever ``assign_regions`` did to it) into the copy.
         link: optional :class:`~repro.net.link.LinkModel` adding sender
             bottleneck-link physics — finite bandwidth (serialization
             delay), a bounded queue and CoDel-style AQM drops — on top of
@@ -234,10 +233,6 @@ class Network:
     def __contains__(self, name: str) -> bool:
         """Whether ``name`` is a registered node."""
         return name in self._handlers
-
-    def region_of(self, name: str) -> Optional[str]:
-        """The node's region in a multi-datacenter topology, if placed."""
-        return self.regions.get(name)
 
     def set_disconnected(self, name: str, disconnected: bool) -> None:
         """Simulate a node dropping off the network (crash / partition)."""

@@ -23,8 +23,8 @@ from repro.faults.schedule import (
     PartitionEvent,
 )
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
+from repro.net.latency import LatencySpec
 from repro.net.link import CoDelConfig, LinkModel
-from repro.net.spec import LatencySpec
 from repro.scenarios.spec import LinkSpec, RegionTopology, ScenarioSpec, WorkloadSpec
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}

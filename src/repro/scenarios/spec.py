@@ -23,9 +23,8 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from repro.checks import require_finite
 from repro.faults.schedule import FaultEvent
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
-from repro.net.latency import LanLatency, TopologyLatency
+from repro.net.latency import LanLatency, LatencyModel, LatencySpec, TopologyLatency
 from repro.net.link import LinkModel
-from repro.net.spec import LatencySpec
 
 GossipChoice = Union[OriginalGossipConfig, EnhancedGossipConfig]
 GossipFactory = Callable[[], GossipChoice]
@@ -96,15 +95,6 @@ class RegionTopology:
         )
         return LatencySpec.of("topology", matrix=matrix, default=self.default_inter.params())
 
-    def build_latency(self) -> TopologyLatency:
-        """A fresh (unplaced) :class:`TopologyLatency` for this topology."""
-        matrix: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
-        for region in self.regions:
-            matrix[(region, region)] = self.intra.params()
-        for a, b, link in self.links:
-            matrix[(a, b)] = link.params()
-        return TopologyLatency(matrix, default=self.default_inter.params())
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -138,7 +128,7 @@ class ScenarioSpec:
         workload: the scaled (default) block workload.
         full_workload: optional paper-scale workload (``full=True`` runs).
         topology: optional WAN topology; ``None`` means one LAN.
-        latency: optional declarative :class:`~repro.net.spec.LatencySpec`
+        latency: optional declarative :class:`~repro.net.latency.LatencySpec`
             for deployments whose latency is not a region topology (e.g. a
             ``measured`` RTT matrix). Mutually exclusive with ``topology``,
             which carries its own latency declaration.
@@ -201,11 +191,18 @@ class ScenarioSpec:
                 )
         if self.link is not None and not isinstance(self.link, LinkModel):
             raise ValueError(f"link must be a LinkModel, got {type(self.link).__name__}")
-        if self.topology is not None:
-            regions = set(self.topology.regions)
-            for org, region in self.placement or ():
-                if region not in regions:
-                    raise ValueError(f"placement of {org!r} in unknown region {region!r}")
+        if self.placement is not None:
+            if self.topology is not None:
+                regions = self.topology.regions
+            else:
+                model = LatencyModel.from_spec(self.latency)
+                regions = model.regions if isinstance(model, TopologyLatency) else None
+            for org, region in self.placement:
+                if regions is not None and region not in regions:
+                    raise ValueError(
+                        f"placement of {org!r} in unknown region {region!r}; "
+                        f"the latency model's regions are {sorted(regions)}"
+                    )
 
     def org_regions(self) -> Optional[Dict[str, str]]:
         """The org→region map, applying the round-robin default.

@@ -3,7 +3,7 @@
 from repro.experiments.builders import build_network
 from repro.experiments.workloads import synthetic_block_transactions
 from repro.gossip.config import EnhancedGossipConfig
-from repro.net.latency import ConstantLatency, WanLatency
+from repro.net.latency import TopologyLatency
 from repro.net.network import NetworkConfig
 
 
@@ -12,11 +12,13 @@ def build_wan_net(inter_delay: float, seed: int = 9):
     site_of = {}
     for index in range(16):
         site_of[f"peer-{index}"] = f"dc{index % 2}"
+    # 2 ms within a site (a diagonal entry per site), ``inter_delay``
+    # between sites and to the unplaced orderer (the default).
     config = NetworkConfig(
-        latency=WanLatency(
-            site_of=site_of,
-            intra=ConstantLatency(0.002),
-            inter=ConstantLatency(inter_delay),
+        latency=TopologyLatency(
+            {("dc0", "dc0"): 0.002, ("dc1", "dc1"): 0.002},
+            default=inter_delay,
+            region_of=site_of,
         )
     )
     net = build_network(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net.latency import ConstantLatency, LanLatency, LatencyModel, UniformLatency
+from repro.net.latency import ConstantLatency, LanLatency, LatencyModel
 
 
 @pytest.fixture
@@ -20,20 +20,6 @@ def test_constant_latency(rng):
 def test_constant_latency_rejects_negative():
     with pytest.raises(ValueError):
         ConstantLatency(-0.001)
-
-
-def test_uniform_latency_within_bounds(rng):
-    model = UniformLatency(0.001, 0.002)
-    for _ in range(100):
-        value = model.sample(rng, "a", "b")
-        assert 0.001 <= value <= 0.002
-
-
-def test_uniform_latency_invalid_bounds():
-    with pytest.raises(ValueError):
-        UniformLatency(0.002, 0.001)
-    with pytest.raises(ValueError):
-        UniformLatency(-0.001, 0.002)
 
 
 def test_lan_latency_at_least_base(rng):
@@ -69,31 +55,6 @@ def test_lan_latency_rejects_negative_params():
 def test_base_model_is_abstract(rng):
     with pytest.raises(NotImplementedError):
         LatencyModel().sample(rng, "a", "b")
-
-
-def test_wan_latency_intra_vs_inter(rng):
-    from repro.net.latency import WanLatency
-
-    model = WanLatency(
-        site_of={"a": "dc1", "b": "dc1", "c": "dc2"},
-        intra=ConstantLatency(0.001),
-        inter=ConstantLatency(0.040),
-    )
-    assert model.sample(rng, "a", "b") == 0.001
-    assert model.sample(rng, "a", "c") == 0.040
-    assert model.sample(rng, "c", "b") == 0.040
-
-
-def test_wan_latency_unmapped_nodes_are_remote(rng):
-    from repro.net.latency import WanLatency
-
-    model = WanLatency(
-        site_of={"a": "dc1"},
-        intra=ConstantLatency(0.001),
-        inter=ConstantLatency(0.040),
-    )
-    assert model.sample(rng, "orderer", "a") == 0.040
-    assert model.sample(rng, "orderer", "client") == 0.040
 
 
 # ----- TopologyLatency -----------------------------------------------------
@@ -140,7 +101,6 @@ def test_topology_deferred_region_assignment(rng):
     assert model.sample(rng, "a", "b") == 0.050  # nobody placed yet
     model.assign_regions({"a": "eu", "b": "eu"})
     assert model.sample(rng, "a", "b") == 0.001  # placement is read per draw
-    assert model.region_of("a") == "eu"
 
 
 def test_topology_bound_sampler_matches_sample_bitwise():
@@ -185,6 +145,34 @@ def test_topology_bound_sampler_consumes_the_rng_like_sample_over_10k_pairs():
     assert len(set(reference)) > 2_000  # jittered pairs really drew
 
 
+def make_sites(inter: float):
+    """One site per datacenter: a diagonal entry per site, the inter-site
+    delay as the default (the form of examples/multi_organization.py)."""
+    return TopologyLatency(
+        matrix={("dc1", "dc1"): 0.001, ("dc2", "dc2"): 0.001},
+        default=inter,
+        region_of={"a": "dc1", "b": "dc1", "c": "dc2"},
+    )
+
+
+def test_sites_intra_vs_inter(rng):
+    model = make_sites(0.040)
+    assert model.sample(rng, "a", "b") == 0.001
+    assert model.sample(rng, "a", "c") == 0.040
+    assert model.sample(rng, "c", "b") == 0.040
+
+
+def test_sites_unplaced_nodes_are_remote(rng):
+    model = make_sites(0.040)
+    assert model.sample(rng, "orderer", "a") == 0.040
+    assert model.sample(rng, "orderer", "client") == 0.040
+
+
+def test_topology_regions_are_the_matrix_names():
+    assert make_topology().regions == {"eu", "us"}
+    assert make_sites(0.040).regions == {"dc1", "dc2"}
+
+
 def test_topology_param_normalization():
     model = TopologyLatency(matrix={("r", "r"): 0.005}, default=(0.01, 0.002))
     rng = random.Random(1)
@@ -193,3 +181,111 @@ def test_topology_param_normalization():
         TopologyLatency(matrix={("r", "r"): (-0.001,)})
     with pytest.raises(ValueError):
         TopologyLatency(matrix={("r", "r"): (0.1, 0.1, 0.1, 0.1)})
+
+
+# ----- latency inputs, checked like data -------------------------------------
+
+import itertools  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+
+from repro.net.latency import DEFAULT_MEASURED_DATASET  # noqa: E402
+from repro.scenarios import get_scenario, iter_scenarios  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def measured():
+    with open(DEFAULT_MEASURED_DATASET, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def rtt(measured, loc_a, loc_b):
+    """The pair's RTT in either order (``None`` when neither is given)."""
+    rtts = measured["rtt_ms"]
+    return rtts.get(f"{loc_a}|{loc_b}", rtts.get(f"{loc_b}|{loc_a}"))
+
+
+def test_measured_dataset_covers_every_location_pair(measured):
+    pairs = list(itertools.combinations_with_replacement(measured["locations"], 2))
+    assert [pair for pair in pairs if rtt(measured, *pair) is None] == []
+    assert len(pairs) == 36  # 8 locations: 28 pairs and 8 diagonals
+
+
+def test_measured_dataset_names_only_known_locations(measured):
+    known = set(measured["locations"])
+    for key in measured["rtt_ms"]:
+        names = key.split("|")
+        assert len(names) == 2 and set(names) <= known, key
+
+
+def test_measured_dataset_pairs_given_in_both_orders_agree(measured):
+    rtts = measured["rtt_ms"]
+    for key, value in rtts.items():
+        loc_a, loc_b = key.split("|")
+        assert rtts.get(f"{loc_b}|{loc_a}", value) == value, key
+
+
+def test_measured_dataset_intra_location_rtt_is_below_its_inter_location_rtts(measured):
+    for loc in measured["locations"]:
+        intra = rtt(measured, loc, loc)
+        for other in measured["locations"]:
+            if other != loc:
+                assert intra < rtt(measured, loc, other), (loc, other)
+
+
+def test_registered_topologies_keep_intra_region_links_fastest():
+    for spec in iter_scenarios():
+        if spec.topology is not None:
+            inter = [link.base for _, _, link in spec.topology.links]
+            inter.append(spec.topology.default_inter.base)
+            assert spec.topology.intra.base < min(inter), spec.name
+
+
+# The four kinds configured as in-tree code builds them: the LAN default,
+# wan-3-region's topology, the four-location measured model of
+# fat-block-storm (and of the congested-wan-600 benchmark workload), and a
+# constant. Each entry is (model, the regions it is placed over).
+def _lan():
+    return LanLatency(), ()
+
+
+def _wan_3_region():
+    topology = get_scenario("wan-3-region").topology
+    return LatencyModel.from_spec(topology.latency_spec()), topology.regions
+
+
+def _measured_4():
+    spec = get_scenario("fat-block-storm")
+    return LatencyModel.from_spec(spec.latency), tuple(region for _, region in spec.placement)
+
+
+def _constant():
+    return ConstantLatency(0.05), ()
+
+
+@pytest.mark.parametrize("configure", [_lan, _wan_3_region, _measured_4, _constant])
+def test_min_delay_lower_bounds_bound_draws(configure):
+    """The shard lookahead rests on this (docs/sharding.md, "Lookahead
+    derivation"): over 10^5 seeded draws of ``bind()``, no delay falls
+    below ``min_delay()``, nor below ``min_delay_between_regions(a, b)``
+    for its region pair, unplaced endpoints (the default) included. The
+    bounds are also attained within 10 ms, so none is vacuous."""
+    model, regions = configure()
+    region_of = {f"node-{region}": region for region in regions}
+    if regions:
+        model.assign_regions(region_of)
+    nodes = ["unplaced", *region_of]
+    pairs = [(src, dst) for src in nodes for dst in nodes]
+    sampler = model.bind(random.Random(2024))
+    lowest = dict.fromkeys(pairs, math.inf)
+    for index in range(100_000):
+        pair = pairs[index % len(pairs)]
+        delay = sampler(*pair)
+        if delay < lowest[pair]:
+            lowest[pair] = delay
+    floor = model.min_delay()
+    assert floor <= min(lowest.values()) < floor + 0.01
+    if regions:
+        for (src, dst), low in lowest.items():
+            bound = model.min_delay_between_regions(region_of.get(src), region_of.get(dst))
+            assert bound <= low < bound + 0.01, (src, dst)

@@ -1,7 +1,7 @@
-"""The declarative latency layer: LatencySpec values, the kind registry,
-model round-trips and NetworkConfig's spec resolution."""
+"""The declarative latency layer: LatencySpec values, the closed table of
+four kinds behind ``LatencyModel.from_spec``, and NetworkConfig's spec
+resolution."""
 
-import json
 import math
 
 import pytest
@@ -10,13 +10,11 @@ from repro.net.latency import (
     ConstantLatency,
     LanLatency,
     LatencyModel,
+    LatencySpec,
     MeasuredLatency,
     TopologyLatency,
-    UniformLatency,
-    WanLatency,
 )
 from repro.net.network import Network, NetworkConfig
-from repro.net.spec import LatencySpec, latency_kinds, resolve_latency_spec
 from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
@@ -25,92 +23,79 @@ from repro.simulation.random import RandomStreams
 
 
 def test_spec_is_frozen_hashable_and_compares_by_value():
-    a = LatencySpec.of("uniform", low=0.001, high=0.02)
-    b = LatencySpec.of("uniform", high=0.02, low=0.001)
+    a = LatencySpec.of("lan", base=0.001, jitter_median=0.02)
+    b = LatencySpec.of("lan", jitter_median=0.02, base=0.001)
     assert a == b
     assert hash(a) == hash(b)
     assert {a: "x"}[b] == "x"
     with pytest.raises(Exception):
-        a.kind = "lan"
+        a.kind = "constant"
+
+
+def test_spec_freezes_sequences_into_tuples():
+    spec = LatencySpec.of("topology", matrix=[["eu", "eu", [0.012, 0.001, 0.8]]])
+    assert spec == LatencySpec.of("topology", matrix=(("eu", "eu", (0.012, 0.001, 0.8)),))
+    hash(spec)
 
 
 def test_spec_rejects_unfreezable_params():
     with pytest.raises(TypeError):
         LatencySpec.of("constant", delay=object())
+    with pytest.raises(TypeError):  # no kind takes a mapping
+        LatencySpec.of("topology", matrix={("eu", "eu"): 0.012})
     with pytest.raises(ValueError):
         LatencySpec(kind="")
 
 
-def test_spec_json_round_trip():
-    spec = LatencySpec.of(
-        "topology",
-        matrix=((("eu", "eu", (0.012, 0.001, 0.8)),)),
-        default=(0.048, 0.006, 0.8),
-    )
-    revived = LatencySpec.from_dict(json.loads(json.dumps(spec.as_dict())))
-    assert revived == spec
+# ------------------------------------------------------- the four kinds
 
-
-def test_nested_spec_json_round_trip():
-    spec = LatencySpec.of(
-        "wan",
-        site_of={"n0": "eu", "n1": "us"},
-        intra=LatencySpec.of("lan"),
-        inter=LatencySpec.of("uniform", low=0.04, high=0.09),
-    )
-    revived = LatencySpec.from_dict(json.loads(json.dumps(spec.as_dict())))
-    assert revived == spec
-    assert isinstance(LatencyModel.from_spec(revived), WanLatency)
-
-
-# -------------------------------------------------------------- registry
-
-
-def test_registry_exposes_all_shipped_kinds():
-    assert set(latency_kinds()) >= {
-        "constant", "lan", "measured", "topology", "uniform", "wan",
-    }
-
-
-def test_unknown_kind_raises_with_inventory():
-    with pytest.raises(KeyError, match="constant"):
-        resolve_latency_spec(LatencySpec.of("does-not-exist"))
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        ConstantLatency(0.004),
-        UniformLatency(0.001, 0.02),
-        LanLatency(),
-        TopologyLatency(
+# One configuration per kind, as (spec params, the same model built directly).
+KINDS = {
+    "constant": ({"delay": 0.004}, lambda: ConstantLatency(0.004)),
+    "lan": ({}, LanLatency),
+    "topology": (
+        {
+            "matrix": (("eu", "eu", (0.012, 0.001, 0.8)), ("eu", "us", (0.042, 0.004, 0.8))),
+            "default": (0.048, 0.006, 0.8),
+        },
+        lambda: TopologyLatency(
             {("eu", "eu"): (0.012, 0.001, 0.8), ("eu", "us"): (0.042, 0.004, 0.8)},
             default=(0.048, 0.006, 0.8),
         ),
-        WanLatency(
-            {"n0": "eu", "n1": "us"},
-            intra=LanLatency(),
-            inter=UniformLatency(0.04, 0.09),
-        ),
-        MeasuredLatency(locations=("Virginia", "Ireland", "Tokyo")),
-    ],
-    ids=lambda model: type(model).__name__,
-)
-def test_model_spec_round_trip_preserves_sampling(model):
-    """model.spec() -> from_spec rebuilds a sampling-identical model."""
-    spec = model.spec()
-    rebuilt = LatencyModel.from_spec(spec)
-    assert type(rebuilt) is type(model)
-    assert rebuilt.spec() == spec
-    rng_a = RandomStreams(7).stream("probe")
-    rng_b = RandomStreams(7).stream("probe")
-    pairs = [("n0", "n1"), ("n1", "n0"), ("n0", "n0")]
-    original = [model.sample(rng_a, a, b) for a, b in pairs for _ in range(50)]
-    revived = [rebuilt.sample(rng_b, a, b) for a, b in pairs for _ in range(50)]
-    assert original == revived
+    ),
+    "measured": (
+        {"locations": ("Virginia", "Ireland", "Tokyo")},
+        lambda: MeasuredLatency(locations=("Virginia", "Ireland", "Tokyo")),
+    ),
+}
 
 
-def test_from_spec_rejects_non_model_builder_result():
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_from_spec_builds_the_model_of_its_kind(kind):
+    """``from_spec(LatencySpec.of(kind, **params))`` is the directly built
+    model: same class, and the same 64 floats from a same-seeded stream."""
+    params, build = KINDS[kind]
+    direct = build()
+    from_spec = LatencyModel.from_spec(LatencySpec.of(kind, **params))
+    assert type(from_spec) is type(direct)
+    placement = {"n0": "eu", "n1": "us", "n2": "Virginia", "n3": "Tokyo"}
+    for model in (direct, from_spec):
+        if isinstance(model, TopologyLatency):
+            model.assign_regions(placement)
+    pairs = [("n0", "n1"), ("n0", "n0"), ("n2", "n3"), ("n3", "n9")]
+    draws = []
+    for model in (direct, from_spec):
+        sampler = model.bind(RandomStreams(5).stream("probe"))
+        draws.append([sampler(*pairs[index % len(pairs)]) for index in range(64)])
+    assert draws[0] == draws[1]
+
+
+def test_unknown_kind_raises_listing_the_four_kinds():
+    with pytest.raises(KeyError, match="constant, lan, measured, topology"):
+        LatencyModel.from_spec(LatencySpec.of("uniform", low=0.001, high=0.02))
+
+
+def test_from_spec_rejects_a_non_spec():
     with pytest.raises(TypeError):
         LatencyModel.from_spec("not-a-spec")
 
@@ -120,10 +105,10 @@ def test_from_spec_rejects_non_model_builder_result():
 
 def test_measured_latency_dataset():
     model = MeasuredLatency()
-    assert "Virginia" in model.countries and "Sydney" in model.countries
+    assert {"Virginia", "Sydney"} <= model.regions
     # One-way base latency is RTT/2; intra-location pairs are LAN-ish.
-    far = model.get_latency("Tokyo", "SaoPaulo")
-    near = model.get_latency("Virginia", "Virginia")
+    far = model.min_delay_between_regions("Tokyo", "SaoPaulo")
+    near = model.min_delay_between_regions("Virginia", "Virginia")
     assert 0.0 < near < 0.02 < far
 
 
@@ -132,6 +117,11 @@ def test_measured_latency_unknown_location_uses_default():
     rng = RandomStreams(3).stream("probe")
     model.assign_regions({"n0": "Virginia", "n1": "Atlantis"})
     assert model.sample(rng, "n0", "n1") >= 0.08  # default 160 ms RTT / 2
+
+
+def test_measured_latency_refuses_unknown_locations():
+    with pytest.raises(ValueError, match="Virgina"):
+        MeasuredLatency(locations=("Virgina", "Ireland"))
 
 
 # ------------------------------------------------ NetworkConfig plumbing
@@ -172,6 +162,11 @@ def test_network_rejects_nan_bandwidth():
 def test_network_config_accepts_model_instance():
     model = ConstantLatency(0.004)
     assert NetworkConfig(latency=model).latency is model
+
+
+def test_network_config_rejects_other_latency_values():
+    with pytest.raises(TypeError):
+        NetworkConfig(latency=0.004)
 
 
 def test_network_config_replace_preserves_resolved_model():

@@ -23,7 +23,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.latency import ConstantLatency, LanLatency
 from repro.net.link import CoDelConfig, LinkModel
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
@@ -51,7 +51,7 @@ def build(link, seed, latency=None):
         NetworkConfig(
             bandwidth=1_000_000.0,
             envelope_overhead=64,
-            latency=latency or UniformLatency(0.001, 0.02),
+            latency=latency or LanLatency(base=0.001, jitter_median=0.005),
             downlink_queue_min_bytes=25_000,
             link=link,
         ),

@@ -23,9 +23,9 @@ from hypothesis import given, settings, strategies as st
 from repro.faults.injectors import LinkDegradeFault, PartitionFault
 from repro.net.latency import (
     ConstantLatency,
+    LanLatency,
     MeasuredLatency,
     TopologyLatency,
-    UniformLatency,
 )
 from repro.net.link import CoDelConfig, LinkModel, new_queue_stats
 from repro.net.message import RawMessage
@@ -61,7 +61,7 @@ latencies = st.sampled_from(
     [
         ("constant0", lambda: ConstantLatency(0.0)),
         ("constant", lambda: ConstantLatency(0.004)),
-        ("uniform", lambda: UniformLatency(0.001, 0.02)),
+        ("lan", lambda: LanLatency(base=0.001, jitter_median=0.005)),
     ]
 )
 disconnected_sets = st.sets(st.sampled_from(NODES), max_size=2)
@@ -149,7 +149,7 @@ def test_multicast_rng_stream_matches_send_loop(dsts, seed):
     subsequent traffic draws identical latencies."""
     outcomes = {}
     for mode in ("multicast", "loop"):
-        sim, network = build(UniformLatency(0.001, 0.05), 25_000, seed)
+        sim, network = build(LanLatency(base=0.001, jitter_median=0.01), 25_000, seed)
         for name in NODES:
             network.register(name, lambda src, msg: None)
         message = RawMessage(100)
@@ -409,7 +409,7 @@ def test_windowed_faults_flipping_between_fanouts(script, seed):
     visible for the whole run."""
     results = {}
     for mode in ("multicast", "loop", "pinned"):
-        sim, network = build(UniformLatency(0.001, 0.02), 25_000, seed)
+        sim, network = build(LanLatency(base=0.001, jitter_median=0.005), 25_000, seed)
         deliveries = record_deliveries(sim, network)
         if mode == "pinned":
             network.set_drop_filter(lambda src, dst, message: False)

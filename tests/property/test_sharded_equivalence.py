@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.injectors import PartitionFault
-from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.latency import ConstantLatency, LanLatency
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
@@ -240,14 +240,16 @@ sends = st.lists(
 @given(
     raw=sends,
     seed=st.integers(min_value=1, max_value=6),
-    latency=st.sampled_from(["constant", "uniform"]),
+    latency=st.sampled_from(["constant", "lan"]),
     disconnect=st.sampled_from([None, "n3", "n4"]),
 )
 def test_sharded_script_equals_single_process(raw, seed, latency, disconnect):
     """Random send scripts: per-destination delivery sequences, drop
     counters and monitor totals all match across the shard boundary."""
     model = (
-        ConstantLatency(0.05) if latency == "constant" else UniformLatency(0.02, 0.08)
+        ConstantLatency(0.05)
+        if latency == "constant"
+        else LanLatency(base=0.02, jitter_median=0.01)
     )
     lookahead = 0.05 if latency == "constant" else 0.02
     script = _tie_free_script(raw, lambda size: RawMessage(size, body="payload"))

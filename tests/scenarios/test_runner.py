@@ -50,10 +50,10 @@ def test_config_materialization_topology_scenario():
 def test_wan_scenario_places_regions_on_network():
     run = run_scenario("wan-3-region", seed=1)
     network = run.result.net.network
-    assert network.region_of("peer-0") == "eu-west"
-    assert network.region_of("peer-1") == "us-east"
-    assert network.region_of("peer-2") == "ap-south"
-    assert network.region_of("orderer") == "eu-west"  # topology default
+    assert network.regions["peer-0"] == "eu-west"
+    assert network.regions["peer-1"] == "us-east"
+    assert network.regions["peer-2"] == "ap-south"
+    assert network.regions["orderer"] == "eu-west"  # topology default
     assert run.result.coverage_complete()
     # The AP leader is two WAN hops of >= 90 ms behind the orderer.
     delay = run.result.net.tracker.orderer_to_leader_delay(0)

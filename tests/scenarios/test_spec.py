@@ -1,11 +1,13 @@
 """ScenarioSpec / RegionTopology validation and derivation."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.gossip.config import EnhancedGossipConfig
-from repro.scenarios import LinkSpec, RegionTopology, ScenarioSpec, WorkloadSpec
+from repro.net.latency import LatencyModel, LatencySpec
+from repro.scenarios import LinkSpec, RegionTopology, ScenarioSpec, WorkloadSpec, get_scenario
 
 
 def minimal_spec(**overrides):
@@ -86,13 +88,37 @@ def test_topology_validation():
         LinkSpec(-0.1)
 
 
+def test_placement_in_a_misspelled_measured_region_is_refused():
+    """A region-aware ``latency=`` spec is checked like ``topology=``: a
+    misspelled region fails at construction, before any event runs,
+    instead of silently putting the org on the default 160 ms RTT."""
+    storm = get_scenario("fat-block-storm")
+    placement = (
+        ("org0", "Virgina"), ("org1", "Ireland"), ("org2", "Tokyo"), ("org3", "Sydney")
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"'org0' in unknown region 'Virgina'.*\['Ireland', 'Sydney', 'Tokyo', 'Virginia'\]",
+    ):
+        replace(storm, placement=placement)
+
+
+def test_placement_is_checked_against_a_topology_spec_matrix():
+    spec = LatencySpec.of("topology", matrix=(("eu", "eu", 0.01), ("eu", "us", 0.04)))
+    assert minimal_spec(latency=spec, placement=(("org0", "us"),)).org_regions() == {
+        "org0": "us"
+    }
+    with pytest.raises(ValueError, match="'ap'"):
+        minimal_spec(latency=spec, placement=(("org0", "ap"),))
+
+
 def test_topology_builds_latency_model():
     topology = RegionTopology(
         regions=("eu", "us"),
         links=(("eu", "us", LinkSpec(0.040)),),
         intra=LinkSpec(0.001),
     )
-    model = topology.build_latency()
+    model = LatencyModel.from_spec(topology.latency_spec())
     model.assign_regions({"a": "eu", "b": "eu", "c": "us"})
     import random
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.latency import ConstantLatency, LanLatency, TopologyLatency, UniformLatency
+from repro.net.latency import ConstantLatency, LanLatency, TopologyLatency
 from repro.simulation import SimulationError, Simulator
 from repro.scenarios.sharded import MIN_LOOKAHEAD, plan_shards
 
@@ -76,8 +76,8 @@ def test_plan_forced_single_without_model():
     assert plan.forced_reason
 
 
-def test_plan_uniform_model_uses_low_bound():
-    plan = plan_shards(NODES, 2, latency_model=UniformLatency(0.020, 0.080))
+def test_plan_lan_model_uses_its_base():
+    plan = plan_shards(NODES, 2, latency_model=LanLatency(base=0.020, jitter_median=0.01))
     assert plan.lookahead == pytest.approx(0.020)
     assert plan.windows_per_second == 50
 
