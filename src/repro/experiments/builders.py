@@ -249,6 +249,7 @@ def build_network(
     views = build_views(org_members, leaders, owned)
 
     factory = gossip_factory(gossip)
+    peer_config = peer_config or PeerConfig()  # one for every peer
     peers: Dict[str, Peer] = {}
     for org, members in org_members.items():
         for name in members:

@@ -112,18 +112,23 @@ class CounterIncrementChaincode(Chaincode):
 
 
 class ChaincodeRegistry:
-    """The chaincodes installed on a peer."""
+    """The chaincodes installed on a peer (most peers install none)."""
+
+    __slots__ = ("_chaincodes",)
 
     def __init__(self) -> None:
-        self._chaincodes: Dict[str, Chaincode] = {}
+        # Made at the first install.
+        self._chaincodes: Optional[Dict[str, Chaincode]] = None
 
     def install(self, chaincode: Chaincode) -> None:
-        if chaincode.chaincode_id in self._chaincodes:
+        if self._chaincodes is None:
+            self._chaincodes = {}
+        elif chaincode.chaincode_id in self._chaincodes:
             raise ValueError(f"chaincode {chaincode.chaincode_id!r} already installed")
         self._chaincodes[chaincode.chaincode_id] = chaincode
 
     def get(self, chaincode_id: str) -> Optional[Chaincode]:
-        return self._chaincodes.get(chaincode_id)
+        return None if self._chaincodes is None else self._chaincodes.get(chaincode_id)
 
     def __contains__(self, chaincode_id: str) -> bool:
-        return chaincode_id in self._chaincodes
+        return self._chaincodes is not None and chaincode_id in self._chaincodes

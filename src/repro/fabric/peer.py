@@ -10,7 +10,7 @@ plug in unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.crypto.identity import Identity
 from repro.fabric.chaincode import ChaincodeRegistry
@@ -34,8 +34,41 @@ from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
 
 
+# Reception path -> the counter deliver_block bumps.
+_VIA_COUNTER = {
+    "orderer": "_via_orderer",
+    "push": "_via_push",
+    "pull": "_via_pull",
+    "recovery": "_via_recovery",
+}
+
+
 class Peer(Process):
     """One Fabric peer (possibly the org leader and/or an endorser)."""
+
+    # Built once per peer, like everything it holds: slots, no dict.
+    __slots__ = (
+        "identity",
+        "network",
+        "view",
+        "config",
+        "policy",
+        "tracker",
+        "conflicts",
+        "blockchain",
+        "state",
+        "chaincodes",
+        "gossip",
+        "background",
+        "defer_start",
+        "departed",
+        "_validating",
+        "_via_orderer",
+        "_via_push",
+        "_via_pull",
+        "_via_recovery",
+        "_dispatch_all",
+    )
 
     def __init__(
         self,
@@ -69,12 +102,11 @@ class Peer(Process):
         self.defer_start = False
         self.departed = False
         self._validating = False
-        self.blocks_received_via = {"orderer": 0, "push": 0, "pull": 0, "recovery": 0}
-        # Digest handling calls get_block once per digest; the instance
-        # attribute shadows the wrapper with the chain lookup directly —
-        # but only when the subclass has not overridden get_block.
-        if type(self).get_block is Peer.get_block:
-            self.get_block = self.blockchain.get_any
+        # First receptions by path (blocks_received_via).
+        self._via_orderer = 0
+        self._via_push = 0
+        self._via_pull = 0
+        self._via_recovery = 0
         # Exact-type dispatch table: the gossip module's own table, completed
         # with the peer-level message types. While the peer is alive the
         # network holds it (Network.set_dispatch) and calls the handlers
@@ -122,6 +154,17 @@ class Peer(Process):
         """Static leadership, from the view (the paper's one leader per org)."""
         return self.view.is_leader
 
+    @property
+    def blocks_received_via(self) -> Dict[str, int]:
+        """First receptions by path, ``{"orderer" | "push" | "pull" |
+        "recovery": count}`` (a fresh dict per read)."""
+        return {
+            "orderer": self._via_orderer,
+            "push": self._via_push,
+            "pull": self._via_pull,
+            "recovery": self._via_recovery,
+        }
+
     # ----- GossipHost protocol ---------------------------------------------
 
     def send(self, dst: str, message: Message) -> None:
@@ -142,7 +185,8 @@ class Peer(Process):
         is_new = self.blockchain.receive(block)
         if not is_new:
             return False
-        self.blocks_received_via[via] = self.blocks_received_via.get(via, 0) + 1
+        counter = _VIA_COUNTER[via]
+        setattr(self, counter, getattr(self, counter) + 1)
         if self.tracker is not None:
             if self.is_leader and via == "orderer":
                 self.tracker.leader_received(block.number, self.now)
@@ -150,10 +194,13 @@ class Peer(Process):
         self._pump_validation()
         return True
 
-    def get_block(self, number: int) -> Optional[Block]:
-        # Shadowed by the bound chain lookup in __init__ unless a subclass
-        # overrides it; documents the GossipHost protocol.
-        return self.blockchain.get_any(number)
+    @property
+    def get_block(self) -> Callable[[int], Optional[Block]]:
+        """``get_block(number)``: a block this peer holds (committed or
+        buffered), or None. It is the chain's own lookup, so a component
+        that binds it once (digest handling calls it once per digest) calls
+        the block dict's ``get`` with no Python frame in between."""
+        return self.blockchain.get_any
 
     @property
     def ledger_height(self) -> int:

@@ -10,10 +10,9 @@ it is removed from every view and excluded from completion predicates.
 The mechanism rides the view layer's copy-on-write membership: every
 :class:`~repro.gossip.view.OrganizationView` starts on its organization's
 *shared* immutable member array, and ``add_member`` / ``discard_member``
-give the mutated view a private array with its ``sample_org`` /
-``sample_channel`` rebound to it — so every future draw *of that view*
-sees the new membership (gossip modules look the samplers up on the view
-at each draw) and no other view does. Order is part of the contract, since
+give the mutated view a private array — so every future draw *of that
+view* sees the new membership (``sample_org`` / ``sample_channel`` read
+the view's array at each draw) and no other view does. Order is part of the contract, since
 it decides which peer a given random draw names: a runtime joiner is
 appended after every build-time member of an incumbent's view, while the
 held-out joiner's own view — which the controller never touches — keeps

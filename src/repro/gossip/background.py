@@ -32,6 +32,8 @@ class BackgroundTraffic:
 
     STREAM = "background"
 
+    __slots__ = ("host", "view", "config", "_rng", "messages_sent", "_fanout", "_message", "_network")
+
     def __init__(self, host, view: OrganizationView, config: BackgroundTrafficConfig) -> None:
         self.host = host
         self.view = view

@@ -57,7 +57,9 @@ class GossipHost(Protocol):
         """
 
     def get_block(self, number: int) -> Optional[Block]:
-        """A block this peer holds (committed or buffered), for serving."""
+        """A block this peer holds (committed or buffered), for serving.
+
+        Components bind ``host.get_block`` once, at construction."""
 
     @property
     def ledger_height(self) -> int:
@@ -70,6 +72,10 @@ class GossipHost(Protocol):
 class GossipModule:
     """Base class for the original and enhanced gossip modules."""
 
+    # One module per peer: every class down to the components it holds is
+    # slotted, so a peer costs its protocol state and no instance dicts.
+    __slots__ = ("host", "view", "_multicast", "_started", "_dispatch")
+
     #: ``{message class: handler(src, message)}``, filled by the subclass.
     #: The hosting peer completes it with its own message classes and hands
     #: it to the network (:meth:`repro.fabric.peer.Peer.attach_gossip`).
@@ -79,7 +85,8 @@ class GossipModule:
         self.host = host
         self.view = view
         # host.multicast resolves liveness itself, so the binding stays
-        # valid across crash/recover.
+        # valid across crash/recover. Bound once per peer: the module hands
+        # it to its components.
         self._multicast = host.multicast
         self._started = False
 

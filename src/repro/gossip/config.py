@@ -73,8 +73,6 @@ class EnhancedGossipConfig:
             Fig. 10 ablation uses ``fout``).
         use_digests: Fig. 11 ablation switch; False pushes full blocks for
             every hop.
-        t_push: push buffer timer; the paper sets 0 for data blocks to keep
-            the per-pair randomness unbiased.
         request_timeout: base timeout of the block-request retry ladder —
             a stalled transfer is re-requested from a *different* digest
             holder after this long (backed off per attempt); 0 disables
@@ -90,7 +88,6 @@ class EnhancedGossipConfig:
     ttl_direct: int = 2
     leader_fanout: int = 1
     use_digests: bool = True
-    t_push: float = 0.0
     request_timeout: float = 0.5
     request_retries: int = 2
     retry_backoff: float = 2.0
@@ -103,7 +100,7 @@ class EnhancedGossipConfig:
             raise ValueError("ttl must be >= 1")
         if self.ttl_direct < 0 or self.ttl_direct > self.ttl:
             raise ValueError("require 0 <= ttl_direct <= ttl")
-        require_finite(self, "t_push", "request_timeout", "retry_backoff")
+        require_finite(self, "request_timeout", "retry_backoff")
         if self.request_retries < 0:
             raise ValueError("request_retries must be >= 0")
         if self.retry_backoff < 1.0:

@@ -36,9 +36,13 @@ class EnhancedGossip(GossipModule):
 
     STREAM = "leader-initial-gossiper"  # drawn by the leader only
 
+    __slots__ = ("config", "push", "recovery", "_rng", "_deliver_block")
+
     def __init__(self, host, view: OrganizationView, config: EnhancedGossipConfig) -> None:
         super().__init__(host, view)
         self.config = config
+        # Bound once: BlockPush handling calls it on every reception.
+        self._deliver_block = host.deliver_block
         self.push = InfectUponContagionPush(
             host,
             view,
@@ -46,10 +50,10 @@ class EnhancedGossip(GossipModule):
             ttl=config.ttl,
             ttl_direct=config.ttl_direct,
             use_digests=config.use_digests,
-            t_push=config.t_push,
             request_timeout=config.request_timeout,
             request_retries=config.request_retries,
             retry_backoff=config.retry_backoff,
+            multicast=self._multicast,
         )
         self.recovery = RecoveryComponent(
             host,
@@ -59,10 +63,9 @@ class EnhancedGossip(GossipModule):
             state_info_fanout=config.recovery.state_info_fanout,
             batch_max=config.recovery.batch_max,
             deliver=self._deliver,
+            multicast=self._multicast,
         )
         self._rng = None  # bound by first_draw
-        # Bound once: BlockPush handling calls it on every reception.
-        self._deliver_block = host.deliver_block
         # Exact-type dispatch table: one dict probe per message instead of
         # an isinstance chain (message classes are final by convention).
         self._dispatch = {
@@ -98,3 +101,12 @@ class EnhancedGossip(GossipModule):
         block = message.block
         self._deliver_block(block, "push")
         self.push.on_pair(block, message.counter)
+
+    def _deliver(self, block: Block, via: str) -> bool:
+        """A block that arrives without a pair (from the orderer, or by
+        recovery) settles the push's digest state for it too: pairs queued
+        while it was missing are forwarded and queued requests served."""
+        if not self._deliver_block(block, via):
+            return False
+        self.push.settle(block)
+        return True

@@ -29,15 +29,19 @@ class OriginalGossip(GossipModule):
     exactly like any other first reception (paper §III-A, Fig. 3).
     """
 
+    __slots__ = ("config", "push", "pull", "recovery")
+
     def __init__(self, host, view: OrganizationView, config: OriginalGossipConfig) -> None:
         super().__init__(host, view)
         self.config = config
+        deliver = host.deliver_block
         self.push = InfectAndDiePush(
             host,
             view,
             fout=config.fout,
             t_push=config.t_push,
             buffer_max=config.push_buffer_max,
+            multicast=self._multicast,
         )
         self.pull = PullComponent(
             host,
@@ -45,7 +49,8 @@ class OriginalGossip(GossipModule):
             fin=config.fin,
             t_pull=config.t_pull,
             digest_window=config.pull_digest_window,
-            deliver=self._deliver,
+            deliver=deliver,
+            multicast=self._multicast,
         )
         self.recovery = RecoveryComponent(
             host,
@@ -54,7 +59,8 @@ class OriginalGossip(GossipModule):
             t_state_info=config.recovery.t_state_info,
             state_info_fanout=config.recovery.state_info_fanout,
             batch_max=config.recovery.batch_max,
-            deliver=self._deliver,
+            deliver=deliver,
+            multicast=self._multicast,
         )
 
         # Exact-type dispatch table; see GossipModule._dispatch.

@@ -14,7 +14,7 @@ period (2 s) and possibly several periods before obtaining the block.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Set
 
 from repro.gossip.messages import (
     PullBlockRequest,
@@ -32,6 +32,20 @@ class PullComponent:
 
     STREAM = "pull-targets"
 
+    __slots__ = (
+        "host",
+        "view",
+        "fin",
+        "t_pull",
+        "digest_window",
+        "_deliver",
+        "_rng",
+        "_multicast",
+        "_requested_this_round",
+        "rounds",
+        "blocks_obtained",
+    )
+
     def __init__(
         self,
         host,
@@ -40,6 +54,7 @@ class PullComponent:
         t_pull: float,
         digest_window: int,
         deliver,
+        multicast=None,
     ) -> None:
         """
         Args:
@@ -50,6 +65,8 @@ class PullComponent:
             digest_window: number of recent blocks covered by a digest.
             deliver: callable ``(block, via) -> bool`` handing received
                 blocks to the ledger layer.
+            multicast: the host's ``multicast``, when the caller has it
+                bound already (the gossip module binds it once per peer).
         """
         self.host = host
         self.view = view
@@ -58,10 +75,11 @@ class PullComponent:
         self.digest_window = digest_window
         self._deliver = deliver
         self._rng = None  # bound by first_draw
-        self._multicast = host.multicast
+        self._multicast = multicast or host.multicast
         # Blocks already requested in the current round, so the initiator
-        # does not fetch the same block from several advertisers.
-        self._requested_this_round: set = set()
+        # does not fetch the same block from several advertisers. A round
+        # starts with none: the set is made at its first request.
+        self._requested_this_round: Optional[Set[int]] = None
         self.rounds = 0
         self.blocks_obtained = 0
 
@@ -73,7 +91,7 @@ class PullComponent:
 
     def _round(self) -> None:
         self.rounds += 1
-        self._requested_this_round = set()
+        self._requested_this_round = None
         targets = self.view.sample_org(self._rng or first_draw(self), self.fin)
         if targets:
             # Stateless request: one shared instance, one multicast event.
@@ -99,7 +117,7 @@ class PullComponent:
     def on_digest_response(self, src: str, message: PullDigestResponse) -> None:
         host = self.host
         height = host.ledger_height
-        requested = self._requested_this_round
+        requested = self._requested_this_round or ()
         # Cheapest test first: most advertised numbers are already committed.
         missing = [
             number
@@ -110,7 +128,10 @@ class PullComponent:
         ]
         if not missing:
             return
-        self._requested_this_round.update(missing)
+        if self._requested_this_round is None:
+            self._requested_this_round = set(missing)
+        else:
+            self._requested_this_round.update(missing)
         self.host.send(src, PullBlockRequest(sorted(missing)))
 
     def on_block_response(self, src: str, message: PullBlockResponse) -> None:

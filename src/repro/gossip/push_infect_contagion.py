@@ -20,9 +20,10 @@ keep that bound honest:
   each would multiply full-block traffic);
 * a peer forwards a pair only once it *holds* the block — pairs learned
   through digests while the transfer is pending are queued and flushed on
-  arrival, and requests received meanwhile are served on arrival. This
-  also guarantees digest receivers can always obtain the block from the
-  digest's sender.
+  arrival, and requests received meanwhile are served on arrival, by
+  whichever path the block arrives (push, or recovery: :meth:`settle`).
+  This also guarantees digest receivers can always obtain the block from
+  the digest's sender.
 
 The single in-flight request is also the protocol's soft spot against
 withholding peers (§VII): a request landing on a teaser would stall until
@@ -40,7 +41,8 @@ stalls rescued by a retry from those the recovery component had to repair.
 The paper also sets ``t_push = 0`` for data blocks: Fabric's 10 ms buffer
 merges pairs of the same block with different counters and sends them to a
 single target sample, which biases the randomness and degrades the
-probability guarantee. An optional buffer is kept here for the ablation.
+probability guarantee. This component has no buffer: every new pair draws
+its own target sample as it arrives.
 
 The pairs a peer has seen are kept for the whole run — forgetting one would
 re-forward a late digest of it — as one int per block: a bitmask with bit
@@ -51,7 +53,6 @@ int and a set slot per pair.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.gossip.messages import BlockPush, PushDigest, PushRequest
@@ -85,22 +86,21 @@ class InfectUponContagionPush:
         ttl_direct: up to this counter value blocks are pushed in full
             without a digest round-trip (collisions are rare early).
         use_digests: Fig. 11 ablation switch.
-        t_push: optional buffer timer; the paper's protocol uses 0.
-        on_forward: instrumentation hook ``(block_number, counter, targets)``.
         request_timeout: base per-request timeout before retrying against
             a different digest holder; ``0`` disables the retry ladder.
         request_retries: retries per block before the in-flight slot is
             released (abandoned requests fall back to later digests or
             the recovery component).
         retry_backoff: multiplicative timeout growth per attempt.
+        multicast: the host's ``multicast``, when the caller has it bound
+            already (the gossip module binds it once per peer).
     """
 
     REQUEST_RETRY_TIMEOUT = 0.5  # default base timeout of the retry ladder
     STREAM = "iuc-push-targets"
 
-    # One instance per peer, ~30 attributes: past CPython's 30-key limit
-    # for key-sharing instance dicts each one would carry a private
-    # 1.5 KB ``__dict__``. Slots keep it a fixed table.
+    # One instance per peer, ~25 attributes: slots keep it a fixed table
+    # (an instance dict of this size would cost more than the fields).
     __slots__ = (
         "host",
         "view",
@@ -108,21 +108,17 @@ class InfectUponContagionPush:
         "ttl",
         "ttl_direct",
         "use_digests",
-        "t_push",
         "request_timeout",
         "request_retries",
         "retry_backoff",
         "_rng",
         "_multicast",
         "_get_block",
-        "_on_forward",
         "_seen_pairs",
         "_inflight_requests",
         "_digest_holders",
         "_pending_pairs",
         "_pending_serves",
-        "_buffer",
-        "_flush_pending",
         "pairs_received",
         "pairs_forwarded",
         "digests_sent",
@@ -142,11 +138,10 @@ class InfectUponContagionPush:
         ttl: int,
         ttl_direct: int,
         use_digests: bool = True,
-        t_push: float = 0.0,
-        on_forward: Optional[Callable[[int, int, List[str]], None]] = None,
         request_timeout: float = REQUEST_RETRY_TIMEOUT,
         request_retries: int = 2,
         retry_backoff: float = 2.0,
+        multicast: Optional[Callable[[List[str], object], None]] = None,
     ) -> None:
         self.host = host
         self.view = view
@@ -154,32 +149,28 @@ class InfectUponContagionPush:
         self.ttl = ttl
         self.ttl_direct = ttl_direct
         self.use_digests = use_digests
-        self.t_push = t_push
         self.request_timeout = request_timeout
         self.request_retries = request_retries
         self.retry_backoff = retry_backoff
         self._rng = None  # bound by first_draw
-        self._multicast = host.multicast
+        self._multicast = multicast or host.multicast
         # get_block runs once per digest reception — the dominant message
         # class at scale — so the host hop is resolved once here.
         self._get_block = host.get_block
-        self._on_forward = on_forward
         # block number -> bitmask of the counters seen with it.
         self._seen_pairs: Dict[int, int] = {}
-        # Blocks with an outstanding PushRequest: block number -> retry state.
-        self._inflight_requests: Dict[int, _InflightRequest] = {}
-        # Peers that advertised a block we do not hold yet, in digest
-        # arrival order (deduplicated) — the deterministic retry rotation.
-        self._digest_holders: Dict[int, List[str]] = {}
-        # Pairs learned via digest while the block transfer is pending:
-        # block number -> counters to forward once the block arrives.
-        self._pending_pairs: Dict[int, List[int]] = defaultdict(list)
-        # Requests received while we do not have the block yet:
-        # block number -> [(requester, counter)].
-        self._pending_serves: Dict[int, List[Tuple[str, int]]] = defaultdict(list)
-        # Buffered pairs awaiting a t_push flush (ablation mode only).
-        self._buffer: List[Tuple[Block, int]] = []
-        self._flush_pending = False
+        # The digest state of blocks announced but not held yet, made at
+        # the first such digest (or request, for _pending_serves: a built
+        # peer needs none of it) and settled when the block arrives:
+        # blocks with an outstanding PushRequest: block number -> retry state;
+        self._inflight_requests: Optional[Dict[int, _InflightRequest]] = None
+        # peers that advertised the block, in digest arrival order
+        # (deduplicated) — the deterministic retry rotation;
+        self._digest_holders: Optional[Dict[int, List[str]]] = None
+        # counters learned via digest, to forward once the block arrives;
+        self._pending_pairs: Optional[Dict[int, List[int]]] = None
+        # requests received before we held the block: [(requester, counter)].
+        self._pending_serves: Optional[Dict[int, List[Tuple[str, int]]]] = None
         self.pairs_received = 0
         self.pairs_forwarded = 0
         self.digests_sent = 0
@@ -195,17 +186,17 @@ class InfectUponContagionPush:
     def on_pair(self, block: Block, counter: int) -> bool:
         """Process reception of the full-block pair ``(block, counter)``.
 
-        Returns True if the pair was new. Forwards the new pair, flushes
-        pairs queued while this block's transfer was in flight, and serves
-        peers whose requests arrived before we held the block.
+        Returns True if the pair was new. Forwards the new pair, then
+        settles the block's digest state (:meth:`settle`).
         """
         number = block.number
-        state = self._inflight_requests.pop(number, None)
-        if state is not None and state.attempts > 0:
-            # The block arrived after at least one retry re-targeted the
-            # request: a stall the ladder resolved without recovery.
-            self.stalls_rescued_by_retry += 1
-        self._digest_holders.pop(number, None)
+        inflight = self._inflight_requests
+        if inflight:
+            state = inflight.get(number)
+            if state is not None and state.attempts > 0:
+                # The block arrived after at least one retry re-targeted
+                # the request: a stall the ladder resolved without recovery.
+                self.stalls_rescued_by_retry += 1
         seen = self._seen_pairs.get(number, 0)
         bit = 1 << counter
         is_new = not seen & bit
@@ -213,17 +204,35 @@ class InfectUponContagionPush:
             self._seen_pairs[number] = seen | bit
             self.pairs_received += 1
             self._forward(block, counter)
-        if number in self._pending_pairs:
+        self.settle(block)
+        return is_new
+
+    def settle(self, block: Block) -> None:
+        """``block`` is held now: drop its in-flight request and holder
+        list, forward the pairs queued while it was missing and serve the
+        requests that arrived meanwhile.
+
+        Called on every reception of a pair and on every first reception
+        by another path (the orderer, recovery), so no digest state
+        outlives the block's arrival.
+        """
+        number = block.number
+        if self._inflight_requests:
+            self._inflight_requests.pop(number, None)
+        if self._digest_holders:
+            self._digest_holders.pop(number, None)
+        pending = self._pending_pairs
+        if pending and number in pending:
             # Queued counters were marked seen when the digest arrived but
             # never forwarded; a counter can never be both queued and newly
-            # forwarded above, so every queued pair forwards exactly once.
-            for queued_counter in self._pending_pairs.pop(number):
+            # forwarded by on_pair, so every queued pair forwards exactly once.
+            for queued_counter in pending.pop(number):
                 self._forward(block, queued_counter)
-        if number in self._pending_serves:
-            for requester, requested_counter in self._pending_serves.pop(number):
+        serves = self._pending_serves
+        if serves and number in serves:
+            for requester, requested_counter in serves.pop(number):
                 self.host.send(requester, BlockPush(block, counter=requested_counter, requested=True))
                 self.full_pushes_sent += 1
-        return is_new
 
     def on_digest(self, src: str, message: PushDigest) -> None:
         """A digest announces the pair ``(block, counter)``.
@@ -245,9 +254,9 @@ class InfectUponContagionPush:
                 self.pairs_received += 1
                 self._forward(block, counter)
             return
-        holders = self._digest_holders.get(number)
-        if holders is None:
-            holders = self._digest_holders[number] = []
+        if self._digest_holders is None:  # the first block we lack
+            self._digest_holders, self._inflight_requests, self._pending_pairs = {}, {}, {}
+        holders = self._digest_holders.setdefault(number, [])
         if src not in holders:
             holders.append(src)
         state = self._inflight_requests.get(number)
@@ -259,7 +268,7 @@ class InfectUponContagionPush:
         if not seen & bit:
             self._seen_pairs[number] = seen | bit
             self.pairs_received += 1
-            self._pending_pairs[number].append(counter)
+            self._pending_pairs.setdefault(number, []).append(counter)
 
     def _arm_request_timer(self, number: int, state: _InflightRequest) -> None:
         if self.request_timeout <= 0:
@@ -277,7 +286,7 @@ class InfectUponContagionPush:
         the slot: a later digest re-requests from scratch, and recovery
         remains the terminal safety net.
         """
-        state = self._inflight_requests.get(number)
+        state = self._inflight_requests.get(number)  # made with the timer
         if state is None or state.generation != generation:
             return  # resolved, superseded, or already re-armed
         if self._get_block(number) is not None:
@@ -310,12 +319,15 @@ class InfectUponContagionPush:
 
     def on_request(self, src: str, message: PushRequest) -> None:
         """Serve a full block requested after one of our digests."""
-        block = self.host.get_block(message.block_number)
+        block = self._get_block(message.block_number)
         if block is None:
             # We advertised the pair but are still waiting for the block
             # ourselves (possible only in pathological interleavings);
             # serve as soon as it lands rather than dropping the request.
-            self._pending_serves[message.block_number].append((src, message.counter))
+            serves = self._pending_serves
+            if serves is None:
+                serves = self._pending_serves = {}
+            serves.setdefault(message.block_number, []).append((src, message.counter))
             return
         self.host.send(src, BlockPush(block, counter=message.counter, requested=True))
         self.full_pushes_sent += 1
@@ -326,31 +338,11 @@ class InfectUponContagionPush:
         next_counter = received_counter + 1
         if next_counter > self.ttl:
             return
-        if self.t_push > 0:
-            self._buffer.append((block, received_counter))
-            if not self._flush_pending:
-                self._flush_pending = True
-                self.host.after(self.t_push, self._flush)
-            return
         # Inline of the former _send_pair: sample + transmit without an
         # extra frame on the per-pair hot path.
         self._transmit(
             block, next_counter, self.view.sample_org(self._rng or first_draw(self), self.fout)
         )
-
-    def _flush(self) -> None:
-        """Ablation mode: Fabric-style buffered flush.
-
-        All buffered pairs are sent to a *single* target sample — the
-        biased behaviour the paper eliminates with ``t_push = 0``.
-        """
-        self._flush_pending = False
-        if not self._buffer:
-            return
-        batch, self._buffer = self._buffer, []
-        targets = self.view.sample_org(self._rng or first_draw(self), self.fout)
-        for block, received_counter in batch:
-            self._transmit(block, received_counter + 1, targets)
 
     def _transmit(self, block: Block, counter: int, targets: List[str]) -> None:
         # One message instance is shared across the fanout: gossip messages
@@ -365,8 +357,6 @@ class InfectUponContagionPush:
             self._multicast(targets, BlockPush(block, counter=counter))
             self.full_pushes_sent += len(targets)
         self.pairs_forwarded += 1
-        if self._on_forward is not None:
-            self._on_forward(block.number, counter, targets)
 
     # ----- bookkeeping ----------------------------------------------------
 

@@ -32,9 +32,25 @@ class InfectAndDiePush:
         t_push: buffer flush delay; 0 pushes immediately without batching.
         buffer_max: flush early when the buffer reaches this many blocks.
         on_push: optional instrumentation hook ``(block, targets) -> None``.
+        multicast: the host's ``multicast``, when the caller has it bound
+            already (the gossip module binds it once per peer).
     """
 
     STREAM = "push-targets"
+
+    __slots__ = (
+        "host",
+        "view",
+        "fout",
+        "t_push",
+        "buffer_max",
+        "_rng",
+        "_multicast",
+        "_buffer",
+        "_flush_pending",
+        "_on_push",
+        "blocks_pushed",
+    )
 
     def __init__(
         self,
@@ -44,6 +60,7 @@ class InfectAndDiePush:
         t_push: float,
         buffer_max: int = 10,
         on_push: Optional[Callable[[Block, List[str]], None]] = None,
+        multicast: Optional[Callable[[List[str], object], None]] = None,
     ) -> None:
         self.host = host
         self.view = view
@@ -51,7 +68,7 @@ class InfectAndDiePush:
         self.t_push = t_push
         self.buffer_max = buffer_max
         self._rng = None  # bound by first_draw
-        self._multicast = host.multicast
+        self._multicast = multicast or host.multicast
         self._buffer: List[Block] = []
         self._flush_pending = False
         self._on_push = on_push

@@ -26,6 +26,21 @@ class RecoveryComponent:
 
     STREAM = "recovery"
 
+    __slots__ = (
+        "host",
+        "view",
+        "t_recovery",
+        "t_state_info",
+        "state_info_fanout",
+        "batch_max",
+        "_deliver",
+        "_rng",
+        "_multicast",
+        "known_heights",
+        "recovery_requests_sent",
+        "blocks_recovered",
+    )
+
     def __init__(
         self,
         host,
@@ -35,6 +50,7 @@ class RecoveryComponent:
         state_info_fanout: int,
         batch_max: int,
         deliver,
+        multicast=None,
     ) -> None:
         """
         Args:
@@ -45,6 +61,8 @@ class RecoveryComponent:
             state_info_fanout: peers contacted per state-info round.
             batch_max: maximum blocks fetched per recovery request.
             deliver: callable ``(block, via) -> bool``.
+            multicast: the host's ``multicast``, when the caller has it
+                bound already (the gossip module binds it once per peer).
         """
         self.host = host
         self.view = view
@@ -54,7 +72,7 @@ class RecoveryComponent:
         self.batch_max = batch_max
         self._deliver = deliver
         self._rng = None  # bound by first_draw
-        self._multicast = host.multicast
+        self._multicast = multicast or host.multicast
         self.known_heights: Dict[str, int] = {}
         self.recovery_requests_sent = 0
         self.blocks_recovered = 0

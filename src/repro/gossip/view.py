@@ -11,16 +11,17 @@ views of a deployment share it: :func:`build_views` interns one
 :class:`Membership` per organization and one for the channel, and each
 :class:`OrganizationView` holds a reference to those two arrays plus its
 owner's position in each (two references + two ints per peer, so set-up
-is linear in the number of peers). Membership arrays are immutable; churn
-is copy-on-write — the first ``add_member`` / ``discard_member`` on a
-view replaces *that view's* array with a private one, so mutating one view
-never changes another's candidates.
+is linear in the number of peers). A view draws its targets through two
+methods over those pairs; it holds no per-view callable. Membership
+arrays are immutable; churn is copy-on-write — the first ``add_member`` /
+``discard_member`` on a view replaces *that view's* array with a private
+one, so mutating one view never changes another's candidates.
 """
 
 from __future__ import annotations
 
+import random
 import sys
-from functools import partial
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.simulation.random import sample_skipping
@@ -72,6 +73,9 @@ class OrganizationView:
         leader: the org's leader peer (receives blocks from orderers).
     """
 
+    # One view per peer: slots keep it the six fields below.
+    __slots__ = ("self_name", "leader", "_org", "_org_at", "_channel", "_channel_at")
+
     def __init__(
         self,
         self_name: str,
@@ -91,26 +95,24 @@ class OrganizationView:
             raise ValueError(f"leader {leader!r} not part of the organization")
         self.self_name = org.names[at]
         self.leader = org.names[leader_at]
-        self._bind_org(org.names, at)
-        self._bind_channel(channel.names, channel.index.get(self_name, len(channel.names)))
-
-    # ``sample_org(rng, k)`` — k distinct random org peers, excluding
-    # self — and ``sample_channel(rng, k)`` — k distinct random channel
-    # peers, excluding self (recovery is cross-org) — are instance
-    # partials over (member array, owner's position): a C-level call with
-    # no wrapper frame, because target selection runs once per gossip
-    # fanout and these are two of the hottest calls in the simulator.
-    # Callers look them up on the view at every draw (churn rebinds them).
-
-    def _bind_org(self, members: Tuple[str, ...], at: int) -> None:
-        self._org = members
+        self._org = org.names
         self._org_at = at
-        self.sample_org = partial(sample_skipping, members, at)
+        self._channel = channel.names
+        self._channel_at = channel.index.get(self_name, len(channel.names))
 
-    def _bind_channel(self, members: Tuple[str, ...], at: int) -> None:
-        self._channel = members
-        self._channel_at = at
-        self.sample_channel = partial(sample_skipping, members, at)
+    # Target selection runs once per gossip fanout, so these two are among
+    # the hottest calls in the simulator: one method frame over the view's
+    # (member array, owner's position) pair, read at every draw (churn
+    # replaces the pair).
+
+    def sample_org(self, rng: random.Random, k: int) -> List[str]:
+        """``k`` distinct random peers of the organization, excluding self."""
+        return sample_skipping(self._org, self._org_at, rng, k)
+
+    def sample_channel(self, rng: random.Random, k: int) -> List[str]:
+        """``k`` distinct random peers of the channel, excluding self
+        (recovery and background traffic are cross-org)."""
+        return sample_skipping(self._channel, self._channel_at, rng, k)
 
     @property
     def org_size(self) -> int:
@@ -143,16 +145,15 @@ class OrganizationView:
 
         Idempotent. Copy-on-write: the view gets a private array with
         ``name`` appended (so a runtime joiner sits after every build-time
-        member) and its samplers are rebound to it; views that still share
-        the old array are unaffected.
+        member); views that still share the old array are unaffected.
         """
         name = sys.intern(name)
         if name == self.self_name:
             return
         if same_org and name not in self._org:
-            self._bind_org(self._org + (name,), self._org_at)
+            self._org += (name,)
         if name not in self._channel:
-            self._bind_channel(self._channel + (name,), self._channel_at)
+            self._channel += (name,)
 
     def discard_member(self, name: str) -> None:
         """Remove ``name`` from this view's sampling populations.
@@ -165,8 +166,8 @@ class OrganizationView:
         """
         if name == self.self_name:
             return
-        self._bind_org(*_discard(self._org, self._org_at, name))
-        self._bind_channel(*_discard(self._channel, self._channel_at, name))
+        self._org, self._org_at = _discard(self._org, self._org_at, name)
+        self._channel, self._channel_at = _discard(self._channel, self._channel_at, name)
 
 
 def build_views(

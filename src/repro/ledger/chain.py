@@ -29,6 +29,8 @@ class Blockchain:
     therefore the dict's own ``get``, with no Python frame.
     """
 
+    __slots__ = ("_blocks", "_height", "_top", "get_any")
+
     # Committed or buffered block, for serving gossip requests; None when
     # the peer does not hold it. Bound to the block dict's ``get``.
     get_any: Callable[[int], Optional[Block]]

@@ -48,6 +48,8 @@ class KeyValueStore:
     — equal to no tag — once anything else has written to the store.
     """
 
+    __slots__ = ("_data", "writes_applied", "state_tag")
+
     def __init__(self) -> None:
         self._data: Dict[str, VersionedValue] = {}
         self.writes_applied = 0
@@ -88,13 +90,16 @@ class KeyValueStore:
         self.writes_applied += puts
         self.state_tag = tag
 
-    def __getstate__(self) -> Dict[str, Any]:
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
         # A copy keeps the data but leaves the lineage of validations its
-        # tag stands for; only "empty" means the same everywhere.
-        state = self.__dict__.copy()
-        if state["state_tag"] != "":
-            state["state_tag"] = None
-        return state
+        # tag stands for; only "empty" means the same everywhere. (No
+        # instance dict, so the state is all slots.)
+        tag = self.state_tag
+        return None, {
+            "_data": self._data,
+            "writes_applied": self.writes_applied,
+            "state_tag": tag if tag == "" else None,
+        }
 
     def __contains__(self, key: str) -> bool:
         return key in self._data

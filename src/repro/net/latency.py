@@ -21,9 +21,10 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from types import MethodType
 from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
-from repro.simulation._core import make_lan_sampler, make_topology_sampler
+from repro.simulation._core import lan_sample, topology_sample
 
 
 def _freeze(value: Any) -> Any:
@@ -184,6 +185,8 @@ class TopologyLatency(LatencyModel):
         # (regions + 1)^2 entries, so the per-message resolve is two
         # placement probes and one memo probe whatever the deployment size.
         self._pair_params: dict = {}
+        # What every sender's bound sampler shares but its stream (bind).
+        self._shared = (self._region_of, self._pair_params, self._resolve)
 
     @staticmethod
     def _normalize(params):
@@ -257,10 +260,9 @@ class TopologyLatency(LatencyModel):
 
     def bind(self, rng: random.Random) -> "Callable[[str, str], float]":
         # Same draw sequence as sample() with the attribute lookups hoisted
-        # and rng.lognormvariate inlined, like LanLatency.bind.
-        return make_topology_sampler(
-            rng.random, self._region_of, self._pair_params, self._resolve
-        )
+        # and rng.lognormvariate inlined: the module-level kernel bound to
+        # this sender's parameters, like LanLatency.bind.
+        return MethodType(topology_sample, (rng.random, *self._shared))
 
 
 class LanLatency(LatencyModel):
@@ -304,7 +306,6 @@ class LanLatency(LatencyModel):
     def min_delay(self) -> float:
         return self.base
 
-
     def bind(self, rng: random.Random) -> "Callable[[str, str], float]":
         base = self.base
         if self._mu is None:
@@ -315,8 +316,9 @@ class LanLatency(LatencyModel):
         # Kinderman-Monahan rejection sampling verbatim (same NV_MAGICCONST,
         # same order of rng.random() consumption), so the draw sequence and
         # results are bit-for-bit those of the un-bound sample(). It lives
-        # in repro.simulation._core with the rest of the per-event hot path.
-        return make_lan_sampler(rng.random, base, self._mu, self.jitter_sigma)
+        # in repro.simulation._core with the rest of the per-event hot path;
+        # one sender costs the method object binding it to a 4-tuple.
+        return MethodType(lan_sample, (rng.random, base, self._mu, self.jitter_sigma))
 
 
 # ---------------------------------------------------------------------------

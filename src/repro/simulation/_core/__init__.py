@@ -1018,67 +1018,68 @@ class TrafficMonitor:
 _NV_MAGICCONST: float = _random.NV_MAGICCONST  # type: ignore[attr-defined]
 
 
-def make_lan_sampler(
-    uniform: Callable[[], float], base: float, mu: float, sigma: float
-) -> Callable[[str, str], float]:
-    """Build the bound per-message sampler for :class:`~repro.net.latency.
-    LanLatency`: ``base`` plus a lognormal draw.
+def lan_sample(
+    params: Tuple[Callable[[], float], float, float, float], src: str, dst: str
+) -> float:
+    """The per-message delay of :class:`~repro.net.latency.LanLatency`:
+    ``base`` plus a lognormal draw, with ``params = (uniform, base, mu,
+    sigma)``.
 
-    The loop replicates ``random.normalvariate``'s Kinderman-Monahan
-    rejection sampling verbatim (same NV_MAGICCONST, same order of
-    ``uniform()`` consumption), so the draw sequence and results are
-    bit-for-bit those of ``rng.lognormvariate(mu, sigma)`` — the stdlib
-    pair of call frames (lognormvariate -> normalvariate) costs more than
-    the draw itself on this path.
+    One kernel for every sender: ``LanLatency.bind`` hands each sender
+    this function bound to its own ``params`` tuple (a bound method,
+    ``(src, dst) -> delay``), so a sender costs a tuple and a method
+    object, not a closure with a cell per parameter. The loop replicates
+    ``random.normalvariate``'s Kinderman-Monahan rejection sampling
+    verbatim (same NV_MAGICCONST, same order of ``uniform()``
+    consumption), so the draw sequence and results are bit-for-bit those
+    of ``rng.lognormvariate(mu, sigma)`` — the stdlib pair of call frames
+    (lognormvariate -> normalvariate) costs more than the draw itself on
+    this path.
     """
-    nv_magic = _NV_MAGICCONST
-    log_, exp_ = _log, _exp
-
-    def sample(src: str, dst: str) -> float:
-        while True:
-            u1 = uniform()
-            u2 = 1.0 - uniform()
-            z = nv_magic * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -log_(u2):
-                break
-        return base + exp_(mu + z * sigma)
-
-    return sample
+    uniform, base, mu, sigma = params
+    while True:
+        u1 = uniform()
+        u2 = 1.0 - uniform()
+        z = _NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -_log(u2):
+            break
+    return base + _exp(mu + z * sigma)
 
 
-def make_topology_sampler(
-    uniform: Callable[[], float],
-    region_of: Dict[str, str],
-    pair_params: Dict[Tuple[Optional[str], Optional[str]], Tuple[float, Optional[float], float]],
-    resolve: Callable[[Optional[str], Optional[str]], Tuple[float, Optional[float], float]],
-) -> Callable[[str, str], float]:
-    """Build the bound per-message sampler for :class:`~repro.net.latency.
-    TopologyLatency`: the ``(base, mu, sigma)`` of the endpoints' region
-    pair from ``pair_params`` (``resolve`` fills it on a miss), then the
-    same inlined Kinderman-Monahan draw as :func:`make_lan_sampler` for a
-    jittered pair and no draw at all for a base-only one (``mu is None``).
+def topology_sample(
+    params: Tuple[
+        Callable[[], float],
+        Dict[str, str],
+        Dict[Tuple[Optional[str], Optional[str]], Tuple[float, Optional[float], float]],
+        Callable[[Optional[str], Optional[str]], Tuple[float, Optional[float], float]],
+    ],
+    src: str,
+    dst: str,
+) -> float:
+    """The per-message delay of :class:`~repro.net.latency.TopologyLatency`,
+    with ``params = (uniform, region_of, pair_params, resolve)``, bound
+    per sender like :func:`lan_sample`: the ``(base, mu, sigma)`` of the
+    endpoints' region pair from ``pair_params`` (``resolve`` fills it on a
+    miss), then the same inlined Kinderman-Monahan draw as
+    :func:`lan_sample` for a jittered pair and no draw at all for a
+    base-only one (``mu is None``).
     """
-    nv_magic = _NV_MAGICCONST
-    log_, exp_ = _log, _exp
-
-    def sample(src: str, dst: str) -> float:
-        src_region = region_of.get(src)
-        dst_region = region_of.get(dst)
-        params = pair_params.get((src_region, dst_region))
-        if params is None:
-            params = resolve(src_region, dst_region)
-        base, mu, sigma = params
-        if mu is None:
-            return base
-        while True:
-            u1 = uniform()
-            u2 = 1.0 - uniform()
-            z = nv_magic * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -log_(u2):
-                break
-        return base + exp_(mu + z * sigma)
-
-    return sample
+    uniform, region_of, pair_params, resolve = params
+    src_region = region_of.get(src)
+    dst_region = region_of.get(dst)
+    pair = pair_params.get((src_region, dst_region))
+    if pair is None:
+        pair = resolve(src_region, dst_region)
+    base, mu, sigma = pair
+    if mu is None:
+        return base
+    while True:
+        u1 = uniform()
+        u2 = 1.0 - uniform()
+        z = _NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -_log(u2):
+            break
+    return base + _exp(mu + z * sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,16 @@ class Process:
             from streams namespaced by its own name.
     """
 
+    # Slotted for the one subclass built per node (Peer); the others keep
+    # an instance dict by not declaring slots of their own.
+    __slots__ = ("sim", "name", "_streams", "_timers", "_alive")
+
     def __init__(self, sim: Simulator, name: str, streams: RandomStreams) -> None:
         self.sim = sim
         self.name = name
         self._streams = streams
-        self._timers: List[RecurringTimer] = []
+        # The recurring timers this process registered (made at the first).
+        self._timers: Optional[List[RecurringTimer]] = None
         self._alive = True
 
     @property
@@ -111,15 +116,19 @@ class Process:
             timer = sim.wheel.every(period, callback, initial_delay=initial_delay, jitter=jitter)
         else:
             timer = PeriodicTimer(sim, period, callback, initial_delay=initial_delay, jitter=jitter)
-        self._timers.append(timer)
+        if self._timers is None:
+            self._timers = [timer]
+        else:
+            self._timers.append(timer)
         return timer
 
     def shutdown(self) -> None:
         """Stop all timers and mark the process dead (simulated crash)."""
         self._alive = False
-        for timer in self._timers:
-            timer.stop()
-        self._timers.clear()
+        if self._timers is not None:
+            for timer in self._timers:
+                timer.stop()
+            self._timers = None
 
     def restart(self) -> None:
         """Mark the process alive again; subclasses re-arm their timers."""

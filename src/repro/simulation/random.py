@@ -108,10 +108,9 @@ def sample_skipping(population: Sequence[T], skip: int, rng: random.Random, k: i
     (``skip == len(population)`` leaves nothing out), so every membership
     view of an organisation can draw over the *same* shared array, each
     skipping its owner, instead of holding a private "everyone but me"
-    copy. Population and skip come first so views can pre-bind them with
-    :func:`functools.partial` (a C-level call, no wrapper frame on the
-    per-fanout path). The draw sequence is that of sampling from the
-    materialised list of candidates, bit for bit.
+    copy (:meth:`repro.gossip.view.OrganizationView.sample_org` passes
+    its shared array and its owner's position). The draw sequence is that
+    of sampling from the materialised list of candidates, bit for bit.
     """
     size = len(population)
     n = size - 1 if skip < size else size

@@ -99,25 +99,54 @@ def _peer_streams(net):
     return [name for name in net.streams.names() if name.startswith("peer-")]
 
 
-def test_a_built_peer_holds_no_rng_state():
-    """Streams exist from their first draw: a deployment that is built but
-    never started — every foreign replica of a sharded run — has seeded
-    none, and costs a third of what it did with one Mersenne-Twister state
-    per component (18.4 KB per peer at 500 peers; 5.1 KB now)."""
+def _built_bytes_per_peer(gossip, background=None):
     gc.collect()
     tracemalloc.start()
     try:
-        net = build_network(
-            n_peers=500,
-            gossip=EnhancedGossipConfig.paper_f4(),
-            seed=1,
-            background=BackgroundTrafficConfig(),
-        )
+        net = build_network(n_peers=500, gossip=gossip, seed=1, background=background)
         traced = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return net, traced / net.n_peers
+
+
+def test_a_built_peer_holds_no_rng_state():
+    """Streams exist from their first draw: a deployment that is built but
+    never started — a churn joiner held out, say — has seeded none. A
+    built peer holds its protocol state and little else: slotted objects,
+    containers made at their first use and views with no per-view
+    callable (18.4 KB per peer at 500 peers with one Mersenne-Twister
+    state per component; 4.6 KB with dict-backed objects; ~3.0 KB now)."""
+    net, per_peer = _built_bytes_per_peer(
+        EnhancedGossipConfig.paper_f4(), background=BackgroundTrafficConfig()
+    )
     assert _peer_streams(net) == []
-    assert traced / net.n_peers <= 8 * 1024
+    assert per_peer <= 3200
+
+
+def test_a_built_original_peer_costs_its_protocol_state():
+    """The original module's push, pull and recovery are slotted too
+    (4.8 KB per peer at 500 peers with dict-backed objects; ~3.1 KB now)."""
+    net, per_peer = _built_bytes_per_peer(OriginalGossipConfig())
+    assert _peer_streams(net) == []
+    assert per_peer <= 3400
+
+
+@pytest.mark.parametrize(
+    "gossip", [EnhancedGossipConfig.paper_f4(), OriginalGossipConfig()], ids=["enhanced", "original"]
+)
+def test_a_built_peers_objects_have_no_instance_dict(gossip):
+    """Everything built once per peer is slotted: an instance dict (a
+    private one past 30 attributes) would cost more than the fields."""
+    net = build_network(n_peers=4, gossip=gossip, seed=1, background=BackgroundTrafficConfig())
+    for peer in net.peers.values():
+        module = peer.gossip
+        components = [module.push, module.recovery, getattr(module, "pull", None)]
+        built = [peer, module, *components, peer.background, peer.view]
+        built += [peer.blockchain, peer.state, peer.chaincodes]
+        for obj in built:
+            if obj is not None:
+                assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 @pytest.mark.parametrize("background", [None, BackgroundTrafficConfig()])

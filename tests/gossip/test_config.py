@@ -17,7 +17,6 @@ NAN, INF = float("nan"), float("inf")
         (OriginalGossipConfig, "t_push", INF),
         (EnhancedGossipConfig, "request_timeout", NAN),
         (EnhancedGossipConfig, "retry_backoff", NAN),
-        (EnhancedGossipConfig, "t_push", NAN),
     ],
 )
 def test_non_finite_or_out_of_range_values_are_refused_by_name(config, field, value):

@@ -9,6 +9,7 @@ from repro.gossip.messages import (
     PullDigestRequest,
     PushDigest,
     PushRequest,
+    RecoveryResponse,
     StateInfo,
 )
 
@@ -128,8 +129,46 @@ def test_config_validation():
         EnhancedGossipConfig(ttl=5, ttl_direct=6)
     with pytest.raises(ValueError):
         EnhancedGossipConfig(fout=0)
-    with pytest.raises(ValueError):
-        EnhancedGossipConfig(t_push=-1.0)
+    with pytest.raises(TypeError):
+        EnhancedGossipConfig(t_push=0.010)  # no push buffer: every pair samples alone
+
+
+def test_a_block_recovered_while_its_digests_wait_settles_their_state():
+    """A block that arrives by recovery, not by push, still forwards the
+    pair its digests queued (once), serves the request that waited for it
+    and leaves no digest state behind; the retried request it overtook is
+    not a stall the retry ladder rescued."""
+    host, module = make_module(fout=2, ttl=9, ttl_direct=2)
+    push = module.push
+    block = make_chain([1])[0]
+    module.handle("p3", PushDigest(0, block.block_hash, counter=3))
+    module.handle("p4", PushDigest(0, block.block_hash, counter=3))
+    module.handle("p5", PushRequest(0, 4))  # we are still missing the block
+    host.run(until=0.6)
+    assert push.requests_retried == 1  # the request to p3 stalled; p4 was asked
+    host.sent.clear()
+
+    module.handle("p6", RecoveryResponse([block]))
+    assert host.deliveries == [(0, "recovery")]
+    assert [msg.counter for _, msg in host.sent if isinstance(msg, PushDigest)] == [4, 4]
+    served = [(dst, msg.counter) for dst, msg in host.sent if isinstance(msg, BlockPush)]
+    assert served == [("p5", 4)]
+    for state in (
+        push._inflight_requests,
+        push._digest_holders,
+        push._pending_pairs,
+        push._pending_serves,
+    ):
+        assert 0 not in (state or {})
+
+    # The retried transfer lands afterwards: its pair was forwarded above,
+    # and its timer finds the request gone.
+    host.sent.clear()
+    module.handle("p4", BlockPush(block, counter=3, requested=True))
+    host.run(until=5.0)
+    assert host.sent == []
+    assert push.stalls_rescued_by_retry == 0
+    assert push.request_timeouts == 1
 
 
 def test_duplicate_block_delivery_ignored_but_pair_logic_runs():

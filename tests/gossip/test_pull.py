@@ -39,18 +39,17 @@ def test_rounds_repeat_with_period():
 def test_start_phase_randomized_within_period():
     """Different peers' pull rounds are staggered across the period."""
     first_round_times = []
+
+    class Traced(PullComponent):  # the component is slotted: trace by subclass
+        def _round(self):
+            times.append(self.host.now)
+            super()._round()
+
     for seed in (1, 2, 3, 4, 5):
         host = FakeHost("p0", seed=seed)
         view = make_view("p0", org_size=4)
-        pull = PullComponent(host, view, 1, 4.0, 10, host.deliver_block)
+        pull = Traced(host, view, 1, 4.0, 10, host.deliver_block)
         times = []
-        original = pull._round
-
-        def traced(original=original, times=times, host=host):
-            times.append(host.now)
-            original()
-
-        pull._round = traced  # must be installed before start() captures it
         pull.start()
         host.run(until=4.0)
         assert times, "first pull round must happen within one period"

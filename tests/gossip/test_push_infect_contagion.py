@@ -6,12 +6,11 @@ from repro.gossip.push_infect_contagion import InfectUponContagionPush
 from tests.conftest import FakeHost, make_chain, make_view
 
 
-def make_push(fout=2, ttl=5, ttl_direct=2, use_digests=True, t_push=0.0, org_size=8):
+def make_push(fout=2, ttl=5, ttl_direct=2, use_digests=True, org_size=8):
     host = FakeHost("p0")
     view = make_view("p0", org_size=org_size)
     push = InfectUponContagionPush(
-        host, view, fout=fout, ttl=ttl, ttl_direct=ttl_direct,
-        use_digests=use_digests, t_push=t_push,
+        host, view, fout=fout, ttl=ttl, ttl_direct=ttl_direct, use_digests=use_digests,
     )
     return host, push
 
@@ -144,23 +143,6 @@ def test_digest_with_block_held_behaves_like_pair():
     assert len(forwarded) == 2
     assert all(msg.counter == 3 for msg in forwarded)
     assert not any(isinstance(msg, PushRequest) for _, msg in host.sent)
-
-
-def test_t_push_buffer_merges_target_sample():
-    """The ablation buffer reproduces Fabric's biased batching."""
-    host, push = make_push(fout=2, ttl=9, ttl_direct=9, t_push=0.010)
-    block = make_chain([1])[0]
-    host.deliver_block(block, "push")
-    push.on_pair(block, 0)
-    push.on_pair(block, 1)
-    assert host.sent == []
-    host.run(until=0.010)
-    # Two pairs, both sent to the SAME two targets.
-    by_target = {}
-    for dst, msg in host.sent:
-        by_target.setdefault(dst, []).append(msg.counter)
-    assert len(by_target) == 2
-    assert all(sorted(counters) == [1, 2] for counters in by_target.values())
 
 
 def test_large_counter_does_not_alias_the_next_block():

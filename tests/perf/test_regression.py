@@ -122,8 +122,10 @@ def _replay_recovery_crash(crash_at, eager):
     crashed peers at the moment they crash, and the final registry.
     """
     from dataclasses import replace
+    from unittest import mock
 
     from repro.experiments.dissemination import run_dissemination
+    from repro.fabric.peer import Peer
     from repro.faults.schedule import compile_fault_schedule
     from repro.scenarios.registry import get_scenario
     from repro.scenarios.runner import ScenarioRun, dissemination_config
@@ -133,6 +135,13 @@ def _replay_recovery_crash(crash_at, eager):
     spec = replace(golden, faults=(replace(crash, at=crash_at),))
     bound_at_crash = {}
     compiled = []
+    crashing = set()
+    crash_peer = Peer.crash
+
+    def crash_and_note(peer):
+        if peer.name in crashing:
+            bound_at_crash[peer.name] = peer.gossip.push._rng is not None
+        crash_peer(peer)
 
     def prepare(net):
         if eager:
@@ -140,17 +149,12 @@ def _replay_recovery_crash(crash_at, eager):
                 for purpose in ("iuc-push-targets", "recovery", "leader-initial-gossiper", "background"):
                     net.streams.stream(f"{name}:{purpose}")
         first, last = crash.regular_slice
-        for name in net.regular_peers()[first:last]:
-            peer = net.peers[name]
-
-            def crash_and_note(peer=peer, crash=peer.crash):
-                bound_at_crash[peer.name] = peer.gossip.push._rng is not None
-                crash()
-
-            peer.crash = crash_and_note  # an instance attribute: no extra event
+        crashing.update(net.regular_peers()[first:last])
         compiled.append(compile_fault_schedule(spec.faults, net))
 
-    result = run_dissemination(dissemination_config(spec, seed=1), prepare=prepare)
+    # A class-level patch (a peer is slotted): no extra event either.
+    with mock.patch.object(Peer, "crash", crash_and_note):
+        result = run_dissemination(dissemination_config(spec, seed=1), prepare=prepare)
     run = ScenarioRun(spec=spec, seed=1, result=result, faults=compiled[0])
     return run.snapshot(), bound_at_crash, result.net.streams
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import pickle
 import random
+from types import MethodType
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.simulation._core import Simulator, TrafficMonitor, make_lan_sampler
+from repro.simulation._core import Simulator, TrafficMonitor, lan_sample
 
 # ---------------------------------------------------------------------------
 # Random schedule programs
@@ -261,6 +262,6 @@ def test_latency_kernel_matches_stdlib(seed):
     reference = [base + reference_rng.lognormvariate(mu, sigma) for _ in range(32)]
 
     rng = random.Random(seed)
-    sample = make_lan_sampler(rng.random, base, mu, sigma)
+    sample = MethodType(lan_sample, (rng.random, base, mu, sigma))
     assert [sample("a", "b") for _ in range(32)] == reference
     assert rng.getstate() == reference_rng.getstate()

@@ -40,6 +40,26 @@ def test_byzantine_teasers_acceptance(seed):
     assert counters["requests_abandoned"] == 0
 
 
+def test_no_digest_liars_peer_keeps_digest_state_for_a_block_it_holds():
+    """Liars re-advertise digests they cannot serve, so honest peers queue
+    pairs and requests that only recovery resolves. Whatever path a block
+    arrives by, its queued pairs are forwarded, its waiting requests
+    served and its holder list dropped (at seed 1 the run used to end
+    with 7 unforwarded pairs, 6 unserved requests and a stale holder list)."""
+    run = run_scenario("digest-liars", seed=1)
+    assert run.snapshot()["blocks_via_recovery"] > 0
+    for peer in run.result.net.peers.values():
+        push = peer.gossip.push
+        for state in (
+            push._inflight_requests,
+            push._digest_holders,
+            push._pending_pairs,
+            push._pending_serves,
+        ):
+            held = [number for number in state or () if peer.get_block(number) is not None]
+            assert held == [], peer.name
+
+
 def test_resilience_report_shape():
     snapshot = run_scenario("flash-crowd", seed=1).snapshot()
     resilience = snapshot["resilience"]
