@@ -198,8 +198,7 @@ class Peer(Process):
     def get_block(self) -> Callable[[int], Optional[Block]]:
         """``get_block(number)``: a block this peer holds (committed or
         buffered), or None. It is the chain's own lookup, so a component
-        that binds it once (digest handling calls it once per digest) calls
-        the block dict's ``get`` with no Python frame in between."""
+        that binds it once calls it with no peer frame in between."""
         return self.blockchain.get_any
 
     @property
@@ -257,14 +256,14 @@ class Peer(Process):
         self.after(delay, self._commit, block)
 
     def _commit(self, block: Block) -> None:
+        # The chain checks sequence, linkage and data hash as it appends —
+        # once: a block it refuses raises before validation writes the
+        # world state.
+        self.blockchain.commit(block)
         if self.config.validation_mode is ValidationMode.FULL:
-            # Linkage and data hash first: a block the chain will refuse
-            # must not have written to the world state.
-            self.blockchain.check_next(block)
             result = validate_block(block, self.state, self.policy)
             if self.conflicts is not None:
                 self.conflicts.record_block_validation(self.name, result)
-        self.blockchain.commit(block)
         if self.tracker is not None:
             self.tracker.committed(block.number, self.now)
         self._validating = False

@@ -55,6 +55,11 @@ class OriginalGossipConfig:
         require_finite(self, "t_pull", positive=True)
 
 
+# The largest TTL: a peer keeps the counters it has seen with a block as one
+# 64-bit word, bit k for counter k (repro.gossip.push_infect_contagion).
+MAX_TTL = 63
+
+
 @dataclass
 class EnhancedGossipConfig:
     """The paper's enhanced module (paper §IV, §V-C).
@@ -65,7 +70,9 @@ class EnhancedGossipConfig:
     Attributes:
         fout: infect-upon-contagion fan-out.
         ttl: hop counter limit; pairs ``(block, counter)`` with
-            ``counter == ttl`` are not forwarded further.
+            ``counter == ttl`` are not forwarded further. At most
+            :data:`MAX_TTL`; ``ttl_for_target`` gives 42 at 10^5 peers,
+            f_out 2 and p_e 1e-12.
         ttl_direct: up to this counter value blocks are pushed in full
             without a preceding digest (collisions are rare early on).
         leader_fanout: how many peers the leader forwards a new block to
@@ -98,6 +105,8 @@ class EnhancedGossipConfig:
             raise ValueError("fan-outs must be positive")
         if self.ttl < 1:
             raise ValueError("ttl must be >= 1")
+        if self.ttl > MAX_TTL:
+            raise ValueError(f"ttl must be <= {MAX_TTL} (one seen-pair bit per counter)")
         if self.ttl_direct < 0 or self.ttl_direct > self.ttl:
             raise ValueError("require 0 <= ttl_direct <= ttl")
         require_finite(self, "request_timeout", "retry_backoff")

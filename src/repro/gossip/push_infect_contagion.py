@@ -45,16 +45,21 @@ probability guarantee. This component has no buffer: every new pair draws
 its own target sample as it arrives.
 
 The pairs a peer has seen are kept for the whole run — forgetting one would
-re-forward a late digest of it — as one int per block: a bitmask with bit
-``k`` set once ``(block, k)`` was seen. Counters stop at the TTL (tens at
-most), so a block's mask is one small int and one dict slot, not a heap
-int and a set slot per pair.
+re-forward a late digest of it — as one 64-bit word per block, in an
+``array('Q')`` indexed by block number: bit ``k`` is set once ``(block, k)``
+was seen. That bounds the counter domain: the TTL is at most
+:data:`MAX_TTL` (63), and a counter above the TTL, which is never
+forwarded, is not recorded either. A block the peer lacks is one
+:class:`_Missing` record, from its first digest (or early request) until it
+arrives.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.gossip.config import MAX_TTL
 from repro.gossip.messages import BlockPush, PushDigest, PushRequest
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
@@ -69,10 +74,39 @@ class _InflightRequest:
     def __init__(self, counter: int, target: str) -> None:
         self.counter = counter
         self.attempts = 0
+        # Every target asked, in order. A list, not a count of holders
+        # tried: after an abandoned ladder a later digest re-requests from
+        # its own sender, which need not be the first holder, so the
+        # targets tried are not a prefix of the holders.
         self.tried = [target]
         # Bumped on every (re-)send; a pending timer whose generation no
         # longer matches is stale and must not fire a retry.
         self.generation = 0
+
+
+class _Missing:
+    """The digest state of one block announced but not held yet, settled
+    (dropped) when the block arrives."""
+
+    __slots__ = ("holders", "pending", "request", "serves")
+
+    def __init__(self) -> None:
+        # Peers that advertised the block, in digest arrival order
+        # (deduplicated): the deterministic retry rotation.
+        self.holders: List[str] = []
+        # Counters learned via digest, to forward once the block arrives.
+        self.pending: List[int] = []
+        # The outstanding PushRequest, if any.
+        self.request: Optional[_InflightRequest] = None
+        # Requests received before we held the block: [(requester, counter)].
+        self.serves: Optional[List[Tuple[str, int]]] = None
+
+
+def _grow(seen: "array[int]", number: int) -> int:
+    """Extend the seen-pair words with zeros through ``number``; the word
+    read there (0)."""
+    seen.frombytes(bytes(seen.itemsize * (number + 1 - len(seen))))
+    return 0
 
 
 class InfectUponContagionPush:
@@ -82,7 +116,8 @@ class InfectUponContagionPush:
         host: the gossip host (peer adapter).
         view: membership view.
         fout: fan-out per first-reception of a pair.
-        ttl: stop forwarding once the outgoing counter would exceed this.
+        ttl: stop forwarding once the outgoing counter would exceed this;
+            at most :data:`MAX_TTL`.
         ttl_direct: up to this counter value blocks are pushed in full
             without a digest round-trip (collisions are rare early).
         use_digests: Fig. 11 ablation switch.
@@ -115,10 +150,7 @@ class InfectUponContagionPush:
         "_multicast",
         "_get_block",
         "_seen_pairs",
-        "_inflight_requests",
-        "_digest_holders",
-        "_pending_pairs",
-        "_pending_serves",
+        "_missing",
         "pairs_received",
         "pairs_forwarded",
         "digests_sent",
@@ -143,6 +175,8 @@ class InfectUponContagionPush:
         retry_backoff: float = 2.0,
         multicast: Optional[Callable[[List[str], object], None]] = None,
     ) -> None:
+        if ttl > MAX_TTL:
+            raise ValueError(f"ttl must be <= {MAX_TTL} (one seen-pair bit per counter)")
         self.host = host
         self.view = view
         self.fout = fout
@@ -157,20 +191,11 @@ class InfectUponContagionPush:
         # get_block runs once per digest reception — the dominant message
         # class at scale — so the host hop is resolved once here.
         self._get_block = host.get_block
-        # block number -> bitmask of the counters seen with it.
-        self._seen_pairs: Dict[int, int] = {}
-        # The digest state of blocks announced but not held yet, made at
-        # the first such digest (or request, for _pending_serves: a built
-        # peer needs none of it) and settled when the block arrives:
-        # blocks with an outstanding PushRequest: block number -> retry state;
-        self._inflight_requests: Optional[Dict[int, _InflightRequest]] = None
-        # peers that advertised the block, in digest arrival order
-        # (deduplicated) — the deterministic retry rotation;
-        self._digest_holders: Optional[Dict[int, List[str]]] = None
-        # counters learned via digest, to forward once the block arrives;
-        self._pending_pairs: Optional[Dict[int, List[int]]] = None
-        # requests received before we held the block: [(requester, counter)].
-        self._pending_serves: Optional[Dict[int, List[Tuple[str, int]]]] = None
+        # Word k: the bitmask of the counters seen with block k.
+        self._seen_pairs = array("Q")
+        # Block number -> _Missing, for blocks announced but not held; None
+        # while there are none (a built peer needs none of it).
+        self._missing: Optional[Dict[int, _Missing]] = None
         self.pairs_received = 0
         self.pairs_forwarded = 0
         self.digests_sent = 0
@@ -190,47 +215,48 @@ class InfectUponContagionPush:
         settles the block's digest state (:meth:`settle`).
         """
         number = block.number
-        inflight = self._inflight_requests
-        if inflight:
-            state = inflight.get(number)
-            if state is not None and state.attempts > 0:
+        missing = self._missing
+        if missing:
+            record = missing.get(number)
+            if record is not None and record.request is not None and record.request.attempts > 0:
                 # The block arrived after at least one retry re-targeted
                 # the request: a stall the ladder resolved without recovery.
                 self.stalls_rescued_by_retry += 1
-        seen = self._seen_pairs.get(number, 0)
+        seen = self._seen_pairs
+        mask = seen[number] if number < len(seen) else _grow(seen, number)
         bit = 1 << counter
-        is_new = not seen & bit
+        is_new = counter <= self.ttl and not mask & bit
         if is_new:
-            self._seen_pairs[number] = seen | bit
+            seen[number] = mask | bit
             self.pairs_received += 1
             self._forward(block, counter)
         self.settle(block)
         return is_new
 
     def settle(self, block: Block) -> None:
-        """``block`` is held now: drop its in-flight request and holder
-        list, forward the pairs queued while it was missing and serve the
-        requests that arrived meanwhile.
+        """``block`` is held now: drop its :class:`_Missing` record — the
+        in-flight request and holder list — forward the pairs queued while
+        it was missing and serve the requests that arrived meanwhile.
 
         Called on every reception of a pair and on every first reception
         by another path (the orderer, recovery), so no digest state
         outlives the block's arrival.
         """
-        number = block.number
-        if self._inflight_requests:
-            self._inflight_requests.pop(number, None)
-        if self._digest_holders:
-            self._digest_holders.pop(number, None)
-        pending = self._pending_pairs
-        if pending and number in pending:
-            # Queued counters were marked seen when the digest arrived but
-            # never forwarded; a counter can never be both queued and newly
-            # forwarded by on_pair, so every queued pair forwards exactly once.
-            for queued_counter in pending.pop(number):
-                self._forward(block, queued_counter)
-        serves = self._pending_serves
-        if serves and number in serves:
-            for requester, requested_counter in serves.pop(number):
+        missing = self._missing
+        if not missing:
+            return
+        record = missing.pop(block.number, None)
+        if record is None:
+            return
+        if not missing:
+            self._missing = None
+        # Queued counters were marked seen when the digest arrived but
+        # never forwarded; a counter can never be both queued and newly
+        # forwarded by on_pair, so every queued pair forwards exactly once.
+        for queued_counter in record.pending:
+            self._forward(block, queued_counter)
+        if record.serves:
+            for requester, requested_counter in record.serves:
                 self.host.send(requester, BlockPush(block, counter=requested_counter, requested=True))
                 self.full_pushes_sent += 1
 
@@ -246,29 +272,40 @@ class InfectUponContagionPush:
         number = message.block_number
         counter = message.counter
         block = self._get_block(number)
-        seen = self._seen_pairs.get(number, 0)
+        seen = self._seen_pairs
+        mask = seen[number] if number < len(seen) else _grow(seen, number)
         bit = 1 << counter
+        is_new = counter <= self.ttl and not mask & bit
         if block is not None:
-            if not seen & bit:
-                self._seen_pairs[number] = seen | bit
+            if is_new:
+                seen[number] = mask | bit
                 self.pairs_received += 1
                 self._forward(block, counter)
             return
-        if self._digest_holders is None:  # the first block we lack
-            self._digest_holders, self._inflight_requests, self._pending_pairs = {}, {}, {}
-        holders = self._digest_holders.setdefault(number, [])
+        record = self._record(number)
+        holders = record.holders
         if src not in holders:
             holders.append(src)
-        state = self._inflight_requests.get(number)
-        if state is None:
-            state = self._inflight_requests[number] = _InflightRequest(counter, src)
+        if record.request is None:
+            state = record.request = _InflightRequest(counter, src)
             self.host.send(src, PushRequest(number, counter))
             self.requests_sent += 1
             self._arm_request_timer(number, state)
-        if not seen & bit:
-            self._seen_pairs[number] = seen | bit
+        if is_new:
+            seen[number] = mask | bit
             self.pairs_received += 1
-            self._pending_pairs.setdefault(number, []).append(counter)
+            record.pending.append(counter)
+
+    def _record(self, number: int) -> _Missing:
+        """The :class:`_Missing` record of ``number``, made at its first
+        digest or early request."""
+        missing = self._missing
+        if missing is None:  # the first block we lack
+            missing = self._missing = {}
+        record = missing.get(number)
+        if record is None:
+            record = missing[number] = _Missing()
+        return record
 
     def _arm_request_timer(self, number: int, state: _InflightRequest) -> None:
         if self.request_timeout <= 0:
@@ -286,28 +323,27 @@ class InfectUponContagionPush:
         the slot: a later digest re-requests from scratch, and recovery
         remains the terminal safety net.
         """
-        state = self._inflight_requests.get(number)  # made with the timer
+        missing = self._missing
+        record = missing.get(number) if missing else None
+        state = record.request if record is not None else None
         if state is None or state.generation != generation:
             return  # resolved, superseded, or already re-armed
         if self._get_block(number) is not None:
-            del self._inflight_requests[number]
+            record.request = None
             return
         self.request_timeouts += 1
         if state.attempts >= self.request_retries:
-            del self._inflight_requests[number]
+            record.request = None
             self.requests_abandoned += 1
             return
-        holders = self._digest_holders.get(number, [])
+        # A request is made at a digest, which names its holder first.
+        holders = record.holders
         target = None
         for holder in holders:
             if holder not in state.tried:
                 target = holder
                 break
         if target is None:
-            if not holders:
-                del self._inflight_requests[number]
-                self.requests_abandoned += 1
-                return
             target = holders[state.attempts % len(holders)]
         state.attempts += 1
         state.generation += 1
@@ -319,18 +355,25 @@ class InfectUponContagionPush:
 
     def on_request(self, src: str, message: PushRequest) -> None:
         """Serve a full block requested after one of our digests."""
-        block = self._get_block(message.block_number)
+        number = message.block_number
+        block = self._get_block(number)
         if block is None:
             # We advertised the pair but are still waiting for the block
             # ourselves (possible only in pathological interleavings);
             # serve as soon as it lands rather than dropping the request.
-            serves = self._pending_serves
-            if serves is None:
-                serves = self._pending_serves = {}
-            serves.setdefault(message.block_number, []).append((src, message.counter))
+            record = self._record(number)
+            if record.serves is None:
+                record.serves = [(src, message.counter)]
+            else:
+                record.serves.append((src, message.counter))
             return
         self.host.send(src, BlockPush(block, counter=message.counter, requested=True))
         self.full_pushes_sent += 1
+
+    def missing_numbers(self) -> List[int]:
+        """The blocks this push keeps a :class:`_Missing` record for, in
+        number order (end-of-run audits: none of them may be held)."""
+        return sorted(self._missing or ())
 
     # ----- forwarding ------------------------------------------------------
 
@@ -362,4 +405,6 @@ class InfectUponContagionPush:
 
     def mark_seen(self, block_number: int, counter: int) -> None:
         """Record the pair as seen without forwarding (leader initiation)."""
-        self._seen_pairs[block_number] = self._seen_pairs.get(block_number, 0) | (1 << counter)
+        seen = self._seen_pairs
+        mask = seen[block_number] if block_number < len(seen) else _grow(seen, block_number)
+        seen[block_number] = mask | (1 << counter)

@@ -11,7 +11,7 @@ into a multi-block state lag — the effect behind the paper's Table II.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
 
@@ -23,23 +23,22 @@ class ChainError(RuntimeError):
 class Blockchain:
     """Received-block buffer + committed chain of one peer.
 
-    Every block the peer holds sits in one ``{number: block}`` dict; the
-    committed prefix is the numbers ``[0, height)``, anything above it is
-    buffered. "Do I hold block k" — asked once per received digest — is
-    therefore the dict's own ``get``, with no Python frame.
+    Every block the peer holds sits in one list indexed by block number,
+    ``None`` for a number it lacks; the committed prefix is the numbers
+    ``[0, height)``, anything held above it is buffered. Block numbers are
+    dense from 0 (they count the orderer's cuts), so the list is a slot
+    per block, not a dict entry: an arrival past the end extends it in
+    place, with holes for the numbers it skipped. "Do I hold block k" —
+    asked once per received digest — is :meth:`get_any`: a bounds test
+    and an index.
     """
 
-    __slots__ = ("_blocks", "_height", "_top", "get_any")
-
-    # Committed or buffered block, for serving gossip requests; None when
-    # the peer does not hold it. Bound to the block dict's ``get``.
-    get_any: Callable[[int], Optional[Block]]
+    __slots__ = ("_blocks", "_held", "_height")
 
     def __init__(self) -> None:
-        self._blocks: Dict[int, Block] = {}
+        self._blocks: List[Optional[Block]] = []
+        self._held = 0  # blocks held, committed or buffered
         self._height = 0
-        self._top = -1  # highest number held, committed or buffered
-        self.get_any = self._blocks.get
 
     @property
     def height(self) -> int:
@@ -56,9 +55,15 @@ class Blockchain:
             return GENESIS_PREVIOUS_HASH
         return self._blocks[self._height - 1].block_hash
 
+    def get_any(self, number: int) -> Optional[Block]:
+        """Committed or buffered block, for serving gossip requests; None
+        when the peer does not hold it."""
+        blocks = self._blocks
+        return blocks[number] if 0 <= number < len(blocks) else None
+
     def has_block(self, number: int) -> bool:
         """True if the block is committed or buffered (gossip dedup check)."""
-        return number in self._blocks
+        return self.get_any(number) is not None
 
     def get_committed(self, number: int) -> Optional[Block]:
         return self._blocks[number] if 0 <= number < self._height else None
@@ -70,15 +75,19 @@ class Blockchain:
         arrive in any order; commit order is enforced by :meth:`commit`.
         """
         number = block.number
-        if number in self._blocks:
+        blocks = self._blocks
+        if number < len(blocks) and blocks[number] is not None:
             return False
         self._hold(number, block)
         return True
 
     def _hold(self, number: int, block: Block) -> None:
-        self._blocks[number] = block
-        if number > self._top:
-            self._top = number
+        blocks = self._blocks
+        if number >= len(blocks):
+            blocks.extend([None] * (number + 1 - len(blocks)))
+        if blocks[number] is None:
+            blocks[number] = block
+            self._held += 1
 
     def peek_ready(self) -> Optional[Block]:
         """The next in-sequence block awaiting commit, if buffered.
@@ -87,7 +96,7 @@ class Blockchain:
         it keeps being advertised and served to other peers while its
         validation is in flight.
         """
-        return self._blocks.get(self._height)
+        return self.get_any(self._height)
 
     def check_next(self, block: Block) -> None:
         """Raise :class:`ChainError` unless ``block`` may be committed next.
@@ -105,14 +114,14 @@ class Blockchain:
             raise ChainError(f"block #{block.number} data hash mismatch")
 
     def commit(self, block: Block) -> None:
-        """Append a validated block to the committed chain (checked by
-        :meth:`check_next`)."""
+        """Append ``block`` to the committed chain once :meth:`check_next`
+        passes it; a refused block raises and changes nothing."""
         self.check_next(block)
         self._hold(block.number, block)
         self._height += 1
 
     def committed_blocks(self) -> List[Block]:
-        return [self._blocks[number] for number in range(self._height)]
+        return self._blocks[: self._height]
 
     def missing_ranges(self, up_to_height: int) -> List[int]:
         """Block numbers below ``up_to_height`` that this peer lacks.
@@ -120,23 +129,32 @@ class Blockchain:
         Used by the recovery component: a peer that observes another peer's
         higher ledger height requests the consecutive missing blocks.
         """
-        return [n for n in range(self._height, up_to_height) if n not in self._blocks]
+        blocks = self._blocks
+        return [
+            n for n in range(self._height, up_to_height) if n >= len(blocks) or blocks[n] is None
+        ]
 
     def pending_count(self) -> int:
-        return len(self._blocks) - self._height
+        return self._held - self._height
 
     def max_known_number(self) -> int:
         """Highest block number held (committed or buffered); -1 if none."""
-        return self._top
+        return len(self._blocks) - 1
 
     def known_numbers(self, window: int) -> List[int]:
         """Block numbers held within ``window`` of the highest known one.
 
         This is the content of a pull digest response: Fabric's message
-        store only advertises recent blocks.
+        store only advertises recent blocks. The committed part of the
+        window is a range; only the buffered tail is probed.
         """
-        top = self._top
-        return [n for n in range(max(0, top - window + 1), top + 1) if n in self._blocks]
+        top = len(self._blocks) - 1
+        low = max(0, top - window + 1)
+        height = self._height
+        blocks = self._blocks
+        return [*range(low, min(height, top + 1))] + [
+            n for n in range(max(low, height), top + 1) if blocks[n] is not None
+        ]
 
     def verify_committed_chain(self) -> bool:
         """Full-chain integrity scan (tests / audits)."""

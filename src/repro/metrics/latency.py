@@ -201,6 +201,14 @@ class DisseminationTracker:
                 latencies.append(max(0.0, row[column] - t0))
         return latencies
 
+    def received_blocks(self, peer: str) -> List[int]:
+        """The blocks ``peer`` has a first reception of, in number order
+        (with or without a t0)."""
+        column = self._columns.get(peer)
+        if column is None:
+            return []
+        return sorted(number for number, row in self._rows.items() if row[column] == row[column])
+
     def peers(self) -> List[str]:
         names = set()
         for number in self._t0:

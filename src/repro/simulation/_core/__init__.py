@@ -31,11 +31,14 @@ scheduled and dropped by reference count when it has run::
     (time, seq, callback, args)                               # schedule, schedule_at, schedule_call
     (time, seq, callback, src, message, target)               # a delivery
     (time, seq, callback, src, message, target, transfer)     # a two-phase arrival
+    (time, seq, fire, process, callback, arg[, arg])          # Process.after
 
 A delivery (pushed by :func:`fan_out` and
 :meth:`Simulator.schedule_delivery`) carries its arguments in the entry
 itself, so an in-flight message costs one tuple, not two; the run loop
-calls it as ``callback(src, message, target[, transfer])``.
+calls it as ``callback(src, message, target[, transfer])``. A process's
+one-shot rides the same six- and seven-slot path: ``fire`` is a
+module-level liveness guard that calls ``callback(arg[, arg])``.
 
 ``heapq`` compares entries with C-level tuple comparison: ``time`` first,
 then the monotonically increasing ``seq``, which is unique, so the
@@ -158,8 +161,7 @@ class Simulator:
     ) -> None:
         """Schedule ``callback(*args)`` at ``time`` with the arguments as
         one tuple: the four-slot entry, pushed with no ``*args`` packing
-        (the timer wheel arms its slots through it, ``Process.after`` its
-        one-shots)."""
+        (the timer wheel arms its slots through it)."""
         # ``not (now <= time < inf)`` is a single guard catching NaN
         # (comparisons are False), +/-inf and past times at once.
         if not (self._now <= time < _INF):
@@ -171,10 +173,12 @@ class Simulator:
             self._peak_heap = len(heap)
 
     def schedule_delivery(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fast-path schedule of ``callback(src, message, target[,
-        transfer])``, ``args`` being those three or four: the six- or
-        seven-slot delivery entry of :func:`fan_out`, for the network's
-        deliveries scheduled outside it."""
+        """Fast-path schedule of ``callback(*args)`` for exactly three or
+        four ``args``, carried in the entry itself: the six- or seven-slot
+        entry of :func:`fan_out`, for the network's deliveries
+        (``src, message, target[, transfer]``) scheduled outside it and
+        for ``Process.after``'s one-shots (``process, callback, arg[,
+        arg]``)."""
         if not (self._now <= time < _INF):
             self._reject_time(time)
         heap = self._heap

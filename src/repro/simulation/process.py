@@ -19,6 +19,22 @@ from repro.simulation.timers import PeriodicTimer
 RecurringTimer = Union[PeriodicTimer, WheelTimer]
 
 
+# The liveness guards of Process.after's flat entries, read at fire time.
+def _fire_one(process: "Process", callback: Callable[[Any], Any], arg: Any) -> None:
+    if process._alive:
+        callback(arg)
+
+
+def _fire_two(process: "Process", callback: Callable[[Any, Any], Any], a: Any, b: Any) -> None:
+    if process._alive:
+        callback(a, b)
+
+
+def _fire(process: "Process", callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+    if process._alive:
+        callback(*args)
+
+
 class Process:
     """Base class for simulated actors.
 
@@ -65,13 +81,20 @@ class Process:
 
         Like every scheduled event, it cannot be taken back: a one-shot
         that may become moot checks its own state when it fires.
+
+        The entry is flat: ``(time, seq, fire, process, callback, arg)``,
+        or ``..., a, b)`` for two arguments, on the engine's six- and
+        seven-slot path, so a pending one-shot holds no argument tuple and
+        no bound guard of its own (other arities carry their tuple).
         """
         sim = self.sim
-        sim.schedule_call(sim._now + delay, self._if_alive, (callback, args))
-
-    def _if_alive(self, callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        if self._alive:
-            callback(*args)
+        time = sim._now + delay
+        if len(args) == 1:
+            sim.schedule_delivery(time, _fire_one, self, callback, args[0])
+        elif len(args) == 2:
+            sim.schedule_delivery(time, _fire_two, self, callback, *args)
+        else:
+            sim.schedule_delivery(time, _fire, self, callback, args)
 
     def every(
         self,

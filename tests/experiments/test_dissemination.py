@@ -137,12 +137,13 @@ def _live_bytes_after_run(blocks, background):
 
 @pytest.mark.parametrize("background", [None, BackgroundTrafficConfig()])
 def test_a_run_holds_few_bytes_per_peer_and_block(background):
-    """What a run keeps grows by < 260 B per (peer, block): a bitmask of
-    seen counters and one reception cell per (peer, block) instead of a
-    heap int per seen pair and a dict entry per reception and commit
-    (~930-1,000 B), and the monitor's bytes per (node, bin) instead of a
-    receiver dict per (bin, kind, size) (~330-380 B; ~200-210 B now).
-    What is left is mostly the seen-pair mask and the chain's dict
-    entry."""
+    """What a run keeps grows by <= 120 B per (peer, block): an 8-byte
+    word of seen counters and a list slot of the chain per (peer, block)
+    instead of a dict slot and a heap int for the mask and a dict entry
+    for the chain (~192-199 B), one reception cell per (peer, block)
+    instead of a dict entry per reception and commit (~930-1,000 B
+    before that), and the monitor's bytes per (node, bin) instead of a
+    receiver dict per (bin, kind, size). It measures 92-99 B; what is
+    left is mostly the monitor's rows, the tracker and the blocks."""
     grown = _live_bytes_after_run(30, background) - _live_bytes_after_run(10, background)
-    assert grown / (100 * 20) < 260
+    assert grown / (100 * 20) <= 120

@@ -247,6 +247,31 @@ def test_full_validation_counts_conflicts(sim, network, streams):
     assert peer.conflicts.valid_transactions == 1
 
 
+@pytest.mark.parametrize("mode", list(ValidationMode))
+def test_a_commit_checks_the_block_once(sim, network, streams, mode):
+    """Sequence, linkage and data hash are checked once per commit, in
+    every validation mode: before the state write, not again after it."""
+    from unittest import mock
+
+    from repro.ledger.chain import Blockchain
+
+    checked = []
+    check_next = Blockchain.check_next
+
+    def counting(chain, block):
+        checked.append(block.number)
+        check_next(chain, block)
+
+    config = PeerConfig(per_tx_validation_time=0.0, validation_mode=mode)
+    peer = build_peer(sim, network, streams, config=config)
+    with mock.patch.object(Blockchain, "check_next", counting):
+        for block in reversed(make_chain([1, 1, 1])):
+            peer.deliver_block(block, "push")
+        sim.run(until=1.0)
+    assert peer.ledger_height == 3
+    assert checked == [0, 1, 2]
+
+
 def test_refused_block_leaves_the_world_state_untouched(sim, network, streams):
     """A block the chain refuses (tampered, mis-linked, out of order) must
     not have been validated into the state first."""

@@ -1,5 +1,8 @@
 """Unit tests for the enhanced infect-upon-contagion push component."""
 
+import pytest
+
+from repro.gossip.config import EnhancedGossipConfig
 from repro.gossip.messages import BlockPush, PushDigest, PushRequest
 from repro.gossip.push_infect_contagion import InfectUponContagionPush
 
@@ -145,17 +148,31 @@ def test_digest_with_block_held_behaves_like_pair():
     assert not any(isinstance(msg, PushRequest) for _, msg in host.sent)
 
 
-def test_large_counter_does_not_alias_the_next_block():
-    """Nothing caps the TTL, so a counter may exceed any fixed bit budget:
-    (b, 2**20 + c) and (b + 1, c) are different pairs."""
-    host, push = make_push(fout=2, ttl=2**21, ttl_direct=2**21)
+def test_counter_domain_is_one_word_per_block():
+    """A TTL above 63 is refused, by the config and by the push; a counter
+    above the TTL records no pair; and (b, 63) and (b + 1, 0) are distinct
+    pairs, each one bit of its own block's word."""
+    with pytest.raises(ValueError, match="ttl must be <= 63"):
+        EnhancedGossipConfig(ttl=64)
+    with pytest.raises(ValueError, match="ttl must be <= 63"):
+        make_push(ttl=64, ttl_direct=2)
+    host, push = make_push(fout=2, ttl=63, ttl_direct=2)
     first, second = make_chain([1, 1])
     host.deliver_block(first, "push")
     host.deliver_block(second, "push")
-    assert push.on_pair(first, 2**20 + 3)
-    assert push.on_pair(second, 3)
-    assert not push.on_pair(first, 2**20 + 3)
+    assert push.on_pair(first, 63)
+    assert push.on_pair(second, 0)
+    assert not push.on_pair(first, 63)
+    assert list(push._seen_pairs) == [1 << 63, 1]
     assert push.pairs_received == 2
+
+    host, push = make_push(fout=2, ttl=9, ttl_direct=2)
+    host.deliver_block(first, "push")
+    host.sent.clear()
+    assert not push.on_pair(first, 10)
+    push.on_digest("p3", PushDigest(0, first.block_hash, counter=12))
+    assert push.pairs_received == 0 and host.sent == []
+    assert list(push._seen_pairs) == [0]
 
 
 def test_counters_statistics():

@@ -75,11 +75,12 @@ def test_abandon_after_retry_budget_releases_the_slot():
     host.run(until=5.0)  # retry at 0.5, abandonment at 1.5
     assert push.requests_retried == 1
     assert push.requests_abandoned == 1
-    assert push._inflight_requests == {}
-    # A later digest re-opens the slot from scratch.
+    record = push._missing[0]
+    assert record.request is None and record.holders == ["p3", "p4"]
+    # A later digest re-opens the slot from scratch, asking its own sender.
     push.on_digest("p5", PushDigest(0, "a" * 64, counter=4))
     assert requests_to(host)[-1][0] == "p5"
-    assert 0 in push._inflight_requests
+    assert record.request.tried == ["p5"]
 
 
 def test_arrival_after_retry_counts_as_rescue():
@@ -90,7 +91,7 @@ def test_arrival_after_retry_counts_as_rescue():
     host.deliver_block(block, "push")
     push.on_pair(block, 3)
     assert push.stalls_rescued_by_retry == 1
-    assert push._inflight_requests == {}
+    assert push._missing is None
 
 
 def test_prompt_arrival_is_not_a_rescue():
@@ -113,7 +114,7 @@ def test_stale_generation_timer_is_a_noop():
     push.on_digest("p4", PushDigest(0, "a" * 64, counter=3))
     host.run(until=0.6)
     assert push.requests_retried == 1
-    state = push._inflight_requests[0]
+    state = push._missing[0].request
     # Firing the old generation by hand changes nothing.
     push._on_request_timeout(0, state.generation - 1)
     assert push.requests_retried == 1

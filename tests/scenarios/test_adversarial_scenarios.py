@@ -49,15 +49,9 @@ def test_no_digest_liars_peer_keeps_digest_state_for_a_block_it_holds():
     run = run_scenario("digest-liars", seed=1)
     assert run.snapshot()["blocks_via_recovery"] > 0
     for peer in run.result.net.peers.values():
-        push = peer.gossip.push
-        for state in (
-            push._inflight_requests,
-            push._digest_holders,
-            push._pending_pairs,
-            push._pending_serves,
-        ):
-            held = [number for number in state or () if peer.get_block(number) is not None]
-            assert held == [], peer.name
+        missing = peer.gossip.push._missing or {}
+        held = [number for number in missing if peer.get_block(number) is not None]
+        assert held == [], peer.name
 
 
 def test_resilience_report_shape():

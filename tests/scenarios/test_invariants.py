@@ -1,0 +1,29 @@
+"""End-of-run invariants on every registered scenario at its first seed."""
+
+import pytest
+
+from repro.gossip.push_infect_contagion import _Missing
+from repro.ledger.block import Block
+from repro.scenarios import get_scenario, run_scenario, scenario_names
+from repro.scenarios.invariants import violations
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_a_registered_scenario_ends_with_every_invariant_holding(name):
+    run = run_scenario(name, seed=get_scenario(name).seeds[0])
+    assert violations(run) == []
+
+
+def test_each_violation_names_the_peer():
+    """Both invariants are live: a digest record kept for a held block
+    and a block held without a first reception are each reported."""
+    run = run_scenario("digest-liars", seed=1)
+    peer = next(peer for peer in run.result.net.peers.values() if peer.get_block(0))
+    peer.gossip.push._missing = {0: _Missing()}
+    extra = peer.blockchain.max_known_number() + 3
+    peer.blockchain.receive(Block.create(extra, "0" * 64, []))  # behind the tracker's back
+    assert violations(run) == [
+        f"{peer.name} holds blocks {[*range(extra - 2), extra]} but first received "
+        f"{[*range(extra - 2)]}",
+        f"{peer.name} keeps digest state for blocks it holds: [0]",
+    ]

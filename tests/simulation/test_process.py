@@ -28,10 +28,24 @@ def test_after_runs_callback(sim, streams):
     process = make_process(sim, streams)
     fired = []
     assert process.after(1.0, fired.append, "x") is None  # not cancellable
-    ((time, _, _, _),) = sim._heap  # one handle-free entry, no closure
-    assert time == 1.0
+    # One flat, handle-free entry: the process, the callback and its
+    # argument sit in it, with no argument tuple and no bound guard.
+    ((time, _, fire, owner, callback, arg),) = sim._heap
+    assert (time, owner, callback, arg) == (1.0, process, fired.append, "x")
+    assert not hasattr(fire, "__self__")  # a module function, not a bound method
     sim.run()
     assert fired == ["x"]
+
+
+def test_after_entries_are_flat_for_every_arity(sim, streams):
+    process = make_process(sim, streams)
+    fired = []
+    process.after(1.0, lambda: fired.append(()))
+    process.after(2.0, lambda a, b: fired.append((a, b)), "a", "b")
+    process.after(3.0, lambda *args: fired.append(args), 1, 2, 3)
+    assert sorted(len(entry) for entry in sim._heap) == [6, 6, 7]
+    sim.run()
+    assert fired == [(), ("a", "b"), (1, 2, 3)]
 
 
 def test_after_skipped_when_dead(sim, streams):
