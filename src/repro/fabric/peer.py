@@ -10,6 +10,7 @@ plug in unchanged.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
 from repro.crypto.identity import Identity
@@ -43,6 +44,19 @@ _VIA_COUNTER = {
 }
 
 
+@lru_cache(maxsize=None)
+def route_table(module_class: type, peer_class: type) -> dict:
+    """The routes of every peer of ``peer_class`` running ``module_class``:
+    ``{message class: (index, function)}`` over a peer's route tuple
+    ``(table, peer, *module.components())``. Built once per pair of
+    classes and shared by reference, so it is never written to: a peer
+    that routes differently holds its own copy (:attr:`Peer.route_table`)."""
+    table = {cls: (index + 2, fn) for cls, (index, fn) in module_class.ROUTES.items()}
+    table[OrdererBlock] = (1, peer_class._on_orderer_block)
+    table[EndorsementRequest] = (1, peer_class._on_endorsement_request)
+    return table
+
+
 class Peer(Process):
     """One Fabric peer (possibly the org leader and/or an endorser)."""
 
@@ -67,7 +81,7 @@ class Peer(Process):
         "_via_push",
         "_via_pull",
         "_via_recovery",
-        "_dispatch_all",
+        "_routes",
     )
 
     def __init__(
@@ -107,11 +121,11 @@ class Peer(Process):
         self._via_push = 0
         self._via_pull = 0
         self._via_recovery = 0
-        # Exact-type dispatch table: the gossip module's own table, completed
-        # with the peer-level message types. While the peer is alive the
-        # network holds it (Network.set_dispatch) and calls the handlers
-        # directly. None until a gossip module is attached.
-        self._dispatch_all: Optional[dict] = None
+        # (route table, self, *gossip components): the class's shared
+        # table and the objects its indices address. While the peer is
+        # alive the network holds it (Network.set_routes) and calls the
+        # handlers directly. None until a gossip module is attached.
+        self._routes: Optional[tuple] = None
         network.register(self.name, self._on_message)
 
     # ----- wiring ----------------------------------------------------------
@@ -120,21 +134,33 @@ class Peer(Process):
         """Install a gossip module built by ``factory(self, view)``."""
         if self.gossip is not None:
             raise RuntimeError(f"{self.name} already has a gossip module")
-        self.gossip = factory(self, self.view)
-        # The module's own table, completed with the peer-level message
-        # types: one dict per peer.
-        table = self.gossip._dispatch
-        table[OrdererBlock] = self._on_orderer_block
-        table[EndorsementRequest] = self._on_endorsement_request
-        self._dispatch_all = table
-        self._publish_dispatch()
+        gossip = self.gossip = factory(self, self.view)
+        table = route_table(type(gossip), type(self))
+        self._routes = (table, self) + gossip.components()
+        self._publish_routes()
 
-    def _publish_dispatch(self) -> None:
-        """Hand the network the dispatch table, by reference (the fault
-        layer rewrites entries in place). A subclass that overrides
-        ``_on_message`` keeps every delivery for itself."""
-        if self._dispatch_all is not None and type(self)._on_message is Peer._on_message:
-            self.network.set_dispatch(self.name, self._dispatch_all)
+    @property
+    def route_table(self) -> Optional[dict]:
+        """The table this peer's deliveries take, None without gossip.
+        Assign a copy of it with some routes replaced (same indices) to
+        rewire every delivery path of this peer alone, as the fault layer
+        does."""
+        return None if self._routes is None else self._routes[0]
+
+    @route_table.setter
+    def route_table(self, table: dict) -> None:
+        self._routes = (table,) + self._routes[1:]
+        self._publish_routes()
+
+    def _publish_routes(self) -> None:
+        """Hand a live peer's routes to the network. A subclass that
+        overrides ``_on_message`` keeps every delivery for itself."""
+        if (
+            self._alive
+            and self._routes is not None
+            and type(self)._on_message is Peer._on_message
+        ):
+            self.network.set_routes(self.name, self._routes)
 
     def attach_background(self, config: BackgroundTrafficConfig) -> None:
         self.background = BackgroundTraffic(self, self.view, config)
@@ -211,15 +237,17 @@ class Peer(Process):
     # ----- message dispatch --------------------------------------------------
 
     def _on_message(self, src: str, message: Message) -> None:
-        """The registered handler, behind the table the network probes: it
+        """The registered handler, behind the routes the network probes: it
         hears what a live peer's table does not hold (ignored) and, as the
-        table is withdrawn while the peer is dead, every delivery to a dead
-        but connected peer (ignored too). A subclass that overrides this
-        method keeps its table to itself and hears everything here."""
-        if self._alive and self._dispatch_all is not None:
-            handler = self._dispatch_all.get(type(message))
-            if handler is not None:
-                handler(src, message)
+        routes are withdrawn while the peer is dead, every delivery to a
+        dead but connected peer (ignored too). A subclass that overrides
+        this method keeps its routes to itself and hears everything here."""
+        routes = self._routes
+        if self._alive and routes is not None:
+            route = routes[0].get(type(message))
+            if route is not None:
+                index, handler = route
+                handler(routes[index], src, message)
 
     def _on_orderer_block(self, src: str, message: OrdererBlock) -> None:
         # Only the org's static leader hears the orderer (its org_leaders).
@@ -272,15 +300,15 @@ class Peer(Process):
     # ----- faults -------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop timers, mark the peer dead and withdraw its dispatch table:
-        a dead but still connected peer (churn leave) hears nothing, and
-        the per-message path needs no liveness test."""
+        """Stop timers, mark the peer dead and withdraw its routes: a dead
+        but still connected peer (churn leave) hears nothing, and the
+        per-message path needs no liveness test."""
         super().shutdown()
-        self.network.set_dispatch(self.name, None)
+        self.network.set_routes(self.name, None)
 
     def restart(self) -> None:
         super().restart()
-        self._publish_dispatch()
+        self._publish_routes()
 
     def crash(self) -> None:
         """Crash the peer: stop timers, drop in-flight work, disconnect."""

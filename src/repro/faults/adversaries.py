@@ -126,29 +126,32 @@ class DigestLiarFault(DropFault):
     stop = DropFault.deactivate
 
     def _rewire(self, peer) -> None:
-        """Replace one liar peer's digest handler with the lying version."""
-        module = peer.gossip
-        honest = getattr(module, "_dispatch", {}).get(PushDigest)
-        if honest is None:
+        """Give one liar peer its own route table, the lying digest handler
+        in place of the honest one: a liar costs one table, an honest peer
+        none."""
+        table = peer.route_table
+        route = None if table is None else table.get(PushDigest)
+        if route is None:
             raise ValueError(
                 f"{peer.name} runs a gossip module without push digests; "
                 "digest liars need the enhanced module"
             )
+        index, honest = route
         rng = self._rng_for(peer.name)
         view = peer.view
 
-        def lying_on_digest(src: str, message: PushDigest) -> None:
+        def lying_on_digest(push, src: str, message: PushDigest) -> None:
             if not self._active:
-                honest(src, message)
+                honest(push, src, message)
                 return
             self.lies_told += 1
             targets = view.sample_org(rng, self.lie_fanout)
             if targets:
                 peer.multicast(targets, message)
 
-        # The module's table is the peer's one dispatch table, which the
-        # network holds by reference: one write rewires every path.
-        module._dispatch[PushDigest] = lying_on_digest
+        # The peer hands its routes to the network, and its _on_message and
+        # restart read them: one assignment rewires every path.
+        peer.route_table = {**table, PushDigest: (index, lying_on_digest)}
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:
         if (

@@ -12,7 +12,7 @@ switch.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.ledger.block import Block
 from repro.net.message import Message
@@ -74,12 +74,14 @@ class GossipModule:
 
     # One module per peer: every class down to the components it holds is
     # slotted, so a peer costs its protocol state and no instance dicts.
-    __slots__ = ("host", "view", "_multicast", "_started", "_dispatch")
+    __slots__ = ("host", "view", "_multicast", "_started")
 
-    #: ``{message class: handler(src, message)}``, filled by the subclass.
-    #: The hosting peer completes it with its own message classes and hands
-    #: it to the network (:meth:`repro.fabric.peer.Peer.attach_gossip`).
-    _dispatch: Dict[type, Callable[[str, Message], None]]
+    #: ``{message class: (component index, function)}``, one table per
+    #: module class: ``function(components()[index], src, message)``
+    #: handles a message of exactly that class. A module holds no table of
+    #: its own; the hosting peer builds one per class from this one and
+    #: hands the network its components (:meth:`repro.fabric.peer.Peer.attach_gossip`).
+    ROUTES: Dict[type, Tuple[int, Callable]]
 
     def __init__(self, host: GossipHost, view: OrganizationView) -> None:
         self.host = host
@@ -105,15 +107,22 @@ class GossipModule:
         service."""
         raise NotImplementedError
 
+    def components(self) -> tuple:
+        """The objects :attr:`ROUTES` addresses, by index."""
+        raise NotImplementedError
+
     def handle(self, src: str, message: Message) -> bool:
-        """Process an incoming gossip message through the dispatch table.
+        """Process an incoming gossip message through the class's routes
+        (the module on its own: a peer's deliveries take the peer's
+        routes, :meth:`repro.fabric.peer.Peer._on_message`).
 
         Returns True if the message type was recognized and consumed.
         """
-        handler = self._dispatch.get(type(message))
-        if handler is None:
+        route = self.ROUTES.get(type(message))
+        if route is None:
             return False
-        handler(src, message)
+        index, handler = route
+        handler(self.components()[index], src, message)
         return True
 
     # ----- helpers shared by both modules ------------------------------

@@ -66,16 +66,9 @@ class EnhancedGossip(GossipModule):
             multicast=self._multicast,
         )
         self._rng = None  # bound by first_draw
-        # Exact-type dispatch table: one dict probe per message instead of
-        # an isinstance chain (message classes are final by convention).
-        self._dispatch = {
-            BlockPush: self._on_block_push,
-            PushDigest: self.push.on_digest,
-            PushRequest: self.push.on_request,
-            StateInfo: self.recovery.on_state_info,
-            RecoveryRequest: self.recovery.on_recovery_request,
-            RecoveryResponse: self.recovery.on_recovery_response,
-        }
+
+    def components(self) -> tuple:
+        return (self, self.push, self.recovery)
 
     def _start_components(self) -> None:
         self.recovery.start()
@@ -110,3 +103,15 @@ class EnhancedGossip(GossipModule):
             return False
         self.push.settle(block)
         return True
+
+    # Exact-type routes over components(): one dict probe per message
+    # instead of an isinstance chain (message classes are final by
+    # convention).
+    ROUTES = {
+        BlockPush: (0, _on_block_push),
+        PushDigest: (1, InfectUponContagionPush.on_digest),
+        PushRequest: (1, InfectUponContagionPush.on_request),
+        StateInfo: (2, RecoveryComponent.on_state_info),
+        RecoveryRequest: (2, RecoveryComponent.on_recovery_request),
+        RecoveryResponse: (2, RecoveryComponent.on_recovery_response),
+    }

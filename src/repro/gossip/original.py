@@ -63,17 +63,8 @@ class OriginalGossip(GossipModule):
             multicast=self._multicast,
         )
 
-        # Exact-type dispatch table; see GossipModule._dispatch.
-        self._dispatch = {
-            BlockPush: self._on_block_push,
-            PullDigestRequest: lambda src, message: self.pull.on_digest_request(src),
-            PullDigestResponse: self.pull.on_digest_response,
-            PullBlockRequest: self.pull.on_block_request,
-            PullBlockResponse: self.pull.on_block_response,
-            StateInfo: self.recovery.on_state_info,
-            RecoveryRequest: self.recovery.on_recovery_request,
-            RecoveryResponse: self.recovery.on_recovery_response,
-        }
+    def components(self) -> tuple:
+        return (self, self.push, self.pull, self.recovery)
 
     def _start_components(self) -> None:
         if self.config.fin > 0:
@@ -87,3 +78,15 @@ class OriginalGossip(GossipModule):
     def _on_block_push(self, src: str, message: BlockPush) -> None:
         if self._deliver(message.block, via="push"):
             self.push.on_first_reception(message.block)
+
+    # Exact-type routes over components(); see GossipModule.ROUTES.
+    ROUTES = {
+        BlockPush: (0, _on_block_push),
+        PullDigestRequest: (2, PullComponent.on_digest_request),
+        PullDigestResponse: (2, PullComponent.on_digest_response),
+        PullBlockRequest: (2, PullComponent.on_block_request),
+        PullBlockResponse: (2, PullComponent.on_block_response),
+        StateInfo: (3, RecoveryComponent.on_state_info),
+        RecoveryRequest: (3, RecoveryComponent.on_recovery_request),
+        RecoveryResponse: (3, RecoveryComponent.on_recovery_response),
+    }

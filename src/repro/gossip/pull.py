@@ -99,7 +99,7 @@ class PullComponent:
 
     # ----- responder side ---------------------------------------------
 
-    def on_digest_request(self, src: str) -> None:
+    def on_digest_request(self, src: str, message: PullDigestRequest) -> None:
         numbers = self.host.known_block_numbers(self.digest_window)
         self.host.send(src, PullDigestResponse(numbers))
 

@@ -12,10 +12,14 @@ Delivery time of a message from A to B decomposes as:
 * **downlink serialization** at B, modelling receive-side contention when
   many peers push the same block to one target.
 
-Nodes register a handler and may hand the network a ``{message class:
-handler}`` table that deliveries probe first (:meth:`Network.set_dispatch`);
-the fault layer can additionally drop messages or disconnect nodes. All
-traffic is accounted in the :class:`TrafficMonitor`.
+Nodes register a handler and may hand the network their *routes*, a
+tuple ``(table, *components)`` whose ``{message class: (index,
+function)}`` table deliveries probe first (:meth:`Network.set_routes`).
+There is one table per protocol class, shared by every peer of that
+class; only a digest liar holds a copy of its own
+(:mod:`repro.faults.adversaries`). The fault layer can additionally drop
+messages or disconnect nodes. All traffic is accounted in the
+:class:`TrafficMonitor`.
 
 One kernel, three entry points
 ------------------------------
@@ -153,10 +157,9 @@ class Network:
             raise ValueError("bandwidth must be positive")
         self._streams = streams
         self._handlers: Dict[str, Handler] = {}
-        # Per-node {message class: handler} tables (set_dispatch): a
-        # delivery probes the destination's table by exact class and falls
-        # back to the registered handler.
-        self._dispatch: Dict[str, Dict[type, Handler]] = {}
+        # Per-node routes (set_routes): a delivery probes the destination's
+        # table by exact class and falls back to the registered handler.
+        self._routes: Dict[str, tuple] = {}
         self._downlink_free_at: Dict[str, float] = {}
         self._disconnected: Dict[str, bool] = {}
         # Count of currently disconnected nodes: lets every send skip the
@@ -214,21 +217,21 @@ class Network:
         # comparison in the common case.
         self._handlers[sys.intern(name)] = handler
 
-    def set_dispatch(self, name: str, table: Optional[Dict[type, Handler]]) -> None:
-        """Give node ``name`` a ``{message class: handler}`` table, or
-        withdraw it with ``None``.
+    def set_routes(self, name: str, routes: Optional[tuple]) -> None:
+        """Give node ``name`` its routes, or withdraw them with ``None``.
 
-        A delivery looks the message's exact class up in the destination's
-        table and calls that handler directly; on a miss, or for a node
-        without a table, it calls the registered handler. The table is
-        held by reference, so its owner may rewrite entries in place.
+        ``routes`` is ``(table, *components)``, the table mapping a message
+        class to ``(index, function)``. A delivery looks the message's
+        exact class up in the destination's table and calls
+        ``function(routes[index], src, message)``; on a miss, or for a node
+        without routes, it calls the registered handler.
         """
         if name not in self._handlers:
             raise ValueError(f"unknown node {name!r}")
-        if table is None:
-            self._dispatch.pop(name, None)
+        if routes is None:
+            self._routes.pop(name, None)
         else:
-            self._dispatch[name] = table
+            self._routes[name] = routes
 
     def __contains__(self, name: str) -> bool:
         """Whether ``name`` is a registered node."""
@@ -467,11 +470,12 @@ class Network:
         if self._n_disconnected and self._disconnected.get(target):
             self.dropped_messages += 1
             return
-        table = self._dispatch.get(target)
-        if table is not None:
-            handler = table.get(message.__class__)
-            if handler is not None:
-                handler(src, message)
+        routes = self._routes.get(target)
+        if routes is not None:
+            route = routes[0].get(message.__class__)
+            if route is not None:
+                index, handler = route
+                handler(routes[index], src, message)
                 return
         handler = self._handlers.get(target)
         if handler is None:

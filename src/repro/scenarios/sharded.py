@@ -6,7 +6,6 @@ determinism argument and the failure modes are in ``docs/sharding.md``.
 
 from __future__ import annotations
 
-import multiprocessing
 import time as _time
 import traceback
 from dataclasses import dataclass, field
@@ -808,6 +807,10 @@ def _run_sharded_attempt(
             ]
             built()
             return _drive_attempt(transports, spec, seed, plan, full, health)
+    # Imported where a process starts, so a single-process run never loads
+    # it (0.6 MB of peak RSS on top of `import repro`, CPython 3.11).
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     transports = []

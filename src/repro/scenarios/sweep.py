@@ -30,7 +30,6 @@ which must stay byte-comparable across worker counts.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -279,6 +278,8 @@ class SweepRunner:
                 else:
                     failures[seed] = error
         else:
+            import multiprocessing  # where the pool starts; see sharded.py
+
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(
                 "fork" if "fork" in methods else methods[0]

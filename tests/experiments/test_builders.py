@@ -116,20 +116,51 @@ def test_a_built_peer_holds_no_rng_state():
     built peer holds its protocol state and little else: slotted objects,
     containers made at their first use and views with no per-view
     callable (18.4 KB per peer at 500 peers with one Mersenne-Twister
-    state per component; 4.6 KB with dict-backed objects; ~3.0 KB now)."""
+    state per component; 4.6 KB with dict-backed objects; 3.0 KB with a
+    private dispatch dict per peer; ~2.2 KB now)."""
     net, per_peer = _built_bytes_per_peer(
         EnhancedGossipConfig.paper_f4(), background=BackgroundTrafficConfig()
     )
     assert _peer_streams(net) == []
-    assert per_peer <= 3200
+    assert per_peer <= 2400
 
 
 def test_a_built_original_peer_costs_its_protocol_state():
     """The original module's push, pull and recovery are slotted too
-    (4.8 KB per peer at 500 peers with dict-backed objects; ~3.1 KB now)."""
+    (4.8 KB per peer at 500 peers with dict-backed objects; 3.0 KB with a
+    private dispatch dict per peer; ~1.9 KB now)."""
     net, per_peer = _built_bytes_per_peer(OriginalGossipConfig())
     assert _peer_streams(net) == []
-    assert per_peer <= 3400
+    assert per_peer <= 2200
+
+
+@pytest.mark.parametrize(
+    "gossip, bound",
+    [(EnhancedGossipConfig.paper_f4(), 150), (OriginalGossipConfig(), 160)],
+    ids=["enhanced", "original"],
+)
+def test_a_built_peers_routing_is_its_route_tuple_and_registered_handler(gossip, bound):
+    """What a peer holds only to be routed to: its route tuple ``(table,
+    peer, *components)``, which the network holds too, and the bound
+    ``_on_message`` registered as its fallback. The table is its class's,
+    shared (928 B per enhanced peer with a private ``{class: bound method}``
+    dict: 352 B of dict and nine bound methods; 144 B now, 152 B for the
+    original module's one more component)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = build_network(n_peers=500, gossip=gossip, seed=1)
+        gc.collect()  # empties the free lists: the freed tuples must leave them
+        before = tracemalloc.get_traced_memory()[0]
+        for name, peer in net.peers.items():
+            net.network.set_routes(name, None)
+            peer._routes = None
+            del net.network._handlers[name]
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < freed / net.n_peers <= bound
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
-"""How a delivery finds its handler: the network's per-node class table,
-the registered ``Peer._on_message`` behind it (the same table, behind a
-liveness test), and what a peer's lifecycle does to both. Behaviour only:
-every test sends through ``Network.send`` and looks at what the peer did."""
+"""How a delivery finds its handler: the network's per-node routes (one
+class table per protocol class, shared by its peers, and the components
+it addresses), the registered ``Peer._on_message`` behind them (the same
+routes, behind a liveness test), and what a peer's lifecycle does to both.
+Behaviour first: most tests send through ``Network.send`` and look at what
+the peer did."""
 
 import pytest
 
 from repro.experiments.builders import build_network
 from repro.fabric.messages import EndorsementRequest, OrdererBlock
-from repro.fabric.peer import Peer
+from repro.fabric.peer import Peer, route_table
 from repro.faults.adversaries import DigestLiarFault
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
 from repro.gossip.enhanced import EnhancedGossip
@@ -53,16 +55,22 @@ def one_of_each(block):
 def test_network_delivery_reaches_the_handler_on_message_picks(gossip):
     net = build_network(n_peers=4, gossip=gossip, seed=3)
     peer = net.peers["peer-2"]
-    table = peer._dispatch_all
-    messages = [m for m in one_of_each(make_chain([1])[0]) if type(m) in table]
-    assert {type(m) for m in messages} == set(table), "extend one_of_each()"
+    shared = peer.route_table
+    messages = [m for m in one_of_each(make_chain([1])[0]) if type(m) in shared]
+    assert {type(m) for m in messages} == set(shared), "extend one_of_each()"
     calls = []
-    for message_class, handler in list(table.items()):
-        # Rewritten in place, as the fault layer does: the table the
-        # network holds is this very dict.
-        table[message_class] = lambda src, message, handler=handler: calls.append(
-            (handler, src, message)
+    # The peer's own copy, every route replaced, as the fault layer does:
+    # the shared table stays with the other peers.
+    peer.route_table = {
+        message_class: (
+            index,
+            lambda component, src, message, handler=handler: calls.append(
+                (handler, component, src, message)
+            ),
         )
+        for message_class, (index, handler) in shared.items()
+    }
+    assert net.peers["peer-1"].route_table is shared
     for message in messages:
         net.network.send("peer-1", "peer-2", message)
     net.sim.run(until=1.0)
@@ -70,22 +78,43 @@ def test_network_delivery_reaches_the_handler_on_message_picks(gossip):
     for message in messages:
         peer._on_message("peer-1", message)
     assert len(through_network) == len(messages)
-    key = lambda call: type(call[2]).__name__  # noqa: E731 - arrival order differs by size
+    key = lambda call: type(call[3]).__name__  # noqa: E731 - arrival order differs by size
     assert sorted(through_network, key=key) == sorted(calls, key=key)
 
 
 @pytest.mark.parametrize(
     "gossip", [EnhancedGossipConfig.paper_f4(), OriginalGossipConfig()], ids=["enhanced", "original"]
 )
-def test_a_peer_holds_one_dispatch_table(gossip):
-    """The module's own table, completed with the two peer-level
-    classes, is the table the peer probes and the network holds."""
+def test_the_peers_of_a_protocol_class_share_one_route_table(gossip):
+    """The module class's routes, shifted past the table and the peer and
+    completed with the two peer-level classes, are one table that every
+    peer of the class probes and the network holds; a peer's own part is
+    the tuple of components the table addresses."""
     net = build_network(n_peers=4, gossip=gossip, seed=3)
-    peer = net.peers["peer-2"]
-    table = peer.gossip._dispatch
-    assert peer._dispatch_all is table and net.network._dispatch["peer-2"] is table
-    assert {OrdererBlock, EndorsementRequest} <= set(table)
-    assert table[EndorsementRequest] == peer._on_endorsement_request
+    table = route_table(type(net.peers["peer-0"].gossip), Peer)
+    for name, peer in net.peers.items():
+        assert peer.route_table is table
+        routes = net.network._routes[name]
+        assert routes == (table, peer, *peer.gossip.components())
+        assert routes[table[EndorsementRequest][0]] is peer
+    assert table[EndorsementRequest] == (1, Peer._on_endorsement_request)
+    assert {OrdererBlock, EndorsementRequest} | set(type(peer.gossip).ROUTES) == set(table)
+
+
+def _tables(net):
+    return {id(routes[0]) for routes in net.network._routes.values()}
+
+
+def test_a_thousand_peers_hold_one_table_per_protocol_class_and_one_per_liar():
+    original = build_network(n_peers=1000, gossip=OriginalGossipConfig(), seed=1)
+    assert len(original.network._routes) == 1000 and len(_tables(original)) == 1
+    enhanced = build_network(n_peers=1000, gossip=EnhancedGossipConfig.paper_f4(), seed=1)
+    assert len(_tables(enhanced)) == 1
+    liars = ["peer-3", "peer-500", "peer-999"]
+    DigestLiarFault(enhanced.network, enhanced.peers, liars, enhanced.streams)
+    assert len(_tables(enhanced)) == 1 + len(liars)
+    shared = route_table(EnhancedGossip, Peer)
+    assert [name for name, peer in enhanced.peers.items() if peer.route_table is not shared] == liars
 
 
 def make_peer(sim, network, streams, cls=Peer, name="peer-0"):
@@ -116,7 +145,7 @@ def test_a_subclass_of_a_table_class_is_not_dispatched():
     class WrappedOrdererBlock(OrdererBlock):
         __slots__ = ()
 
-    assert WrappedOrdererBlock not in leader._dispatch_all
+    assert WrappedOrdererBlock not in leader.route_table
     net.network.send(other, leader.name, WrappedOrdererBlock(make_chain([1])[0]))
     net.sim.run(until=1.0)
     assert leader.blocks_received_via["orderer"] == 0
@@ -127,7 +156,7 @@ def test_a_subclass_of_a_table_class_is_not_dispatched():
 def test_a_peer_without_gossip_ignores_what_it_hears(sim, network, streams):
     peer = make_peer(sim, network, streams)
     network.register("peer-1", lambda src, message: None)
-    assert peer._dispatch_all is None
+    assert peer.route_table is None
     block = make_chain([1])[0]
     for message in one_of_each(block):
         network.send("peer-1", "peer-0", message)
@@ -155,7 +184,7 @@ def test_subclass_overriding_on_message_sees_every_message(sim, network, streams
 
     peer = enhanced_peer(sim, network, streams, cls=Tap)
     block = make_chain([1])[0]
-    messages = [m for m in one_of_each(block) if type(m) in peer._dispatch_all] + [RawMessage(10)]
+    messages = [m for m in one_of_each(block) if type(m) in peer.route_table] + [RawMessage(10)]
     for message in messages:
         network.send("peer-1", "peer-0", message)
     sim.run(until=1.0)
@@ -163,7 +192,7 @@ def test_subclass_overriding_on_message_sees_every_message(sim, network, streams
     assert sorted(seen, key=by_name) == sorted((type(m) for m in messages), key=by_name)
     assert peer.gossip.push.pairs_received == 1  # and super() dispatched: push and digest are one pair
     peer.crash()
-    peer.recover()  # a lifecycle round trip must not hand the table over either
+    peer.recover()  # a lifecycle round trip must not hand the routes over either
     network.send("peer-1", "peer-0", PushDigest(0, block.block_hash, 2))
     sim.run(until=2.0)
     assert seen[-1] is PushDigest and len(seen) == len(messages) + 1
@@ -182,9 +211,11 @@ def test_lifecycle_decides_what_a_peer_hears(sim, network, streams):
     # Dead but connected (a churn leave): nothing is handled, nothing is
     # counted as dropped.
     peer.shutdown()
+    assert "peer-0" not in network._routes  # withdrawn, not emptied
     digest(2, 2.0)
     assert (push.pairs_received, network.dropped_messages) == (1, 0)
     peer.restart()
+    assert network._routes["peer-0"] is peer._routes  # republished as they were
     digest(3, 3.0)
     assert push.pairs_received == 2
     # Crashed: disconnected as well, so the copy is a counted drop.
@@ -212,9 +243,9 @@ def test_adversary_still_intercepts_digests_after_crash_and_recover():
     assert liar.gossip.push.requests_sent == 0
 
 
-def test_set_dispatch_and_disconnect_reject_unknown_nodes(sim, network):
+def test_set_routes_and_disconnect_reject_unknown_nodes(sim, network):
     with pytest.raises(ValueError, match="ghost"):
-        network.set_dispatch("ghost", {})
+        network.set_routes("ghost", ({},))
     with pytest.raises(ValueError, match="ghost"):
         network.set_disconnected("ghost", True)
     with pytest.raises(ValueError, match="ghost"):

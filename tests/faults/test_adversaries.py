@@ -16,7 +16,9 @@ from repro.faults.adversaries import (
     FlakyLinkFault,
     LazyForwarderFault,
 )
-from repro.gossip.config import EnhancedGossipConfig
+from repro.fabric.peer import Peer, route_table
+from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
+from repro.gossip.enhanced import EnhancedGossip
 from repro.gossip.messages import BlockPush, PushDigest, PushRequest
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network, NetworkConfig
@@ -118,18 +120,23 @@ def test_liar_readvertises_instead_of_requesting():
     assert liar.ledger_height == 0  # and indeed never got the block
 
 
-def test_liar_rewires_the_one_shared_table():
-    """The gossip module's table is the peer's dispatch table and the one
-    the network holds: one write reaches the network path, the peer's
-    ``_on_message`` fallback and ``module.handle`` alike."""
+def test_liar_rewires_its_own_copy_of_the_route_table():
+    """A liar's table is a copy of its class's with the digest route
+    replaced, and the peer's routes are the ones the network holds: one
+    assignment reaches the network path and the peer's ``_on_message``
+    fallback, and leaves every honest peer on the shared table."""
     net, fault = liar_net()
     liar = net.peers["peer-5"]
-    table = liar.gossip._dispatch
-    assert liar._dispatch_all is table and net.network._dispatch["peer-5"] is table
-    assert table[PushDigest].__name__ == "lying_on_digest"
+    shared = route_table(EnhancedGossip, Peer)
+    table = liar.route_table
+    assert table is not shared and net.network._routes["peer-5"][0] is table
+    assert all(peer.route_table is shared for name, peer in net.peers.items() if name != "peer-5")
+    assert table[PushDigest][1].__name__ == "lying_on_digest"
+    assert {**table, PushDigest: shared[PushDigest]} == shared
     block = make_chain([1])[0]
     liar._on_message("peer-1", PushDigest(0, block.block_hash, 1))
-    liar.gossip.handle("peer-1", PushDigest(0, block.block_hash, 2))
+    net.network.send("peer-1", "peer-5", PushDigest(0, block.block_hash, 2))
+    net.sim.run(until=0.2)
     assert fault.lies_told == 2 and liar.gossip.push.requests_sent == 0
 
 
@@ -152,17 +159,10 @@ def test_liar_reforms_when_stopped():
     assert net.peers["peer-5"].gossip.push.requests_sent == 1  # honest handler ran
 
 
-def test_liar_requires_the_enhanced_module(sim):
-    class NoDigestModule:
-        _dispatch = {}
-
-    class FakePeer:
-        name = "x"
-        gossip = NoDigestModule()
-
-    network, streams, _ = make_net(sim, nodes=("x",))
+def test_liar_requires_the_enhanced_module():
+    net = build_network(n_peers=4, gossip=OriginalGossipConfig(), seed=3)
     with pytest.raises(ValueError, match="enhanced"):
-        DigestLiarFault(network, {"x": FakePeer()}, ["x"], streams)
+        DigestLiarFault(net.network, net.peers, ["peer-1"], net.streams)
 
 
 def test_liar_on_another_shard_is_known_by_name_and_rewired_there_only():

@@ -173,7 +173,7 @@ def test_background_copies_reach_no_peer_handler():
     from repro.gossip.messages import MembershipAlive
 
     net = _built_network(until=3.0)
-    assert all(MembershipAlive not in peer._dispatch_all for peer in net.peers.values())
+    assert all(MembershipAlive not in peer.route_table for peer in net.peers.values())
     monitor = net.network.monitor
     received = sum(
         monitor.node_totals(name).by_kind_messages["rx:MembershipAlive"] for name in net.peers

@@ -62,7 +62,7 @@ def test_digest_request_answered_with_known_blocks():
     blocks = make_chain([1, 1])
     for block in blocks:
         host.deliver_block(block, "test")
-    pull.on_digest_request("p3")
+    pull.on_digest_request("p3", PullDigestRequest())
     responses = host.sent_to("p3")
     assert len(responses) == 1
     assert responses[0].block_numbers == (0, 1)

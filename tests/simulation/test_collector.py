@@ -1,4 +1,5 @@
-"""The collector scope: a run pauses, freezes and always restores."""
+"""The collector scope: a run pauses, freezes, stays paused through its
+loop and always restores."""
 
 import gc
 import weakref
@@ -37,7 +38,7 @@ def test_deployment_scope_pauses_then_freezes_then_restores():
     with collector.deployment() as built:
         assert not gc.isenabled() and gc.get_freeze_count() == 0
         built()
-        assert gc.isenabled() and gc.get_freeze_count() > 0
+        assert not gc.isenabled() and gc.get_freeze_count() > 0
     assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
@@ -64,7 +65,7 @@ def _tiny_conflict_cell():
     ],
     ids=["dissemination", "sharded-inline", "conflicts"],
 )
-def test_every_run_owner_loops_enabled_over_a_frozen_deployment(monkeypatch, run):
+def test_every_run_owner_loops_paused_over_a_frozen_deployment(monkeypatch, run):
     seen = []
     for name in ("run", "run_window"):
         original = getattr(Simulator, name)
@@ -76,7 +77,7 @@ def test_every_run_owner_loops_enabled_over_a_frozen_deployment(monkeypatch, run
 
         monkeypatch.setattr(Simulator, name, probe)
     run()
-    assert seen == [(True, True)]
+    assert seen == [(False, True)]
     assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
@@ -89,7 +90,7 @@ def test_shard_worker_serves_commands_over_a_frozen_deployment():
             return ("exit", None, None)
 
     _shard_worker_main(Conn(), _spec(), 1, 2, 0, False)
-    assert seen == [(True, True)]
+    assert seen == [(False, True)]
     assert gc.isenabled() and gc.get_freeze_count() == 0
 
 

@@ -1,12 +1,16 @@
-"""Every import in a package ``__init__.py`` is used or re-exported.
+"""What ``import repro`` imports.
 
-This is pyflakes' F401 rule restricted to the package modules, which
-``ruff.toml`` no longer exempts: a re-exported name must be listed in
-``__all__`` (which counts as a use), and any other import must be read by
-the module itself. It keeps the rule checked where ruff is not installed.
+Every import in a package ``__init__.py`` is used or re-exported. This is
+pyflakes' F401 rule restricted to the package modules, which ``ruff.toml``
+no longer exempts: a re-exported name must be listed in ``__all__`` (which
+counts as a use), and any other import must be read by the module itself.
+It keeps the rule checked where ruff is not installed.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,3 +51,19 @@ def test_init_modules_import_only_what_they_use_or_export():
             f"{path.relative_to(SRC)}: {name}" for name in _bound_names(tree) if name not in kept
         ]
     assert unused == []
+
+
+def test_importing_repro_loads_no_multiprocessing():
+    """``multiprocessing`` is imported where a process starts (the sharded
+    runner's processes mode, a sweep's pool), so a single-process run does
+    not load it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import repro, sys; print('multiprocessing' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
