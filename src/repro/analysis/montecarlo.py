@@ -26,10 +26,6 @@ class PushSampleStats:
     full_coverage_fraction: float
     mean_full_transmissions: float
 
-    @property
-    def empirical_miss_probability(self) -> float:
-        return 1.0 - self.full_coverage_fraction
-
 
 def _stats(informed_counts: List[int], transmissions: List[int], n: int) -> PushSampleStats:
     runs = len(informed_counts)

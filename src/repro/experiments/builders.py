@@ -29,7 +29,7 @@ from repro.gossip.view import build_views
 from repro.metrics.conflicts import ConflictTracker
 from repro.metrics.latency import DisseminationTracker
 from repro.net.network import Network, NetworkConfig
-from repro.simulation._core import Simulator
+from repro.simulation._core.engine import Simulator
 from repro.simulation.random import RandomStreams
 
 GossipChoice = Union[OriginalGossipConfig, EnhancedGossipConfig]

@@ -4,7 +4,7 @@ The paper's bandwidth figures (6/9/10/11/14) plot, for the leader peer and
 for a regular peer, network utilization in MB/s aggregated over 10-second
 intervals, with dotted lines for the averages. :class:`BandwidthReport`
 extracts those series and averages from a run's
-:class:`~repro.simulation._core.TrafficMonitor`.
+:class:`~repro.simulation._core.monitor.TrafficMonitor`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.simulation._core import TrafficMonitor
+from repro.simulation._core.monitor import TrafficMonitor
 
 MB = 1_000_000.0
 
@@ -85,7 +85,7 @@ class BandwidthReport:
 
     def network_total_mb(self) -> float:
         """Total bytes carried network-wide over the run, in MB."""
-        return self.monitor.network_total_bytes() / MB
+        return self.monitor.totals.bytes / MB
 
     def breakdown_by_kind(self) -> Dict[str, float]:
         """Network-wide MB per message kind (blocks vs digests vs metadata)."""

@@ -6,8 +6,8 @@ wire sizes (:mod:`repro.net.message`), latency models and the declarative
 (:mod:`repro.net.latency`), per-node full-duplex NIC serialization and delivery
 (:mod:`repro.net.network`), optional bottleneck-link bandwidth/queueing
 physics (:mod:`repro.net.link`) and traffic accounting for the bandwidth
-figures (:class:`TrafficMonitor`, defined with the engine in
-:mod:`repro.simulation._core`).
+figures (:class:`TrafficMonitor`, defined in the engine core's
+:mod:`repro.simulation._core.monitor`).
 """
 
 from repro.net.latency import (
@@ -21,7 +21,7 @@ from repro.net.latency import (
 from repro.net.link import CoDelConfig, LinkModel
 from repro.net.message import Message
 from repro.net.network import Network, NetworkConfig
-from repro.simulation._core import TrafficMonitor, TrafficTotals
+from repro.simulation._core.monitor import TrafficMonitor, TrafficTotals
 
 __all__ = [
     "CoDelConfig",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from types import MethodType
 from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
-from repro.simulation._core import lan_sample, topology_sample
+from repro.simulation._core.kernels import lan_sample, topology_sample
 
 
 def _freeze(value: Any) -> Any:
@@ -316,7 +316,7 @@ class LanLatency(LatencyModel):
         # Kinderman-Monahan rejection sampling verbatim (same NV_MAGICCONST,
         # same order of rng.random() consumption), so the draw sequence and
         # results are bit-for-bit those of the un-bound sample(). It lives
-        # in repro.simulation._core with the rest of the per-event hot path;
+        # in repro.simulation._core.kernels with the other per-copy kernels;
         # one sender costs the method object binding it to a 4-tuple.
         return MethodType(lan_sample, (rng.random, base, self._mu, self.jitter_sigma))
 

@@ -11,7 +11,7 @@ AQM sheds load once standing queueing delay persists past its target.
 
 The model is a frozen config value; the mutable per-source queue state
 and the hot-path admission logic live in the engine-core kernel
-:func:`repro.simulation._core.link_enqueue`, driven by
+:func:`repro.simulation._core.kernels.link_enqueue`, driven by
 :class:`~repro.net.network.Network`. Probabilistic CoDel drops draw from
 the per-source ``network:queue:<src>`` RNG stream (exactly one uniform
 per packet, and only while the link is in dropping state) so runs
@@ -119,7 +119,7 @@ class LinkModel:
 
     def kernel_args(self) -> "tuple[float, float, float, float, float]":
         """``(queue_limit, target, interval, max_p, ramp)`` for
-        :func:`repro.simulation._core.link_enqueue`; ``target <= 0``
+        :func:`repro.simulation._core.kernels.link_enqueue`; ``target <= 0``
         encodes "AQM disabled"."""
         codel = self.codel
         if codel is None:

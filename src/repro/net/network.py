@@ -25,8 +25,8 @@ One kernel, three entry points
 ------------------------------
 
 Every copy of every message goes through one per-copy loop,
-:func:`repro.simulation._core.fan_out`. :meth:`Network.multicast` is the
-primitive, :meth:`Network.send` is its width-1 case, and
+:func:`repro.simulation._core.kernels.fan_out`. :meth:`Network.multicast`
+is the primitive, :meth:`Network.send` is its width-1 case, and
 :meth:`Network.send_aggregate` is the deliberate approximation for traffic
 nobody reads (one burst, one latency draw, no delivery) that shares the
 guard stage and the link admission. ``docs/networking.md`` is the
@@ -62,13 +62,9 @@ from repro.checks import require_finite
 from repro.net.latency import LanLatency, LatencyModel, LatencySpec
 from repro.net.link import LinkModel, new_queue_stats, summarize_queue_accounting
 from repro.net.message import Message
-from repro.simulation._core import (
-    LINK_DROP_TAIL,
-    Simulator,
-    TrafficMonitor,
-    fan_out,
-    link_enqueue,
-)
+from repro.simulation._core.engine import Simulator
+from repro.simulation._core.kernels import LINK_DROP_TAIL, fan_out, link_enqueue
+from repro.simulation._core.monitor import TrafficMonitor
 from repro.simulation.random import RandomStreams
 
 Handler = Callable[[str, Message], None]
@@ -187,7 +183,7 @@ class Network:
         )
         # Per-sender state, opened on a node's first send (_open_port):
         # [uplink_free_at, latency sampler, link queue state, queue draw,
-        # queue accounting] — the ``port`` of _core.fan_out. Everything a
+        # queue accounting] — the ``port`` of kernels.fan_out. Everything a
         # send mutates or draws from is keyed by sender: a node's draw
         # sequences depend only on its own event order, never on how other
         # nodes' events interleave with it, so a shard that executes a
@@ -203,7 +199,7 @@ class Network:
         # window barrier.
         self._shard_owned: Optional[frozenset] = None
         self._shard_egress: Optional[list] = None
-        # _phases[two_phase] is the ``phase`` argument of _core.fan_out.
+        # _phases[two_phase] is the ``phase`` argument of kernels.fan_out.
         self._phases = (
             (False, self._deliver_multicast),
             (True, self._arrive_multicast),
@@ -326,10 +322,6 @@ class Network:
                 schedule(rec[1], deliver, rec[2], rec[4], rec[3])
             else:
                 schedule(rec[1], arrive, rec[2], rec[4], rec[3], rec[5])
-
-    def wire_size(self, message: Message) -> int:
-        """Bytes on the wire: payload plus fixed envelope."""
-        return message.payload_size() + self._overhead
 
     def send(self, src: str, dst: str, message: Message) -> None:
         """Send ``message`` from ``src`` to ``dst``: a fan-out of width one.
@@ -534,7 +526,7 @@ class Network:
         * drop rules (disconnected source/destination, drop filters) apply
           per copy, before anything is recorded (the shared guard stage);
         * **byte accounting is exactly equivalent** — the monitor records
-          one ``wire_size`` message per surviving destination at send time;
+          one wire-sized message per surviving destination at send time;
         * uplink serialization reserves the sender's NIC for the *total*
           bytes of the fanout, like the per-copy sends would;
         * the fanout crosses a live link as one burst: a single admission

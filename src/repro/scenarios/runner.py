@@ -28,7 +28,7 @@ from repro.net.link import merge_queue_accounting, summarize_queue_accounting
 from repro.net.network import NetworkConfig
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.simulation._core import TrafficMonitor
+from repro.simulation._core.monitor import TrafficMonitor
 
 
 def dissemination_config(

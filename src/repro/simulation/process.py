@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, List, Optional, Tuple, Union
 
-from repro.simulation._core import SimulationError, Simulator, WheelTimer
+from repro.simulation._core.engine import SimulationError, Simulator
+from repro.simulation._core.wheel import WheelTimer
 from repro.simulation.random import RandomStreams
 from repro.simulation.timers import PeriodicTimer
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.simulation._core import Simulator, _require_initial_delay, _require_period
+from repro.simulation._core.engine import Simulator
+from repro.simulation._core.wheel import _require_initial_delay, _require_period
 
 
 class PeriodicTimer:

@@ -12,7 +12,7 @@ from repro.net.link import (
     new_queue_stats,
     summarize_queue_accounting,
 )
-from repro.simulation._core import LINK_DROP_CODEL, LINK_DROP_TAIL, link_enqueue
+from repro.simulation._core.kernels import LINK_DROP_CODEL, LINK_DROP_TAIL, link_enqueue
 
 
 def fresh_state():

@@ -119,7 +119,7 @@ def test_network_total_bytes():
     monitor = TrafficMonitor()
     monitor.record(0.0, "a", "b", "M", 70)
     monitor.record(0.0, "b", "a", "M", 30)
-    assert monitor.network_total_bytes() == 100
+    assert monitor.totals.bytes == 100
 
 
 # ----- bin-edge accounting after the array-bin rewrite ----------------------
@@ -178,7 +178,7 @@ def test_totals_derived_from_tx_side_counts_each_message_once():
     assert totals.messages == 3
     assert totals.bytes == 157
     assert totals.by_kind_bytes == {"Block": 150, "Digest": 7}
-    assert monitor.network_total_bytes() == 157
+    assert monitor.totals.bytes == 157
 
 
 def test_far_future_record_does_not_allocate_dense_bins():
@@ -215,7 +215,7 @@ def test_overflow_bins_feed_rate_and_average_series():
     # Average over a window that only the overflow bin touches.
     assert monitor.average_rate("a", "tx", start=50_000.0, end=50_001.0) == 400.0
     assert monitor.average_rate("b", "rx", start=50_000.0, end=50_001.0) == 400.0
-    assert monitor.network_total_bytes() == 500
+    assert monitor.totals.bytes == 500
 
 
 def test_overflow_and_dense_bins_accumulate_independently():

@@ -1,6 +1,7 @@
 """Unit tests for the simulated network (delivery, serialization, faults)."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -812,6 +813,100 @@ def test_send_aggregate_draws_nothing_when_no_copy_leaves(sim):
     assert network.link_summary()["dropped_tail"] == 1
     assert network.latency_rng("a").getstate() == twin.latency_rng("a").getstate()
     assert sim.pending_events == twin.sim.pending_events
+
+
+class _LoggedLatency(ConstantLatency):
+    """A constant latency whose every draw is logged as ``"latency"``."""
+
+    def __init__(self, log):
+        super().__init__(0.001)
+        self.log = log
+
+    def bind(self, rng):
+        log, delay = self.log, self.delay
+        return lambda src, dst: log.append("latency") or delay
+
+
+class _LoggedStreams(RandomStreams):
+    """Streams whose ``network:queue:<src>`` draws are logged as ``"queue"``."""
+
+    def __init__(self, log):
+        super().__init__(1)
+        self.log = log
+
+    def stream(self, name):
+        rng = super().stream(name)
+        if not name.startswith("network:queue:"):
+            return rng
+        log = self.log
+        return SimpleNamespace(random=lambda: log.append("queue") or rng.random())
+
+
+def _burst_network(sim, log, link):
+    """A network whose sender "a" is behind ``link``, with every latency
+    and queue draw appended to ``log`` in the order it happens."""
+    network = Network(
+        sim,
+        _LoggedStreams(log),
+        NetworkConfig(envelope_overhead=0, latency=_LoggedLatency(log), link=link),
+    )
+    for name in ("a", "b", "c", "d"):
+        register_sink(network, name)
+    return network
+
+
+def _send_bursts(network, log, count, size, gap):
+    """``count`` bursts of 3 copies of ``size`` bytes, ``gap`` seconds
+    apart; returns each burst's draws, in order."""
+    draws = []
+    for index in range(count):
+        network.sim.run(until=index * gap)
+        start = len(log)
+        network.send_aggregate("a", ["b", "c", "d"], RawMessage(size))
+        draws.append(log[start:])
+    return draws
+
+
+def test_send_aggregate_through_a_tail_dropping_link_is_one_packet_per_burst(sim):
+    """A burst crosses the link as one packet: six bursts of 3 x 40 KB
+    into a 1 MB/s link with a 150 KB queue are six packets. The first two
+    fit; each of the other four is tail-dropped whole, adds its three
+    copies to ``dropped_messages`` and draws no latency, and an admitted
+    burst draws exactly one. A tail drop consumes no queue draw."""
+    from repro.net.link import LinkModel
+
+    log = []
+    network = _burst_network(sim, log, LinkModel(bandwidth=1_000_000.0, queue_bytes=150_000.0))
+    draws = _send_bursts(network, log, count=6, size=40_000, gap=0.0)
+    summary = network.link_summary()
+    assert (summary["packets"], summary["dropped_tail"], summary["dropped_codel"]) == (6, 4, 0)
+    assert network.dropped_messages == 12
+    assert draws == [["latency"], ["latency"], [], [], [], []]
+    assert sim.pending_events == 0
+
+
+def test_send_aggregate_through_codel_draws_the_queue_once_before_the_latency(sim):
+    """Under CoDel each burst is one admission: at most one
+    ``network:queue:<src>`` draw, made before the latency draw. A
+    CoDel-dropped burst keeps its queue draw, skips the latency draw and
+    adds its three copies to ``dropped_messages``."""
+    from repro.net.link import CoDelConfig, LinkModel
+
+    log = []
+    link = LinkModel(
+        bandwidth=1_000_000.0,
+        codel=CoDelConfig(target=0.005, interval=0.02, max_drop_probability=0.5, ramp=2.0),
+    )
+    network = _burst_network(sim, log, link)
+    draws = _send_bursts(network, log, count=40, size=10_000, gap=0.01)
+    assert all(burst in ([], ["latency"], ["queue"], ["queue", "latency"]) for burst in draws)
+    summary = network.link_summary()
+    dropped = [burst for burst in draws if "latency" not in burst]
+    assert summary["packets"] == 40
+    assert summary["dropped_tail"] == 0
+    assert summary["dropped_codel"] == len(dropped) > 0
+    assert ["queue", "latency"] in draws
+    assert network.dropped_messages == 3 * len(dropped)
 
 
 def test_send_aggregate_to_foreign_shard_appends_no_egress_record(sim):

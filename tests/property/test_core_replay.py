@@ -22,7 +22,9 @@ from types import MethodType
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.simulation._core import Simulator, TrafficMonitor, lan_sample
+from repro.simulation._core.engine import Simulator
+from repro.simulation._core.kernels import lan_sample
+from repro.simulation._core.monitor import TrafficMonitor
 
 # ---------------------------------------------------------------------------
 # Random schedule programs
@@ -225,7 +227,7 @@ def _monitor_view(monitor):
         "totals": (totals.messages, totals.bytes,
                    totals.by_kind_messages, totals.by_kind_bytes),
         "nodes": monitor.nodes(),
-        "network_bytes": monitor.network_total_bytes(),
+        "network_bytes": monitor.totals.bytes,
         "node_totals": {
             n: (monitor.node_totals(n).by_kind_messages,
                 monitor.node_totals(n).by_kind_bytes)

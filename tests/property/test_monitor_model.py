@@ -21,7 +21,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulation._core import TrafficMonitor, TrafficTotals
+from repro.simulation._core.monitor import TrafficMonitor, TrafficTotals
 
 NODES = ["n0", "n1", "n2", "n3", "ghost"]  # "ghost" never appears in a program
 FAR_FUTURE = 20_000.0  # beyond the dense tail at every bin width used here
@@ -132,7 +132,7 @@ def assert_agrees(monitor, model, bin_width, far=True):
     """Every public reader of ``monitor`` equals ``model``'s answer; with
     ``far``, the far-future bin is read where it is too."""
     assert monitor.totals == model.totals()
-    assert monitor.network_total_bytes() == model.totals().bytes
+    assert monitor.totals.bytes == model.totals().bytes
     assert monitor.last_time == model.last_time
     assert monitor.nodes() == model.nodes()
     end_time = 45.0  # past every near time; the far-future bin stays out of range

@@ -31,7 +31,7 @@ from repro.net.link import CoDelConfig, LinkModel, new_queue_stats
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
-from repro.simulation._core import LINK_DROP_TAIL, link_enqueue
+from repro.simulation._core.kernels import LINK_DROP_TAIL, link_enqueue
 from repro.simulation.random import RandomStreams
 
 NODES = ["n0", "n1", "n2", "n3", "n4", "n5"]
