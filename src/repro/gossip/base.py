@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple
 from repro.ledger.block import Block
 from repro.net.message import Message
 from repro.gossip.view import OrganizationView
+from repro.simulation.random import Replayable
 
 
 class GossipHost(Protocol):
@@ -42,6 +43,11 @@ class GossipHost(Protocol):
         """Deterministic RNG stream scoped to the host and purpose, seeded
         by the first call — components bind it at their first draw
         (:func:`repro.simulation.random.first_draw`), not at construction."""
+
+    def replayable(self, purpose: str) -> Replayable:
+        """The replayable stream scoped to the host and purpose, for a
+        component that draws once every few seconds
+        (:func:`repro.simulation.random.first_replay`)."""
 
     def after(self, delay: float, callback: Callable, *args) -> None:
         """One-shot timer, not cancellable."""

@@ -209,6 +209,11 @@ class DisseminationTracker:
             return []
         return sorted(number for number, row in self._rows.items() if row[column] == row[column])
 
+    def receivers(self) -> List[str]:
+        """The peers with a first reception of any block, in the order of
+        their first one."""
+        return list(self._peers)
+
     def peers(self) -> List[str]:
         names = set()
         for number in self._t0:

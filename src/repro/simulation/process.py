@@ -14,7 +14,7 @@ from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.simulation._core.engine import SimulationError, Simulator
 from repro.simulation._core.wheel import WheelTimer
-from repro.simulation.random import RandomStreams
+from repro.simulation.random import RandomStreams, Replayable
 from repro.simulation.timers import PeriodicTimer
 
 RecurringTimer = Union[PeriodicTimer, WheelTimer]
@@ -69,13 +69,26 @@ class Process:
         return self._alive
 
     def rng(self, purpose: str) -> random.Random:
-        """A deterministic stream scoped to this process and ``purpose``.
+        """A deterministic dense stream scoped to this process and
+        ``purpose``: a live generator, for a purpose that draws every few
+        milliseconds (push targets, background traffic).
 
         The first call seeds it, so call this where the first draw
         happens, never from a constructor: components bind it through
-        :func:`repro.simulation.random.first_draw`.
+        :func:`repro.simulation.random.first_draw`. A purpose that draws
+        once every few seconds takes :meth:`replayable` instead.
         """
         return self._streams.stream(f"{self.name}:{purpose}")
+
+    def replayable(self, purpose: str) -> Replayable:
+        """The replayable stream scoped to this process and ``purpose``: a
+        handle whose ``open()`` gives a live generator, rebuilt from its
+        seed and word count when it was evicted, so it costs no generator
+        state between draws. Components bind it through
+        :func:`repro.simulation.random.first_replay`; it draws what
+        :meth:`rng` of the same purpose would, draw for draw.
+        """
+        return self._streams.replayable(f"{self.name}:{purpose}")
 
     def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule a one-shot callback, skipped if the process has died.

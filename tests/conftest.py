@@ -106,6 +106,9 @@ class FakeHost:
     def rng(self, purpose: str) -> random.Random:
         return self._streams.stream(f"{self.name}:{purpose}")
 
+    def replayable(self, purpose: str):
+        return self._streams.replayable(f"{self.name}:{purpose}")
+
     def after(self, delay: float, callback, *args):
         return self.sim.schedule(delay, callback, *args)
 

@@ -9,6 +9,7 @@ from repro.experiments.builders import build_network, gossip_factory
 from repro.gossip.config import BackgroundTrafficConfig, EnhancedGossipConfig, OriginalGossipConfig
 from repro.gossip.enhanced import EnhancedGossip
 from repro.gossip.original import OriginalGossip
+from repro.simulation.random import LIVE_REPLAYABLE
 
 from tests.conftest import FakeHost
 
@@ -132,6 +133,36 @@ def test_a_built_original_peer_costs_its_protocol_state():
     net, per_peer = _built_bytes_per_peer(OriginalGossipConfig())
     assert _peer_streams(net) == []
     assert per_peer <= 2200
+
+
+@pytest.mark.parametrize(
+    "gossip, bound",
+    [(EnhancedGossipConfig.paper_f4(), 8_500), (OriginalGossipConfig(), 9_000)],
+    ids=["enhanced", "original"],
+)
+def test_a_started_peer_holds_no_idle_generator_past_the_budget(gossip, bound):
+    """Recovery and pull draw once every few seconds, so their streams are
+    replayable: 500 started peers open 500 (enhanced) or 1,000 (original)
+    of them, and only the registry's budget of them hold a generator.
+    Traced after 12 simulated seconds, a started peer holds 7.8 KB
+    (enhanced) or 8.2 KB (original): its built state, its per-source
+    latency stream, its timers and its replayable handles. With a live
+    generator per replayable stream it held 9.1 KB and 12.2 KB."""
+    build_network(n_peers=4, gossip=gossip, seed=1).start()  # imports, caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = build_network(n_peers=500, gossip=gossip, seed=1)
+        net.start()
+        net.sim.run(until=12.0)
+        per_peer = tracemalloc.get_traced_memory()[0] / net.n_peers
+    finally:
+        tracemalloc.stop()
+    handles = [net.streams.replayable(name) for name in _peer_streams(net)]
+    assert len(handles) == net.n_peers * (1 if isinstance(gossip, EnhancedGossipConfig) else 2)
+    live = {id(handle._live) for handle in handles if handle._live is not None}
+    assert len(live) == LIVE_REPLAYABLE and net.streams.rebuilds > 0
+    assert per_peer <= bound
 
 
 @pytest.mark.parametrize(

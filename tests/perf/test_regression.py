@@ -34,6 +34,30 @@ def test_sharded_determinism_contract_holds_on_subset():
     assert check_determinism(shards=2, mode="inline", scenarios=subset) == []
 
 
+@pytest.mark.parametrize("gate", BOTH_GATES, ids=["single-process", "two-inline-shards"])
+def test_goldens_replay_at_maximal_eviction(gate):
+    """With one live replayable generator per registry, nearly every open
+    of a recovery or pull stream rebuilds it from its seed and word count,
+    and the goldens still replay bit-for-bit (single-process on every key,
+    ``events_executed`` included)."""
+    from unittest import mock
+
+    from repro.simulation import random as random_streams
+
+    registries = []
+    init = random_streams.RandomStreams.__init__
+
+    def noted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        registries.append(self)
+
+    with mock.patch.object(random_streams, "LIVE_REPLAYABLE", 1), mock.patch.object(
+        random_streams.RandomStreams, "__init__", noted
+    ):
+        assert check_determinism(**gate) == []
+    assert sum(registry.rebuilds for registry in registries) > 0
+
+
 def test_determinism_diff_records_structured_mismatches():
     """A golden perturbation surfaces as a structured diff record (the
     payload CI uploads as an artifact)."""
@@ -117,9 +141,11 @@ def _replay_recovery_crash(crash_at, eager):
     """The recovery golden's deployment with its crash moved to ``crash_at``.
 
     ``eager`` seeds every peer's streams before anything runs, in the
-    order component constructors used to; otherwise each is bound at its
-    first draw. Returns the snapshot, the push-stream census of the
-    crashed peers at the moment they crash, and the final registry.
+    order component constructors used to (the replayable ``recovery``
+    stream through its handle, opened so its generator is live);
+    otherwise each is bound at its first draw. Returns the snapshot, the
+    push-stream census of the crashed peers at the moment they crash, and
+    the final registry.
     """
     from dataclasses import replace
     from unittest import mock
@@ -147,7 +173,10 @@ def _replay_recovery_crash(crash_at, eager):
         if eager:
             for name in net.peers:
                 for purpose in ("iuc-push-targets", "recovery", "leader-initial-gossiper", "background"):
-                    net.streams.stream(f"{name}:{purpose}")
+                    if purpose == "recovery":
+                        net.streams.replayable(f"{name}:{purpose}").open()
+                    else:
+                        net.streams.stream(f"{name}:{purpose}")
         first, last = crash.regular_slice
         crashing.update(net.regular_peers()[first:last])
         compiled.append(compile_fault_schedule(spec.faults, net))

@@ -40,3 +40,19 @@ def test_each_violation_names_the_peer():
         f"{[*range(extra - 2)]}",
         f"{peer.name} keeps digest state for blocks it holds: [0]",
     ]
+
+
+def test_the_tracker_and_the_chains_are_compared_both_ways():
+    """A reception recorded for a name no peer has, and a block that
+    differs from its peers' under the same number, are each reported; the
+    forged block also breaks its holder's committed chain."""
+    run = run_scenario("digest-liars", seed=1)
+    peers = run.result.net.peers
+    second_holder = sorted(name for name, peer in peers.items() if peer.get_block(0))[1]
+    peers[second_holder].blockchain._blocks[0] = Block.create(0, "f" * 64, [])
+    run.result.tracker.first_reception("peer-ghost", 0, 1.0)
+    assert violations(run) == [
+        "peer-ghost is no peer of the run but first received [0]",
+        f"{second_holder} holds other blocks than its peers under numbers [0]",
+        f"{second_holder}'s committed chain does not link",
+    ]

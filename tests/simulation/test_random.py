@@ -4,16 +4,21 @@ import copy
 import pickle
 import random
 import tracemalloc
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import Simulator
+from repro.simulation import random as random_streams
 from repro.simulation.process import Process
 from repro.simulation.random import (
     RandomStreams,
+    Replayable,
     derive_seed,
     first_draw,
+    first_replay,
     sample_skipping,
     sample_without,
 )
@@ -210,3 +215,131 @@ def test_sample_without_uniformity_smoke():
     # Each of 5 items should appear ~2000*2/5 = 800 times.
     for count in counts.values():
         assert 650 < count < 950
+
+
+# ----- replayable streams -------------------------------------------------
+
+# One draw of each kind a replayable stream serves: (kind, *arguments).
+# The sample cases cover sample_skipping's pool path (n <= 21), its set
+# path (n > 21) and its shuffle path (k >= n).
+_DRAWS = st.one_of(
+    st.tuples(st.just("uniform"), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    st.tuples(st.just("choice"), st.integers(1, 40)),
+    st.tuples(
+        st.just("sample"),
+        st.sampled_from([(10, 3), (21, 5), (100, 4), (400, 9), (5, 7), (3, 3)]),
+        st.integers(0, 400),
+    ),
+    st.tuples(st.just("bits"), st.sampled_from([0, 1, 31, 32, 33, 64, 100])),
+)
+
+
+def _draw(rng, draw):
+    kind, *args = draw
+    if kind == "uniform":
+        return rng.uniform(*args)
+    if kind == "choice":
+        return rng.choice(range(args[0]))
+    if kind == "sample":
+        (size, k), skip = args
+        return sample_skipping(range(size), min(skip, size), rng, k)
+    return rng.getrandbits(args[0])
+
+
+_NAMES = [f"peer-{i}:recovery" for i in range(4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    budget=st.sampled_from([1, 2, 64]),
+    master_seed=st.integers(min_value=0, max_value=2**32),
+    sessions=st.lists(
+        st.tuples(st.integers(0, len(_NAMES) - 1), st.lists(_DRAWS, max_size=6)), max_size=40
+    ),
+)
+def test_a_replayable_stream_draws_what_a_live_stream_draws(budget, master_seed, sessions):
+    """However sessions over several replayable streams interleave, and
+    however few generators the registry keeps live, every draw equals the
+    one a persistent stream of the same name gives, and so does the final
+    generator state."""
+    with mock.patch.object(random_streams, "LIVE_REPLAYABLE", budget):
+        replay, twin = RandomStreams(master_seed), RandomStreams(master_seed)
+        for index, draws in sessions:
+            rng, expected = replay.replayable(_NAMES[index]).open(), twin.stream(_NAMES[index])
+            for draw in draws:
+                assert _draw(rng, draw) == _draw(expected, draw), draw
+        assert len(replay._lru) <= budget
+        for name in twin.names():
+            assert replay.replayable(name).open().getstate() == twin.stream(name).getstate()
+
+
+def test_eviction_rebuilds_a_stream_in_place():
+    """At a budget of one, alternating two streams re-seeds the one
+    generator object for each in turn, and counts every rebuild."""
+    with mock.patch.object(random_streams, "LIVE_REPLAYABLE", 1):
+        replay, twin = RandomStreams(2), RandomStreams(2)
+        a, b = replay.replayable("a"), replay.replayable("b")
+        generator = a.open()
+        for _ in range(5):
+            for handle, name in ((a, "a"), (b, "b")):
+                assert handle.open() is generator
+                assert handle.open().random() == twin.stream(name).random()
+    assert replay.rebuilds == 9  # every open of the other stream's generator
+    assert a._live is None and a.words == 10 and b.open() is generator
+
+
+def test_a_replayable_generator_counts_its_words():
+    rng = RandomStreams(3).replayable("x").open()
+    counts = []
+    for draw in (rng.random, lambda: rng.getrandbits(0), lambda: rng.getrandbits(32),
+                 lambda: rng.getrandbits(33), lambda: rng.uniform(0.0, 1.0)):
+        draw()
+        counts.append(rng.words)
+    assert counts == [2, 2, 3, 5, 7]
+    with pytest.raises(ValueError):
+        rng.getrandbits(-1)
+    assert rng.words == 7
+
+
+def test_eviction_refuses_a_pending_gauss_value():
+    with mock.patch.object(random_streams, "LIVE_REPLAYABLE", 1):
+        streams = RandomStreams(4)
+        streams.replayable("a").open().gauss(0.0, 1.0)
+        with pytest.raises(RuntimeError, match="gauss"):
+            streams.replayable("b").open()
+
+
+def test_a_name_is_dense_or_replayable_never_both():
+    streams = RandomStreams(5)
+    streams.stream("dense")
+    streams.replayable("replay")
+    with pytest.raises(TypeError, match="dense"):
+        streams.replayable("dense")
+    with pytest.raises(TypeError, match="replayable"):
+        streams.stream("replay")
+    assert streams.names() == ["dense", "replay"] and "replay" in streams
+
+
+class _ReplayOwner:
+    """A replayable stream owner in the shape of the recovery component."""
+
+    def __init__(self, host, purpose):
+        self.host = host
+        self.STREAM = purpose
+        self._stream = None
+
+    def draw(self):
+        return (self._stream or first_replay(self)).open().random()
+
+
+def test_first_replay_binds_once_and_only_on_use():
+    streams = RandomStreams(6)
+    host = Process(Simulator(), "peer-0", streams)
+    owner = _ReplayOwner(host, "recovery")
+    assert streams.names() == []
+    first = owner.draw()
+    handle = owner._stream
+    assert type(handle) is Replayable and handle is host.replayable("recovery")
+    assert first == RandomStreams(6).stream("peer-0:recovery").random()
+    owner.draw()
+    assert owner._stream is handle
