@@ -10,7 +10,6 @@ the permissioned model depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.crypto.hashing import hash_fields
@@ -18,25 +17,41 @@ from repro.crypto.hashing import hash_fields
 VALID_ROLES = ("peer", "orderer", "client")
 
 
-@dataclass(frozen=True)
 class Identity:
-    """A certified network identity.
+    """A certified network identity: immutable, one object per enrolled
+    name, and slotted with its key seed derived on demand (64 B): every
+    shard enrolls the whole membership, and most nodes never sign.
 
     Attributes:
         name: globally unique node name (e.g. ``"peer-12"``).
         organization: MSP ID of the owning organization.
         role: one of ``peer``, ``orderer``, ``client``.
-        key_seed: seed of the simulated signing key (set by the MSP).
+        domain: the certifying MSP's domain (``None`` outside an MSP).
     """
 
-    name: str
-    organization: str
-    role: str
-    key_seed: str = field(default="", compare=False)
+    __slots__ = ("name", "organization", "role", "domain")
 
-    def __post_init__(self) -> None:
-        if self.role not in VALID_ROLES:
-            raise ValueError(f"unknown role {self.role!r}; expected one of {VALID_ROLES}")
+    def __init__(self, name: str, organization: str, role: str, domain: Optional[str] = None) -> None:
+        if role not in VALID_ROLES:
+            raise ValueError(f"unknown role {role!r}; expected one of {VALID_ROLES}")
+        for slot, value in zip(self.__slots__, (name, organization, role, domain)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Identity is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (Identity, (self.name, self.organization, self.role, self.domain))
+
+    def __repr__(self) -> str:
+        return f"Identity(name={self.name!r}, organization={self.organization!r}, role={self.role!r})"
+
+    @property
+    def key_seed(self) -> str:
+        """Seed of the simulated signing key ("" outside an MSP)."""
+        if self.domain is None:
+            return ""
+        return hash_fields(self.domain, self.name, self.organization, self.role)
 
     @property
     def signing_key(self) -> str:
@@ -55,8 +70,7 @@ class MembershipServiceProvider:
         """Certify a new identity; names are unique across the network."""
         if name in self._identities:
             raise ValueError(f"identity {name!r} already enrolled")
-        key_seed = hash_fields(self.domain, name, organization, role)
-        identity = Identity(name=name, organization=organization, role=role, key_seed=key_seed)
+        identity = Identity(name, organization, role, self.domain)
         self._identities[name] = identity
         return identity
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from types import MethodType
 from typing import Callable, Dict, FrozenSet, List, Optional, Union
 
 from repro.crypto.identity import MembershipServiceProvider
@@ -82,17 +83,15 @@ def gossip_factory(choice: GossipChoice) -> Callable:
     raise TypeError(f"unknown gossip configuration: {type(choice).__name__}")
 
 
-def _foreign_handler(name: str):
-    """The handler of a node another shard executes: a delivery for it
-    here is a routing bug, raised loudly instead of silently dropped."""
-
-    def guard(src, message):
-        raise AssertionError(
-            f"executed a delivery for foreign node {name!r} (from {src!r}), "
-            "which another shard executes — cross-shard routing bug"
-        )
-
-    return guard
+def _foreign_delivery(name: str, src, message):
+    """The handler of a node another shard executes, bound to its name
+    (``MethodType(_foreign_delivery, name)``, 64 B: a shard holds one per
+    foreign node): a delivery for it here is a routing bug, raised loudly
+    instead of silently dropped."""
+    raise AssertionError(
+        f"executed a delivery for foreign node {name!r} (from {src!r}), "
+        "which another shard executes — cross-shard routing bug"
+    )
 
 
 @dataclass
@@ -255,7 +254,7 @@ def build_network(
         for name in members:
             identity = msp.enroll(name, org, "peer")
             if owned is not None and name not in owned:
-                network.register(name, _foreign_handler(name))
+                network.register(name, MethodType(_foreign_delivery, name))
                 continue
             peer = Peer(
                 sim,
@@ -286,7 +285,7 @@ def build_network(
             tracker=tracker,
         )
     else:
-        network.register("orderer", _foreign_handler("orderer"))
+        network.register("orderer", MethodType(_foreign_delivery, "orderer"))
 
     return FabricNetwork(
         sim=sim,

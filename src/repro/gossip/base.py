@@ -11,13 +11,12 @@ switch.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.ledger.block import Block
 from repro.net.message import Message
 from repro.gossip.view import OrganizationView
-from repro.simulation.random import Replayable
+from repro.simulation.random import Buffered
 
 
 class GossipHost(Protocol):
@@ -39,15 +38,10 @@ class GossipHost(Protocol):
         the determinism contract (see :meth:`repro.net.network.Network.multicast`).
         """
 
-    def rng(self, purpose: str) -> random.Random:
+    def rng(self, purpose: str) -> Buffered:
         """Deterministic RNG stream scoped to the host and purpose, seeded
         by the first call — components bind it at their first draw
         (:func:`repro.simulation.random.first_draw`), not at construction."""
-
-    def replayable(self, purpose: str) -> Replayable:
-        """The replayable stream scoped to the host and purpose, for a
-        component that draws once every few seconds
-        (:func:`repro.simulation.random.first_replay`)."""
 
     def after(self, delay: float, callback: Callable, *args) -> None:
         """One-shot timer, not cancellable."""

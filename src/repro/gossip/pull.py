@@ -24,7 +24,7 @@ from repro.gossip.messages import (
 )
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
-from repro.simulation.random import first_replay
+from repro.simulation.random import first_draw
 
 
 class PullComponent:
@@ -39,7 +39,7 @@ class PullComponent:
         "t_pull",
         "digest_window",
         "_deliver",
-        "_stream",
+        "_rng",
         "_multicast",
         "_requested_this_round",
         "rounds",
@@ -74,7 +74,7 @@ class PullComponent:
         self.t_pull = t_pull
         self.digest_window = digest_window
         self._deliver = deliver
-        self._stream = None  # bound by first_replay
+        self._rng = None  # bound by first_draw
         self._multicast = multicast or host.multicast
         # Blocks already requested in the current round, so the initiator
         # does not fetch the same block from several advertisers. A round
@@ -86,13 +86,13 @@ class PullComponent:
     def start(self) -> None:
         """Arm the periodic pull with a random phase (unsynchronized
         clocks: peers' pull rounds are uniformly staggered)."""
-        phase = (self._stream or first_replay(self)).open().uniform(0.0, self.t_pull)
+        phase = (self._rng or first_draw(self)).uniform(0.0, self.t_pull)
         self.host.every(self.t_pull, self._round, initial_delay=phase)
 
     def _round(self) -> None:
         self.rounds += 1
         self._requested_this_round = None
-        targets = self.view.sample_org((self._stream or first_replay(self)).open(), self.fin)
+        targets = self.view.sample_org(self._rng or first_draw(self), self.fin)
         if targets:
             # Stateless request: one shared instance, one multicast event.
             self._multicast(targets, PullDigestRequest())

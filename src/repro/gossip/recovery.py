@@ -18,7 +18,7 @@ from typing import Dict, List
 from repro.gossip.messages import RecoveryRequest, RecoveryResponse, StateInfo
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block
-from repro.simulation.random import first_replay
+from repro.simulation.random import first_draw
 
 
 class RecoveryComponent:
@@ -34,7 +34,7 @@ class RecoveryComponent:
         "state_info_fanout",
         "batch_max",
         "_deliver",
-        "_stream",
+        "_rng",
         "_multicast",
         "known_heights",
         "recovery_requests_sent",
@@ -71,7 +71,7 @@ class RecoveryComponent:
         self.state_info_fanout = state_info_fanout
         self.batch_max = batch_max
         self._deliver = deliver
-        self._stream = None  # bound by first_replay
+        self._rng = None  # bound by first_draw
         self._multicast = multicast or host.multicast
         self.known_heights: Dict[str, int] = {}
         self.recovery_requests_sent = 0
@@ -79,7 +79,7 @@ class RecoveryComponent:
 
     def start(self) -> None:
         """Arm state-info gossip and the recovery check, phase-staggered."""
-        rng = (self._stream or first_replay(self)).open()
+        rng = self._rng or first_draw(self)
         state_phase = rng.uniform(0.0, self.t_state_info)
         recovery_phase = rng.uniform(0.0, self.t_recovery)
         self.host.every(self.t_state_info, self._broadcast_state_info, initial_delay=state_phase)
@@ -88,8 +88,7 @@ class RecoveryComponent:
     # ----- state info ----------------------------------------------------
 
     def _broadcast_state_info(self) -> None:
-        rng = (self._stream or first_replay(self)).open()
-        targets = self.view.sample_channel(rng, self.state_info_fanout)
+        targets = self.view.sample_channel(self._rng or first_draw(self), self.state_info_fanout)
         if targets:
             # One shared StateInfo for the whole fanout (receivers only
             # read the height), multicast as a single pooled network event.
@@ -111,7 +110,7 @@ class RecoveryComponent:
             return
         # Ask one of the most advanced peers for the next missing batch.
         best_peers = [name for name, height in self.known_heights.items() if height == best_height]
-        target = (self._stream or first_replay(self)).open().choice(best_peers)
+        target = (self._rng or first_draw(self)).choice(best_peers)
         to_number = min(best_height, my_height + self.batch_max)
         self.host.send(target, RecoveryRequest(my_height, to_number))
         self.recovery_requests_sent += 1

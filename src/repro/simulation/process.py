@@ -9,12 +9,11 @@ process, and to timer management so processes can be shut down cleanly
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.simulation._core.engine import SimulationError, Simulator
 from repro.simulation._core.wheel import WheelTimer
-from repro.simulation.random import RandomStreams, Replayable
+from repro.simulation.random import Buffered, RandomStreams
 from repro.simulation.timers import PeriodicTimer
 
 RecurringTimer = Union[PeriodicTimer, WheelTimer]
@@ -68,27 +67,18 @@ class Process:
         """False after :meth:`shutdown` (or a simulated crash)."""
         return self._alive
 
-    def rng(self, purpose: str) -> random.Random:
-        """A deterministic dense stream scoped to this process and
-        ``purpose``: a live generator, for a purpose that draws every few
-        milliseconds (push targets, background traffic).
+    def rng(self, purpose: str) -> Buffered:
+        """The deterministic stream scoped to this process and ``purpose``:
+        a :class:`~repro.simulation.random.Buffered` stream, its seed and
+        next few words, timed by this process's simulator, until it draws
+        fast enough to be promoted to a live generator.
 
         The first call seeds it, so call this where the first draw
         happens, never from a constructor: components bind it through
-        :func:`repro.simulation.random.first_draw`. A purpose that draws
-        once every few seconds takes :meth:`replayable` instead.
+        :func:`repro.simulation.random.first_draw`, which lets a promotion
+        rebind the component to the live generator.
         """
-        return self._streams.stream(f"{self.name}:{purpose}")
-
-    def replayable(self, purpose: str) -> Replayable:
-        """The replayable stream scoped to this process and ``purpose``: a
-        handle whose ``open()`` gives a live generator, rebuilt from its
-        seed and word count when it was evicted, so it costs no generator
-        state between draws. Components bind it through
-        :func:`repro.simulation.random.first_replay`; it draws what
-        :meth:`rng` of the same purpose would, draw for draw.
-        """
-        return self._streams.replayable(f"{self.name}:{purpose}")
+        return self._streams.buffered(f"{self.name}:{purpose}", self.sim)
 
     def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule a one-shot callback, skipped if the process has died.

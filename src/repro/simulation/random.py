@@ -7,27 +7,27 @@ components statistically independent: adding a draw in one component does
 not perturb the sequence seen by another.
 
 A stream exists from its first draw, not from the construction of the
-component that owns it: a Mersenne-Twister state is 2.5 KB, a deployment
-builds three to four stream owners per peer, and most of them never draw
-(only a leader draws ``leader-initial-gossiper``). Seeds derive
-from ``(master_seed, name)`` alone, so which owner draws first — or
-whether one ever does — cannot move another stream's sequence.
+component that owns it. Seeds derive from ``(master_seed, name)`` alone,
+so which owner draws first — or whether one ever does — cannot move
+another stream's sequence.
 
-A stream is kept in one of two ways, chosen by how often it draws:
+A stream is kept in one of two ways:
 
-* *dense* — a live :class:`Stream`, bound once by :func:`first_draw` and
-  held by its owner: network latency and queue draws, push targets and
-  background traffic, which draw every few milliseconds of simulated
-  time, and the leaders' first gossipers, one stream per organization;
-* *replayable* — a :class:`Replayable` handle, bound by
-  :func:`first_replay`: the recovery component's phases, state-info
-  targets and catch-up choice, and the pull component's phase and
-  targets, which draw once every few seconds. The registry keeps such a
-  stream as its seed and the number of 32-bit words drawn from it, and
-  at most :data:`LIVE_REPLAYABLE` of them hold a live generator; opening
-  any other one re-seeds an evicted generator in place and advances it
-  by its word count, so it draws exactly what an always-live stream of
-  the same name would.
+* *dense* — a :class:`Stream`, a live 2.5 KB Mersenne-Twister state:
+  ``network:latency:*``, ``network:queue:*``, ``faults:*`` and
+  ``workload:*``, which the network kernels draw per copy through bound C
+  methods (:meth:`RandomStreams.stream`);
+* *buffered* — a :class:`Buffered`, every stream a process draws from
+  (:meth:`repro.simulation.process.Process.rng`): push targets, recovery,
+  pull, background traffic, the leaders' first gossipers and timer
+  jitter. It is its seed, the next few 32-bit words of the
+  Mersenne-Twister sequence and the index just past them, refilled from
+  the seed when spent. Most such streams draw a few times and go idle,
+  or a few words every few seconds, and cost ~0.3 KB instead of 2.5 KB;
+  one that spends its fills fast (push targets while blocks spread) is
+  *promoted* to a live :class:`Stream`, which its owner then draws from
+  directly. Either way it draws exactly what a :class:`Stream` of the
+  same name would.
 """
 
 from __future__ import annotations
@@ -35,22 +35,33 @@ from __future__ import annotations
 import _random
 import hashlib
 import random
-from collections import OrderedDict
+import sys
+from array import array
 from math import ceil, log
 from typing import Dict, List, Optional, Sequence, TypeVar, Union
 
 T = TypeVar("T")
 
-#: How many replayable streams of one registry hold a live generator at
-#: once, least recently opened out first: 256 x 2.5 KB is ~0.64 MB. It
-#: changes memory and time only, never a draw, and every 100-peer
-#: deployment (two replayable streams per peer at most) stays within it.
-LIVE_REPLAYABLE = 256
+#: Words in a buffered stream's first fill; each later fill doubles.
+FIRST_FILL = 16
+#: The largest fill. Three fills (16 + 32 + 64 = 112 words) hold a cold
+#: stream's draws in at most 256 B, a tenth of the 624-word state; every
+#: later fill is this size too.
+LAST_FILL = 64
+#: Simulated seconds: a stream that spends a :data:`LAST_FILL` fill in less
+#: is promoted, as each refill re-seeds and advances from the start. The
+#: enhanced push and background streams take 0.3-8 s; recovery, pull, the
+#: leaders' and the original push streams take 25-81 s and stay buffered.
+HOT_SPAN = 16.0
 
-# The C methods a replayable generator counts around and re-seeds with.
+# The C methods a fill re-seeds and reads the scratch generator with.
 _seed_in_place = _random.Random.seed
 _next_bits = _random.Random.getrandbits
-_next_double = _random.Random.random
+# The generator every fill re-seeds and reads: it carries nothing over.
+_SCRATCH = _random.Random(0)
+# The buffer of a stream that has not drawn yet or has been promoted.
+_NO_WORDS = array("I")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -67,136 +78,141 @@ def derive_seed(master_seed: int, name: str) -> int:
 class Stream(random.Random):
     """A :class:`random.Random` that is its generator state and nothing
     more: the slot holds the one attribute ``Random`` sets, so no stream
-    carries an instance ``__dict__`` (~330 B each, over 9,000 streams at
-    3,000 peers). Draws, ``getstate()``, pickling and ``deepcopy`` are
-    those of ``random.Random``."""
+    carries an instance ``__dict__`` (~330 B each, over 3,000 dense
+    streams at 3,000 peers). Draws, ``getstate()``, pickling and
+    ``deepcopy`` are those of ``random.Random``."""
 
     __slots__ = ("gauss_next",)
 
 
-class Replayed(Stream):
-    """The live generator of a :class:`Replayable` stream: a
-    :class:`Stream` that counts the 32-bit words it has consumed.
+class Buffered:
+    """A stream kept as its seed, its next words and the index past them.
 
-    Every draw reaches the Mersenne Twister through :meth:`random` (two
-    words) or :meth:`getrandbits` (one word per 32 bits, none for
-    ``k = 0``): ``uniform``, ``choice``, ``_randbelow``, ``shuffle`` and
-    :func:`sample_skipping` all go through these two, so ``words`` is
-    exactly how far the state has moved from its seed. ``gauss`` parks a
-    value outside the state; a stream holding one cannot be replayed, and
-    eviction refuses it.
+    It is not a :class:`random.Random`, which *is* the 2.5 KB state.
+    ``getrandbits`` and ``random`` consume the buffered words as CPython's
+    generator consumes its own, bit for bit; ``uniform``, ``choice``,
+    ``shuffle`` and ``_randbelow`` are the stdlib's, over those two, and
+    so is :func:`sample_skipping`. The buffer is held last word first and
+    spent with ``pop()``. A spent buffer is refilled by re-seeding a
+    scratch generator, advancing it past the words already drawn and
+    reading the next fill, in three C calls.
+
+    A stream that spends a fill of :data:`LAST_FILL` words within
+    :data:`HOT_SPAN` simulated seconds of making it (``filled_at``, read
+    from ``clock.now``) is promoted: ``_live`` becomes a :class:`Stream`
+    positioned at its word index and, when :func:`first_draw` recorded an
+    ``owner``, the owner's ``_rng`` is rebound to it. Whoever still holds
+    this object draws through to the live generator.
     """
 
-    __slots__ = ("words",)
+    __slots__ = ("seed", "index", "words", "owner", "filled_at", "_clock", "_live")
 
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed)
-        self.words = 0
+    _randbelow = random.Random._randbelow_with_getrandbits
+    uniform = random.Random.uniform
+    choice = random.Random.choice
+    shuffle = random.Random.shuffle
 
-    def random(self) -> float:
-        self.words += 2
-        return _next_double(self)
+    def __init__(self, seed: int, clock) -> None:
+        self.seed = seed
+        self.index = 0
+        self.words = _NO_WORDS
+        self.owner = None
+        self.filled_at = 0.0
+        self._clock = clock
+        self._live: Optional[Stream] = None
 
     def getrandbits(self, k: int) -> int:
-        bits = _next_bits(self, k)
-        self.words += (k + 31) >> 5
-        return bits
+        if 0 < k <= 32:
+            try:
+                return self.words.pop() >> (32 - k)
+            except IndexError:
+                return self._next() >> (32 - k)
+        if k <= 0:
+            if k < 0:
+                raise ValueError("number of bits must be non-negative")
+            return 0
+        # Least significant word first; the last one keeps its top bits.
+        bits = shift = 0
+        while k > 32:
+            bits |= self._next() << shift
+            shift += 32
+            k -= 32
+        return bits | (self._next() >> (32 - k)) << shift
 
+    def random(self) -> float:
+        words = self.words
+        if len(words) > 1:
+            return ((words.pop() >> 5) * 67108864.0 + (words.pop() >> 6)) / 9007199254740992.0
+        return ((self._next() >> 5) * 67108864.0 + (self._next() >> 6)) / 9007199254740992.0
 
-class Replayable:
-    """A replayable stream: its seed, the words drawn from it as of its
-    last eviction, and its live generator while it has one.
+    def _next(self) -> int:
+        """The next word: buffered, from a new fill, or once promoted from
+        the live generator."""
+        if not self.words:
+            if self._live is None:
+                self._refill()
+            if self._live is not None:
+                return _next_bits(self._live, 32)
+        return self.words.pop()
 
-    Draw through :meth:`open` and do not keep what it returns: a
-    generator is live until another stream of the registry is opened,
-    which may evict it and re-seed the object for that stream.
-    """
-
-    __slots__ = ("_streams", "seed", "words", "_live")
-
-    def __init__(self, streams: "RandomStreams", seed: int) -> None:
-        self._streams = streams
-        self.seed = seed
-        self.words = 0
-        self._live: Optional[Replayed] = None
-
-    def open(self) -> Replayed:
-        """The stream's generator, positioned where its last draw left it."""
-        live = self._live
-        if live is None:
-            return self._streams._revive(self)
-        self._streams._lru.move_to_end(self)
-        return live
+    def _refill(self) -> None:
+        index = self.index
+        size = index + FIRST_FILL  # FIRST_FILL at 0, twice it at FIRST_FILL, ...
+        now = self._clock.now
+        if size > LAST_FILL:
+            size = LAST_FILL
+            if now - self.filled_at < HOT_SPAN:
+                live = self._live = Stream(self.seed)
+                _next_bits(live, 32 * index)
+                self.words = _NO_WORDS
+                if self.owner is not None:
+                    self.owner._rng = live
+                return
+        self.filled_at = now
+        scratch = _SCRATCH
+        _seed_in_place(scratch, self.seed)
+        if index:
+            _next_bits(scratch, 32 * index)
+        # The first word drawn is the least significant: big-endian bytes
+        # put it last, where pop() takes it first.
+        words = self.words = array("I", _next_bits(scratch, 32 * size).to_bytes(4 * size, "big"))
+        if not _BIG_ENDIAN:
+            words.byteswap()
+        self.index = index + size
 
 
 class RandomStreams:
     """Factory and registry of named streams: dense :class:`Stream`
-    generators and :class:`Replayable` handles."""
+    generators and :class:`Buffered` ones."""
 
     def __init__(self, master_seed: int = 0) -> None:
         self._master_seed = master_seed
-        self._streams: Dict[str, Union[Stream, Replayable]] = {}
-        # The replayable streams with a live generator, least recently
-        # opened first.
-        self._lru: "OrderedDict[Replayable, None]" = OrderedDict()
-        #: Opens that re-seeded an evicted generator for another stream
-        #: (and replayed that stream's words into it): what the budget
-        #: costs in time. Zero while no more than the budget were opened.
-        self.rebuilds = 0
+        self._streams: Dict[str, Union[Stream, Buffered]] = {}
 
     @property
     def master_seed(self) -> int:
         return self._master_seed
 
-    def stream(self, name: str) -> random.Random:
+    def stream(self, name: str) -> Stream:
         """Return the dense stream registered under ``name``, creating it
         lazily."""
         rng = self._streams.get(name)
         if rng is None:
-            rng = Stream(derive_seed(self._master_seed, name))
-            self._streams[name] = rng
-        elif type(rng) is Replayable:
-            raise TypeError(f"stream {name!r} is replayable: draw from replayable({name!r}).open()")
+            rng = self._streams[name] = Stream(derive_seed(self._master_seed, name))
+        elif type(rng) is not Stream:
+            raise TypeError(f"stream {name!r} is buffered: draw from buffered({name!r})")
         return rng
 
-    def replayable(self, name: str) -> Replayable:
-        """Return the replayable stream registered under ``name``, creating
-        it lazily. It yields what ``stream(name)`` would, draw for draw."""
-        handle = self._streams.get(name)
-        if handle is None:
-            handle = Replayable(self, derive_seed(self._master_seed, name))
-            self._streams[name] = handle
-        elif type(handle) is not Replayable:
+    def buffered(self, name: str, clock) -> Buffered:
+        """Return the buffered stream registered under ``name``, creating
+        it lazily; ``clock.now`` (the simulator) times its fills. It draws
+        what ``stream(name)`` would, draw for draw."""
+        rng = self._streams.get(name)
+        if rng is None:
+            rng = self._streams[name] = Buffered(derive_seed(self._master_seed, name), clock)
+        elif type(rng) is not Buffered:
             raise TypeError(f"stream {name!r} is dense: draw from stream({name!r})")
-        return handle
-
-    def _revive(self, handle: Replayable) -> Replayed:
-        """Give ``handle`` a live generator: a new one while fewer than
-        :data:`LIVE_REPLAYABLE` are live, else the least recently opened
-        one's, re-seeded in place. Either way it is advanced by the words
-        ``handle`` had drawn, in one C call."""
-        lru = self._lru
-        if len(lru) < LIVE_REPLAYABLE:
-            live = Replayed(handle.seed)
-        else:
-            evicted = next(iter(lru))
-            live = evicted._live
-            if live.gauss_next is not None:
-                raise RuntimeError(
-                    "a replayable stream cannot be evicted with a gauss() value pending: "
-                    "its word count does not hold it"
-                )
-            del lru[evicted]
-            evicted.words = live.words
-            evicted._live = None
-            _seed_in_place(live, handle.seed)
-            self.rebuilds += 1
-        words = live.words = handle.words
-        if words:
-            _next_bits(live, 32 * words)
-        handle._live = live
-        lru[handle] = None
-        return live
+        return rng
 
     def spawn(self, name: str) -> "RandomStreams":
         """Derive an independent child registry (e.g. per experiment run)."""
@@ -210,36 +226,19 @@ class RandomStreams:
         return list(self._streams)
 
 
-def first_draw(owner) -> random.Random:
-    """Bind ``owner``'s dense stream at its first draw and keep it on
+def first_draw(owner) -> Buffered:
+    """Bind ``owner``'s stream at its first draw and keep it on
     ``owner._rng``.
 
     The owner declares its purpose as a class constant ``STREAM``, sets
-    ``self._rng = None`` in its constructor (never ``host.rng(...)``: that
-    would seed a state the owner may never use) and draws through
-    ``self._rng or first_draw(self)`` — after the first draw the left
-    operand is the bound :class:`random.Random` and this function is not
-    called again. Dense streams are those that draw every few
-    milliseconds (latency, push targets, background traffic) and the
-    leaders' first gossipers, one per organization. A stream of every
-    peer that draws once every few seconds is replayable instead
-    (:func:`first_replay`).
+    ``self._rng = None`` in its constructor (never ``host.rng(...)``) and
+    draws through ``self._rng or first_draw(self)``: after the first draw
+    the left operand is the bound stream, and when that stream is
+    promoted it rebinds ``owner._rng`` to its live generator.
     """
     rng = owner._rng = owner.host.rng(owner.STREAM)
+    rng.owner = owner
     return rng
-
-
-def first_replay(owner) -> Replayable:
-    """Bind ``owner``'s replayable stream at its first draw and keep it on
-    ``owner._stream``.
-
-    The idiom of :func:`first_draw` for a stream that draws once every
-    few seconds (recovery and pull): the owner sets ``self._stream =
-    None`` and draws from ``(self._stream or first_replay(self)).open()``,
-    holding the opened generator only for the draws of one callback.
-    """
-    handle = owner._stream = owner.host.replayable(owner.STREAM)
-    return handle
 
 
 def sample_without(rng: random.Random, population: Sequence[T], k: int) -> List[T]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -14,7 +13,7 @@ from repro.ledger.transaction import TransactionProposal
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
-from repro.simulation.random import RandomStreams
+from repro.simulation.random import Buffered, RandomStreams
 
 
 @pytest.fixture
@@ -103,11 +102,8 @@ class FakeHost:
         assert src == self.name
         self.multicast(dsts, message)
 
-    def rng(self, purpose: str) -> random.Random:
-        return self._streams.stream(f"{self.name}:{purpose}")
-
-    def replayable(self, purpose: str):
-        return self._streams.replayable(f"{self.name}:{purpose}")
+    def rng(self, purpose: str) -> Buffered:
+        return self._streams.buffered(f"{self.name}:{purpose}", self.sim)
 
     def after(self, delay: float, callback, *args):
         return self.sim.schedule(delay, callback, *args)

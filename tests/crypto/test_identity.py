@@ -1,7 +1,11 @@
 """Unit tests for MSP identities."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.crypto.hashing import hash_fields
 from repro.crypto.identity import Identity, MembershipServiceProvider
 
 
@@ -41,6 +45,25 @@ def test_signing_keys_differ_across_msp_domains():
     a = MembershipServiceProvider(domain="d1").enroll("a", "org0", "peer")
     b = MembershipServiceProvider(domain="d2").enroll("a", "org0", "peer")
     assert a.signing_key != b.signing_key
+
+
+def test_the_key_seed_derives_from_the_msp_domain_when_asked_for():
+    identity = MembershipServiceProvider(domain="d1").enroll("a", "org0", "peer")
+    assert identity.key_seed == hash_fields("d1", "a", "org0", "peer")
+    assert identity.signing_key == hash_fields("signing-key", "a", "org0", identity.key_seed)
+    assert Identity(name="a", organization="org0", role="peer").key_seed == ""
+
+
+def test_an_identity_is_immutable_and_copies_whole():
+    a = MembershipServiceProvider(domain="d1").enroll("a", "org0", "peer")
+    with pytest.raises(AttributeError):
+        a.role = "orderer"
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert repr(a) == "Identity(name='a', organization='org0', role='peer')"
+    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert (twin.name, twin.organization, twin.role, twin.domain) == ("a", "org0", "peer", "d1")
+        assert twin.signing_key == a.signing_key
 
 
 def test_members_filtered_by_org_and_role():

@@ -9,7 +9,7 @@ from repro.experiments.builders import build_network, gossip_factory
 from repro.gossip.config import BackgroundTrafficConfig, EnhancedGossipConfig, OriginalGossipConfig
 from repro.gossip.enhanced import EnhancedGossip
 from repro.gossip.original import OriginalGossip
-from repro.simulation.random import LIVE_REPLAYABLE
+from repro.simulation.random import Buffered, Stream
 
 from tests.conftest import FakeHost
 
@@ -137,17 +137,18 @@ def test_a_built_original_peer_costs_its_protocol_state():
 
 @pytest.mark.parametrize(
     "gossip, bound",
-    [(EnhancedGossipConfig.paper_f4(), 8_500), (OriginalGossipConfig(), 9_000)],
+    [(EnhancedGossipConfig.paper_f4(), 7_200), (OriginalGossipConfig(), 7_900)],
     ids=["enhanced", "original"],
 )
-def test_a_started_peer_holds_no_idle_generator_past_the_budget(gossip, bound):
-    """Recovery and pull draw once every few seconds, so their streams are
-    replayable: 500 started peers open 500 (enhanced) or 1,000 (original)
-    of them, and only the registry's budget of them hold a generator.
-    Traced after 12 simulated seconds, a started peer holds 7.8 KB
-    (enhanced) or 8.2 KB (original): its built state, its per-source
-    latency stream, its timers and its replayable handles. With a live
-    generator per replayable stream it held 9.1 KB and 12.2 KB."""
+def test_a_started_peer_holds_no_generator_but_its_latency_stream(gossip, bound):
+    """A started peer's streams (recovery, and pull in the original
+    module) draw a few words every few seconds and stay buffered: after
+    12 simulated seconds of 500 started peers, every live generator in
+    the registry is a ``network:*`` one. A started peer holds 6.6 KB
+    (enhanced) or 7.2 KB (original): its built state, its per-source
+    latency stream, its timers and its buffered streams (9.1 KB and
+    12.2 KB with a live generator per stream; 7.8 KB and 8.2 KB with 256
+    of them shared by replay)."""
     build_network(n_peers=4, gossip=gossip, seed=1).start()  # imports, caches
     gc.collect()
     tracemalloc.start()
@@ -158,10 +159,11 @@ def test_a_started_peer_holds_no_idle_generator_past_the_budget(gossip, bound):
         per_peer = tracemalloc.get_traced_memory()[0] / net.n_peers
     finally:
         tracemalloc.stop()
-    handles = [net.streams.replayable(name) for name in _peer_streams(net)]
-    assert len(handles) == net.n_peers * (1 if isinstance(gossip, EnhancedGossipConfig) else 2)
-    live = {id(handle._live) for handle in handles if handle._live is not None}
-    assert len(live) == LIVE_REPLAYABLE and net.streams.rebuilds > 0
+    streams = net.streams._streams
+    buffered = [name for name, rng in streams.items() if type(rng) is Buffered]
+    assert len(buffered) == net.n_peers * (1 if isinstance(gossip, EnhancedGossipConfig) else 2)
+    generators = [name for name, rng in streams.items() if type(rng) is Stream or rng._live]
+    assert generators and all(name.startswith("network:") for name in generators)
     assert per_peer <= bound
 
 
@@ -241,8 +243,8 @@ def test_run_seeds_the_leader_stream_for_leaders_only():
     # component a private 1.5 KB one).
     for peer in net.peers.values():
         push = peer.gossip.push
-        assert f"{peer.name}:iuc-push-targets" in net.streams
-        assert push._rng is net.streams.stream(f"{peer.name}:iuc-push-targets")
+        stream = net.streams.buffered(f"{peer.name}:iuc-push-targets", net.sim)
+        assert push._rng is (stream._live or stream) and stream.owner is push
         assert not hasattr(push, "__dict__")
 
 

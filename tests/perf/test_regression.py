@@ -35,11 +35,11 @@ def test_sharded_determinism_contract_holds_on_subset():
 
 
 @pytest.mark.parametrize("gate", BOTH_GATES, ids=["single-process", "two-inline-shards"])
-def test_goldens_replay_at_maximal_eviction(gate):
-    """With one live replayable generator per registry, nearly every open
-    of a recovery or pull stream rebuilds it from its seed and word count,
-    and the goldens still replay bit-for-bit (single-process on every key,
-    ``events_executed`` included)."""
+def test_goldens_replay_with_one_word_fills(gate):
+    """With a first fill of one word, a process stream refills from its
+    seed up to seven times (1, 2, 4, ... 64 words) before it is promoted,
+    and the goldens still replay bit-for-bit (single-process on every
+    key, ``events_executed`` included)."""
     from unittest import mock
 
     from repro.simulation import random as random_streams
@@ -51,11 +51,18 @@ def test_goldens_replay_at_maximal_eviction(gate):
         init(self, *args, **kwargs)
         registries.append(self)
 
-    with mock.patch.object(random_streams, "LIVE_REPLAYABLE", 1), mock.patch.object(
+    with mock.patch.object(random_streams, "FIRST_FILL", 1), mock.patch.object(
         random_streams.RandomStreams, "__init__", noted
     ):
         assert check_determinism(**gate) == []
-    assert sum(registry.rebuilds for registry in registries) > 0
+    buffered = [
+        stream
+        for registry in registries
+        for stream in registry._streams.values()
+        if type(stream) is random_streams.Buffered
+    ]
+    assert any(stream.index > 0 for stream in buffered)  # refilled
+    assert any(stream._live is not None for stream in buffered)  # promoted
 
 
 def test_determinism_diff_records_structured_mismatches():
@@ -141,11 +148,9 @@ def _replay_recovery_crash(crash_at, eager):
     """The recovery golden's deployment with its crash moved to ``crash_at``.
 
     ``eager`` seeds every peer's streams before anything runs, in the
-    order component constructors used to (the replayable ``recovery``
-    stream through its handle, opened so its generator is live);
-    otherwise each is bound at its first draw. Returns the snapshot, the
-    push-stream census of the crashed peers at the moment they crash, and
-    the final registry.
+    order component constructors used to; otherwise each is bound at its
+    first draw. Returns the snapshot, the push-stream census of the
+    crashed peers at the moment they crash, and the final registry.
     """
     from dataclasses import replace
     from unittest import mock
@@ -173,10 +178,7 @@ def _replay_recovery_crash(crash_at, eager):
         if eager:
             for name in net.peers:
                 for purpose in ("iuc-push-targets", "recovery", "leader-initial-gossiper", "background"):
-                    if purpose == "recovery":
-                        net.streams.replayable(f"{name}:{purpose}").open()
-                    else:
-                        net.streams.stream(f"{name}:{purpose}")
+                    net.streams.buffered(f"{name}:{purpose}", net.sim)
         first, last = crash.regular_slice
         crashing.update(net.regular_peers()[first:last])
         compiled.append(compile_fault_schedule(spec.faults, net))
