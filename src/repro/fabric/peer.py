@@ -228,6 +228,12 @@ class Peer(Process):
         return self.blockchain.get_any
 
     @property
+    def held_blocks(self) -> List[Optional[Block]]:
+        """The blocks this peer holds, by number (the chain's live
+        :attr:`~repro.ledger.chain.Blockchain.by_number`)."""
+        return self.blockchain.by_number
+
+    @property
     def ledger_height(self) -> int:
         return self.blockchain.height
 

@@ -62,6 +62,13 @@ class GossipHost(Protocol):
         Components bind ``host.get_block`` once, at construction."""
 
     @property
+    def held_blocks(self) -> List[Optional[Block]]:
+        """The same blocks as a list by number, ``None`` for a gap: the
+        live list, extended in place, read where a call per lookup costs
+        too much. Components bind it once, at construction, and never
+        write to it."""
+
+    @property
     def ledger_height(self) -> int:
         """Committed chain height."""
 

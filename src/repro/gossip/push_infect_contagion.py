@@ -57,7 +57,7 @@ arrives.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.gossip.config import MAX_TTL
 from repro.gossip.messages import BlockPush, PushDigest, PushRequest
@@ -149,6 +149,7 @@ class InfectUponContagionPush:
         "_rng",
         "_multicast",
         "_get_block",
+        "_held",
         "_seen_pairs",
         "_missing",
         "pairs_received",
@@ -191,6 +192,8 @@ class InfectUponContagionPush:
         # get_block runs once per digest reception — the dominant message
         # class at scale — so the host hop is resolved once here.
         self._get_block = host.get_block
+        # The same blocks as a list by number, for ignored_digests.
+        self._held = host.held_blocks
         # Word k: the bitmask of the counters seen with block k.
         self._seen_pairs = array("Q")
         # Block number -> _Missing, for blocks announced but not held; None
@@ -264,10 +267,12 @@ class InfectUponContagionPush:
         """A digest announces the pair ``(block, counter)``.
 
         If we hold the block this behaves exactly like a pair reception
-        (minus the payload). Otherwise we request the block — one request
-        in flight per block, hardened by the retry ladder: the sender is
-        remembered as a holder, and should the transfer stall past the
-        timeout, the retry rotates to a different advertised holder.
+        (minus the payload): a pair seen before, or past the TTL, changes
+        nothing (:func:`ignored_digests`). Otherwise we request the block
+        — one request in flight per block, hardened by the retry ladder:
+        the sender is remembered as a holder, and should the transfer
+        stall past the timeout, the retry rotates to a different
+        advertised holder.
         """
         number = message.block_number
         counter = message.counter
@@ -408,3 +413,48 @@ class InfectUponContagionPush:
         seen = self._seen_pairs
         mask = seen[block_number] if block_number < len(seen) else _grow(seen, block_number)
         seen[block_number] = mask | (1 << counter)
+
+
+_ON_DIGEST = InfectUponContagionPush.on_digest
+
+
+def ignored_digests(
+    routes: Dict[str, tuple], dsts: Sequence[str], message: PushDigest
+) -> Optional[List[str]]:
+    """The destinations in ``dsts`` on which ``message`` would change
+    nothing, or None: the ``ignored`` predicate of
+    :meth:`repro.net.network.Network.elide` for :class:`PushDigest`.
+
+    A destination is named when its routes (``routes[dst]``, see
+    :meth:`~repro.net.network.Network.set_routes`) hand a digest to the
+    stock :meth:`InfectUponContagionPush.on_digest` (a digest liar's do
+    not), and its push holds the block and has seen the pair, or the
+    counter exceeds its TTL: ``on_digest``'s mask test finding the pair
+    not new while ``get_block`` finds the block, the case in which it
+    returns without touching state. It is asked once per fan-out and
+    reads the seen word and the held list inline, with no call per copy.
+    """
+    number = message.block_number
+    counter = message.counter
+    bit = 1 << counter
+    ignored = None
+    for dst in dsts:
+        node = routes.get(dst)
+        if node is None:
+            continue
+        route = node[0].get(PushDigest)
+        if route is None or route[1] is not _ON_DIGEST:
+            continue
+        push = node[route[0]]
+        held = push._held
+        if number >= len(held) or held[number] is None:
+            continue
+        if counter <= push.ttl:
+            seen = push._seen_pairs
+            if number >= len(seen) or not seen[number] & bit:
+                continue
+        if ignored is None:
+            ignored = [dst]
+        else:
+            ignored.append(dst)
+    return ignored

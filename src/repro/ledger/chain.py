@@ -55,6 +55,13 @@ class Blockchain:
             return GENESIS_PREVIOUS_HASH
         return self._blocks[self._height - 1].block_hash
 
+    @property
+    def by_number(self) -> List[Optional[Block]]:
+        """The held blocks by number, ``None`` for a gap: the live list
+        :meth:`get_any` indexes, for a reader that cannot afford the call
+        (it is extended in place, never replaced). Never write to it."""
+        return self._blocks
+
     def get_any(self, number: int) -> Optional[Block]:
         """Committed or buffered block, for serving gossip requests; None
         when the peer does not hold it."""

@@ -56,13 +56,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checks import require_finite
 from repro.net.latency import LanLatency, LatencyModel, LatencySpec
 from repro.net.link import LinkModel, new_queue_stats, summarize_queue_accounting
 from repro.net.message import Message
-from repro.simulation._core.engine import Simulator
+from repro.simulation._core.engine import SimulationError, Simulator
 from repro.simulation._core.kernels import LINK_DROP_TAIL, fan_out, link_enqueue
 from repro.simulation._core.monitor import TrafficMonitor
 from repro.simulation.random import RandomStreams
@@ -199,6 +199,10 @@ class Network:
         # window barrier.
         self._shard_owned: Optional[frozenset] = None
         self._shard_egress: Optional[list] = None
+        # (message class, ignored(routes, dsts, message)): the copies their
+        # receiver would ignore (elide). None until a deployment that
+        # disconnects no node and rewires no route arms it.
+        self._ignores: Optional[Tuple[type, Callable]] = None
         # _phases[two_phase] is the ``phase`` argument of kernels.fan_out.
         self._phases = (
             (False, self._deliver_multicast),
@@ -226,8 +230,13 @@ class Network:
             raise ValueError(f"unknown node {name!r}")
         if routes is None:
             self._routes.pop(name, None)
-        else:
-            self._routes[name] = routes
+            return
+        current = self._routes.get(name)
+        if self._ignores is not None and current is not None and current[0] is not routes[0]:
+            raise SimulationError(
+                f"cannot rewire {name!r}: this network elides the copies its receivers ignore"
+            )
+        self._routes[name] = routes
 
     def __contains__(self, name: str) -> bool:
         """Whether ``name`` is a registered node."""
@@ -237,12 +246,37 @@ class Network:
         """Simulate a node dropping off the network (crash / partition)."""
         if name not in self._handlers:
             raise ValueError(f"unknown node {name!r}")
+        if disconnected and self._ignores is not None:
+            raise SimulationError(
+                f"cannot disconnect {name!r}: this network elides the copies its receivers ignore"
+            )
         previously = self._disconnected.get(name, False)
         if disconnected and not previously:
             self._n_disconnected += 1
         elif previously and not disconnected:
             self._n_disconnected -= 1
         self._disconnected[name] = disconnected
+
+    def elide(self, message_class: type, ignored: Callable) -> None:
+        """Schedule no delivery for the copies of ``message_class`` that
+        their receivers would ignore.
+
+        ``ignored(routes, dsts, message)`` gets the network's routes by
+        node and returns the destinations, among ``dsts``, whose handler
+        would return on ``message`` without changing any state, or None.
+        Such a copy keeps every send-time effect: accounting, NIC and link
+        occupancy, its latency draw, its sequence number
+        (:func:`~repro.simulation._core.kernels.fan_out`). Only its
+        delivery event goes, which would have changed nothing on arrival
+        either as long as its receiver stays connected and keeps its
+        routes: from this call on, :meth:`set_disconnected` refuses to
+        disconnect a node and :meth:`set_routes` refuses to rewire one.
+        A copy queued on the receiver's downlink (``size >=
+        downlink_queue_min_bytes``) reserves it on arrival, so it is
+        always delivered. One class is elided at a time: a second call
+        replaces the first. docs/networking.md, "Delivery".
+        """
+        self._ignores = (message_class, ignored)
 
     def set_drop_filter(self, drop: Optional[Callable[[str, str, Message], bool]]) -> None:
         """Install a message-drop predicate (fault injection / packet loss)."""
@@ -427,6 +461,10 @@ class Network:
         port = self._ports.get(src)
         if port is None:
             port = self._open_port(src)
+        ignored = None
+        ignores = self._ignores
+        if ignores is not None and message.__class__ is ignores[0] and size < self._queue_min:
+            ignored = ignores[1](self._routes, dsts, message)
         sim = self.sim
         # The monitor accounts a copy at send time, before the link may
         # drop it: utilization plots reflect when bytes enter the network,
@@ -444,6 +482,7 @@ class Network:
             self._phases[size >= self._queue_min],
             self._shard_owned,
             self._shard_egress,
+            ignored,
         )
         if dropped:
             self.dropped_messages += dropped

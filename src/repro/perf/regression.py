@@ -141,7 +141,8 @@ GOLDEN_SCENARIOS: Dict[str, tuple] = {
 # legitimately depends on the shard count: exact-tie delivery grouping
 # (shared slot-delivery events) is shard-local, so a fanout spanning
 # shards executes as more, smaller events while every delivery, byte and
-# latency stays identical. The sharded gate therefore compares every
+# latency stays identical, and a shard elides only the ignored digests
+# of its own receivers. The sharded gate therefore compares every
 # golden key except this one. docs/sharding.md spells out the argument.
 SHARD_VARIANT_KEYS = frozenset({"events_executed"})
 

@@ -22,6 +22,8 @@ from repro.experiments.dissemination import (
 )
 from repro.faults.schedule import FaultSchedule, compile_fault_schedule
 from repro.gossip.config import BackgroundTrafficConfig
+from repro.gossip.messages import PushDigest
+from repro.gossip.push_infect_contagion import ignored_digests
 from repro.metrics.latency import DisseminationTracker
 from repro.metrics.resilience import peer_resilience_counters, resilience_snapshot
 from repro.net.link import merge_queue_accounting, summarize_queue_accounting
@@ -71,6 +73,19 @@ def dissemination_config(
             else None
         ),
     )
+
+
+def arm(spec: ScenarioSpec, net) -> FaultSchedule:
+    """Compile ``spec``'s fault events onto the freshly built ``net``.
+
+    A spec that declares none (no fault schedule, churn or adversary)
+    disconnects no node and rewires no route for the whole run, so its
+    network elides the push digests their receivers would ignore
+    (:meth:`~repro.net.network.Network.elide`, docs/networking.md,
+    "Delivery")."""
+    if not spec.faults:
+        net.network.elide(PushDigest, ignored_digests)
+    return compile_fault_schedule(spec.faults, net)
 
 
 def resolve(
@@ -150,8 +165,8 @@ def merge_shard_results(
     plus the fault accounting, so sweep merges and golden replays share
     one vocabulary. Every physics metric is the same at any shard count;
     ``events_executed`` is the sum of the per-shard engine counters, which
-    legitimately differs (exact-tie delivery grouping is shard-local —
-    see docs/sharding.md). ``results`` is only read: merging the same
+    legitimately differs (exact-tie delivery grouping and digest elision
+    are shard-local — see docs/sharding.md). ``results`` is only read: merging the same
     results again returns the same snapshot.
     """
     ordered = sorted(results, key=lambda result: result.shard_id)
@@ -238,7 +253,7 @@ def run_scenario(
     compiled: list = []  # box: prepare runs inside run_dissemination
 
     def prepare(net) -> None:
-        compiled.append(compile_fault_schedule(spec.faults, net))
+        compiled.append(arm(spec, net))
 
     result = run_dissemination(config, prepare=prepare)
     return ScenarioRun(spec=spec, seed=seed, result=result, faults=compiled[0])

@@ -17,11 +17,11 @@ from repro.checks import require_finite
 from repro.experiments.builders import node_region_placement, organization_members
 from repro.experiments.dissemination import deploy
 from repro.faults.chaos import ChaosInjected, ShardChaos
-from repro.faults.schedule import compile_fault_schedule
 from repro.metrics.runhealth import RunHealth
 from repro.net.network import NetworkConfig
 from repro.scenarios.runner import (
     ShardResult,
+    arm,
     collect_result,
     dissemination_config,
     merge_shard_results,
@@ -631,7 +631,7 @@ class ShardSession:
 
         def prepare(net) -> None:
             net.network.enable_shard_egress(owned, self._egress)
-            self.schedule = compile_fault_schedule(spec.faults, net)
+            self.schedule = arm(spec, net)
 
         self.net = deploy(config, prepare, owned)
 

@@ -7,6 +7,7 @@ Every heap entry is one immutable tuple, built once when the event is
 scheduled and dropped by reference count when it has run::
 
     (time, seq, callback, args)                               # schedule, schedule_at, schedule_call
+    (time, seq, fire_slot, wheel, slot)                       # a timer-wheel slot
     (time, seq, callback, src, message, target)               # a delivery
     (time, seq, callback, src, message, target, transfer)     # a two-phase arrival
     (time, seq, fire, process, callback, arg[, arg])          # Process.after
@@ -16,7 +17,8 @@ A delivery (pushed by :func:`~repro.simulation._core.kernels.fan_out` and
 itself, so an in-flight message costs one tuple, not two; the run loop
 calls it as ``callback(src, message, target[, transfer])``. A process's
 one-shot rides the same six- and seven-slot path: ``fire`` is a
-module-level liveness guard that calls ``callback(arg[, arg])``.
+module-level liveness guard that calls ``callback(arg[, arg])``. An armed
+wheel slot is the five-slot entry, run as ``fire_slot(wheel, slot)``.
 
 ``heapq`` compares entries with C-level tuple comparison: ``time`` first,
 then the monotonically increasing ``seq``, which is unique, so the
@@ -137,7 +139,7 @@ class Simulator:
     ) -> None:
         """Schedule ``callback(*args)`` at ``time`` with the arguments as
         one tuple: the four-slot entry, pushed with no ``*args`` packing
-        (the timer wheel arms its slots through it)."""
+        (the timer wheel's cascades go through it)."""
         # ``not (now <= time < inf)`` is a single guard catching NaN
         # (comparisons are False), +/-inf and past times at once.
         if not (self._now <= time < _INF):
@@ -149,12 +151,12 @@ class Simulator:
             self._peak_heap = len(heap)
 
     def schedule_delivery(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fast-path schedule of ``callback(*args)`` for exactly three or
-        four ``args``, carried in the entry itself: the six- or seven-slot
-        entry of :func:`fan_out`, for the network's deliveries
+        """Fast-path schedule of ``callback(*args)`` for exactly two, three
+        or four ``args``, carried in the entry itself: the six- or
+        seven-slot entry of :func:`fan_out`, for the network's deliveries
         (``src, message, target[, transfer]``) scheduled outside it and
         for ``Process.after``'s one-shots (``process, callback, arg[,
-        arg]``)."""
+        arg]``), and the timer wheel's five-slot ``wheel, slot``."""
         if not (self._now <= time < _INF):
             self._reject_time(time)
         heap = self._heap
@@ -211,6 +213,8 @@ class Simulator:
                     entry[2](entry[3], entry[4], entry[5])
                 elif slots == 7:
                     entry[2](entry[3], entry[4], entry[5], entry[6])
+                elif slots == 5:
+                    entry[2](entry[3], entry[4])
                 else:
                     entry[2](*entry[3])
                 if executed >= event_budget:

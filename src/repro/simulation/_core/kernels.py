@@ -174,6 +174,7 @@ def fan_out(
     phase: Tuple[bool, Callable[..., Any]],
     owned: Optional[Any],
     egress: Optional[List[Tuple[Any, ...]]],
+    ignored: Optional[Sequence[str]],
 ) -> int:
     """Put one ``size``-byte copy of ``message`` per destination on the
     wire: the per-copy physics behind every ``Network`` send path, in
@@ -203,6 +204,13 @@ def fan_out(
     would be consecutive, so no other event could run between them, and
     no tuple is ever rebuilt.
 
+    A local copy to a destination in ``ignored`` (one whose receiver
+    would ignore it, :meth:`repro.net.network.Network.elide`) is sent
+    like any other, and it ties and takes its sequence number like any
+    other, but it names no destination: an entry left naming none is
+    not pushed. Every other entry is the one the call would push
+    without ``ignored``, with the same sequence number.
+
     Per call: the sender's NIC, the queue accounting and the engine's
     sequence counter are read into locals once and written back in
     ``finally``, so an invalid latency raises with every counter
@@ -225,8 +233,9 @@ def fan_out(
     two_phase, callback = phase
     heap = sim._heap
     seq = sim._seq
-    # The local copy not pushed yet: its time and its destination, or the
-    # list of destinations whose copies tied with it.
+    # The local copy not pushed yet: its time (-1.0 before the first) and
+    # its destination, the list of destinations whose copies tied with
+    # it, or None while every copy of the group is ignored.
     pending_time = -1.0
     pending: Any = None
     tail = codel = queued = 0
@@ -262,26 +271,36 @@ def fan_out(
                 else:
                     egress.append(("d", event_time, src, dst, message))
                 continue
+            if ignored is not None and dst in ignored:
+                dst = None
             if event_time == pending_time:
-                if pending.__class__ is list:
+                if dst is None:
+                    continue
+                if pending is None:
+                    pending = dst
+                elif pending.__class__ is list:
                     pending.append(dst)
                 else:
                     pending = [pending, dst]
                 continue
+            if pending_time >= 0.0:
+                if pending is not None:
+                    if two_phase:
+                        _heappush(
+                            heap, (pending_time, seq, callback, src, message, pending, transfer)
+                        )
+                    else:
+                        _heappush(heap, (pending_time, seq, callback, src, message, pending))
+                seq += 1
+            pending_time = event_time
+            pending = dst
+    finally:
+        if pending_time >= 0.0:
             if pending is not None:
                 if two_phase:
                     _heappush(heap, (pending_time, seq, callback, src, message, pending, transfer))
                 else:
                     _heappush(heap, (pending_time, seq, callback, src, message, pending))
-                seq += 1
-            pending_time = event_time
-            pending = dst
-    finally:
-        if pending is not None:
-            if two_phase:
-                _heappush(heap, (pending_time, seq, callback, src, message, pending, transfer))
-            else:
-                _heappush(heap, (pending_time, seq, callback, src, message, pending))
             seq += 1
         port[0] = uplink_done
         if state is not None:

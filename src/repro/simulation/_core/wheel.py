@@ -283,11 +283,13 @@ class TimerWheel:
         # epsilon mapped a dust-contaminated time back onto it (e.g. a
         # registration from a callback at B + 1e-13); firing "now" instead
         # of raising keeps the slot time semantics (slot/tps) intact.
+        # One flat five-slot entry (time, seq, _fire_slot, wheel, slot): no
+        # bound method and no argument tuple per armed slot.
         fire_at = slot / self._tps
         now = self._sim._now
         if fire_at < now:
             fire_at = now
-        self._sim.schedule_call(fire_at, self._fire_slot, (slot,))
+        self._sim.schedule_delivery(fire_at, TimerWheel._fire_slot, self, slot)
 
     def _cascade(self, rotation: int) -> None:
         """Move one overflow rotation into the ring (level 1 -> level 0)."""

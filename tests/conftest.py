@@ -75,6 +75,9 @@ class FakeHost:
         self._streams = RandomStreams(seed)
         self.sent: List[Tuple[str, object]] = []
         self.blocks: Dict[int, Block] = {}
+        # What deliver_block delivered, by number (a block planted in
+        # ``blocks`` directly is not in it).
+        self.held_blocks: List[Optional[Block]] = []
         self.deliveries: List[Tuple[int, str]] = []
         self.height = 0
         self.timers: List[Tuple[float, object]] = []
@@ -120,6 +123,10 @@ class FakeHost:
             return False
         self.blocks[block.number] = block
         self.deliveries.append((block.number, via))
+        held = self.held_blocks
+        if block.number >= len(held):
+            held.extend([None] * (block.number + 1 - len(held)))
+        held[block.number] = block
         return True
 
     def get_block(self, number: int) -> Optional[Block]:

@@ -1,4 +1,7 @@
-"""Tests for the determinism gate: golden replay, tolerance, orphans."""
+"""Tests for the determinism gate: golden replay, tolerance, orphans,
+refresh."""
+
+import json
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.perf import (
     PR1_REFERENCE_METRICS,
     check_determinism,
     check_reference_tolerance,
+    update_golden,
 )
 
 # One process, and the cheapest genuinely sharded run (two shards stepped
@@ -142,6 +146,70 @@ def test_naive_event_floor_trips_when_batching_erodes(name):
     at_floor[name]["events_executed"] = ceiling + 1
     [failure] = check_reference_tolerance(golden=at_floor)
     assert failure.startswith(f"{name}:") and "naive engine" in failure
+
+
+def _capture(monkeypatch, change=None):
+    """Make update_golden capture the committed goldens, through
+    ``change(name, metrics)`` when given, and write to a fresh
+    ``GOLDEN_METRICS``: the module's own stays as committed."""
+    from repro.perf import regression
+
+    def snapshot(scenario, seed):
+        [name] = [key for key, row in GOLDEN_SCENARIOS.items() if row == (scenario, seed)]
+        metrics = json.loads(json.dumps(GOLDEN_METRICS[name]))
+        if change is not None:
+            change(name, metrics)
+        return metrics
+
+    monkeypatch.setattr(regression, "scenario_snapshot", snapshot)
+    monkeypatch.setattr(regression, "GOLDEN_METRICS", {})
+    return regression
+
+
+def test_update_golden_writes_an_events_only_change(tmp_path, monkeypatch):
+    """An event-count optimization refreshes through update_golden: every
+    count goes down, nothing else moves, and the file says exactly that."""
+
+    def fewer_events(name, metrics):
+        metrics["events_executed"] -= 100
+
+    regression = _capture(monkeypatch, fewer_events)
+    path = tmp_path / "golden_metrics.json"
+    captured = update_golden(str(path))
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert written == captured == regression.GOLDEN_METRICS
+    assert written.keys() == GOLDEN_SCENARIOS.keys()
+    for name, metrics in written.items():
+        committed = GOLDEN_METRICS[name]
+        assert metrics["events_executed"] == committed["events_executed"] - 100
+        assert {**metrics, "events_executed": committed["events_executed"]} == committed
+
+
+def _drift_latency(name, metrics):
+    if name == "enhanced-n50-b6-seed1":
+        metrics["latency_mean"] *= 1.5
+
+
+def _erode_batching(name, metrics):
+    if name in NAIVE_ENGINE_EVENTS:
+        metrics["events_executed"] = int(
+            (1.0 - EVENT_REDUCTION_FLOOR) * NAIVE_ENGINE_EVENTS[name]
+        ) + 1
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [(_drift_latency, "latency_mean drifted"), (_erode_batching, "naive engine")],
+    ids=["physics-drift", "eroded-batching"],
+)
+def test_update_golden_refuses_a_capture_out_of_tolerance(change, reason, tmp_path, monkeypatch):
+    regression = _capture(monkeypatch, change)
+    path = tmp_path / "golden_metrics.json"
+    with pytest.raises(ValueError, match="refusing to update goldens") as refused:
+        update_golden(str(path))
+    assert reason in str(refused.value)
+    assert not path.exists()
+    assert regression.GOLDEN_METRICS == {}
 
 
 def _replay_recovery_crash(crash_at, eager):

@@ -102,7 +102,7 @@ class ReferenceSimulator:
 
 def _assert_every_entry_is_live(sim):
     assert sim.pending_events == len(sim._heap)
-    assert all(len(entry) in (4, 6, 7) for entry in sim._heap)
+    assert all(len(entry) in (4, 5, 6, 7) for entry in sim._heap)
 
 
 def run_program(program, sim):

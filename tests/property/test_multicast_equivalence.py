@@ -429,3 +429,105 @@ def test_windowed_faults_flipping_between_fanouts(script, seed):
             network._streams.stream("faults:degrade:n0").random(),
         ) + observe(network, deliveries)
     assert results["multicast"] == results["loop"] == results["pinned"]
+
+
+# ----- elided copies (Network.elide) -------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(NODES[:2]),
+            st.lists(st.sampled_from(NODES[2:]), min_size=0, max_size=6),
+            st.sampled_from([0, 10, 2_000, 60_000]),
+            st.just(0.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    ignore=st.sets(st.sampled_from(NODES[2:])),
+    model=st.sampled_from([lambda: ConstantLatency(0.0), topology_model]),
+    link=st.sampled_from([None, CONGESTED_LINK]),
+    owned_others=st.none() | st.sets(st.sampled_from(NODES[2:])),
+    seed=st.integers(min_value=1, max_value=6),
+)
+def test_an_elided_copy_keeps_every_send_time_effect(
+    script, ignore, model, link, owned_others, seed
+):
+    """A copy its receiver would ignore is accounted, serialized, admitted
+    and timed like any other and takes its sequence number; the heap is
+    the one without elision minus those copies, each entry at the same
+    (time, seq), and a two-phase copy is never elided. Zero latency makes
+    exact ties, so ignored copies sit inside delivery groups too."""
+    heaps, observed = {}, {}
+    for elide in (False, True):
+        # No envelope: a zero-size copy takes no time to send, so a
+        # zero-latency fan-out of them ties exactly.
+        sim = Simulator()
+        network = Network(
+            sim,
+            RandomStreams(seed),
+            NetworkConfig(
+                bandwidth=1_000_000.0,
+                envelope_overhead=0,
+                latency=model(),
+                downlink_queue_min_bytes=25_000,
+                link=link,
+            ),
+        )
+        for name in NODES:
+            network.register(name, lambda src, msg: None)
+        egress = []
+        if owned_others is not None:
+            network.enable_shard_egress(set(NODES[:2]) | owned_others, egress)
+        if elide:
+            network.elide(
+                RawMessage, lambda routes, dsts, message: [d for d in dsts if d in ignore] or None
+            )
+        pushed = []
+        for src, dsts, size, _ in script:
+            network.multicast(src, dsts, RawMessage(size))
+            # Comparable across the two networks: the callback by name,
+            # the message by size.
+            pushed.extend(
+                (time, seq, callback.__name__, sender, message.payload_size(), *rest)
+                for time, seq, callback, sender, message, *rest in sim._heap
+            )
+            del sim._heap[:]
+        heaps[elide] = sorted(pushed, key=lambda entry: entry[1])
+        records = [rec[:4] + rec[5:] for rec in egress]
+        observed[elide] = (records, sim._seq, sim.now) + observe(network, [])
+    assert observed[True] == observed[False]
+    expected = []
+    for entry in heaps[False]:
+        target = entry[5]
+        if len(entry) == 6:  # one phase: the elidable kind
+            names = target if target.__class__ is list else [target]
+            names = [name for name in names if name not in ignore]
+            if not names:
+                continue
+            target = names if len(names) > 1 else names[0]
+        expected.append(entry[:5] + (target,) + entry[6:])
+    assert heaps[True] == expected
+
+
+def test_an_ignored_copy_in_a_tie_group_keeps_the_group_and_its_sequence_number():
+    """Zero-size copies with zero latency all tie: the ignored names leave
+    the group's list, and a group of ignored names only is not pushed but
+    still takes its sequence number."""
+    sim = Simulator()
+    network = Network(
+        sim,
+        RandomStreams(1),
+        NetworkConfig(envelope_overhead=0, latency=ConstantLatency(0.0)),
+    )
+    for name in NODES:
+        network.register(name, lambda src, msg: None)
+    ignore = {"n3"}
+    network.elide(RawMessage, lambda routes, dsts, message: [d for d in dsts if d in ignore] or None)
+    network.multicast("n0", ["n2", "n3", "n4"], RawMessage(0))
+    network.multicast("n0", ["n3"], RawMessage(0))
+    network.multicast("n0", ["n3", "n2"], RawMessage(0))
+    assert [(entry[1], entry[5]) for entry in sorted(sim._heap)] == [(0, ["n2", "n4"]), (2, "n2")]
+    assert sim._seq == 3
