@@ -26,16 +26,30 @@ def main() -> None:
     )
     org_of = {name: org for org, members in net.org_members.items() for name in members}
     cross_org = []
+    push_copies = 0
 
-    original_send = net.network.send
-
-    def audited_send(src, dst, message):
+    def audit(src, dst, message):
+        nonlocal push_copies
         if isinstance(message, (BlockPush, PushDigest, PushRequest)):
+            push_copies += 1
             if org_of.get(src) and org_of.get(dst) and org_of[src] != org_of[dst]:
                 cross_org.append((src, dst))
+
+    # A fanout never goes through ``send``: audit both entry points.
+    original_send = net.network.send
+    original_multicast = net.network.multicast
+
+    def audited_send(src, dst, message):
+        audit(src, dst, message)
         original_send(src, dst, message)
 
+    def audited_multicast(src, dsts, message):
+        for dst in dsts:
+            audit(src, dst, message)
+        original_multicast(src, dsts, message)
+
     net.network.send = audited_send
+    net.network.multicast = audited_multicast
     net.start()
 
     transactions = synthetic_block_transactions(50, 3_200)
@@ -49,8 +63,10 @@ def main() -> None:
 
     print("deployment: 3 organizations x 20 peers, leaders "
           f"{sorted(net.leaders.values())}")
+    print(f"push-family copies audited: {push_copies}")
     print(f"cross-organization push messages observed: {len(cross_org)} "
           "(must be 0: gossip is org-local)")
+    assert push_copies > 0, "the audit saw no push traffic"
     assert cross_org == []
 
     rows = []

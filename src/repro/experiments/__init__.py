@@ -20,7 +20,6 @@ from repro.experiments.dissemination import (
 )
 from repro.experiments.workloads import (
     CounterIncrementWorkload,
-    HighThroughputWorkload,
     synthetic_block_transactions,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "DisseminationResult",
     "FabricNetwork",
     "GossipChoice",
-    "HighThroughputWorkload",
     "build_network",
     "run_conflict_experiment",
     "run_dissemination",

@@ -2,10 +2,10 @@
 
 * **High-throughput asset updates** (§V-A): the Fabric high-throughput
   sample, a cryptocurrency asset whose value is frequently modified;
-  50,000 sequential transactions filling 50-tx blocks every ~1.5 s. For
-  dissemination experiments we also provide a synthetic block filler that
-  reproduces the block arrival process (size and cadence) without paying
-  for 50,000 endorsement round trips.
+  50,000 sequential transactions filling 50-tx blocks every ~1.5 s. The
+  dissemination experiments use a synthetic block filler that reproduces
+  the block arrival process (size and cadence) without paying for 50,000
+  endorsement round trips.
 
 * **Counter increments** (§V-D, Table II): 100 integers, each incremented
   100 times, at a fixed client rate of 5 tx/s, with a fresh random
@@ -46,35 +46,6 @@ def synthetic_block_transactions(tx_per_block: int, tx_size: int) -> List[Transa
         )
         for index in range(tx_per_block)
     ]
-
-
-class HighThroughputWorkload:
-    """Client-side operation stream for the high-throughput sample.
-
-    Yields ``(chaincode_id, (asset, delta, sequence))`` operations; the
-    unique sequence keeps the sample's delta-row pattern conflict-free.
-    """
-
-    def __init__(self, total_operations: int, asset: str = "coin", delta: int = 1) -> None:
-        if total_operations < 0:
-            raise ValueError("total_operations must be >= 0")
-        self.total_operations = total_operations
-        self.asset = asset
-        self.delta = delta
-        self._issued = 0
-
-    def __call__(self) -> Optional[Tuple[str, tuple]]:
-        if self._issued >= self.total_operations:
-            return None
-        self._issued += 1
-        return (
-            HighThroughputAssetChaincode.chaincode_id,
-            (self.asset, self.delta, self._issued),
-        )
-
-    @property
-    def issued(self) -> int:
-        return self._issued
 
 
 class CounterIncrementWorkload:

@@ -137,7 +137,7 @@ class Peer(Process):
         gossip = self.gossip = factory(self, self.view)
         table = route_table(type(gossip), type(self))
         self._routes = (table, self) + gossip.components()
-        self._publish_routes()
+        self._publish_routes(self._routes)
 
     @property
     def route_table(self) -> Optional[dict]:
@@ -149,18 +149,17 @@ class Peer(Process):
 
     @route_table.setter
     def route_table(self, table: dict) -> None:
-        self._routes = (table,) + self._routes[1:]
-        self._publish_routes()
+        # The network takes (or refuses) the new routes before the peer
+        # keeps them, so a refusal leaves both on the old table.
+        routes = (table,) + self._routes[1:]
+        self._publish_routes(routes)
+        self._routes = routes
 
-    def _publish_routes(self) -> None:
-        """Hand a live peer's routes to the network. A subclass that
+    def _publish_routes(self, routes: Optional[tuple]) -> None:
+        """Hand a live peer's ``routes`` to the network. A subclass that
         overrides ``_on_message`` keeps every delivery for itself."""
-        if (
-            self._alive
-            and self._routes is not None
-            and type(self)._on_message is Peer._on_message
-        ):
-            self.network.set_routes(self.name, self._routes)
+        if self._alive and routes is not None and type(self)._on_message is Peer._on_message:
+            self.network.set_routes(self.name, routes)
 
     def attach_background(self, config: BackgroundTrafficConfig) -> None:
         self.background = BackgroundTraffic(self, self.view, config)
@@ -194,15 +193,15 @@ class Peer(Process):
     # ----- GossipHost protocol ---------------------------------------------
 
     def send(self, dst: str, message: Message) -> None:
-        # network.send is deliberately NOT pre-bound: integration tests
-        # wrap it by assignment and must observe gossip traffic.
+        # network.send is looked up per call, not pre-bound, so an observer
+        # that wraps it on the network instance sees gossip replies.
         if self._alive:
             self.network.send(self.name, dst, message)
 
     def multicast(self, dsts: List[str], message: Message) -> None:
-        # The gossip fanout fast path; semantically a per-dst send loop
-        # (network.multicast routes through a wrapped ``send`` itself, so
-        # instrumented tests keep observing fanout traffic).
+        # The gossip fanout fast path; semantically a per-dst send loop. It
+        # never goes through ``send``: an observer wraps the network
+        # instance's ``send`` and ``multicast`` both.
         if self._alive:
             self.network.multicast(self.name, dsts, message)
 
@@ -314,12 +313,14 @@ class Peer(Process):
 
     def restart(self) -> None:
         super().restart()
-        self._publish_routes()
+        self._publish_routes(self._routes)
 
     def crash(self) -> None:
-        """Crash the peer: stop timers, drop in-flight work, disconnect."""
-        self.shutdown()
+        """Crash the peer: disconnect, stop timers, drop in-flight work.
+        The network disconnects it (or refuses to) before anything of the
+        peer changes."""
         self.network.set_disconnected(self.name, True)
+        self.shutdown()
         self._validating = False
 
     def recover(self) -> None:

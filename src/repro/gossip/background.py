@@ -9,7 +9,7 @@ matters for the figures.
 
 Two scaling mechanisms keep the event count tractable at paper scale:
 
-* the emitters ride the shared hierarchical timer wheel (via
+* the emitters ride the shared timer wheel (via
   ``host.every``), so the per-peer periodic ticks coalesce into shared
   slot events instead of one heap entry per peer per period;
 * each emission's fanout of :class:`MembershipAlive` copies goes through
@@ -45,9 +45,9 @@ class BackgroundTraffic:
         # immutable and only its byte size reaches the monitor.
         self._fanout = config.fanout
         self._message = MembershipAlive(config.message_size)
-        # send_aggregate itself is deliberately NOT pre-bound (same
-        # convention as ``network.send``: integration tests wrap send
-        # methods by assignment and must observe background traffic).
+        # send_aggregate is looked up per emission, not pre-bound, so a
+        # wrapper assigned on the network instance sees background traffic
+        # (tests/gossip/test_background.py turns it into per-copy sends).
         self._network = host.network
 
     def start(self) -> None:

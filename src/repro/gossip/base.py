@@ -46,8 +46,11 @@ class GossipHost(Protocol):
     def after(self, delay: float, callback: Callable, *args) -> None:
         """One-shot timer, not cancellable."""
 
-    def every(self, period: float, callback: Callable[[], None], **kwargs) -> object:
-        """Periodic timer."""
+    def every(
+        self, period: float, callback: Callable[[], None], initial_delay: Optional[float] = None
+    ) -> object:
+        """Periodic timer, first firing after ``initial_delay`` (default:
+        one period)."""
 
     def deliver_block(self, block: Block, via: str) -> bool:
         """Hand a received full block to the ledger layer.

@@ -31,7 +31,6 @@ class InfectAndDiePush:
         fout: push fan-out.
         t_push: buffer flush delay; 0 pushes immediately without batching.
         buffer_max: flush early when the buffer reaches this many blocks.
-        on_push: optional instrumentation hook ``(block, targets) -> None``.
         multicast: the host's ``multicast``, when the caller has it bound
             already (the gossip module binds it once per peer).
     """
@@ -48,7 +47,6 @@ class InfectAndDiePush:
         "_multicast",
         "_buffer",
         "_flush_pending",
-        "_on_push",
         "blocks_pushed",
     )
 
@@ -59,7 +57,6 @@ class InfectAndDiePush:
         fout: int,
         t_push: float,
         buffer_max: int = 10,
-        on_push: Optional[Callable[[Block, List[str]], None]] = None,
         multicast: Optional[Callable[[List[str], object], None]] = None,
     ) -> None:
         self.host = host
@@ -71,7 +68,6 @@ class InfectAndDiePush:
         self._multicast = multicast or host.multicast
         self._buffer: List[Block] = []
         self._flush_pending = False
-        self._on_push = on_push
         self.blocks_pushed = 0
 
     def on_first_reception(self, block: Block) -> None:
@@ -105,5 +101,3 @@ class InfectAndDiePush:
             # only read fields), multicast as a single pooled network event.
             multicast(targets, BlockPush(block, counter=0))
             self.blocks_pushed += 1
-            if self._on_push is not None:
-                self._on_push(block, targets)

@@ -139,7 +139,8 @@ class Network:
     topology restriction; access control lives in the protocol layer.
     """
 
-    # No __slots__: integration tests wrap ``send`` by assignment.
+    # No __slots__: an observer wraps the instance's ``send`` and
+    # ``multicast`` by assignment (neither calls the other).
 
     def __init__(
         self,
@@ -405,15 +406,7 @@ class Network:
         # Full validation before any state change, exactly like send().
         if src in dsts:
             raise ValueError(f"{src!r} attempted to send a message to itself")
-        if "send" in self.__dict__:
-            # ``send`` was wrapped by instance assignment (integration-test
-            # instrumentation): route every copy through the wrapper. The
-            # per-copy loop is the definitional semantics of multicast, so
-            # physics and monitor accounting stay byte-identical.
-            send = self.send
-            for dst in dsts:
-                send(src, dst, message)
-        elif self._n_disconnected or self._drop_filter is not None:
+        if self._n_disconnected or self._drop_filter is not None:
             self._fan_out_guarded(src, dsts, message)
         elif dsts:
             self._fan_out(src, dsts, message)

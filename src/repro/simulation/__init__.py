@@ -2,7 +2,7 @@
 
 This package provides the deterministic, seedable discrete-event engine on
 which the whole Fabric model runs: a heap-based scheduler whose scheduled
-events are final (:class:`Simulator`) and the slot-batched hierarchical
+events are final (:class:`Simulator`) and the slot-batched one-level
 :class:`TimerWheel`, in :mod:`~repro.simulation._core.engine` and
 :mod:`~repro.simulation._core.wheel`; the naive one-event-per-tick
 :mod:`repro.simulation.timers`; named deterministic random streams

@@ -1,7 +1,7 @@
 """The engine core, one module per layer: ``engine`` (the
-:class:`Simulator` event heap), ``wheel`` (the :class:`TimerWheel` tick
-cascade), ``monitor`` (the :class:`TrafficMonitor` counters) and
-``kernels`` (the latency, link-admission and fan-out kernels of the
+:class:`Simulator` event heap), ``wheel`` (the :class:`TimerWheel`, one
+ring of tick slots), ``monitor`` (the :class:`TrafficMonitor` counters)
+and ``kernels`` (the latency, link-admission and fan-out kernels of the
 network's send paths). This package binds no name: each has one
 definition and one import path, its layer's module.
 

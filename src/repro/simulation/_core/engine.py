@@ -139,7 +139,7 @@ class Simulator:
     ) -> None:
         """Schedule ``callback(*args)`` at ``time`` with the arguments as
         one tuple: the four-slot entry, pushed with no ``*args`` packing
-        (the timer wheel's cascades go through it)."""
+        (:meth:`schedule` and :meth:`schedule_at` go through it)."""
         # ``not (now <= time < inf)`` is a single guard catching NaN
         # (comparisons are False), +/-inf and past times at once.
         if not (self._now <= time < _INF):

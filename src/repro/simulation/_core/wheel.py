@@ -1,23 +1,17 @@
 """The :class:`TimerWheel`: every recurring timer of a simulation on one
 wheel, so same-tick firings across processes coalesce into one event. Its
-test oracle and sub-tick fallback is
-:class:`~repro.simulation.timers.PeriodicTimer`."""
+test oracle, and the fallback for a period or first delay it cannot hold,
+is :class:`~repro.simulation.timers.PeriodicTimer`."""
 
 from __future__ import annotations
 
 from math import ceil
-from operator import itemgetter as _itemgetter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Set
 
 from repro.simulation._core.engine import _INF, SimulationError, Simulator
 
 DEFAULT_TICKS_PER_SECOND = 20
 DEFAULT_RING_TICKS = 512
-
-# Slots sort armed entries by arming sequence before firing; the seq is
-# unique, so keying on it alone reproduces full-tuple ordering without
-# ever comparing WheelTimer objects.
-_ARM_ORDER = _itemgetter(0)
 
 
 def _require_period(period: float) -> None:
@@ -40,26 +34,18 @@ class WheelTimer:
     either interchangeably.
     """
 
-    __slots__ = ("_wheel", "_period", "_callback", "_jitter", "_stopped", "_ticks")
+    __slots__ = ("_wheel", "_period", "_callback", "_stopped", "_ticks")
 
     _wheel: "TimerWheel"
     _period: float
     _callback: Callable[[], Any]
-    _jitter: Optional[Callable[[], float]]
     _stopped: bool
     _ticks: int
 
-    def __init__(
-        self,
-        wheel: "TimerWheel",
-        period: float,
-        callback: Callable[[], Any],
-        jitter: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, wheel: "TimerWheel", period: float, callback: Callable[[], Any]) -> None:
         self._wheel = wheel
         self._period = period
         self._callback = callback
-        self._jitter = jitter
         self._stopped = False
         self._ticks = 0
 
@@ -93,30 +79,29 @@ class WheelTimer:
 
 
 class TimerWheel:
-    """Two-level (ring + overflow) timer wheel over a :class:`Simulator`.
+    """One-level timer wheel (a ring of slots) over a :class:`Simulator`.
 
     Args:
         sim: the simulator to fire slots on.
         ticks_per_second: slot granularity; slot times are exact multiples
             of ``1 / ticks_per_second`` computed by division, so an integer
             ratio (20 -> 50 ms) keeps grid times bit-equal to literals.
-        ring_ticks: level-0 window length in ticks; timers due further out
-            park in the level-1 overflow and cascade in later.
+        ring_ticks: the ring's length in ticks. A period must be shorter
+            than the ring (:attr:`horizon`, 25.6 s by default) and a first
+            delay at least one tick shorter; the process layer gives a
+            longer one a :class:`~repro.simulation.timers.PeriodicTimer`.
     """
 
     _sim: Simulator
     _tps: int
     _tick: float
     _ring_ticks: int
-    _ring: List[Optional[List[Tuple[int, WheelTimer]]]]
-    _far: Dict[int, List[Tuple[int, int, WheelTimer]]]
-    _armed_rotations: Set[int]
+    _ring: List[Optional[List[WheelTimer]]]
     _armed_slots: Set[int]
     _fired_through: int
-    _arm_seq: int
+    _last_delay: float
     _live: int
     slot_events: int
-    cascade_events: int
 
     def __init__(
         self,
@@ -134,19 +119,17 @@ class TimerWheel:
         self._tps = ticks_per_second
         self._tick = 1.0 / ticks_per_second
         self._ring_ticks = ring_ticks
-        # Level 0: ring of buckets, position = slot index % ring_ticks. A
-        # bucket is a list of (arming_seq, timer); None when empty.
+        # The ring of buckets, position = slot index % ring_ticks. A bucket
+        # lists its slot's timers in arming order; None when empty.
         self._ring = [None] * ring_ticks
-        # Level 1: rotation -> [(slot_index, arming_seq, timer)].
-        self._far = {}
-        self._armed_rotations = set()
         self._armed_slots = set()
         self._fired_through = -1  # highest slot index already fired
-        self._arm_seq = 0
+        # The longest first delay the ring holds from any instant: one tick
+        # under the horizon, as an off-grid delay is quantized up.
+        self._last_delay = (ring_ticks - 1) / ticks_per_second
         self._live = 0
         # Instrumentation: engine events consumed by the wheel.
         self.slot_events = 0
-        self.cascade_events = 0
 
     # ----- public API -----------------------------------------------------
 
@@ -154,6 +137,12 @@ class TimerWheel:
     def tick(self) -> float:
         """Slot granularity in seconds."""
         return self._tick
+
+    @property
+    def horizon(self) -> float:
+        """Seconds the ring spans: a period must be shorter, and a first
+        delay at least one tick shorter."""
+        return self._ring_ticks / self._tps
 
     @property
     def live_timers(self) -> int:
@@ -165,42 +154,49 @@ class TimerWheel:
         period: float,
         callback: Callable[[], Any],
         initial_delay: Optional[float] = None,
-        jitter: Optional[Callable[[], float]] = None,
     ) -> WheelTimer:
         """Register a recurring callback; mirrors :class:`PeriodicTimer`.
 
         Args:
-            period: seconds between firings; must be positive. Periods
-                shorter than one tick would alias to the tick — callers
-                wanting sub-tick cadence (high-rate clients) should use the
-                naive timer instead (see :meth:`supports_period`).
+            period: seconds between firings; must be positive and shorter
+                than :attr:`horizon`. Periods shorter than one tick would
+                alias to the tick — callers wanting sub-tick cadence
+                (high-rate clients) should use the naive timer instead (see
+                :meth:`supports_period`).
             callback: invoked with no arguments at every firing.
             initial_delay: delay before the first firing (default: one
-                period). Quantized up to the next slot boundary.
-            jitter: optional callable returning an additive offset applied
-                independently to every firing before quantization.
+                period), at most one tick under :attr:`horizon`. Quantized
+                up to the next slot boundary.
+
+        Raises:
+            SimulationError: for a registration the ring cannot hold.
         """
         _require_period(period)
         _require_initial_delay(initial_delay)
-        timer = WheelTimer(self, period, callback, jitter)
-        self._live += 1
         first = period if initial_delay is None else initial_delay
-        if jitter is not None:
-            first = max(0.0, first + jitter())
+        if not (period < self.horizon and self.supports_delay(first)):
+            raise SimulationError(
+                f"the wheel holds periods under {self.horizon} s and first delays up to "
+                f"{self._last_delay} s, got period {period}, initial_delay {initial_delay}"
+            )
+        timer = WheelTimer(self, period, callback)
+        self._live += 1
         self._insert(timer, self._sim.now + first)
         return timer
 
     def supports_period(self, period: float) -> bool:
         """Whether ``period`` can ride the wheel without rate distortion.
 
-        Two classes of period are refused, and the process layer falls back
-        to the naive per-event timer for them:
+        Three classes of period are refused, and the process layer falls
+        back to the naive per-event timer for them:
 
         * sub-tick periods, which would alias to the tick;
         * periods that are not a whole number of ticks — each firing
           re-quantizes *up* from its slot, so an off-grid period would be
           stretched toward the next boundary every cycle (0.26 s would
-          effectively become 0.30 s), silently lowering calibrated rates.
+          effectively become 0.30 s), silently lowering calibrated rates;
+        * periods of one :attr:`horizon` or more, which the ring cannot
+          hold.
 
         Grid-multiple periods re-quantize stably: the epsilon in
         :meth:`_slot_for` absorbs accumulated float dust, so the effective
@@ -209,7 +205,16 @@ class TimerWheel:
         if not (self._tick <= period < _INF):
             return False
         ticks = round(period * self._tps)
-        return ticks >= 1 and abs(period - ticks / self._tps) <= 1e-9 * period
+        return (
+            1 <= ticks < self._ring_ticks
+            and abs(period - ticks / self._tps) <= 1e-9 * period
+        )
+
+    def supports_delay(self, initial_delay: Optional[float]) -> bool:
+        """Whether a first delay fits the ring from any instant: None (one
+        period, checked by :meth:`supports_period`) or at most one tick
+        under :attr:`horizon`."""
+        return initial_delay is None or initial_delay <= self._last_delay
 
     # ----- internals ------------------------------------------------------
 
@@ -228,55 +233,27 @@ class TimerWheel:
             slot = self._fired_through + 1
         return slot
 
-    def _insert(self, timer: WheelTimer, time: float) -> Optional[List[Tuple[int, WheelTimer]]]:
-        """Bucket ``timer`` for its next firing.
+    def _insert(self, timer: WheelTimer, time: float) -> List[WheelTimer]:
+        """Bucket ``timer`` for its next firing and return the bucket (for
+        the re-arm memo in :meth:`_fire_slot`).
 
-        Returns the ring bucket the timer landed in (for the re-arm memo
-        in :meth:`_fire_slot`), or None when it parked in the overflow.
+        Every armed slot lies within one ring length of the first boundary
+        that can still fire: a registration's first delay is at most
+        ``ring_ticks - 1`` ticks from now and a re-arm's period under
+        ``ring_ticks`` ticks from the firing slot, so no two armed slots
+        share a position.
         """
         slot = self._slot_for(time)
-        seq = self._arm_seq
-        self._arm_seq = seq + 1
-        # The ring window starts at the first boundary that can still fire.
-        # ``_fired_through`` alone goes stale when the wheel idles (every
-        # timer stopped, clock advanced by other events): anchoring the
-        # base at the current time keeps near registrations in the ring and
-        # keeps cascade times in the future.
-        base = self._fired_through + 1
-        scaled_now = self._sim._now * self._tps
-        now_slot = ceil(scaled_now - 1e-9 * (abs(scaled_now) + 1.0))
-        if now_slot > base:
-            base = now_slot
-        if slot < base + self._ring_ticks:
-            position = slot % self._ring_ticks
-            bucket = self._ring[position]
-            if bucket is None:
-                bucket = self._ring[position] = [(seq, timer)]
-            else:
-                bucket.append((seq, timer))
-            if slot not in self._armed_slots:
-                self._armed_slots.add(slot)
-                self._arm_slot(slot)
-            return bucket
+        position = slot % self._ring_ticks
+        bucket = self._ring[position]
+        if bucket is None:
+            bucket = self._ring[position] = [timer]
         else:
-            rotation = slot // self._ring_ticks
-            entries = self._far.get(rotation)
-            if entries is None:
-                self._far[rotation] = [(slot, seq, timer)]
-            else:
-                entries.append((slot, seq, timer))
-            if rotation not in self._armed_rotations:
-                self._armed_rotations.add(rotation)
-                # The cascade runs half a tick before the rotation's first
-                # boundary so cascaded entries are bucketed (and their
-                # slots armed) before any direct slot event of the same
-                # rotation can fire.
-                cascade_at = (rotation * self._ring_ticks - 0.5) / self._tps
-                now = self._sim._now
-                if cascade_at < now:
-                    cascade_at = now
-                self._sim.schedule_call(cascade_at, self._cascade, (rotation,))
-            return None
+            bucket.append(timer)
+        if slot not in self._armed_slots:
+            self._armed_slots.add(slot)
+            self._arm_slot(slot)
+        return bucket
 
     def _arm_slot(self, slot: int) -> None:
         # The clock can sit a hair *past* the boundary when _slot_for's
@@ -291,28 +268,6 @@ class TimerWheel:
             fire_at = now
         self._sim.schedule_delivery(fire_at, TimerWheel._fire_slot, self, slot)
 
-    def _cascade(self, rotation: int) -> None:
-        """Move one overflow rotation into the ring (level 1 -> level 0)."""
-        self._armed_rotations.discard(rotation)
-        entries = self._far.pop(rotation, None)
-        self.cascade_events += 1
-        if not entries:
-            return
-        ring = self._ring
-        ring_ticks = self._ring_ticks
-        for slot, seq, timer in entries:
-            if timer._stopped:
-                continue
-            position = slot % ring_ticks
-            bucket = ring[position]
-            if bucket is None:
-                ring[position] = [(seq, timer)]
-            else:
-                bucket.append((seq, timer))
-            if slot not in self._armed_slots:
-                self._armed_slots.add(slot)
-                self._arm_slot(slot)
-
     def _fire_slot(self, slot: int) -> None:
         self._armed_slots.discard(slot)
         self._fired_through = slot
@@ -322,22 +277,18 @@ class TimerWheel:
         if bucket is None:
             return
         self._ring[position] = None
-        if len(bucket) > 1:
-            # Arming order == the (time, seq) order of the naive heap for
-            # tick-aligned schedules; cascaded entries may have appended
-            # out of order relative to direct ones. Arming seqs are unique,
-            # so keying on them alone is full-tuple order.
-            bucket.sort(key=_ARM_ORDER)
         slot_time = slot / self._tps
-        # Re-arm memo: every non-jittered timer of the same period re-arms
-        # at the same ``slot_time + period``, i.e. into the same bucket.
-        # Computing the target slot once per period (instead of once per
-        # timer) skips the _slot_for math for the whole herd of same-period
-        # emitters sharing a slot, while assigning arming sequence numbers
-        # in exactly the order the per-timer path would.
-        memo_period = -1.0
-        memo_bucket: Optional[List[Tuple[int, WheelTimer]]] = None
-        for seq, timer in bucket:
+        # The bucket is in arming order, which is the (time, seq) order of
+        # the naive heap for tick-aligned schedules: every timer is
+        # appended when it is armed.
+        # Re-arm memo: every timer of the same period re-arms at the same
+        # ``slot_time + period``, i.e. into the same bucket. Computing the
+        # target slot once per period (instead of once per timer) skips the
+        # _slot_for math for the whole herd of same-period emitters sharing
+        # a slot, and appends them in the order the per-timer path would.
+        memo_period = -1.0  # no period matches it: the first re-arm sets the memo
+        memo_bucket = bucket
+        for timer in bucket:
             if timer._stopped:
                 continue
             timer._ticks += 1
@@ -345,19 +296,14 @@ class TimerWheel:
             if timer._stopped:
                 continue
             period = timer._period
-            if timer._jitter is None:
-                if period == memo_period and memo_bucket is not None:
-                    arm_seq = self._arm_seq
-                    self._arm_seq = arm_seq + 1
-                    memo_bucket.append((arm_seq, timer))
-                    continue
+            if period == memo_period:
+                memo_bucket.append(timer)
+            else:
                 memo_bucket = self._insert(timer, slot_time + period)
                 memo_period = period
-                continue
-            self._insert(timer, max(slot_time, slot_time + period + timer._jitter()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<TimerWheel tick={self._tick} live={self._live} "
-            f"armed_slots={len(self._armed_slots)} far_rotations={len(self._far)}>"
+            f"armed_slots={len(self._armed_slots)}>"
         )

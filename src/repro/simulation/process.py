@@ -105,20 +105,16 @@ class Process:
         period: float,
         callback: Callable[[], Any],
         initial_delay: Optional[float] = None,
-        jitter_stream: Optional[str] = None,
-        jitter_fraction: float = 0.0,
     ) -> RecurringTimer:
         """Register a periodic timer owned by this process.
-
-        If ``jitter_stream`` is given, each tick is offset by a uniform
-        draw in ``[-jitter_fraction, +jitter_fraction] * period`` from the
-        named stream.
 
         The registration lands on the simulator's shared timer wheel:
         same-tick firings across the whole deployment coalesce into single
         engine events, and :meth:`shutdown` stops the registration in
-        O(1) without touching the event heap. Sub-tick periods (high-rate
-        client drivers) fall back to the naive one-event-per-tick
+        O(1) without touching the event heap. A period the wheel does not
+        support (sub-tick, as for high-rate client drivers, off the tick
+        grid, or of one horizon or more) or a first delay beyond its
+        horizon falls back to the naive one-event-per-tick
         :class:`PeriodicTimer`.
 
         The timer calls ``callback`` itself, with no liveness guard around
@@ -129,20 +125,13 @@ class Process:
         """
         if not self._alive:
             raise SimulationError(f"{self.name} is not alive: cannot register a periodic timer")
-        jitter: Optional[Callable[[], float]] = None
-        if jitter_stream is not None and jitter_fraction > 0:
-            rng = self.rng(jitter_stream)
-            amplitude = jitter_fraction * period
-
-            def jitter() -> float:
-                return rng.uniform(-amplitude, amplitude)
-
         sim = self.sim
+        wheel = sim.wheel
         timer: RecurringTimer
-        if sim.wheel.supports_period(period):
-            timer = sim.wheel.every(period, callback, initial_delay=initial_delay, jitter=jitter)
+        if wheel.supports_period(period) and wheel.supports_delay(initial_delay):
+            timer = wheel.every(period, callback, initial_delay=initial_delay)
         else:
-            timer = PeriodicTimer(sim, period, callback, initial_delay=initial_delay, jitter=jitter)
+            timer = PeriodicTimer(sim, period, callback, initial_delay=initial_delay)
         if self._timers is None:
             self._timers = [timer]
         else:

@@ -19,10 +19,9 @@ A stream is kept in one of two ways:
   methods (:meth:`RandomStreams.stream`);
 * *buffered* — a :class:`Buffered`, every stream a process draws from
   (:meth:`repro.simulation.process.Process.rng`): push targets, recovery,
-  pull, background traffic, the leaders' first gossipers and timer
-  jitter. It is its seed, the next few 32-bit words of the
-  Mersenne-Twister sequence and the index just past them, refilled from
-  the seed when spent. Most such streams draw a few times and go idle,
+  pull, background traffic and the leaders' first gossipers. It is its
+  seed, the next few 32-bit words of the Mersenne-Twister sequence and
+  the index just past them, refilled from the seed when spent. Most such streams draw a few times and go idle,
   or a few words every few seconds, and cost ~0.3 KB instead of 2.5 KB;
   one that spends its fills fast (push targets while blocks spread) is
   *promoted* to a live :class:`Stream`, which its owner then draws from
@@ -213,10 +212,6 @@ class RandomStreams:
         elif type(rng) is not Buffered:
             raise TypeError(f"stream {name!r} is dense: draw from stream({name!r})")
         return rng
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive an independent child registry (e.g. per experiment run)."""
-        return RandomStreams(derive_seed(self._master_seed, f"spawn:{name}"))
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams

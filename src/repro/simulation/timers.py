@@ -1,13 +1,13 @@
 """Periodic timers on top of the event engine.
 
 Gossip components are driven by repeating timers (pull every ``t_pull``,
-recovery every ``t_recovery``, membership heart-beats...). The
-:class:`PeriodicTimer` wraps the rescheduling plumbing and supports optional
-phase jitter so that 100 peers do not all fire in the same instant — matching
-the unsynchronized clocks of a real deployment. It costs one engine event
-per tick; the process layer uses it only for periods the shared
-:class:`~repro.simulation.TimerWheel` cannot carry, and the wheel's tests
-use it as their oracle.
+recovery every ``t_recovery``, membership heart-beats...), each started at
+a random phase of its own so that 100 peers do not all fire in the same
+instant. The :class:`PeriodicTimer` wraps the rescheduling plumbing. It
+costs one engine event per tick; the process layer uses it only for the
+periods and first delays the shared :class:`~repro.simulation.TimerWheel`
+cannot carry (sub-tick, off the tick grid, or beyond the wheel's horizon),
+and the wheel's tests use it as their oracle.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ class PeriodicTimer:
         callback: invoked with no arguments at every tick.
         initial_delay: delay before the first tick, finite and >= 0.
             Defaults to one period.
-        jitter: optional callable returning a (possibly random) additive
-            offset applied independently to every tick, e.g. drawn from a
-            seeded RNG stream. The effective delay is clamped at >= 0.
     """
 
     def __init__(
@@ -38,18 +35,15 @@ class PeriodicTimer:
         period: float,
         callback: Callable[[], Any],
         initial_delay: Optional[float] = None,
-        jitter: Optional[Callable[[], float]] = None,
     ) -> None:
         _require_period(period)
         _require_initial_delay(initial_delay)
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._jitter = jitter
         self._stopped = False
         self._ticks = 0
-        first = period if initial_delay is None else initial_delay
-        self._schedule(first)
+        sim.schedule(period if initial_delay is None else initial_delay, self._tick)
 
     @property
     def ticks(self) -> int:
@@ -65,18 +59,13 @@ class PeriodicTimer:
     def period(self) -> float:
         return self._period
 
-    def _schedule(self, delay: float) -> None:
-        if self._jitter is not None:
-            delay = max(0.0, delay + self._jitter())
-        self._sim.schedule(delay, self._tick)
-
     def _tick(self) -> None:
         if self._stopped:
             return
         self._ticks += 1
         self._callback()
         if not self._stopped:
-            self._schedule(self._period)
+            self._sim.schedule(self._period, self._tick)
 
     def stop(self) -> None:
         """Stop the timer. The pending tick still fires, as a no-op: a

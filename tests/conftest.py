@@ -111,7 +111,7 @@ class FakeHost:
     def after(self, delay: float, callback, *args):
         return self.sim.schedule(delay, callback, *args)
 
-    def every(self, period: float, callback, initial_delay: Optional[float] = None, **kwargs):
+    def every(self, period: float, callback, initial_delay: Optional[float] = None):
         from repro.simulation.timers import PeriodicTimer
 
         timer = PeriodicTimer(self.sim, period, callback, initial_delay=initial_delay)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.workloads import (
     CounterIncrementWorkload,
-    HighThroughputWorkload,
     synthetic_block_transactions,
 )
 
@@ -22,19 +21,6 @@ def test_synthetic_transactions_validation():
         synthetic_block_transactions(0, 100)
     with pytest.raises(ValueError):
         synthetic_block_transactions(10, 0)
-
-
-def test_high_throughput_issues_exact_count():
-    workload = HighThroughputWorkload(total_operations=3)
-    operations = [workload() for _ in range(5)]
-    assert operations[3] is None and operations[4] is None
-    assert workload.issued == 3
-
-
-def test_high_throughput_sequences_unique():
-    workload = HighThroughputWorkload(total_operations=10)
-    sequences = {workload()[1][2] for _ in range(10)}
-    assert len(sequences) == 10
 
 
 def test_counter_workload_total():
@@ -88,5 +74,3 @@ def test_counter_workload_chaincode_id():
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         CounterIncrementWorkload(0, 1, rng=random.Random(1))
-    with pytest.raises(ValueError):
-        HighThroughputWorkload(-1)

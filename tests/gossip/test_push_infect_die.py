@@ -1,5 +1,6 @@
 """Unit tests for the original infect-and-die push component."""
 
+from repro.gossip.messages import BlockPush
 from repro.gossip.push_infect_die import InfectAndDiePush
 
 from tests.conftest import FakeHost, make_chain, make_view
@@ -76,14 +77,16 @@ def test_fout_clamped_by_org_size():
     assert len(host.sent) == 3  # only 3 other peers exist
 
 
-def test_instrumentation_hook():
-    records = []
+def test_a_push_multicasts_one_shared_copy_to_fout_targets():
     host = FakeHost("p0")
     view = make_view("p0", org_size=5)
-    push = InfectAndDiePush(host, view, fout=2, t_push=0.0, on_push=lambda b, t: records.append((b.number, tuple(t))))
+    push = InfectAndDiePush(host, view, fout=2, t_push=0.0)
     push.on_first_reception(make_chain([1])[0])
-    assert records and records[0][0] == 0
-    assert len(records[0][1]) == 2
+    targets = [dst for dst, _ in host.sent]
+    messages = {id(message): message for _, message in host.sent}
+    assert len(targets) == len(set(targets)) == 2 and "p0" not in targets
+    (message,) = messages.values()  # one BlockPush shared by the fanout
+    assert isinstance(message, BlockPush) and message.block.number == 0
 
 
 def test_separate_timer_batches():

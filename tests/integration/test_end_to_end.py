@@ -94,24 +94,38 @@ def test_multi_org_dissemination_via_per_org_leaders():
 
 
 def test_gossip_stays_within_organization():
-    """Block push traffic never crosses organization boundaries."""
+    """Block push traffic never crosses organization boundaries. The
+    observer wraps ``send`` and ``multicast`` both (a fanout never goes
+    through ``send``) and must see push traffic, or it checked nothing."""
+    from repro.gossip.messages import BlockPush, PushDigest, PushRequest
+
     net = build_network(
         n_peers=10, gossip=EnhancedGossipConfig.paper_f4(), organizations=2, seed=6
     )
     org_of = {name: org for org, members in net.org_members.items() for name in members}
     violations = []
+    seen = []
 
-    original_send = net.network.send
-
-    def checked_send(src, dst, message):
-        from repro.gossip.messages import BlockPush, PushDigest, PushRequest
-
+    def check(src, dst, message):
         if isinstance(message, (BlockPush, PushDigest, PushRequest)):
+            seen.append(message.kind)
             if src in org_of and dst in org_of and org_of[src] != org_of[dst]:
                 violations.append((src, dst, message.kind))
+
+    original_send = net.network.send
+    original_multicast = net.network.multicast
+
+    def checked_send(src, dst, message):
+        check(src, dst, message)
         original_send(src, dst, message)
 
+    def checked_multicast(src, dsts, message):
+        for dst in dsts:
+            check(src, dst, message)
+        original_multicast(src, dsts, message)
+
     net.network.send = checked_send
+    net.network.multicast = checked_multicast
     net.start()
     net.orderer.emit_block(make_transactions(2))
     net.run_until(
@@ -120,6 +134,7 @@ def test_gossip_stays_within_organization():
         max_time=30.0,
     )
     assert violations == []
+    assert "BlockPush" in seen
 
 
 def test_all_peers_reach_identical_chains():

@@ -467,25 +467,36 @@ def test_multicast_large_copies_take_downlink_queue_per_destination(sim):
     assert times["c"] == pytest.approx(0.030)
 
 
-def test_multicast_wrapped_send_observes_fanout(sim):
-    """Instrumentation contract: wrapping ``send`` by assignment must see
-    every multicast copy (integration tests rely on this)."""
+def test_a_wrapped_send_sees_no_multicast_copy(sim):
+    """Instrumentation contract: ``multicast`` never goes through
+    ``send``, not even one wrapped on the instance, so an observer of
+    every copy wraps both (docs/networking.md, "Instrumentation")."""
     network = make_network(sim)
     register_sink(network, "a")
     inbox_b = register_sink(network, "b")
     inbox_c = register_sink(network, "c")
     observed = []
     original_send = network.send
+    original_multicast = network.multicast
 
-    def wrapped(src, dst, message):
-        observed.append((src, dst))
+    def wrapped_send(src, dst, message):
+        observed.append(("send", src, dst))
         original_send(src, dst, message)
 
-    network.send = wrapped
+    network.send = wrapped_send
     network.multicast("a", ["b", "c"], RawMessage(10))
+    assert observed == []
+
+    def wrapped_multicast(src, dsts, message):
+        observed.extend(("multicast", src, dst) for dst in dsts)
+        original_multicast(src, dsts, message)
+
+    network.multicast = wrapped_multicast
+    network.multicast("a", ["b", "c"], RawMessage(10))
+    network.send("a", "b", RawMessage(10))
     sim.run()
-    assert observed == [("a", "b"), ("a", "c")]
-    assert len(inbox_b) == len(inbox_c) == 1
+    assert observed == [("multicast", "a", "b"), ("multicast", "a", "c"), ("send", "a", "b")]
+    assert len(inbox_b) == 3 and len(inbox_c) == 2
 
 
 def test_multicast_empty_and_single_destination(sim):

@@ -11,14 +11,16 @@ The strategies draw times in **dyadic ticks** (tick = 1/16 s, exactly
 representable in binary) so the naive path's accumulated float sums are
 exact and tie-breaking is not perturbed by float dust; stops land on
 half-tick offsets so they never race a slot boundary.
-A deliberately tiny ring (a few ticks) forces schedules through the
-overflow/cascade level as well.
+A deliberately tiny ring (a few ticks) checks the wheel's one level at
+its edge: every registration it can hold matches the naive path, and it
+refuses every other.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import Simulator, TimerWheel
+from repro.simulation import SimulationError, Simulator, TimerWheel
 from repro.simulation.timers import PeriodicTimer
 
 TPS = 16
@@ -94,21 +96,40 @@ def test_wheel_matches_naive_heap_exactly(specs):
     assert wheel_fired == naive_fired
 
 
+def _ring_holds(spec, ring_ticks):
+    """The one-level rule: a period under the ring length, a first delay
+    (one period when None) at least one tick under it."""
+    period_ticks, delay_ticks, _ = spec
+    first_ticks = period_ticks if delay_ticks is None else delay_ticks
+    return period_ticks < ring_ticks and first_ticks <= ring_ticks - 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(specs=st.lists(timer_specs, min_size=1, max_size=12))
-def test_wheel_equivalence_through_overflow_cascade(specs):
-    """A ring far smaller than the horizon forces the far level: every
-    period > 8 ticks parks in the overflow map and cascades in."""
-    naive_fired, _ = _run_naive(specs)
-    wheel_fired, _ = _run_wheel(specs, ring_ticks=8)
+def test_a_small_ring_matches_the_naive_path_on_what_it_holds(specs):
+    """An 8-tick ring holds the registrations that fit it, firing them as
+    the naive path does, and refuses every other before counting it."""
+    ring_ticks = 8
+    held = [spec for spec in specs if _ring_holds(spec, ring_ticks)]
+    refused = [spec for spec in specs if not _ring_holds(spec, ring_ticks)]
+    naive_fired, _ = _run_naive(held)
+    wheel_fired, _ = _run_wheel(held, ring_ticks=ring_ticks)
     assert wheel_fired == naive_fired
+    wheel = TimerWheel(Simulator(), ticks_per_second=TPS, ring_ticks=ring_ticks)
+    for period_ticks, delay_ticks, _ in refused:
+        delay = None if delay_ticks is None else delay_ticks * TICK
+        with pytest.raises(SimulationError):
+            wheel.every(period_ticks * TICK, lambda: None, initial_delay=delay)
+    assert wheel.live_timers == 0
 
 
 @settings(max_examples=25, deadline=None)
 @given(specs=st.lists(timer_specs, min_size=2, max_size=16))
 def test_wheel_is_deterministic_across_runs(specs):
-    first, first_events = _run_wheel(specs, ring_ticks=64)
-    second, second_events = _run_wheel(specs, ring_ticks=64)
+    # The smallest ring that holds every drawn registration (first delays
+    # up to 64 ticks): slots wrap it twice over the 160-tick run.
+    first, first_events = _run_wheel(specs, ring_ticks=65)
+    second, second_events = _run_wheel(specs, ring_ticks=65)
     assert first == second
     assert first_events == second_events
 

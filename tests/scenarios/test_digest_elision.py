@@ -170,3 +170,15 @@ def test_an_eliding_network_refuses_to_disconnect_or_rewire_a_node():
     network.set_disconnected("peer-3", False)
     network.set_routes("peer-3", network._routes["peer-3"])
     assert network._n_disconnected == 0
+    # Through the peer: each refusal comes before the peer changes, so it
+    # stays alive, connected and on the routes the network holds.
+    peer = net.peers["peer-3"]
+    with pytest.raises(SimulationError, match="elides"):
+        peer.crash()
+    assert peer.alive and peer._timers
+    assert network._n_disconnected == 0
+    assert peer._routes is network._routes["peer-3"]
+    with pytest.raises(SimulationError, match="elides"):
+        peer.route_table = dict(peer.route_table)
+    assert peer.alive
+    assert peer._routes is network._routes["peer-3"]

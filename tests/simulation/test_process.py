@@ -140,16 +140,6 @@ def test_naive_timer_callback_shutting_its_process_down_stops_its_later_timers(s
     assert [timer.ticks for timer in timers] == [1, 0]
 
 
-def test_every_with_jitter_stream_is_deterministic(sim, streams):
-    process = make_process(sim, streams)
-    ticks = []
-    process.every(1.0, lambda: ticks.append(process.now), jitter_stream="j", jitter_fraction=0.2)
-    sim.run(until=5.0)
-    assert len(ticks) >= 3
-    # Jittered: ticks not exactly on the integer grid.
-    assert any(abs(t - round(t)) > 1e-9 for t in ticks)
-
-
 def test_restart_marks_alive(sim, streams):
     process = make_process(sim, streams)
     process.shutdown()

@@ -76,21 +76,6 @@ def test_stopping_inside_the_callback_arms_no_next_tick(sim):
     assert (timer_box[0].ticks, sim.now, sim.events_executed) == (1, 1.0, 2)
 
 
-def test_a_stopped_timer_draws_no_more_jitter(sim):
-    """The no-op tick left by ``stop()`` must not consume the jitter
-    stream, or stopping a timer would shift every later draw."""
-    draws = []
-
-    def jitter():
-        draws.append(sim.now)
-        return 0.0
-
-    timer = PeriodicTimer(sim, 1.0, lambda: None, jitter=jitter)
-    sim.schedule(2.5, timer.stop)
-    sim.run()
-    assert draws == [0.0, 1.0, 2.0]  # at construction and after ticks 1, 2
-    assert timer.ticks == 2 and sim.now == 3.0
-
 def test_tick_counter(sim):
     timer = PeriodicTimer(sim, 1.0, lambda: None)
     sim.run(until=4.5)
@@ -102,38 +87,6 @@ def test_invalid_period_rejected(sim):
         PeriodicTimer(sim, 0.0, lambda: None)
     with pytest.raises(SimulationError):
         PeriodicTimer(sim, -1.0, lambda: None)
-
-
-def test_jitter_applied_to_each_tick(sim):
-    times = []
-    PeriodicTimer(sim, 1.0, lambda: times.append(sim.now), jitter=lambda: 0.25)
-    sim.run(until=4.0)
-    assert times == pytest.approx([1.25, 2.5, 3.75])
-
-
-def test_negative_jitter_shortens_period(sim):
-    times = []
-    PeriodicTimer(sim, 1.0, lambda: times.append(sim.now), jitter=lambda: -0.75)
-    sim.run(until=1.0)
-    assert times == pytest.approx([0.25, 0.5, 0.75, 1.0])
-
-
-def test_extreme_negative_jitter_clamped_to_zero_delay(sim):
-    times = []
-    timer = PeriodicTimer(sim, 1.0, lambda: times.append(sim.now), jitter=lambda: -5.0)
-    # Delay clamps at 0, so the timer fires repeatedly at t=0; stop it from
-    # the callback after a few ticks to keep the run finite.
-    original_append = times.append
-
-    def tick_guard():
-        original_append(sim.now)
-        if len(times) >= 3:
-            timer.stop()
-
-    timer._callback = tick_guard
-    times.clear()
-    sim.run()
-    assert times == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Unit tests for the hierarchical timer wheel."""
+"""Unit tests for the one-level timer wheel."""
 
 import pytest
 
@@ -143,33 +143,60 @@ def test_non_finite_periods_are_unsupported(wheel):
     assert not wheel.supports_period(float("nan"))
 
 
-def test_jitter_applied_and_quantized(sim):
-    wheel = sim.wheel
-    fired = []
-    offsets = iter([0.1, 0.02, 0.0, 0.0, 0.0])
-    wheel.every(1.0, lambda: fired.append(sim.now), jitter=lambda: next(offsets))
-    sim.run(until=3.5)
-    # 1.0+0.1 -> 1.1 (on grid); 1.1+1.0+0.02 -> 2.12 -> next slot 2.15.
-    assert fired == [1.1, 2.15, 3.15]
+def test_the_horizon_is_the_ring_length(sim, wheel):
+    assert wheel.horizon == 25.6  # 512 ticks of 50 ms
+    assert TimerWheel(sim, ticks_per_second=16, ring_ticks=4).horizon == 0.25
 
 
-def test_far_overflow_cascades_into_ring(sim):
+def test_supports_period_up_to_one_tick_under_the_horizon(wheel):
+    assert wheel.supports_period(25.55)
+    assert not wheel.supports_period(25.6)
+    assert not wheel.supports_period(30.0)
+
+
+def test_supports_delay_up_to_one_tick_under_the_horizon(wheel):
+    assert wheel.supports_delay(None)
+    assert wheel.supports_delay(0.0)
+    assert wheel.supports_delay(25.55)
+    # An off-grid delay past the last tick can quantize up onto the
+    # slot one ring length ahead: refused like a delay of the horizon.
+    assert not wheel.supports_delay(25.58)
+    assert not wheel.supports_delay(25.6)
+
+
+@pytest.mark.parametrize(
+    "period, initial_delay",
+    [(25.6, None), (30.0, None), (30.0, 1.0), (1.0, 25.6), (1.0, 40.0), (1.0, 25.58)],
+)
+def test_every_refuses_what_its_ring_cannot_hold(sim, wheel, period, initial_delay):
+    with pytest.raises(SimulationError, match="wheel holds"):
+        wheel.every(period, lambda: None, initial_delay=initial_delay)
+    assert wheel.live_timers == 0
+    assert sim.pending_events == 0
+
+
+def test_a_small_ring_holds_one_tick_under_its_horizon(sim):
     wheel = TimerWheel(sim, ticks_per_second=16, ring_ticks=4)
     fired = []
-    wheel.every(2.0, lambda: fired.append(sim.now), initial_delay=1.5)
-    sim.run(until=8.0)
-    assert fired == [1.5, 3.5, 5.5, 7.5]
-    assert wheel.cascade_events > 0
-
-
-def test_far_timer_stopped_before_cascade_never_fires(sim):
-    wheel = TimerWheel(sim, ticks_per_second=16, ring_ticks=4)
-    fired = []
-    timer = wheel.every(5.0, lambda: fired.append(sim.now))
+    wheel.every(3 / 16, lambda: fired.append(sim.now), initial_delay=3 / 16)
+    with pytest.raises(SimulationError):
+        wheel.every(4 / 16, lambda: None)
+    with pytest.raises(SimulationError):
+        wheel.every(1 / 16, lambda: None, initial_delay=4 / 16)
     sim.run(until=1.0)
-    timer.stop()
-    sim.run(until=12.0)
-    assert fired == []
+    assert fired == [3 / 16, 6 / 16, 9 / 16, 12 / 16, 15 / 16]
+
+
+def test_the_longest_first_delay_fires_on_time_from_off_grid_instants(sim, wheel):
+    """A first delay of one tick under the horizon, registered between
+    boundaries, lands in the ring and fires quantized up."""
+    fired = []
+    sim.schedule(
+        0.013,
+        lambda: wheel.every(1.0, lambda: fired.append(sim.now), initial_delay=25.55),
+    )
+    sim.run(until=27.0)
+    assert fired == [25.6, 26.6]
 
 
 def test_registration_from_callback_on_own_boundary_defers_one_tick(sim, wheel):
@@ -229,6 +256,37 @@ def test_process_every_falls_back_for_sub_tick_period(sim):
     assert isinstance(timer, PeriodicTimer)
 
 
+@pytest.mark.parametrize(
+    "period, initial_delay, kind",
+    [
+        (25.55, None, WheelTimer),  # one tick under the horizon
+        (1.0, 25.55, WheelTimer),
+        (25.6, None, PeriodicTimer),  # one horizon
+        (1.0, 25.6, PeriodicTimer),
+        (30.0, 1.0, PeriodicTimer),  # beyond it
+        (1.0, 40.0, PeriodicTimer),
+        (1.0, 25.58, PeriodicTimer),  # off-grid, past the last tick
+    ],
+)
+def test_process_every_rides_the_wheel_only_within_its_horizon(sim, period, initial_delay, kind):
+    process = Process(sim, "p", RandomStreams(1))
+    timer = process.every(period, lambda: None, initial_delay=initial_delay)
+    assert type(timer) is kind
+    assert sim.wheel.live_timers == (kind is WheelTimer)
+
+
+def test_a_long_grid_timer_fires_when_the_two_level_wheel_fired_it(sim):
+    """A 30 s period with a 40 s first delay, registered at 0: the
+    overflow level of the former two-level wheel fired it at 40, 70, 100,
+    ... (recorded from it); the fallback timer fires at the same times."""
+    process = Process(sim, "p", RandomStreams(1))
+    fired = []
+    timer = process.every(30.0, lambda: fired.append(sim.now), initial_delay=40.0)
+    assert isinstance(timer, PeriodicTimer)
+    sim.run(until=200.0)
+    assert fired == [40.0, 70.0, 100.0, 130.0, 160.0, 190.0]
+
+
 def test_process_shutdown_stops_wheel_registrations_without_heap_churn(sim):
     process = Process(sim, "p", RandomStreams(1))
     fired = []
@@ -282,9 +340,8 @@ def test_callback_shutting_its_process_down_stops_its_later_timers_in_the_slot(s
 def test_registration_after_long_idle_beyond_ring_window(sim):
     """Regression: a wheel left idle longer than the ring window (every
     timer stopped, clock advanced by other events) must accept new
-    registrations anchored at the *current* time — not classify them
-    against the stale fired-through cursor and schedule a cascade in the
-    past."""
+    registrations anchored at the *current* time, not at the stale
+    fired-through cursor."""
     wheel = sim.wheel
     timer = wheel.every(1.0, lambda: None)
     sim.run(until=5.0)
