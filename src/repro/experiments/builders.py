@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from types import MethodType
 from typing import Callable, Dict, FrozenSet, List, Optional, Union
 
 from repro.crypto.identity import MembershipServiceProvider
@@ -29,7 +28,7 @@ from repro.gossip.original import OriginalGossip
 from repro.gossip.view import build_views
 from repro.metrics.conflicts import ConflictTracker
 from repro.metrics.latency import DisseminationTracker
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import EveryClass, Network, NetworkConfig
 from repro.simulation._core.engine import Simulator
 from repro.simulation.random import RandomStreams
 
@@ -83,15 +82,18 @@ def gossip_factory(choice: GossipChoice) -> Callable:
     raise TypeError(f"unknown gossip configuration: {type(choice).__name__}")
 
 
-def _foreign_delivery(name: str, src, message):
-    """The handler of a node another shard executes, bound to its name
-    (``MethodType(_foreign_delivery, name)``, 64 B: a shard holds one per
-    foreign node): a delivery for it here is a routing bug, raised loudly
-    instead of silently dropped."""
+def _refuse(name: str, src, message):
+    """The route of every message to a node another shard executes: a
+    delivery for it here is a routing bug, raised loudly instead of
+    silently dropped."""
     raise AssertionError(
         f"executed a delivery for foreign node {name!r} (from {src!r}), "
         "which another shard executes — cross-shard routing bug"
     )
+
+
+# The routes of a foreign node are ``(_FOREIGN, name)``: one table for all.
+_FOREIGN = EveryClass((1, _refuse))
 
 
 @dataclass
@@ -211,7 +213,7 @@ def build_network(
         owned: the node names this process executes (one shard of a
             sharded run); ``None`` builds every node. A name outside
             ``owned`` is enrolled, placed and registered on the network
-            like any other, but its handler is a guard that raises on
+            like any other, but its routes are a guard that raises on
             delivery, and no peer, view, gossip or background module (or
             ordering service) is built for it.
     """
@@ -254,7 +256,7 @@ def build_network(
         for name in members:
             identity = msp.enroll(name, org, "peer")
             if owned is not None and name not in owned:
-                network.register(name, MethodType(_foreign_delivery, name))
+                network.register(name, (_FOREIGN, name))
                 continue
             peer = Peer(
                 sim,
@@ -285,7 +287,7 @@ def build_network(
             tracker=tracker,
         )
     else:
-        network.register("orderer", MethodType(_foreign_delivery, "orderer"))
+        network.register("orderer", (_FOREIGN, "orderer"))
 
     return FabricNetwork(
         sim=sim,

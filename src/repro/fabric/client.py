@@ -20,7 +20,6 @@ from repro.fabric.endorsement import DEFAULT_POLICY, EndorsementPolicy
 from repro.fabric.messages import EndorsementRequest, EndorsementResponse, SubmitTransaction
 from repro.ledger.transaction import TransactionProposal
 from repro.metrics.conflicts import ConflictTracker
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
@@ -97,7 +96,7 @@ class Client(Process):
         self.stats = ClientStats()
         self._pending: Dict[str, _PendingOperation] = {}
         self._exhausted = False
-        network.register(self.name, self._on_message)
+        network.register(self.name, (self.ROUTES, self))
 
     def start(self) -> None:
         """Begin issuing operations at the configured rate."""
@@ -141,8 +140,8 @@ class Client(Process):
 
     # ----- collection ----------------------------------------------------------
 
-    def _on_message(self, src: str, message: Message) -> None:
-        if not isinstance(message, EndorsementResponse) or not self._alive:
+    def _on_endorsement_response(self, src: str, message: EndorsementResponse) -> None:
+        if not self._alive:
             return
         pending = self._pending.get(message.request_id)
         if pending is None:
@@ -151,6 +150,10 @@ class Client(Process):
         if len(pending.responses) >= pending.expected:
             del self._pending[message.request_id]
             self._assemble(message.request_id, pending)
+
+    # Exact-type routes over the routes ``(ROUTES, self)`` the constructor
+    # registers; see repro.gossip.base.GossipModule.ROUTES.
+    ROUTES = {EndorsementResponse: (1, _on_endorsement_response)}
 
     def _assemble(self, request_id: str, pending: _PendingOperation) -> None:
         digests = {response.rwset.digest() for response in pending.responses}

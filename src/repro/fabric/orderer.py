@@ -23,7 +23,6 @@ from repro.fabric.messages import OrdererBlock, SubmitTransaction
 from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
 from repro.ledger.transaction import TransactionProposal
 from repro.metrics.latency import DisseminationTracker
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
@@ -53,7 +52,7 @@ class OrderingService(Process):
         self._tip_hash = GENESIS_PREVIOUS_HASH
         self.blocks_cut = 0
         self.transactions_ordered = 0
-        network.register(self.name, self._on_message)
+        network.register(self.name, (self.ROUTES, self))
 
     @property
     def pending_transactions(self) -> int:
@@ -68,9 +67,13 @@ class OrderingService(Process):
 
     # ----- ingestion --------------------------------------------------------
 
-    def _on_message(self, src: str, message: Message) -> None:
-        if isinstance(message, SubmitTransaction) and self._alive:
+    def _on_submit(self, src: str, message: SubmitTransaction) -> None:
+        if self._alive:
             self.submit(message.proposal)
+
+    # Exact-type routes over the routes ``(ROUTES, self)`` the constructor
+    # registers; see repro.gossip.base.GossipModule.ROUTES.
+    ROUTES = {SubmitTransaction: (1, _on_submit)}
 
     def submit(self, proposal: TransactionProposal) -> None:
         """Accept a proposal into the current batch (no validation)."""

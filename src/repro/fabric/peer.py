@@ -124,9 +124,10 @@ class Peer(Process):
         # (route table, self, *gossip components): the class's shared
         # table and the objects its indices address. While the peer is
         # alive the network holds it (Network.set_routes) and calls the
-        # handlers directly. None until a gossip module is attached.
+        # handlers directly. None until a gossip module is attached: the
+        # peer hears nothing until then.
         self._routes: Optional[tuple] = None
-        network.register(self.name, self._on_message)
+        network.register(self.name, None)
 
     # ----- wiring ----------------------------------------------------------
 
@@ -156,9 +157,8 @@ class Peer(Process):
         self._routes = routes
 
     def _publish_routes(self, routes: Optional[tuple]) -> None:
-        """Hand a live peer's ``routes`` to the network. A subclass that
-        overrides ``_on_message`` keeps every delivery for itself."""
-        if self._alive and routes is not None and type(self)._on_message is Peer._on_message:
+        """Hand a live peer's ``routes`` to the network."""
+        if self._alive and routes is not None:
             self.network.set_routes(self.name, routes)
 
     def attach_background(self, config: BackgroundTrafficConfig) -> None:
@@ -240,19 +240,6 @@ class Peer(Process):
         return self.blockchain.known_numbers(window)
 
     # ----- message dispatch --------------------------------------------------
-
-    def _on_message(self, src: str, message: Message) -> None:
-        """The registered handler, behind the routes the network probes: it
-        hears what a live peer's table does not hold (ignored) and, as the
-        routes are withdrawn while the peer is dead, every delivery to a
-        dead but connected peer (ignored too). A subclass that overrides
-        this method keeps its routes to itself and hears everything here."""
-        routes = self._routes
-        if self._alive and routes is not None:
-            route = routes[0].get(type(message))
-            if route is not None:
-                index, handler = route
-                handler(routes[index], src, message)
 
     def _on_orderer_block(self, src: str, message: OrdererBlock) -> None:
         # Only the org's static leader hears the orderer (its org_leaders).

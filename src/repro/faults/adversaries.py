@@ -149,8 +149,8 @@ class DigestLiarFault(DropFault):
             if targets:
                 peer.multicast(targets, message)
 
-        # The peer hands its routes to the network, and its _on_message and
-        # restart read them: one assignment rewires every path.
+        # The peer hands its routes to the network, and its restart
+        # re-publishes them: one assignment rewires every path.
         peer.route_table = {**table, PushDigest: (index, lying_on_digest)}
 
     def _predicate(self, src: str, dst: str, message: Message) -> bool:

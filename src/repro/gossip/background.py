@@ -51,8 +51,6 @@ class BackgroundTraffic:
         self._network = host.network
 
     def start(self) -> None:
-        if not self.config.enabled:
-            return
         phase = (self._rng or first_draw(self)).uniform(0.0, self.config.period)
         self.host.every(self.config.period, self._emit, initial_delay=phase)
 

@@ -88,9 +88,12 @@ class GossipModule:
 
     #: ``{message class: (component index, function)}``, one table per
     #: module class: ``function(components()[index], src, message)``
-    #: handles a message of exactly that class. A module holds no table of
-    #: its own; the hosting peer builds one per class from this one and
-    #: hands the network its components (:meth:`repro.fabric.peer.Peer.attach_gossip`).
+    #: handles a message of exactly that class, and the network ignores
+    #: any other. A module holds no table of its own and is not a
+    #: dispatcher: the hosting peer builds one table per class from this
+    #: one and hands the network its routes, the only path a message
+    #: takes to a handler (:meth:`repro.fabric.peer.Peer.attach_gossip`,
+    #: :meth:`repro.net.network.Network.set_routes`).
     ROUTES: Dict[type, Tuple[int, Callable]]
 
     def __init__(self, host: GossipHost, view: OrganizationView) -> None:
@@ -120,20 +123,6 @@ class GossipModule:
     def components(self) -> tuple:
         """The objects :attr:`ROUTES` addresses, by index."""
         raise NotImplementedError
-
-    def handle(self, src: str, message: Message) -> bool:
-        """Process an incoming gossip message through the class's routes
-        (the module on its own: a peer's deliveries take the peer's
-        routes, :meth:`repro.fabric.peer.Peer._on_message`).
-
-        Returns True if the message type was recognized and consumed.
-        """
-        route = self.ROUTES.get(type(message))
-        if route is None:
-            return False
-        index, handler = route
-        handler(self.components()[index], src, message)
-        return True
 
     # ----- helpers shared by both modules ------------------------------
 

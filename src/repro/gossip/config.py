@@ -143,7 +143,6 @@ class BackgroundTrafficConfig:
     monitor accounting is byte-for-byte identical to per-copy sends.
     """
 
-    enabled: bool = True
     period: float = 0.25
     fanout: int = 2
     message_size: int = 25_000
@@ -157,6 +156,4 @@ class BackgroundTrafficConfig:
     @property
     def per_peer_tx_rate(self) -> float:
         """Average transmitted bytes/second per peer."""
-        if not self.enabled:
-            return 0.0
         return self.fanout * self.message_size / self.period

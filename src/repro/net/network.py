@@ -12,11 +12,12 @@ Delivery time of a message from A to B decomposes as:
 * **downlink serialization** at B, modelling receive-side contention when
   many peers push the same block to one target.
 
-Nodes register a handler and may hand the network their *routes*, a
-tuple ``(table, *components)`` whose ``{message class: (index,
-function)}`` table deliveries probe first (:meth:`Network.set_routes`).
-There is one table per protocol class, shared by every peer of that
-class; only a digest liar holds a copy of its own
+A node is its *routes*, a tuple ``(table, *objects)`` whose
+``{message class: (index, function)}`` table a delivery looks its
+message's exact class up in, to call ``function(routes[index], src,
+message)`` (:meth:`Network.register`, :meth:`Network.set_routes`). There
+is one table per protocol class, shared by every node of that class;
+only a digest liar holds a copy of its own
 (:mod:`repro.faults.adversaries`). The fault layer can additionally drop
 messages or disconnect nodes. All traffic is accounted in the
 :class:`TrafficMonitor`.
@@ -67,9 +68,26 @@ from repro.simulation._core.kernels import LINK_DROP_TAIL, fan_out, link_enqueue
 from repro.simulation._core.monitor import TrafficMonitor
 from repro.simulation.random import RandomStreams
 
-Handler = Callable[[str, Message], None]
-
 GIGABIT_PER_SECOND_BYTES = 125_000_000  # 1 Gbps full duplex, per direction
+
+#: The routes of a node that hears nothing: one shared empty table, which
+#: every delivery misses without counting a drop.
+NO_ROUTES: tuple = ({},)
+
+
+class EveryClass(dict):
+    """A route table that holds one ``route``, ``(index, function)``, for
+    every message class: the table of a node that hears everything the
+    same way (a shard's guard on the nodes another shard executes)."""
+
+    __slots__ = ("route",)
+
+    def __init__(self, route: Tuple[int, Callable]) -> None:
+        super().__init__()
+        self.route = route
+
+    def get(self, cls, default=None):
+        return self.route
 
 
 @dataclass
@@ -153,9 +171,8 @@ class Network:
         if not self.config.bandwidth > 0:  # `not >` also rejects NaN
             raise ValueError("bandwidth must be positive")
         self._streams = streams
-        self._handlers: Dict[str, Handler] = {}
-        # Per-node routes (set_routes): a delivery probes the destination's
-        # table by exact class and falls back to the registered handler.
+        # Per-node routes, one entry per registered node: a delivery looks
+        # its message's exact class up in the destination's table.
         self._routes: Dict[str, tuple] = {}
         self._downlink_free_at: Dict[str, float] = {}
         self._disconnected: Dict[str, bool] = {}
@@ -210,30 +227,32 @@ class Network:
             (True, self._arrive_multicast),
         )
 
-    def register(self, name: str, handler: Handler) -> None:
-        """Attach a process; ``handler(src, message)`` is called on delivery."""
-        if name in self._handlers:
+    def register(self, name: str, routes: Optional[tuple]) -> None:
+        """Attach node ``name`` with its ``routes`` (:meth:`set_routes`);
+        ``None`` registers a node that hears nothing yet."""
+        if name in self._routes:
             raise ValueError(f"node {name!r} already registered")
         # Interned names make every per-message dict probe a pointer
         # comparison in the common case.
-        self._handlers[sys.intern(name)] = handler
+        self._routes[sys.intern(name)] = NO_ROUTES if routes is None else routes
 
     def set_routes(self, name: str, routes: Optional[tuple]) -> None:
         """Give node ``name`` its routes, or withdraw them with ``None``.
 
-        ``routes`` is ``(table, *components)``, the table mapping a message
+        ``routes`` is ``(table, *objects)``, the table mapping a message
         class to ``(index, function)``. A delivery looks the message's
         exact class up in the destination's table and calls
-        ``function(routes[index], src, message)``; on a miss, or for a node
-        without routes, it calls the registered handler.
+        ``function(routes[index], src, message)``; a class the table does
+        not hold is ignored, not counted. A withdrawn node holds
+        :data:`NO_ROUTES`, so a dead but connected peer hears nothing.
         """
-        if name not in self._handlers:
+        current = self._routes.get(name)
+        if current is None:
             raise ValueError(f"unknown node {name!r}")
         if routes is None:
-            self._routes.pop(name, None)
+            self._routes[name] = NO_ROUTES
             return
-        current = self._routes.get(name)
-        if self._ignores is not None and current is not None and current[0] is not routes[0]:
+        if self._ignores is not None and current is not NO_ROUTES and current[0] is not routes[0]:
             raise SimulationError(
                 f"cannot rewire {name!r}: this network elides the copies its receivers ignore"
             )
@@ -241,11 +260,11 @@ class Network:
 
     def __contains__(self, name: str) -> bool:
         """Whether ``name`` is a registered node."""
-        return name in self._handlers
+        return name in self._routes
 
     def set_disconnected(self, name: str, disconnected: bool) -> None:
         """Simulate a node dropping off the network (crash / partition)."""
-        if name not in self._handlers:
+        if name not in self._routes:
             raise ValueError(f"unknown node {name!r}")
         if disconnected and self._ignores is not None:
             raise SimulationError(
@@ -369,7 +388,7 @@ class Network:
         """
         if src == dst:
             raise ValueError(f"{src!r} attempted to send a message to itself")
-        if src not in self._handlers:
+        if src not in self._routes:
             raise ValueError(f"unknown source node {src!r}")
         if self._n_disconnected or self._drop_filter is not None:
             self._fan_out_guarded(src, (dst,), message)
@@ -401,7 +420,7 @@ class Network:
           would be consecutive, so no foreign event can order between
           them).
         """
-        if src not in self._handlers:
+        if src not in self._routes:
             raise ValueError(f"unknown source node {src!r}")
         # Full validation before any state change, exactly like send().
         if src in dsts:
@@ -495,17 +514,13 @@ class Network:
             self.dropped_messages += 1
             return
         routes = self._routes.get(target)
-        if routes is not None:
-            route = routes[0].get(message.__class__)
-            if route is not None:
-                index, handler = route
-                handler(routes[index], src, message)
-                return
-        handler = self._handlers.get(target)
-        if handler is None:
+        if routes is None:
             self.dropped_messages += 1
             return
-        handler(src, message)
+        route = routes[0].get(message.__class__)
+        if route is not None:
+            index, handler = route
+            handler(routes[index], src, message)
 
     def _arrive_multicast(self, src: str, message: Message, target, transfer: float) -> None:
         """Phase two of a large copy: grant receiver downlinks.
@@ -583,7 +598,7 @@ class Network:
           not counted in ``dropped_messages``, as a per-copy send's would
           be at its delivery: only the send-time rules above count.
         """
-        if src not in self._handlers:
+        if src not in self._routes:
             raise ValueError(f"unknown source node {src!r}")
         # Full validation before any state change, exactly like send(): a
         # rejected call must not pollute drop counters or the monitor.

@@ -35,7 +35,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
-from repro.scenarios.runner import scenario_snapshot
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.sharded import run_scenario_sharded
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_metrics.json")
@@ -326,7 +326,7 @@ def update_golden(path: str = GOLDEN_PATH) -> Dict[str, dict]:
     but the physics did not.
     """
     captured = {
-        name: scenario_snapshot(scenario, seed=seed)
+        name: run_scenario(scenario, seed=seed).snapshot()
         for name, (scenario, seed) in GOLDEN_SCENARIOS.items()
     }
     failures = check_reference_tolerance(golden=captured)

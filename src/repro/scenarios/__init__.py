@@ -33,7 +33,6 @@ from repro.scenarios.runner import (
     ScenarioRun,
     dissemination_config,
     run_scenario,
-    scenario_snapshot,
 )
 from repro.scenarios.spec import (
     LinkSpec,
@@ -60,5 +59,4 @@ __all__ = [
     "run_scenario",
     "run_scenario_sharded",
     "scenario_names",
-    "scenario_snapshot",
 ]

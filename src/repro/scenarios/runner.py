@@ -62,7 +62,7 @@ def dissemination_config(
         seed=seed,
         idle_tail=workload.idle_tail,
         grace_period=workload.grace_period,
-        background=BackgroundTrafficConfig(enabled=True) if enable_background else None,
+        background=BackgroundTrafficConfig() if enable_background else None,
         network=network,
         per_tx_validation_time=spec.per_tx_validation_time,
         organizations=spec.organizations,
@@ -257,13 +257,3 @@ def run_scenario(
 
     result = run_dissemination(config, prepare=prepare)
     return ScenarioRun(spec=spec, seed=seed, result=result, faults=compiled[0])
-
-
-def scenario_snapshot(name: str, seed: int = 1) -> dict:
-    """Run a registered scenario and return its golden-comparable metrics.
-
-    This is the hook the perf determinism gate uses; the ``scenario`` and
-    ``seed`` keys are part of the snapshot, so a golden also pins which
-    declaration produced it.
-    """
-    return run_scenario(name, seed=seed).snapshot()

@@ -72,15 +72,9 @@ class SweepCellError(RuntimeError):
 
 
 def _run_sweep_cell(cell: Tuple) -> Tuple[int, dict]:
-    """One (scenario, seed) simulation; raises on failure.
-
-    Accepts the historical 3-tuple ``(name, seed, full)`` as well as the
-    supervised 6-tuple with chaos/attempt/inline riding along.
-    """
-    name, seed, full = cell[0], cell[1], cell[2]
-    chaos = cell[3] if len(cell) > 3 else None
-    attempt = cell[4] if len(cell) > 4 else 1
-    inline = cell[5] if len(cell) > 5 else False
+    """One (scenario, seed) simulation of the cell ``(name, seed, full,
+    chaos, attempt, inline)``; raises on failure."""
+    name, seed, full, chaos, attempt, inline = cell
     if chaos is not None:
         chaos.apply(seed, attempt, inline=inline)
     return seed, run_scenario(name, seed=seed, full=full).snapshot()

@@ -142,16 +142,12 @@ class TrafficMonitor:
         self._over = {}
         self._last_time = 0.0
 
-    def record(self, time: float, src: str, dst: str, kind: str, size: int) -> None:
-        """Account one message of ``size`` bytes sent at ``time``."""
-        self.record_multicast(time, src, (dst,), kind, size)
-
     def record_multicast(
         self, time: float, src: str, dsts: Sequence[str], kind: str, size: int
     ) -> None:
         """Account one ``size``-byte message from ``src`` to each of ``dsts``.
 
-        Byte-exact equivalent of one :meth:`record` per destination
+        Byte-exact equivalent of accounting one copy per destination
         (duplicate destinations count once each): the receivers are
         counted by one C-level ``Counter.update`` pass, the sender gets
         ``len(dsts)`` copies and ``size * len(dsts)`` bytes, so the cost is

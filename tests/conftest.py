@@ -11,7 +11,7 @@ from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
 from repro.ledger.rwset import ReadWriteSet
 from repro.ledger.transaction import TransactionProposal
 from repro.net.latency import ConstantLatency
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import EveryClass, Network, NetworkConfig
 from repro.simulation import Simulator
 from repro.simulation.random import Buffered, RandomStreams
 
@@ -163,3 +163,29 @@ def make_view(
     return OrganizationView(
         self_name=self_name, org_peers=peers, channel_peers=peers, leader=leader
     )
+
+
+def _call(handler, src: str, message) -> None:
+    handler(src, message)
+
+
+_SINK = EveryClass((1, _call))
+
+
+def routes_to(handler) -> tuple:
+    """Routes that hand every message, whatever its class, to
+    ``handler(src, message)``: a test node on the route-tuple API
+    (:meth:`repro.net.network.Network.register`)."""
+    return (_SINK, handler)
+
+
+def dispatch(module, src: str, message) -> bool:
+    """Hand ``message`` to a gossip ``module`` through its class's
+    ``ROUTES``, as a peer's delivery does; False when the table does not
+    hold the message's class (a peer's network ignores it)."""
+    route = module.ROUTES.get(type(message))
+    if route is None:
+        return False
+    index, handler = route
+    handler(module.components()[index], src, message)
+    return True

@@ -91,6 +91,18 @@ def test_background_traffic_included_when_enabled():
     assert counts.get("MembershipAlive", 0) > 0
 
 
+def test_no_background_config_sends_no_background_bytes():
+    """``background=None`` is the one off switch: no emitter, no bytes."""
+    result = run_dissemination(
+        DisseminationConfig(
+            gossip=EnhancedGossipConfig.paper_f4(), n_peers=10, blocks=2,
+            tx_per_block=2, block_period=0.5, idle_tail=5.0, seed=3, background=None,
+        )
+    )
+    assert "MembershipAlive" not in result.bandwidth_report().message_counts()
+    assert all(peer.background is None for peer in result.net.peers.values())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DisseminationConfig(blocks=0)

@@ -10,6 +10,8 @@ from repro.ledger.rwset import ReadWriteSet
 from repro.ledger.transaction import Endorsement
 from repro.metrics.conflicts import ConflictTracker
 
+from tests.conftest import routes_to
+
 
 def make_client(sim, network, streams, endorsers=("e0",), rate=10.0, workload_ops=None, **kwargs):
     msp = MembershipServiceProvider()
@@ -29,7 +31,7 @@ def make_client(sim, network, streams, endorsers=("e0",), rate=10.0, workload_op
 
 def register_collector(network, name):
     inbox = []
-    network.register(name, lambda src, msg: inbox.append((src, msg)))
+    network.register(name, routes_to(lambda src, msg: inbox.append((src, msg))))
     return inbox
 
 
@@ -69,7 +71,7 @@ def test_assembles_and_submits_on_full_endorsement(sim, network, streams):
     (src, request), = endorser_inbox
     rwset = ReadWriteSet()
     rwset.record_write("k", 1)
-    network.register("responder", lambda s, m: None)
+    network.register("responder", routes_to(lambda s, m: None))
     network.send(
         "responder", "client-0",
         EndorsementResponse(request.request_id, rwset, make_endorsement(rwset)),
@@ -98,7 +100,7 @@ def test_digest_mismatch_counts_proposal_conflict(sim, network, streams):
     rwset_a.record_read("k", Version(0, 0))
     rwset_b = ReadWriteSet()
     rwset_b.record_read("k", Version(1, 0))  # endorser at a different height
-    network.register("responder", lambda s, m: None)
+    network.register("responder", routes_to(lambda s, m: None))
     network.send("responder", "client-0", EndorsementResponse(request.request_id, rwset_a, make_endorsement(rwset_a, "e0")))
     network.send("responder", "client-0", EndorsementResponse(request.request_id, rwset_b, make_endorsement(rwset_b, "e1")))
     sim.run(until=1.0)
@@ -125,7 +127,7 @@ def test_late_response_after_timeout_ignored(sim, network, streams):
     sim.run(until=1.0)
     request = endorser_inbox[0][1]
     rwset = ReadWriteSet()
-    network.register("responder", lambda s, m: None)
+    network.register("responder", routes_to(lambda s, m: None))
     network.send("responder", "client-0", EndorsementResponse(request.request_id, rwset, make_endorsement(rwset)))
     sim.run(until=2.0)
     assert orderer_inbox == []
@@ -146,7 +148,7 @@ def test_proposal_size_configurable(sim, network, streams):
     sim.run(until=0.2)
     request = endorser_inbox[0][1]
     rwset = ReadWriteSet()
-    network.register("responder", lambda s, m: None)
+    network.register("responder", routes_to(lambda s, m: None))
     network.send("responder", "client-0", EndorsementResponse(request.request_id, rwset, make_endorsement(rwset)))
     sim.run(until=1.0)
     assert orderer_inbox[0][1].proposal.size_bytes == 9_999

@@ -1,9 +1,8 @@
 """How a delivery finds its handler: the network's per-node routes (one
 class table per protocol class, shared by its peers, and the components
-it addresses), the registered ``Peer._on_message`` behind them (the same
-routes, behind a liveness test), and what a peer's lifecycle does to both.
-Behaviour first: most tests send through ``Network.send`` and look at what
-the peer did."""
+it addresses), the only path a message takes, and what a peer's
+lifecycle does to them. Behaviour first: most tests send through
+``Network.send`` and look at what the peer did."""
 
 import pytest
 
@@ -27,8 +26,9 @@ from repro.gossip.messages import (
 )
 from repro.gossip.view import OrganizationView
 from repro.net.message import RawMessage
+from repro.net.network import NO_ROUTES
 
-from tests.conftest import make_chain
+from tests.conftest import make_chain, routes_to
 
 
 def one_of_each(block):
@@ -52,7 +52,7 @@ def one_of_each(block):
 @pytest.mark.parametrize(
     "gossip", [EnhancedGossipConfig.paper_f4(), OriginalGossipConfig()], ids=["enhanced", "original"]
 )
-def test_network_delivery_reaches_the_handler_on_message_picks(gossip):
+def test_network_delivery_reaches_the_handler_the_table_picks(gossip):
     net = build_network(n_peers=4, gossip=gossip, seed=3)
     peer = net.peers["peer-2"]
     shared = peer.route_table
@@ -74,12 +74,11 @@ def test_network_delivery_reaches_the_handler_on_message_picks(gossip):
     for message in messages:
         net.network.send("peer-1", "peer-2", message)
     net.sim.run(until=1.0)
-    through_network, calls[:] = list(calls), []
-    for message in messages:
-        peer._on_message("peer-1", message)
-    assert len(through_network) == len(messages)
-    key = lambda call: type(call[3]).__name__  # noqa: E731 - arrival order differs by size
-    assert sorted(through_network, key=key) == sorted(calls, key=key)
+    assert len(calls) == len(messages)
+    routes = peer._routes
+    for handler, component, src, message in calls:
+        index, expected = shared[type(message)]
+        assert (handler, component, src) == (expected, routes[index], "peer-1")
 
 
 @pytest.mark.parametrize(
@@ -102,12 +101,13 @@ def test_the_peers_of_a_protocol_class_share_one_route_table(gossip):
 
 
 def _tables(net):
-    return {id(routes[0]) for routes in net.network._routes.values()}
+    return {id(net.network._routes[name][0]) for name in net.peers}
 
 
 def test_a_thousand_peers_hold_one_table_per_protocol_class_and_one_per_liar():
     original = build_network(n_peers=1000, gossip=OriginalGossipConfig(), seed=1)
-    assert len(original.network._routes) == 1000 and len(_tables(original)) == 1
+    assert len(original.network._routes) == 1000 + 1  # and the orderer's
+    assert len(_tables(original)) == 1
     enhanced = build_network(n_peers=1000, gossip=EnhancedGossipConfig.paper_f4(), seed=1)
     assert len(_tables(enhanced)) == 1
     liars = ["peer-3", "peer-500", "peer-999"]
@@ -117,19 +117,19 @@ def test_a_thousand_peers_hold_one_table_per_protocol_class_and_one_per_liar():
     assert [name for name, peer in enhanced.peers.items() if peer.route_table is not shared] == liars
 
 
-def make_peer(sim, network, streams, cls=Peer, name="peer-0"):
+def make_peer(sim, network, streams, name="peer-0"):
     from repro.crypto.identity import MembershipServiceProvider
 
     identity = MembershipServiceProvider(domain=name).enroll(name, "org0", "peer")
     members = ["peer-0", "peer-1"]
-    return cls(sim, network, streams, identity, OrganizationView(name, members, members, "peer-0"))
+    return Peer(sim, network, streams, identity, OrganizationView(name, members, members, "peer-0"))
 
 
-def test_classes_outside_the_table_arrive_through_on_message():
+def test_classes_outside_the_table_are_ignored_not_counted():
     net = build_network(n_peers=4, gossip=EnhancedGossipConfig.paper_f4(), seed=3)
     leader = next(peer for peer in net.peers.values() if peer.is_leader)
     other = next(name for name in net.peers if name != leader.name)
-    # The table misses, so _on_message hears it and ignores it: not a drop.
+    # The table misses, so the network ignores it: not a drop.
     net.network.send(other, leader.name, RawMessage(10))
     net.sim.run(until=1.0)
     assert net.network.dropped_messages == 0
@@ -155,7 +155,7 @@ def test_a_subclass_of_a_table_class_is_not_dispatched():
 
 def test_a_peer_without_gossip_ignores_what_it_hears(sim, network, streams):
     peer = make_peer(sim, network, streams)
-    network.register("peer-1", lambda src, message: None)
+    network.register("peer-1", routes_to(lambda src, message: None))
     assert peer.route_table is None
     block = make_chain([1])[0]
     for message in one_of_each(block):
@@ -166,36 +166,12 @@ def test_a_peer_without_gossip_ignores_what_it_hears(sim, network, streams):
     assert network.dropped_messages == 0
 
 
-def enhanced_peer(sim, network, streams, cls=Peer):
+def enhanced_peer(sim, network, streams):
     """One enhanced-gossip peer whose only neighbour is a silent stub."""
-    peer = make_peer(sim, network, streams, cls=cls)
+    peer = make_peer(sim, network, streams)
     peer.attach_gossip(lambda host, view: EnhancedGossip(host, view, EnhancedGossipConfig.paper_f4()))
-    network.register("peer-1", lambda src, message: None)
+    network.register("peer-1", routes_to(lambda src, message: None))
     return peer
-
-
-def test_subclass_overriding_on_message_sees_every_message(sim, network, streams):
-    seen = []
-
-    class Tap(Peer):
-        def _on_message(self, src, message):
-            seen.append(type(message))
-            super()._on_message(src, message)
-
-    peer = enhanced_peer(sim, network, streams, cls=Tap)
-    block = make_chain([1])[0]
-    messages = [m for m in one_of_each(block) if type(m) in peer.route_table] + [RawMessage(10)]
-    for message in messages:
-        network.send("peer-1", "peer-0", message)
-    sim.run(until=1.0)
-    by_name = lambda cls: cls.__name__  # noqa: E731 - arrival order differs by size
-    assert sorted(seen, key=by_name) == sorted((type(m) for m in messages), key=by_name)
-    assert peer.gossip.push.pairs_received == 1  # and super() dispatched: push and digest are one pair
-    peer.crash()
-    peer.recover()  # a lifecycle round trip must not hand the routes over either
-    network.send("peer-1", "peer-0", PushDigest(0, block.block_hash, 2))
-    sim.run(until=2.0)
-    assert seen[-1] is PushDigest and len(seen) == len(messages) + 1
 
 
 def test_lifecycle_decides_what_a_peer_hears(sim, network, streams):
@@ -211,7 +187,7 @@ def test_lifecycle_decides_what_a_peer_hears(sim, network, streams):
     # Dead but connected (a churn leave): nothing is handled, nothing is
     # counted as dropped.
     peer.shutdown()
-    assert "peer-0" not in network._routes  # withdrawn, not emptied
+    assert network._routes["peer-0"] is NO_ROUTES  # withdrawn to the shared empty table
     digest(2, 2.0)
     assert (push.pairs_received, network.dropped_messages) == (1, 0)
     peer.restart()

@@ -8,7 +8,7 @@ from repro.fabric.orderer import OrderingService
 from repro.ledger.rwset import ReadWriteSet
 from repro.ledger.transaction import TransactionProposal
 
-from tests.conftest import make_transactions
+from tests.conftest import make_transactions, routes_to
 
 
 def make_orderer(sim, network, streams, max_tx=3, timeout=2.0, consensus=0.0, leaders=None):
@@ -18,7 +18,7 @@ def make_orderer(sim, network, streams, max_tx=3, timeout=2.0, consensus=0.0, le
 
 def leader_inbox(network, name="leader"):
     inbox = []
-    network.register(name, lambda src, msg: inbox.append(msg))
+    network.register(name, routes_to(lambda src, msg: inbox.append(msg)))
     return inbox
 
 
@@ -152,7 +152,7 @@ def test_blocks_linked_in_sequence(sim, network, streams):
 
 def test_consensus_delay_before_delivery(sim, network, streams):
     times = []
-    network.register("leader", lambda src, msg: times.append(sim.now))
+    network.register("leader", routes_to(lambda src, msg: times.append(sim.now)))
     orderer = make_orderer(sim, network, streams, max_tx=1, consensus=0.5, leaders={"org0": "leader"})
     orderer.submit(proposal())
     sim.run()
@@ -173,7 +173,7 @@ def test_multi_org_leaders_each_receive_block(sim, network, streams):
 
 def test_submit_via_network_message(sim, network, streams):
     leader_inbox(network)
-    network.register("client", lambda src, msg: None)
+    network.register("client", routes_to(lambda src, msg: None))
     orderer = make_orderer(sim, network, streams, max_tx=1, leaders={"org0": "leader"})
     network.send("client", orderer.name, SubmitTransaction(proposal()))
     sim.run()
@@ -215,7 +215,7 @@ def test_both_seal_paths_record_the_cut_before_consensus(sim, network, streams):
 
     tracker = DisseminationTracker()
     network.register(
-        "leader", lambda src, msg: tracker.leader_received(msg.block.number, sim.now)
+        "leader", routes_to(lambda src, msg: tracker.leader_received(msg.block.number, sim.now))
     )
     config = OrdererConfig(max_tx_per_block=1, batch_timeout=2.0, consensus_delay=0.5)
     orderer = OrderingService(

@@ -4,12 +4,12 @@ block goes, once, to the leader the deployment named for each organization."""
 from repro.fabric.config import OrdererConfig
 from repro.fabric.orderer import OrderingService
 
-from tests.conftest import make_transactions
+from tests.conftest import make_transactions, routes_to
 
 
 def collect(network, name):
     inbox = []
-    network.register(name, lambda src, msg: inbox.append(msg))
+    network.register(name, routes_to(lambda src, msg: inbox.append(msg)))
     return inbox
 
 

@@ -12,7 +12,7 @@ from repro.gossip.view import OrganizationView
 from repro.metrics.conflicts import ConflictTracker
 from repro.metrics.latency import DisseminationTracker
 
-from tests.conftest import make_chain
+from tests.conftest import make_chain, routes_to
 
 
 def build_peer(
@@ -39,7 +39,7 @@ def register_stub_peers(network, names):
     inboxes = {}
     for name in names:
         inboxes[name] = []
-        network.register(name, lambda src, msg, n=name: inboxes[n].append((src, msg)))
+        network.register(name, routes_to(lambda src, msg, n=name: inboxes[n].append((src, msg))))
     return inboxes
 
 
@@ -95,7 +95,7 @@ def test_commit_time_scales_with_tx_count(sim, network, streams):
 def test_leader_gossips_orderer_block(sim, network, streams):
     inboxes = register_stub_peers(network, ["peer-1", "peer-2"])
     peer = build_peer(sim, network, streams, name="peer-0", leader="peer-0")
-    network.register("orderer", lambda src, msg: None)
+    network.register("orderer", routes_to(lambda src, msg: None))
     block = make_chain([1])[0]
     network.send("orderer", "peer-0", OrdererBlock(block))
     sim.run(until=1.0)
@@ -163,7 +163,7 @@ def test_endorsement_round_trip(sim, network, streams):
     peer = build_peer(sim, network, streams)
     peer.chaincodes.install(CounterIncrementChaincode())
     inbox = []
-    network.register("client", lambda src, msg: inbox.append(msg))
+    network.register("client", routes_to(lambda src, msg: inbox.append(msg)))
     network.send("client", "peer-0", EndorsementRequest("r1", "counter-increment", ("c1",)))
     sim.run(until=1.0)
     assert len(inbox) == 1
@@ -177,7 +177,7 @@ def test_endorsement_round_trip(sim, network, streams):
 def test_unknown_chaincode_not_endorsed(sim, network, streams):
     peer = build_peer(sim, network, streams)
     inbox = []
-    network.register("client", lambda src, msg: inbox.append(msg))
+    network.register("client", routes_to(lambda src, msg: inbox.append(msg)))
     network.send("client", "peer-0", EndorsementRequest("r1", "missing", ()))
     sim.run(until=1.0)
     assert inbox == []
@@ -189,7 +189,7 @@ def test_endorsement_uses_committed_state(sim, network, streams):
     peer.chaincodes.install(CounterIncrementChaincode())
     peer.policy = __import__("repro.fabric.endorsement", fromlist=["EndorsementPolicy"]).EndorsementPolicy.any_single()
     inbox = []
-    network.register("client", lambda src, msg: inbox.append(msg))
+    network.register("client", routes_to(lambda src, msg: inbox.append(msg)))
     network.send("client", "peer-0", EndorsementRequest("r1", "counter-increment", ("c1",)))
     sim.run(until=1.0)
     assert inbox[0].rwset.writes == {"c1": 1}  # state still empty
@@ -200,7 +200,7 @@ def test_crash_stops_processing(sim, network, streams):
     peer.start()
     peer.crash()
     block = make_chain([1])[0]
-    network.register("other", lambda src, msg: None)
+    network.register("other", routes_to(lambda src, msg: None))
     from repro.gossip.messages import BlockPush
 
     network.send("other", "peer-0", BlockPush(block))

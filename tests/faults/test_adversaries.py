@@ -24,7 +24,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import Network, NetworkConfig
 from repro.simulation.random import RandomStreams
 
-from tests.conftest import make_chain
+from tests.conftest import make_chain, routes_to
 
 
 def make_net(sim, nodes=("a", "b", "c")):
@@ -33,7 +33,7 @@ def make_net(sim, nodes=("a", "b", "c")):
     inboxes = {}
     for name in nodes:
         inboxes[name] = []
-        network.register(name, lambda src, msg, n=name: inboxes[n].append((src, msg)))
+        network.register(name, routes_to(lambda src, msg, n=name: inboxes[n].append((src, msg))))
     return network, streams, inboxes
 
 
@@ -123,8 +123,8 @@ def test_liar_readvertises_instead_of_requesting():
 def test_liar_rewires_its_own_copy_of_the_route_table():
     """A liar's table is a copy of its class's with the digest route
     replaced, and the peer's routes are the ones the network holds: one
-    assignment reaches the network path and the peer's ``_on_message``
-    fallback, and leaves every honest peer on the shared table."""
+    assignment reaches every delivery to the liar, and leaves every honest
+    peer on the shared table."""
     net, fault = liar_net()
     liar = net.peers["peer-5"]
     shared = route_table(EnhancedGossip, Peer)
@@ -134,7 +134,7 @@ def test_liar_rewires_its_own_copy_of_the_route_table():
     assert table[PushDigest][1].__name__ == "lying_on_digest"
     assert {**table, PushDigest: shared[PushDigest]} == shared
     block = make_chain([1])[0]
-    liar._on_message("peer-1", PushDigest(0, block.block_hash, 1))
+    net.network.send("peer-1", "peer-5", PushDigest(0, block.block_hash, 1))
     net.network.send("peer-1", "peer-5", PushDigest(0, block.block_hash, 2))
     net.sim.run(until=0.2)
     assert fault.lies_told == 2 and liar.gossip.push.requests_sent == 0

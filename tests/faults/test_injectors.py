@@ -16,7 +16,7 @@ from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
 from repro.simulation.random import RandomStreams
 
-from tests.conftest import make_chain
+from tests.conftest import make_chain, routes_to
 
 
 def make_net(sim):
@@ -24,7 +24,7 @@ def make_net(sim):
     inboxes = {}
     for name in ("a", "b", "c"):
         inboxes[name] = []
-        network.register(name, lambda src, msg, n=name: inboxes[n].append(msg))
+        network.register(name, routes_to(lambda src, msg, n=name: inboxes[n].append(msg)))
     return network, inboxes
 
 

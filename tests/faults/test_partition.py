@@ -26,6 +26,8 @@ from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
+from tests.conftest import routes_to
+
 NODES = ("a", "b", "c", "d", "e", "f")
 
 
@@ -36,7 +38,7 @@ def make_net(nodes=NODES):
     )
     inboxes = {name: [] for name in nodes}
     for name in nodes:
-        network.register(name, lambda src, msg, n=name: inboxes[n].append(src))
+        network.register(name, routes_to(lambda src, msg, n=name: inboxes[n].append(src)))
     return sim, network, inboxes
 
 

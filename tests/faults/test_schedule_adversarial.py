@@ -21,7 +21,7 @@ from repro.gossip.messages import BlockPush
 from repro.net.latency import TopologyLatency
 from repro.net.network import NetworkConfig
 
-from tests.conftest import make_chain
+from tests.conftest import make_chain, routes_to
 
 
 def small_net(**kwargs):
@@ -217,8 +217,8 @@ def test_crash_during_partition_composes():
 
 def test_rearming_is_idempotent(network, sim):
     inbox = []
-    network.register("a", lambda src, msg: inbox.append(msg))
-    network.register("b", lambda src, msg: inbox.append(msg))
+    network.register("a", routes_to(lambda src, msg: inbox.append(msg)))
+    network.register("b", routes_to(lambda src, msg: inbox.append(msg)))
     fault = SilentPeerFault(network, ["a"])
     fault.arm()
     fault.arm()  # double re-arm must not duplicate the predicate
@@ -231,8 +231,8 @@ def test_rearming_is_idempotent(network, sim):
 def test_installation_order_short_circuits(network, sim):
     """When two injectors would both drop a message, only the
     earliest-installed one counts it."""
-    network.register("a", lambda src, msg: None)
-    network.register("b", lambda src, msg: None)
+    network.register("a", routes_to(lambda src, msg: None))
+    network.register("b", routes_to(lambda src, msg: None))
     first = SilentPeerFault(network, ["a"])
     second = TeasingPeerFault(network, ["a"])
     block = make_chain([1])[0]
@@ -243,8 +243,8 @@ def test_installation_order_short_circuits(network, sim):
 
 
 def test_preexisting_plain_filter_keeps_priority(network, sim):
-    network.register("a", lambda src, msg: None)
-    network.register("b", lambda src, msg: None)
+    network.register("a", routes_to(lambda src, msg: None))
+    network.register("b", routes_to(lambda src, msg: None))
     seen = []
 
     def plain(src, dst, message):

@@ -17,21 +17,10 @@ def test_emits_at_configured_rate():
     assert 8 <= traffic.messages_sent <= 12  # ~2 per second for ~5 s
 
 
-def test_disabled_config_emits_nothing():
-    host = FakeHost("p0")
-    config = BackgroundTrafficConfig(enabled=False)
-    traffic = BackgroundTraffic(host, make_view("p0"), config)
-    traffic.start()
-    host.run(until=5.0)
-    assert traffic.messages_sent == 0
-    assert host.timers == []
-
-
 def test_per_peer_tx_rate_calibration():
     config = BackgroundTrafficConfig(period=1.0, fanout=2, message_size=100_000)
     # 0.2 MB/s transmitted => ~0.4 MB/s rx+tx per peer network-wide.
     assert config.per_peer_tx_rate == pytest.approx(200_000.0)
-    assert BackgroundTrafficConfig(enabled=False).per_peer_tx_rate == 0.0
 
 
 @pytest.mark.parametrize(
@@ -162,9 +151,11 @@ def test_config_has_no_per_copy_knob():
     import dataclasses
 
     names = [field.name for field in dataclasses.fields(BackgroundTrafficConfig)]
-    assert names == ["enabled", "period", "fanout", "message_size"]
+    assert names == ["period", "fanout", "message_size"]
     with pytest.raises(TypeError):
         BackgroundTrafficConfig(aggregate=False)
+    with pytest.raises(TypeError):  # off is ``background=None``
+        BackgroundTrafficConfig(enabled=False)
 
 
 def test_background_copies_reach_no_peer_handler():

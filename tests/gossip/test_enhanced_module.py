@@ -13,7 +13,7 @@ from repro.gossip.messages import (
     StateInfo,
 )
 
-from tests.conftest import FakeHost, make_chain, make_view
+from tests.conftest import FakeHost, dispatch, make_chain, make_view
 
 
 def make_module(**overrides):
@@ -50,7 +50,7 @@ def test_leader_does_not_act_as_initial_gossiper_on_echo():
     block = make_chain([1])[0]
     module.on_block_from_orderer(block)
     host.sent.clear()
-    module.handle("p3", BlockPush(block, counter=0))
+    dispatch(module, "p3", BlockPush(block, counter=0))
     # Pair (b, 0) already seen: no forwarding.
     assert not any(isinstance(m, (BlockPush, PushDigest)) for _, m in host.sent)
 
@@ -58,7 +58,7 @@ def test_leader_does_not_act_as_initial_gossiper_on_echo():
 def test_initial_gossiper_forwards_with_counter_one():
     host, module = make_module(fout=4, ttl_direct=2)
     block = make_chain([1])[0]
-    module.handle("leader", BlockPush(block, counter=0))
+    dispatch(module, "leader", BlockPush(block, counter=0))
     assert host.deliveries == [(0, "push")]
     pushes = [msg for _, msg in host.sent if isinstance(msg, BlockPush)]
     assert len(pushes) == 4
@@ -79,7 +79,7 @@ def test_forwarding_goes_through_host_multicast():
     host = MulticastHost("p0")
     config = EnhancedGossipConfig(fout=4, ttl_direct=2)
     module = EnhancedGossip(host, make_view("p0", org_size=10), config)
-    module.handle("p9", BlockPush(make_chain([1])[0], counter=0))
+    dispatch(module, "p9", BlockPush(make_chain([1])[0], counter=0))
     pushes = [(dsts, message) for dsts, message in calls if isinstance(message, BlockPush)]
     assert len(pushes) == 1
     dsts, message = pushes[0]
@@ -93,22 +93,22 @@ def test_forwarding_goes_through_host_multicast():
 def test_digest_and_request_routed():
     host, module = make_module()
     block = make_chain([1])[0]
-    module.handle("p2", BlockPush(block, counter=5))
+    dispatch(module, "p2", BlockPush(block, counter=5))
     host.sent.clear()
-    assert module.handle("p3", PushDigest(0, block.block_hash, 4))
-    assert module.handle("p4", PushRequest(0, 4))
+    assert dispatch(module, "p3", PushDigest(0, block.block_hash, 4))
+    assert dispatch(module, "p4", PushRequest(0, 4))
     served = [msg for dst, msg in host.sent if dst == "p4" and isinstance(msg, BlockPush)]
     assert len(served) == 1
 
 
 def test_no_pull_component():
     host, module = make_module()
-    assert not module.handle("p3", PullDigestRequest())
+    assert not dispatch(module, "p3", PullDigestRequest())
 
 
 def test_recovery_still_present():
     host, module = make_module()
-    assert module.handle("p3", StateInfo(9))
+    assert dispatch(module, "p3", StateInfo(9))
     assert module.recovery.known_heights["p3"] == 9
     module.start()
     assert len(host.timers) == 2  # state info + recovery only
@@ -141,14 +141,14 @@ def test_a_block_recovered_while_its_digests_wait_settles_their_state():
     host, module = make_module(fout=2, ttl=9, ttl_direct=2)
     push = module.push
     block = make_chain([1])[0]
-    module.handle("p3", PushDigest(0, block.block_hash, counter=3))
-    module.handle("p4", PushDigest(0, block.block_hash, counter=3))
-    module.handle("p5", PushRequest(0, 4))  # we are still missing the block
+    dispatch(module, "p3", PushDigest(0, block.block_hash, counter=3))
+    dispatch(module, "p4", PushDigest(0, block.block_hash, counter=3))
+    dispatch(module, "p5", PushRequest(0, 4))  # we are still missing the block
     host.run(until=0.6)
     assert push.requests_retried == 1  # the request to p3 stalled; p4 was asked
     host.sent.clear()
 
-    module.handle("p6", RecoveryResponse([block]))
+    dispatch(module, "p6", RecoveryResponse([block]))
     assert host.deliveries == [(0, "recovery")]
     assert [msg.counter for _, msg in host.sent if isinstance(msg, PushDigest)] == [4, 4]
     served = [(dst, msg.counter) for dst, msg in host.sent if isinstance(msg, BlockPush)]
@@ -158,7 +158,7 @@ def test_a_block_recovered_while_its_digests_wait_settles_their_state():
     # The retried transfer lands afterwards: its pair was forwarded above,
     # and its timer finds the request gone.
     host.sent.clear()
-    module.handle("p4", BlockPush(block, counter=3, requested=True))
+    dispatch(module, "p4", BlockPush(block, counter=3, requested=True))
     host.run(until=5.0)
     assert host.sent == []
     assert push.stalls_rescued_by_retry == 0
@@ -168,9 +168,9 @@ def test_a_block_recovered_while_its_digests_wait_settles_their_state():
 def test_duplicate_block_delivery_ignored_but_pair_logic_runs():
     host, module = make_module(fout=2, ttl_direct=9)
     block = make_chain([1])[0]
-    module.handle("p2", BlockPush(block, counter=1))
+    dispatch(module, "p2", BlockPush(block, counter=1))
     host.sent.clear()
-    module.handle("p3", BlockPush(block, counter=3))  # same block, new pair
+    dispatch(module, "p3", BlockPush(block, counter=3))  # same block, new pair
     pushes = [msg for _, msg in host.sent if isinstance(msg, BlockPush)]
     assert len(pushes) == 2
     assert all(msg.counter == 4 for msg in pushes)

@@ -13,7 +13,7 @@ from repro.gossip.messages import (
 from repro.gossip.original import OriginalGossip
 from repro.net.message import RawMessage
 
-from tests.conftest import FakeHost, make_chain, make_view
+from tests.conftest import FakeHost, dispatch, make_chain, make_view
 
 
 def make_module(**config_overrides):
@@ -57,11 +57,11 @@ def test_push_fanout_goes_through_host_multicast():
 def test_pushed_block_reforwarded_once():
     host, module = make_module(fout=2, t_push=0.0)
     block = make_chain([1])[0]
-    assert module.handle("p3", BlockPush(block))
+    assert dispatch(module, "p3", BlockPush(block))
     assert host.deliveries == [(0, "push")]
     assert len([m for _, m in host.sent if isinstance(m, BlockPush)]) == 2
     # Duplicate push: no re-forward (infect-and-die).
-    module.handle("p4", BlockPush(block))
+    dispatch(module, "p4", BlockPush(block))
     assert len([m for _, m in host.sent if isinstance(m, BlockPush)]) == 2
 
 
@@ -69,9 +69,9 @@ def test_pull_messages_routed():
     host, module = make_module()
     block = make_chain([1])[0]
     host.deliver_block(block, "test")
-    assert module.handle("p3", PullDigestRequest())
+    assert dispatch(module, "p3", PullDigestRequest())
     assert any(isinstance(m, PullDigestResponse) for _, m in host.sent)
-    assert module.handle("p3", PullBlockRequest([0]))
+    assert dispatch(module, "p3", PullBlockRequest([0]))
     assert any(isinstance(m, PullBlockResponse) for _, m in host.sent)
 
 
@@ -79,24 +79,24 @@ def test_pull_obtained_block_not_pushed():
     """Paper §III-A: blocks received via pull are not pushed onward."""
     host, module = make_module(fout=3, t_push=0.0)
     block = make_chain([1])[0]
-    module.handle("p3", PullBlockResponse([block]))
+    dispatch(module, "p3", PullBlockResponse([block]))
     assert host.deliveries == [(0, "pull")]
     assert not any(isinstance(m, BlockPush) for _, m in host.sent)
 
 
 def test_state_info_and_recovery_routed():
     host, module = make_module()
-    assert module.handle("p3", StateInfo(4))
+    assert dispatch(module, "p3", StateInfo(4))
     assert module.recovery.known_heights == {"p3": 4}
     block = make_chain([1])[0]
     host.deliver_block(block, "test")
-    assert module.handle("p4", RecoveryRequest(0, 1))
+    assert dispatch(module, "p4", RecoveryRequest(0, 1))
     assert host.sent_to("p4")
 
 
 def test_unknown_message_not_consumed():
     host, module = make_module()
-    assert not module.handle("p3", RawMessage(10))
+    assert not dispatch(module, "p3", RawMessage(10))
 
 
 def test_start_arms_pull_and_recovery():

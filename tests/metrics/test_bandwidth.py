@@ -27,8 +27,8 @@ def make_monitor():
     monitor = TrafficMonitor(bin_width=1.0)
     # 1 MB/s for leader for 20 s; 0.5 MB/s for a regular peer.
     for second in range(20):
-        monitor.record(second + 0.5, "leader", "peer-1", "BlockPush", 1_000_000)
-        monitor.record(second + 0.5, "peer-1", "peer-2", "BlockPush", 250_000)
+        monitor.record_multicast(second + 0.5, "leader", ("peer-1",), "BlockPush", 1_000_000)
+        monitor.record_multicast(second + 0.5, "peer-1", ("peer-2",), "BlockPush", 250_000)
     return monitor
 
 
@@ -61,8 +61,8 @@ def test_network_total_mb():
 
 def test_breakdown_and_counts_by_kind():
     monitor = TrafficMonitor()
-    monitor.record(0.0, "a", "b", "BlockPush", 2_000_000)
-    monitor.record(0.0, "a", "b", "PushDigest", 1_000)
+    monitor.record_multicast(0.0, "a", ("b",), "BlockPush", 2_000_000)
+    monitor.record_multicast(0.0, "a", ("b",), "PushDigest", 1_000)
     report = BandwidthReport(monitor)
     breakdown = report.breakdown_by_kind()
     assert breakdown["BlockPush"] == pytest.approx(2.0)
@@ -77,7 +77,7 @@ def test_aggregation_below_resolution_rejected():
 
 def test_idle_tail_visible_as_zero_bins():
     monitor = TrafficMonitor(bin_width=1.0)
-    monitor.record(0.5, "a", "b", "M", 1_000_000)
+    monitor.record_multicast(0.5, "a", ("b",), "M", 1_000_000)
     report = BandwidthReport(monitor, end_time=30.0, aggregation_interval=10.0)
     series = report.peer_utilization("a", direction="tx").series_mb_per_s
     assert series[0] > 0

@@ -10,6 +10,8 @@ from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
 from repro.simulation.random import RandomStreams
 
+from tests.conftest import routes_to
+
 
 def make_network(sim, bandwidth=1_000_000.0, latency=0.010, overhead=0, queue_min=0):
     config = NetworkConfig(
@@ -23,7 +25,7 @@ def make_network(sim, bandwidth=1_000_000.0, latency=0.010, overhead=0, queue_mi
 
 def register_sink(network, name):
     inbox = []
-    network.register(name, lambda src, msg: inbox.append((src, msg)))
+    network.register(name, routes_to(lambda src, msg: inbox.append((src, msg))))
     return inbox
 
 
@@ -42,7 +44,7 @@ def test_delivery_time_includes_transfer_and_latency(sim):
     network = make_network(sim, bandwidth=1_000_000.0, latency=0.010)
     register_sink(network, "a")
     times = []
-    network.register("b", lambda src, msg: times.append(sim.now))
+    network.register("b", routes_to(lambda src, msg: times.append(sim.now)))
     network.send("a", "b", RawMessage(10_000))
     sim.run()
     assert times[0] == pytest.approx(0.030)
@@ -53,7 +55,7 @@ def test_uplink_serialization_queues_bursts(sim):
     register_sink(network, "a")
     times = {}
     for name in ("b", "c"):
-        network.register(name, lambda src, msg, n=name: times.setdefault(n, sim.now))
+        network.register(name, routes_to(lambda src, msg, n=name: times.setdefault(n, sim.now)))
     # Two 10 ms transfers sent back to back from the same NIC.
     network.send("a", "b", RawMessage(10_000))
     network.send("a", "c", RawMessage(10_000))
@@ -69,7 +71,7 @@ def test_downlink_serialization_at_receiver(sim):
     register_sink(network, "a")
     register_sink(network, "b")
     times = []
-    network.register("c", lambda src, msg: times.append(sim.now))
+    network.register("c", routes_to(lambda src, msg: times.append(sim.now)))
     network.send("a", "c", RawMessage(10_000))
     network.send("b", "c", RawMessage(10_000))
     sim.run()
@@ -97,7 +99,7 @@ def test_downlink_queue_resolved_in_arrival_order(sim):
     register_sink(network, "slow")
     register_sink(network, "fast")
     arrivals = []
-    network.register("c", lambda src, msg: arrivals.append((src, sim.now)))
+    network.register("c", routes_to(lambda src, msg: arrivals.append((src, sim.now))))
     network.send("slow", "c", RawMessage(1_000))  # sent first, arrives ~0.101
     sim.schedule(0.010, network.send, "fast", "c", RawMessage(1_000))  # arrives ~0.012
     sim.run()
@@ -114,7 +116,7 @@ def test_small_messages_skip_downlink_queue(sim):
     register_sink(network, "a")
     register_sink(network, "b")
     times = []
-    network.register("c", lambda src, msg: times.append((msg.payload_size(), sim.now)))
+    network.register("c", routes_to(lambda src, msg: times.append((msg.payload_size(), sim.now))))
     network.send("a", "c", RawMessage(10_000))  # large: queued (10ms uplink + 10ms downlink)
     network.send("b", "c", RawMessage(1_000))  # small: 1ms uplink + 1ms transfer
     sim.run()
@@ -153,11 +155,25 @@ def test_send_to_unregistered_destination_dropped(sim):
     assert network.dropped_messages == 1
 
 
+def test_a_node_without_routes_hears_nothing_and_counts_nothing(sim):
+    """Registered with no routes, or withdrawn to them: every copy reaches
+    the node's (empty) table, which ignores it without a drop."""
+    network = make_network(sim)
+    register_sink(network, "a")
+    network.register("b", None)
+    inbox_c = register_sink(network, "c")
+    network.set_routes("c", None)
+    network.multicast("a", ["b", "c"], RawMessage(1))
+    sim.run()
+    assert inbox_c == [] and network.dropped_messages == 0
+    assert "b" in network and "c" in network
+
+
 def test_duplicate_registration_rejected(sim):
     network = make_network(sim)
     register_sink(network, "a")
     with pytest.raises(ValueError):
-        network.register("a", lambda src, msg: None)
+        network.register("a", routes_to(lambda src, msg: None))
 
 
 def test_disconnected_destination_drops(sim):
@@ -293,7 +309,7 @@ def test_downlink_arrival_order_with_mixed_paths(sim):
     for name in ("w1", "w2", "fast"):
         register_sink(network, name)
     arrivals = []
-    network.register("rx", lambda src, msg: arrivals.append(src))
+    network.register("rx", routes_to(lambda src, msg: arrivals.append(src)))
     network.send("w1", "rx", RawMessage(10_000))  # sent first, arrives last
     network.send("w2", "rx", RawMessage(10_000))
     sim.schedule(0.005, network.send, "fast", "rx", RawMessage(10_000))
@@ -322,7 +338,7 @@ def test_early_slow_send_does_not_reserve_downlink_ahead_of_fast_send(sim):
     register_sink(network, "slow")
     register_sink(network, "fast")
     times = {}
-    network.register("rx", lambda src, msg: times.setdefault(src, sim.now))
+    network.register("rx", routes_to(lambda src, msg: times.setdefault(src, sim.now)))
     network.send("slow", "rx", RawMessage(50_000))  # uplink 50ms, arrives 550ms
     sim.schedule(0.100, network.send, "fast", "rx", RawMessage(10_000))
     sim.run()
@@ -340,7 +356,7 @@ def test_small_message_pipeline_is_single_phase_but_ordered(sim):
     register_sink(network, "a")
     register_sink(network, "b")
     order = []
-    network.register("rx", lambda src, msg: order.append(src))
+    network.register("rx", routes_to(lambda src, msg: order.append(src)))
     network.send("a", "rx", RawMessage(2_000))   # uplink 2ms, delivered 4ms
     network.send("b", "rx", RawMessage(1_000))   # uplink 1ms, delivered 2ms
     sim.run()
@@ -387,9 +403,9 @@ def test_multicast_matches_per_copy_send_loop_exactly(sim):
         for name in ("b", "c", "d"):
             network.register(
                 name,
-                lambda src, msg, n=name, lab=label, s=simulator: deliveries[lab].append(
+                routes_to(lambda src, msg, n=name, lab=label, s=simulator: deliveries[lab].append(
                     (s.now, n)
-                ),
+                )),
             )
     multicast_net.multicast("a", ["b", "c", "d"], RawMessage(500))
     for dst in ("b", "c", "d"):
@@ -434,7 +450,7 @@ def test_a_pending_delivery_is_one_small_tuple(sim):
     network = make_network(sim, latency=0.01, queue_min=1_000_000)
     dsts = [f"n{i}" for i in range(n)]
     for name in ["src"] + dsts:
-        network.register(name, lambda src, msg: None)
+        network.register(name, routes_to(lambda src, msg: None))
     message = RawMessage(100)
     network.multicast("src", dsts, message)
     sim.run()
@@ -458,7 +474,7 @@ def test_multicast_large_copies_take_downlink_queue_per_destination(sim):
     register_sink(network, "a")
     times = {}
     for name in ("b", "c"):
-        network.register(name, lambda src, msg, n=name: times.setdefault(n, sim.now))
+        network.register(name, routes_to(lambda src, msg, n=name: times.setdefault(n, sim.now)))
     network.multicast("a", ["b", "c"], RawMessage(10_000))
     sim.run()
     # Copy 1: 10 ms uplink + 10 ms downlink; copy 2 queues behind copy 1's
@@ -569,7 +585,7 @@ def test_multicast_handler_disconnecting_later_group_member_drops_it(sim):
     network = make_network(sim, latency=0.005, queue_min=1_000)
     register_sink(network, "a")
     inbox_c = register_sink(network, "c")
-    network.register("b", lambda src, msg: network.set_disconnected("c", True))
+    network.register("b", routes_to(lambda src, msg: network.set_disconnected("c", True)))
     network.multicast("a", ["b", "c"], RawMessage(0))  # size 0: exact tie, one event
     assert sim.pending_events == 1
     sim.run()
@@ -607,7 +623,7 @@ def test_multicast_drop_filter_that_disconnects_source_mid_fanout(sim):
 def register_clock(network, sim, name):
     """A sink that records when each delivery reaches ``name``."""
     times = []
-    network.register(name, lambda src, msg: times.append(sim.now))
+    network.register(name, routes_to(lambda src, msg: times.append(sim.now)))
     return times
 
 
@@ -973,7 +989,12 @@ def test_batched_shard_injection_numbers_records_like_one_call_each():
         log = []
         for name in "abcd":
             network.register(
-                name, lambda src, msg, name=name, sim=sim, log=log: log.append((sim.now, name, msg.payload_size()))
+                name,
+                routes_to(
+                    lambda src, msg, name=name, sim=sim, log=log: log.append(
+                        (sim.now, name, msg.payload_size())
+                    )
+                ),
             )
         sim.schedule(0.005, lambda: None)
         sim.run(until=0.006)  # injection starts from a non-zero clock and sequence number

@@ -2,6 +2,7 @@
 refresh."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -154,14 +155,14 @@ def _capture(monkeypatch, change=None):
     ``GOLDEN_METRICS``: the module's own stays as committed."""
     from repro.perf import regression
 
-    def snapshot(scenario, seed):
+    def run(scenario, seed):
         [name] = [key for key, row in GOLDEN_SCENARIOS.items() if row == (scenario, seed)]
         metrics = json.loads(json.dumps(GOLDEN_METRICS[name]))
         if change is not None:
             change(name, metrics)
-        return metrics
+        return SimpleNamespace(snapshot=lambda: metrics)
 
-    monkeypatch.setattr(regression, "scenario_snapshot", snapshot)
+    monkeypatch.setattr(regression, "run_scenario", run)
     monkeypatch.setattr(regression, "GOLDEN_METRICS", {})
     return regression
 

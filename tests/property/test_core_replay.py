@@ -119,7 +119,7 @@ def run_program(program, sim):
 
     def fire(tag):
         trace.append((sim.now, tag))
-        monitor.record(sim.now, f"n{tag % 5}", f"n{(tag + 1) % 5}", "k", tag % 7)
+        monitor.record_multicast(sim.now, f"n{tag % 5}", (f"n{(tag + 1) % 5}",), "k", tag % 7)
 
     def fire_record(time, tag):
         trace.append((sim.now, tag))
@@ -212,8 +212,8 @@ def _feed(monitor, seed):
     for _ in range(rng.randint(5, 40)):
         t = rng.random() * 50
         if rng.random() < 0.5:
-            monitor.record(t, f"n{rng.randint(0, 4)}", f"n{rng.randint(0, 4)}",
-                           rng.choice("abc"), rng.randint(0, 300))
+            monitor.record_multicast(t, f"n{rng.randint(0, 4)}", (f"n{rng.randint(0, 4)}",),
+                                     rng.choice("abc"), rng.randint(0, 300))
         else:
             dsts = [f"n{rng.randint(0, 4)}" for _ in range(rng.randint(1, 6))]
             monitor.record_multicast(t, f"n{rng.randint(0, 4)}", dsts,

@@ -33,6 +33,8 @@ from repro.scenarios.runner import run_scenario
 from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
+from tests.conftest import routes_to
+
 NODES = ["n0", "n1", "n2", "n3", "n4"]
 
 NOOP_LINKS = [
@@ -60,7 +62,7 @@ def build(link, seed, latency=None):
     for name in NODES:
         network.register(
             name,
-            lambda src, msg, name=name: deliveries.append((sim.now, name, msg.kind)),
+            routes_to(lambda src, msg, name=name: deliveries.append((sim.now, name, msg.kind))),
         )
     return sim, network, deliveries
 

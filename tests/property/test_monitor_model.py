@@ -97,7 +97,7 @@ def feed(monitor, model, ops):
     for op in ops:
         if op[0] == "record":
             _, at, src, dst, message_kind, message_size = op
-            monitor.record(at, src, dst, message_kind, message_size)
+            monitor.record_multicast(at, src, (dst,), message_kind, message_size)
             model.record(at, src, dst, message_kind, message_size)
         else:
             _, at, src, dsts, message_kind, message_size = op

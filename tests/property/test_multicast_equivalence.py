@@ -34,6 +34,8 @@ from repro.simulation import Simulator
 from repro.simulation._core.kernels import LINK_DROP_TAIL, link_enqueue
 from repro.simulation.random import RandomStreams
 
+from tests.conftest import routes_to
+
 NODES = ["n0", "n1", "n2", "n3", "n4", "n5"]
 
 
@@ -109,7 +111,7 @@ def test_multicast_equals_naive_send_loop(
             return on_message
 
         for name in NODES:
-            network.register(name, handler(name))
+            network.register(name, routes_to(handler(name)))
         for name in disconnected:
             network.set_disconnected(name, True)
         if drop_every:
@@ -151,7 +153,7 @@ def test_multicast_rng_stream_matches_send_loop(dsts, seed):
     for mode in ("multicast", "loop"):
         sim, network = build(LanLatency(base=0.001, jitter_median=0.01), 25_000, seed)
         for name in NODES:
-            network.register(name, lambda src, msg: None)
+            network.register(name, routes_to(lambda src, msg: None))
         message = RawMessage(100)
         if mode == "multicast":
             network.multicast("n0", dsts, message)
@@ -220,10 +222,13 @@ def record_deliveries(sim, network, owned=NODES):
     for name in NODES:
         if name in owned:
             network.register(
-                name, lambda src, msg, name=name: deliveries.append((sim.now, name, src, msg.kind))
+                name,
+                routes_to(
+                    lambda src, msg, name=name: deliveries.append((sim.now, name, src, msg.kind))
+                ),
             )
         else:
-            network.register(name, lambda src, msg: pytest.fail("delivered to a foreign node"))
+            network.register(name, routes_to(lambda src, msg: pytest.fail("delivered to a foreign node")))
     return deliveries
 
 
@@ -477,7 +482,7 @@ def test_an_elided_copy_keeps_every_send_time_effect(
             ),
         )
         for name in NODES:
-            network.register(name, lambda src, msg: None)
+            network.register(name, routes_to(lambda src, msg: None))
         egress = []
         if owned_others is not None:
             network.enable_shard_egress(set(NODES[:2]) | owned_others, egress)
@@ -523,7 +528,7 @@ def test_an_ignored_copy_in_a_tie_group_keeps_the_group_and_its_sequence_number(
         NetworkConfig(envelope_overhead=0, latency=ConstantLatency(0.0)),
     )
     for name in NODES:
-        network.register(name, lambda src, msg: None)
+        network.register(name, routes_to(lambda src, msg: None))
     ignore = {"n3"}
     network.elide(RawMessage, lambda routes, dsts, message: [d for d in dsts if d in ignore] or None)
     network.multicast("n0", ["n2", "n3", "n4"], RawMessage(0))

@@ -21,6 +21,8 @@ from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
+from tests.conftest import routes_to
+
 _QUARTER = 0.25
 
 
@@ -47,7 +49,7 @@ def orderer_cuts(times, max_tx, timeout):
     sim, streams = Simulator(), RandomStreams(1)
     network = Network(sim, streams, NetworkConfig(latency=ConstantLatency(0.001)))
     blocks = []
-    network.register("leader", lambda src, message: blocks.append(message.block))
+    network.register("leader", routes_to(lambda src, message: blocks.append(message.block)))
     config = OrdererConfig(max_tx_per_block=max_tx, batch_timeout=timeout, consensus_delay=0.0)
     orderer = OrderingService(sim, network, streams, config=config, org_leaders={"o": "leader"})
     for index, time in enumerate(times):

@@ -41,6 +41,8 @@ from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
+from tests.conftest import routes_to
+
 NODES = ["n0", "n1", "n2", "n3", "n4", "n5"]
 
 # Binary-exact physics for the engineered-tie tests: every quantity is a
@@ -88,7 +90,7 @@ def _run_single(script, seed, latency_model, horizon, faults=None, **net_kwargs)
     sim, network = _build(seed, latency_model, **net_kwargs)
     log: dict = {}
     for name in NODES:
-        network.register(name, _recording_handler(sim, log, name))
+        network.register(name, routes_to(_recording_handler(sim, log, name)))
     if faults:
         faults(sim, network)
     _apply_script(sim, network, script)
@@ -108,14 +110,14 @@ def _run_sharded(
         log: dict = {}
         for name in NODES:
             if name in owned:
-                network.register(name, _recording_handler(sim, log, name))
+                network.register(name, routes_to(_recording_handler(sim, log, name)))
             else:
                 def reject(src, message, name=name, shard=shard):
                     raise AssertionError(
                         f"shard {shard} delivered to foreign node {name}"
                     )
 
-                network.register(name, reject)
+                network.register(name, routes_to(reject))
         egress: list = []
         network.enable_shard_egress(owned, egress)
         if faults:
@@ -388,9 +390,9 @@ def test_reentrant_handler_send_crosses_shards():
             owned = frozenset(n for n, s in owner.items() if s == shard)
             for name in NODES:
                 if name in owned:
-                    network.register(name, handler(sim, network, name))
+                    network.register(name, routes_to(handler(sim, network, name)))
                 else:
-                    network.register(name, lambda src, msg: None)
+                    network.register(name, routes_to(lambda src, msg: None))
             if mode != "single":
                 egress: list = []
                 network.enable_shard_egress(owned, egress)

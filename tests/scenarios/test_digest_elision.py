@@ -13,7 +13,7 @@ from repro.experiments.dissemination import deploy
 from repro.faults.schedule import CrashEvent, JoinEvent, LeaveEvent
 from repro.gossip.messages import PushDigest
 from repro.gossip.push_infect_contagion import InfectUponContagionPush, ignored_digests
-from repro.net.network import Network
+from repro.net.network import NO_ROUTES, Network
 from repro.scenarios import get_scenario, run_scenario, scenario_names
 from repro.scenarios import runner
 from repro.scenarios.runner import arm, dissemination_config
@@ -182,3 +182,16 @@ def test_an_eliding_network_refuses_to_disconnect_or_rewire_a_node():
         peer.route_table = dict(peer.route_table)
     assert peer.alive
     assert peer._routes is network._routes["peer-3"]
+
+
+def test_an_eliding_network_allows_a_withdrawal_and_its_return():
+    """A churn leave withdraws a peer's routes to the shared empty table
+    (it hears nothing, so no elided copy can be missed) and a rejoin
+    returns them: neither is a rewire."""
+    spec = get_scenario("golden-enhanced-50")
+    net = deploy(dissemination_config(spec), lambda net: arm(spec, net))
+    network, peer = net.network, net.peers["peer-3"]
+    peer.shutdown()
+    assert network._routes["peer-3"] is NO_ROUTES
+    peer.restart()
+    assert network._routes["peer-3"] is peer._routes

@@ -11,7 +11,6 @@ from repro.scenarios import (
     dissemination_config,
     get_scenario,
     run_scenario,
-    scenario_snapshot,
 )
 
 SNAPSHOT_KEYS = {
@@ -76,11 +75,11 @@ def test_degraded_links_scenario_drops_but_completes():
 
 
 def test_snapshot_shape_and_determinism():
-    first = scenario_snapshot("wan-3-region", seed=1)
-    second = scenario_snapshot("wan-3-region", seed=1)
+    first = run_scenario("wan-3-region", seed=1).snapshot()
+    second = run_scenario("wan-3-region", seed=1).snapshot()
     assert set(first) == SNAPSHOT_KEYS
     assert first == second  # bit-for-bit reproducible
-    other_seed = scenario_snapshot("wan-3-region", seed=2)
+    other_seed = run_scenario("wan-3-region", seed=2).snapshot()
     assert other_seed != first
 
 

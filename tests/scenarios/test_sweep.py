@@ -19,7 +19,7 @@ def test_jobs_parallel_merge_is_byte_identical_to_sequential():
 
 
 def test_merge_is_arrival_order_independent():
-    cells = [("partition-heal", seed, False) for seed in (2, 1)]
+    cells = [("partition-heal", seed, False, None, 1, False) for seed in (2, 1)]
     results = [_run_sweep_cell(cell) for cell in cells]
     shuffled = merge_runs("partition-heal", results)
     ordered = merge_runs("partition-heal", sorted(results))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments.conflicts import ConflictExperimentConfig, run_conflict_experiment
 from repro.gossip.config import EnhancedGossipConfig
-from repro.scenarios.runner import run_scenario, scenario_snapshot
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.sharded import _shard_worker_main, run_scenario_sharded
 from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 from repro.simulation import Simulator, collector
@@ -133,6 +133,6 @@ def test_a_dropped_deployment_does_not_outlive_the_next_run():
 
 
 def test_collector_state_cannot_reach_physics():
-    expected = scenario_snapshot("golden-enhanced-50-bg", seed=1)
+    expected = run_scenario("golden-enhanced-50-bg", seed=1).snapshot()
     gc.disable()
-    assert scenario_snapshot("golden-enhanced-50-bg", seed=1) == expected
+    assert run_scenario("golden-enhanced-50-bg", seed=1).snapshot() == expected
