@@ -3,7 +3,8 @@
 The paper leaves block-withholding adversaries to future work. This bench
 measures 10% adversarial peers (n=100) in three scenarios:
 
-* **enhanced / free-riders** (:class:`SilentPeerFault`): adversaries stop
+* **enhanced / free-riders** (:class:`LazyForwarderFault` at
+  ``drop_prob=1.0``, the paper's silent peer): adversaries stop
   forwarding and advertising; the enhanced push absorbs the lost capacity
   with its redundancy budget and stays fast;
 * **enhanced / teasers** (:class:`TeasingPeerFault`): adversaries keep
@@ -21,13 +22,22 @@ from repro.experiments.builders import build_network
 from repro.experiments.dissemination import DisseminationConfig, DisseminationResult
 from repro.experiments.workloads import synthetic_block_transactions
 from repro.fabric.config import PeerConfig, ValidationMode
-from repro.faults.injectors import SilentPeerFault, TeasingPeerFault
+from repro.faults.adversaries import LazyForwarderFault
+from repro.faults.injectors import TeasingPeerFault
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
 from repro.metrics.probability_plot import tail_latency
 from repro.metrics.report import format_table
 
 
-def _run(gossip, full: bool, seed: int, fault_class, fraction: float = 0.10):
+def _free_riders(net, peers) -> None:
+    LazyForwarderFault(net.network, peers, 1.0, net.streams)
+
+
+def _teasers(net, peers) -> None:
+    TeasingPeerFault(net.network, peers)
+
+
+def _run(gossip, full: bool, seed: int, arm_fault, fraction: float = 0.10):
     blocks = 100 if full else 30
     config = DisseminationConfig(gossip=gossip, blocks=blocks, seed=seed, grace_period=180.0)
     net = build_network(
@@ -35,7 +45,7 @@ def _run(gossip, full: bool, seed: int, fault_class, fraction: float = 0.10):
         peer_config=PeerConfig(validation_mode=ValidationMode.DELAY_ONLY),
     )
     adversaries = net.regular_peers()[: int(config.n_peers * fraction)]
-    fault_class(net.network, adversaries)
+    arm_fault(net, adversaries)
     net.start()
     transactions = synthetic_block_transactions(config.tx_per_block, config.tx_size)
     for index in range(config.blocks):
@@ -51,9 +61,9 @@ def _run(gossip, full: bool, seed: int, fault_class, fraction: float = 0.10):
 def test_ablation_adversarial_peers(benchmark, full_scale):
     def experiment():
         return {
-            "enhanced / free-riders": _run(EnhancedGossipConfig.paper_f4(), full_scale, 1, SilentPeerFault),
-            "enhanced / teasers": _run(EnhancedGossipConfig.paper_f4(), full_scale, 1, TeasingPeerFault),
-            "original / free-riders": _run(OriginalGossipConfig(), full_scale, 1, SilentPeerFault),
+            "enhanced / free-riders": _run(EnhancedGossipConfig.paper_f4(), full_scale, 1, _free_riders),
+            "enhanced / teasers": _run(EnhancedGossipConfig.paper_f4(), full_scale, 1, _teasers),
+            "original / free-riders": _run(OriginalGossipConfig(), full_scale, 1, _free_riders),
         }
 
     results = run_once(benchmark, experiment)

@@ -61,14 +61,14 @@ def study_teasers() -> None:
 def study_liars() -> None:
     print("=== 2. digest-liars: adverts for blocks the sender never serves ===")
     run = run_scenario("digest-liars", seed=1)
-    print(f"  lies told (re-advertised digests): {run.faults.adversaries[0].lies_told}")
+    print(f"  lies told (re-advertised digests): {run.faults.drops[0].lies_told}")
     describe(run)
 
 
 def study_eclipse() -> None:
     print("=== 3. eclipse-attempt: 3 attackers monopolize peer-16 until t=6 s ===")
     run = run_scenario("eclipse-attempt", seed=1)
-    eclipse = run.faults.eclipses[0]
+    eclipse = run.faults.drops[1]  # event order: the teasers, then the eclipse
     print(f"  messages the eclipse cut off: {eclipse.dropped}")
     describe(run)
 

@@ -19,10 +19,8 @@ Usage::
     python examples/fault_tolerance.py
 """
 
-import random
-
 from repro import EnhancedGossipConfig, build_network
-from repro.faults import CrashSchedule, PacketLossFault, SilentPeerFault, TeasingPeerFault
+from repro.faults import CrashSchedule, LazyForwarderFault, LinkDegradeFault, TeasingPeerFault
 from repro.experiments.workloads import synthetic_block_transactions
 
 
@@ -55,7 +53,9 @@ def scenario_free_riders() -> None:
     print("=== 2. free-riding peers (20% of the organization) ===")
     net = build_network(n_peers=30, gossip=EnhancedGossipConfig.paper_f4(), seed=2)
     silent = [f"peer-{i}" for i in range(1, 7)]
-    fault = SilentPeerFault(net.network, silent)
+    # A lazy forwarder that drops all its forwarding work is the paper's
+    # silent peer.
+    fault = LazyForwarderFault(net.network, silent, 1.0, net.streams)
     net.start()
     drive_blocks(net, count=10)
     net.run_until(
@@ -96,7 +96,7 @@ def scenario_teasers() -> None:
 def scenario_packet_loss() -> None:
     print("=== 4. 5% uniform packet loss ===")
     net = build_network(n_peers=30, gossip=EnhancedGossipConfig.paper_f4(), seed=3)
-    fault = PacketLossFault(net.network, 0.05, random.Random(9))
+    fault = LinkDegradeFault(net.network, 0.05, net.streams)  # every link
     net.start()
     drive_blocks(net, count=10)
     net.run_until(

@@ -15,12 +15,7 @@ sweep cells) rather than the simulated system, to test the supervision
 layer itself.
 """
 
-from repro.faults.adversaries import (
-    DigestLiarFault,
-    EclipseFault,
-    FlakyLinkFault,
-    LazyForwarderFault,
-)
+from repro.faults.adversaries import DigestLiarFault, EclipseFault, LazyForwarderFault
 from repro.faults.chaos import (
     ChaosInjected,
     ShardChaos,
@@ -31,9 +26,7 @@ from repro.faults.churn import ChurnController
 from repro.faults.injectors import (
     CrashSchedule,
     LinkDegradeFault,
-    PacketLossFault,
     PartitionFault,
-    SilentPeerFault,
     TeasingPeerFault,
 )
 from repro.faults.schedule import (
@@ -63,16 +56,13 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "FlakyLinkEvent",
-    "FlakyLinkFault",
     "JoinEvent",
     "LazyForwarderFault",
     "LeaveEvent",
     "LinkDegradeFault",
-    "PacketLossFault",
     "PartitionEvent",
     "PartitionFault",
     "ShardChaos",
-    "SilentPeerFault",
     "SweepChaos",
     "TeasingPeerFault",
     "compile_fault_schedule",

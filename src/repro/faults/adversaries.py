@@ -1,30 +1,34 @@
-"""Byzantine adversary taxonomy beyond the paper's two injectors.
+"""Byzantine adversary taxonomy beyond the paper's teasing peer.
 
 The paper's §VII evaluates the enhanced module against silent and teasing
-peers (:mod:`repro.faults.injectors`). This module adds the rest of a
-practical byzantine arsenal:
+peers; the teaser is :class:`~repro.faults.injectors.TeasingPeerFault`.
+This module holds the rest of a practical byzantine arsenal:
 
 * :class:`LazyForwarderFault` — peers that *probabilistically* shirk
-  forwarding work (a tunable interpolation between honest and silent);
+  forwarding work (a tunable interpolation between honest and silent;
+  at ``drop_prob=1.0`` it is the paper's silent peer);
 * :class:`DigestLiarFault` — peers that advertise blocks they will not
   serve (and re-advertise digests for blocks they do not even hold),
   poisoning the digest holder sets honest peers retry against;
 * :class:`EclipseFault` — a coalition that monopolizes a victim's
   connectivity: while active, every message between the victim and any
   non-attacker is dropped, leaving the victim's view of the ledger
-  entirely in attacker hands;
-* :class:`FlakyLinkFault` — *asymmetric* link loss (one direction of a
-  region pair degrades, the reverse stays clean) — not byzantine, but it
-  produces the same observable stalls, so it lives in the arsenal.
+  entirely in attacker hands.
+
+*Asymmetric* link loss (one direction of a region pair degrades, the
+reverse stays clean) is not byzantine but produces the same observable
+stalls; it is a :class:`~repro.faults.injectors.LinkDegradeFault` with a
+one-way link filter on ``faults:flaky:<src>`` streams
+(:mod:`repro.faults.schedule`).
 
 RNG-stream contract (docs/faults.md): every probabilistic adversary draws
 from dedicated **per-source** streams (``faults:lazy:<src>``,
-``faults:liar:<name>``, ``faults:flaky:<src>``) via
+``faults:liar:<name>``) via
 :class:`~repro.faults.injectors.PerSourceStreams`. Drop decisions happen
 at send time on the sender's shard and digest lies happen on the liar's
 own delivery path, so every adversary here composes with process
 sharding bit-for-bit (docs/sharding.md). :class:`EclipseFault` draws no
-randomness at all.
+randomness at all, and neither does a lazy forwarder at ``drop_prob=1.0``.
 """
 
 from __future__ import annotations
@@ -41,12 +45,14 @@ from repro.simulation.random import RandomStreams
 class LazyForwarderFault(DropFault):
     """Peers that drop their forwarding work with probability ``drop_prob``.
 
-    Forwarding work is what :class:`~repro.faults.injectors.
-    SilentPeerFault` drops outright — push digests and unsolicited block
-    forwards; requested serves and the peer's own fetches pass. At
-    ``drop_prob=1.0`` this degenerates to the silent peer, at ``0.0`` to
-    an honest one. Each draw comes from the sender's ``faults:lazy:<src>``
-    stream, one draw per candidate copy in destination order.
+    Forwarding work is push digests and unsolicited block forwards;
+    requested serves and the peer's own fetches pass (an adversary wants
+    the ledger too, and one that never advertised is never asked to
+    serve). At ``drop_prob=1.0`` this is the paper's silent free-rider
+    (``AdversaryEvent(kind="silent")``), which drops every such copy and
+    draws nothing; at ``0.0`` it is an honest peer. Otherwise each draw
+    comes from the sender's ``faults:lazy:<src>`` stream, one draw per
+    candidate copy in destination order.
     """
 
     def __init__(
@@ -64,20 +70,15 @@ class LazyForwarderFault(DropFault):
         self._rng_for = PerSourceStreams(streams, "faults:lazy")
         super().__init__(network, active)
 
-    stop = DropFault.deactivate
-
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self._active or src not in self.lazy:
+    def drops(self, src: str, dst: str, message: Message) -> bool:
+        if src not in self.lazy:
             return False
-        is_forward_work = isinstance(message, PushDigest) or (
-            isinstance(message, BlockPush) and not message.requested
-        )
-        if not is_forward_work:
+        if not (
+            isinstance(message, PushDigest)
+            or (isinstance(message, BlockPush) and not message.requested)
+        ):
             return False
-        if self._rng_for(src).random() < self.drop_prob:
-            self.dropped += 1
-            return True
-        return False
+        return self.drop_prob >= 1.0 or self._rng_for(src).random() < self.drop_prob
 
 
 class DigestLiarFault(DropFault):
@@ -88,7 +89,7 @@ class DigestLiarFault(DropFault):
     verbatim to ``lie_fanout`` random org peers — spreading adverts for a
     block it does not hold — and never issues a ``PushRequest``. Any
     requested serve a liar *would* send (for blocks it does hold) is
-    dropped at the network filter. Honest peers that picked a liar as
+    dropped at the network's drop stage. Honest peers that picked a liar as
     their digest holder stall until the request-retry path rotates to a
     different holder (or recovery rescues them); the liars themselves
     catch up through recovery only.
@@ -96,7 +97,7 @@ class DigestLiarFault(DropFault):
     Re-advertising draws targets from the liar's own
     ``faults:liar:<name>`` stream on its own delivery path, so the fault
     composes with sharding: ``peers`` holds the peers this process
-    executes, and only the liars among them are rewired (the drop filter
+    executes, and only the liars among them are rewired (the drop stage
     covers every liar, since a serve drops on its sender's shard).
     """
 
@@ -122,8 +123,6 @@ class DigestLiarFault(DropFault):
         for name in sorted(self.liars):
             if name in peers:
                 self._rewire(peers[name])
-
-    stop = DropFault.deactivate
 
     def _rewire(self, peer) -> None:
         """Give one liar peer its own route table, the lying digest handler
@@ -153,16 +152,8 @@ class DigestLiarFault(DropFault):
         # re-publishes them: one assignment rewires every path.
         peer.route_table = {**table, PushDigest: (index, lying_on_digest)}
 
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if (
-            self._active
-            and src in self.liars
-            and isinstance(message, BlockPush)
-            and message.requested
-        ):
-            self.dropped += 1
-            return True
-        return False
+    def drops(self, src: str, dst: str, message: Message) -> bool:
+        return src in self.liars and isinstance(message, BlockPush) and message.requested
 
 
 class EclipseFault(DropFault):
@@ -192,58 +183,11 @@ class EclipseFault(DropFault):
         self.protect: Set[str] = set(protect)
         super().__init__(network, active)
 
-    release = DropFault.deactivate
-
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self._active:
-            return False
+    def drops(self, src: str, dst: str, message: Message) -> bool:
         if src == self.victim:
             other = dst
         elif dst == self.victim:
             other = src
         else:
             return False
-        if other in self.attackers or other in self.protect:
-            return False
-        self.dropped += 1
-        return True
-
-
-class FlakyLinkFault(DropFault):
-    """Asymmetric directional link loss between two node sets.
-
-    Unlike :class:`~repro.faults.injectors.LinkDegradeFault` (whose
-    region link filter is symmetric), this drops only messages flowing
-    ``src_set -> dst_set``; the reverse direction stays clean — the
-    classic half-broken WAN link where acks flow but payloads vanish.
-    Loss draws come from per-source ``faults:flaky:<src>`` streams.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        src_nodes: Iterable[str],
-        dst_nodes: Iterable[str],
-        loss_rate: float,
-        streams: RandomStreams,
-        active: bool = True,
-    ) -> None:
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {loss_rate}")
-        self.src_nodes: Set[str] = set(src_nodes)
-        self.dst_nodes: Set[str] = set(dst_nodes)
-        self.loss_rate = loss_rate
-        self._rng_for = PerSourceStreams(streams, "faults:flaky")
-        super().__init__(network, active)
-
-    restore = DropFault.deactivate
-
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self._active or self.loss_rate <= 0.0:
-            return False
-        if src not in self.src_nodes or dst not in self.dst_nodes:
-            return False
-        if self._rng_for(src).random() < self.loss_rate:
-            self.dropped += 1
-            return True
-        return False
+        return other not in self.attackers and other not in self.protect

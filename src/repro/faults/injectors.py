@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set
 
-from repro.gossip.messages import BlockPush, PushDigest
+from repro.gossip.messages import BlockPush
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.simulation.random import RandomStreams
@@ -17,8 +17,8 @@ class PerSourceStreams:
 
     The sharding determinism contract (docs/sharding.md) requires every
     random draw to be keyed to a single node so the draw sequence depends
-    only on that node's own event order. Drop-filter draws happen at send
-    time on the sender's shard, so keying them by *source* makes any
+    only on that node's own event order. Drop draws happen at send time
+    on the sender's shard, so keying them by *source* makes any
     probabilistic injector shard-safe. The per-source ``Random`` objects
     are cached here so the hot predicate path costs one dict probe.
     """
@@ -59,96 +59,23 @@ class CrashSchedule:
             sim.schedule_at(self.recover_at, self.peer.recover)
 
 
-class _ComposableDropFilter:
-    """Chains several drop predicates on one network.
-
-    Order contract: predicates are evaluated in **installation order**
-    (a pre-existing plain-callable filter wrapped by :func:`_drop_filter_for`
-    keeps its original first slot), and evaluation short-circuits on the
-    first predicate that drops — so when two injectors would both drop a
-    message, only the earliest-installed one counts it. ``add`` is
-    idempotent by identity: re-arming the same injector never double-wraps
-    nor duplicates a predicate, so its drop counter stays single-counted.
-
-    Visibility: the chain is the network's drop filter only while at least
-    one predicate can drop — one whose ``owner`` is active, or one without
-    an owner (an adopted plain callable). An inactive predicate returns
-    ``False`` before drawing or counting anything, so hiding a chain of
-    them changes no decision, no counter and no stream position; it only
-    spares the network the guard stage for every copy sent outside the
-    fault windows. The network's ``_drop_chain`` attribute keeps the
-    hidden chain findable.
-    """
-
-    def __init__(self, network: Network) -> None:
-        self.network = network
-        self._predicates: List[Callable[[str, str, Message], bool]] = []
-        self._owners: List[Optional["DropFault"]] = []
-        network._drop_chain = self
-
-    def add(
-        self,
-        predicate: Callable[[str, str, Message], bool],
-        owner: Optional["DropFault"] = None,
-    ) -> None:
-        if predicate is self:
-            return  # never chain a composable into itself
-        if predicate not in self._predicates:
-            self._predicates.append(predicate)
-            self._owners.append(owner)
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Show the chain to the network iff some predicate can drop."""
-        live = any(owner is None or owner.active for owner in self._owners)
-        self.network.set_drop_filter(self if live else None)
-
-    def __call__(self, src: str, dst: str, message: Message) -> bool:
-        for predicate in self._predicates:
-            if predicate(src, dst, message):
-                return True
-        return False
-
-
-def _drop_filter_for(network: Network) -> _ComposableDropFilter:
-    """The network's composable drop filter, creating one if needed.
-
-    A plain callable already installed via ``set_drop_filter`` is adopted
-    into the chain (first, when it was there before the chain); repeated
-    calls return the same composable, so arming any number of injectors —
-    or the same injector twice — composes idempotently.
-    """
-    composable = getattr(network, "_drop_chain", None)
-    if composable is None:
-        composable = _ComposableDropFilter(network)
-    existing = getattr(network, "_drop_filter", None)
-    if existing is not None:
-        composable.add(existing)
-    return composable
-
-
 class DropFault:
-    """What every drop-filter injector shares: a ``_predicate`` armed on
-    the network's chain, a ``dropped`` counter and an ``active`` flag the
-    chain watches (:meth:`_ComposableDropFilter.refresh`).
+    """A fault the network asks, per copy, whether it drops the copy.
 
-    Subclasses alias :meth:`deactivate` under the name their fault reads
-    best with (``stop``, ``heal``, ``restore``, ``release``).
+    Constructing one arms it on ``network``'s drop stage
+    (:meth:`Network.arm_drop`), after the faults armed before it. While
+    ``active``, the network calls :meth:`drops` for every copy the faults
+    armed earlier let pass, and counts in ``dropped`` the copies it drops.
+    Flipping ``active`` tells the network, which runs its drop stage only
+    while some armed fault is active; :meth:`activate` and
+    :meth:`deactivate` open and end a fault's window.
     """
 
     def __init__(self, network: Network, active: bool = True) -> None:
         self.dropped = 0
         self._network = network
-        self._chains: List[_ComposableDropFilter] = []
         self._active = active
-        self.arm()
-
-    def arm(self, network: Optional[Network] = None) -> None:
-        """(Re-)install the predicate; idempotent on the same network."""
-        chain = _drop_filter_for(network or self._network)
-        if chain not in self._chains:
-            self._chains.append(chain)
-        chain.add(self._predicate, self)
+        network.arm_drop(self)
 
     @property
     def active(self) -> bool:
@@ -157,8 +84,7 @@ class DropFault:
     @active.setter
     def active(self, active: bool) -> None:
         self._active = active
-        for chain in self._chains:
-            chain.refresh()
+        self._network.refresh_drops()
 
     def activate(self) -> None:
         self.active = True
@@ -166,41 +92,9 @@ class DropFault:
     def deactivate(self) -> None:
         self.active = False
 
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
+    def drops(self, src: str, dst: str, message: Message) -> bool:
+        """Whether this fault, active, drops the copy ``src -> dst``."""
         raise NotImplementedError
-
-
-class SilentPeerFault(DropFault):
-    """Free-riding peers: they take blocks but contribute nothing.
-
-    Models the mildest §VII adversary: the peers drop all *outgoing*
-    dissemination work — push digests and unsolicited block forwards — but
-    still fetch blocks for themselves (their own ``PushRequest`` traffic
-    passes: an adversary wants the ledger too) and, never having
-    advertised anything, are never asked to serve. The epidemic merely
-    loses their forwarding capacity.
-
-    Pull/recovery serving is left intact: this adversary avoids detection.
-    """
-
-    def __init__(
-        self, network: Network, silent_peers: Iterable[str], active: bool = True
-    ) -> None:
-        self.silent: Set[str] = set(silent_peers)
-        super().__init__(network, active)
-
-    stop = DropFault.deactivate
-
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self._active or src not in self.silent:
-            return False
-        is_forward_work = isinstance(message, PushDigest) or (
-            isinstance(message, BlockPush) and not message.requested
-        )
-        if is_forward_work:
-            self.dropped += 1
-            return True
-        return False
 
 
 class TeasingPeerFault(DropFault):
@@ -220,13 +114,8 @@ class TeasingPeerFault(DropFault):
         self.teasing: Set[str] = set(teasing_peers)
         super().__init__(network, active)
 
-    stop = DropFault.deactivate
-
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if self._active and src in self.teasing and isinstance(message, BlockPush):
-            self.dropped += 1
-            return True
-        return False
+    def drops(self, src: str, dst: str, message: Message) -> bool:
+        return src in self.teasing and isinstance(message, BlockPush)
 
 
 class PartitionFault(DropFault):
@@ -237,10 +126,10 @@ class PartitionFault(DropFault):
     message is dropped iff its endpoints sit in different groups — the
     drop is symmetric by construction (group inequality is), traffic
     within a group (including the mainland) is untouched, and
-    :meth:`heal` restores full connectivity for every message sent after
-    the heal instant. In-flight messages that already passed the drop
-    filter are delivered normally; messages sent during the partition are
-    gone for good (TCP connections to an unreachable host eventually
+    :meth:`deactivate` restores full connectivity for every message sent
+    after the heal instant. In-flight messages that already passed the
+    drop stage are delivered normally; messages sent during the partition
+    are gone for good (TCP connections to an unreachable host eventually
     fail), which is exactly what the recovery component exists to repair.
     """
 
@@ -260,40 +149,29 @@ class PartitionFault(DropFault):
                 self._group_of[name] = index
         super().__init__(network, active)
 
-    heal = DropFault.deactivate
-
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self._active:
-            return False
+    def drops(self, src: str, dst: str, message: Message) -> bool:
         group_of = self._group_of
-        if group_of.get(src, self._MAINLAND) != group_of.get(dst, self._MAINLAND):
-            self.dropped += 1
-            return True
-        return False
+        return group_of.get(src, self._MAINLAND) != group_of.get(dst, self._MAINLAND)
 
 
 class LinkDegradeFault(DropFault):
     """Random loss on a selected set of links while active.
 
-    Models flaky long-haul links: every message whose ``(src, dst)`` pair
-    passes ``link_filter`` (default: all links) is dropped with
-    probability ``loss_rate`` while the fault is active.
-
-    ``rng`` accepts either a :class:`RandomStreams` registry — loss draws
-    then come from dedicated **per-source** streams
-    (``<stream_prefix>:<src>``, default ``faults:degrade:<src>``), which
-    keeps every draw keyed to the sending node and therefore composes
-    with process sharding (docs/sharding.md) — or a plain
-    :class:`random.Random` for a single shared stream (legacy form: still
-    deterministic single-process, but NOT shard-safe, since a partition
-    cannot preserve the global consumption order).
+    Every message whose ``(src, dst)`` pair passes ``link_filter``
+    (default: all links) is dropped with probability ``loss_rate``. The
+    filter may be symmetric (a degraded region pair) or one-way (a flaky
+    link: acks flow, payloads vanish). Loss draws come from dedicated
+    **per-source** streams ``<stream_prefix>:<src>`` (``faults:degrade``
+    for a degraded link, ``faults:flaky`` for a flaky one), one draw per
+    copy the filter selects, which keeps every draw keyed to the sending
+    node and therefore composes with process sharding (docs/sharding.md).
     """
 
     def __init__(
         self,
         network: Network,
         loss_rate: float,
-        rng: Union[RandomStreams, random.Random],
+        streams: RandomStreams,
         link_filter: Optional[Callable[[str, str], bool]] = None,
         active: bool = True,
         stream_prefix: str = "faults:degrade",
@@ -301,41 +179,14 @@ class LinkDegradeFault(DropFault):
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {loss_rate}")
         self.loss_rate = loss_rate
-        if hasattr(rng, "stream"):
-            per_source = PerSourceStreams(rng, stream_prefix)
-        else:
-            def per_source(src: str, _rng: random.Random = rng) -> random.Random:
-                return _rng
-        self._rng_for = per_source
+        self._rng_for = PerSourceStreams(streams, stream_prefix)
         self._link_filter = link_filter
         super().__init__(network, active)
 
-    restore = DropFault.deactivate
-
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if not self._active or self.loss_rate <= 0.0:
+    def drops(self, src: str, dst: str, message: Message) -> bool:
+        if self.loss_rate <= 0.0:
             return False
         link_filter = self._link_filter
         if link_filter is not None and not link_filter(src, dst):
             return False
-        if self._rng_for(src).random() < self.loss_rate:
-            self.dropped += 1
-            return True
-        return False
-
-
-class PacketLossFault(DropFault):
-    """Uniform random message loss at a configured rate."""
-
-    def __init__(self, network: Network, loss_rate: float, rng: random.Random) -> None:
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {loss_rate}")
-        self.loss_rate = loss_rate
-        self._rng = rng
-        super().__init__(network)
-
-    def _predicate(self, src: str, dst: str, message: Message) -> bool:
-        if self._active and self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.dropped += 1
-            return True
-        return False
+        return self._rng_for(src).random() < self.loss_rate

@@ -26,7 +26,7 @@ Name resolution happens at compile time:
 Sharded compilation: a shard worker's network holds only the peers it
 executes (``net.peers``), while names resolve against the whole membership
 (``net.peer_names``, ``net.network.regions``). Global simulation state —
-disconnect flags, drop predicates, the departed-name set — is applied on
+disconnect flags, drop faults, the departed-name set — is applied on
 every shard at the same instants; per-peer state (crash/recover, views,
 timer arms at join, shutdown at leave) exists and changes only on the
 owner shard. Every injector draws either no randomness or per-source
@@ -37,21 +37,16 @@ streams, so the compiled run is bit-for-bit identical at any shard count
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.checks import require_finite
-from repro.faults.adversaries import (
-    DigestLiarFault,
-    EclipseFault,
-    FlakyLinkFault,
-    LazyForwarderFault,
-)
+from repro.faults.adversaries import DigestLiarFault, EclipseFault, LazyForwarderFault
 from repro.faults.churn import ChurnController
 from repro.faults.injectors import (
     CrashSchedule,
+    DropFault,
     LinkDegradeFault,
     PartitionFault,
-    SilentPeerFault,
     TeasingPeerFault,
 )
 
@@ -199,7 +194,8 @@ class FlakyLinkEvent:
     """Asymmetric loss on one direction of a region pair.
 
     Messages flowing ``direction[0] -> direction[1]`` drop with
-    ``loss_rate`` while active; the reverse direction stays clean.
+    ``loss_rate`` while active; the reverse direction stays clean. Loss
+    draws come from per-source ``faults:flaky:<src>`` streams.
     """
 
     at: float
@@ -268,30 +264,21 @@ FaultEvent = Union[
 
 @dataclass
 class FaultSchedule:
-    """The compiled (armed) form of a scenario's fault events."""
+    """The compiled (armed) form of a scenario's fault events.
+
+    ``drops`` holds one drop fault per partition, degrade, adversary,
+    eclipse and flaky-link event, in event order, which is also the order
+    they are armed on the network's drop stage.
+    """
 
     crashes: List[Tuple[CrashEvent, List[str]]] = field(default_factory=list)
-    partitions: List[PartitionFault] = field(default_factory=list)
-    degrades: List[LinkDegradeFault] = field(default_factory=list)
-    adversaries: List[object] = field(default_factory=list)
-    eclipses: List[EclipseFault] = field(default_factory=list)
-    flaky: List[FlakyLinkFault] = field(default_factory=list)
+    drops: List[DropFault] = field(default_factory=list)
     churn: List[ChurnController] = field(default_factory=list)
 
     @property
     def dropped_messages(self) -> int:
-        """Messages eaten by the schedule's drop-filter injectors."""
-        return sum(
-            fault.dropped
-            for group in (
-                self.partitions,
-                self.degrades,
-                self.adversaries,
-                self.eclipses,
-                self.flaky,
-            )
-            for fault in group
-        )
+        """Messages eaten by the schedule's drop faults."""
+        return sum(fault.dropped for fault in self.drops)
 
     @property
     def peers_joined(self) -> int:
@@ -378,8 +365,8 @@ def _degrade_link_filter(event: DegradeEvent, net) -> Callable[[str, str], bool]
     return crosses
 
 
-def _region_nodes(net, region: str, protected: set) -> List[str]:
-    names = sorted(
+def _region_nodes(net, region: str, protected: set) -> FrozenSet[str]:
+    names = frozenset(
         name
         for name, placed in net.network.regions.items()
         if placed == region and name not in protected
@@ -389,26 +376,37 @@ def _region_nodes(net, region: str, protected: set) -> List[str]:
     return names
 
 
-def _arm_window(sim, fault, at: float, deactivate, until: Optional[float]) -> None:
+def _flaky_link_filter(event: FlakyLinkEvent, net) -> Callable[[str, str], bool]:
+    """One direction of a region pair: ``direction[0] -> direction[1]``."""
+    protected = set(event.protect)
+    src_nodes = _region_nodes(net, event.direction[0], protected)
+    dst_nodes = _region_nodes(net, event.direction[1], protected)
+
+    def one_way(src: str, dst: str) -> bool:
+        return src in src_nodes and dst in dst_nodes
+
+    return one_way
+
+
+def _arm_window(sim, fault: DropFault, at: float, until: Optional[float]) -> None:
     """Activate ``fault`` at ``at`` (immediately for t<=0), end at ``until``."""
     if at <= 0:
         fault.activate()
     else:
         sim.schedule_at(at, fault.activate)
     if until is not None:
-        sim.schedule_at(until, deactivate)
+        sim.schedule_at(until, fault.deactivate)
 
 
-def _build_adversary(event: AdversaryEvent, net):
+def _build_adversary(event: AdversaryEvent, net) -> DropFault:
     names = _resolve_event_peers(event, net, "adversary", refuse_leaders=True)
-    if event.kind == "silent":
-        return SilentPeerFault(net.network, names, active=False)
     if event.kind == "teasing":
         return TeasingPeerFault(net.network, names, active=False)
-    if event.kind == "lazy":
-        return LazyForwarderFault(
-            net.network, names, event.drop_prob, net.streams, active=False
-        )
+    if event.kind in ("silent", "lazy"):
+        # A silent peer is a lazy forwarder that drops all its forwarding
+        # work, drawing nothing.
+        drop_prob = 1.0 if event.kind == "silent" else event.drop_prob
+        return LazyForwarderFault(net.network, names, drop_prob, net.streams, active=False)
     return DigestLiarFault(
         net.network,
         net.peers,
@@ -424,14 +422,14 @@ def compile_fault_schedule(events, net) -> FaultSchedule:
 
     Crash/recover arms become one-shot simulator events per peer (the
     stop-heavy part — a crash stops every periodic timer — rides the
-    timer wheel's O(1) stop via ``Peer.crash``). Drop-filter
-    injectors install immediately (inactive) and arm activation/heal
-    flips, so a mid-run flip costs two scheduled events regardless of
-    deployment size. Churn events hold joiners out now and arm runtime
-    membership flips.
+    timer wheel's O(1) stop via ``Peer.crash``). Drop faults arm on
+    the network's drop stage immediately (inactive), in event order, and
+    schedule their activation and deactivation flips, so a mid-run flip
+    costs two scheduled events regardless of deployment size. Churn
+    events hold joiners out now and arm runtime membership flips.
 
     On a shard worker (a network built with ``owned``) global state
-    transitions (disconnect flags, drop predicates, departures) are armed
+    transitions (disconnect flags, drop faults, departures) are armed
     identically everywhere, while peer lifecycle (crash/recover,
     start-at-join, shutdown-at-leave) is armed for the peers in
     ``net.peers`` only — foreign crashes degrade to the network-level
@@ -460,8 +458,8 @@ def compile_fault_schedule(events, net) -> FaultSchedule:
                         )
         elif isinstance(event, PartitionEvent):
             fault = PartitionFault(net.network, _resolve_islands(event, net), active=False)
-            schedule.partitions.append(fault)
-            _arm_window(sim, fault, event.at, fault.heal, event.heal_at)
+            schedule.drops.append(fault)
+            _arm_window(sim, fault, event.at, event.heal_at)
         elif isinstance(event, DegradeEvent):
             fault = LinkDegradeFault(
                 net.network,
@@ -470,12 +468,12 @@ def compile_fault_schedule(events, net) -> FaultSchedule:
                 link_filter=_degrade_link_filter(event, net),
                 active=False,
             )
-            schedule.degrades.append(fault)
-            _arm_window(sim, fault, event.at, fault.restore, event.restore_at)
+            schedule.drops.append(fault)
+            _arm_window(sim, fault, event.at, event.restore_at)
         elif isinstance(event, AdversaryEvent):
             fault = _build_adversary(event, net)
-            schedule.adversaries.append(fault)
-            _arm_window(sim, fault, event.at, fault.stop, event.until)
+            schedule.drops.append(fault)
+            _arm_window(sim, fault, event.at, event.until)
         elif isinstance(event, EclipseEvent):
             if event.victim not in net.peer_names:
                 raise ValueError(f"eclipse names unknown victim {event.victim!r}")
@@ -489,20 +487,19 @@ def compile_fault_schedule(events, net) -> FaultSchedule:
                 active=False,
                 protect=event.protect,
             )
-            schedule.eclipses.append(fault)
-            _arm_window(sim, fault, event.at, fault.release, event.release_at)
+            schedule.drops.append(fault)
+            _arm_window(sim, fault, event.at, event.release_at)
         elif isinstance(event, FlakyLinkEvent):
-            protected = set(event.protect)
-            fault = FlakyLinkFault(
+            fault = LinkDegradeFault(
                 net.network,
-                _region_nodes(net, event.direction[0], protected),
-                _region_nodes(net, event.direction[1], protected),
                 event.loss_rate,
                 net.streams,
+                link_filter=_flaky_link_filter(event, net),
                 active=False,
+                stream_prefix="faults:flaky",
             )
-            schedule.flaky.append(fault)
-            _arm_window(sim, fault, event.at, fault.restore, event.restore_at)
+            schedule.drops.append(fault)
+            _arm_window(sim, fault, event.at, event.restore_at)
         elif isinstance(event, (JoinEvent, LeaveEvent)):
             if churn is None:
                 churn = ChurnController(net)

@@ -18,8 +18,9 @@ message's exact class up in, to call ``function(routes[index], src,
 message)`` (:meth:`Network.register`, :meth:`Network.set_routes`). There
 is one table per protocol class, shared by every node of that class;
 only a digest liar holds a copy of its own
-(:mod:`repro.faults.adversaries`). The fault layer can additionally drop
-messages or disconnect nodes. All traffic is accounted in the
+(:mod:`repro.faults.adversaries`). The fault layer can additionally
+disconnect nodes or arm drop faults on the network's drop stage
+(:meth:`Network.arm_drop`). All traffic is accounted in the
 :class:`TrafficMonitor`.
 
 One kernel, three entry points
@@ -34,7 +35,7 @@ guard stage and the link admission. ``docs/networking.md`` is the
 decision guide; in short:
 
 * **per copy, in destination order**: the guards (disconnect set and drop
-  filter, re-read for every copy so a filter that mutates fault state
+  stage, re-read for every copy so a fault that mutates fault state
   mid-fanout acts on the remaining copies), the sender's NIC reservation,
   link admission (tail drop, then at most one CoDel draw), the latency
   draw, the shard-egress decision and the delivery event with its
@@ -45,7 +46,7 @@ decision guide; in short:
   guards. Batching it is exact: the counters are integer sums, which
   commute, and simulated time does not advance inside a call.
 
-The three random streams a copy can touch — the drop filter's
+The three random streams a copy can touch — the drop stage's
 ``faults:*:<src>``, the link's ``network:queue:<src>`` and
 ``network:latency:<src>`` — are separate generators, so running all of a
 fan-out's guards before its first latency draw consumes each of them
@@ -61,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checks import require_finite
 from repro.net.latency import LanLatency, LatencyModel, LatencySpec
-from repro.net.link import LinkModel, new_queue_stats, summarize_queue_accounting
+from repro.net.link import LinkModel, new_queue_stats
 from repro.net.message import Message
 from repro.simulation._core.engine import SimulationError, Simulator
 from repro.simulation._core.kernels import LINK_DROP_TAIL, fan_out, link_enqueue
@@ -183,7 +184,10 @@ class Network:
         self.monitor = TrafficMonitor(bin_width=self.config.monitor_bin_width)
         self.regions: Dict[str, str] = dict(self.config.regions) if self.config.regions else {}
         self.dropped_messages = 0
-        self._drop_filter: Optional[Callable[[str, str, Message], bool]] = None
+        # The drop stage: every armed drop fault in arming order, and
+        # whether any of them is active (no guard stage otherwise).
+        self._drops: list = []
+        self._drops_live = False
         # Hoists: one attribute lookup at construction instead of several
         # per message.
         self._bandwidth = self.config.bandwidth
@@ -298,9 +302,24 @@ class Network:
         """
         self._ignores = (message_class, ignored)
 
-    def set_drop_filter(self, drop: Optional[Callable[[str, str, Message], bool]]) -> None:
-        """Install a message-drop predicate (fault injection / packet loss)."""
-        self._drop_filter = drop
+    def arm_drop(self, fault) -> None:
+        """Arm ``fault`` on the drop stage, after the faults armed before
+        it; arming a fault again changes nothing.
+
+        ``fault`` is a :class:`~repro.faults.injectors.DropFault`: while
+        its ``active`` holds, the guard stage asks its ``drops(src, dst,
+        message)`` for every copy the faults armed earlier let pass, and
+        the first fault that drops a copy counts it in its ``dropped``. A
+        fault calls :meth:`refresh_drops` when its ``active`` flips.
+        """
+        if fault not in self._drops:
+            self._drops.append(fault)
+        self.refresh_drops()
+
+    def refresh_drops(self) -> None:
+        """Re-check whether any armed drop fault is active: the guard stage
+        runs for every copy while one is, and for none otherwise."""
+        self._drops_live = any(fault.active for fault in self._drops)
 
     def _open_port(self, src: str) -> list:
         """Create ``src``'s sender state on its first send.
@@ -334,14 +353,6 @@ class Network:
         Sharded runs merge these dicts across workers — sources are owned
         by exactly one shard, so the union is disjoint."""
         return self._queue_stats
-
-    def link_summary(self) -> Dict[str, object]:
-        """The snapshot ``link`` section: enabled flag + aggregated queue
-        accounting (sorted-source summation — bit-for-bit equal between
-        single-process and merged sharded runs)."""
-        summary: Dict[str, object] = {"enabled": self._link is not None}
-        summary.update(summarize_queue_accounting(self._queue_stats))
-        return summary
 
     def enable_shard_egress(self, owned, egress: list) -> None:
         """Put the network into sharded mode.
@@ -390,7 +401,7 @@ class Network:
             raise ValueError(f"{src!r} attempted to send a message to itself")
         if src not in self._routes:
             raise ValueError(f"unknown source node {src!r}")
-        if self._n_disconnected or self._drop_filter is not None:
+        if self._n_disconnected or self._drops_live:
             self._fan_out_guarded(src, (dst,), message)
         else:
             self._fan_out(src, (dst,), message)
@@ -405,7 +416,7 @@ class Network:
         dst, message) delivery sequence, drop counters, monitor and RNG
         stream positions:
 
-        * drop rules (disconnected source/destination, drop filters) apply
+        * drop rules (disconnected source/destination, drop faults) apply
           per copy, in destination order, and only copies that pass are
           recorded;
         * the sender's uplink serializes the copies back to back, a live
@@ -425,19 +436,19 @@ class Network:
         # Full validation before any state change, exactly like send().
         if src in dsts:
             raise ValueError(f"{src!r} attempted to send a message to itself")
-        if self._n_disconnected or self._drop_filter is not None:
+        if self._n_disconnected or self._drops_live:
             self._fan_out_guarded(src, dsts, message)
         elif dsts:
             self._fan_out(src, dsts, message)
 
     def _guard(self, src: str, dsts: Sequence[str], message: Message, survivors: list) -> None:
         """The guard stage: append to ``survivors`` every destination whose
-        copy neither endpoint's disconnection nor the drop filter stops,
-        and count the others as dropped.
+        copy neither endpoint's disconnection nor an active drop fault
+        stops, and count the others as dropped.
 
-        The filter and the disconnect set are re-read per copy, so
-        re-entrant fault mutations — a drop filter that disconnects the
-        source or swaps itself mid-fanout — act on the remaining copies
+        The drop stage and the disconnect set are re-read per copy, so
+        re-entrant fault mutations — a fault that disconnects the source
+        or deactivates itself mid-fanout — act on the remaining copies
         exactly as they would in a per-copy ``send`` loop.
         """
         for dst in dsts:
@@ -446,16 +457,24 @@ class Network:
                 if disconnected.get(src) or disconnected.get(dst):
                     self.dropped_messages += 1
                     continue
-            drop_filter = self._drop_filter
-            if drop_filter is not None and drop_filter(src, dst, message):
+            if self._drops_live and self._fault_drops(src, dst, message):
                 self.dropped_messages += 1
                 continue
             survivors.append(dst)
 
+    def _fault_drops(self, src: str, dst: str, message: Message) -> bool:
+        """Whether an active drop fault drops this copy; the first that
+        does, in arming order, counts it."""
+        for fault in self._drops:
+            if fault.active and fault.drops(src, dst, message):
+                fault.dropped += 1
+                return True
+        return False
+
     def _fan_out_guarded(self, src: str, dsts: Sequence[str], message: Message) -> None:
         """Fan out with fault machinery armed: guard stage, then kernel.
 
-        ``finally``: when a drop filter raises on the k-th copy, the k-1
+        ``finally``: when a drop fault raises on the k-th copy, the k-1
         copies before it are sent and recorded — the state a per-copy
         ``send`` loop leaves behind.
         """
@@ -570,7 +589,7 @@ class Network:
         sequence (``len()`` and indexing): with no guard armed it is read in
         place, not copied:
 
-        * drop rules (disconnected source/destination, drop filters) apply
+        * drop rules (disconnected source/destination, drop faults) apply
           per copy, before anything is recorded (the shared guard stage);
         * **byte accounting is exactly equivalent** — the monitor records
           one wire-sized message per surviving destination at send time;
@@ -605,7 +624,7 @@ class Network:
         if src in dsts:
             raise ValueError(f"{src!r} attempted to send a message to itself")
         recipients = dsts
-        if self._n_disconnected or self._drop_filter is not None:
+        if self._n_disconnected or self._drops_live:
             recipients = []
             self._guard(src, dsts, message, recipients)
         if not recipients:

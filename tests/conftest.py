@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import sys
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
+from repro.faults.injectors import DropFault
 from repro.gossip.view import OrganizationView
 from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
 from repro.ledger.rwset import ReadWriteSet
@@ -189,3 +192,34 @@ def dispatch(module, src: str, message) -> bool:
     index, handler = route
     handler(module.components()[index], src, message)
     return True
+
+
+class DropWhen(DropFault):
+    """A drop fault that drops a copy when ``drop(src, dst, message)``
+    says so: a test's stand-in for what a concrete fault decides."""
+
+    def __init__(self, network: Network, drop: Callable, active: bool = True) -> None:
+        self._drop = drop
+        super().__init__(network, active)
+
+    def drops(self, src: str, dst: str, message) -> bool:
+        return self._drop(src, dst, message)
+
+
+@contextmanager
+def node_names_interned(n_peers: int) -> Iterator[List[str]]:
+    """Hold the interned names of an ``n_peers`` deployment's nodes.
+
+    A footprint test traces its builds inside this block: a build then
+    finds every node name already interned, so no traced build inserts
+    into CPython's interned-string dict. Otherwise a build that re-interns
+    names a dropped deployment had interned can meet that dict's resize
+    inside the traced window and be charged ~0.5-1 MB for it, depending
+    on what ran before (an 800-peer shard session read 1.03 of a whole
+    deployment instead of 0.58).
+    """
+    # Bound here, so the generator's frame holds the names until the block
+    # exits even when the caller binds nothing: a dead interned string
+    # leaves the interned dict, and re-interning it inserts again.
+    names = [sys.intern(f"peer-{index}") for index in range(n_peers)] + [sys.intern("orderer")]
+    yield names

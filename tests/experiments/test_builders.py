@@ -11,7 +11,7 @@ from repro.gossip.enhanced import EnhancedGossip
 from repro.gossip.original import OriginalGossip
 from repro.simulation.random import Buffered, Stream
 
-from tests.conftest import FakeHost
+from tests.conftest import FakeHost, node_names_interned
 
 
 def test_single_org_layout():
@@ -79,14 +79,15 @@ def test_invalid_parameters():
 
 
 def _build_peak_bytes(n_peers):
-    gc.collect()
-    tracemalloc.start()
-    try:
-        net = build_network(n_peers=n_peers, gossip=EnhancedGossipConfig.paper_f4(), seed=1)
-        assert net.n_peers == n_peers  # keep the deployment alive across the reading
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with node_names_interned(n_peers):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net = build_network(n_peers=n_peers, gossip=EnhancedGossipConfig.paper_f4(), seed=1)
+            assert net.n_peers == n_peers  # keep the deployment alive across the reading
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def test_build_memory_is_linear_in_peers():
@@ -101,13 +102,14 @@ def _peer_streams(net):
 
 
 def _built_bytes_per_peer(gossip, background=None):
-    gc.collect()
-    tracemalloc.start()
-    try:
-        net = build_network(n_peers=500, gossip=gossip, seed=1, background=background)
-        traced = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    with node_names_interned(500):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net = build_network(n_peers=500, gossip=gossip, seed=1, background=background)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
     return net, traced / net.n_peers
 
 
@@ -150,15 +152,16 @@ def test_a_started_peer_holds_no_generator_but_its_latency_stream(gossip, bound)
     12.2 KB with a live generator per stream; 7.8 KB and 8.2 KB with 256
     of them shared by replay)."""
     build_network(n_peers=4, gossip=gossip, seed=1).start()  # imports, caches
-    gc.collect()
-    tracemalloc.start()
-    try:
-        net = build_network(n_peers=500, gossip=gossip, seed=1)
-        net.start()
-        net.sim.run(until=12.0)
-        per_peer = tracemalloc.get_traced_memory()[0] / net.n_peers
-    finally:
-        tracemalloc.stop()
+    with node_names_interned(500):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net = build_network(n_peers=500, gossip=gossip, seed=1)
+            net.start()
+            net.sim.run(until=12.0)
+            per_peer = tracemalloc.get_traced_memory()[0] / net.n_peers
+        finally:
+            tracemalloc.stop()
     streams = net.streams._streams
     buffered = [name for name, rng in streams.items() if type(rng) is Buffered]
     assert len(buffered) == net.n_peers * (1 if isinstance(gossip, EnhancedGossipConfig) else 2)
@@ -179,19 +182,20 @@ def test_a_built_peers_routing_is_its_route_tuple(gossip, bound):
     bound method}`` dict: 352 B of dict and nine bound methods; 144 B with
     a bound ``_on_message`` registered beside the tuple; 80 B now, 88 B
     for the original module's one more component)."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        net = build_network(n_peers=500, gossip=gossip, seed=1)
-        gc.collect()  # empties the free lists: the freed tuples must leave them
-        before = tracemalloc.get_traced_memory()[0]
-        for name, peer in net.peers.items():
-            net.network.set_routes(name, None)
-            peer._routes = None
+    with node_names_interned(500):
         gc.collect()
-        freed = before - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            net = build_network(n_peers=500, gossip=gossip, seed=1)
+            gc.collect()  # empties the free lists: the freed tuples must leave them
+            before = tracemalloc.get_traced_memory()[0]
+            for name, peer in net.peers.items():
+                net.network.set_routes(name, None)
+                peer._routes = None
+            gc.collect()
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
     assert 0 < freed / net.n_peers <= bound
 
 

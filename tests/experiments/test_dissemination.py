@@ -12,6 +12,8 @@ from repro.gossip.config import (
     OriginalGossipConfig,
 )
 
+from tests.conftest import node_names_interned
+
 
 @pytest.fixture(scope="module")
 def small_original():
@@ -130,19 +132,20 @@ def test_deterministic_given_seed():
 
 
 def _live_bytes_after_run(blocks, background):
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = run_dissemination(
-            DisseminationConfig(
-                gossip=EnhancedGossipConfig(fout=4, ttl=9, ttl_direct=2),
-                n_peers=100, blocks=blocks, idle_tail=0.0, background=background,
-            )
-        )
+    with node_names_interned(100):
         gc.collect()
-        live = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            result = run_dissemination(
+                DisseminationConfig(
+                    gossip=EnhancedGossipConfig(fout=4, ttl=9, ttl_direct=2),
+                    n_peers=100, blocks=blocks, idle_tail=0.0, background=background,
+                )
+            )
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
     assert result.coverage_complete()  # keeps the run alive across the reading
     return live
 

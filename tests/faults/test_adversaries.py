@@ -3,19 +3,16 @@
 Behavior-level coverage for :mod:`repro.faults.adversaries`: lazy
 forwarders interpolate between honest and silent, digest liars re-advertise
 and never serve, eclipse coalitions isolate their victim symmetrically,
-and flaky links drop exactly one direction. Scenario-level composition
+and flaky links (a degrade fault with a one-way link filter) drop exactly
+one direction. Scenario-level composition
 (and the sharded identity) lives in tests/scenarios/.
 """
 
 import pytest
 
 from repro.experiments.builders import build_network
-from repro.faults.adversaries import (
-    DigestLiarFault,
-    EclipseFault,
-    FlakyLinkFault,
-    LazyForwarderFault,
-)
+from repro.faults.adversaries import DigestLiarFault, EclipseFault, LazyForwarderFault
+from repro.faults.injectors import LinkDegradeFault
 from repro.fabric.peer import Peer, route_table
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
 from repro.gossip.enhanced import EnhancedGossip
@@ -83,14 +80,14 @@ def test_lazy_draws_come_from_per_source_streams(sim):
     fault = LazyForwarderFault(network, ["a", "b"], 0.5, streams)
     block = make_chain([1])[0]
     digest = PushDigest(0, block.block_hash, 1)
-    solo = [fault._predicate("a", "c", digest) for _ in range(50)]
+    solo = [fault.drops("a", "c", digest) for _ in range(50)]
 
     sim2_network, streams2, _ = make_net(sim, nodes=("a", "b", "c"))
     fault2 = LazyForwarderFault(sim2_network, ["a", "b"], 0.5, streams2)
     interleaved = []
     for _ in range(50):
-        interleaved.append(fault2._predicate("a", "c", digest))
-        fault2._predicate("b", "c", digest)  # interleaved draws on b's stream
+        interleaved.append(fault2.drops("a", "c", digest))
+        fault2.drops("b", "c", digest)  # interleaved draws on b's stream
     assert interleaved == solo
 
 
@@ -149,9 +146,9 @@ def test_liar_withholds_requested_serves():
     assert net.peers["peer-1"].ledger_height == 0
 
 
-def test_liar_reforms_when_stopped():
+def test_liar_reforms_when_deactivated():
     net, fault = liar_net()
-    fault.stop()
+    fault.deactivate()
     block = make_chain([1])[0]
     net.network.send("peer-1", "peer-5", PushDigest(0, block.block_hash, 1))
     net.sim.run(until=0.4)  # before the first retry-ladder timeout
@@ -214,7 +211,7 @@ def test_eclipse_isolates_victim_from_honest_nodes_both_ways(sim):
 def test_eclipse_release_restores_connectivity(sim):
     network, streams, inboxes = make_net(sim, nodes=("v", "atk", "honest"))
     fault = EclipseFault(network, "v", ["atk"])
-    fault.release()
+    fault.deactivate()
     network.send("honest", "v", PushRequest(0, 1))
     sim.run()
     assert len(inboxes["v"]) == 1
@@ -230,9 +227,20 @@ def test_eclipse_rejects_victim_as_attacker(sim):
 # ----- flaky links ----------------------------------------------------------
 
 
+def flaky_link(network, streams, loss_rate):
+    """One-way loss on a -> b, drawn from ``faults:flaky:<src>``."""
+    return LinkDegradeFault(
+        network,
+        loss_rate,
+        streams,
+        link_filter=lambda src, dst: src == "a" and dst == "b",
+        stream_prefix="faults:flaky",
+    )
+
+
 def test_flaky_link_is_asymmetric(sim):
     network, streams, inboxes = make_net(sim)
-    fault = FlakyLinkFault(network, ["a"], ["b"], 1.0, streams)
+    fault = flaky_link(network, streams, 1.0)
     network.send("a", "b", PushRequest(0, 1))  # a -> b drops
     network.send("b", "a", PushRequest(0, 1))  # reverse stays clean
     network.send("a", "c", PushRequest(0, 1))  # unrelated destination clean
@@ -241,14 +249,15 @@ def test_flaky_link_is_asymmetric(sim):
     assert inboxes["b"] == []
     assert len(inboxes["a"]) == 1
     assert len(inboxes["c"]) == 1
+    # Only the selected copy drew, from the sender's flaky stream.
+    assert [name for name in streams.names() if name.startswith("faults:")] == ["faults:flaky:a"]
 
 
-def test_flaky_link_restore_and_validation(sim):
+def test_flaky_link_deactivated_delivers(sim):
     network, streams, inboxes = make_net(sim)
-    fault = FlakyLinkFault(network, ["a"], ["b"], 1.0, streams)
-    fault.restore()
+    fault = flaky_link(network, streams, 1.0)
+    fault.deactivate()
     network.send("a", "b", PushRequest(0, 1))
     sim.run()
     assert len(inboxes["b"]) == 1
-    with pytest.raises(ValueError):
-        FlakyLinkFault(network, ["a"], ["b"], -0.2, streams)
+    assert fault.dropped == 0

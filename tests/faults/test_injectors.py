@@ -1,15 +1,9 @@
 """Unit/integration tests for fault injection."""
 
-import random
-
 import pytest
 
-from repro.faults.injectors import (
-    CrashSchedule,
-    PacketLossFault,
-    SilentPeerFault,
-    TeasingPeerFault,
-)
+from repro.faults.adversaries import LazyForwarderFault
+from repro.faults.injectors import CrashSchedule, LinkDegradeFault, TeasingPeerFault
 from repro.gossip.messages import BlockPush, PullBlockResponse, PushDigest, PushRequest
 from repro.net.latency import ConstantLatency
 from repro.net.message import RawMessage
@@ -28,9 +22,14 @@ def make_net(sim):
     return network, inboxes
 
 
+def silent(network, peers):
+    """The paper's silent free-rider: a lazy forwarder at drop_prob=1.0."""
+    return LazyForwarderFault(network, peers, 1.0, RandomStreams(1))
+
+
 def test_silent_peer_drops_unsolicited_forwards(sim):
     network, inboxes = make_net(sim)
-    fault = SilentPeerFault(network, ["a"])
+    fault = silent(network, ["a"])
     block = make_chain([1])[0]
     network.send("a", "b", BlockPush(block))  # unsolicited forward: dropped
     network.send("a", "b", PushDigest(0, block.block_hash, 1))  # advertising: dropped
@@ -44,7 +43,7 @@ def test_silent_peer_drops_unsolicited_forwards(sim):
 def test_silent_peer_still_fetches_for_itself(sim):
     """A free-rider wants the ledger: its own requests pass."""
     network, inboxes = make_net(sim)
-    SilentPeerFault(network, ["a"])
+    silent(network, ["a"])
     network.send("a", "b", PushRequest(0, 1))
     sim.run()
     assert len(inboxes["b"]) == 1
@@ -53,7 +52,7 @@ def test_silent_peer_still_fetches_for_itself(sim):
 def test_silent_peer_requested_serve_passes(sim):
     """Digest-solicited transfers are not forwarding work."""
     network, inboxes = make_net(sim)
-    SilentPeerFault(network, ["a"])
+    silent(network, ["a"])
     block = make_chain([1])[0]
     network.send("a", "b", BlockPush(block, counter=2, requested=True))
     sim.run()
@@ -76,7 +75,7 @@ def test_teasing_peer_advertises_but_never_delivers(sim):
 def test_silent_peer_still_serves_pull(sim):
     """The adversary hinders push but avoids detection: pull serving works."""
     network, inboxes = make_net(sim)
-    SilentPeerFault(network, ["a"])
+    silent(network, ["a"])
     block = make_chain([1])[0]
     network.send("a", "b", PullBlockResponse([block]))
     sim.run()
@@ -85,24 +84,24 @@ def test_silent_peer_still_serves_pull(sim):
 
 def test_silent_peer_receives_normally(sim):
     network, inboxes = make_net(sim)
-    SilentPeerFault(network, ["a"])
+    silent(network, ["a"])
     network.send("b", "a", RawMessage(10))
     sim.run()
     assert len(inboxes["a"]) == 1
 
 
-def test_packet_loss_zero_rate_lossless(sim):
+def test_uniform_loss_zero_rate_lossless(sim):
     network, inboxes = make_net(sim)
-    PacketLossFault(network, 0.0, random.Random(1))
+    LinkDegradeFault(network, 0.0, RandomStreams(1))
     for _ in range(20):
         network.send("a", "b", RawMessage(1))
     sim.run()
     assert len(inboxes["b"]) == 20
 
 
-def test_packet_loss_rate_approximate(sim):
+def test_uniform_loss_rate_approximate(sim):
     network, inboxes = make_net(sim)
-    fault = PacketLossFault(network, 0.3, random.Random(1))
+    fault = LinkDegradeFault(network, 0.3, RandomStreams(1))
     for _ in range(1000):
         network.send("a", "b", RawMessage(1))
     sim.run()
@@ -110,21 +109,26 @@ def test_packet_loss_rate_approximate(sim):
     assert len(inboxes["b"]) == 1000 - fault.dropped
 
 
-def test_packet_loss_invalid_rate():
-    class DummyNet:
-        def set_drop_filter(self, f):
-            pass
-
-    with pytest.raises(ValueError):
-        PacketLossFault(DummyNet(), 1.5, random.Random(1))
-    with pytest.raises(ValueError):
-        PacketLossFault(DummyNet(), -0.1, random.Random(1))
+def test_uniform_loss_draws_per_source(sim):
+    """Uniform loss keys its draws by sender (``faults:degrade:<src>``):
+    a's decisions are the same whether or not b's copies interleave, so
+    the fault shards."""
+    network, _ = make_net(sim)
+    solo = LinkDegradeFault(network, 0.5, RandomStreams(3))
+    alone = [solo.drops("a", "c", RawMessage(1)) for _ in range(50)]
+    network, _ = make_net(sim)
+    mixed = LinkDegradeFault(network, 0.5, RandomStreams(3))
+    interleaved = []
+    for _ in range(50):
+        interleaved.append(mixed.drops("a", "c", RawMessage(1)))
+        mixed.drops("b", "c", RawMessage(1))
+    assert interleaved == alone and any(alone) and not all(alone)
 
 
 def test_faults_compose_on_one_network(sim):
     network, inboxes = make_net(sim)
-    SilentPeerFault(network, ["a"])
-    PacketLossFault(network, 0.0, random.Random(1))
+    silent(network, ["a"])
+    LinkDegradeFault(network, 0.0, RandomStreams(1))
     block = make_chain([1])[0]
     network.send("a", "b", BlockPush(block))  # dropped by silent fault
     network.send("b", "c", RawMessage(1))  # passes both

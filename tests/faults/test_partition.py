@@ -4,10 +4,8 @@ Satellite coverage for the declarative fault layer: a partition drops
 cross-island traffic symmetrically, leaves intra-island traffic
 untouched, and healing restores delivery — on both the per-copy ``send``
 path and the ``multicast`` fanout path (which takes the guarded per-copy
-branch whenever a drop filter is installed).
+branch whenever a drop fault is active).
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -87,7 +85,7 @@ def test_heal_restores_full_delivery(deliver):
     fault = PartitionFault(network, islands=[("a", "b", "c")])
     deliver(sim, network, inboxes)
     assert sorted(inboxes["a"]) == ["b", "c"]
-    fault.heal()
+    fault.deactivate()
     deliver(sim, network, inboxes)
     for dst in NODES:
         assert sorted(inboxes[dst]) == sorted(s for s in NODES if s != dst)
@@ -133,14 +131,13 @@ def test_partition_rejects_overlapping_islands():
 
 def test_degrade_filters_links_and_restores():
     sim, network, inboxes = make_net()
-    rng = random.Random(5)
     fault = LinkDegradeFault(
-        network, 1.0, rng, link_filter=lambda src, dst: {src, dst} == {"a", "b"}
+        network, 1.0, RandomStreams(5), link_filter=lambda src, dst: {src, dst} == {"a", "b"}
     )
     deliver_all_pairs_via_send(sim, network, inboxes)
     assert "b" not in inboxes["a"] and "a" not in inboxes["b"]  # symmetric filter
     assert sorted(inboxes["c"]) == sorted(s for s in NODES if s != "c")
-    fault.restore()
+    fault.deactivate()
     deliver_all_pairs_via_send(sim, network, inboxes)
     assert sorted(inboxes["a"]) == sorted(s for s in NODES if s != "a")
 
@@ -148,7 +145,9 @@ def test_degrade_filters_links_and_restores():
 def test_degrade_rejects_invalid_rate():
     sim, network, _ = make_net()
     with pytest.raises(ValueError):
-        LinkDegradeFault(network, 1.5, random.Random(1))
+        LinkDegradeFault(network, 1.5, RandomStreams(1))
+    with pytest.raises(ValueError):
+        LinkDegradeFault(network, -0.1, RandomStreams(1))
 
 
 # ----- declarative schedule validation ------------------------------------
@@ -175,8 +174,8 @@ def test_compile_schedule_arms_partition_on_deployment():
     from repro.scenarios import run_scenario
 
     run = run_scenario("partition-heal", seed=1)
-    assert len(run.faults.partitions) == 1
-    fault = run.faults.partitions[0]
+    assert [type(fault) for fault in run.faults.drops] == [PartitionFault]
+    fault = run.faults.drops[0]
     assert fault.active is False  # healed by the armed flip
     assert fault.dropped > 0
     assert run.result.coverage_complete()
@@ -208,12 +207,13 @@ def test_compile_schedule_resolves_regions_and_slices():
         net,
     )
     # The region island expanded to org1's peers (odd indices).
-    island = schedule.partitions[0]._group_of
+    partition, degrade = schedule.drops
+    island = partition._group_of
     assert sorted(island) == ["peer-1", "peer-3", "peer-5", "peer-7"]
     # The slice selected the first two sorted regular peers.
     assert schedule.crashes[0][1] == net.regular_peers()[0:2]
     # The degrade filter spares the (protected) orderer and intra-region links.
-    link_filter = schedule.degrades[0]._link_filter
+    link_filter = degrade._link_filter
     assert link_filter("peer-0", "peer-1") is True  # east <-> west
     assert link_filter("peer-0", "peer-2") is False  # east <-> east
     assert link_filter("orderer", "peer-1") is False  # protected

@@ -1,10 +1,11 @@
 """Compiler edge cases for the adversarial/churn fault events, plus the
-drop-filter composition contract (installation order + idempotent arming)."""
+drop stage's composition contract (arming order + idempotent arming)."""
 
 import pytest
 
 from repro.experiments.builders import build_network
-from repro.faults.injectors import SilentPeerFault, TeasingPeerFault, _drop_filter_for
+from repro.faults.adversaries import DigestLiarFault, LazyForwarderFault
+from repro.faults.injectors import LinkDegradeFault, PartitionFault, TeasingPeerFault
 from repro.faults.schedule import (
     AdversaryEvent,
     CrashEvent,
@@ -17,7 +18,7 @@ from repro.faults.schedule import (
     compile_fault_schedule,
 )
 from repro.gossip.config import EnhancedGossipConfig
-from repro.gossip.messages import BlockPush
+from repro.gossip.messages import BlockPush, PushDigest, PushRequest
 from repro.net.latency import TopologyLatency
 from repro.net.network import NetworkConfig
 
@@ -127,8 +128,6 @@ def test_adversary_compile_refuses_leaders():
 
 
 def test_adversary_kinds_build_their_injectors():
-    from repro.faults.adversaries import DigestLiarFault, LazyForwarderFault
-
     net = small_net()
     schedule = compile_fault_schedule(
         [
@@ -139,12 +138,36 @@ def test_adversary_kinds_build_their_injectors():
         ],
         net,
     )
-    kinds = [type(fault) for fault in schedule.adversaries]
-    assert kinds == [SilentPeerFault, TeasingPeerFault, LazyForwarderFault, DigestLiarFault]
-    assert schedule.adversaries[2].drop_prob == 0.4
-    assert schedule.adversaries[3].lie_fanout == 3
+    kinds = [type(fault) for fault in schedule.drops]
+    assert kinds == [LazyForwarderFault, TeasingPeerFault, LazyForwarderFault, DigestLiarFault]
+    assert schedule.drops[0].drop_prob == 1.0  # silent
+    assert schedule.drops[2].drop_prob == 0.4
+    assert schedule.drops[3].lie_fanout == 3
     # at=0 means active from the start, no timer needed.
-    assert all(fault.active for fault in schedule.adversaries)
+    assert all(fault.active for fault in schedule.drops)
+    # Armed on the network's drop stage in event order.
+    assert net.network._drops == schedule.drops
+
+
+def test_a_silent_adversary_drops_exactly_the_forward_work():
+    """``kind="silent"`` is a lazy forwarder at drop_prob=1.0, whatever
+    ``drop_prob`` the event carries: it drops every digest and unrequested
+    forward its peers send, never a requested serve or an own fetch, and
+    draws nothing (no ``faults:lazy:<src>`` stream is opened)."""
+    net = small_net()
+    schedule = compile_fault_schedule(
+        [AdversaryEvent(kind="silent", peers=("peer-1", "peer-2"), drop_prob=0.3)], net
+    )
+    (fault,) = schedule.drops
+    block = make_chain([1])[0]
+    network = net.network
+    network.send("peer-1", "peer-3", PushDigest(0, block.block_hash, 1))  # dropped
+    network.multicast("peer-2", ["peer-3", "peer-4"], BlockPush(block))  # both dropped
+    network.send("peer-1", "peer-3", BlockPush(block, counter=1, requested=True))  # serve
+    network.send("peer-2", "peer-3", PushRequest(0, 1))  # own fetch
+    network.send("peer-3", "peer-4", BlockPush(block))  # an honest forward
+    assert fault.dropped == network.dropped_messages == 3
+    assert not [name for name in net.streams.names() if name.startswith("faults:lazy")]
 
 
 def test_adversary_window_arms_and_disarms():
@@ -153,7 +176,7 @@ def test_adversary_window_arms_and_disarms():
         [AdversaryEvent(kind="teasing", at=1.0, until=2.0, peers=("peer-1",))],
         net,
     )
-    fault = schedule.adversaries[0]
+    (fault,) = schedule.drops
     assert fault.active is False
     net.sim.run(until=1.5)
     assert fault.active is True
@@ -178,10 +201,41 @@ def test_flaky_compile_resolves_region_directions():
     schedule = compile_fault_schedule(
         [FlakyLinkEvent(at=0.0, direction=("east", "west"), loss_rate=1.0)], net
     )
-    fault = schedule.flaky[0]
+    (fault,) = schedule.drops
+    assert isinstance(fault, LinkDegradeFault) and fault.loss_rate == 1.0
     # org0 (even peers) is east; the protected orderer is excluded.
-    assert fault.src_nodes == {f"peer-{i}" for i in range(0, 8, 2)}
-    assert fault.dst_nodes == {f"peer-{i}" for i in range(1, 8, 2)}
+    east = {f"peer-{i}" for i in range(0, 8, 2)}
+    west = {f"peer-{i}" for i in range(1, 8, 2)}
+    nodes = sorted(east | west | {"orderer"})
+    selected = {(src, dst) for src in nodes for dst in nodes if fault._link_filter(src, dst)}
+    assert selected == {(src, dst) for src in east for dst in west}
+
+
+def test_opposite_flaky_links_each_drop_their_own_direction():
+    """Two flaky-link events in opposite directions: each drops the copies
+    of its own direction, from its sender's ``faults:flaky:<src>``
+    stream. (A one-way filter closing over the compile loop's variable
+    would give both the last event's direction.)"""
+    net = wan_net()
+    schedule = compile_fault_schedule(
+        [
+            FlakyLinkEvent(at=0.0, direction=("east", "west"), loss_rate=1.0),
+            FlakyLinkEvent(at=0.0, direction=("west", "east"), loss_rate=1.0),
+        ],
+        net,
+    )
+    east_to_west, west_to_east = schedule.drops
+    assert east_to_west._link_filter("peer-0", "peer-1")
+    assert not east_to_west._link_filter("peer-1", "peer-0")
+    assert west_to_east._link_filter("peer-1", "peer-0")
+    assert not west_to_east._link_filter("peer-0", "peer-1")
+    net.network.send("peer-0", "peer-1", PushRequest(0, 1))
+    net.network.send("peer-0", "peer-3", PushRequest(0, 1))
+    net.network.send("peer-1", "peer-0", PushRequest(0, 1))
+    net.network.send("peer-0", "peer-2", PushRequest(0, 1))  # east -> east: clean
+    assert (east_to_west.dropped, west_to_east.dropped) == (2, 1)
+    flaky = [name for name in net.streams.names() if name.startswith("faults:")]
+    assert flaky == ["faults:flaky:peer-0", "faults:flaky:peer-1"]
 
 
 def test_flaky_compile_rejects_unplaced_region():
@@ -204,63 +258,47 @@ def test_crash_during_partition_composes():
         net,
     )
     net.start()
+    (partition,) = schedule.drops
     net.sim.run(until=1.5)
-    assert schedule.partitions[0].active is True
+    assert partition.active is True
     assert net.network._disconnected["peer-1"] is True
     net.sim.run(until=4.0)
-    assert schedule.partitions[0].active is False
+    assert partition.active is False
     assert net.network._disconnected["peer-1"] is False
 
 
-# ----- drop-filter composition contract -------------------------------------
+# ----- drop-stage composition contract --------------------------------------
+
+
+def silent(network, peers):
+    return LazyForwarderFault(network, peers, 1.0, network._streams)
 
 
 def test_rearming_is_idempotent(network, sim):
     inbox = []
     network.register("a", routes_to(lambda src, msg: inbox.append(msg)))
     network.register("b", routes_to(lambda src, msg: inbox.append(msg)))
-    fault = SilentPeerFault(network, ["a"])
-    fault.arm()
-    fault.arm()  # double re-arm must not duplicate the predicate
+    fault = silent(network, ["a"])
+    network.arm_drop(fault)
+    network.arm_drop(fault)  # arming twice more must not duplicate the fault
+    assert network._drops == [fault]
     block = make_chain([1])[0]
     network.send("a", "b", BlockPush(block))
     sim.run()
     assert fault.dropped == 1  # counted once, not three times
 
 
-def test_installation_order_short_circuits(network, sim):
-    """When two injectors would both drop a message, only the
-    earliest-installed one counts it."""
+def test_arming_order_short_circuits(network, sim):
+    """When two faults would both drop a message, only the one armed
+    first counts it."""
     network.register("a", routes_to(lambda src, msg: None))
     network.register("b", routes_to(lambda src, msg: None))
-    first = SilentPeerFault(network, ["a"])
+    first = silent(network, ["a"])
     second = TeasingPeerFault(network, ["a"])
     block = make_chain([1])[0]
-    network.send("a", "b", BlockPush(block))  # both predicates match
+    network.send("a", "b", BlockPush(block))  # both faults match
     sim.run()
     assert first.dropped == 1
     assert second.dropped == 0
+    assert network.dropped_messages == 1
 
-
-def test_preexisting_plain_filter_keeps_priority(network, sim):
-    network.register("a", routes_to(lambda src, msg: None))
-    network.register("b", routes_to(lambda src, msg: None))
-    seen = []
-
-    def plain(src, dst, message):
-        seen.append((src, dst))
-        return True  # drops everything
-
-    network.set_drop_filter(plain)
-    fault = SilentPeerFault(network, ["a"])
-    block = make_chain([1])[0]
-    network.send("a", "b", BlockPush(block))
-    sim.run()
-    assert seen == [("a", "b")]  # the adopted filter ran (first slot)
-    assert fault.dropped == 0  # and short-circuited the injector
-
-
-def test_drop_filter_never_chains_into_itself(network):
-    composable = _drop_filter_for(network)
-    composable.add(composable)
-    assert composable._predicates == []

@@ -4,7 +4,8 @@ validate pipeline, plus crash/recovery and adversarial scenarios."""
 
 from repro.experiments.builders import build_network
 from repro.experiments.conflicts import ConflictExperimentConfig, run_conflict_experiment
-from repro.faults.injectors import CrashSchedule, SilentPeerFault
+from repro.faults.adversaries import LazyForwarderFault
+from repro.faults.injectors import CrashSchedule
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
 
 from tests.conftest import make_transactions
@@ -66,7 +67,8 @@ def test_crashed_peer_catches_up_via_recovery():
 
 def test_silent_peers_slow_but_do_not_stop_dissemination():
     net = build_network(n_peers=20, gossip=EnhancedGossipConfig.paper_f4(), seed=4)
-    SilentPeerFault(net.network, [f"peer-{i}" for i in range(1, 5)])  # 20% adversarial
+    silent = [f"peer-{i}" for i in range(1, 5)]  # 20% adversarial
+    LazyForwarderFault(net.network, silent, 1.0, net.streams)
     net.start()
     net.orderer.emit_block(make_transactions(2))
     net.run_until(

@@ -6,11 +6,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.net.latency import ConstantLatency
+from repro.net.link import summarize_queue_accounting
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
 from repro.simulation.random import RandomStreams
 
-from tests.conftest import routes_to
+from tests.conftest import DropWhen, routes_to
 
 
 def make_network(sim, bandwidth=1_000_000.0, latency=0.010, overhead=0, queue_min=0):
@@ -220,11 +221,11 @@ def test_disconnect_mid_flight_drops_at_delivery(sim):
     assert network.dropped_messages == 1
 
 
-def test_drop_filter(sim):
+def test_drop_fault(sim):
     network = make_network(sim)
     register_sink(network, "a")
     inbox = register_sink(network, "b")
-    network.set_drop_filter(lambda src, dst, msg: msg.payload_size() > 10)
+    DropWhen(network, lambda src, dst, msg: msg.payload_size() > 10)
     network.send("a", "b", RawMessage(100))
     network.send("a", "b", RawMessage(5))
     sim.run()
@@ -564,12 +565,12 @@ def test_multicast_disconnect_mid_flight_drops_at_delivery(sim):
     assert network.dropped_messages == 1
 
 
-def test_multicast_applies_drop_filter_per_copy(sim):
+def test_multicast_applies_drop_faults_per_copy(sim):
     network = make_network(sim)
     register_sink(network, "a")
     inbox_b = register_sink(network, "b")
     inbox_c = register_sink(network, "c")
-    network.set_drop_filter(lambda src, dst, message: dst == "b")
+    DropWhen(network, lambda src, dst, message: dst == "b")
     network.multicast("a", ["b", "c"], RawMessage(50))
     sim.run()
     assert inbox_b == [] and len(inbox_c) == 1
@@ -593,8 +594,8 @@ def test_multicast_handler_disconnecting_later_group_member_drops_it(sim):
     assert network.dropped_messages == 1
 
 
-def test_multicast_drop_filter_that_disconnects_source_mid_fanout(sim):
-    """Regression: a drop filter with side effects (fault injection
+def test_multicast_drop_fault_that_disconnects_source_mid_fanout(sim):
+    """Regression: a drop fault with side effects (fault injection
     disconnecting the source on first drop) must stop the rest of the
     fanout exactly as it would stop a per-copy send loop — no copy after
     the disconnect may be recorded or delivered."""
@@ -608,7 +609,7 @@ def test_multicast_drop_filter_that_disconnects_source_mid_fanout(sim):
             return True
         return False
 
-    network.set_drop_filter(drop_and_kill)
+    DropWhen(network, drop_and_kill)
     network.multicast("a", ["b", "c", "d"], RawMessage(50))
     sim.run()
     assert len(inboxes["b"]) == 1  # sent before the fault
@@ -705,11 +706,11 @@ def test_send_aggregate_from_disconnected_source_drops_everything(sim):
     assert network.monitor.nodes() == []
 
 
-def test_send_aggregate_applies_drop_filter_per_copy(sim):
+def test_send_aggregate_applies_drop_faults_per_copy(sim):
     network = make_network(sim)
     for name in ("a", "b", "c"):
         register_sink(network, name)
-    network.set_drop_filter(lambda src, dst, message: dst == "b")
+    DropWhen(network, lambda src, dst, message: dst == "b")
     network.send_aggregate("a", ["b", "c"], RawMessage(50))
     assert network.dropped_messages == 1
     assert network.monitor.node_totals("a").by_kind_messages == {"tx:RawMessage": 1}
@@ -750,8 +751,8 @@ def test_send_aggregate_self_send_rejected_before_any_state_change(sim):
     assert network.monitor.nodes() == []
 
 
-def test_send_aggregate_drop_filter_that_disconnects_source_mid_fanout(sim):
-    """Regression for partial-drop fanouts: when the drop filter's side
+def test_send_aggregate_drop_fault_that_disconnects_source_mid_fanout(sim):
+    """Regression for partial-drop fanouts: when the drop fault's side
     effect disconnects the source mid-fanout, the copies after the fault
     must drop through the disconnect rule, keeping monitor accounting and
     drop counters exactly in step with a per-copy send loop."""
@@ -765,7 +766,7 @@ def test_send_aggregate_drop_filter_that_disconnects_source_mid_fanout(sim):
             return True
         return False
 
-    network.set_drop_filter(drop_and_kill)
+    DropWhen(network, drop_and_kill)
     network.send_aggregate("a", ["b", "c", "d"], RawMessage(50))
     # One filtered copy plus one disconnected-source copy; only the copy
     # accepted before the fault is recorded.
@@ -774,18 +775,18 @@ def test_send_aggregate_drop_filter_that_disconnects_source_mid_fanout(sim):
     assert sorted(network.monitor.nodes()) == ["a", "b"]
 
 
-def test_send_aggregate_drop_filter_swapping_itself_mid_fanout(sim):
-    """The filter is re-read per copy: a filter that uninstalls itself
+def test_send_aggregate_drop_fault_deactivating_itself_mid_fanout(sim):
+    """The drop stage is re-read per copy: a fault that deactivates itself
     after the first drop must stop affecting the rest of the fanout."""
     network = make_network(sim)
     for name in ("a", "b", "c", "d"):
         register_sink(network, name)
 
     def drop_once(src, dst, message):
-        network.set_drop_filter(None)
+        fault.deactivate()
         return True
 
-    network.set_drop_filter(drop_once)
+    fault = DropWhen(network, drop_once)
     network.send_aggregate("a", ["b", "c", "d"], RawMessage(50))
     assert network.dropped_messages == 1
     assert network.monitor.node_totals("a").by_kind_messages == {"tx:RawMessage": 2}
@@ -837,7 +838,7 @@ def test_send_aggregate_draws_nothing_when_no_copy_leaves(sim):
     network.set_disconnected("b", False)
     network.send_aggregate("a", ["b", "c"], RawMessage(1_000))
     assert network.dropped_messages == 3
-    assert network.link_summary()["dropped_tail"] == 1
+    assert summarize_queue_accounting(network.queue_accounting())["dropped_tail"] == 1
     assert network.latency_rng("a").getstate() == twin.latency_rng("a").getstate()
     assert sim.pending_events == twin.sim.pending_events
 
@@ -905,7 +906,7 @@ def test_send_aggregate_through_a_tail_dropping_link_is_one_packet_per_burst(sim
     log = []
     network = _burst_network(sim, log, LinkModel(bandwidth=1_000_000.0, queue_bytes=150_000.0))
     draws = _send_bursts(network, log, count=6, size=40_000, gap=0.0)
-    summary = network.link_summary()
+    summary = summarize_queue_accounting(network.queue_accounting())
     assert (summary["packets"], summary["dropped_tail"], summary["dropped_codel"]) == (6, 4, 0)
     assert network.dropped_messages == 12
     assert draws == [["latency"], ["latency"], [], [], [], []]
@@ -927,7 +928,7 @@ def test_send_aggregate_through_codel_draws_the_queue_once_before_the_latency(si
     network = _burst_network(sim, log, link)
     draws = _send_bursts(network, log, count=40, size=10_000, gap=0.01)
     assert all(burst in ([], ["latency"], ["queue"], ["queue", "latency"]) for burst in draws)
-    summary = network.link_summary()
+    summary = summarize_queue_accounting(network.queue_accounting())
     dropped = [burst for burst in draws if "latency" not in burst]
     assert summary["packets"] == 40
     assert summary["dropped_tail"] == 0

@@ -159,10 +159,13 @@ def test_multicast_equals_send_loop_with_armed_link(dsts, size, seed, codel):
 
 
 def test_armed_link_reports_enabled_and_noop_does_not():
-    _, armed, _ = build(LinkModel(bandwidth=1e6), seed=1)
-    _, inert, _ = build(LinkModel(), seed=1)
-    assert armed.link_summary()["enabled"] is True
-    assert inert.link_summary()["enabled"] is False
+    """The snapshot's ``link`` section says whether a link was armed."""
+    spec = get_scenario("golden-original-30")
+    armed = run_scenario(dataclasses.replace(spec, link=LinkModel(bandwidth=1e9)), seed=1)
+    inert = run_scenario(dataclasses.replace(spec, link=LinkModel()), seed=1)
+    assert armed.snapshot()["link"]["enabled"] is True
+    assert armed.snapshot()["link"]["packets"] > 0
+    assert inert.snapshot()["link"]["enabled"] is False
 
 
 # Congestion goldens arm the link by design; only link-free scenarios can

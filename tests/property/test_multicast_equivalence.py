@@ -9,9 +9,9 @@ drop counters and the monitor accounting must all equal what a per-copy
 ``send`` loop produces — under random fanout shapes, message sizes on both
 sides of the downlink-queue threshold (including size 0, which produces
 exact arrival ties and exercises the shared slot-delivery grouping),
-random latency models, disconnected peers, drop filters, and handlers that
+random latency models, disconnected peers, drop faults, and handlers that
 re-enter the network mid-delivery; behind a congested CoDel link with a
-region-topology latency model; in sharded-egress mode; when a drop filter
+region-topology latency model; in sharded-egress mode; when a drop fault
 raises mid-fanout; and while windowed faults flip between fan-outs.
 """
 
@@ -27,14 +27,14 @@ from repro.net.latency import (
     MeasuredLatency,
     TopologyLatency,
 )
-from repro.net.link import CoDelConfig, LinkModel, new_queue_stats
+from repro.net.link import CoDelConfig, LinkModel, new_queue_stats, summarize_queue_accounting
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
 from repro.simulation._core.kernels import LINK_DROP_TAIL, link_enqueue
 from repro.simulation.random import RandomStreams
 
-from tests.conftest import routes_to
+from tests.conftest import DropWhen, routes_to
 
 NODES = ["n0", "n1", "n2", "n3", "n4", "n5"]
 
@@ -121,7 +121,7 @@ def test_multicast_equals_naive_send_loop(
                 counter["n"] += 1
                 return counter["n"] % drop_every == 0
 
-            network.set_drop_filter(drop)
+            DropWhen(network, drop)
         if mode == "multicast":
             network.multicast("n0", dsts, message)
         else:
@@ -243,7 +243,7 @@ def observe(network, deliveries):
         totals.bytes,
         dict(totals.by_kind_bytes),
         {node: network.monitor.node_totals(node).by_kind_messages for node in NODES},
-        network.link_summary(),
+        summarize_queue_accounting(network.queue_accounting()),
         queues,
         [network.latency_rng(name).random() for name in NODES],
         [network._streams.stream(f"network:queue:{name}").random() for name in NODES],
@@ -345,7 +345,7 @@ def test_multicast_equals_send_loop_in_sharded_egress_mode(script, owned_others,
     assert all(rec[3] not in owned for rec in results["multicast"][0])
 
 
-class FilterBroke(Exception):
+class FaultBroke(Exception):
     pass
 
 
@@ -358,12 +358,12 @@ class FilterBroke(Exception):
     link=st.sampled_from([None, CONGESTED_LINK]),
     seed=st.integers(min_value=1, max_value=6),
 )
-def test_a_raising_drop_filter_leaves_the_state_of_the_send_loop(
+def test_a_raising_drop_fault_leaves_the_state_of_the_send_loop(
     dsts, size, raise_at, disconnected, link, seed
 ):
-    """(c) A filter that raises on the k-th copy it sees: the copies before
-    it are sent and recorded, nothing after it is, and the next fanout
-    (probing the uplink, the link queue and the streams) agrees."""
+    """(c) A drop fault that raises on the k-th copy it sees: the copies
+    before it are sent and recorded, nothing after it is, and the next
+    fanout (probing the uplink, the link queue and the streams) agrees."""
     results = {}
     for mode in ("multicast", "loop"):
         sim, network = build(topology_model(), 25_000, seed, link=link)
@@ -375,16 +375,16 @@ def test_a_raising_drop_filter_leaves_the_state_of_the_send_loop(
         def drop(src, dst, message):
             calls.append(dst)
             if len(calls) == raise_at:
-                raise FilterBroke(dst)
+                raise FaultBroke(dst)
             return len(calls) % 3 == 0
 
-        network.set_drop_filter(drop)
+        fault = DropWhen(network, drop)
         raised = False
         try:
             fan_out(network, mode, "n0", dsts, RawMessage(size))
-        except FilterBroke:
+        except FaultBroke:
             raised = True
-        network.set_drop_filter(None)
+        fault.deactivate()
         network.multicast("n0", ["n1", "n2"], RawMessage(size, kind="Probe"))
         sim.run()
         results[mode] = (raised, calls) + observe(network, deliveries)
@@ -405,26 +405,26 @@ def test_a_raising_drop_filter_leaves_the_state_of_the_send_loop(
     seed=st.integers(min_value=1, max_value=6),
 )
 def test_windowed_faults_flipping_between_fanouts(script, seed):
-    """(d) The fault chain is the network's drop filter only while a
-    predicate is active. Flipping windows between fanouts must leave the
-    chain order (the partition, installed first, counts a copy both would
-    drop and spares the degrade draw) and the per-source ``faults:*``
-    stream positions exactly where an always-installed chain leaves them
-    — ``pinned`` adopts a no-op plain filter first, which keeps the chain
-    visible for the whole run."""
+    """(d) The network runs its drop stage only while an armed fault is
+    active. Flipping windows between fanouts must leave the arming order
+    (the partition, armed first, counts a copy both would drop and spares
+    the degrade draw) and the per-source ``faults:*`` stream positions
+    exactly where an always-running drop stage leaves them — ``pinned``
+    arms an always-active no-op fault first, which keeps the stage
+    running for the whole run."""
     results = {}
     for mode in ("multicast", "loop", "pinned"):
         sim, network = build(LanLatency(base=0.001, jitter_median=0.005), 25_000, seed)
         deliveries = record_deliveries(sim, network)
         if mode == "pinned":
-            network.set_drop_filter(lambda src, dst, message: False)
+            DropWhen(network, lambda src, dst, message: False)
         partition = PartitionFault(network, [["n1", "n2"]], active=False)
         degrade = LinkDegradeFault(network, 0.5, network._streams, active=False)
         for partitioned, degraded, dsts in script:
             partition.active = partitioned
             degrade.active = degraded
             if mode != "pinned":
-                assert (network._drop_filter is not None) == (partitioned or degraded)
+                assert network._drops_live == (partitioned or degraded)
             fan_out(network, mode, "n0", dsts, RawMessage(100))
             sim.run(until=sim.now + 0.01)
         sim.run()

@@ -290,7 +290,7 @@ def test_sharded_partition_crossing_shard_boundary(raw, seed, island):
     def faults(sim, network):
         fault = PartitionFault(network, [sorted(island)], active=False)
         sim.schedule_at(0.5, fault.activate)
-        sim.schedule_at(1.5, fault.heal)
+        sim.schedule_at(1.5, fault.deactivate)
 
     single = _run_single(script, seed, model, horizon=4.0, faults=faults)
     sharded = _run_sharded(

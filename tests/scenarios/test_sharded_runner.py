@@ -24,6 +24,8 @@ from repro.scenarios.sharded import (
 )
 from repro.scenarios.spec import RegionTopology, ScenarioSpec, WorkloadSpec
 
+from tests.conftest import node_names_interned
+
 
 def _tiny_spec(**overrides):
     defaults = dict(
@@ -162,7 +164,12 @@ def test_a_shard_session_holds_a_fraction_of_a_whole_deployment():
     CPython's free lists: otherwise the first build reuses whatever
     objects an earlier test's run left there without tracemalloc seeing
     them (~50 KB here), and the figure depends on which tests ran first
-    (0.586 of a whole alone, 0.609 after this file's tiny sharded run)."""
+    (0.586 of a whole alone, 0.609 after this file's tiny sharded run).
+    Both builds run with the node names interned beforehand
+    (:func:`tests.conftest.node_names_interned`), so neither is charged a
+    resize of CPython's interned-string dict: at 800 peers that resize
+    once landed in the shard session, which then read 1.03 of a whole
+    deployment (0.58 with the names held)."""
     import gc
     import tracemalloc
 
@@ -183,8 +190,9 @@ def test_a_shard_session_holds_a_fraction_of_a_whole_deployment():
         del built
         return size
 
-    whole = footprint(lambda: deploy(dissemination_config(spec, seed=1)))
-    shard = footprint(lambda: ShardSession(spec, 1, plan, shard_id=0))
+    with node_names_interned(spec.n_peers):
+        whole = footprint(lambda: deploy(dissemination_config(spec, seed=1)))
+        shard = footprint(lambda: ShardSession(spec, 1, plan, shard_id=0))
     excess_per_node = (shard - whole / 2) / spec.n_peers
     assert excess_per_node < 270, (shard, whole, excess_per_node)
 
