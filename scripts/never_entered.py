@@ -22,9 +22,17 @@ never-entered one is counted, and its lines, only once, inside its
 parent. Prints the never-entered functions by file, then ``functions /
 never entered / lines``. Takes several minutes.
 
+``scripts/never_entered.txt`` is the committed listing, one ``file:
+function`` per line without line numbers; CI reruns this script and
+diffs its listing against that file, so a change that leaves a function
+unentered (or enters one) updates the file in the same commit.
+
 Usage::
 
     python scripts/never_entered.py
+    python scripts/never_entered.py \
+        | awk '/^  / { print file ": " $2; next } !/^functions/ { file = $1 }' \
+        | diff scripts/never_entered.txt -
 """
 
 from __future__ import annotations

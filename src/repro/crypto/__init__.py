@@ -1,24 +1,19 @@
-"""Crypto substrate: hashing, MSP identities, simulated signatures.
+"""Crypto substrate: hashing and node identities.
 
-Fabric relies on a membership service provider (MSP) to certify node
-identities, on SHA-256 hash chaining to link blocks, and on signatures over
-endorsements and blocks. We implement real SHA-256 hashing (cheap and exact)
-and a structurally faithful — but computationally simulated — signature
-scheme: signatures are deterministic MACs binding (signer identity, payload
-digest) so that verification checks the same properties Fabric checks,
-without pulling in a heavyweight asymmetric crypto dependency.
+Fabric links blocks by SHA-256 hash chaining and certifies every node
+through a membership service provider (MSP). The simulation keeps what its
+metrics depend on: real SHA-256 digests over blocks and read/write sets,
+and an immutable identity (name, organization, role) per node, which the
+endorsement policy checks. Nothing is signed or verified: no measured
+quantity (dissemination latency, bandwidth, invalidated transactions)
+depends on a signature check, and an endorsement's signature is carried as
+its wire size only.
 """
 
-from repro.crypto.hashing import hash_bytes, hash_fields
-from repro.crypto.identity import Identity, MembershipServiceProvider
-from repro.crypto.signature import Signature, sign, verify
+from repro.crypto.hashing import hash_fields
+from repro.crypto.identity import Identity
 
 __all__ = [
     "Identity",
-    "MembershipServiceProvider",
-    "Signature",
-    "hash_bytes",
     "hash_fields",
-    "sign",
-    "verify",
 ]

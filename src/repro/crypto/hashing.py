@@ -5,13 +5,6 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterable
 
-HASH_SIZE_BYTES = 32
-
-
-def hash_bytes(data: bytes) -> str:
-    """Hex SHA-256 digest of raw bytes."""
-    return hashlib.sha256(data).hexdigest()
-
 
 def hash_fields(*fields: Any) -> str:
     """Hash a tuple of primitive fields with unambiguous framing.

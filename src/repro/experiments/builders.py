@@ -1,8 +1,8 @@
 """Assembly of a complete simulated Fabric network.
 
-``build_network`` wires everything the paper's testbed had: an MSP, the
-ordering service, one or more organizations of peers with per-org leaders,
-a pluggable gossip module per peer, calibrated background traffic and the
+``build_network`` wires everything the paper's testbed had: the ordering
+service, one or more organizations of peers with per-org leaders, a
+pluggable gossip module per peer, calibrated background traffic and the
 measurement trackers. Experiments and tests build on this single entry
 point.
 """
@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Union
 
-from repro.crypto.identity import MembershipServiceProvider
+from repro.crypto.identity import Identity
 from repro.fabric.config import OrdererConfig, PeerConfig
 from repro.fabric.endorsement import EndorsementPolicy
 from repro.fabric.orderer import OrderingService
@@ -109,7 +109,6 @@ class FabricNetwork:
     sim: Simulator
     streams: RandomStreams
     network: Network
-    msp: MembershipServiceProvider
     orderer: Optional[OrderingService]
     peers: Dict[str, Peer]
     org_members: Dict[str, List[str]]
@@ -212,7 +211,7 @@ def build_network(
             first placed region (sorted) when ``org_regions`` is given.
         owned: the node names this process executes (one shard of a
             sharded run); ``None`` builds every node. A name outside
-            ``owned`` is enrolled, placed and registered on the network
+            ``owned`` is placed and registered on the network
             like any other, but its routes are a guard that raises on
             delivery, and no peer, view, gossip or background module (or
             ordering service) is built for it.
@@ -243,7 +242,6 @@ def build_network(
     sim = Simulator()
     streams = RandomStreams(seed)
     network = Network(sim, streams, network_config)
-    msp = MembershipServiceProvider()
     tracker = DisseminationTracker()
     conflicts = ConflictTracker()
 
@@ -254,7 +252,6 @@ def build_network(
     peers: Dict[str, Peer] = {}
     for org, members in org_members.items():
         for name in members:
-            identity = msp.enroll(name, org, "peer")
             if owned is not None and name not in owned:
                 network.register(name, (_FOREIGN, name))
                 continue
@@ -262,7 +259,7 @@ def build_network(
                 sim,
                 network,
                 streams,
-                identity,
+                Identity(name, org, "peer"),
                 views[name],
                 config=peer_config,
                 policy=policy,
@@ -274,7 +271,6 @@ def build_network(
                 peer.attach_background(background)
             peers[name] = peer
 
-    msp.enroll("orderer", "ordering-org", "orderer")
     orderer: Optional[OrderingService] = None
     if owned is None or "orderer" in owned:
         orderer = OrderingService(
@@ -293,7 +289,6 @@ def build_network(
         sim=sim,
         streams=streams,
         network=network,
-        msp=msp,
         orderer=orderer,
         peers=peers,
         org_members=org_members,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.crypto.identity import Identity
 from repro.experiments.builders import FabricNetwork, GossipChoice, build_network
 from repro.experiments.workloads import CounterIncrementWorkload
 from repro.fabric.chaincode import CounterIncrementChaincode
@@ -121,17 +122,15 @@ def run_conflict_experiment(config: ConflictExperimentConfig) -> ConflictResult:
             increments_per_key=config.increments_per_key,
             rng=net.streams.stream("workload:permutations"),
         )
-        client_identity = net.msp.enroll("client-0", "client-org", "client")
         client = Client(
             net.sim,
             net.network,
             net.streams,
-            client_identity,
+            Identity("client-0", "client-org", "client"),
             endorsers=[endorser_name],
             orderer=net.orderer.name,
             workload=workload,
             rate=config.tx_rate,
-            conflicts=net.conflicts,
         )
         net.start()
         client.start()

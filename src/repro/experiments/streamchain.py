@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.experiments.builders import GossipChoice, build_network
+from repro.experiments.workloads import HIGH_THROUGHPUT_CHAINCODE_ID
 from repro.fabric.config import OrdererConfig, PeerConfig, ValidationMode
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
 from repro.metrics.latency import LatencyStats
@@ -73,7 +74,7 @@ def _run(
         proposal = TransactionProposal(
             tx_id=f"stream-{index}",
             client="driver",
-            chaincode_id="high-throughput",
+            chaincode_id=HIGH_THROUGHPUT_CHAINCODE_ID,
             args=("asset", 1, index),
             rwset=ReadWriteSet(),
             created_at=net.sim.now,

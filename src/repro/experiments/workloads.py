@@ -19,9 +19,13 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.fabric.chaincode import CounterIncrementChaincode, HighThroughputAssetChaincode
+from repro.fabric.chaincode import CounterIncrementChaincode
 from repro.ledger.rwset import ReadWriteSet
 from repro.ledger.transaction import TransactionProposal
+
+# The chaincode id the paper's dissemination transactions invoke (the Fabric
+# high-throughput sample); no run executes it.
+HIGH_THROUGHPUT_CHAINCODE_ID = "high-throughput"
 
 
 def synthetic_block_transactions(tx_per_block: int, tx_size: int) -> List[TransactionProposal]:
@@ -38,7 +42,7 @@ def synthetic_block_transactions(tx_per_block: int, tx_size: int) -> List[Transa
         TransactionProposal(
             tx_id=f"synthetic-{index}",
             client="driver",
-            chaincode_id=HighThroughputAssetChaincode.chaincode_id,
+            chaincode_id=HIGH_THROUGHPUT_CHAINCODE_ID,
             args=("asset", 1, index),
             rwset=ReadWriteSet(),
             endorsements=[],

@@ -13,7 +13,6 @@ from repro.fabric.chaincode import (
     ChaincodeRegistry,
     ChaincodeStub,
     CounterIncrementChaincode,
-    HighThroughputAssetChaincode,
 )
 from repro.fabric.config import OrdererConfig, PeerConfig, ValidationMode
 from repro.fabric.endorsement import EndorsementPolicy
@@ -38,7 +37,6 @@ __all__ = [
     "EndorsementPolicy",
     "EndorsementRequest",
     "EndorsementResponse",
-    "HighThroughputAssetChaincode",
     "OrdererBlock",
     "OrdererConfig",
     "OrderingService",

@@ -7,14 +7,10 @@ endorsement and validation. Chaincodes must be deterministic: for the same
 input state and arguments they produce the same read/write sets, which is
 what allows multiple mutually untrusted endorsers to agree.
 
-Two concrete chaincodes reproduce the paper's workloads:
-
-* :class:`HighThroughputAssetChaincode`: the Fabric "high-throughput
-  network" sample [paper ref 1] — frequent updates to a crypto-asset
-  value — used for the dissemination experiments.
-* :class:`CounterIncrementChaincode`: the Table II workload — increment one
-  of 100 integers, a read-modify-write whose races produce validation-time
-  conflicts.
+:class:`CounterIncrementChaincode` is the Table II workload: increment one
+of 100 integers, a read-modify-write whose races produce validation-time
+conflicts. The dissemination experiments execute no chaincode: their
+blocks carry inert transactions (``synthetic_block_transactions``).
 """
 
 from __future__ import annotations
@@ -71,27 +67,6 @@ class Chaincode:
         stub = ChaincodeStub(store)
         self.execute(stub, args)
         return stub.rwset
-
-
-class HighThroughputAssetChaincode(Chaincode):
-    """The Fabric high-throughput sample: update an asset's value.
-
-    ``args = (asset, delta, sequence)`` records ``delta`` against the asset.
-    The sample avoids hot-key conflicts by writing delta rows under
-    transaction-unique composite keys (``asset~sequence``; the client
-    supplies the sequence, keeping execution deterministic across
-    endorsers), so this workload generates load without MVCC conflicts —
-    as in the paper's dissemination experiments, where conflicts are not
-    the metric.
-    """
-
-    chaincode_id = "high-throughput"
-
-    def execute(self, stub: ChaincodeStub, args: Tuple) -> Any:
-        asset, delta, sequence = args
-        row_key = f"{asset}~{sequence}"
-        stub.put_state(row_key, delta)
-        return row_key
 
 
 class CounterIncrementChaincode(Chaincode):

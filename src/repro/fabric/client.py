@@ -19,7 +19,6 @@ from repro.crypto.identity import Identity
 from repro.fabric.endorsement import DEFAULT_POLICY, EndorsementPolicy
 from repro.fabric.messages import EndorsementRequest, EndorsementResponse, SubmitTransaction
 from repro.ledger.transaction import TransactionProposal
-from repro.metrics.conflicts import ConflictTracker
 from repro.net.network import Network
 from repro.simulation.process import Process
 from repro.simulation.random import RandomStreams
@@ -63,7 +62,6 @@ class Client(Process):
         workload: Callable[[], Optional[Operation]],
         rate: float,
         policy: Optional[EndorsementPolicy] = None,
-        conflicts: Optional[ConflictTracker] = None,
         endorsement_timeout: float = 5.0,
         tx_size_bytes: int = 3_200,
     ) -> None:
@@ -90,7 +88,6 @@ class Client(Process):
         self.workload = workload
         self.rate = rate
         self.policy = policy or DEFAULT_POLICY
-        self.conflicts = conflicts
         self.endorsement_timeout = endorsement_timeout
         self.tx_size_bytes = tx_size_bytes
         self.stats = ClientStats()
@@ -161,8 +158,6 @@ class Client(Process):
             # Proposal-time conflict: endorsers simulated over different
             # ledger heights. The client detects it and drops the proposal.
             self.stats.proposal_time_conflicts += 1
-            if self.conflicts is not None:
-                self.conflicts.record_proposal_conflict(self.name)
             return
         rwset = pending.responses[0].rwset
         endorsements = [response.endorsement for response in pending.responses]

@@ -20,7 +20,7 @@ class EndorsementPolicy:
 
     Attributes:
         allowed_endorsers: peer names permitted to endorse; empty means any
-            certified peer.
+            peer.
         min_endorsements: minimum number of distinct endorsers.
         min_organizations: minimum number of distinct endorsing orgs.
     """

@@ -31,7 +31,7 @@ class EndorsementRequest(Message):
 
 
 class EndorsementResponse(Message):
-    """Endorsing peer -> client: rwset + signed endorsement (or refusal)."""
+    """Endorsing peer -> client: rwset + endorsement (or refusal)."""
 
     __slots__ = ("request_id", "rwset", "endorsement", "success")
 

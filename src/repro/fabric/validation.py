@@ -42,12 +42,6 @@ class BlockValidationResult:
     def invalid_count(self) -> int:
         return len(self.codes) - self.valid_count
 
-    def counts_by_code(self) -> Dict[ValidationCode, int]:
-        counts: Dict[ValidationCode, int] = {}
-        for code in self.codes:
-            counts[code] = counts.get(code, 0) + 1
-        return counts
-
 
 def validate_transaction(
     proposal: TransactionProposal,

@@ -8,7 +8,7 @@ number plus a hash; state info carries a height and a channel id.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.net.message import Message
 from repro.ledger.block import Block
@@ -173,8 +173,3 @@ class MembershipAlive(Message):
 
     def payload_size(self) -> int:
         return self.size
-
-
-def block_messages_kinds() -> List[str]:
-    """Message kinds that carry full blocks (for bandwidth breakdowns)."""
-    return ["BlockPush", "PullBlockResponse", "RecoveryResponse"]

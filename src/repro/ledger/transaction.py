@@ -1,6 +1,6 @@
 """Transactions: endorsements, proposals and validation codes.
 
-A client collects endorsements (signed read/write-set digests) from
+A client collects endorsements (endorsed read/write-set digests) from
 endorsing peers, assembles them into a transaction proposal and submits it
 to the ordering service. Peers later validate each proposal in its block:
 endorsement-policy check plus MVCC read-set check.
@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.crypto.identity import Identity
-from repro.crypto.signature import SIGNATURE_SIZE_BYTES, Signature, sign
 from repro.ledger.rwset import ReadWriteSet
+
+# Wire size of an endorser's signature (a typical ECDSA-P256 DER
+# signature). Nothing is signed: the size is all an endorsement carries of it.
+SIGNATURE_SIZE_BYTES = 72
 
 # Fabric 1.2 high-throughput sample: 50 tx ~ 160 KB => ~3.2 KB per tx on the
 # wire (args, rwset encoding, endorsement signatures, headers).
@@ -37,21 +40,18 @@ class ValidationCode(enum.Enum):
 
 @dataclass(frozen=True)
 class Endorsement:
-    """A signed statement by an endorser over a simulated rwset digest."""
+    """An endorser's statement over a simulated rwset digest."""
 
     endorser: str
     organization: str
     rwset_digest: str
-    signature: Signature
 
     @classmethod
     def create(cls, identity: Identity, rwset: ReadWriteSet) -> "Endorsement":
-        digest = rwset.digest()
         return cls(
             endorser=identity.name,
             organization=identity.organization,
-            rwset_digest=digest,
-            signature=sign(identity, digest),
+            rwset_digest=rwset.digest(),
         )
 
     @property

@@ -87,12 +87,5 @@ class BandwidthReport:
         """Total bytes carried network-wide over the run, in MB."""
         return self.monitor.totals.bytes / MB
 
-    def breakdown_by_kind(self) -> Dict[str, float]:
-        """Network-wide MB per message kind (blocks vs digests vs metadata)."""
-        return {
-            kind: size / MB
-            for kind, size in sorted(self.monitor.totals.by_kind_bytes.items())
-        }
-
     def message_counts(self) -> Dict[str, int]:
         return dict(self.monitor.totals.by_kind_messages)

@@ -1,13 +1,10 @@
 """Unit tests for hashing helpers."""
 
+import hashlib
+
 import pytest
 
-from repro.crypto.hashing import hash_bytes, hash_fields, hash_many
-
-
-def test_hash_bytes_is_sha256_hex():
-    digest = hash_bytes(b"abc")
-    assert digest == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+from repro.crypto.hashing import hash_fields, hash_many
 
 
 def test_hash_fields_deterministic():
@@ -49,3 +46,20 @@ def test_hash_many_empty_is_stable():
 
 def test_hash_fields_floats_distinct():
     assert hash_fields(1.0) != hash_fields(1.5)
+
+
+def test_hash_fields_is_sha256_over_type_length_and_value():
+    expected = hashlib.sha256(b"str" + (2).to_bytes(8, "big") + b"ab").hexdigest()
+    assert hash_fields("ab") == expected
+
+
+def test_hash_many_is_sha256_of_the_concatenated_digests():
+    a, b = hash_fields("a"), hash_fields("b")
+    assert hash_many([a, b]) == hashlib.sha256((a + b).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("value", [b"\x00", "text", True, 0, -1, 2**70, 0.5, None])
+def test_hash_fields_gives_a_sha256_hex_digest_for_every_supported_type(value):
+    digest = hash_fields(value)
+    assert len(digest) == 64
+    assert int(digest, 16) >= 0 and digest == digest.lower()

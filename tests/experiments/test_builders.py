@@ -42,10 +42,11 @@ def test_gossip_factory_dispatch():
         gossip_factory("nonsense")
 
 
-def test_peers_enrolled_in_msp():
-    net = build_network(n_peers=4, gossip=OriginalGossipConfig())
-    assert len(net.msp) == 5  # 4 peers + orderer
-    assert net.msp.lookup("peer-2").organization == "org0"
+def test_peers_carry_their_organization_identity():
+    net = build_network(n_peers=4, gossip=OriginalGossipConfig(), organizations=2)
+    identity = net.peers["peer-2"].identity
+    assert (identity.name, identity.organization, identity.role) == ("peer-2", "org0", "peer")
+    assert net.peers["peer-3"].identity.organization == "org1"
 
 
 def test_background_attached_when_configured():

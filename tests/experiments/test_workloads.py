@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.experiments.workloads import (
+    HIGH_THROUGHPUT_CHAINCODE_ID,
     CounterIncrementWorkload,
     synthetic_block_transactions,
 )
@@ -14,6 +15,17 @@ def test_synthetic_transactions_sized():
     txs = synthetic_block_transactions(50, 3_200)
     assert len(txs) == 50
     assert all(tx.size_bytes == 3_200 for tx in txs)
+
+
+def test_synthetic_transactions_are_inert_high_throughput_deltas():
+    """Each filler transaction names the high-throughput chaincode and
+    its own delta row, and carries no reads, writes or endorsements."""
+    txs = synthetic_block_transactions(5, 3_200)
+    assert HIGH_THROUGHPUT_CHAINCODE_ID == "high-throughput"
+    assert {tx.chaincode_id for tx in txs} == {HIGH_THROUGHPUT_CHAINCODE_ID}
+    assert [tx.args for tx in txs] == [("asset", 1, index) for index in range(5)]
+    assert len({tx.tx_id for tx in txs}) == 5
+    assert all(not tx.rwset and not tx.endorsements for tx in txs)
 
 
 def test_synthetic_transactions_validation():

@@ -6,7 +6,6 @@ from repro.fabric.chaincode import (
     ChaincodeRegistry,
     ChaincodeStub,
     CounterIncrementChaincode,
-    HighThroughputAssetChaincode,
 )
 from repro.ledger.kvstore import KeyValueStore, NIL_VERSION, Version
 
@@ -71,28 +70,6 @@ def test_counter_increment_over_different_heights_diverges():
     ahead.put("c1", 4, Version(2, 0))
     chaincode = CounterIncrementChaincode()
     assert chaincode.simulate(behind, ("c1",)).digest() != chaincode.simulate(ahead, ("c1",)).digest()
-
-
-def test_high_throughput_writes_unique_delta_rows():
-    store = KeyValueStore()
-    chaincode = HighThroughputAssetChaincode()
-    rwset1 = chaincode.simulate(store, ("coin", 5, 1))
-    rwset2 = chaincode.simulate(store, ("coin", 5, 2))
-    assert set(rwset1.writes) == {"coin~1"}
-    assert set(rwset2.writes) == {"coin~2"}
-
-
-def test_high_throughput_no_reads_no_conflicts():
-    store = KeyValueStore()
-    rwset = HighThroughputAssetChaincode().simulate(store, ("coin", 5, 1))
-    assert rwset.reads == {}
-    assert not rwset.conflicts_with_state(store.get_version)
-
-
-def test_high_throughput_deterministic_given_args():
-    a = HighThroughputAssetChaincode().simulate(KeyValueStore(), ("coin", 5, 9))
-    b = HighThroughputAssetChaincode().simulate(KeyValueStore(), ("coin", 5, 9))
-    assert a.digest() == b.digest()
 
 
 def test_registry_install_and_get():

@@ -2,20 +2,18 @@
 
 import pytest
 
-from repro.crypto.identity import MembershipServiceProvider
+from repro.crypto.identity import Identity
 from repro.fabric.client import Client
 from repro.fabric.messages import EndorsementResponse, SubmitTransaction
 from repro.ledger.kvstore import Version
 from repro.ledger.rwset import ReadWriteSet
 from repro.ledger.transaction import Endorsement
-from repro.metrics.conflicts import ConflictTracker
 
 from tests.conftest import routes_to
 
 
 def make_client(sim, network, streams, endorsers=("e0",), rate=10.0, workload_ops=None, **kwargs):
-    msp = MembershipServiceProvider()
-    identity = msp.enroll("client-0", "client-org", "client")
+    identity = Identity("client-0", "client-org", "client")
     operations = list(workload_ops if workload_ops is not None else [("cc", ("k",))])
 
     def workload():
@@ -36,9 +34,7 @@ def register_collector(network, name):
 
 
 def make_endorsement(rwset, name="e0"):
-    msp = MembershipServiceProvider(domain=name + "-dom")
-    identity = msp.enroll(name, "org0", "peer")
-    return Endorsement.create(identity, rwset)
+    return Endorsement.create(Identity(name, "org0", "peer"), rwset)
 
 
 def test_sends_endorsement_requests_at_rate(sim, network, streams):
@@ -89,10 +85,7 @@ def test_digest_mismatch_counts_proposal_conflict(sim, network, streams):
     inbox_e0 = register_collector(network, "e0")
     inbox_e1 = register_collector(network, "e1")
     orderer_inbox = register_collector(network, "orderer")
-    conflicts = ConflictTracker()
-    client = make_client(
-        sim, network, streams, endorsers=("e0", "e1"), rate=10.0, conflicts=conflicts
-    )
+    client = make_client(sim, network, streams, endorsers=("e0", "e1"), rate=10.0)
     client.start()
     sim.run(until=0.2)
     request = inbox_e0[0][1]
@@ -106,7 +99,6 @@ def test_digest_mismatch_counts_proposal_conflict(sim, network, streams):
     sim.run(until=1.0)
     assert orderer_inbox == []
     assert client.stats.proposal_time_conflicts == 1
-    assert conflicts.proposal_time_conflicts == 1
 
 
 def test_endorsement_timeout_drops_operation(sim, network, streams):

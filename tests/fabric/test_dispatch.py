@@ -118,9 +118,9 @@ def test_a_thousand_peers_hold_one_table_per_protocol_class_and_one_per_liar():
 
 
 def make_peer(sim, network, streams, name="peer-0"):
-    from repro.crypto.identity import MembershipServiceProvider
+    from repro.crypto.identity import Identity
 
-    identity = MembershipServiceProvider(domain=name).enroll(name, "org0", "peer")
+    identity = Identity(name, "org0", "peer")
     members = ["peer-0", "peer-1"]
     return Peer(sim, network, streams, identity, OrganizationView(name, members, members, "peer-0"))
 

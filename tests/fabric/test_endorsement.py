@@ -1,6 +1,6 @@
 """Unit tests for endorsement policies."""
 
-from repro.crypto.identity import MembershipServiceProvider
+from repro.crypto.identity import Identity
 from repro.fabric.endorsement import EndorsementPolicy
 from repro.ledger.kvstore import Version
 from repro.ledger.rwset import ReadWriteSet
@@ -8,9 +8,8 @@ from repro.ledger.transaction import Endorsement, TransactionProposal
 
 
 def make_endorsements(names_orgs, rwset):
-    msp = MembershipServiceProvider()
     return [
-        Endorsement.create(msp.enroll(name, org, "peer"), rwset)
+        Endorsement.create(Identity(name, org, "peer"), rwset)
         for name, org in names_orgs
     ]
 

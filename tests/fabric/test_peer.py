@@ -19,10 +19,9 @@ def build_peer(
     sim, network, streams, name="peer-0", org_peers=("peer-0", "peer-1", "peer-2"),
     leader="peer-0", config=None,
 ):
-    from repro.crypto.identity import MembershipServiceProvider
+    from repro.crypto.identity import Identity
 
-    msp = MembershipServiceProvider(domain=name)  # distinct domain per call
-    identity = msp.enroll(name, "org0", "peer")
+    identity = Identity(name, "org0", "peer")
     view = OrganizationView(name, list(org_peers), list(org_peers), leader)
     tracker = DisseminationTracker()
     conflicts = ConflictTracker()
@@ -44,10 +43,9 @@ def register_stub_peers(network, names):
 
 
 def test_requires_gossip_before_start(sim, network, streams):
-    from repro.crypto.identity import MembershipServiceProvider
+    from repro.crypto.identity import Identity
 
-    msp = MembershipServiceProvider()
-    identity = msp.enroll("peer-9", "org0", "peer")
+    identity = Identity("peer-9", "org0", "peer")
     view = OrganizationView("peer-9", ["peer-9", "x"], ["peer-9", "x"], "peer-9")
     peer = Peer(sim, network, streams, identity, view)
     with pytest.raises(RuntimeError):
@@ -223,14 +221,13 @@ def test_recover_resumes_and_catches_up_pipeline(sim, network, streams):
 
 def test_full_validation_counts_conflicts(sim, network, streams):
     from repro.fabric.validation import validate_block  # noqa: F401 (context)
-    from repro.crypto.identity import MembershipServiceProvider
+    from repro.crypto.identity import Identity
     from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
     from repro.ledger.transaction import Endorsement, TransactionProposal
 
     config = PeerConfig(per_tx_validation_time=0.0, validation_mode=ValidationMode.FULL)
     peer = build_peer(sim, network, streams, config=config)
-    msp = MembershipServiceProvider(domain="t")
-    endorser = msp.enroll("e0", "org0", "peer")
+    endorser = Identity("e0", "org0", "peer")
     chaincode = CounterIncrementChaincode()
     rwset = chaincode.simulate(peer.state, ("c1",))
     proposals = [
@@ -275,14 +272,14 @@ def test_a_commit_checks_the_block_once(sim, network, streams, mode):
 def test_refused_block_leaves_the_world_state_untouched(sim, network, streams):
     """A block the chain refuses (tampered, mis-linked, out of order) must
     not have been validated into the state first."""
-    from repro.crypto.identity import MembershipServiceProvider
+    from repro.crypto.identity import Identity
     from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
     from repro.ledger.chain import ChainError
     from repro.ledger.transaction import Endorsement, TransactionProposal
 
     config = PeerConfig(per_tx_validation_time=0.0, validation_mode=ValidationMode.FULL)
     peer = build_peer(sim, network, streams, config=config)
-    endorser = MembershipServiceProvider(domain="t").enroll("e0", "org0", "peer")
+    endorser = Identity("e0", "org0", "peer")
 
     def increment(key, tx_id):
         rwset = CounterIncrementChaincode().simulate(peer.state, (key,))

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.crypto.identity import MembershipServiceProvider
+from repro.crypto.identity import Identity
 from repro.fabric.chaincode import CounterIncrementChaincode
 from repro.fabric.endorsement import EndorsementPolicy
 from repro.fabric.validation import validate_block, validate_transaction
@@ -14,8 +14,7 @@ from repro.ledger.block import Block, GENESIS_PREVIOUS_HASH
 from repro.ledger.kvstore import KeyValueStore, Version
 from repro.ledger.transaction import Endorsement, TransactionProposal, ValidationCode
 
-MSP = MembershipServiceProvider()
-ENDORSER = MSP.enroll("endorser-0", "org0", "peer")
+ENDORSER = Identity("endorser-0", "org0", "peer")
 POLICY = EndorsementPolicy.any_single()
 
 
@@ -128,14 +127,12 @@ def test_result_counters_and_breakdown():
     result = validate_block(Block.create(0, GENESIS_PREVIOUS_HASH, [good, bad]), store, POLICY)
     assert result.valid_count == 1
     assert result.invalid_count == 1
-    counts = result.counts_by_code()
-    assert counts[ValidationCode.VALID] == 1
-    assert counts[ValidationCode.MVCC_READ_CONFLICT] == 1
+    assert result.codes == [ValidationCode.VALID, ValidationCode.MVCC_READ_CONFLICT]
 
 
 # ----- validate once, replay everywhere (the memo on the block) ---------------
 
-OUTSIDER = MSP.enroll("outsider-0", "org9", "peer")
+OUTSIDER = Identity("outsider-0", "org9", "peer")
 STRICT = EndorsementPolicy.specific(["endorser-0"])
 
 

@@ -14,7 +14,6 @@ from repro.gossip.messages import (
     RecoveryRequest,
     RecoveryResponse,
     StateInfo,
-    block_messages_kinds,
 )
 
 from tests.conftest import make_block, make_chain
@@ -76,9 +75,3 @@ def test_small_control_messages():
     assert PullDigestRequest().payload_size() <= 16
     assert PushRequest(1, 2).payload_size() <= 16
     assert PullBlockRequest([1, 2, 3]).payload_size() < 100
-
-
-def test_block_carrying_kinds():
-    kinds = block_messages_kinds()
-    assert "BlockPush" in kinds
-    assert "PushDigest" not in kinds

@@ -1,10 +1,18 @@
 """Unit tests for transactions and endorsements."""
 
-from repro.crypto.identity import MembershipServiceProvider
-from repro.crypto.signature import verify
+import pytest
+
+from repro.crypto.identity import Identity
+from repro.fabric.messages import EndorsementResponse, SubmitTransaction
 from repro.ledger.kvstore import Version
 from repro.ledger.rwset import ReadWriteSet
-from repro.ledger.transaction import Endorsement, TransactionProposal, ValidationCode
+from repro.ledger.transaction import (
+    DEFAULT_TX_SIZE_BYTES,
+    SIGNATURE_SIZE_BYTES,
+    Endorsement,
+    TransactionProposal,
+    ValidationCode,
+)
 
 
 def make_rwset(version=Version(0, 0)):
@@ -15,15 +23,50 @@ def make_rwset(version=Version(0, 0)):
 
 
 def make_endorser(name="endorser-0"):
-    return MembershipServiceProvider().enroll(name, "org0", "peer")
+    return Identity(name, "org0", "peer")
 
 
-def test_endorsement_signs_rwset_digest():
+def test_endorsement_carries_the_rwset_digest():
     identity = make_endorser()
     rwset = make_rwset()
     endorsement = Endorsement.create(identity, rwset)
     assert endorsement.rwset_digest == rwset.digest()
-    assert verify(identity, rwset.digest(), endorsement.signature)
+    assert endorsement.endorser == "endorser-0"
+
+
+def test_endorsement_wire_size_is_pinned():
+    """A 72 B signature plus 64 B of identity/digest framing: the wire
+    size every endorsement response and transaction is charged."""
+    assert Endorsement.create(make_endorser(), make_rwset()).size_bytes == 136
+
+
+def test_signature_size_constant():
+    """Typical ECDSA-P256 DER signature size; 64 B of framing on top."""
+    assert SIGNATURE_SIZE_BYTES == 72
+    assert Endorsement.create(make_endorser(), make_rwset()).size_bytes == SIGNATURE_SIZE_BYTES + 64
+
+
+@pytest.mark.parametrize("reads, writes", [(0, 0), (1, 0), (2, 3)])
+def test_endorsement_response_charges_48_bytes_per_rwset_entry(reads, writes):
+    rwset = ReadWriteSet()
+    for index in range(reads):
+        rwset.record_read(f"r{index}", Version(0, 0))
+    for index in range(writes):
+        rwset.record_write(f"w{index}", index)
+    endorsement = Endorsement.create(make_endorser(), rwset)
+    response = EndorsementResponse("req-0", rwset, endorsement)
+    assert response.payload_size() == 256 + 48 * (reads + writes) + 136
+
+
+def test_endorsement_response_and_submission_payload_sizes_are_pinned():
+    rwset = make_rwset()  # one read, one write
+    endorsement = Endorsement.create(make_endorser(), rwset)
+    assert EndorsementResponse("req-0", rwset, endorsement).payload_size() == 256 + 2 * 48 + 136
+    proposal = TransactionProposal(
+        tx_id="t1", client="c", chaincode_id="cc", args=(), rwset=rwset,
+        endorsements=[endorsement],
+    )
+    assert SubmitTransaction(proposal).payload_size() == DEFAULT_TX_SIZE_BYTES == 3_200
 
 
 def test_endorsement_carries_org():
@@ -42,9 +85,8 @@ def test_proposal_consistent_endorsements():
 
 
 def test_proposal_detects_digest_mismatch():
-    msp = MembershipServiceProvider()
-    e1 = msp.enroll("e1", "org0", "peer")
-    e2 = msp.enroll("e2", "org0", "peer")
+    e1 = Identity("e1", "org0", "peer")
+    e2 = Identity("e2", "org0", "peer")
     rwset_new = make_rwset(Version(1, 0))
     rwset_old = make_rwset(Version(0, 0))  # endorser behind by one block
     proposal = TransactionProposal(
@@ -73,12 +115,11 @@ def test_proposal_rwset_must_match_endorsed_digest():
 
 
 def test_endorsing_organizations_deduplicated():
-    msp = MembershipServiceProvider()
     rwset = make_rwset()
     endorsements = [
-        Endorsement.create(msp.enroll("e1", "org0", "peer"), rwset),
-        Endorsement.create(msp.enroll("e2", "org0", "peer"), rwset),
-        Endorsement.create(msp.enroll("e3", "org1", "peer"), rwset),
+        Endorsement.create(Identity("e1", "org0", "peer"), rwset),
+        Endorsement.create(Identity("e2", "org0", "peer"), rwset),
+        Endorsement.create(Identity("e3", "org1", "peer"), rwset),
     ]
     proposal = TransactionProposal(
         tx_id="t1", client="c", chaincode_id="cc", args=(), rwset=rwset,

@@ -59,13 +59,11 @@ def test_network_total_mb():
     assert report.network_total_mb() == pytest.approx(25.0)
 
 
-def test_breakdown_and_counts_by_kind():
+def test_counts_by_kind():
     monitor = TrafficMonitor()
     monitor.record_multicast(0.0, "a", ("b",), "BlockPush", 2_000_000)
     monitor.record_multicast(0.0, "a", ("b",), "PushDigest", 1_000)
     report = BandwidthReport(monitor)
-    breakdown = report.breakdown_by_kind()
-    assert breakdown["BlockPush"] == pytest.approx(2.0)
     assert report.message_counts() == {"BlockPush": 1, "PushDigest": 1}
 
 

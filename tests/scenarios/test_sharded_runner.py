@@ -130,11 +130,17 @@ def test_shard_session_rejects_foreign_delivery():
             session.handle(("window", 0.01, [record]))
 
 
-def test_a_shard_builds_only_the_peers_it_executes():
-    """Foreign nodes are names: enrolled, placed and guard-registered,
-    with no peer, view or gossip module built for them."""
-    spec = _tiny_spec()
+@pytest.mark.parametrize("topology", [None, RegionTopology(regions=("east", "west"))])
+def test_a_shard_builds_only_the_peers_it_executes(topology):
+    """Foreign nodes are names: placed and guard-registered, with no
+    identity, peer, view or gossip module built for them."""
+    from repro.experiments.builders import _FOREIGN
+    from repro.experiments.dissemination import deploy
+    from repro.scenarios.runner import dissemination_config
+
+    spec = _tiny_spec(organizations=2, topology=topology)
     plan = plan_for(spec, shards=2)
+    whole = deploy(dissemination_config(spec, seed=1))
     for shard_id in range(2):
         session = ShardSession(spec, 1, plan, shard_id)
         net = session.net
@@ -143,19 +149,26 @@ def test_a_shard_builds_only_the_peers_it_executes():
         assert (net.orderer is not None) == ("orderer" in owned)
         assert net.n_peers == spec.n_peers
         assert net.peer_names == sorted(plan.owner_of.keys() - {"orderer"})
-        assert all(name in net.network for name in plan.owner_of)
-        assert all(net.msp.is_certified(name) for name in plan.owner_of)
+        assert net.network.regions == whole.network.regions
+        if topology is not None:
+            assert set(net.network.regions) == set(plan.owner_of)
+        for name in plan.owner_of:
+            assert name in net.network
+            routes = net.network._routes[name]
+            assert (routes == (_FOREIGN, name)) == (name not in owned), name
 
 
 def test_a_shard_session_holds_a_fraction_of_a_whole_deployment():
     """A two-shard session builds half the peers, so it holds half a
     whole deployment's memory plus what every shard holds whole: the
-    replicated membership (every node's name, 64 B identity and route
-    entry, and a 56 B ``(guard table, name)`` route tuple per foreign
-    node) and the timer wheel's armed slots, which the peers' start
-    phases fill in both. That excess is bounded per node: 244 B measured
-    at 400 peers, bounded at 270 B (a bound on the ratio, ``shard < 0.6 *
-    whole``, tightened by itself as the per-peer bytes fell). A session
+    replicated membership (every node's name and route entry, and a 56 B
+    ``(guard table, name)`` route tuple per foreign node; a foreign node
+    has no identity) and the timer wheel's armed slots, which the peers'
+    start phases fill in both. That excess is bounded per node: 195 B
+    measured at 400 peers (244 B while every shard enrolled every node's
+    identity in a registry), bounded at 270 B (a bound on the ratio,
+    ``shard < 0.6 * whole``, tightened by itself as the per-peer bytes
+    fell). A session
     that also builds never-started replicas of the other half holds
     990 B per node over half (0.80 of a whole deployment when that bound
     was set).
