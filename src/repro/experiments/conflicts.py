@@ -120,7 +120,7 @@ def run_conflict_experiment(config: ConflictExperimentConfig) -> ConflictResult:
         workload = CounterIncrementWorkload(
             keys=config.keys,
             increments_per_key=config.increments_per_key,
-            rng=net.streams.stream("workload:permutations"),
+            rng=net.streams.buffered("workload:permutations", net.sim),
         )
         client = Client(
             net.sim,

@@ -31,10 +31,8 @@ Operation = Tuple[str, tuple]
 class ClientStats:
     """Submission accounting for one client."""
 
-    operations_started: int = 0
     proposals_submitted: int = 0
     proposal_time_conflicts: int = 0
-    endorsement_timeouts: int = 0
 
 
 @dataclass
@@ -119,7 +117,6 @@ class Client(Process):
             return
         chaincode_id, args = operation
         request_id = f"req-{self.name}-{next(Client._request_ids)}"
-        self.stats.operations_started += 1
         self._pending[request_id] = _PendingOperation(
             chaincode_id=chaincode_id,
             args=args,
@@ -131,9 +128,7 @@ class Client(Process):
         self.after(self.endorsement_timeout, self._expire, request_id)
 
     def _expire(self, request_id: str) -> None:
-        if request_id in self._pending:
-            del self._pending[request_id]
-            self.stats.endorsement_timeouts += 1
+        self._pending.pop(request_id, None)
 
     # ----- collection ----------------------------------------------------------
 

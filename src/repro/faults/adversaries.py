@@ -22,11 +22,11 @@ one-way link filter on ``faults:flaky:<src>`` streams
 (:mod:`repro.faults.schedule`).
 
 RNG-stream contract (docs/faults.md): every probabilistic adversary draws
-from dedicated **per-source** streams (``faults:lazy:<src>``,
-``faults:liar:<name>``) via
-:class:`~repro.faults.injectors.PerSourceStreams`. Drop decisions happen
-at send time on the sender's shard and digest lies happen on the liar's
-own delivery path, so every adversary here composes with process
+from dedicated **per-source** streams: ``faults:lazy:<src>`` via
+:class:`~repro.faults.injectors.PerSourceStreams`, and each liar's
+buffered ``faults:liar:<name>`` for its view sampling. Drop decisions
+happen at send time on the sender's shard and digest lies happen on the
+liar's own delivery path, so every adversary here composes with process
 sharding bit-for-bit (docs/sharding.md). :class:`EclipseFault` draws no
 randomness at all, and neither does a lazy forwarder at ``drop_prob=1.0``.
 """
@@ -118,7 +118,7 @@ class DigestLiarFault(DropFault):
             raise ValueError(f"digest-liar fault names unknown peers: {unknown}")
         self.lie_fanout = lie_fanout
         self.lies_told = 0
-        self._rng_for = PerSourceStreams(streams, "faults:liar")
+        self._streams = streams
         super().__init__(network, active)
         for name in sorted(self.liars):
             if name in peers:
@@ -136,7 +136,7 @@ class DigestLiarFault(DropFault):
                 "digest liars need the enhanced module"
             )
         index, honest = route
-        rng = self._rng_for(peer.name)
+        rng = self._streams.buffered(f"faults:liar:{peer.name}", self._network.sim)
         view = peer.view
 
         def lying_on_digest(push, src: str, message: PushDigest) -> None:

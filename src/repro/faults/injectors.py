@@ -2,36 +2,38 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence, Set
 
 from repro.gossip.messages import BlockPush
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.simulation.random import RandomStreams
+from repro.simulation.random import RandomStreams, Uniform
 
 
 class PerSourceStreams:
-    """Lazily keyed per-source RNG streams: ``<prefix>:<src>``.
+    """Lazily keyed per-source uniform sources: ``<prefix>:<src>``.
 
     The sharding determinism contract (docs/sharding.md) requires every
     random draw to be keyed to a single node so the draw sequence depends
     only on that node's own event order. Drop draws happen at send time
     on the sender's shard, so keying them by *source* makes any
-    probabilistic injector shard-safe. The per-source ``Random`` objects
-    are cached here so the hot predicate path costs one dict probe.
+    probabilistic injector shard-safe. The per-source
+    :class:`~repro.simulation.random.Uniform` sources are cached here so
+    the hot predicate path costs one dict probe; a caller draws
+    ``rng_for(src).random()``, which reads the source's current draw,
+    live once promoted.
     """
 
     def __init__(self, streams: RandomStreams, prefix: str) -> None:
         self._streams = streams
         self._prefix = prefix
-        self._cache: Dict[str, random.Random] = {}
+        self._cache: Dict[str, Uniform] = {}
 
-    def __call__(self, src: str) -> random.Random:
+    def __call__(self, src: str) -> Uniform:
         rng = self._cache.get(src)
         if rng is None:
-            rng = self._cache[src] = self._streams.stream(f"{self._prefix}:{src}")
+            rng = self._cache[src] = self._streams.uniform(f"{self._prefix}:{src}")
         return rng
 
 

@@ -20,7 +20,6 @@ from repro.fabric.validation import BlockValidationResult
 class ConflictTracker:
     """Aggregates validation outcomes across the network."""
 
-    valid_transactions: int = 0
     invalidated_transactions: int = 0
     _seen_blocks: Set[int] = field(default_factory=set)
     # How each (peer, block) verdict was reached: by running the checks, or
@@ -39,5 +38,4 @@ class ConflictTracker:
         if result.block_number in self._seen_blocks:
             return
         self._seen_blocks.add(result.block_number)
-        self.valid_transactions += result.valid_count
         self.invalidated_transactions += result.invalid_count

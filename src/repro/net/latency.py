@@ -99,7 +99,10 @@ class LatencyModel:
         attribute lookups out of the per-message path. Bound samplers
         MUST draw from ``rng`` exactly like :meth:`sample` — the
         determinism contract compares metrics bit-for-bit across
-        refactors.
+        refactors — and through its ``random()`` alone: the network binds
+        the sender's :class:`~repro.simulation.random.Uniform` source,
+        reading its ``random`` once here, and binds again, to the live
+        generator, when the source is promoted.
         """
         return lambda src, dst: self.sample(rng, src, dst)
 

@@ -213,6 +213,8 @@ class Network:
         # single-process run does (docs/sharding.md).
         self._ports: Dict[str, list] = {}
         self._queue_stats: Dict[str, List[float]] = {}
+        # Every source's promotion hook, bound once rather than per sender.
+        self._rebind = self._promoted
         # Process-sharded execution (repro.scenarios.sharded): when a
         # shard owns only a subset of the nodes, copies to foreign
         # destinations get their full send-side physics here and are
@@ -324,28 +326,46 @@ class Network:
     def _open_port(self, src: str) -> list:
         """Create ``src``'s sender state on its first send.
 
-        The latency sampler is bound to the per-source stream
+        The latency sampler draws from the per-source uniform source
         ``network:latency:<src>`` and, with a live link, CoDel draws come
         from ``network:queue:<src>``: every send path of one source
-        consumes the same two generators in call order — the per-source
-        form of the RNG-order contract (docs/networking.md).
+        consumes the same two streams in call order — the per-source form
+        of the RNG-order contract (docs/networking.md). Each is bound to
+        its source's first draw callable; when the source is promoted,
+        the port slot is rebound to its live generator.
         """
         streams = self._streams
-        sample = self._latency_model.bind(streams.stream(f"network:latency:{src}"))
+        latency = streams.uniform(f"network:latency:{src}")
+        latency.rebind = self._rebind
+        sample = self._latency_model.bind(latency)
         if self._link is None:
             port = [0.0, sample, None, None, None]
         else:
             stats = self._queue_stats[src] = new_queue_stats()
-            uniform = streams.stream(f"network:queue:{src}").random
-            port = [0.0, sample, [0.0, 0.0, 0.0, 0.0], uniform, stats]
+            queue = streams.uniform(f"network:queue:{src}")
+            queue.rebind = self._rebind
+            port = [0.0, sample, [0.0, 0.0, 0.0, 0.0], queue.random, stats]
         self._ports[src] = port
         return port
 
-    def latency_rng(self, src: str):
-        """The raw per-source latency stream (tests probe its position)."""
+    def _promoted(self, name: str, live) -> None:
+        """Rebind the port slot that drew from the promoted source ``name``
+        (``network:<purpose>:<src>``) to its live generator: the latency
+        sampler, or the queue draw."""
+        _, purpose, src = name.split(":", 2)
+        port = self._ports[src]
+        if purpose == "latency":
+            port[1] = self._latency_model.bind(live)
+        else:
+            port[3] = live.random
+
+    def uniform(self, src: str, purpose: str):
+        """``src``'s uniform source ``network:<purpose>:<src>`` (``latency``
+        or ``queue``): tests probe a sender's stream position by its next
+        draws, ``network.uniform(src, "latency").random()``."""
         if src not in self._ports:
             self._open_port(src)
-        return self._streams.stream(f"network:latency:{src}")
+        return self._streams.uniform(f"network:{purpose}:{src}")
 
     def queue_accounting(self) -> Dict[str, List[float]]:
         """Per-source link-queue accounting records (see

@@ -11,22 +11,35 @@ component that owns it. Seeds derive from ``(master_seed, name)`` alone,
 so which owner draws first — or whether one ever does — cannot move
 another stream's sequence.
 
-A stream is kept in one of two ways:
+No stream holds a live 2.5 KB Mersenne-Twister state while it is idle.
+Each is its seed plus the draws it has made ahead and not handed out yet,
+and each is *promoted* to a live :class:`Stream` once it runs hot; either
+way it draws exactly what a ``random.Random`` of its seed would, draw for
+draw. It comes in one of two shapes, by what its owner draws:
 
-* *dense* — a :class:`Stream`, a live 2.5 KB Mersenne-Twister state:
-  ``network:latency:*``, ``network:queue:*``, ``faults:*`` and
-  ``workload:*``, which the network kernels draw per copy through bound C
-  methods (:meth:`RandomStreams.stream`);
-* *buffered* — a :class:`Buffered`, every stream a process draws from
-  (:meth:`repro.simulation.process.Process.rng`): push targets, recovery,
-  pull, background traffic and the leaders' first gossipers. It is its
-  seed, the next few 32-bit words of the Mersenne-Twister sequence and
-  the index just past them, refilled from the seed when spent. Most such streams draw a few times and go idle,
-  or a few words every few seconds, and cost ~0.3 KB instead of 2.5 KB;
-  one that spends its fills fast (push targets while blocks spread) is
-  *promoted* to a live :class:`Stream`, which its owner then draws from
-  directly. Either way it draws exactly what a :class:`Stream` of the
-  same name would.
+* :class:`Uniform` (:meth:`RandomStreams.uniform`) — streams whose owners
+  call ``random()`` and nothing else: ``network:latency:*`` and
+  ``network:queue:*``, which the network kernels draw per copy through a
+  C-level callable, and the drop faults' ``faults:lazy:*``,
+  ``faults:degrade:*`` and ``faults:flaky:*``. It holds one fill of
+  :data:`UNIFORM_FILL` pre-drawn floats and is promoted when that fill is
+  spent;
+* :class:`Buffered` (:meth:`RandomStreams.buffered`) — every stream a
+  process draws from (:meth:`repro.simulation.process.Process.rng`: push
+  targets, recovery, pull, background traffic, the leaders' first
+  gossipers) and the few others that sample or shuffle
+  (``faults:liar:*``, ``workload:permutations``). It holds the next few
+  32-bit words of its sequence, refilled from the seed when spent, and is
+  promoted when it spends a :data:`LAST_FILL` fill within
+  :data:`HOT_SPAN` simulated seconds.
+
+A fill is made by re-seeding one shared scratch generator and advancing
+it past what the stream drew before (:func:`_scratch_at`); a promotion
+seeds a :class:`Stream` of its own and advances it the same way
+(:func:`_live_at`). A promoted stream rebinds whoever asked to be told
+(a :class:`Buffered` stream's ``owner``, a :class:`Uniform` one's
+``rebind``), so a hot stream's owner draws from the live generator
+directly.
 """
 
 from __future__ import annotations
@@ -36,8 +49,9 @@ import hashlib
 import random
 import sys
 from array import array
+from itertools import chain, repeat
 from math import ceil, log
-from typing import Dict, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -52,15 +66,40 @@ LAST_FILL = 64
 #: enhanced push and background streams take 0.3-8 s; recovery, pull, the
 #: leaders' and the original push streams take 25-81 s and stay buffered.
 HOT_SPAN = 16.0
+#: Floats in a uniform source's one fill; spending them promotes it. On a
+#: 3,000-peer one-block run 92% of the senders' latency streams draw at
+#: most 96 (p50 72) and so never hold a generator, while a fill is 768 B
+#: against the 2.5 KB state (docs/performance.md, "Uniform sources").
+UNIFORM_FILL = 96
 
 # The C methods a fill re-seeds and reads the scratch generator with.
 _seed_in_place = _random.Random.seed
 _next_bits = _random.Random.getrandbits
+_next_float = _random.Random.random
 # The generator every fill re-seeds and reads: it carries nothing over.
 _SCRATCH = _random.Random(0)
 # The buffer of a stream that has not drawn yet or has been promoted.
 _NO_WORDS = array("I")
 _BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _scratch_at(seed: int, words: int) -> _random.Random:
+    """The shared scratch generator, re-seeded with ``seed`` and advanced
+    past its first ``words`` 32-bit words: where a fill starts."""
+    scratch = _SCRATCH
+    _seed_in_place(scratch, seed)
+    if words:
+        _next_bits(scratch, 32 * words)
+    return scratch
+
+
+def _live_at(seed: int, words: int) -> "Stream":
+    """A live generator of ``seed`` past its first ``words`` 32-bit words:
+    what a promoted stream draws from."""
+    live = Stream(seed)
+    if words:
+        _next_bits(live, 32 * words)
+    return live
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -76,9 +115,9 @@ def derive_seed(master_seed: int, name: str) -> int:
 
 class Stream(random.Random):
     """A :class:`random.Random` that is its generator state and nothing
-    more: the slot holds the one attribute ``Random`` sets, so no stream
-    carries an instance ``__dict__`` (~330 B each, over 3,000 dense
-    streams at 3,000 peers). Draws, ``getstate()``, pickling and
+    more, what a promoted stream draws from: the slot holds the one
+    attribute ``Random`` sets, so no live generator carries an instance
+    ``__dict__`` (~330 B each). Draws, ``getstate()``, pickling and
     ``deepcopy`` are those of ``random.Random``."""
 
     __slots__ = ("gauss_next",)
@@ -161,17 +200,13 @@ class Buffered:
         if size > LAST_FILL:
             size = LAST_FILL
             if now - self.filled_at < HOT_SPAN:
-                live = self._live = Stream(self.seed)
-                _next_bits(live, 32 * index)
+                live = self._live = _live_at(self.seed, index)
                 self.words = _NO_WORDS
                 if self.owner is not None:
                     self.owner._rng = live
                 return
         self.filled_at = now
-        scratch = _SCRATCH
-        _seed_in_place(scratch, self.seed)
-        if index:
-            _next_bits(scratch, 32 * index)
+        scratch = _scratch_at(self.seed, index)
         # The first word drawn is the least significant: big-endian bytes
         # put it last, where pop() takes it first.
         words = self.words = array("I", _next_bits(scratch, 32 * size).to_bytes(4 * size, "big"))
@@ -180,37 +215,84 @@ class Buffered:
         self.index = index + size
 
 
+class Uniform:
+    """A stream whose owners call ``random()`` and nothing else: its seed
+    and one fill of its first :data:`UNIFORM_FILL` floats, until that is
+    spent.
+
+    ``random`` is the draw. At first it is the ``__next__`` of an
+    ``itertools.chain`` over this object, a C callable the network kernels
+    call per copy: the chain asks :meth:`__next__` for the fill at the
+    first draw, hands its floats out in order and asks again when they are
+    spent. The source is then promoted to a live :class:`Stream` past the
+    fill: ``random`` becomes the generator's bound ``random``, the
+    generator replaces this object in its registry and, when ``rebind`` is
+    set, ``rebind(name, live)`` lets the owner rebind what it bound to the
+    first callable (a network port, :meth:`repro.net.network.Network.
+    _open_port`), so a hot stream is held as a generator alone. A caller
+    still holding the first callable keeps drawing, through the chain,
+    from the live generator: whichever it holds, it draws what
+    ``random.Random(seed).random()`` gives, in order.
+    """
+
+    __slots__ = ("seed", "index", "random", "rebind", "name", "_registry")
+
+    def __init__(self, seed: int, name: str, registry: dict) -> None:
+        self.seed = seed
+        # Floats drawn ahead: 0 before the fill, its size once made.
+        self.index = 0
+        self.rebind: Optional[Callable[[str, Stream], None]] = None
+        self.name = name
+        self._registry = registry
+        self.random: Callable[[], float] = chain.from_iterable(self).__next__
+
+    def __iter__(self) -> "Uniform":
+        return self
+
+    def __next__(self) -> Iterable[float]:
+        """What the chain draws from next: the fill, then, once it is
+        spent, the promoted generator."""
+        index = self.index
+        if not index:
+            size = self.index = UNIFORM_FILL
+            # Through a list: an array extended from an iterator over-allocates.
+            return array("d", list(map(_next_float, repeat(_scratch_at(self.seed, 0), size))))
+        # random() reads two 32-bit words.
+        live = self._registry[self.name] = _live_at(self.seed, 2 * index)
+        draw = self.random = live.random
+        if self.rebind is not None:
+            self.rebind(self.name, live)
+        return iter(draw, None)
+
+
 class RandomStreams:
-    """Factory and registry of named streams: dense :class:`Stream`
-    generators and :class:`Buffered` ones."""
+    """Factory and registry of named streams: :class:`Uniform` sources and
+    :class:`Buffered` streams."""
 
     def __init__(self, master_seed: int = 0) -> None:
         self._master_seed = master_seed
-        self._streams: Dict[str, Union[Stream, Buffered]] = {}
+        self._streams: Dict[str, Union[Uniform, Stream, Buffered]] = {}
 
     @property
     def master_seed(self) -> int:
         return self._master_seed
 
-    def stream(self, name: str) -> Stream:
-        """Return the dense stream registered under ``name``, creating it
-        lazily."""
-        rng = self._streams.get(name)
+    def uniform(self, name: str) -> Union[Uniform, Stream]:
+        """Return the uniform source registered under ``name``, creating it
+        lazily: a :class:`Uniform`, or the :class:`Stream` it was promoted
+        to. Either draws the stream's next float with ``random()``."""
+        streams = self._streams
+        rng = streams.get(name)
         if rng is None:
-            rng = self._streams[name] = Stream(derive_seed(self._master_seed, name))
-        elif type(rng) is not Stream:
-            raise TypeError(f"stream {name!r} is buffered: draw from buffered({name!r})")
+            rng = streams[name] = Uniform(derive_seed(self._master_seed, name), name, streams)
         return rng
 
     def buffered(self, name: str, clock) -> Buffered:
         """Return the buffered stream registered under ``name``, creating
-        it lazily; ``clock.now`` (the simulator) times its fills. It draws
-        what ``stream(name)`` would, draw for draw."""
+        it lazily; ``clock.now`` (the simulator) times its fills."""
         rng = self._streams.get(name)
         if rng is None:
             rng = self._streams[name] = Buffered(derive_seed(self._master_seed, name), clock)
-        elif type(rng) is not Buffered:
-            raise TypeError(f"stream {name!r} is dense: draw from stream({name!r})")
         return rng
 
     def __contains__(self, name: str) -> bool:

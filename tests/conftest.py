@@ -206,6 +206,15 @@ class DropWhen(DropFault):
         return self._drop(src, dst, message)
 
 
+def next_draws(network: Network, purpose: str, names, count: int = 3) -> List[List[float]]:
+    """The next ``count`` draws of every named sender's
+    ``network:<purpose>:<name>`` stream (``latency`` or ``queue``): a
+    stream-position probe. Two runs that left each such stream at the same
+    position give equal lists; one that drew one float more or fewer from
+    any of them does not."""
+    return [[network.uniform(name, purpose).random() for _ in range(count)] for name in names]
+
+
 @contextmanager
 def node_names_interned(n_peers: int) -> Iterator[List[str]]:
     """Hold the interned names of an ``n_peers`` deployment's nodes.

@@ -1,14 +1,19 @@
 """Unit tests for network assembly."""
 
 import gc
+import inspect
 import tracemalloc
 
 import pytest
 
 from repro.experiments.builders import build_network, gossip_factory
+from repro.experiments.workloads import synthetic_block_transactions
 from repro.gossip.config import BackgroundTrafficConfig, EnhancedGossipConfig, OriginalGossipConfig
 from repro.gossip.enhanced import EnhancedGossip
 from repro.gossip.original import OriginalGossip
+from repro.net.network import Network
+from repro.simulation import random as random_streams
+from repro.simulation._core import kernels
 from repro.simulation.random import Buffered, Stream
 
 from tests.conftest import FakeHost, node_names_interned
@@ -140,18 +145,20 @@ def test_a_built_original_peer_costs_its_protocol_state():
 
 @pytest.mark.parametrize(
     "gossip, bound",
-    [(EnhancedGossipConfig.paper_f4(), 7_200), (OriginalGossipConfig(), 7_900)],
+    [(EnhancedGossipConfig.paper_f4(), 5_000), (OriginalGossipConfig(), 5_600)],
     ids=["enhanced", "original"],
 )
 def test_a_started_peer_holds_no_generator_but_its_latency_stream(gossip, bound):
     """A started peer's streams (recovery, and pull in the original
     module) draw a few words every few seconds and stay buffered: after
     12 simulated seconds of 500 started peers, every live generator in
-    the registry is a ``network:*`` one. A started peer holds 6.6 KB
-    (enhanced) or 7.2 KB (original): its built state, its per-source
-    latency stream, its timers and its buffered streams (9.1 KB and
-    12.2 KB with a live generator per stream; 7.8 KB and 8.2 KB with 256
-    of them shared by replay)."""
+    the registry is a promoted ``network:latency:*`` one, and most
+    latency streams still hold their fill instead. A started peer holds
+    4.6 KB (enhanced) or 5.1 KB (original): its built state, its
+    per-source latency stream, its timers and its buffered streams (6.6
+    KB and 7.2 KB with a live generator per latency stream; 9.1 KB and
+    12.2 KB with one per stream; 7.8 KB and 8.2 KB with 256 of them
+    shared by replay)."""
     build_network(n_peers=4, gossip=gossip, seed=1).start()  # imports, caches
     with node_names_interned(500):
         gc.collect()
@@ -164,11 +171,56 @@ def test_a_started_peer_holds_no_generator_but_its_latency_stream(gossip, bound)
         finally:
             tracemalloc.stop()
     streams = net.streams._streams
-    buffered = [name for name, rng in streams.items() if type(rng) is Buffered]
+    buffered = [rng for rng in streams.values() if type(rng) is Buffered]
     assert len(buffered) == net.n_peers * (1 if isinstance(gossip, EnhancedGossipConfig) else 2)
-    generators = [name for name, rng in streams.items() if type(rng) is Stream or rng._live]
-    assert generators and all(name.startswith("network:") for name in generators)
+    assert not any(rng._live for rng in buffered)
+    generators = [name for name, rng in streams.items() if type(rng) is Stream]
+    assert all(name.startswith("network:latency:") for name in generators)
+    assert len(generators) < net.n_peers / 10
     assert per_peer <= bound
+
+
+def test_a_cold_sender_holds_its_network_streams_in_under_1_3_kb():
+    """A sender whose latency stream has not spent its fill holds the fill,
+    not a generator. Over a one-block, no-background deployment of 300
+    peers in which no sender draws past its fill, the bytes traced to the
+    stream registry (``simulation/random.py``) from a sender's port or from
+    a kernel's draw — the source, its seed, chain and fill, its registry
+    slot — come to 1,151 B per sender, against 2,568 B with a generator
+    per sender from its first send."""
+    lines, first = inspect.getsourcelines(Network._open_port)
+    port_file, port_lines = Network._open_port.__code__.co_filename, range(first, first + len(lines))
+    kernel_file = kernels.fan_out.__code__.co_filename
+    random_file = random_streams.derive_seed.__code__.co_filename
+
+    def from_a_port_or_a_kernel(trace):
+        frames = trace.traceback  # oldest first
+        return frames[-1].filename == random_file and any(
+            frame.filename == kernel_file
+            or (frame.filename == port_file and frame.lineno in port_lines)
+            for frame in frames
+        )
+
+    gossip = EnhancedGossipConfig(fout=4, ttl=6, ttl_direct=2)
+    build_network(n_peers=4, gossip=gossip, seed=1).start()  # imports, caches
+    with node_names_interned(300):
+        gc.collect()
+        tracemalloc.start(12)
+        try:
+            net = build_network(n_peers=300, gossip=gossip, seed=1)
+            net.start()
+            txs = synthetic_block_transactions(50, 3_200)
+            net.sim.schedule_at(1.0, net.orderer.emit_block, txs)
+            net.sim.run(until=6.0)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+    senders = len(net.network._ports)
+    traced = sum(trace.size for trace in snapshot.traces if from_a_port_or_a_kernel(trace))
+    assert traced / senders <= 1_300
+    assert all(peer.get_block(0) is not None for peer in net.peers.values())
+    latency = [rng for name, rng in net.streams._streams.items() if name.startswith("network:")]
+    assert len(latency) == senders and all(type(rng) is random_streams.Uniform for rng in latency)
 
 
 @pytest.mark.parametrize(

@@ -43,18 +43,20 @@ def test_sends_endorsement_requests_at_rate(sim, network, streams):
     client = make_client(sim, network, streams, rate=5.0, workload_ops=[("cc", (1,)), ("cc", (2,))])
     client.start()
     sim.run(until=1.0)
-    assert len(inbox) == 2
-    assert client.stats.operations_started == 2
+    assert [(request.chaincode_id, request.args) for _, request in inbox] == [
+        ("cc", (1,)),
+        ("cc", (2,)),
+    ]
 
 
 def test_workload_exhaustion_stops_issuing(sim, network, streams):
-    register_collector(network, "e0")
+    inbox = register_collector(network, "e0")
     register_collector(network, "orderer")
     client = make_client(sim, network, streams, rate=10.0, workload_ops=[("cc", (1,))])
     client.start()
     sim.run(until=2.0)
     assert client.workload_exhausted
-    assert client.stats.operations_started == 1
+    assert len(inbox) == 1
 
 
 def test_assembles_and_submits_on_full_endorsement(sim, network, streams):
@@ -106,9 +108,10 @@ def test_endorsement_timeout_drops_operation(sim, network, streams):
     register_collector(network, "orderer")
     client = make_client(sim, network, streams, rate=10.0, endorsement_timeout=0.5)
     client.start()
+    sim.run(until=0.4)
+    assert client.workload_exhausted and not client.idle  # the request is in flight
     sim.run(until=2.0)
-    assert client.stats.endorsement_timeouts == 1
-    assert client.idle
+    assert client.idle and client.stats.proposals_submitted == 0
 
 
 def test_late_response_after_timeout_ignored(sim, network, streams):

@@ -1,5 +1,6 @@
 """Unit tests for the simulated network (delivery, serialization, faults)."""
 
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,9 +10,9 @@ from repro.net.latency import ConstantLatency
 from repro.net.link import summarize_queue_accounting
 from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
-from repro.simulation.random import RandomStreams
+from repro.simulation.random import UNIFORM_FILL, RandomStreams, Stream, derive_seed
 
-from tests.conftest import DropWhen, routes_to
+from tests.conftest import DropWhen, next_draws, routes_to
 
 
 def make_network(sim, bandwidth=1_000_000.0, latency=0.010, overhead=0, queue_min=0):
@@ -808,6 +809,31 @@ def _lossy_link_network(sim, queue_bytes):
     return network
 
 
+def test_a_promoted_source_rebinds_the_port_that_drew_from_it(sim):
+    """A sender's latency sampler and queue draw are bound to its uniform
+    sources' first callables; spending a fill promotes the source, and the
+    port slot that drew from it is rebound to the live generator: the
+    sampler's uniform (``port[1]``) or the queue draw (``port[3]``). The
+    draws stay those of a ``random.Random`` of each stream's seed."""
+    network = _lossy_link_network(sim, queue_bytes=1e9)
+    port = network._open_port("a")
+
+    def bound(purpose):
+        # The sampler is the kernel bound to (uniform, base, mu, sigma).
+        return port[1].__self__[0] if purpose == "latency" else port[3]
+
+    for purpose in ("latency", "queue"):
+        twin = random.Random(derive_seed(1, f"network:{purpose}:a"))
+        first = bound(purpose)
+        drawn = [first() for _ in range(UNIFORM_FILL)]
+        assert type(network.uniform("a", purpose)) is not Stream
+        drawn.append(first())  # spends the fill: promoted
+        live = network.uniform("a", purpose)
+        assert type(live) is Stream and bound(purpose) == live.random
+        drawn += [bound(purpose)() for _ in range(3)] + [first() for _ in range(3)]
+        assert drawn == [twin.random() for _ in drawn]
+
+
 def test_send_aggregate_draws_latency_like_one_width_one_send(sim):
     """The stream ``network:latency:<src>`` is shared with the sender's
     protocol sends: an admitted burst advances it exactly as one ``send``
@@ -816,11 +842,12 @@ def test_send_aggregate_draws_latency_like_one_width_one_send(sim):
 
     network = _lossy_link_network(sim, queue_bytes=1e9)
     twin = _lossy_link_network(Simulator(), queue_bytes=1e9)
-    before = network.latency_rng("a").getstate()
+    untouched = _lossy_link_network(Simulator(), queue_bytes=1e9)
     network.send_aggregate("a", ["b", "c"], RawMessage(1_000))
     twin.send("a", "b", RawMessage(1_000))
-    assert network.latency_rng("a").getstate() != before
-    assert network.latency_rng("a").getstate() == twin.latency_rng("a").getstate()
+    moved = next_draws(network, "latency", ["a"])
+    assert moved != next_draws(untouched, "latency", ["a"])
+    assert moved == next_draws(twin, "latency", ["a"])
 
 
 def test_send_aggregate_draws_nothing_when_no_copy_leaves(sim):
@@ -839,7 +866,7 @@ def test_send_aggregate_draws_nothing_when_no_copy_leaves(sim):
     network.send_aggregate("a", ["b", "c"], RawMessage(1_000))
     assert network.dropped_messages == 3
     assert summarize_queue_accounting(network.queue_accounting())["dropped_tail"] == 1
-    assert network.latency_rng("a").getstate() == twin.latency_rng("a").getstate()
+    assert next_draws(network, "latency", ["a"]) == next_draws(twin, "latency", ["a"])
     assert sim.pending_events == twin.sim.pending_events
 
 
@@ -862,8 +889,8 @@ class _LoggedStreams(RandomStreams):
         super().__init__(1)
         self.log = log
 
-    def stream(self, name):
-        rng = super().stream(name)
+    def uniform(self, name):
+        rng = super().uniform(name)
         if not name.startswith("network:queue:"):
             return rng
         log = self.log

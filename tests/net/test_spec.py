@@ -3,6 +3,7 @@ four kinds behind ``LatencyModel.from_spec``, and NetworkConfig's spec
 resolution."""
 
 import math
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.net.latency import (
 )
 from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
-from repro.simulation.random import RandomStreams
+from repro.simulation.random import RandomStreams, derive_seed
 
 
 # ------------------------------------------------------------ spec value
@@ -85,7 +86,7 @@ def test_from_spec_builds_the_model_of_its_kind(kind):
     pairs = [("n0", "n1"), ("n0", "n0"), ("n2", "n3"), ("n3", "n9")]
     draws = []
     for model in (direct, from_spec):
-        sampler = model.bind(RandomStreams(5).stream("probe"))
+        sampler = model.bind(RandomStreams(5).uniform("probe"))
         draws.append([sampler(*pairs[index % len(pairs)]) for index in range(64)])
     assert draws[0] == draws[1]
 
@@ -114,7 +115,7 @@ def test_measured_latency_dataset():
 
 def test_measured_latency_unknown_location_uses_default():
     model = MeasuredLatency(locations=("Virginia", "Ireland"))
-    rng = RandomStreams(3).stream("probe")
+    rng = random.Random(derive_seed(3, "probe"))
     model.assign_regions({"n0": "Virginia", "n1": "Atlantis"})
     assert model.sample(rng, "n0", "n1") >= 0.08  # default 160 ms RTT / 2
 

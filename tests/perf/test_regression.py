@@ -42,9 +42,13 @@ def test_sharded_determinism_contract_holds_on_subset():
 @pytest.mark.parametrize("gate", BOTH_GATES, ids=["single-process", "two-inline-shards"])
 def test_goldens_replay_with_one_word_fills(gate):
     """With a first fill of one word, a process stream refills from its
-    seed up to seven times (1, 2, 4, ... 64 words) before it is promoted,
-    and the goldens still replay bit-for-bit (single-process on every
-    key, ``events_executed`` included)."""
+    seed up to seven times (1, 2, 4, ... 64 words) before it is promoted;
+    with a uniform fill of one float, every network stream is promoted
+    within its sender's first copy (a jittered latency draws at least
+    two), its port rebound while the fan-out that spent the fill is still
+    drawing through the first callable. The goldens still replay
+    bit-for-bit (single-process on every key, ``events_executed``
+    included)."""
     from unittest import mock
 
     from repro.simulation import random as random_streams
@@ -57,17 +61,18 @@ def test_goldens_replay_with_one_word_fills(gate):
         registries.append(self)
 
     with mock.patch.object(random_streams, "FIRST_FILL", 1), mock.patch.object(
-        random_streams.RandomStreams, "__init__", noted
-    ):
+        random_streams, "UNIFORM_FILL", 1
+    ), mock.patch.object(random_streams.RandomStreams, "__init__", noted):
         assert check_determinism(**gate) == []
-    buffered = [
-        stream
-        for registry in registries
-        for stream in registry._streams.values()
-        if type(stream) is random_streams.Buffered
-    ]
+    streams = [stream for registry in registries for stream in registry._streams.items()]
+    buffered = [stream for _, stream in streams if type(stream) is random_streams.Buffered]
     assert any(stream.index > 0 for stream in buffered)  # refilled
     assert any(stream._live is not None for stream in buffered)  # promoted
+    # A latency draw takes two floats or none: every sender that drew
+    # holds a generator, and its source is gone from the registry.
+    latency = [stream for name, stream in streams if name.startswith("network:latency:")]
+    promoted = [stream for stream in latency if type(stream) is random_streams.Stream]
+    assert promoted and all(type(stream) is random_streams.Stream or stream.index == 0 for stream in latency)
 
 
 def test_determinism_diff_records_structured_mismatches():

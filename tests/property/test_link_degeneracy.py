@@ -33,7 +33,7 @@ from repro.scenarios.runner import run_scenario
 from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
 
-from tests.conftest import routes_to
+from tests.conftest import next_draws, routes_to
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
 
@@ -109,11 +109,8 @@ def observables(network, deliveries):
         dict(totals.by_kind_bytes),
         # Stream-position probes: a no-op link must consume zero RNG from
         # both the latency and the queue streams.
-        [network.latency_rng(name).random() for name in NODES],
-        [
-            network._streams.stream(f"network:queue:{name}").random()
-            for name in NODES
-        ],
+        next_draws(network, "latency", NODES),
+        next_draws(network, "queue", NODES),
     )
 
 

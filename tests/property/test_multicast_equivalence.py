@@ -17,6 +17,8 @@ raises mid-fanout; and while windowed faults flip between fan-outs.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,9 +34,9 @@ from repro.net.message import RawMessage
 from repro.net.network import Network, NetworkConfig
 from repro.simulation import Simulator
 from repro.simulation._core.kernels import LINK_DROP_TAIL, link_enqueue
-from repro.simulation.random import RandomStreams
+from repro.simulation.random import RandomStreams, derive_seed
 
-from tests.conftest import DropWhen, routes_to
+from tests.conftest import DropWhen, next_draws, routes_to
 
 NODES = ["n0", "n1", "n2", "n3", "n4", "n5"]
 
@@ -160,8 +162,8 @@ def test_multicast_rng_stream_matches_send_loop(dsts, seed):
         else:
             for dst in dsts:
                 network.send("n0", dst, message)
-        # A probe draw after the fanout exposes the stream position.
-        outcomes[mode] = network.latency_rng("n0").random()
+        # Probe draws after the fanout expose the stream position.
+        outcomes[mode] = next_draws(network, "latency", ["n0"])
     assert outcomes["multicast"] == outcomes["loop"]
 
 
@@ -245,8 +247,8 @@ def observe(network, deliveries):
         {node: network.monitor.node_totals(node).by_kind_messages for node in NODES},
         summarize_queue_accounting(network.queue_accounting()),
         queues,
-        [network.latency_rng(name).random() for name in NODES],
-        [network._streams.stream(f"network:queue:{name}").random() for name in NODES],
+        next_draws(network, "latency", NODES),
+        next_draws(network, "queue", NODES),
     )
 
 
@@ -257,7 +259,14 @@ def reference_run(script, model, seed):
     is the width-1 case of the kernel ``multicast`` runs, so the loop
     oracle alone would not notice a mistake both forms make."""
     link = CONGESTED_LINK
-    streams = RandomStreams(seed)
+    generators = {}
+
+    def stream(name):
+        """A plain generator of the stream's seed, one per name."""
+        if name not in generators:
+            generators[name] = random.Random(derive_seed(seed, name))
+        return generators[name]
+
     uplink, queue, stats = {}, {}, {}
     copies = []  # (arrival, transfer, src, dst, two_phase) in send order
     now = 0.0
@@ -273,7 +282,7 @@ def reference_run(script, model, seed):
                 at,
                 link.transfer_time(wire),
                 *link.kernel_args(),
-                streams.stream(f"network:queue:{src}").random,
+                stream(f"network:queue:{src}").random,
             )
             if done < 0:
                 acc[1 if done == LINK_DROP_TAIL else 2] += 1
@@ -283,7 +292,7 @@ def reference_run(script, model, seed):
                 acc[3] += wait
                 acc[4] = max(acc[4], wait)
                 acc[5] += wire
-            latency = model.sample(streams.stream(f"network:latency:{src}"), src, dst)
+            latency = model.sample(stream(f"network:latency:{src}"), src, dst)
             copies.append((done + latency, transfer, src, dst, wire >= 25_000))
         now += pause
     deliveries, downlink = [], {}
@@ -431,7 +440,7 @@ def test_windowed_faults_flipping_between_fanouts(script, seed):
         results[mode] = (
             partition.dropped,
             degrade.dropped,
-            network._streams.stream("faults:degrade:n0").random(),
+            [network._streams.uniform("faults:degrade:n0").random() for _ in range(3)],
         ) + observe(network, deliveries)
     assert results["multicast"] == results["loop"] == results["pinned"]
 

@@ -16,9 +16,11 @@ from repro.simulation.process import Process
 from repro.simulation.random import (
     HOT_SPAN,
     LAST_FILL,
+    UNIFORM_FILL,
     Buffered,
     RandomStreams,
     Stream,
+    Uniform,
     derive_seed,
     first_draw,
     sample_skipping,
@@ -27,54 +29,49 @@ from repro.simulation.random import (
 
 
 def test_same_seed_same_sequence():
-    a = RandomStreams(1).stream("x")
-    b = RandomStreams(1).stream("x")
+    a = RandomStreams(1).uniform("x")
+    b = RandomStreams(1).uniform("x")
     assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
 
 def test_different_names_are_independent():
     streams = RandomStreams(1)
-    a = [streams.stream("a").random() for _ in range(5)]
-    b = [streams.stream("b").random() for _ in range(5)]
+    a = [streams.uniform("a").random() for _ in range(5)]
+    b = [streams.uniform("b").random() for _ in range(5)]
     assert a != b
 
 
 def test_different_master_seeds_differ():
-    a = RandomStreams(1).stream("x").random()
-    b = RandomStreams(2).stream("x").random()
+    a = RandomStreams(1).uniform("x").random()
+    b = RandomStreams(2).uniform("x").random()
     assert a != b
 
 
-def test_stream_is_cached():
+def test_a_source_is_cached_until_promoted_then_its_generator_is():
     streams = RandomStreams(3)
-    assert streams.stream("s") is streams.stream("s")
+    source = streams.uniform("s")
+    assert type(source) is Uniform and streams.uniform("s") is source
+    for _ in range(UNIFORM_FILL + 1):
+        source.random()
+    live = streams.uniform("s")
+    assert type(live) is Stream and streams.uniform("s") is live
+    assert source.random == live.random
 
 
 def test_contains_reports_created_streams():
     streams = RandomStreams(3)
     assert "s" not in streams
-    streams.stream("s")
+    streams.uniform("s")
     assert "s" in streams
 
 
 def test_names_lists_streams_in_first_draw_order():
     streams = RandomStreams(3)
     assert streams.names() == []
-    streams.stream("b")
-    streams.stream("a")
-    streams.stream("b")
+    streams.uniform("b")
+    streams.buffered("a", Simulator())
+    streams.uniform("b")
     assert streams.names() == ["b", "a"]
-
-
-def test_a_name_is_dense_or_buffered_never_both():
-    streams = RandomStreams(5)
-    streams.stream("dense")
-    streams.buffered("words", Simulator())
-    with pytest.raises(TypeError, match="dense"):
-        streams.buffered("dense", Simulator())
-    with pytest.raises(TypeError, match="buffered"):
-        streams.stream("words")
-    assert streams.names() == ["dense", "words"] and "words" in streams
 
 
 class _Owner:
@@ -99,7 +96,7 @@ def test_first_draw_binds_once_and_only_on_use():
     assert streams.names() == ["peer-0:used"] and unused._rng is None
     assert used._rng is streams.buffered("peer-0:used", host.sim) and used._rng.owner is used
     assert type(used._rng) is Buffered
-    assert first == RandomStreams(4).stream("peer-0:used").random()
+    assert first == random.Random(derive_seed(4, "peer-0:used")).random()
     bound = used._rng
     used.draw()
     assert used._rng is bound
@@ -117,13 +114,11 @@ _PURPOSES = ["background", "iuc-push-targets", "leader-initial-gossiper", "recov
 def test_first_draw_order_is_immaterial(master_seed, first_use, interleave):
     """The "RNG-stream creation is order-free" sentence sharded runs rely
     on: whatever order owners first draw in — and however their later
-    draws interleave — each stream yields what a registry that created
-    every stream eagerly, in sorted order, yields."""
-    eager = RandomStreams(master_seed)
+    draws interleave — each stream yields what a generator of its seed,
+    created eagerly in sorted order, yields."""
     names = sorted(f"peer-{peer}:{purpose}" for peer, purpose in first_use)
-    for name in names:
-        eager.stream(name)
-    expected = {name: [eager.stream(name).random() for _ in range(8)] for name in names}
+    eager = {name: random.Random(derive_seed(master_seed, name)) for name in names}
+    expected = {name: [eager[name].random() for _ in range(8)] for name in names}
 
     lazy = RandomStreams(master_seed)
     sim = Simulator()
@@ -145,7 +140,7 @@ def test_a_stream_is_a_random_random_in_every_observable_way():
     ``getstate()``, pickling and ``deepcopy`` match a plain
     ``random.Random`` of the same seed, and a stream has no slot a plain
     one would keep in its ``__dict__``."""
-    stream = RandomStreams(5).stream("x")
+    stream = Stream(derive_seed(5, "x"))
     plain = random.Random(derive_seed(5, "x"))
     assert isinstance(stream, random.Random) and type(stream).__slots__ == ("gauss_next",)
     assert [stream.gauss(0, 1) for _ in range(3)] == [plain.gauss(0, 1) for _ in range(3)]
@@ -157,31 +152,56 @@ def test_a_stream_is_a_random_random_in_every_observable_way():
     assert [stream.random() for _ in range(3)] == [plain.random() for _ in range(3)]
 
 
-def test_a_stream_costs_its_generator_state_only():
-    """2,000 streams cost at most 2,750 traced bytes each: the Mersenne
-    Twister state, the object and its registry slot. Measured 2,594; a
-    plain ``random.Random``, whose instance ``__dict__`` holds
-    ``gauss_next``, cost 2,921."""
+def test_a_promoted_source_is_held_as_its_generator_alone():
+    """2,000 sources that spent their fill cost at most 2,750 traced bytes
+    each: the Mersenne Twister state, the object and its registry slot.
+    Measured 2,594, what a generator made at the first draw cost: the
+    :class:`Uniform`, its chain and its fill are freed at promotion once
+    the registry holds the generator and nobody else holds the source."""
     n = 2_000
-    streams, sim = RandomStreams(7), Simulator()
+    streams = RandomStreams(7)
     names = [f"stream-{i}" for i in range(n)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for name in names:
-            streams.stream(name)
+            draw = streams.uniform(name).random
+            for _ in range(UNIFORM_FILL + 1):
+                draw()
+        del draw
         per_stream = (tracemalloc.get_traced_memory()[0] - before) / n
     finally:
         tracemalloc.stop()
+    assert all(type(streams.uniform(name)) is Stream for name in names)
     assert per_stream <= 2_750
+
+
+def test_a_cold_source_holds_its_fill_not_a_generator():
+    """2,000 sources that drew a few floats each cost at most 1,250 traced
+    bytes apiece, against ~2,600 for a generator: the source, its seed,
+    its chain and its one fill of ``UNIFORM_FILL`` floats (768 B), and its
+    name's registry slot. Measured 1,144."""
+    n = 2_000
+    streams = RandomStreams(7)
+    names = [f"stream-{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for name in names:
+            streams.uniform(name).random()
+        per_stream = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert all(type(streams.uniform(name)) is Uniform for name in names)
+    assert per_stream <= 1_250
 
 
 def test_draw_in_one_stream_does_not_affect_another():
     streams = RandomStreams(9)
-    before = RandomStreams(9).stream("b").random()
-    for _ in range(100):
-        streams.stream("a").random()
-    assert streams.stream("b").random() == before
+    before = RandomStreams(9).uniform("b").random()
+    for _ in range(300):
+        streams.uniform("a").random()
+    assert streams.uniform("b").random() == before
 
 
 def test_derive_seed_is_stable_and_64bit():
@@ -195,7 +215,7 @@ def test_derive_seed_sensitive_to_name():
 
 
 def test_sample_without_excludes_self():
-    rng = RandomStreams(7).stream("s")
+    rng = RandomStreams(7).buffered("s", Simulator())
     population = list(range(10))
     for _ in range(50):
         sample = sample_skipping(population, 4, rng, 3)
@@ -205,13 +225,13 @@ def test_sample_without_excludes_self():
 
 
 def test_sample_without_returns_all_when_k_too_large():
-    rng = RandomStreams(7).stream("s")
+    rng = RandomStreams(7).buffered("s", Simulator())
     sample = sample_skipping([1, 2, 3], 1, rng, 10)
     assert sorted(sample) == [1, 3]
 
 
 def test_sample_without_uniformity_smoke():
-    rng = RandomStreams(11).stream("s")
+    rng = RandomStreams(11).buffered("s", Simulator())
     counts = {i: 0 for i in range(5)}
     for _ in range(2000):
         for item in sample_without(rng, list(range(5)), 2):
@@ -219,6 +239,85 @@ def test_sample_without_uniformity_smoke():
     # Each of 5 items should appear ~2000*2/5 = 800 times.
     for count in counts.values():
         assert 650 < count < 950
+
+
+# ----- uniform sources ----------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fill=st.sampled_from([1, 3, UNIFORM_FILL]),
+    master_seed=st.integers(min_value=0, max_value=2**32),
+    ways=st.lists(st.sampled_from(["first", "current", "owner"]), max_size=3 * UNIFORM_FILL),
+)
+def test_a_uniform_source_draws_what_a_random_random_draws(fill, master_seed, ways):
+    """Every draw of a uniform source equals the one ``random.Random`` of
+    its seed gives, in order, across the fill boundary and the promotion,
+    whether it goes through the first callable (stale once promoted),
+    through the source's current ``random`` or through what its owner
+    holds (the first callable until ``rebind`` hands it the generator).
+    Promoted, the generator is in the twin's state and has replaced the
+    source in its registry."""
+    name = "network:latency:n0"
+    with mock.patch.object(random_streams, "UNIFORM_FILL", fill):
+        streams = RandomStreams(master_seed)
+        source = streams.uniform(name)
+        told = []
+        source.rebind = lambda name, live: told.append((name, live))
+        first = source.random
+        twin = random.Random(derive_seed(master_seed, name))
+        for way in ways:
+            if way == "first":
+                draw = first
+            elif way == "current":
+                draw = source.random
+            else:
+                draw = told[0][1].random if told else first
+            assert draw() == twin.random()
+    if len(ways) > fill:
+        [(told_name, live)] = told
+        assert told_name == name and type(live) is Stream and source.index == fill
+        assert streams.uniform(name) is live and source.random == live.random
+        assert live.getstate() == twin.getstate()
+    else:
+        assert told == [] and streams.uniform(name) is source
+    assert first() == twin.random()
+
+
+def test_a_source_makes_its_fill_at_its_first_draw():
+    """A source nobody draws from (a sender's latency under a constant
+    model, its queue draw while CoDel never drops) holds no fill."""
+    source = RandomStreams(2).uniform("network:queue:n0")
+    assert source.index == 0
+    source.random()
+    assert source.index == UNIFORM_FILL
+
+
+def test_a_source_seeds_once_for_its_fill_and_once_at_promotion():
+    """A cold source re-seeds the shared scratch generator once; spending
+    its fill seeds one generator of its own, advanced past the fill, and
+    nothing seeds again however long it draws."""
+    seeds = []
+    fill_seed = random_streams._seed_in_place
+
+    def counted_fill(generator, seed):
+        seeds.append("fill")
+        fill_seed(generator, seed)
+
+    def counted_promotion(generator, seed):
+        seeds.append("promotion")
+        random.Random.seed(generator, seed)
+
+    with mock.patch.object(random_streams, "_seed_in_place", counted_fill), mock.patch.object(
+        Stream, "seed", counted_promotion
+    ):
+        source = RandomStreams(8).uniform("faults:lazy:n0")
+        twin = random.Random(derive_seed(8, "faults:lazy:n0"))
+        drawn = [source.random() for _ in range(UNIFORM_FILL)]
+        assert seeds == ["fill"]
+        drawn += [source.random() for _ in range(10**4)]
+    assert seeds == ["fill", "promotion"]
+    assert drawn == [twin.random() for _ in drawn]
 
 
 # ----- buffered streams ---------------------------------------------------
