@@ -239,3 +239,26 @@ def run_dissemination(
         duration=end_of_measurement,
         workload_end=workload_end,
     )
+
+
+def run_coverage(config: DisseminationConfig) -> DisseminationResult:
+    """Run ``config``'s workload plus its grace period, whatever each block
+    reached by then (``result.tracker.coverage(n)``).
+
+    Unlike :func:`run_dissemination` it neither waits for every peer to
+    hold every block nor fails when one does not: a push that misses a
+    peer is what it measures. Push the recovery periods past the run to
+    measure the push alone.
+    """
+    with collector.deployment() as built:
+        net = deploy(config)
+        built()
+        workload_end = config.blocks * config.block_period
+        duration = workload_end + config.grace_period
+        net.sim.run(until=duration)
+    return DisseminationResult(
+        config=config,
+        net=net,
+        duration=duration,
+        workload_end=workload_end,
+    )

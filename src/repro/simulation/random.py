@@ -30,8 +30,8 @@ draw. It comes in one of two shapes, by what its owner draws:
   gossipers) and the few others that sample or shuffle
   (``faults:liar:*``, ``workload:permutations``). It holds the next few
   32-bit words of its sequence, refilled from the seed when spent, and is
-  promoted when it spends a :data:`LAST_FILL` fill within
-  :data:`HOT_SPAN` simulated seconds.
+  promoted when it spends a fill cut to :data:`LAST_FILL` words, its
+  fourth or a later one, within :data:`HOT_SPAN` simulated seconds.
 
 A fill is made by re-seeding one shared scratch generator and advancing
 it past what the stream drew before (:func:`_scratch_at`); a promotion
@@ -40,6 +40,14 @@ seeds a :class:`Stream` of its own and advances it the same way
 (a :class:`Buffered` stream's ``owner``, a :class:`Uniform` one's
 ``rebind``), so a hot stream's owner draws from the live generator
 directly.
+
+A promotion costs what a fill costs, one seeding and an advance, so a
+buffered stream pays for one more :data:`LAST_FILL` fill before it pays
+for a generator: one that spends its first 112 words fast and then
+stops (a push-target stream on a block's burst) never holds one, and
+one that stays hot pays one fill more than promoting at once would. A
+uniform source is promoted at once: a hot sender draws many times its
+fill.
 """
 
 from __future__ import annotations
@@ -61,10 +69,13 @@ FIRST_FILL = 16
 #: stream's draws in at most 256 B, a tenth of the 624-word state; every
 #: later fill is this size too.
 LAST_FILL = 64
-#: Simulated seconds: a stream that spends a :data:`LAST_FILL` fill in less
-#: is promoted, as each refill re-seeds and advances from the start. The
-#: enhanced push and background streams take 0.3-8 s; recovery, pull, the
-#: leaders' and the original push streams take 25-81 s and stay buffered.
+#: Simulated seconds: a stream that spends a fill cut to :data:`LAST_FILL`
+#: words (its fourth, words 112-175, or a later one) in less is promoted,
+#: as each refill re-seeds and advances from the start. The third fill,
+#: 64 words by doubling, promotes nothing however fast it goes: a stream
+#: may spend it on one burst and stop. The enhanced push and background
+#: streams take 0.3-8 s; recovery, pull, the leaders' and the original
+#: push streams take 25-81 s and stay buffered.
 HOT_SPAN = 16.0
 #: Floats in a uniform source's one fill; spending them promotes it. On a
 #: 3,000-peer one-block run 92% of the senders' latency streams draw at
@@ -135,7 +146,7 @@ class Buffered:
     scratch generator, advancing it past the words already drawn and
     reading the next fill, in three C calls.
 
-    A stream that spends a fill of :data:`LAST_FILL` words within
+    A stream that spends a fill cut to :data:`LAST_FILL` words within
     :data:`HOT_SPAN` simulated seconds of making it (``filled_at``, read
     from ``clock.now``) is promoted: ``_live`` becomes a :class:`Stream`
     positioned at its word index and, when :func:`first_draw` recorded an
@@ -198,13 +209,14 @@ class Buffered:
         size = index + FIRST_FILL  # FIRST_FILL at 0, twice it at FIRST_FILL, ...
         now = self._clock.now
         if size > LAST_FILL:
-            size = LAST_FILL
-            if now - self.filled_at < HOT_SPAN:
+            # Past twice LAST_FILL, the fill just spent was cut to it too.
+            if size > 2 * LAST_FILL and now - self.filled_at < HOT_SPAN:
                 live = self._live = _live_at(self.seed, index)
                 self.words = _NO_WORDS
                 if self.owner is not None:
                     self.owner._rng = live
                 return
+            size = LAST_FILL
         self.filled_at = now
         scratch = _scratch_at(self.seed, index)
         # The first word drawn is the least significant: big-endian bytes

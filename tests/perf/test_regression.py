@@ -42,11 +42,12 @@ def test_sharded_determinism_contract_holds_on_subset():
 @pytest.mark.parametrize("gate", BOTH_GATES, ids=["single-process", "two-inline-shards"])
 def test_goldens_replay_with_one_word_fills(gate):
     """With a first fill of one word, a process stream refills from its
-    seed up to seven times (1, 2, 4, ... 64 words) before it is promoted;
-    with a uniform fill of one float, every network stream is promoted
-    within its sender's first copy (a jittered latency draws at least
-    two), its port rebound while the fan-out that spent the fill is still
-    drawing through the first callable. The goldens still replay
+    seed up to eight times (1, 2, 4, ... 64 words, then 64 once more)
+    before it is promoted; with a uniform fill of one float, every
+    network stream is promoted within its sender's first copy (a
+    jittered latency draws at least two), its port rebound while the
+    fan-out that spent the fill is still drawing through the first
+    callable. The goldens still replay
     bit-for-bit (single-process on every key, ``events_executed``
     included)."""
     from unittest import mock

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench.workloads import ENH_LAN_1K
+from repro.scenarios.runner import run_scenario
 from repro.simulation import Simulator
 from repro.simulation import random as random_streams
 from repro.simulation.process import Process
@@ -357,56 +359,6 @@ def _draw(rng, draw):
     return sample_skipping(range(size), min(skip, size), rng, k)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    first_fill=st.sampled_from([1, 3, 16]),
-    master_seed=st.integers(min_value=0, max_value=2**32),
-    draws=st.lists(st.tuples(st.booleans(), _DRAWS), max_size=80),
-)
-def test_a_buffered_stream_draws_what_a_random_random_draws(first_fill, master_seed, draws):
-    """Every draw of a buffered stream equals the one ``random.Random`` of
-    its seed gives, across fill boundaries and promotion, whether it goes
-    through the stream object or through its owner's ``_rng``. Once
-    promoted, the owner holds a :class:`Stream` in the twin's state."""
-    with mock.patch.object(random_streams, "FIRST_FILL", first_fill):
-        streams = RandomStreams(master_seed)
-        owner = _Owner(Process(Simulator(), "peer-0", streams), "pull-targets")
-        twin = random.Random(derive_seed(master_seed, "peer-0:pull-targets"))
-        held = first_draw(owner)
-        for via_owner, draw in draws:
-            rng = owner._rng if via_owner else held
-            assert _draw(rng, draw) == _draw(twin, draw), draw
-    if held._live is None:
-        assert owner._rng is held
-    else:
-        assert type(owner._rng) is Stream and owner._rng is held._live
-        assert owner._rng.getstate() == twin.getstate()
-    assert held.random() == twin.random()
-
-
-def test_getrandbits_refuses_negative_widths_and_draws_nothing_for_zero():
-    rng, twin = RandomStreams(3).buffered("x", Simulator()), random.Random(derive_seed(3, "x"))
-    with pytest.raises(ValueError):
-        rng.getrandbits(-1)
-    assert rng.getrandbits(0) == 0
-    assert rng.getrandbits(32) == twin.getrandbits(32)
-
-
-def test_fills_double_until_the_stream_is_promoted():
-    owner = _Owner(Process(Simulator(), "peer-0", RandomStreams(2)), "recovery")
-    rng = first_draw(owner)
-    fills = []
-    for _ in range(3):
-        rng.getrandbits(32)
-        fills.append((rng.index, len(rng.words) + 1))  # (end, size) of the fill
-        for _ in range(len(rng.words)):
-            rng.getrandbits(32)
-    assert fills == [(16, 16), (48, 32), (112, 64)] and owner._rng is rng
-    rng.getrandbits(32)
-    assert rng._live is not None and owner._rng is rng._live
-    assert len(rng.words) == 0 and rng.index == 112
-
-
 class _ClockedHost:
     """A host whose streams are timed by a clock the test moves."""
 
@@ -420,25 +372,106 @@ class _ClockedHost:
         return self.streams.buffered(f"{self.name}:{purpose}", self)
 
 
+# The word index at which a stream spending every fill within HOT_SPAN is
+# promoted, by FIRST_FILL: where it spends its first fill cut to LAST_FILL
+# words (16 + 32 + 64 + 64 = 176 words at the default of 16).
+_PROMOTED_AT = {1: 191, 3: 157, 16: 176}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    first_fill=st.sampled_from(sorted(_PROMOTED_AT)),
+    master_seed=st.integers(min_value=0, max_value=2**32),
+    lead=st.integers(0, 300),
+    step=st.sampled_from([0.0, HOT_SPAN / 8]),
+    draws=st.lists(st.tuples(st.booleans(), _DRAWS), max_size=80),
+)
+def test_a_buffered_stream_draws_what_a_random_random_draws(
+    first_fill, master_seed, lead, step, draws
+):
+    """Every draw of a buffered stream equals the one ``random.Random`` of
+    its seed gives, across fill boundaries and promotion, whether it goes
+    through the stream object or through its owner's ``_rng``. Its host's
+    clock moves ``step`` per draw after ``lead`` single words: at 0 every
+    fill is spent hot and the stream is promoted exactly where it spends
+    its first fill cut to LAST_FILL words (the 176th word), at
+    ``HOT_SPAN / 8`` most fills are spent slowly. Once promoted, the owner holds a :class:`Stream` in
+    the twin's state."""
+    with mock.patch.object(random_streams, "FIRST_FILL", first_fill):
+        host = _ClockedHost(RandomStreams(master_seed))
+        owner = _Owner(host, "pull-targets")
+        twin = random.Random(derive_seed(master_seed, "peer-0:pull-targets"))
+        held = first_draw(owner)
+        for _ in range(lead):
+            host.now += step
+            assert held.getrandbits(32) == twin.getrandbits(32)
+        for via_owner, draw in draws:
+            host.now += step
+            rng = owner._rng if via_owner else held
+            assert _draw(rng, draw) == _draw(twin, draw), draw
+    if held._live is None:
+        assert owner._rng is held
+        if not step:
+            assert held.index - len(held.words) <= _PROMOTED_AT[first_fill]
+    else:
+        assert type(owner._rng) is Stream and owner._rng is held._live
+        assert owner._rng.getstate() == twin.getstate()
+        if not step:
+            assert held.index == _PROMOTED_AT[first_fill]
+    assert held.random() == twin.random()
+
+
+def test_getrandbits_refuses_negative_widths_and_draws_nothing_for_zero():
+    rng, twin = RandomStreams(3).buffered("x", Simulator()), random.Random(derive_seed(3, "x"))
+    with pytest.raises(ValueError):
+        rng.getrandbits(-1)
+    assert rng.getrandbits(0) == 0
+    assert rng.getrandbits(32) == twin.getrandbits(32)
+
+
+def test_fills_double_until_the_stream_is_promoted():
+    """Fills of 16, 32 and 64 words, one more of 64, and the stream is
+    promoted when it has spent that one too: every fill is spent at time
+    0, within HOT_SPAN."""
+    owner = _Owner(Process(Simulator(), "peer-0", RandomStreams(2)), "recovery")
+    rng = first_draw(owner)
+    fills = []
+    for _ in range(4):
+        rng.getrandbits(32)
+        fills.append((rng.index, len(rng.words) + 1))  # (end, size) of the fill
+        for _ in range(len(rng.words)):
+            rng.getrandbits(32)
+    assert fills == [(16, 16), (48, 32), (112, 64), (176, 64)] and owner._rng is rng
+    assert rng._live is None
+    rng.getrandbits(32)
+    assert rng._live is not None and owner._rng is rng._live
+    assert len(rng.words) == 0 and rng.index == 176
+
+
 def test_a_stream_spending_its_fills_slowly_stays_buffered():
     """A stream that takes longer than HOT_SPAN simulated seconds to spend
     a LAST_FILL-word fill (a recovery stream, a few words every 4 s) is
-    refilled LAST_FILL words at a time however long the run, and is
-    promoted once it spends one faster."""
+    refilled LAST_FILL words at a time however long the run, even after
+    it spent its first 112 words at once (a push burst), and is promoted
+    once it spends a later fill faster."""
     clock = _ClockedHost(RandomStreams(9))
     owner = _Owner(clock, "recovery")
     twin = random.Random(derive_seed(9, "peer-0:recovery"))
     rng = first_draw(owner)
     drawn = []
-    for _ in range(112 + 5 * LAST_FILL):  # three fills, then five more
-        clock.now += HOT_SPAN / LAST_FILL * 1.01
-        drawn.append((owner._rng or first_draw(owner)).getrandbits(32))
+
+    def spend(draws, step):
+        for _ in range(draws):
+            clock.now += step
+            drawn.append((owner._rng or first_draw(owner)).getrandbits(32))
+
+    spend(112, 0.0)  # three fills at once
+    spend(5 * LAST_FILL, HOT_SPAN / LAST_FILL * 1.01)  # then five more, slowly
     assert rng._live is None and owner._rng is rng
     assert rng.index == 112 + 5 * LAST_FILL and len(rng.words) == 0
-    for _ in range(LAST_FILL + 1):  # one fill spent within HOT_SPAN
-        clock.now += HOT_SPAN / LAST_FILL * 0.99
-        drawn.append(owner._rng.getrandbits(32))
+    spend(LAST_FILL + 1, HOT_SPAN / LAST_FILL * 0.99)  # one fill spent within HOT_SPAN
     assert type(owner._rng) is Stream and owner._rng is rng._live
+    assert rng.index == 112 + 6 * LAST_FILL
     assert drawn == [twin.getrandbits(32) for _ in drawn]
     assert owner._rng.getstate() == twin.getstate()
 
@@ -456,10 +489,10 @@ def test_a_promoted_stream_without_an_owner_draws_through_to_its_generator():
     assert rng._live.getstate() == twin.getstate()
 
 
-def test_a_stream_drawing_many_words_seeds_four_times():
-    """10^5 words cost three fills and one promotion: four seedings, not
-    one per fill (each re-seeds and advances from the start, so fills
-    alone would cost time quadratic in the words drawn)."""
+def test_a_stream_drawing_many_words_seeds_five_times():
+    """10^5 words drawn at once cost four fills and one promotion: five
+    seedings, not one per fill (each re-seeds and advances from the start,
+    so fills alone would cost time quadratic in the words drawn)."""
     seeds = []
     fill_seed = random_streams._seed_in_place
 
@@ -477,7 +510,7 @@ def test_a_stream_drawing_many_words_seeds_four_times():
         owner = _Owner(Process(Simulator(), "peer-0", RandomStreams(8)), "iuc-push-targets")
         twin = random.Random(derive_seed(8, "peer-0:iuc-push-targets"))
         drawn = [(owner._rng or first_draw(owner)).getrandbits(32) for _ in range(10**5)]
-    assert seeds == ["fill"] * 3 + ["promotion"]
+    assert seeds == ["fill"] * 4 + ["promotion"]
     assert drawn == [twin.getrandbits(32) for _ in range(10**5)]
 
 
@@ -498,3 +531,25 @@ def test_a_cold_buffered_stream_costs_a_tenth_of_a_generator():
     finally:
         tracemalloc.stop()
     assert per_stream <= 400
+
+
+def test_no_push_target_stream_is_promoted_on_a_one_burst_per_block_run():
+    """On the benchmark's 1,000-peer enhanced run with background traffic
+    (``enh-lan-1k``, six blocks 1.5 s apart, seed 1), every push-target
+    stream spends its first 64-word fill within HOT_SPAN and then draws at
+    most 173 words in all, short of the 176 that spending a second one
+    takes: none is promoted, and the only live generators at the end are
+    the senders' promoted latency streams. Promoted at their first hot
+    64-word fill, all 1,000 push-target streams held a 2.5 KB generator
+    from their 112th word on."""
+    run = run_scenario(ENH_LAN_1K, seed=1)
+    streams = run.result.net.streams._streams
+    push = [rng for name, rng in streams.items() if name.endswith(":iuc-push-targets")]
+    assert len(push) == ENH_LAN_1K.n_peers
+    assert all(rng._live is None and rng.index > 112 for rng in push)
+    live = [
+        name
+        for name, rng in streams.items()
+        if type(rng) is Stream or (type(rng) is Buffered and rng._live is not None)
+    ]
+    assert live and all(name.startswith("network:latency:") for name in live)
