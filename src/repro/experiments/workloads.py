@@ -45,7 +45,6 @@ def synthetic_block_transactions(tx_per_block: int, tx_size: int) -> List[Transa
             chaincode_id=HIGH_THROUGHPUT_CHAINCODE_ID,
             args=("asset", 1, index),
             rwset=ReadWriteSet(),
-            endorsements=[],
             size_bytes=tx_size,
         )
         for index in range(tx_per_block)

@@ -1,8 +1,9 @@
 """Chaincodes and their simulated execution.
 
 A chaincode executes against a snapshot of the peer's world state through a
-:class:`ChaincodeStub` that records every read (with its version) and write
-into a :class:`~repro.ledger.rwset.ReadWriteSet` — the mechanism behind both
+:class:`ChaincodeStub` that records every read (with its version) and write;
+the simulation hands them over as a frozen
+:class:`~repro.ledger.rwset.ReadWriteSet` — the mechanism behind both
 endorsement and validation. Chaincodes must be deterministic: for the same
 input state and arguments they produce the same read/write sets, which is
 what allows multiple mutually untrusted endorsers to agree.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.ledger.kvstore import KeyValueStore, NIL_VERSION
+from repro.ledger.kvstore import KeyValueStore, NIL_VERSION, Version
 from repro.ledger.rwset import ReadWriteSet
 
 
@@ -25,32 +26,34 @@ class ChaincodeStub:
     """The state interface handed to an executing chaincode.
 
     Reads go to the peer's committed store and are recorded with their
-    versions; writes are buffered in the read/write set only — simulation
-    never mutates the state (paper §II-B).
+    versions (``reads``, key -> Version); writes are buffered in ``writes``
+    (key -> value) only — simulation never mutates the state (paper §II-B).
     """
 
     def __init__(self, store: KeyValueStore) -> None:
         self._store = store
-        self.rwset = ReadWriteSet()
+        self.reads: Dict[str, Version] = {}
+        self.writes: Dict[str, Any] = {}
 
     def get_state(self, key: str) -> Any:
         """Read ``key`` from the world state, recording its version.
 
         A write buffered earlier in the same execution is visible
-        (read-your-writes within a transaction).
+        (read-your-writes within a transaction). The first read of a key
+        wins, as the simulated execution sees a stable snapshot.
         """
-        if key in self.rwset.writes:
-            return self.rwset.writes[key]
+        if key in self.writes:
+            return self.writes[key]
         entry = self._store.get(key)
         if entry is None:
-            self.rwset.record_read(key, NIL_VERSION)
+            self.reads.setdefault(key, NIL_VERSION)
             return None
-        self.rwset.record_read(key, entry.version)
+        self.reads.setdefault(key, entry.version)
         return entry.value
 
     def put_state(self, key: str, value: Any) -> None:
         """Buffer a write to ``key``."""
-        self.rwset.record_write(key, value)
+        self.writes[key] = value
 
 
 class Chaincode:
@@ -63,10 +66,10 @@ class Chaincode:
         raise NotImplementedError
 
     def simulate(self, store: KeyValueStore, args: Tuple) -> ReadWriteSet:
-        """Execute against a store snapshot; return the read/write set."""
+        """Execute against a store snapshot; return the frozen read/write set."""
         stub = ChaincodeStub(store)
         self.execute(stub, args)
-        return stub.rwset
+        return ReadWriteSet(tuple(stub.reads.items()), tuple(stub.writes.items()))
 
 
 class CounterIncrementChaincode(Chaincode):

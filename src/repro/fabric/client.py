@@ -47,8 +47,6 @@ class _PendingOperation:
 class Client(Process):
     """A transaction-submitting client driven by a workload generator."""
 
-    _request_ids = itertools.count()
-
     def __init__(
         self,
         sim,
@@ -90,6 +88,10 @@ class Client(Process):
         self.tx_size_bytes = tx_size_bytes
         self.stats = ClientStats()
         self._pending: Dict[str, _PendingOperation] = {}
+        # Counted per client, so a run's ids do not depend on what ran
+        # before it in the same process.
+        self._request_ids = itertools.count()
+        self._tx_ids = itertools.count()
         self._exhausted = False
         network.register(self.name, (self.ROUTES, self))
 
@@ -116,7 +118,7 @@ class Client(Process):
             self._exhausted = True
             return
         chaincode_id, args = operation
-        request_id = f"req-{self.name}-{next(Client._request_ids)}"
+        request_id = f"req-{self.name}-{next(self._request_ids)}"
         self._pending[request_id] = _PendingOperation(
             chaincode_id=chaincode_id,
             args=args,
@@ -155,14 +157,13 @@ class Client(Process):
             self.stats.proposal_time_conflicts += 1
             return
         rwset = pending.responses[0].rwset
-        endorsements = [response.endorsement for response in pending.responses]
         proposal = TransactionProposal(
-            tx_id=TransactionProposal.next_tx_id(self.name),
+            tx_id=f"tx-{self.name}-{next(self._tx_ids)}",
             client=self.name,
             chaincode_id=pending.chaincode_id,
             args=pending.args,
             rwset=rwset,
-            endorsements=endorsements,
+            endorsements=[response.endorsement for response in pending.responses],
             created_at=pending.started_at,
             size_bytes=self.tx_size_bytes,
         )

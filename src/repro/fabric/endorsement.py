@@ -9,7 +9,7 @@ from whom (paper §II-B). We implement the common quorum form: at least
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional
+from typing import FrozenSet, Iterable, Optional
 
 from repro.ledger.transaction import Endorsement, TransactionProposal
 
@@ -40,7 +40,7 @@ class EndorsementPolicy:
         required = len(names) if min_endorsements is None else min_endorsements
         return cls(allowed_endorsers=names, min_endorsements=required)
 
-    def satisfied_by(self, endorsements: List[Endorsement]) -> bool:
+    def satisfied_by(self, endorsements: Iterable[Endorsement]) -> bool:
         """Check count / origin requirements over distinct endorsers."""
         eligible = [
             endorsement

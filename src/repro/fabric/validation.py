@@ -107,11 +107,11 @@ def validate_block(
         code = validate_transaction(proposal, store, policy)
         result.codes.append(code)
         if code.is_valid:
-            version = Version(block_number=block.number, tx_index=tx_index)
+            version = Version(block.number, tx_index)
             writes = proposal.rwset.writes
             store.apply_writes(writes, version)
             # A later writer replaces the entry and keeps the key's place.
-            entries.update((key, store.get(key)) for key in writes)
+            entries.update((key, store.get(key)) for key, _ in writes)
             puts += len(writes)
     if pre_tag is not None:
         # The writes above left the store untagged. A store that came from

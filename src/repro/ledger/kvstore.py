@@ -8,27 +8,23 @@ in read sets; validation compares them against the committed state (MVCC).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class Version:
-    """Fabric key version: the coordinates of the writing transaction."""
+class Version(NamedTuple):
+    """Fabric key version: the coordinates of the writing transaction.
+
+    A tuple, so versions compare, order and hash by value."""
 
     block_number: int
     tx_index: int
 
-    def __str__(self) -> str:
-        return f"{self.block_number}.{self.tx_index}"
-
 
 # Version of keys that were never written (reads of absent keys).
-NIL_VERSION = Version(block_number=-1, tx_index=-1)
+NIL_VERSION = Version(-1, -1)
 
 
-@dataclass(frozen=True)
-class VersionedValue:
+class VersionedValue(NamedTuple):
     """A value and the version of the write that produced it."""
 
     value: Any
@@ -70,13 +66,13 @@ class KeyValueStore:
 
     def put(self, key: str, value: Any, version: Version) -> None:
         """Apply one committed write."""
-        self._data[key] = VersionedValue(value=value, version=version)
+        self._data[key] = VersionedValue(value, version)
         self.writes_applied += 1
         self.state_tag = None
 
-    def apply_writes(self, writes: Dict[str, Any], version: Version) -> None:
-        """Apply a validated transaction's write set atomically."""
-        for key, value in writes.items():
+    def apply_writes(self, writes: Iterable[Tuple[str, Any]], version: Version) -> None:
+        """Apply a validated transaction's ``(key, value)`` writes atomically."""
+        for key, value in writes:
             self.put(key, value, version)
 
     def apply_block(self, entries: Mapping[str, VersionedValue], puts: int, tag: object) -> None:

@@ -1,69 +1,57 @@
 """Read/write sets produced by chaincode simulation.
 
-The read set maps each accessed key to the version observed at simulation
-time; the write set maps written keys to their new values. Validation-time
+The read set pairs each accessed key with the version observed at simulation
+time; the write set pairs written keys with their new values. Validation-time
 conflicts (paper §II-C) are exactly read-set version mismatches against the
 committed state at the validating peer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Callable, Tuple
 
 from repro.crypto.hashing import hash_fields
 from repro.ledger.kvstore import Version
 
 
-@dataclass
 class ReadWriteSet:
-    """The effect summary of one simulated chaincode execution."""
+    """The effect summary of one simulated chaincode execution, frozen.
 
-    reads: Dict[str, Version] = field(default_factory=dict)
-    writes: Dict[str, Any] = field(default_factory=dict)
-    _digest_cache: str = field(default="", repr=False, compare=False)
+    ``reads`` holds ``(key, Version)`` pairs and ``writes`` ``(key, value)``
+    pairs, one per key, in recording order (the chaincode stub records into
+    dicts and hands them over as pairs). The digest is computed here, once.
+    """
 
-    def record_read(self, key: str, version: Version) -> None:
-        """Record the version observed for ``key`` (first read wins, as the
-        simulated execution sees a stable snapshot)."""
-        self.reads.setdefault(key, version)
-        self._digest_cache = ""
+    __slots__ = ("reads", "writes", "_digest")
 
-    def record_write(self, key: str, value: Any) -> None:
-        self.writes[key] = value
-        self._digest_cache = ""
+    def __init__(
+        self,
+        reads: Tuple[Tuple[str, Version], ...] = (),
+        writes: Tuple[Tuple[str, Any], ...] = (),
+    ) -> None:
+        self.reads = reads
+        self.writes = writes
+        parts = []
+        # Keys are unique, so sorting the pairs sorts them by key.
+        for key, version in sorted(reads):
+            parts.extend(("r", key, version.block_number, version.tx_index))
+        for key, value in sorted(writes):
+            parts.extend(("w", key, repr(value)))
+        self._digest = hash_fields(*parts)
 
     def digest(self) -> str:
         """Canonical digest used for endorsement comparison.
 
         Two endorsers that simulated over the same state produce identical
         digests; a proposal-time conflict (paper §II-C) is a digest mismatch
-        between endorsements. Cached — rwsets are effectively frozen once
-        the simulation that produced them returns, and the digest is hashed
-        into every block header check.
+        between endorsements.
         """
-        if self._digest_cache:
-            return self._digest_cache
-        parts = []
-        for key in sorted(self.reads):
-            version = self.reads[key]
-            parts.extend(("r", key, version.block_number, version.tx_index))
-        for key in sorted(self.writes):
-            parts.extend(("w", key, repr(self.writes[key])))
-        self._digest_cache = hash_fields(*parts)
-        return self._digest_cache
+        return self._digest
 
-    def conflicts_with_state(self, get_version) -> bool:
+    def conflicts_with_state(self, get_version: Callable[[str], Version]) -> bool:
         """True if any read version differs from the committed version.
 
         Args:
             get_version: callable ``key -> Version`` for the committed state.
         """
-        return any(get_version(key) != version for key, version in self.reads.items())
-
-    @property
-    def is_read_only(self) -> bool:
-        return not self.writes
-
-    def __bool__(self) -> bool:
-        return bool(self.reads or self.writes)
+        return any(get_version(key) != version for key, version in self.reads)

@@ -9,9 +9,7 @@ endorsement-policy check plus MVCC read-set check.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import List
+from typing import Iterable, List, Tuple
 
 from repro.crypto.identity import Identity
 from repro.ledger.rwset import ReadWriteSet
@@ -38,28 +36,31 @@ class ValidationCode(enum.Enum):
         return self is ValidationCode.VALID
 
 
-@dataclass(frozen=True)
 class Endorsement:
-    """An endorser's statement over a simulated rwset digest."""
+    """An endorser's statement over a simulated rwset digest.
 
-    endorser: str
-    organization: str
-    rwset_digest: str
+    Attributes:
+        endorser: name of the endorsing peer.
+        organization: MSP ID of the endorser's organization.
+        rwset_digest: digest of the read/write set the endorser simulated.
+    """
+
+    __slots__ = ("endorser", "organization", "rwset_digest")
+
+    def __init__(self, endorser: str, organization: str, rwset_digest: str) -> None:
+        self.endorser = endorser
+        self.organization = organization
+        self.rwset_digest = rwset_digest
 
     @classmethod
     def create(cls, identity: Identity, rwset: ReadWriteSet) -> "Endorsement":
-        return cls(
-            endorser=identity.name,
-            organization=identity.organization,
-            rwset_digest=rwset.digest(),
-        )
+        return cls(identity.name, identity.organization, rwset.digest())
 
     @property
     def size_bytes(self) -> int:
         return SIGNATURE_SIZE_BYTES + 64  # signature + identity/digest framing
 
 
-@dataclass
 class TransactionProposal:
     """An endorsed transaction as submitted to the ordering service.
 
@@ -69,25 +70,41 @@ class TransactionProposal:
         chaincode_id: chaincode the proposal invokes.
         args: invocation arguments (opaque tuple; used by experiments).
         rwset: the read/write set agreed by the endorsements.
-        endorsements: collected endorsements.
+        endorsements: collected endorsements, a tuple.
         created_at: simulated time at which the client created the proposal.
         size_bytes: wire size contribution of this transaction in a block.
     """
 
-    _ids = itertools.count()
+    __slots__ = (
+        "tx_id",
+        "client",
+        "chaincode_id",
+        "args",
+        "rwset",
+        "endorsements",
+        "created_at",
+        "size_bytes",
+    )
 
-    tx_id: str
-    client: str
-    chaincode_id: str
-    args: tuple
-    rwset: ReadWriteSet
-    endorsements: List[Endorsement] = field(default_factory=list)
-    created_at: float = 0.0
-    size_bytes: int = DEFAULT_TX_SIZE_BYTES
-
-    @classmethod
-    def next_tx_id(cls, client: str) -> str:
-        return f"tx-{client}-{next(cls._ids)}"
+    def __init__(
+        self,
+        tx_id: str,
+        client: str,
+        chaincode_id: str,
+        args: tuple,
+        rwset: ReadWriteSet,
+        endorsements: Iterable[Endorsement] = (),
+        created_at: float = 0.0,
+        size_bytes: int = DEFAULT_TX_SIZE_BYTES,
+    ) -> None:
+        self.tx_id = tx_id
+        self.client = client
+        self.chaincode_id = chaincode_id
+        self.args = args
+        self.rwset = rwset
+        self.endorsements: Tuple[Endorsement, ...] = tuple(endorsements)
+        self.created_at = created_at
+        self.size_bytes = size_bytes
 
     def endorsements_consistent(self) -> bool:
         """True when all endorsements agree on the rwset digest.

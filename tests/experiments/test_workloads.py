@@ -25,7 +25,7 @@ def test_synthetic_transactions_are_inert_high_throughput_deltas():
     assert {tx.chaincode_id for tx in txs} == {HIGH_THROUGHPUT_CHAINCODE_ID}
     assert [tx.args for tx in txs] == [("asset", 1, index) for index in range(5)]
     assert len({tx.tx_id for tx in txs}) == 5
-    assert all(not tx.rwset and not tx.endorsements for tx in txs)
+    assert all(not (tx.rwset.reads or tx.rwset.writes or tx.endorsements) for tx in txs)
 
 
 def test_synthetic_transactions_validation():

@@ -15,13 +15,13 @@ def test_stub_read_records_version():
     store.put("x", 10, Version(3, 1))
     stub = ChaincodeStub(store)
     assert stub.get_state("x") == 10
-    assert stub.rwset.reads["x"] == Version(3, 1)
+    assert stub.reads["x"] == Version(3, 1)
 
 
 def test_stub_read_of_absent_key_records_nil():
     stub = ChaincodeStub(KeyValueStore())
     assert stub.get_state("nope") is None
-    assert stub.rwset.reads["nope"] == NIL_VERSION
+    assert stub.reads["nope"] == NIL_VERSION
 
 
 def test_stub_write_buffers_without_mutating_store():
@@ -29,7 +29,7 @@ def test_stub_write_buffers_without_mutating_store():
     stub = ChaincodeStub(store)
     stub.put_state("x", 42)
     assert "x" not in store
-    assert stub.rwset.writes == {"x": 42}
+    assert stub.writes == {"x": 42}
 
 
 def test_stub_read_your_writes():
@@ -41,16 +41,16 @@ def test_stub_read_your_writes():
 def test_counter_increment_from_absent():
     store = KeyValueStore()
     rwset = CounterIncrementChaincode().simulate(store, ("c1",))
-    assert rwset.writes == {"c1": 1}
-    assert rwset.reads["c1"] == NIL_VERSION
+    assert rwset.writes == (("c1", 1),)
+    assert rwset.reads == (("c1", NIL_VERSION),)
 
 
 def test_counter_increment_reads_current_value():
     store = KeyValueStore()
     store.put("c1", 7, Version(2, 0))
     rwset = CounterIncrementChaincode().simulate(store, ("c1",))
-    assert rwset.writes == {"c1": 8}
-    assert rwset.reads["c1"] == Version(2, 0)
+    assert rwset.writes == (("c1", 8),)
+    assert rwset.reads == (("c1", Version(2, 0)),)
 
 
 def test_counter_increment_deterministic():

@@ -67,8 +67,7 @@ def test_assembles_and_submits_on_full_endorsement(sim, network, streams):
     sim.run(until=0.2)
     # Manually answer the endorsement request.
     (src, request), = endorser_inbox
-    rwset = ReadWriteSet()
-    rwset.record_write("k", 1)
+    rwset = ReadWriteSet(writes=(("k", 1),))
     network.register("responder", routes_to(lambda s, m: None))
     network.send(
         "responder", "client-0",
@@ -91,10 +90,8 @@ def test_digest_mismatch_counts_proposal_conflict(sim, network, streams):
     client.start()
     sim.run(until=0.2)
     request = inbox_e0[0][1]
-    rwset_a = ReadWriteSet()
-    rwset_a.record_read("k", Version(0, 0))
-    rwset_b = ReadWriteSet()
-    rwset_b.record_read("k", Version(1, 0))  # endorser at a different height
+    rwset_a = ReadWriteSet(reads=(("k", Version(0, 0)),))
+    rwset_b = ReadWriteSet(reads=(("k", Version(1, 0)),))  # endorser at a different height
     network.register("responder", routes_to(lambda s, m: None))
     network.send("responder", "client-0", EndorsementResponse(request.request_id, rwset_a, make_endorsement(rwset_a, "e0")))
     network.send("responder", "client-0", EndorsementResponse(request.request_id, rwset_b, make_endorsement(rwset_b, "e1")))

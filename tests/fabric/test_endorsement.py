@@ -15,10 +15,7 @@ def make_endorsements(names_orgs, rwset):
 
 
 def make_rwset():
-    rwset = ReadWriteSet()
-    rwset.record_read("k", Version(0, 0))
-    rwset.record_write("k", 1)
-    return rwset
+    return ReadWriteSet(reads=(("k", Version(0, 0)),), writes=(("k", 1),))
 
 
 def test_any_single_policy():
@@ -76,8 +73,7 @@ def test_validate_proposal_checks_consistency_too():
         endorsements=endorsements,
     )
     assert policy.validate_proposal(good)
-    other_rwset = ReadWriteSet()
-    other_rwset.record_write("k", 99)
+    other_rwset = ReadWriteSet(writes=(("k", 99),))
     inconsistent = TransactionProposal(
         tx_id="t", client="c", chaincode_id="cc", args=(), rwset=other_rwset,
         endorsements=endorsements,

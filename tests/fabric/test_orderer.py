@@ -235,7 +235,7 @@ def test_orderer_never_validates(sim, network, streams):
     leader_inbox(network)
     orderer = make_orderer(sim, network, streams, max_tx=1, leaders={"org0": "leader"})
     bogus = proposal()
-    assert bogus.endorsements == []
+    assert bogus.endorsements == ()
     orderer.submit(bogus)
     sim.run()
     assert orderer.blocks_cut == 1

@@ -168,7 +168,7 @@ def test_endorsement_round_trip(sim, network, streams):
     response = inbox[0]
     assert isinstance(response, EndorsementResponse)
     assert response.request_id == "r1"
-    assert response.rwset.writes == {"c1": 1}
+    assert response.rwset.writes == (("c1", 1),)
     assert response.endorsement.endorser == "peer-0"
 
 
@@ -190,7 +190,7 @@ def test_endorsement_uses_committed_state(sim, network, streams):
     network.register("client", routes_to(lambda src, msg: inbox.append(msg)))
     network.send("client", "peer-0", EndorsementRequest("r1", "counter-increment", ("c1",)))
     sim.run(until=1.0)
-    assert inbox[0].rwset.writes == {"c1": 1}  # state still empty
+    assert inbox[0].rwset.writes == (("c1", 1),)  # state still empty
 
 
 def test_crash_stops_processing(sim, network, streams):

@@ -30,7 +30,7 @@ def test_overwrite_bumps_version():
 
 def test_apply_writes_atomic_set():
     store = KeyValueStore()
-    store.apply_writes({"a": 1, "b": 2}, Version(5, 2))
+    store.apply_writes((("a", 1), ("b", 2)), Version(5, 2))
     assert store.get_version("a") == Version(5, 2)
     assert store.get_version("b") == Version(5, 2)
     assert len(store) == 2
@@ -46,7 +46,7 @@ def test_contains_and_len():
 
 def test_writes_applied_counter():
     store = KeyValueStore()
-    store.apply_writes({"a": 1, "b": 2}, Version(0, 0))
+    store.apply_writes((("a", 1), ("b", 2)), Version(0, 0))
     store.put("c", 3, Version(0, 1))
     assert store.writes_applied == 3
 
@@ -55,10 +55,6 @@ def test_version_ordering():
     assert Version(1, 5) < Version(2, 0)
     assert Version(2, 1) < Version(2, 3)
     assert NIL_VERSION < Version(0, 0)
-
-
-def test_version_string():
-    assert str(Version(7, 3)) == "7.3"
 
 
 def test_snapshot_values():
@@ -85,7 +81,7 @@ def test_state_tag_empty_then_untagged_by_direct_writes():
     store.put("a", 1, Version(0, 0))
     assert store.state_tag is None
     other = KeyValueStore()
-    other.apply_writes({"a": 1}, Version(0, 0))
+    other.apply_writes((("a", 1),), Version(0, 0))
     assert other.state_tag is None  # equal contents, but nobody vouches for it
 
 

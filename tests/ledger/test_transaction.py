@@ -16,10 +16,7 @@ from repro.ledger.transaction import (
 
 
 def make_rwset(version=Version(0, 0)):
-    rwset = ReadWriteSet()
-    rwset.record_read("x", version)
-    rwset.record_write("x", 1)
-    return rwset
+    return ReadWriteSet(reads=(("x", version),), writes=(("x", 1),))
 
 
 def make_endorser(name="endorser-0"):
@@ -48,11 +45,10 @@ def test_signature_size_constant():
 
 @pytest.mark.parametrize("reads, writes", [(0, 0), (1, 0), (2, 3)])
 def test_endorsement_response_charges_48_bytes_per_rwset_entry(reads, writes):
-    rwset = ReadWriteSet()
-    for index in range(reads):
-        rwset.record_read(f"r{index}", Version(0, 0))
-    for index in range(writes):
-        rwset.record_write(f"w{index}", index)
+    rwset = ReadWriteSet(
+        reads=tuple((f"r{index}", Version(0, 0)) for index in range(reads)),
+        writes=tuple((f"w{index}", index) for index in range(writes)),
+    )
     endorsement = Endorsement.create(make_endorser(), rwset)
     response = EndorsementResponse("req-0", rwset, endorsement)
     assert response.payload_size() == 256 + 48 * (reads + writes) + 136
@@ -126,11 +122,6 @@ def test_endorsing_organizations_deduplicated():
         endorsements=endorsements,
     )
     assert proposal.endorsing_organizations == ["org0", "org1"]
-
-
-def test_tx_ids_unique():
-    ids = {TransactionProposal.next_tx_id("client") for _ in range(100)}
-    assert len(ids) == 100
 
 
 def test_validation_code_validity():
